@@ -126,9 +126,9 @@ fn bench(c: &mut Criterion) {
     assert_eq!(sweep_firstfit(&cg), sweep_firstfit_naive(&cg));
     assert_eq!(sweep_bestfit(&cg), sweep_bestfit_naive(&cg));
     assert_eq!(
-        cg.frag_summary(),
-        &naive::recount_frag_summary(&cg)[..],
-        "summary must match its recount before timing anything"
+        cg.derived_drift(),
+        [],
+        "derived state must match its recount before timing anything"
     );
     let mut g = c.benchmark_group("micro_frag");
     g.bench_function("frag_firstfit", |b| {
@@ -152,8 +152,8 @@ fn bench(c: &mut Criterion) {
             churn_frags(&mut g)
         })
     });
-    g.bench_function("frsum_recount_naive", |b| {
-        b.iter(|| naive::recount_frag_summary(black_box(&cg)))
+    g.bench_function("derived_recount_naive", |b| {
+        b.iter(|| naive::recount_derived(black_box(&cg)))
     });
     g.finish();
 }

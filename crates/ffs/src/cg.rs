@@ -8,8 +8,9 @@
 //! 64, so a block's lane never straddles a word and every lane test is
 //! one shift and mask.
 //!
-//! Search does not walk the raw map. Three derived structures, maintained
-//! incrementally on every allocation and free, carry it at word speed:
+//! Search does not walk the raw map. Everything that is a pure function
+//! of it lives in one [`Derived`] value, maintained incrementally on
+//! every allocation and free:
 //!
 //! * `free_words` — one bit per block (set = fully free), packed into
 //!   `u64` words, so the scans behind [`CylGroup::find_free_block`] and
@@ -26,18 +27,96 @@
 //!   contribute nothing). It drives the best-fit fragment search of
 //!   [`CylGroup::find_frag_run_bestfit`], which picks the smallest
 //!   adequate run size before touching the map at all — `ffs_alloccg`'s
-//!   `allocsiz` loop.
+//!   `allocsiz` loop;
+//! * `fill_hist` — the partial-block census: `fill_hist[k-1]` counts
+//!   partial blocks with exactly `k` allocated fragments.
+//!
+//! There is exactly one from-scratch builder for that value, the
+//! byte-at-a-time [`crate::naive::recount_derived`], and one named-table
+//! view of it, `Derived::tables`. Group construction and fsck rebuild
+//! are "recount and assign"; [`crate::check`], fault injection and the
+//! oracle tests iterate the table list ([`CylGroup::derived_drift`])
+//! and never name an index.
 //!
 //! The retired byte-at-a-time scans survive verbatim in [`crate::naive`];
 //! differential oracles (`tests/scan_oracle.rs`, `tests/frag_oracle.rs`)
 //! hold the two implementations bit-for-bit equal over randomized
-//! bitmaps and every fragment-per-block geometry, and [`crate::check`]
-//! verifies all three derived structures against the fragment map.
+//! bitmaps and every fragment-per-block geometry.
 
 use ffs_types::{CgIdx, Daddr, FsParams};
 
+/// One table of a group's [`Derived`] state, as a borrowed slice.
+#[derive(Debug)]
+pub(crate) enum Table<'a> {
+    /// A packed bitmap, 64 entries to the word.
+    Words(&'a [u64]),
+    /// A table of counts.
+    Counts(&'a [u32]),
+}
+
+/// Everything in a cylinder group that is a pure function of its
+/// fragment map. [`crate::naive::recount_derived`] is the only
+/// from-scratch builder; the allocation path keeps it current
+/// incrementally.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Derived {
+    /// One bit per block, set when the block is fully free, packed 64
+    /// blocks to the word (`cg_clustersfree`). Bits at and above
+    /// `nblocks` are always clear so runs never extend past the group.
+    pub(crate) free_words: Vec<u64>,
+    /// Cluster summary (`cg_clustersum`): `csum[k-1]` counts maximal free
+    /// runs of capped length `k`, lengths capped at `maxcontig`.
+    pub(crate) csum: Vec<u32>,
+    /// Fragment summary (`cg_frsum`): `frsum[k-1]` counts maximal free
+    /// fragment runs of exactly `k` fragments inside partially allocated
+    /// blocks. Has `fpb - 1` entries (a partial block's longest free run
+    /// is `fpb - 1`; empty when `fpb == 1` and fragments cannot exist).
+    pub(crate) frsum: Vec<u32>,
+    /// `fill_hist[k-1]` counts partial blocks (lane neither empty nor
+    /// full) with exactly `k` allocated fragments (`fpb - 1` entries).
+    /// Feeds [`crate::freespace::frag_space_stats`] without a map walk.
+    pub(crate) fill_hist: Vec<u32>,
+}
+
+impl Derived {
+    /// The tables by name, in a fixed order — the one list that check,
+    /// fault injection and the oracle tests iterate.
+    pub(crate) fn tables(&self) -> [(&'static str, Table<'_>); 4] {
+        [
+            ("free_words", Table::Words(&self.free_words)),
+            ("csum", Table::Counts(&self.csum)),
+            ("frsum", Table::Counts(&self.frsum)),
+            ("fill_hist", Table::Counts(&self.fill_hist)),
+        ]
+    }
+
+    /// Tears one slot of table `i` of [`Derived::tables`] — flips a bitmap
+    /// bit or bumps a count — at a position drawn from `draw(bound)`.
+    /// Returns `false` for an empty table (the fragment tables at one
+    /// fragment per block).
+    pub(crate) fn perturb(&mut self, i: usize, mut draw: impl FnMut(u32) -> u32) -> bool {
+        let counts = match i {
+            0 => {
+                let w = &mut self.free_words[..];
+                w[draw(w.len() as u32) as usize] ^= 1 << draw(64);
+                return true;
+            }
+            1 => &mut self.csum[..],
+            2 => &mut self.frsum[..],
+            3 => &mut self.fill_hist[..],
+            _ => unreachable!("no derived table {i}"),
+        };
+        if counts.is_empty() {
+            return false;
+        }
+        let slot = &mut counts[draw(counts.len() as u32) as usize];
+        *slot = slot.wrapping_add(1 + draw(4));
+        true
+    }
+}
+
 /// One cylinder group's allocation state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CylGroup {
     idx: CgIdx,
     /// Fragment address of the group's first fragment.
@@ -53,48 +132,14 @@ pub struct CylGroup {
     /// lives in exactly one word (`cg_blksfree` with `ffs_isblock`-style
     /// masked access).
     frag_words: Vec<u64>,
-    /// One bit per block, set when the block is fully free, packed 64
-    /// blocks to the word. Derived from `frag_words`; bits at and above
-    /// `nblocks` are always clear so runs never extend past the group.
-    free_words: Vec<u64>,
-    /// Cluster summary: `csum[k-1]` counts maximal free runs of capped
-    /// length `k`, where lengths are capped at `csum.len()`
-    /// (`maxcontig`). Derived from `frag_words`, maintained incrementally.
-    csum: Vec<u32>,
-    /// Fragment summary (`cg_frsum`): `frsum[k-1]` counts maximal free
-    /// fragment runs of exactly `k` fragments inside partially allocated
-    /// blocks. Has `fpb - 1` entries (a partial block's longest free run
-    /// is `fpb - 1`; empty when `fpb == 1` and fragments cannot exist).
-    /// Derived from `frag_words`, maintained incrementally.
-    frsum: Vec<u32>,
-    /// Uncapped free-run histogram: `run_hist[k-1]` counts the maximal
-    /// free runs of *exactly* `k` blocks, one entry per possible length.
-    /// The csum table pools everything at `maxcontig` and longer into one
-    /// bucket, which is enough for allocation but not for the free-space
-    /// analysis; this table keeps the exact lengths so
-    /// [`crate::freespace::free_space_stats`] is an O(ncg) merge instead
-    /// of a volume rescan. Maintained by the same rebracketing as `csum`.
-    run_hist: Vec<u32>,
-    /// Endpoint-encoded run lengths: for every maximal free run,
-    /// `run_len[s]` and `run_len[e]` (its first and last block) hold the
-    /// run's length; interior entries are stale. A free always merges at
-    /// known endpoints and an allocation almost always clips a run's
-    /// first or last block (the rotor and preferred-successor searches
-    /// both land there), so the exact lengths the `run_hist`
-    /// rebracketing needs are O(1) lookups instead of uncapped bitmap
-    /// scans — only the rare mid-run allocation still scans.
-    run_len: Vec<u32>,
-    /// Partially allocated data blocks (lane neither empty nor full).
-    partial_blocks: u32,
-    /// Free fragments stranded inside partially allocated blocks.
-    free_frags_partial: u32,
-    /// `fill_hist[k-1]` counts partial blocks with exactly `k` allocated
-    /// fragments (`fpb - 1` entries). Feeds
-    /// [`crate::freespace::frag_space_stats`] without a map walk.
-    fill_hist: Vec<u32>,
+    /// The indexes derived from `frag_words`.
+    derived: Derived,
     /// Fragments per block (always 8 for the paper geometry, kept for
     /// generality).
     fpb: u32,
+    /// Longest run length the cluster summary tells apart
+    /// (`fs_contigsumsize`; 7 for the paper geometry).
+    maxcontig: u32,
     free_frags: u32,
     free_blocks: u32,
     /// Allocation rotor: block index where the last search ended, the
@@ -107,38 +152,6 @@ pub struct CylGroup {
     irotor: u32,
     /// Number of directories in the group (`cg_cs.cs_ndir`).
     ndirs: u32,
-}
-
-/// Equality over the group's meaningful state. `run_len` is excluded on
-/// purpose: only a maximal run's first and last entry are defined —
-/// interior entries are stale leftovers of earlier runs — and the run
-/// structure itself is fully determined by `free_words`, which *is*
-/// compared. Two groups with equal bitmaps are equal regardless of how
-/// their histories littered the undefined interior slots.
-impl PartialEq for CylGroup {
-    fn eq(&self, other: &CylGroup) -> bool {
-        self.idx == other.idx
-            && self.base == other.base
-            && self.nblocks == other.nblocks
-            && self.meta_blocks == other.meta_blocks
-            && self.frag_words == other.frag_words
-            && self.free_words == other.free_words
-            && self.csum == other.csum
-            && self.frsum == other.frsum
-            && self.run_hist == other.run_hist
-            && self.partial_blocks == other.partial_blocks
-            && self.free_frags_partial == other.free_frags_partial
-            && self.fill_hist == other.fill_hist
-            && self.fpb == other.fpb
-            && self.free_frags == other.free_frags
-            && self.free_blocks == other.free_blocks
-            && self.rotor == other.rotor
-            && self.imap == other.imap
-            && self.ninodes == other.ninodes
-            && self.free_inodes == other.free_inodes
-            && self.irotor == other.irotor
-            && self.ndirs == other.ndirs
-    }
 }
 
 /// A fragment run inside one block, returned by fragment search.
@@ -170,36 +183,15 @@ impl CylGroup {
         }
         let ninodes = params.inodes_per_cg();
         let data_blocks = nblocks - meta_blocks;
-        let cap = params.maxcontig.max(1) as usize;
-        let mut free_words = vec![0u64; nblocks.div_ceil(64) as usize];
-        for b in meta_blocks..nblocks {
-            free_words[(b / 64) as usize] |= 1 << (b % 64);
-        }
-        let mut csum = vec![0u32; cap];
-        let mut run_hist = vec![0u32; nblocks as usize];
-        let mut run_len = vec![0u32; nblocks as usize];
-        if data_blocks > 0 {
-            // One maximal free run covering the whole data area.
-            csum[(data_blocks as usize).min(cap) - 1] = 1;
-            run_hist[data_blocks as usize - 1] = 1;
-            run_len[meta_blocks as usize] = data_blocks;
-            run_len[nblocks as usize - 1] = data_blocks;
-        }
-        CylGroup {
+        let mut cg = CylGroup {
             idx,
             base: params.cg_base(idx),
             nblocks,
             meta_blocks,
             frag_words,
-            free_words,
-            csum,
-            frsum: vec![0u32; (fpb - 1) as usize],
-            run_hist,
-            run_len,
-            partial_blocks: 0,
-            free_frags_partial: 0,
-            fill_hist: vec![0u32; (fpb - 1) as usize],
+            derived: Derived::default(),
             fpb,
+            maxcontig: params.maxcontig.max(1),
             free_frags: data_blocks * fpb,
             free_blocks: data_blocks,
             rotor: meta_blocks,
@@ -208,7 +200,9 @@ impl CylGroup {
             free_inodes: ninodes,
             irotor: 0,
             ndirs: 0,
-        }
+        };
+        cg.rebuild_derived();
+        cg
     }
 
     /// The group index.
@@ -390,33 +384,24 @@ impl CylGroup {
         while z != 0 {
             let start = z.trailing_zeros();
             let run = (z >> start).trailing_ones();
-            let slot = &mut self.frsum[(run - 1) as usize];
+            let slot = &mut self.derived.frsum[(run - 1) as usize];
             *slot = if add { *slot + 1 } else { *slot - 1 };
             z &= !(((1u32 << run) - 1) << start);
         }
     }
 
     /// Adds (`add`) or removes one block lane's contribution to the
-    /// fragment-fill statistics (`partial_blocks`, `free_frags_partial`,
-    /// `fill_hist`). Like [`CylGroup::frsum_account`], fully free and
-    /// fully allocated lanes contribute nothing, so bracketing every
-    /// fragment mutation with the old lane out and the new lane in keeps
-    /// the partial-block census exact without ever walking the map.
+    /// partial-block census `fill_hist`. Like
+    /// [`CylGroup::frsum_account`], fully free and fully allocated lanes
+    /// contribute nothing, so bracketing every fragment mutation with the
+    /// old lane out and the new lane in keeps the census exact without
+    /// ever walking the map.
     fn fill_account(&mut self, lane: u8, add: bool) {
         if lane == 0 || lane == self.full_lane() {
             return;
         }
-        let ones = (lane as u32).count_ones();
-        let free = self.fpb - ones;
-        if add {
-            self.partial_blocks += 1;
-            self.free_frags_partial += free;
-            self.fill_hist[(ones - 1) as usize] += 1;
-        } else {
-            self.partial_blocks -= 1;
-            self.free_frags_partial -= free;
-            self.fill_hist[(ones - 1) as usize] -= 1;
-        }
+        let slot = &mut self.derived.fill_hist[(lane.count_ones() - 1) as usize];
+        *slot = if add { *slot + 1 } else { *slot - 1 };
     }
 
     // --- Derived state: free-block bitmap and cluster summary -----------
@@ -432,7 +417,7 @@ impl CylGroup {
 
     /// Whether the free-bitmap bit for `block` is set.
     pub(crate) fn free_bit(&self, block: u32) -> bool {
-        self.free_words[(block / 64) as usize] & (1 << (block % 64)) != 0
+        self.derived.free_words[(block / 64) as usize] & (1 << (block % 64)) != 0
     }
 
     /// Capped length of the free run immediately below `block`.
@@ -448,7 +433,7 @@ impl CylGroup {
         let mut i = block;
         while i > 0 && n < cap {
             let bit = (i - 1) % 64;
-            let w = self.free_words[((i - 1) / 64) as usize];
+            let w = self.derived.free_words[((i - 1) / 64) as usize];
             let run = (!(w << (63 - bit))).leading_zeros();
             n += run;
             i -= run;
@@ -471,7 +456,7 @@ impl CylGroup {
         let mut i = block + 1;
         while i < self.nblocks && n < cap {
             let bit = i % 64;
-            let w = self.free_words[(i / 64) as usize];
+            let w = self.derived.free_words[(i / 64) as usize];
             let run = (!(w >> bit)).trailing_zeros().min(64 - bit);
             n += run;
             i += run;
@@ -483,79 +468,38 @@ impl CylGroup {
     }
 
     /// Records the transition of `block` from allocated to fully free: the
-    /// runs to its left and right merge with it into one. Their exact
-    /// lengths come from the `run_len` endpoint encoding in O(1) — the
-    /// freed block's neighbors, when free, are necessarily run endpoints.
-    /// `run_hist` takes the exact lengths, `csum` their `min(cap)`
-    /// projection (capped lengths compose, so the projection stays exact
-    /// bucket by bucket).
+    /// runs to its left and right merge with it into one.
     fn mark_block_free(&mut self, block: u32) {
         debug_assert!(!self.free_bit(block));
-        let cap = self.csum.len() as u32;
-        let left = if block > 0 && self.free_bit(block - 1) {
-            self.run_len[(block - 1) as usize]
-        } else {
-            0
-        };
-        let right = if block + 1 < self.nblocks && self.free_bit(block + 1) {
-            self.run_len[(block + 1) as usize]
-        } else {
-            0
-        };
+        let cap = self.maxcontig;
+        let left = self.free_len_before(block, cap);
+        let right = self.free_len_after(block, cap);
+        let csum = &mut self.derived.csum;
         if left > 0 {
-            self.csum[(left.min(cap) - 1) as usize] -= 1;
-            self.run_hist[(left - 1) as usize] -= 1;
+            csum[(left - 1) as usize] -= 1;
         }
         if right > 0 {
-            self.csum[(right.min(cap) - 1) as usize] -= 1;
-            self.run_hist[(right - 1) as usize] -= 1;
+            csum[(right - 1) as usize] -= 1;
         }
-        let merged = left + 1 + right;
-        self.csum[(merged.min(cap) - 1) as usize] += 1;
-        self.run_hist[(merged - 1) as usize] += 1;
-        self.run_len[(block - left) as usize] = merged;
-        self.run_len[(block + right) as usize] = merged;
-        self.free_words[(block / 64) as usize] |= 1 << (block % 64);
+        csum[((left + 1 + right).min(cap) - 1) as usize] += 1;
+        self.derived.free_words[(block / 64) as usize] |= 1 << (block % 64);
     }
 
     /// Records the transition of `block` from fully free to allocated: the
     /// run containing it splits into the parts left and right of it.
-    /// When `block` is the run's first or last block (where the rotor and
-    /// preferred-successor searches land) the split is O(1) off the
-    /// `run_len` endpoints; a mid-run allocation pays one scan to find
-    /// the run's start.
     fn mark_block_used(&mut self, block: u32) {
         debug_assert!(self.free_bit(block));
-        self.free_words[(block / 64) as usize] &= !(1 << (block % 64));
-        let cap = self.csum.len() as u32;
-        let left_free = block > 0 && self.free_bit(block - 1);
-        let right_free = block + 1 < self.nblocks && self.free_bit(block + 1);
-        let (left, right) = match (left_free, right_free) {
-            (false, false) => (0, 0),
-            (false, true) => (0, self.run_len[block as usize] - 1),
-            (true, false) => (self.run_len[block as usize] - 1, 0),
-            (true, true) => {
-                // Mid-run: one scan back to the run's start, whose
-                // endpoint entry gives the total length.
-                let left = self.free_len_before(block, self.nblocks);
-                let total = self.run_len[(block - left) as usize];
-                (left, total - left - 1)
-            }
-        };
-        let merged = left + 1 + right;
-        self.csum[(merged.min(cap) - 1) as usize] -= 1;
-        self.run_hist[(merged - 1) as usize] -= 1;
+        self.derived.free_words[(block / 64) as usize] &= !(1 << (block % 64));
+        let cap = self.maxcontig;
+        let left = self.free_len_before(block, cap);
+        let right = self.free_len_after(block, cap);
+        let csum = &mut self.derived.csum;
+        csum[((left + 1 + right).min(cap) - 1) as usize] -= 1;
         if left > 0 {
-            self.csum[(left.min(cap) - 1) as usize] += 1;
-            self.run_hist[(left - 1) as usize] += 1;
-            self.run_len[(block - left) as usize] = left;
-            self.run_len[(block - 1) as usize] = left;
+            csum[(left - 1) as usize] += 1;
         }
         if right > 0 {
-            self.csum[(right.min(cap) - 1) as usize] += 1;
-            self.run_hist[(right - 1) as usize] += 1;
-            self.run_len[(block + 1) as usize] = right;
-            self.run_len[(block + right) as usize] = right;
+            csum[(right - 1) as usize] += 1;
         }
     }
 
@@ -563,7 +507,7 @@ impl CylGroup {
     /// length `k + 1`, with the last entry pooling every run at least
     /// `maxcontig` long (`fs_clustersum`).
     pub fn cluster_summary(&self) -> &[u32] {
-        &self.csum
+        &self.derived.csum
     }
 
     /// O(1) pre-check from the summary table: whether a free run of at
@@ -572,13 +516,13 @@ impl CylGroup {
     /// bucket cannot distinguish lengths), so `true` may still scan to a
     /// miss but `false` never lies.
     fn summary_may_fit(&self, len: u32) -> bool {
-        let cap = self.csum.len() as u32;
+        let cap = self.maxcontig;
         if len <= cap {
-            self.csum[(len.max(1) - 1) as usize..]
+            self.derived.csum[(len.max(1) - 1) as usize..]
                 .iter()
                 .any(|&c| c > 0)
         } else {
-            self.csum[(cap - 1) as usize] > 0
+            self.derived.csum[(cap - 1) as usize] > 0
         }
     }
 
@@ -591,71 +535,61 @@ impl CylGroup {
         if block >= self.nblocks || self.nblocks - block < len {
             return false;
         }
-        ones_run_len(&self.free_words, block, block + len) >= len
+        ones_run_len(&self.derived.free_words, block, block + len) >= len
     }
 
     /// Iterates the maximal free runs of the group as `(start, len)`
     /// pairs, in address order.
     pub fn free_runs(&self) -> FreeRuns<'_> {
         FreeRuns {
-            words: &self.free_words,
+            words: &self.derived.free_words,
             pos: 0,
             hi: self.nblocks,
         }
     }
 
-    /// Recomputes `free_words`, `csum`, `frsum`, and the incremental
-    /// free-space statistics from the fragment map, for fsck-style
-    /// rebuild after the raw map has been rewritten.
+    /// Recounts the derived state from the fragment map: group
+    /// construction, and fsck-style rebuild after the raw map has been
+    /// rewritten.
     pub(crate) fn rebuild_derived(&mut self) {
-        for w in self.free_words.iter_mut() {
-            *w = 0;
-        }
-        for b in 0..self.nblocks {
-            if self.map_byte(b) == 0 {
-                self.free_words[(b / 64) as usize] |= 1 << (b % 64);
+        self.derived = crate::naive::recount_derived(self);
+    }
+
+    /// Raw mutable access to the derived state, for fault injection; same
+    /// caveats as [`CylGroup::set_map_byte`].
+    pub(crate) fn derived_mut(&mut self) -> &mut Derived {
+        &mut self.derived
+    }
+
+    /// The derived tables that disagree with a from-scratch recount of
+    /// the fragment map, by name, each with its first differing slot
+    /// (stored vs recounted). Empty on a sound group.
+    pub fn derived_drift(&self) -> Vec<(&'static str, String)> {
+        fn first_diff<T: PartialEq + std::fmt::LowerHex>(a: &[T], b: &[T]) -> String {
+            match a.iter().zip(b).position(|(x, y)| x != y) {
+                Some(i) => format!("slot {i}: {:#x} vs {:#x}", a[i], b[i]),
+                None => format!("length {} vs {}", a.len(), b.len()),
             }
         }
-        let cap = self.csum.len();
-        self.csum = crate::naive::recount_cluster_summary(self, cap);
-        self.frsum = crate::naive::recount_frag_summary(self);
-        self.run_hist = crate::naive::recount_free_run_hist(self);
-        // Re-derive the endpoint-encoded run lengths from the rebuilt
-        // free bitmap: one pass, writing each maximal run's length at
-        // its first and last block.
-        self.run_len = vec![0u32; self.nblocks as usize];
-        let mut start: Option<u32> = None;
-        for b in 0..self.nblocks {
-            match (self.free_bit(b), start) {
-                (true, None) => start = Some(b),
-                (false, Some(s)) => {
-                    self.run_len[s as usize] = b - s;
-                    self.run_len[(b - 1) as usize] = b - s;
-                    start = None;
+        let recount = crate::naive::recount_derived(self);
+        let mut drift = Vec::new();
+        for ((name, a), (_, b)) in self.derived.tables().into_iter().zip(recount.tables()) {
+            match (a, b) {
+                (Table::Words(a), Table::Words(b)) if a != b => {
+                    drift.push((name, first_diff(a, b)))
+                }
+                (Table::Counts(a), Table::Counts(b)) if a != b => {
+                    drift.push((name, first_diff(a, b)))
                 }
                 _ => {}
             }
         }
-        if let Some(s) = start {
-            self.run_len[s as usize] = self.nblocks - s;
-            self.run_len[(self.nblocks - 1) as usize] = self.nblocks - s;
-        }
-        let (partial, free, fill) = crate::naive::recount_frag_fill(self);
-        self.partial_blocks = partial;
-        self.free_frags_partial = free;
-        self.fill_hist = fill;
+        drift
     }
 
-    /// Raw mutable access to the cluster summary, for fault injection;
-    /// same caveats as [`CylGroup::set_map_byte`].
-    pub(crate) fn raw_csum_mut(&mut self) -> &mut [u32] {
-        &mut self.csum
-    }
-
-    /// Raw mutable access to the free-block bitmap, for fault injection;
-    /// same caveats as [`CylGroup::set_map_byte`].
-    pub(crate) fn raw_free_words_mut(&mut self) -> &mut [u64] {
-        &mut self.free_words
+    /// Longest run length the cluster summary tells apart.
+    pub(crate) fn maxcontig(&self) -> u32 {
+        self.maxcontig
     }
 
     /// The fragment summary table (`cg_frsum`): entry `k` counts the
@@ -663,47 +597,26 @@ impl CylGroup {
     /// partially allocated blocks. Empty for the 1-frag-per-block
     /// geometry, where sub-block allocation cannot exist.
     pub fn frag_summary(&self) -> &[u32] {
-        &self.frsum
-    }
-
-    /// Raw mutable access to the fragment summary, for fault injection;
-    /// same caveats as [`CylGroup::set_map_byte`].
-    pub(crate) fn raw_frsum_mut(&mut self) -> &mut [u32] {
-        &mut self.frsum
-    }
-
-    /// The uncapped free-run histogram: entry `k` counts maximal free
-    /// runs of exactly `k + 1` blocks, one entry per possible length.
-    pub fn free_run_hist(&self) -> &[u32] {
-        &self.run_hist
+        &self.derived.frsum
     }
 
     /// Partially allocated data blocks (lane neither empty nor full).
     pub fn partial_blocks(&self) -> u32 {
-        self.partial_blocks
+        self.derived.fill_hist.iter().sum()
     }
 
     /// Free fragments stranded inside partially allocated blocks.
     pub fn free_frags_partial(&self) -> u32 {
-        self.free_frags_partial
+        (1..self.fpb)
+            .zip(&self.derived.fill_hist)
+            .map(|(used, &n)| (self.fpb - used) * n)
+            .sum()
     }
 
     /// The fragment-fill histogram: entry `k` counts partial blocks with
     /// exactly `k + 1` allocated fragments.
     pub fn fill_hist(&self) -> &[u32] {
-        &self.fill_hist
-    }
-
-    /// Raw mutable access to the free-run histogram, for fault injection;
-    /// same caveats as [`CylGroup::set_map_byte`].
-    pub(crate) fn raw_run_hist_mut(&mut self) -> &mut [u32] {
-        &mut self.run_hist
-    }
-
-    /// Raw mutable access to the fragment-fill histogram, for fault
-    /// injection; same caveats as [`CylGroup::set_map_byte`].
-    pub(crate) fn raw_fill_hist_mut(&mut self) -> &mut [u32] {
-        &mut self.fill_hist
+        &self.derived.fill_hist
     }
 
     /// Finds the first fully free block at or after `from` (block index),
@@ -722,11 +635,11 @@ impl CylGroup {
         } else {
             from
         };
-        if let Some(b) = next_set_bit(&self.free_words, start, self.nblocks) {
+        if let Some(b) = next_set_bit(&self.derived.free_words, start, self.nblocks) {
             obs::hist!("ffs.cg_search_blocks", obs::bounds::POW2, b - start + 1);
             return Some(b);
         }
-        if let Some(b) = next_set_bit(&self.free_words, 0, start) {
+        if let Some(b) = next_set_bit(&self.derived.free_words, 0, start) {
             obs::hist!(
                 "ffs.cg_search_blocks",
                 obs::bounds::POW2,
@@ -778,10 +691,10 @@ impl CylGroup {
             obs::counter!("ffs.cg_summary_reject", 1);
             return None;
         }
-        let mut best: Option<(u32, u32)> = None; // (run_len, start)
+        let mut best: Option<(u32, u32)> = None; // (len, start)
         let mut pos = 0u32;
-        while let Some(s) = next_set_bit(&self.free_words, pos, self.nblocks) {
-            let run = ones_run_len(&self.free_words, s, self.nblocks);
+        while let Some(s) = next_set_bit(&self.derived.free_words, pos, self.nblocks) {
+            let run = ones_run_len(&self.derived.free_words, s, self.nblocks);
             if run >= len {
                 if run == len {
                     // Exact fit cannot be beaten.
@@ -817,10 +730,10 @@ impl CylGroup {
             from
         };
         let lim = start.saturating_add(window).min(self.nblocks);
-        let mut best: Option<(u32, u32)> = None; // (run_len, start)
+        let mut best: Option<(u32, u32)> = None; // (len, start)
         let mut pos = start;
-        while let Some(s) = next_set_bit(&self.free_words, pos, self.nblocks) {
-            let run = ones_run_len(&self.free_words, s, self.nblocks);
+        while let Some(s) = next_set_bit(&self.derived.free_words, pos, self.nblocks) {
+            let run = ones_run_len(&self.derived.free_words, s, self.nblocks);
             if run >= len {
                 if s < lim {
                     match best {
@@ -852,8 +765,8 @@ impl CylGroup {
     fn scan_cluster(&self, lo: u32, hi: u32, len: u32) -> Option<u32> {
         let hi = hi.min(self.nblocks);
         let mut pos = lo;
-        while let Some(s) = next_set_bit(&self.free_words, pos, hi) {
-            let run = ones_run_len(&self.free_words, s, hi);
+        while let Some(s) = next_set_bit(&self.derived.free_words, pos, hi) {
+            let run = ones_run_len(&self.derived.free_words, s, hi);
             if run >= len {
                 return Some(s);
             }
@@ -966,8 +879,12 @@ impl CylGroup {
     /// frugal-fragments ablation.
     pub fn find_frag_run_partial_only(&self, from: u32, len: u32) -> Option<FragRun> {
         debug_assert!(len >= 1 && len < self.fpb);
-        // The partial-block census bounds what this search can find.
-        if self.free_frags_partial < len {
+        // The fragment summary knows whether any partial block holds a
+        // run this long.
+        if self.derived.frsum[(len - 1) as usize..]
+            .iter()
+            .all(|&n| n == 0)
+        {
             return None;
         }
         let start = if from >= self.nblocks {
@@ -992,7 +909,7 @@ impl CylGroup {
     /// as the BSD allocator falls back to `ffs_alloccgblk`.
     pub fn find_frag_run_bestfit(&self, from: u32, len: u32) -> Option<FragRun> {
         debug_assert!(len >= 1 && len < self.fpb);
-        let k = (len..self.fpb).find(|&k| self.frsum[(k - 1) as usize] > 0)?;
+        let k = (len..self.fpb).find(|&k| self.derived.frsum[(k - 1) as usize] > 0)?;
         let start = if from >= self.nblocks {
             self.meta_blocks
         } else {
@@ -1481,10 +1398,7 @@ mod tests {
         // Whole-block transitions never touch the summary.
         cg.alloc_block(m + 1);
         cg.free_block(m + 1);
-        assert_eq!(
-            cg.frag_summary(),
-            crate::naive::recount_frag_summary(&cg).as_slice()
-        );
+        assert!(cg.derived_drift().is_empty());
         cg.free_frag_run(m, 0, 3);
         cg.free_frag_run(m, 5, 2);
         assert!(cg.is_block_free(m));
@@ -1529,15 +1443,7 @@ mod tests {
         // Last fragment freed: promoted exactly once.
         assert_eq!(cg.free_blocks(), blocks);
         assert!(cg.free_bit(m));
-        let cap = cg.cluster_summary().len();
-        assert_eq!(
-            cg.cluster_summary(),
-            crate::naive::recount_cluster_summary(&cg, cap).as_slice()
-        );
-        assert_eq!(
-            cg.frag_summary(),
-            crate::naive::recount_frag_summary(&cg).as_slice()
-        );
+        assert!(cg.derived_drift().is_empty());
     }
 
     #[test]
@@ -1562,27 +1468,14 @@ mod tests {
         assert_eq!(cg.free_blocks(), blocks + 2);
         // The cluster summary re-merged the run across the boundary.
         assert!(cg.is_cluster_free(63, 2));
-        let cap = cg.cluster_summary().len();
-        assert_eq!(
-            cg.cluster_summary(),
-            crate::naive::recount_cluster_summary(&cg, cap).as_slice()
-        );
+        assert!(cg.derived_drift().is_empty());
     }
 
     #[test]
-    fn free_run_hist_and_fill_stats_track_mutations() {
+    fn fill_stats_track_mutations() {
         let (_, mut cg) = group();
         let m = cg.meta_blocks();
-        let data = cg.nblocks() - m;
-        // Fresh group: one maximal run covering the whole data area.
-        assert_eq!(cg.free_run_hist()[(data - 1) as usize], 1);
-        assert_eq!(cg.free_run_hist().iter().sum::<u32>(), 1);
         assert_eq!((cg.partial_blocks(), cg.free_frags_partial()), (0, 0));
-        // Splitting the run in the middle leaves two exact-length runs.
-        cg.alloc_block(m + 10);
-        assert_eq!(cg.free_run_hist()[9], 1);
-        assert_eq!(cg.free_run_hist()[(data - 12) as usize], 1);
-        assert_eq!(cg.free_run_hist().iter().sum::<u32>(), 2);
         // A fragment tail makes the block partial and is counted exactly.
         cg.alloc_frags(m, 0, 3);
         assert_eq!(cg.partial_blocks(), 1);
@@ -1593,22 +1486,12 @@ mod tests {
         assert_eq!(cg.fill_hist()[2], 0);
         assert_eq!(cg.fill_hist()[4], 1);
         assert_eq!(cg.free_frags_partial(), 3);
-        // Freeing everything restores the single maximal run.
+        assert!(cg.derived_drift().is_empty());
+        // Freeing everything empties the census again.
         cg.free_frag_run(m, 0, 5);
-        cg.free_block(m + 10);
-        assert_eq!(cg.free_run_hist()[(data - 1) as usize], 1);
-        assert_eq!(cg.free_run_hist().iter().sum::<u32>(), 1);
         assert_eq!((cg.partial_blocks(), cg.free_frags_partial()), (0, 0));
         assert!(cg.fill_hist().iter().all(|&c| c == 0));
-        // Everything agrees with the byte-at-a-time recounts.
-        assert_eq!(
-            cg.free_run_hist(),
-            crate::naive::recount_free_run_hist(&cg).as_slice()
-        );
-        let (partial, free, fill) = crate::naive::recount_frag_fill(&cg);
-        assert_eq!(cg.partial_blocks(), partial);
-        assert_eq!(cg.free_frags_partial(), free);
-        assert_eq!(cg.fill_hist(), fill.as_slice());
+        assert!(cg.derived_drift().is_empty());
     }
 
     #[test]

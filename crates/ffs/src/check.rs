@@ -93,35 +93,16 @@ pub enum Violation {
         /// The value recomputed from the map.
         map: u32,
     },
-    /// A group's free-block bitmap bit disagrees with its fragment map.
-    FreeBitmapDrift {
+    /// One of a group's derived tables ([`crate::cg::Derived`]) disagrees
+    /// with a recount from its fragment map. The map is ground truth, so
+    /// this is rebuildable without loss.
+    DerivedDrift {
         /// Cylinder group index.
         cg: u32,
-        /// Block index within the group.
-        block: u32,
-        /// The bitmap bit as stored.
-        bit: bool,
-        /// Whether the fragment map says the block is fully free.
-        map_free: bool,
-    },
-    /// A group's cluster summary disagrees with a recount from its map.
-    ClusterSummaryDrift {
-        /// Cylinder group index.
-        cg: u32,
-        /// The summary as maintained incrementally.
-        stored: Vec<u32>,
-        /// The summary recounted from the fragment map.
-        recounted: Vec<u32>,
-    },
-    /// A group's fragment summary (`cg_frsum` analogue) disagrees with a
-    /// recount from its map.
-    FragSummaryDrift {
-        /// Cylinder group index.
-        cg: u32,
-        /// The summary as maintained incrementally.
-        stored: Vec<u32>,
-        /// The summary recounted from the fragment map.
-        recounted: Vec<u32>,
+        /// Name of the table that drifted.
+        index: &'static str,
+        /// The first slot where stored and recounted values differ.
+        detail: String,
     },
     /// The file system's used-data byte counter disagrees with the files.
     UsedDataDrift {
@@ -144,16 +125,6 @@ pub enum Violation {
         /// Which table drifted: `"files"` or `"dirs"`.
         table: &'static str,
         /// The first inconsistency the index walk found.
-        detail: String,
-    },
-    /// A group's incremental free-space statistics (the uncapped free-run
-    /// histogram or the fragment-fill counters) disagree with a recount
-    /// from its map. The map is ground truth, so this is rebuildable
-    /// without loss.
-    FreeStatsDrift {
-        /// Cylinder group index.
-        cg: u32,
-        /// Which statistic drifted and how.
         detail: String,
     },
 }
@@ -209,31 +180,9 @@ impl std::fmt::Display for Violation {
             Violation::FreeBlocksDrift { cg, counter, map } => {
                 write!(f, "cg {cg}: free_blocks counter {counter} vs map {map}")
             }
-            Violation::FreeBitmapDrift {
-                cg,
-                block,
-                bit,
-                map_free,
-            } => write!(
-                f,
-                "cg {cg} block {block}: free bitmap bit {bit} vs map free {map_free}"
-            ),
-            Violation::ClusterSummaryDrift {
-                cg,
-                stored,
-                recounted,
-            } => write!(
-                f,
-                "cg {cg}: cluster summary {stored:?} vs recount {recounted:?}"
-            ),
-            Violation::FragSummaryDrift {
-                cg,
-                stored,
-                recounted,
-            } => write!(
-                f,
-                "cg {cg}: frag summary {stored:?} vs recount {recounted:?}"
-            ),
+            Violation::DerivedDrift { cg, index, detail } => {
+                write!(f, "cg {cg}: {index} vs recount: {detail}")
+            }
             Violation::UsedDataDrift {
                 counter,
                 recomputed,
@@ -250,9 +199,6 @@ impl std::fmt::Display for Violation {
             ),
             Violation::SlabIndexDrift { table, detail } => {
                 write!(f, "{table} slab index drift: {detail}")
-            }
-            Violation::FreeStatsDrift { cg, detail } => {
-                write!(f, "cg {cg}: free-space stats drift: {detail}")
             }
         }
     }
@@ -364,66 +310,13 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
                 map: free_blocks,
             });
         }
-        // Derived search state against the group's own fragment map: the
-        // free-block bitmap must shadow "map byte is zero" bit for bit,
-        // and the cluster summary must equal a from-scratch recount.
-        for b in 0..cg.nblocks() {
-            let map_free = cg.map_byte(b) == 0;
-            if cg.free_bit(b) != map_free {
-                errs.push(Violation::FreeBitmapDrift {
-                    cg: g,
-                    block: b,
-                    bit: cg.free_bit(b),
-                    map_free,
-                });
-            }
-        }
-        let recounted = crate::naive::recount_cluster_summary(cg, cg.cluster_summary().len());
-        if cg.cluster_summary() != recounted.as_slice() {
-            errs.push(Violation::ClusterSummaryDrift {
+        // Derived state against a recount from the group's own fragment
+        // map.
+        for (index, detail) in cg.derived_drift() {
+            errs.push(Violation::DerivedDrift {
                 cg: g,
-                stored: cg.cluster_summary().to_vec(),
-                recounted,
-            });
-        }
-        let frag_recount = crate::naive::recount_frag_summary(cg);
-        if cg.frag_summary() != frag_recount.as_slice() {
-            errs.push(Violation::FragSummaryDrift {
-                cg: g,
-                stored: cg.frag_summary().to_vec(),
-                recounted: frag_recount,
-            });
-        }
-        // Incremental free-space statistics against their recounts.
-        let hist_recount = crate::naive::recount_free_run_hist(cg);
-        if cg.free_run_hist() != hist_recount.as_slice() {
-            errs.push(Violation::FreeStatsDrift {
-                cg: g,
-                detail: format!(
-                    "free-run histogram differs from recount at bucket {:?}",
-                    cg.free_run_hist()
-                        .iter()
-                        .zip(&hist_recount)
-                        .position(|(a, b)| a != b)
-                ),
-            });
-        }
-        let (partial, free_in_partial, fill_recount) = crate::naive::recount_frag_fill(cg);
-        if cg.partial_blocks() != partial
-            || cg.free_frags_partial() != free_in_partial
-            || cg.fill_hist() != fill_recount.as_slice()
-        {
-            errs.push(Violation::FreeStatsDrift {
-                cg: g,
-                detail: format!(
-                    "fragment fill ({}, {}, {:?}) vs recount ({}, {}, {:?})",
-                    cg.partial_blocks(),
-                    cg.free_frags_partial(),
-                    cg.fill_hist(),
-                    partial,
-                    free_in_partial,
-                    fill_recount
-                ),
+                index,
+                detail,
             });
         }
     }

@@ -74,7 +74,7 @@ impl FragSpaceStats {
 }
 
 /// Computes fragment-packing statistics by folding each group's
-/// incrementally maintained fragment summary and fill counters — an
+/// incrementally maintained fragment summary and fill histogram — an
 /// O(ncg) merge, no map walk. (Reference volume rescan:
 /// [`crate::naive::frag_space_stats_rescan`].)
 pub fn frag_space_stats(fs: &Filesystem) -> FragSpaceStats {
@@ -99,56 +99,34 @@ pub fn frag_space_stats(fs: &Filesystem) -> FragSpaceStats {
     stats
 }
 
-/// Computes the free-cluster distribution by folding each group's
-/// incrementally maintained free-run histogram in group order — the
-/// merge touches only live histogram buckets, never the bitmaps.
-/// `hist_max` bounds the merged histogram length; runs longer than that
-/// land in the last bucket (their blocks are still counted exactly).
-/// (Reference volume rescan: [`crate::naive::free_space_stats_rescan`].)
+/// Computes the free-cluster distribution by walking each group's
+/// maximal free runs off its free-block bitmap, a word at a time.
+/// `hist_max` bounds the histogram length; runs longer than that land in
+/// the last bucket (their blocks are still counted exactly), and
+/// `hist_max == 0` asks for the totals alone. (Reference block-at-a-time
+/// rescan: [`crate::naive::free_space_stats_rescan`].)
 pub fn free_space_stats(fs: &Filesystem, hist_max: usize) -> FreeSpaceStats {
     let maxcontig = fs.params().maxcontig;
-    let mut hist = vec![0u32; hist_max];
-    let mut free_blocks = 0u64;
-    let mut clusterable = 0u64;
-    let mut longest = 0u32;
-    let emit = obs::enabled();
+    let mut stats = FreeSpaceStats {
+        hist: vec![0u32; hist_max],
+        free_blocks: 0,
+        clusterable_blocks: 0,
+        longest_run: 0,
+    };
     for g in 0..fs.ncg() {
-        let cg = fs.cg(CgIdx(g));
-        // The histogram spans every possible run length but the live
-        // entries sum to exactly the group's free-block count, so the
-        // walk can stop as soon as that many blocks are accounted for —
-        // on an aged (mostly short-run) group that is a few dozen
-        // entries instead of thousands.
-        let mut unseen = cg.free_blocks() as u64;
-        for (k, &count) in cg.free_run_hist().iter().enumerate() {
-            if unseen == 0 {
-                break;
+        for (_, run) in fs.cg(CgIdx(g)).free_runs() {
+            obs::hist!("ffs.free_extent_blocks", obs::bounds::POW2, run);
+            if hist_max > 0 {
+                stats.hist[(run as usize - 1).min(hist_max - 1)] += 1;
             }
-            if count == 0 {
-                continue;
-            }
-            let run = k as u32 + 1;
-            if emit {
-                for _ in 0..count {
-                    obs::hist!("ffs.free_extent_blocks", obs::bounds::POW2, run);
-                }
-            }
-            hist[k.min(hist_max - 1)] += count;
-            let blocks = run as u64 * count as u64;
-            free_blocks += blocks;
-            unseen -= blocks;
+            stats.free_blocks += run as u64;
             if run >= maxcontig {
-                clusterable += run as u64 * count as u64;
+                stats.clusterable_blocks += run as u64;
             }
-            longest = longest.max(run);
+            stats.longest_run = stats.longest_run.max(run);
         }
     }
-    FreeSpaceStats {
-        hist,
-        free_blocks,
-        clusterable_blocks: clusterable,
-        longest_run: longest,
-    }
+    stats
 }
 
 #[cfg(test)]
@@ -255,6 +233,24 @@ mod tests {
         assert_eq!(frag.free_frags_in_partial, 0);
         assert_eq!(s, crate::naive::free_space_stats_rescan(&fs, 4096));
         assert_eq!(frag, crate::naive::frag_space_stats_rescan(&fs));
+    }
+
+    #[test]
+    fn zero_length_histogram_keeps_the_totals() {
+        let mut fs = Filesystem::new(FsParams::small_test(), AllocPolicy::Orig);
+        let d = fs.mkdir().unwrap();
+        let inos: Vec<_> = (0..40).map(|i| fs.create(d, 8 * KB, i).unwrap()).collect();
+        for pair in inos.chunks(2) {
+            fs.remove(pair[0]).unwrap();
+        }
+        let (none, some) = (free_space_stats(&fs, 0), free_space_stats(&fs, 64));
+        assert!(none.hist.is_empty());
+        assert_eq!(none.free_blocks, fs.free_blocks());
+        assert_eq!(
+            (none.free_blocks, none.clusterable_blocks, none.longest_run),
+            (some.free_blocks, some.clusterable_blocks, some.longest_run)
+        );
+        assert_eq!(none, crate::naive::free_space_stats_rescan(&fs, 0));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! [`crate::cg`]. They exist for one purpose: to be slow and obviously
 //! correct. The differential oracle in `tests/scan_oracle.rs` drives both
 //! implementations over randomized bitmaps and asserts identical results,
-//! and [`recount_cluster_summary`] is the from-scratch ground truth the
-//! incremental summary table is checked and rebuilt against.
+//! and [`recount_derived`] is the from-scratch ground truth every
+//! incrementally maintained index is checked and rebuilt against.
 //!
 //! Guard clauses (`len == 0`, empty groups, saturating window arithmetic)
 //! mirror the word-level versions exactly so the oracle covers the edge
@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
-use crate::cg::CylGroup;
+use crate::cg::{CylGroup, Derived};
 use crate::table::SlabKey;
 
 /// Reference [`CylGroup::find_free_block`]: first free block at or after
@@ -56,7 +56,7 @@ pub fn find_free_cluster_bestfit(cg: &CylGroup, len: u32) -> Option<u32> {
     if len == 0 || cg.nblocks() == 0 {
         return None;
     }
-    let mut best: Option<(u32, u32)> = None; // (run_len, start)
+    let mut best: Option<(u32, u32)> = None; // (len, start)
     let mut run = 0u32;
     for b in 0..=cg.nblocks() {
         let free = b < cg.nblocks() && cg.map_byte(b) == 0;
@@ -93,7 +93,7 @@ pub fn find_free_cluster_near(cg: &CylGroup, from: u32, len: u32, window: u32) -
         from
     };
     let lim = start.saturating_add(window).min(cg.nblocks());
-    let mut best: Option<(u32, u32)> = None; // (run_len, start)
+    let mut best: Option<(u32, u32)> = None; // (len, start)
     let mut run = 0u32;
     for b in start..=cg.nblocks() {
         let free = b < cg.nblocks() && cg.map_byte(b) == 0;
@@ -251,84 +251,98 @@ impl<K: SlabKey, V> RefTable<K, V> {
     }
 }
 
-/// From-scratch cluster summary recount off the fragment map: bucket `k`
-/// counts maximal free runs of capped length `k + 1`, runs of `cap` blocks
-/// or more pooled in the last bucket. The incremental table in `CylGroup`
-/// must equal this after every operation.
-pub fn recount_cluster_summary(cg: &CylGroup, cap: usize) -> Vec<u32> {
-    let mut csum = vec![0u32; cap];
-    let mut run = 0usize;
-    for b in 0..cg.nblocks() {
-        if cg.map_byte(b) == 0 {
-            run += 1;
-        } else if run > 0 {
-            csum[(run - 1).min(cap - 1)] += 1;
-            run = 0;
-        }
-    }
-    if run > 0 {
-        csum[(run - 1).min(cap - 1)] += 1;
-    }
-    csum
-}
-
-/// From-scratch fragment summary recount off the fragment map: bucket `k`
-/// counts maximal free fragment runs of exactly `k + 1` fragments inside
-/// partially allocated blocks — fully free and fully allocated blocks
-/// contribute nothing, matching `cg_frsum` semantics. The incremental
-/// table in `CylGroup` must equal this after every operation.
-pub fn recount_frag_summary(cg: &CylGroup) -> Vec<u32> {
+/// The one from-scratch builder of a group's [`Derived`] state, straight
+/// off the fragment map one block lane at a time: the free-block bitmap
+/// (bit set where the lane is zero), the cluster summary (bucket `k`
+/// counts maximal free runs of capped length `k + 1`, runs of `maxcontig`
+/// blocks or more pooled in the last bucket), the fragment summary
+/// (bucket `k` counts maximal free fragment runs of exactly `k + 1`
+/// fragments inside partially allocated blocks — `cg_frsum` semantics)
+/// and the partial-block census (bucket `k` counts partial blocks with
+/// exactly `k + 1` allocated fragments). The incrementally maintained
+/// value in `CylGroup` must equal this after every operation.
+pub fn recount_derived(cg: &CylGroup) -> Derived {
     let fpb = cg.frags_per_block();
-    let full = ((1u16 << fpb) - 1) as u8;
-    let mut frsum = vec![0u32; (fpb - 1) as usize];
-    for b in 0..cg.nblocks() {
-        let byte = cg.map_byte(b);
-        if byte == 0 || byte == full {
+    let full = cg.full_lane();
+    let cap = cg.maxcontig() as usize;
+    let mut d = Derived {
+        free_words: vec![0u64; cg.nblocks().div_ceil(64) as usize],
+        csum: vec![0u32; cap],
+        frsum: vec![0u32; (fpb - 1) as usize],
+        fill_hist: vec![0u32; (fpb - 1) as usize],
+    };
+    let mut run = 0usize;
+    // One step past the end, read as allocated, closes a trailing run.
+    for b in 0..=cg.nblocks() {
+        let byte = if b < cg.nblocks() {
+            cg.map_byte(b)
+        } else {
+            full
+        };
+        if byte == 0 {
+            d.free_words[(b / 64) as usize] |= 1 << (b % 64);
+            run += 1;
             continue;
         }
-        let mut run = 0u32;
+        if run > 0 {
+            d.csum[(run - 1).min(cap - 1)] += 1;
+            run = 0;
+        }
+        if byte == full {
+            continue;
+        }
+        d.fill_hist[(byte.count_ones() - 1) as usize] += 1;
+        let mut frun = 0u32;
         for i in 0..=fpb {
             if i < fpb && byte & (1 << i) == 0 {
-                run += 1;
-            } else if run > 0 {
-                frsum[(run - 1) as usize] += 1;
-                run = 0;
+                frun += 1;
+            } else if frun > 0 {
+                d.frsum[(frun - 1) as usize] += 1;
+                frun = 0;
             }
         }
     }
-    frsum
+    d
 }
 
-/// Reference [`crate::freespace::free_space_stats`]: the retired
-/// full-volume rescan, walking every group's free runs off the bitmap.
-/// The O(ncg) merge must equal this bit for bit after any churn; the
-/// differential oracle in `tests/stats_oracle.rs` holds them together.
+/// Reference [`crate::freespace::free_space_stats`]: counts every
+/// group's maximal free runs off the fragment map one block lane at a
+/// time — never through the derived free-block bitmap the production
+/// walk reads, so a torn bitmap cannot hide from the differential oracle
+/// in `tests/stats_oracle.rs`.
 pub fn free_space_stats_rescan(
     fs: &crate::fs::Filesystem,
     hist_max: usize,
 ) -> crate::freespace::FreeSpaceStats {
     let maxcontig = fs.params().maxcontig;
-    let mut hist = vec![0u32; hist_max];
-    let mut free_blocks = 0u64;
-    let mut clusterable = 0u64;
-    let mut longest = 0u32;
+    let mut stats = crate::freespace::FreeSpaceStats {
+        hist: vec![0u32; hist_max],
+        free_blocks: 0,
+        clusterable_blocks: 0,
+        longest_run: 0,
+    };
     for g in 0..fs.ncg() {
         let cg = fs.cg(ffs_types::CgIdx(g));
-        for (_, run) in cg.free_runs() {
-            hist[(run as usize - 1).min(hist_max - 1)] += 1;
-            free_blocks += run as u64;
-            if run >= maxcontig {
-                clusterable += run as u64;
+        let mut run = 0u32;
+        for b in 0..=cg.nblocks() {
+            if b < cg.nblocks() && cg.map_byte(b) == 0 {
+                run += 1;
+                continue;
             }
-            longest = longest.max(run);
+            if run > 0 {
+                if hist_max > 0 {
+                    stats.hist[(run as usize - 1).min(hist_max - 1)] += 1;
+                }
+                stats.free_blocks += run as u64;
+                if run >= maxcontig {
+                    stats.clusterable_blocks += run as u64;
+                }
+                stats.longest_run = stats.longest_run.max(run);
+                run = 0;
+            }
         }
     }
-    crate::freespace::FreeSpaceStats {
-        hist,
-        free_blocks,
-        clusterable_blocks: clusterable,
-        longest_run: longest,
-    }
+    stats
 }
 
 /// Reference [`crate::freespace::frag_space_stats`]: the retired
@@ -359,51 +373,6 @@ pub fn frag_space_stats_rescan(fs: &crate::fs::Filesystem) -> crate::freespace::
         }
     }
     stats
-}
-
-/// From-scratch uncapped free-run histogram recount off the fragment
-/// map: bucket `k` counts maximal free runs of exactly `k + 1` blocks,
-/// one bucket per possible length (no pooling). The incremental
-/// histogram in `CylGroup` must equal this after every operation.
-pub fn recount_free_run_hist(cg: &CylGroup) -> Vec<u32> {
-    let mut hist = vec![0u32; cg.nblocks() as usize];
-    let mut run = 0usize;
-    for b in 0..cg.nblocks() {
-        if cg.map_byte(b) == 0 {
-            run += 1;
-        } else if run > 0 {
-            hist[run - 1] += 1;
-            run = 0;
-        }
-    }
-    if run > 0 {
-        hist[run - 1] += 1;
-    }
-    hist
-}
-
-/// From-scratch fragment-fill recount off the fragment map: returns
-/// `(partial_blocks, free_frags_in_partial, fill_hist)` where
-/// `fill_hist[k]` counts partial blocks with exactly `k + 1` allocated
-/// fragments. The incremental counters in `CylGroup` must equal this
-/// after every operation.
-pub fn recount_frag_fill(cg: &CylGroup) -> (u32, u32, Vec<u32>) {
-    let fpb = cg.frags_per_block();
-    let full = ((1u16 << fpb) - 1) as u8;
-    let mut partial = 0u32;
-    let mut free = 0u32;
-    let mut fill = vec![0u32; fpb.saturating_sub(1) as usize];
-    for b in 0..cg.nblocks() {
-        let byte = cg.map_byte(b);
-        if byte == 0 || byte == full {
-            continue;
-        }
-        let used = byte.count_ones();
-        partial += 1;
-        free += fpb - used;
-        fill[(used - 1) as usize] += 1;
-    }
-    (partial, free, fill)
 }
 
 /// Reference [`CylGroup::find_frag_run`]: first fragment run of at least
@@ -444,7 +413,7 @@ pub fn find_frag_run(cg: &CylGroup, from: u32, len: u32) -> Option<(u32, u32)> {
 pub fn find_frag_run_bestfit(cg: &CylGroup, from: u32, len: u32) -> Option<(u32, u32)> {
     let fpb = cg.frags_per_block();
     let full = ((1u16 << fpb) - 1) as u8;
-    let frsum = recount_frag_summary(cg);
+    let frsum = recount_derived(cg).frsum;
     let k = (len..fpb).find(|&k| frsum[(k - 1) as usize] > 0)?;
     let start = if from >= cg.nblocks() {
         cg.meta_blocks()

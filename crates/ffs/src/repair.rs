@@ -234,7 +234,8 @@ pub(crate) fn rebuild_allocation_state(fs: &mut Filesystem) {
 /// Damage profile of a torn update: perturbs up to `hits` pieces of
 /// *derived* allocation state — orphaned fragments and inode slots in
 /// the bitmaps, drifted free counters, drifted aggregates, cleared
-/// live-inode bits, and scrambled slab-index free lists — without
+/// live-inode bits, torn slots of the groups' derived tables, and
+/// scrambled slab-index free lists — without
 /// touching the inode table itself. Returns the number of perturbations
 /// applied.
 ///
@@ -246,32 +247,20 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
     let ncg = fs.params.ncg;
     let mut applied = 0u32;
     for _ in 0..hits {
-        let kind = rng.gen_range(0u32..11);
+        let kind = rng.gen_range(0u32..9);
         let g = rng.gen_range(0..ncg) as usize;
         match kind {
-            10 => {
-                // Scramble the incremental free-space statistics (torn
-                // stats update): a free-run histogram bucket and a
-                // fragment-fill bucket.
-                let cg = &mut fs.cgs[g];
-                let mut hit = false;
-                let hist = cg.raw_run_hist_mut();
-                if !hist.is_empty() {
-                    let i = rng.gen_range(0..hist.len() as u32) as usize;
-                    hist[i] = hist[i].wrapping_add(rng.gen_range(1..5));
-                    hit = true;
-                }
-                let fill = cg.raw_fill_hist_mut();
-                if !fill.is_empty() {
-                    let i = rng.gen_range(0..fill.len() as u32) as usize;
-                    fill[i] = fill[i].wrapping_add(rng.gen_range(1..5));
-                    hit = true;
-                }
-                if hit {
+            6 => {
+                // Perturb one slot of one derived table (torn
+                // cg_clustersum / cg_frsum / free-bitmap update): which
+                // table is a draw over the group's own list.
+                let derived = fs.cgs[g].derived_mut();
+                let t = rng.gen_range(0..derived.tables().len());
+                if derived.perturb(t, |bound| rng.gen_range(0..bound)) {
                     applied += 1;
                 }
             }
-            8 => {
+            7 => {
                 // Scramble the file table's slab index (torn free-list
                 // update): random free-list links and head, or a flipped
                 // occupancy bit when no slot is vacant. Occupied slots —
@@ -280,46 +269,16 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
                     applied += 1;
                 }
             }
-            6 => {
-                // Scramble a cluster-summary bucket (torn fs_clustersum
-                // update).
-                let cg = &mut fs.cgs[g];
-                let csum = cg.raw_csum_mut();
-                let i = rng.gen_range(0..csum.len() as u32) as usize;
-                csum[i] = csum[i].wrapping_add(rng.gen_range(1..5));
-                applied += 1;
-            }
-            7 => {
-                // Flip a free-bitmap bit (torn cg_blksfree shadow update).
-                let cg = &mut fs.cgs[g];
-                let nb = cg.nblocks();
-                if nb > 0 {
-                    let b = rng.gen_range(0..nb);
-                    cg.raw_free_words_mut()[(b / 64) as usize] ^= 1 << (b % 64);
-                    applied += 1;
-                }
-            }
-            9 => {
-                // Scramble a frag-summary bucket and flip a fragment-map
-                // bit (torn cg_frsum + cg_blksfree update). The frag map
-                // is derived state — the rebuild rewrites it wholly from
-                // the inode table, so repair stays lossless.
+            8 => {
+                // Flip a fragment-map bit (torn cg_blksfree update). The
+                // frag map is derived state — the rebuild rewrites it
+                // wholly from the inode table, so repair stays lossless.
                 let cg = &mut fs.cgs[g];
                 let (mb, nb) = (cg.meta_blocks(), cg.nblocks());
-                let mut hit = false;
-                let frsum = cg.raw_frsum_mut();
-                if !frsum.is_empty() {
-                    let i = rng.gen_range(0..frsum.len() as u32) as usize;
-                    frsum[i] = frsum[i].wrapping_add(rng.gen_range(1..5));
-                    hit = true;
-                }
                 if nb > mb {
                     let b = rng.gen_range(mb..nb);
                     let bit = 1u8 << rng.gen_range(0..fpb);
                     cg.set_map_byte(b, cg.map_byte(b) ^ bit);
-                    hit = true;
-                }
-                if hit {
                     applied += 1;
                 }
             }
@@ -398,6 +357,7 @@ mod tests {
     use crate::alloc::AllocPolicy;
     use crate::check::assert_consistent;
     use ffs_types::{FsParams, KB};
+    use proptest::prelude::*;
 
     fn aged_fs() -> Filesystem {
         let mut fs = Filesystem::new(FsParams::small_test(), AllocPolicy::Realloc);
@@ -474,48 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn scrambled_cluster_summary_is_detected_and_rebuilt() {
-        let mut fs = aged_fs();
-        let pristine = fs.clone();
-        let csum = fs.cgs[1].raw_csum_mut();
-        csum[2] = csum[2].wrapping_add(3);
-        let errs = check(&fs);
-        assert!(
-            errs.iter()
-                .any(|v| matches!(v, Violation::ClusterSummaryDrift { cg: 1, .. })),
-            "summary drift not reported: {errs:?}"
-        );
-        assert!(errs.iter().all(|v| !v.is_structural()));
-        let report = repair(&mut fs);
-        assert!(report.rebuilt);
-        assert!(report.files_removed.is_empty());
-        assert_consistent(&fs);
-        assert_eq!(fs.cgs[1], pristine.cgs[1], "rebuild was not lossless");
-    }
-
-    #[test]
-    fn scrambled_frag_summary_is_detected_and_rebuilt() {
-        let mut fs = aged_fs();
-        let pristine = fs.clone();
-        let frsum = fs.cgs[1].raw_frsum_mut();
-        assert!(!frsum.is_empty());
-        frsum[2] = frsum[2].wrapping_add(3);
-        let errs = check(&fs);
-        assert!(
-            errs.iter()
-                .any(|v| matches!(v, Violation::FragSummaryDrift { cg: 1, .. })),
-            "frag summary drift not reported: {errs:?}"
-        );
-        assert!(errs.iter().all(|v| !v.is_structural()));
-        let report = repair(&mut fs);
-        assert!(report.rebuilt);
-        assert!(report.files_removed.is_empty());
-        assert_consistent(&fs);
-        assert_eq!(fs.cgs[1], pristine.cgs[1], "rebuild was not lossless");
-        assert_eq!(fs.digest(), pristine.digest());
-    }
-
-    #[test]
     fn frag_map_bit_damage_repairs_losslessly() {
         let mut fs = aged_fs();
         let pristine = fs.clone();
@@ -537,47 +455,6 @@ mod tests {
         assert_consistent(&fs);
         assert_eq!(fs.cgs[0], pristine.cgs[0], "rebuild was not lossless");
         assert_eq!(fs.digest(), pristine.digest());
-    }
-
-    #[test]
-    fn frag_damage_kind_converges_under_repair() {
-        // Seeds that exercise damage kind 9 (frag summary scramble + frag
-        // bitmap bit flip) among the rest; repair must return the exact
-        // pristine state and digest every time.
-        for seed in 100..110 {
-            let mut fs = aged_fs();
-            let pristine = fs.clone();
-            let applied = inject_metadata_damage(&mut fs, seed, 40);
-            assert!(applied > 0);
-            let report = repair(&mut fs);
-            assert!(report.files_removed.is_empty());
-            assert_consistent(&fs);
-            assert_eq!(fs.cgs, pristine.cgs, "seed {seed} was not lossless");
-            assert_eq!(fs.digest(), pristine.digest(), "seed {seed} digest drift");
-        }
-    }
-
-    #[test]
-    fn flipped_free_bitmap_bit_is_detected_and_rebuilt() {
-        let mut fs = aged_fs();
-        let pristine = fs.clone();
-        // Word 1, bit 5: block 69, well inside the data area.
-        fs.cgs[0].raw_free_words_mut()[1] ^= 1 << 5;
-        let errs = check(&fs);
-        assert!(
-            errs.iter().any(|v| matches!(
-                v,
-                Violation::FreeBitmapDrift {
-                    cg: 0,
-                    block: 69,
-                    ..
-                }
-            )),
-            "bitmap drift not reported: {errs:?}"
-        );
-        repair(&mut fs);
-        assert_consistent(&fs);
-        assert_eq!(fs.cgs[0], pristine.cgs[0], "rebuild was not lossless");
     }
 
     #[test]
@@ -609,62 +486,120 @@ mod tests {
         assert_consistent(&fs);
     }
 
-    #[test]
-    fn scrambled_free_stats_are_detected_and_rebuilt() {
-        let mut fs = aged_fs();
-        let pristine = fs.clone();
-        let hist = fs.cgs[1].raw_run_hist_mut();
-        hist[3] = hist[3].wrapping_add(2);
-        let fill = fs.cgs[1].raw_fill_hist_mut();
-        fill[1] = fill[1].wrapping_add(1);
-        let errs = check(&fs);
-        assert!(
-            errs.iter()
-                .any(|v| matches!(v, Violation::FreeStatsDrift { cg: 1, .. })),
-            "free-stats drift not reported: {errs:?}"
-        );
-        assert!(errs.iter().all(|v| !v.is_structural()));
-        let report = repair(&mut fs);
-        assert!(report.rebuilt);
-        assert!(report.files_removed.is_empty());
-        assert_consistent(&fs);
-        assert_eq!(fs.cgs[1], pristine.cgs[1], "rebuild was not lossless");
-        assert_eq!(fs.digest(), pristine.digest());
+    /// Mixed whole-block and fragment-tail churn through the file
+    /// system; every group's derived state must equal its recount after
+    /// each single mutation.
+    fn churn(fs: &mut Filesystem, rng: &mut StdRng, ops: u32) {
+        let dir = fs.mkdir().unwrap();
+        let mut live = Vec::new();
+        for day in 0..ops {
+            if !live.is_empty() && rng.gen_range(0u32..10) < 4 {
+                let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                fs.remove(victim).unwrap();
+            } else {
+                let size = match rng.gen_range(0u32..3) {
+                    0 => rng.gen_range(1..=8 * KB),
+                    1 => rng.gen_range(1u64..=96) * KB + rng.gen_range(0..KB),
+                    _ => rng.gen_range(96u64..=160) * KB,
+                };
+                if let Ok(ino) = fs.create(dir, size, day) {
+                    live.push(ino);
+                }
+            }
+            for cg in &fs.cgs {
+                assert_eq!(cg.derived_drift(), [], "cg {:?} after op {day}", cg.idx());
+            }
+        }
     }
 
-    #[test]
-    fn free_stats_damage_kind_converges_under_repair() {
-        // Seeds that draw damage kind 10 (free-space stats scramble)
-        // among the rest; repair must return the exact pristine state.
-        for seed in 200..208 {
-            let mut fs = aged_fs();
-            let pristine = fs.clone();
-            let applied = inject_metadata_damage(&mut fs, seed, 40);
-            assert!(applied > 0);
-            let report = repair(&mut fs);
-            assert!(report.files_removed.is_empty());
-            assert_consistent(&fs);
-            assert_eq!(fs.cgs, pristine.cgs, "seed {seed} was not lossless");
-            assert_eq!(fs.digest(), pristine.digest(), "seed {seed} digest drift");
+    /// The whole derived-state contract, driven off the table list: at
+    /// every fragment-per-block geometry (426/428-block groups, so every
+    /// bitmap ends in a partial trailing word) churn keeps each table
+    /// equal to its recount, a perturbed table is reported by name and as
+    /// rebuildable, and repair restores the group exactly.
+    fn derived_contract_holds(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for fsize in [KB, 2 * KB, 4 * KB, 8 * KB] {
+            let params = FsParams {
+                size_bytes: 10 * ffs_types::MB,
+                ncg: 3,
+                fsize: fsize as u32,
+                ..FsParams::small_test()
+            };
+            let policy = if rng.gen() {
+                AllocPolicy::Realloc
+            } else {
+                AllocPolicy::Orig
+            };
+            let mut pristine = Filesystem::new(params, policy);
+            churn(&mut pristine, &mut rng, 60);
+            assert_consistent(&pristine);
+            let names = pristine.cgs[0].derived_mut().tables().map(|(name, _)| name);
+            for (t, name) in names.into_iter().enumerate() {
+                let mut fs = pristine.clone();
+                let g = rng.gen_range(0..fs.cgs.len());
+                let torn = fs.cgs[g].derived_mut();
+                if !torn.perturb(t, |bound| rng.gen_range(0..bound)) {
+                    // fpb 1 has no fragments, so its fragment tables are empty.
+                    continue;
+                }
+                let errs = check(&fs);
+                let named = |v: &Violation| {
+                    matches!(v, Violation::DerivedDrift { cg, index, .. }
+                        if *cg == g as u32 && *index == name)
+                };
+                assert!(
+                    errs.iter().any(named),
+                    "{name} drift in cg {g} not reported: {errs:?}"
+                );
+                assert!(errs.iter().all(|v| !v.is_structural()));
+                let report = repair(&mut fs);
+                assert!(report.rebuilt && report.files_removed.is_empty());
+                assert_consistent(&fs);
+                assert_eq!(fs.cgs, pristine.cgs, "{name} rebuild was not lossless");
+                assert_eq!(fs.digest(), pristine.digest());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+        #[test]
+        fn every_derived_table_is_tracked_checked_and_rebuilt(seed in any::<u64>()) {
+            derived_contract_holds(seed);
         }
     }
 
     #[test]
-    fn derived_state_damage_kinds_converge_under_repair() {
-        // Damage kinds 6 (summary scramble), 7 (bitmap bit flip), and 8
-        // (slab free-list scramble) are drawn alongside the others; many
-        // seeded rounds must always repair back to the pristine state.
-        for seed in 0..8 {
+    fn every_damage_kind_converges_under_repair() {
+        // Forty hits a seed draw every damage kind many times over. The
+        // three kinds that leave a signature of their own — 6 (derived
+        // table), 7 (slab free list), 8 (fragment-map bit) — must each
+        // show up in the pre-repair check, and repair must return the
+        // exact pristine state and digest every time.
+        let mut seen = [false; 3];
+        for seed in 0..12 {
             let mut fs = aged_fs();
             let pristine = fs.clone();
             let applied = inject_metadata_damage(&mut fs, seed, 40);
             assert!(applied > 0);
+            for v in check(&fs) {
+                match v {
+                    Violation::DerivedDrift { .. } => seen[0] = true,
+                    Violation::SlabIndexDrift { .. } => seen[1] = true,
+                    Violation::MapMismatch { .. } => seen[2] = true,
+                    _ => {}
+                }
+            }
             let report = repair(&mut fs);
             assert!(report.files_removed.is_empty());
             assert_consistent(&fs);
             assert_eq!(fs.cgs, pristine.cgs, "seed {seed} was not lossless");
             assert_eq!(fs.files, pristine.files, "seed {seed} lost file state");
+            assert_eq!(fs.digest(), pristine.digest(), "seed {seed} digest drift");
         }
+        assert_eq!(seen, [true; 3], "a damage kind was never drawn");
     }
 
     #[test]

@@ -65,16 +65,11 @@ fn churn_once(cg: &mut CylGroup, rng: &mut StdRng) {
     }
 }
 
-/// The fragment summary and free counters vs their from-scratch
-/// recounts.
+/// The derived state and free counters vs their from-scratch recounts.
 fn assert_summary_exact(cg: &CylGroup) {
     let fpb = cg.frags_per_block();
     assert_eq!(cg.frag_summary().len(), (fpb - 1) as usize);
-    assert_eq!(
-        cg.frag_summary(),
-        &naive::recount_frag_summary(cg)[..],
-        "fragment summary drifted from the map (fpb {fpb})"
-    );
+    assert_eq!(cg.derived_drift(), [], "derived state drifted (fpb {fpb})");
     let free_frags: u32 = (0..cg.nblocks())
         .map(|b| fpb - cg.map_byte(b).count_ones())
         .sum();
@@ -159,10 +154,7 @@ proptest! {
             let mut cg = CylGroup::new(&params, CgIdx(1));
             for _ in 0..160 {
                 churn_once(&mut cg, &mut rng);
-                prop_assert_eq!(
-                    cg.frag_summary(),
-                    &naive::recount_frag_summary(&cg)[..]
-                );
+                prop_assert_eq!(cg.derived_drift(), []);
             }
             assert_searches_match(&cg, &mut rng, 8);
         }
