@@ -24,8 +24,7 @@ use std::collections::BTreeSet;
 use ffs_types::{DirId, FsError, FsParams, FsResult, Ino};
 
 use ffs::{
-    assert_consistent, inject_metadata_damage, repair, AllocPolicy, BatchOp, Filesystem, OpOutcome,
-    RepairReport,
+    inject_metadata_damage, repair, AllocPolicy, BatchOp, Filesystem, OpOutcome, RepairReport,
 };
 
 use crate::checkpoint::{take_checkpoint, Checkpoint};
@@ -136,8 +135,8 @@ pub struct ReplayResult {
 /// Options controlling a replay.
 #[derive(Clone, Debug)]
 pub struct ReplayOptions {
-    /// Run the full consistency checker every `n` days (0 = never).
-    /// Expensive; meant for tests and paranoid long runs.
+    /// Run the full consistency checker every `n` days (0 = never); a
+    /// violation ends the replay with [`FsError::Corrupt`].
     pub verify_every_days: u32,
     /// Ablation: restore the 4.4BSD first-fit-from-preference cluster
     /// search instead of the windowed best fit (see DESIGN.md).
@@ -439,7 +438,8 @@ fn run_days(
             t(&fs, daily.last().expect("day stats just recorded"));
         }
         if options.verify_every_days > 0 && (day_log.day + 1) % options.verify_every_days == 0 {
-            assert_consistent(&fs);
+            let _s = obs::span!("verify");
+            ffs::verify(&fs)?;
         }
         if options.snapshot_every_days > 0 && (day_log.day + 1) % options.snapshot_every_days == 0 {
             let _s = obs::span!("snapshot");
@@ -673,6 +673,37 @@ mod tests {
         assert!(r.daily.iter().all(|d| d.layout_score >= 0.0));
         assert!(r.daily.last().unwrap().nfiles > 0);
         assert_eq!(r.live.len(), r.fs.nfiles());
+    }
+
+    #[test]
+    fn failed_verify_ends_the_replay_with_corrupt() {
+        let params = FsParams::small_test();
+        let config = AgingConfig::small_test(3, 42);
+        let w = generate(&config, params.ncg, params.data_capacity_bytes());
+        let mut fs = Filesystem::new(params, AllocPolicy::Orig);
+        let dirs = fs.mkdir_per_cg().unwrap();
+        // A drifted used-space counter nothing repairs (the one torn
+        // update the allocator itself never trips over): the first
+        // nightly verify must stop the replay with an error, not a panic.
+        let drifts_counter = |seed: &u64| {
+            let mut probe = fs.clone();
+            inject_metadata_damage(&mut probe, *seed, 1);
+            matches!(
+                ffs::check(&probe)[..],
+                [ffs::Violation::UsedDataDrift { .. }]
+            )
+        };
+        let seed = (0..64).find(drifts_counter).expect("a counter-drift seed");
+        inject_metadata_damage(&mut fs, seed, 1);
+        let options = ReplayOptions {
+            verify_every_days: 1,
+            ..ReplayOptions::default()
+        };
+        match run_days(&w, fs, &dirs, LiveMap::new(), None, 0, options, None) {
+            Err(FsError::Corrupt(msg)) => assert!(msg.contains("inconsistent"), "{msg}"),
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("a damaged image passed verification"),
+        }
     }
 
     #[test]

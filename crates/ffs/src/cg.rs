@@ -175,12 +175,7 @@ impl CylGroup {
             fpb.is_power_of_two() && fpb <= 8,
             "unsupported frag-per-block geometry {fpb}"
         );
-        let full = ((1u16 << fpb) - 1) as u64;
-        let mut frag_words = vec![0u64; (nblocks as usize * fpb as usize).div_ceil(64)];
-        for b in 0..meta_blocks as usize {
-            let bit = b * fpb as usize;
-            frag_words[bit / 64] |= full << (bit % 64);
-        }
+        let frag_words = fresh_frag_words(nblocks, meta_blocks, fpb);
         let ninodes = params.inodes_per_cg();
         let data_blocks = nblocks - meta_blocks;
         let mut cg = CylGroup {
@@ -980,10 +975,27 @@ impl CylGroup {
         ((self.frag_words[bit / 64] >> (bit % 64)) & self.full_lane() as u64) as u8
     }
 
-    /// Overwrites one block's fragment lane, for fsck-style rebuild and
-    /// fault injection. Counters, summaries, and the free-block bitmap
-    /// are NOT maintained; callers must restore consistency themselves
-    /// (that is the point of the exercise).
+    /// The packed fragment map itself: bit `block * fpb + frag`, set =
+    /// allocated, bits past the last block clear. The layout
+    /// fsck's claim map mirrors, so the two compare a word at a time.
+    pub fn frag_words(&self) -> &[u64] {
+        &self.frag_words
+    }
+
+    /// Replaces the fragment map wholesale and recounts everything that
+    /// is a function of it (free counters, [`Derived`]) — the fsck
+    /// rebuild, handed the words the inodes claim.
+    pub(crate) fn install_frag_words(&mut self, words: Vec<u64>) {
+        debug_assert_eq!(words.len(), self.frag_words.len());
+        self.frag_words = words;
+        (self.free_frags, self.free_blocks) = free_counts(&self.frag_words, self.nblocks, self.fpb);
+        self.rebuild_derived();
+    }
+
+    /// Overwrites one block's fragment lane, for fault injection.
+    /// Counters, summaries, and the free-block bitmap are NOT maintained;
+    /// callers must restore consistency themselves (that is the point of
+    /// the exercise).
     pub(crate) fn set_map_byte(&mut self, block: u32, lane: u8) {
         self.write_lane(block, lane);
     }
@@ -1112,6 +1124,40 @@ fn ones_run_len(words: &[u64], start: u32, hi: u32) -> u32 {
         }
     }
     b.min(hi) - start
+}
+
+/// The fragment map of a group nothing has been allocated in: `nblocks`
+/// lanes of `fpb` bits, the first `meta_blocks` of them (the static
+/// metadata area) set.
+pub(crate) fn fresh_frag_words(nblocks: u32, meta_blocks: u32, fpb: u32) -> Vec<u64> {
+    let mut words = vec![0u64; (nblocks as usize * fpb as usize).div_ceil(64)];
+    let meta_bits = (meta_blocks * fpb) as usize;
+    let (whole, rest) = (meta_bits / 64, meta_bits % 64);
+    words[..whole].fill(u64::MAX);
+    if rest > 0 {
+        words[whole] = (1u64 << rest) - 1;
+    }
+    words
+}
+
+/// `(free_frags, free_blocks)` of a packed fragment map of `nblocks`
+/// lanes of `fpb` bits: free fragments by popcount, free blocks by
+/// OR-folding every lane onto its low bit and counting the lanes left
+/// zero. Bits past the last lane must be clear.
+pub(crate) fn free_counts(words: &[u64], nblocks: u32, fpb: u32) -> (u32, u32) {
+    let low_bits = u64::MAX / ((1u64 << fpb) - 1);
+    let (mut used_frags, mut used_blocks) = (0u32, 0u32);
+    for &w in words {
+        used_frags += w.count_ones();
+        let mut fold = w;
+        let mut shift = fpb / 2;
+        while shift > 0 {
+            fold |= fold >> shift;
+            shift /= 2;
+        }
+        used_blocks += (fold & low_bits).count_ones();
+    }
+    (nblocks * fpb - used_frags, nblocks - used_blocks)
 }
 
 /// Bit mask covering fragments `frag .. frag + len` of a block byte.

@@ -10,10 +10,10 @@
 //! harness counts them by kind, and tests assert on exactly the defect
 //! they planted rather than on message substrings.
 
-use std::collections::BTreeMap;
+use ffs_types::{CgIdx, Daddr, DirId, FsError, FsResult, Ino};
 
-use ffs_types::{CgIdx, Daddr, DirId, Ino};
-
+use crate::cg::free_counts;
+use crate::claims::ClaimMap;
 use crate::fs::{Filesystem, LayoutAgg};
 use crate::layout::recompute_aggregate;
 
@@ -21,10 +21,10 @@ use crate::layout::recompute_aggregate;
 ///
 /// The variants split into two families, which is what
 /// [`crate::repair::repair`] keys on: *structural* damage to a file's
-/// claim on the disk (double allocation, misalignment, bad tails), which
-/// fsck resolves by removing the offending file, and *derived-state*
-/// drift (maps, bitmaps, counters, aggregates), which is rebuilt from the
-/// files without losing anything.
+/// claim on the disk (double allocation, misalignment, bad tails,
+/// pointers outside the volume), which fsck resolves by removing the
+/// offending file, and *derived-state* drift (maps, bitmaps, counters,
+/// aggregates), which is rebuilt from the files without losing anything.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Violation {
     /// A fragment is claimed by more than one owner.
@@ -52,6 +52,14 @@ pub enum Violation {
     TailCrossesBlock {
         /// File owning the tail.
         ino: Ino,
+    },
+    /// A file's block, indirect block or tail lies (partly) outside the
+    /// volume.
+    OutsideVolume {
+        /// File owning the pointer.
+        ino: Ino,
+        /// First fragment address of the offending run.
+        addr: Daddr,
     },
     /// A live file's inode slot is not marked allocated in its group.
     FileInodeSlotFree(
@@ -111,6 +119,15 @@ pub enum Violation {
         /// The value recomputed from the files, in bytes.
         recomputed: u64,
     },
+    /// The file system's dynamic-metadata fragment counter (indirect and
+    /// directory blocks; half of `utilization()`) disagrees with the
+    /// files and directories.
+    UsedMetaDrift {
+        /// The counter as stored, in fragments.
+        counter: u64,
+        /// The value recomputed from the inode table, in fragments.
+        recomputed: u64,
+    },
     /// The incremental layout aggregate disagrees with a recomputation.
     LayoutAggDrift {
         /// The aggregate as maintained incrementally.
@@ -140,7 +157,22 @@ impl Violation {
                 | Violation::MisalignedBlock { .. }
                 | Violation::BadTailLength { .. }
                 | Violation::TailCrossesBlock { .. }
+                | Violation::OutsideVolume { .. }
         )
+    }
+
+    /// The file a structural violation names — the one
+    /// [`crate::repair::repair`] removes for it. `None` for derived-state
+    /// drift and for [`Violation::DoubleAlloc`], whose losing claimant
+    /// repair's own pass 1 determines.
+    pub fn condemned_ino(&self) -> Option<Ino> {
+        match *self {
+            Violation::MisalignedBlock { ino, .. }
+            | Violation::BadTailLength { ino, .. }
+            | Violation::TailCrossesBlock { ino }
+            | Violation::OutsideVolume { ino, .. } => Some(ino),
+            _ => None,
+        }
     }
 }
 
@@ -158,6 +190,9 @@ impl std::fmt::Display for Violation {
             }
             Violation::TailCrossesBlock { ino } => {
                 write!(f, "tail of {ino:?} crosses a block boundary")
+            }
+            Violation::OutsideVolume { ino, addr } => {
+                write!(f, "{ino:?} points outside the volume at {addr:?}")
             }
             Violation::FileInodeSlotFree(ino) => {
                 write!(f, "{ino:?} has unallocated inode slot")
@@ -190,6 +225,13 @@ impl std::fmt::Display for Violation {
                 f,
                 "used_data accounting: {counter} bytes vs {recomputed} recomputed"
             ),
+            Violation::UsedMetaDrift {
+                counter,
+                recomputed,
+            } => write!(
+                f,
+                "used_meta accounting: {counter} fragments vs {recomputed} recomputed"
+            ),
             Violation::LayoutAggDrift {
                 incremental,
                 recomputed,
@@ -206,29 +248,28 @@ impl std::fmt::Display for Violation {
 
 /// Runs all consistency checks, returning every violation found (empty
 /// means the file system is consistent).
+///
+/// Pass 1 is `fsck_ffs`'s: every owner's runs are test-and-set into a
+/// `ClaimMap`, files in inode order and then directories, so a claim
+/// landing on a set bit is the duplicate. The finished map has the
+/// groups' own layout and is compared to them a word at a time.
 pub fn check(fs: &Filesystem) -> Vec<Violation> {
     let mut errs = Vec::new();
     let params = fs.params();
     let fpb = params.frags_per_block();
-    // Expected allocation map: fragment address -> usage count.
-    let mut expected: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut mark = |errs: &mut Vec<Violation>, what: &'static str, d: Daddr, frags: u32| {
-        for i in 0..frags {
-            let e = expected.entry(d.0 + i).or_insert(0);
-            *e += 1;
-            if *e > 1 {
-                errs.push(Violation::DoubleAlloc {
-                    addr: Daddr(d.0 + i),
-                    what,
-                });
-            }
+    let mut claims = ClaimMap::new(fs);
+    let mut mark = |errs: &mut Vec<Violation>, what: &'static str, ino: Ino, d: Daddr, n: u32| {
+        if !claims.claim(d, n, |addr| {
+            errs.push(Violation::DoubleAlloc { addr, what })
+        }) {
+            errs.push(Violation::OutsideVolume { ino, addr: d });
         }
     };
     let mut data_frags = 0u64;
     let mut meta_frags = 0u64;
     for f in fs.files() {
         for &b in &f.blocks {
-            mark(&mut errs, "data block", b, fpb);
+            mark(&mut errs, "data block", f.ino, b, fpb);
             if b.0 % fpb != 0 {
                 errs.push(Violation::MisalignedBlock {
                     block: b,
@@ -237,10 +278,10 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
             }
         }
         for &b in &f.indirects {
-            mark(&mut errs, "indirect block", b, fpb);
+            mark(&mut errs, "indirect block", f.ino, b, fpb);
         }
         if let Some((d, n)) = f.tail {
-            mark(&mut errs, "tail", d, n);
+            mark(&mut errs, "tail", f.ino, d, n);
             if n == 0 || n >= fpb {
                 errs.push(Violation::BadTailLength { ino: f.ino, len: n });
             }
@@ -254,48 +295,50 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
         }
         // Tail fragments must not cross a block boundary.
         if let Some((d, n)) = f.tail {
-            if d.0 % fpb + n > fpb {
+            if (d.0 % fpb).saturating_add(n) > fpb {
                 errs.push(Violation::TailCrossesBlock { ino: f.ino });
             }
         }
     }
     for d in fs.dirs() {
-        mark(&mut errs, "directory block", d.block, fpb);
+        // Directories are never condemned, so a directory block outside
+        // the volume has no owner to name; `Filesystem::restore` rejects
+        // one up front and nothing moves a directory afterwards.
+        claims.claim(d.block, fpb, |addr| {
+            errs.push(Violation::DoubleAlloc {
+                addr,
+                what: "directory block",
+            })
+        });
         meta_frags += fpb as u64;
         if !fs.cg(d.cg).inode_used(d.ino_slot) {
             errs.push(Violation::DirInodeSlotFree(d.id));
         }
     }
-    // Compare the maps group by group.
+    // Compare the maps group by group: whole words first, lanes only
+    // inside a word that differs.
+    let lanes = 64 / fpb;
     for g in 0..fs.ncg() {
         let cg = fs.cg(CgIdx(g));
-        let base = params.cg_base(CgIdx(g)).0;
-        let mut free_frags = 0u32;
-        let mut free_blocks = 0u32;
-        for b in 0..cg.nblocks() {
-            let mut byte = 0u8;
-            for i in 0..fpb {
-                let addr = base + b * fpb + i;
-                if expected.contains_key(&addr) {
-                    byte |= 1 << i;
+        let claimed = claims.group(g as usize);
+        let words = cg.frag_words().iter().zip(claimed);
+        for (w, (&actual, &expected)) in words.enumerate() {
+            if actual == expected {
+                continue;
+            }
+            for lane in 0..lanes {
+                let lane_of = |word: u64| (word >> (lane * fpb)) as u8 & cg.full_lane();
+                if lane_of(actual) != lane_of(expected) {
+                    errs.push(Violation::MapMismatch {
+                        cg: g,
+                        block: w as u32 * lanes + lane,
+                        actual: lane_of(actual),
+                        expected: lane_of(expected),
+                    });
                 }
             }
-            if b < cg.meta_blocks() {
-                byte = cg.full_lane(); // Static metadata area.
-            }
-            if cg.map_byte(b) != byte {
-                errs.push(Violation::MapMismatch {
-                    cg: g,
-                    block: b,
-                    actual: cg.map_byte(b),
-                    expected: byte,
-                });
-            }
-            if byte == 0 {
-                free_blocks += 1;
-            }
-            free_frags += fpb - byte.count_ones();
         }
+        let (free_frags, free_blocks) = free_counts(claimed, cg.nblocks(), fpb);
         if cg.free_frags() != free_frags {
             errs.push(Violation::FreeFragsDrift {
                 cg: g,
@@ -327,7 +370,12 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
             recomputed: data_frags * params.fsize as u64,
         });
     }
-    let _ = meta_frags;
+    if fs.used_meta_frags != meta_frags {
+        errs.push(Violation::UsedMetaDrift {
+            counter: fs.used_meta_frags,
+            recomputed: meta_frags,
+        });
+    }
     let inc = fs.aggregate_layout();
     let full = recompute_aggregate(fs);
     if inc != full {
@@ -351,6 +399,16 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
         });
     }
     errs
+}
+
+/// [`check`] as a result: `Err(FsError::Corrupt)` naming the first
+/// violation. What library code calls where a test would call
+/// [`assert_consistent`].
+pub fn verify(fs: &Filesystem) -> FsResult<()> {
+    match check(fs).first() {
+        None => Ok(()),
+        Some(v) => Err(FsError::Corrupt(format!("file system inconsistent: {v}"))),
+    }
 }
 
 /// Panics with a readable report if the file system is inconsistent.
@@ -441,6 +499,45 @@ mod tests {
         // Structural classification: the double claim is structural,
         // the knock-on counter drift is not.
         assert!(errs.iter().any(|v| v.is_structural()));
+    }
+
+    #[test]
+    fn meta_counter_drift_is_reported_as_drift() {
+        let mut fs = Filesystem::new(FsParams::small_test(), AllocPolicy::Orig);
+        let d = fs.mkdir().unwrap();
+        // One indirect block and one directory block: 16 fragments.
+        fs.create(d, 200 * KB, 0).unwrap();
+        assert_consistent(&fs);
+        let utilization = fs.utilization();
+        fs.used_meta_frags += 8;
+        assert!(fs.utilization() > utilization, "the counter feeds DayStats");
+        let errs = check(&fs);
+        assert_eq!(
+            errs,
+            [Violation::UsedMetaDrift {
+                counter: 24,
+                recomputed: 16
+            }]
+        );
+        assert!(!errs[0].is_structural());
+        assert!(verify(&fs).is_err());
+        crate::repair::repair(&mut fs);
+        assert_eq!(fs.used_meta_frags, 16);
+        assert_consistent(&fs);
+    }
+
+    #[test]
+    fn verify_names_the_first_violation() {
+        let mut fs = Filesystem::new(FsParams::small_test(), AllocPolicy::Orig);
+        let d = fs.mkdir().unwrap();
+        fs.create(d, 32 * KB, 0).unwrap();
+        assert_eq!(verify(&fs), Ok(()));
+        fs.used_data_frags += 3;
+        let first = check(&fs)[0].to_string();
+        match verify(&fs) {
+            Err(FsError::Corrupt(msg)) => assert!(msg.ends_with(&first), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

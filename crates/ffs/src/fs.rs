@@ -446,11 +446,7 @@ impl Filesystem {
             fs.files.insert(f.ino, f);
         }
         crate::repair::rebuild_allocation_state(&mut fs);
-        if let Some(v) = crate::check::check(&fs).into_iter().next() {
-            return Err(FsError::Corrupt(format!(
-                "restored state inconsistent: {v}"
-            )));
-        }
+        crate::check::verify(&fs)?;
         Ok(fs)
     }
 

@@ -35,6 +35,7 @@
 pub mod alloc;
 pub mod cg;
 pub mod check;
+mod claims;
 pub mod freespace;
 pub mod fs;
 pub mod grow;
@@ -48,11 +49,11 @@ pub mod table;
 
 pub use alloc::{realloc_windows, AllocPolicy, AllocStats};
 pub use cg::{CylGroup, FragRun};
-pub use check::{assert_consistent, check, Violation};
+pub use check::{assert_consistent, check, verify, Violation};
 pub use freespace::{frag_space_stats, free_space_stats, FragSpaceStats, FreeSpaceStats};
 pub use fs::{DirMeta, Filesystem, LayoutAgg};
 pub use inode::FileMeta;
 pub use layout::{layout_by_size, recompute_aggregate, size_bins_paper, SizeBinScore};
 pub use parallel::{BatchOp, OpOutcome};
-pub use repair::{inject_metadata_damage, repair, RepairReport};
+pub use repair::{inject_metadata_damage, inject_structural_damage, repair, RepairReport};
 pub use table::{BlockList, Slab, SlabKey};

@@ -9,14 +9,15 @@
 //! counters from them. Everything derived — fragment maps, inode bitmaps,
 //! free counters, the layout aggregate, per-directory file counts — is
 //! rebuilt losslessly. Only structurally damaged files (double claims,
-//! misaligned blocks, impossible tails) cost data, and the
-//! [`RepairReport`] names each one.
+//! misaligned blocks, impossible tails, pointers outside the volume) cost
+//! data, and the [`RepairReport`] names each one.
 //!
 //! This module also hosts [`inject_metadata_damage`]: seeded, bounded
 //! corruption of exactly the derived state a torn update (power cut
 //! mid-flush) leaves behind. Crash-recovery tests and the aging replay's
 //! crash injection drive damage and repair against each other and then
-//! prove convergence with [`check`].
+//! prove convergence with [`check`]. [`inject_structural_damage`] is its
+//! counterpart for the inode table, for the fsck oracle.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +25,9 @@ use std::collections::BTreeSet;
 
 use ffs_types::{CgIdx, Daddr, Ino};
 
-use crate::check::{check, Violation};
+use crate::cg::CylGroup;
+use crate::check::check;
+use crate::claims::ClaimMap;
 use crate::fs::Filesystem;
 use crate::layout::recompute_aggregate;
 
@@ -72,81 +75,35 @@ pub fn repair(fs: &mut Filesystem) -> RepairReport {
     fs.files.rebuild_index();
     fs.dirs.rebuild_index();
     // Files named in structural violations are beyond map rebuilds.
-    let mut condemned: BTreeSet<Ino> = BTreeSet::new();
-    for v in &before {
-        match *v {
-            Violation::MisalignedBlock { ino, .. }
-            | Violation::BadTailLength { ino, .. }
-            | Violation::TailCrossesBlock { ino } => {
-                condemned.insert(ino);
-            }
-            _ => {}
-        }
-    }
+    let mut condemned: BTreeSet<Ino> = before.iter().filter_map(|v| v.condemned_ino()).collect();
     // Pass 1 (fsck phase 1): walk the inodes in order and collect each
     // file's claim on the disk. The first claimant of a fragment keeps
     // it; any later file claiming an already-claimed fragment is
     // condemned, like fsck clearing the inode with the duplicate block.
-    let fpb = fs.params.frags_per_block();
-    let mut claimed: BTreeSet<u32> = BTreeSet::new();
-    for d in fs.dirs.values() {
-        for i in 0..fpb {
-            claimed.insert(d.block.0 + i);
-        }
-    }
-    let inos: Vec<Ino> = fs.files.keys().collect();
-    for ino in inos {
-        if condemned.contains(&ino) {
-            continue;
-        }
-        let f = &fs.files[&ino];
-        let mut frags: Vec<u32> = Vec::new();
-        for &b in f.blocks.iter().chain(f.indirects.iter()) {
-            frags.extend((0..fpb).map(|i| b.0 + i));
-        }
-        if let Some((d, n)) = f.tail {
-            frags.extend((0..n).map(|i| d.0 + i));
-        }
-        if frags.iter().any(|a| claimed.contains(a)) {
-            condemned.insert(ino);
-        } else {
-            claimed.extend(frags);
-        }
-    }
+    let claims = ClaimMap::of_survivors(fs, &mut condemned);
     for &ino in &condemned {
         fs.files.remove(&ino);
         report.files_removed.push(ino);
     }
     // Orphan accounting: allocated map bits outside the metadata area
     // that no surviving owner claims.
-    for g in 0..fs.params.ncg {
-        let cg = &fs.cgs[g as usize];
-        let base = fs.params.cg_base(CgIdx(g)).0;
-        for b in cg.meta_blocks()..cg.nblocks() {
-            let byte = cg.map_byte(b);
-            for i in 0..fpb {
-                if byte & (1 << i) != 0 && !claimed.contains(&(base + b * fpb + i)) {
-                    report.orphaned_frags_freed += 1;
-                }
-            }
-        }
-    }
+    report.orphaned_frags_freed = claims.orphans(&fs.cgs);
     // Pass 2 (fsck phases 4-5): rebuild all derived state from the
     // surviving inodes.
-    rebuild_allocation_state(fs);
+    install_allocation_state(fs, claims);
     report.rebuilt = true;
     debug_assert!(check(fs).is_empty(), "repair did not converge");
     report
 }
 
-/// Rebuilds every piece of derived allocation state — fragment maps,
-/// inode bitmaps, free counters, directory counts, the layout aggregate,
-/// and the used-space counters — from the live files and directories.
+/// Rebuilds every piece of derived allocation state from the live files
+/// and directories — checkpoint restore's half of the machinery it
+/// shares with [`repair`]: a checkpoint stores only the inode table, and
+/// this reconstructs the rest, guaranteeing a restored file system and a
+/// repaired one are bit-identical when their inode tables agree.
 ///
-/// Shared between [`repair`] and checkpoint restore: a checkpoint stores
-/// only the inode table, and this reconstructs the rest, guaranteeing a
-/// restored file system and a repaired one are bit-identical when their
-/// inode tables agree.
+/// Clashing claims are resolved as repair would (first claimant keeps),
+/// but nothing is removed: the caller's [`check`] reports them.
 pub(crate) fn rebuild_allocation_state(fs: &mut Filesystem) {
     // The metadata tables' own indices first: the occupancy bitmaps and
     // free lists are derived from the slot tags exactly as the fragment
@@ -154,80 +111,54 @@ pub(crate) fn rebuild_allocation_state(fs: &mut Filesystem) {
     // the tables through those indices.
     fs.files.rebuild_index();
     fs.dirs.rebuild_index();
-    let params = fs.params.clone();
-    let fpb = params.frags_per_block();
-    for cg in &mut fs.cgs {
-        let (nb, mb) = (cg.nblocks(), cg.meta_blocks());
-        let full = cg.full_lane();
-        for b in 0..nb {
-            cg.set_map_byte(b, if b < mb { full } else { 0 });
-        }
-        for w in cg.raw_imap_mut() {
-            *w = 0;
-        }
+    let claims = ClaimMap::of_survivors(fs, &mut BTreeSet::new());
+    install_allocation_state(fs, claims);
+}
+
+/// Installs `claims` — what the surviving inodes claim — as the groups'
+/// fragment maps, and rebuilds everything else derived: inode bitmaps,
+/// free counters, directory counts, the layout aggregate, and the
+/// used-space counters.
+fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
+    let Filesystem {
+        params,
+        cgs,
+        files,
+        dirs,
+        ..
+    } = fs;
+    let fpb = params.frags_per_block() as u64;
+    for (cg, words) in cgs.iter_mut().zip(claims.into_groups()) {
+        cg.install_frag_words(words);
+        cg.raw_imap_mut().fill(0);
         cg.set_ndirs(0);
     }
-    let mark_run = |fs: &mut Filesystem, d: Daddr, n: u32| {
-        let g = params.dtog(d);
-        let cg = &mut fs.cgs[g.0 as usize];
-        let (blk, off) = cg.daddr_to_block(d);
-        let mask = (((1u16 << n) - 1) << off) as u8;
-        cg.set_map_byte(blk, cg.map_byte(blk) | mask);
+    let mark_slot = |cgs: &mut [CylGroup], g: CgIdx, slot: u32| {
+        cgs[g.0 as usize].raw_imap_mut()[(slot / 64) as usize] |= 1 << (slot % 64);
     };
-    let mark_slot = |fs: &mut Filesystem, g: CgIdx, slot: u32| {
-        let imap = fs.cgs[g.0 as usize].raw_imap_mut();
-        imap[(slot / 64) as usize] |= 1 << (slot % 64);
-    };
-    let dirs: Vec<_> = fs.dirs.values().cloned().collect();
-    let mut used_meta = 0u64;
-    for d in &dirs {
-        mark_run(fs, d.block, fpb);
-        mark_slot(fs, d.cg, d.ino_slot);
-        let cg = &mut fs.cgs[d.cg.0 as usize];
+    let (mut used_data, mut used_meta) = (0u64, 0u64);
+    for d in dirs.values_mut() {
+        mark_slot(cgs, d.cg, d.ino_slot);
+        let cg = &mut cgs[d.cg.0 as usize];
         cg.set_ndirs(cg.ndirs() + 1);
-        used_meta += fpb as u64;
+        used_meta += fpb;
+        d.nfiles = 0;
     }
-    let files: Vec<_> = fs.files.values().cloned().collect();
-    let mut used_data = 0u64;
-    for f in &files {
-        for &b in f.blocks.iter().chain(f.indirects.iter()) {
-            mark_run(fs, b, fpb);
-        }
-        if let Some((d, n)) = f.tail {
-            mark_run(fs, d, n);
-        }
+    for f in files.values() {
         let (g, slot) = params.ino_to_cg(f.ino);
-        mark_slot(fs, g, slot);
-        used_data += f.data_frags(&params);
-        used_meta += f.indirects.len() as u64 * fpb as u64;
-    }
-    // Counters from the rebuilt maps.
-    for cg in &mut fs.cgs {
-        let mut free_frags = 0u32;
-        let mut free_blocks = 0u32;
-        for b in 0..cg.nblocks() {
-            let byte = cg.map_byte(b);
-            free_frags += fpb - byte.count_ones();
-            if byte == 0 {
-                free_blocks += 1;
-            }
+        mark_slot(cgs, g, slot);
+        used_data += f.data_frags(params);
+        used_meta += f.indirects.len() as u64 * fpb;
+        if let Some(d) = dirs.get_mut(&f.dir) {
+            d.nfiles += 1;
         }
-        cg.set_free_counts(free_frags, free_blocks);
-        cg.rebuild_derived();
+    }
+    for cg in cgs.iter_mut() {
         let used_inodes: u32 = cg.raw_imap_mut().iter().map(|w| w.count_ones()).sum();
-        let ninodes = cg.ninodes();
-        cg.set_free_inodes(ninodes - used_inodes);
+        cg.set_free_inodes(cg.ninodes() - used_inodes);
     }
     fs.used_data_frags = used_data;
     fs.used_meta_frags = used_meta;
-    // Per-directory live-file counts.
-    let mut counts: std::collections::BTreeMap<ffs_types::DirId, u32> = Default::default();
-    for f in &files {
-        *counts.entry(f.dir).or_insert(0) += 1;
-    }
-    for d in fs.dirs.values_mut() {
-        d.nfiles = counts.get(&d.id).copied().unwrap_or(0);
-    }
     fs.agg = recompute_aggregate(fs);
 }
 
@@ -351,11 +282,76 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
     applied
 }
 
+/// Damage profile of a corrupted inode: plants up to `hits` *structural*
+/// faults in the inode table itself — a later file claiming an earlier
+/// file's block, a block pointer knocked off its alignment, a tail run
+/// of impossible length, a tail straddling a block boundary — the damage
+/// [`repair`] can only resolve by removing a file. Returns the number
+/// planted.
+///
+/// Every planted run stays inside one group's data area, where the claim
+/// map and the B-tree reference walk ([`crate::naive::check_reference`])
+/// see the same thing; pointers into a metadata area or off the volume
+/// have unit tests of their own.
+pub fn inject_structural_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let fpb = fs.params.frags_per_block();
+    let inos: Vec<Ino> = fs.files.keys().collect();
+    if inos.len() < 2 {
+        return 0;
+    }
+    // True when any run of under two blocks starting anywhere in `d`'s
+    // block (so ending at most two blocks on) stays in the data area of
+    // `d`'s group.
+    let roomy = |fs: &Filesystem, d: Daddr| {
+        let cg = &fs.cgs[fs.params.dtog(d).0 as usize];
+        let (block, _) = cg.daddr_to_block(d);
+        block >= cg.meta_blocks() && block + 2 < cg.nblocks()
+    };
+    let mut applied = 0u32;
+    for _ in 0..hits {
+        let i = rng.gen_range(1..inos.len());
+        let donor_block = fs.files[&inos[rng.gen_range(0..i)]].blocks.first().copied();
+        let kind = rng.gen_range(0u32..4);
+        let victim = &fs.files[&inos[i]];
+        let j = rng.gen_range(0..victim.blocks.len().max(1));
+        let block_j = victim.blocks.as_slice().get(j).copied();
+        let block_j = block_j.filter(|&b| roomy(fs, b));
+        let tail = victim.tail.filter(|&(d, _)| roomy(fs, d));
+        let victim = fs.files.get_mut(&inos[i]).expect("listed above");
+        match (kind, donor_block, block_j, tail) {
+            // Duplicate claim: an earlier file's first block, again.
+            (0, Some(b), _, _) => victim.blocks.push(b),
+            // Misaligned block pointer.
+            (1, _, Some(b), _) if fpb > 1 => {
+                victim.blocks.as_mut_slice()[j] = Daddr(b.0 + rng.gen_range(1..fpb));
+            }
+            // Tail of length zero, or of a block and more.
+            (2, _, _, Some((d, _))) => {
+                let len = if rng.gen() {
+                    0
+                } else {
+                    fpb + rng.gen_range(0..fpb)
+                };
+                victim.tail = Some((d, len));
+            }
+            // Tail across a block boundary (of a legal length wherever
+            // the geometry has one that can cross).
+            (3, _, _, Some((d, n))) => {
+                victim.tail = Some((Daddr(d.0 - d.0 % fpb + fpb - 1), n.max(2)));
+            }
+            _ => continue,
+        }
+        applied += 1;
+    }
+    applied
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alloc::AllocPolicy;
-    use crate::check::assert_consistent;
+    use crate::check::{assert_consistent, Violation};
     use ffs_types::{FsParams, KB};
     use proptest::prelude::*;
 
@@ -431,6 +427,66 @@ mod tests {
         assert!(fs.file(keep).is_some());
         assert!(fs.file(lose).is_none());
         assert_consistent(&fs);
+    }
+
+    #[test]
+    fn out_of_volume_pointer_condemns_the_file_without_panicking() {
+        let past_end = Daddr(62_499_808);
+        for tail_variant in [false, true] {
+            let mut fs = aged_fs();
+            let inos: Vec<Ino> = fs.files.keys().collect();
+            let victim = if tail_variant {
+                let f = fs.files.values().find(|f| f.tail.is_some()).unwrap();
+                let (ino, len) = (f.ino, f.tail.unwrap().1);
+                fs.files.get_mut(&ino).unwrap().tail = Some((past_end, len));
+                ino
+            } else {
+                let ino = inos[inos.len() / 2];
+                fs.files.get_mut(&ino).unwrap().blocks.as_mut_slice()[0] = past_end;
+                ino
+            };
+            let errs = check(&fs);
+            let named = Violation::OutsideVolume {
+                ino: victim,
+                addr: past_end,
+            };
+            assert!(errs.contains(&named), "not reported: {errs:?}");
+            assert!(named.is_structural());
+            let report = repair(&mut fs);
+            assert_eq!(report.files_removed, vec![victim]);
+            assert!(report.structural > 0);
+            assert!(fs.file(victim).is_none());
+            assert_eq!(fs.nfiles(), inos.len() - 1);
+            assert_consistent(&fs);
+        }
+    }
+
+    #[test]
+    fn claim_on_the_metadata_area_or_on_itself_condemns_the_file() {
+        // Two claims the retired B-tree walk let through: a block inside
+        // a group's static metadata area (it masked the area out), and a
+        // file listing one of its own blocks twice (repair's pass 1 only
+        // looked at earlier files).
+        for own_block_twice in [false, true] {
+            let mut fs = aged_fs();
+            let victim = fs.files.keys().nth(3).unwrap();
+            let dup = if own_block_twice {
+                fs.files[&victim].blocks[0]
+            } else {
+                fs.cg(CgIdx(1)).block_daddr(1)
+            };
+            fs.files.get_mut(&victim).unwrap().blocks.push(dup);
+            let errs = check(&fs);
+            assert!(
+                errs.iter().any(
+                    |v| matches!(v, Violation::DoubleAlloc { addr, what: "data block" } if *addr == dup)
+                ),
+                "not reported: {errs:?}"
+            );
+            let report = repair(&mut fs);
+            assert_eq!(report.files_removed, vec![victim]);
+            assert_consistent(&fs);
+        }
     }
 
     #[test]

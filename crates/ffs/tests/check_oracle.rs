@@ -1,0 +1,221 @@
+//! Differential oracle for fsck.
+//!
+//! [`ffs::check`], [`ffs::repair`] and [`Filesystem::restore`] all learn
+//! what the inodes claim from one packed claim map (a bit per fragment,
+//! in the groups' own word layout); [`ffs::naive`] keeps the walks that
+//! map retired — one `BTreeMap` node per claimed fragment, probed once
+//! per fragment of the volume. This suite churns random files through
+//! the whole stack at every fragments-per-block geometry, on group sizes
+//! whose bitmaps end in a partial word and whose bases are not multiples
+//! of 64 (426/428 blocks), plus 512- and 2920-block groups, then plants
+//! derived-state and structural damage and holds the two implementations
+//! to the same violations in the same order, the same repair verdict, and
+//! the same rebuilt maps.
+
+use std::collections::BTreeSet;
+
+use ffs::naive;
+use ffs::{
+    check, inject_metadata_damage, inject_structural_damage, repair, AllocPolicy, Filesystem,
+    Violation,
+};
+use ffs_types::{CgIdx, FsParams, Ino, KB, MB};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// 426/428-block groups (a 10 MB, 3-group layout) at `fpb` fragments per
+/// block.
+fn mid_geometry(fpb: u32) -> FsParams {
+    let small = FsParams::small_test();
+    FsParams {
+        size_bytes: 10 * MB,
+        ncg: 3,
+        fsize: small.bsize / fpb,
+        ..small
+    }
+}
+
+/// The geometries cheap enough to sweep under proptest.
+fn small_geometries() -> Vec<FsParams> {
+    let mut all: Vec<FsParams> = [1, 2, 4, 8].map(mid_geometry).into();
+    all.push(FsParams::small_test());
+    all
+}
+
+/// A file system after `ops` random creates (pure-fragment, direct and
+/// indirect sizes), removes, appends and rewrites.
+fn churned(params: FsParams, rng: &mut StdRng, ops: u32) -> Filesystem {
+    let policy = if rng.gen() {
+        AllocPolicy::Realloc
+    } else {
+        AllocPolicy::Orig
+    };
+    let mut fs = Filesystem::new(params, policy);
+    let dirs = fs.mkdir_per_cg().unwrap();
+    let mut live: Vec<Ino> = Vec::new();
+    for day in 0..ops {
+        let pick = rng.gen_range(0..live.len().max(1));
+        match rng.gen_range(0u32..10) {
+            0..=2 if !live.is_empty() => {
+                fs.remove(live.swap_remove(pick)).unwrap();
+            }
+            3 if !live.is_empty() => {
+                let _ = fs.append(live[pick], rng.gen_range(1..40 * KB), day);
+            }
+            4 if !live.is_empty() => {
+                let _ = fs.rewrite(live[pick], day);
+            }
+            _ => {
+                let size = match rng.gen_range(0u32..10) {
+                    0..=3 => rng.gen_range(1..=8 * KB),
+                    4..=7 => rng.gen_range(1u64..=96) * KB + rng.gen_range(0..KB),
+                    _ => rng.gen_range(96u64..=160) * KB,
+                };
+                if let Ok(ino) = fs.create(dirs[rng.gen_range(0..dirs.len())], size, day) {
+                    live.push(ino);
+                }
+            }
+        }
+    }
+    fs
+}
+
+/// `fs`'s inode table through [`Filesystem::restore`].
+fn restored(fs: &Filesystem) -> ffs_types::FsResult<Filesystem> {
+    let mut back = Filesystem::restore(
+        fs.params().clone(),
+        fs.policy(),
+        fs.dirs().cloned().collect(),
+        fs.files().cloned().collect(),
+        fs.bytes_written(),
+    )?;
+    back.set_rotors(&fs.rotors())?;
+    Ok(back)
+}
+
+/// Every group's fragment map is exactly the reference's claimed set plus
+/// the static metadata area.
+fn assert_maps_are(fs: &Filesystem, claimed: &BTreeSet<u32>) {
+    let fpb = fs.params().frags_per_block();
+    for g in 0..fs.ncg() {
+        let cg = fs.cg(CgIdx(g));
+        for b in 0..cg.nblocks() {
+            let base = cg.block_daddr(b).0;
+            let lane = (0..fpb)
+                .filter(|i| claimed.contains(&(base + i)))
+                .fold(0u8, |lane, i| lane | 1 << i);
+            let expected = if b < cg.meta_blocks() {
+                cg.full_lane()
+            } else {
+                lane
+            };
+            assert_eq!(cg.map_byte(b), expected, "cg {g} block {b}");
+        }
+    }
+}
+
+/// The claim-map fsck against the B-tree reference on one image: same
+/// violations in the same order; the same files condemned, the same
+/// orphan count, and maps rebuilt to the reference's claimed set; and
+/// restore accepts the inode table exactly when the reference finds
+/// nothing structural in it.
+fn assert_fsck_matches_reference(fs: &Filesystem) {
+    let expected = naive::check_reference(fs);
+    assert_eq!(check(fs), expected);
+
+    let mut condemned: BTreeSet<Ino> = (expected.iter())
+        .filter_map(Violation::condemned_ino)
+        .collect();
+    let (claimed, orphans) = naive::claimed_reference(fs, &mut condemned);
+    let mut repaired = fs.clone();
+    let report = repair(&mut repaired);
+    assert_eq!(report.violations_found, expected.len());
+    assert_eq!(
+        report.files_removed,
+        condemned.iter().copied().collect::<Vec<_>>()
+    );
+    assert_eq!(report.orphaned_frags_freed, orphans);
+    assert_eq!(check(&repaired), []);
+    assert_maps_are(&repaired, &claimed);
+
+    // Restore rebuilds from the inode table alone: the repaired one comes
+    // back bit for bit, a structurally damaged one is refused.
+    let back = restored(&repaired).expect("a repaired inode table restores");
+    assert_eq!(back.digest(), repaired.digest());
+    for g in 0..fs.ncg() {
+        assert_eq!(back.cg(CgIdx(g)), repaired.cg(CgIdx(g)), "cg {g}");
+    }
+    assert_eq!(
+        restored(fs).is_err(),
+        expected.iter().any(Violation::is_structural)
+    );
+}
+
+/// Churn, then the clean image, a torn-update image, a corrupted-inode
+/// image, and one with both kinds of damage.
+fn oracle_holds(params: FsParams, seed: u64, ops: u32) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let fs = churned(params, &mut rng, ops);
+    assert_eq!(check(&fs), [], "churn left the image inconsistent");
+    assert_fsck_matches_reference(&fs);
+
+    let mut torn = fs.clone();
+    inject_metadata_damage(&mut torn, rng.gen(), rng.gen_range(1..30));
+    assert_fsck_matches_reference(&torn);
+
+    let mut bad = fs.clone();
+    inject_structural_damage(&mut bad, rng.gen(), rng.gen_range(1..6));
+    assert_fsck_matches_reference(&bad);
+    inject_metadata_damage(&mut bad, rng.gen(), rng.gen_range(1..30));
+    assert_fsck_matches_reference(&bad);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    #[test]
+    fn claim_map_fsck_matches_the_btree_reference(seed in any::<u64>()) {
+        for params in small_geometries() {
+            oracle_holds(params, seed, 120);
+        }
+    }
+}
+
+#[test]
+fn oracle_holds_at_paper_scale() {
+    // 2920-block groups, 502 MB: the volume the benchmark runs fsck on.
+    oracle_holds(FsParams::paper_502mb(), 1996, 600);
+}
+
+#[test]
+fn every_planted_fault_is_seen_and_resolved() {
+    // Pins the injector the sweep above leans on: across a few seeds each
+    // structural violation shows up, with both impossible tail lengths,
+    // and every one costs at least the file it was planted in.
+    let mut rng = StdRng::seed_from_u64(7);
+    let fs = churned(mid_geometry(8), &mut rng, 200);
+    let mut seen = [false; 5];
+    for seed in 0..24 {
+        let mut bad = fs.clone();
+        if inject_structural_damage(&mut bad, seed, 2) == 0 {
+            continue;
+        }
+        let errs = check(&bad);
+        for v in &errs {
+            match v {
+                Violation::DoubleAlloc { .. } => seen[0] = true,
+                Violation::MisalignedBlock { .. } => seen[1] = true,
+                Violation::BadTailLength { len: 0, .. } => seen[2] = true,
+                Violation::BadTailLength { .. } => seen[3] = true,
+                Violation::TailCrossesBlock { .. } => seen[4] = true,
+                _ => {}
+            }
+        }
+        assert!(errs.iter().any(Violation::is_structural), "seed {seed}");
+        let report = repair(&mut bad);
+        assert!(!report.files_removed.is_empty(), "seed {seed}");
+        assert_eq!(check(&bad), []);
+    }
+    assert_eq!(seen, [true; 5], "a structural fault was never planted");
+}

@@ -8,6 +8,7 @@
 //! observationally equivalent to no crash at all.
 
 use aging::{generate, replay, resume, AgingConfig, ReplayOptions, Workload};
+use defrag::{DefragPolicy, DefragSpec};
 use ffs::{check, inject_metadata_damage, repair, AllocPolicy, Filesystem};
 use ffs_types::{FsParams, KB};
 use proptest::prelude::*;
@@ -97,35 +98,64 @@ fn crash_at_every_op_converges() {
     let (params, w) = tiny_workload(2, 1996);
     let total_ops: u64 = w.days.iter().map(|d| d.ops.len() as u64).sum();
     assert!(total_ops > 20, "workload too small to be interesting");
-    let clean = replay(&w, &params, AllocPolicy::Realloc, ReplayOptions::default()).unwrap();
-    for at in 1..=total_ops {
-        let crashed = replay(
-            &w,
-            &params,
+    // The sweep, once per allocator configuration whose torn updates look
+    // different: the default, best-fit fragments (other partial blocks
+    // in flight), and a nightly defragmenter relocating blocks between
+    // the days' ops (under the old policy, which leaves it work to do).
+    let option_sets = [
+        ("default", AllocPolicy::Realloc, ReplayOptions::default()),
+        (
+            "frag_bestfit",
             AllocPolicy::Realloc,
             ReplayOptions {
-                crash_after_ops: at,
-                crash_damage_seed: 0xBAD ^ at,
+                frag_bestfit: true,
                 ..ReplayOptions::default()
             },
-        )
-        .unwrap();
-        let c = crashed.crash.as_ref().expect("crash fired");
-        assert_eq!(c.at_op, at);
-        assert!(
-            c.repair.files_removed.is_empty(),
-            "crash at op {at} lost files"
-        );
-        assert!(check(&crashed.fs).is_empty());
-        assert_eq!(
-            crashed.daily, clean.daily,
-            "daily series diverged at op {at}"
-        );
-        assert_eq!(
-            crashed.fs.aggregate_layout(),
-            clean.fs.aggregate_layout(),
-            "final layout diverged crashing at op {at}"
-        );
+        ),
+        (
+            "defrag greedy/200",
+            AllocPolicy::Orig,
+            ReplayOptions {
+                defrag: Some(DefragSpec::new(DefragPolicy::Greedy, 200)),
+                ..ReplayOptions::default()
+            },
+        ),
+    ];
+    for (label, policy, options) in option_sets {
+        let clean = replay(&w, &params, policy, options.clone()).unwrap();
+        if options.defrag.is_some() {
+            let moves: u64 = clean.daily.iter().map(|d| d.defrag_moves).sum();
+            assert!(moves > 0, "{label}: the defragmenter never moved a block");
+        }
+        for at in 1..=total_ops {
+            let crashed = replay(
+                &w,
+                &params,
+                policy,
+                ReplayOptions {
+                    crash_after_ops: at,
+                    crash_damage_seed: 0xBAD ^ at,
+                    ..options.clone()
+                },
+            )
+            .unwrap();
+            let c = crashed.crash.as_ref().expect("crash fired");
+            assert_eq!(c.at_op, at);
+            assert!(
+                c.repair.files_removed.is_empty(),
+                "{label}: crash at op {at} lost files"
+            );
+            assert!(check(&crashed.fs).is_empty());
+            assert_eq!(
+                crashed.daily, clean.daily,
+                "{label}: daily series diverged at op {at}"
+            );
+            assert_eq!(
+                crashed.fs.aggregate_layout(),
+                clean.fs.aggregate_layout(),
+                "{label}: final layout diverged crashing at op {at}"
+            );
+        }
     }
 }
 
