@@ -19,17 +19,13 @@
 //!   a [`Checkpoint`] at end of day, from which [`resume`] continues the
 //!   same workload in a later process.
 
-use std::collections::BTreeSet;
-
 use ffs_types::{DirId, FsError, FsParams, FsResult, Ino};
 
-use ffs::{
-    inject_metadata_damage, repair, AllocPolicy, BatchOp, Filesystem, OpOutcome, RepairReport,
-};
+use ffs::{inject_metadata_damage, repair, AllocPolicy, Filesystem, RepairReport};
 
 use crate::checkpoint::{take_checkpoint, Checkpoint};
 use crate::livemap::LiveMap;
-use crate::workload::{FileId, Op, Workload};
+use crate::workload::{Op, Workload};
 
 /// End-of-day measurements.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -174,17 +170,17 @@ pub struct ReplayOptions {
     /// `moves_per_day` block relocations through the safe
     /// `ffs` primitive and charging each move's mechanical cost to the
     /// spec's disk model. Executed moves are charged to the cancel
-    /// token alongside replayed ops. Pass state (the cost clock and the
-    /// scrub policy's sweep cursor) lives for the duration of one
-    /// replay and is not checkpointed, so a resumed replay restarts it.
+    /// token alongside replayed ops. Pass state (the device clock and
+    /// the scrub policy's sweep cursor) lives for the duration of one
+    /// replay and is not in a [`Checkpoint`], so [`resume`] rejects a
+    /// defragmenting option set with [`FsError::InvalidArg`] rather
+    /// than silently diverge from the uninterrupted run.
     pub defrag: Option<defrag::DefragSpec>,
-    /// Worker threads for the day's operations (1 = the classic inline
-    /// loop). The parallel path shards each day's batch by cylinder
-    /// group through [`ffs::Filesystem::run_ops`], which is proven
-    /// bit-identical to the inline loop for every thread count — same
-    /// exhibits, same digests. Ignored (treated as 1) when
-    /// [`ReplayOptions::crash_after_ops`] is set, because crash
-    /// injection counts individual operations mid-day.
+    /// Inert: nothing in the workspace reads it — replay has exactly
+    /// one day loop, the inline one. The field survives the removal of
+    /// intra-volume parallel replay only because the frozen
+    /// `benchmark/src/layers.rs` names it in a struct literal; it goes
+    /// together with that file's `ffs.parallel.t2_speedup` row.
     pub threads: usize,
 }
 
@@ -258,6 +254,9 @@ pub fn replay_tapped(
 /// replays the remainder. The returned [`ReplayResult::daily`] series
 /// covers only the resumed days. Op counting for
 /// [`ReplayOptions::crash_after_ops`] restarts at zero.
+///
+/// A checkpoint carries no defragmenter state, so `options.defrag` must
+/// be `None`; anything else is [`FsError::InvalidArg`].
 pub fn resume(
     workload: &Workload,
     params: &FsParams,
@@ -268,6 +267,11 @@ pub fn resume(
     if workload.ncg != params.ncg {
         return Err(FsError::InvalidArg(
             "workload generated for a different cylinder-group count",
+        ));
+    }
+    if options.defrag.is_some() {
+        return Err(FsError::InvalidArg(
+            "cannot resume a defragmenting replay: pass state is not checkpointed",
         ));
     }
     let (mut fs, live) = checkpoint.restore(params.clone(), policy)?;
@@ -333,71 +337,57 @@ fn run_days(
         }
         let _day_span = obs::span!("age_day");
         let ops_span = obs::span!("replay_ops");
-        if options.threads > 1 && options.crash_after_ops == 0 {
-            run_day_parallel(
-                &mut fs,
-                dirs,
-                &mut live,
-                day_log,
-                options.threads,
-                &mut skipped,
-            )?;
-            ops_done += day_log.ops.len() as u64;
-        } else {
-            for op in &day_log.ops {
-                match *op {
-                    Op::Create {
-                        file,
-                        cg,
-                        size,
-                        kind: _,
-                    } => {
-                        let dir = dirs[cg.0 as usize];
-                        match fs.create(dir, size, day_log.day) {
-                            Ok(ino) => {
-                                let prev = live.insert(file, ino);
-                                debug_assert!(prev.is_none());
-                            }
-                            Err(FsError::NoSpace { .. }) => skipped += 1,
-                            Err(e) => return Err(e),
+        for op in &day_log.ops {
+            match *op {
+                Op::Create {
+                    file,
+                    cg,
+                    size,
+                    kind: _,
+                } => {
+                    let dir = dirs[cg.0 as usize];
+                    match fs.create(dir, size, day_log.day) {
+                        Ok(ino) => {
+                            let prev = live.insert(file, ino);
+                            debug_assert!(prev.is_none());
                         }
-                    }
-                    Op::Delete { file } => {
-                        if let Some(ino) = live.remove(&file) {
-                            fs.remove(ino)?;
-                        }
-                        // A missing mapping means the create was skipped for
-                        // lack of space; the delete is skipped to match.
-                    }
-                    Op::Rewrite { file } => {
-                        // The file may have been cohort-deleted later the
-                        // same day than the rewrite was scheduled, or its
-                        // create may have been skipped; tolerate both.
-                        if let Some(ino) = live.get(&file) {
-                            fs.rewrite(ino, day_log.day)?;
-                        }
+                        Err(FsError::NoSpace { .. }) => skipped += 1,
+                        Err(e) => return Err(e),
                     }
                 }
-                ops_done += 1;
-                if options.crash_after_ops > 0
-                    && ops_done == options.crash_after_ops
-                    && crash.is_none()
-                {
-                    // Power cut: a torn metadata flush scrambles derived
-                    // state; fsck repairs it and the replay carries on.
-                    let hits = inject_metadata_damage(
-                        &mut fs,
-                        options.crash_damage_seed,
-                        options.crash_damage_hits,
-                    );
-                    let report = repair(&mut fs);
-                    crash = Some(CrashReport {
-                        at_op: ops_done,
-                        day: day_log.day,
-                        damage_hits: hits,
-                        repair: report,
-                    });
+                Op::Delete { file } => {
+                    if let Some(ino) = live.remove(&file) {
+                        fs.remove(ino)?;
+                    }
+                    // A missing mapping means the create was skipped for
+                    // lack of space; the delete is skipped to match.
                 }
+                Op::Rewrite { file } => {
+                    // The file may have been cohort-deleted later the
+                    // same day than the rewrite was scheduled, or its
+                    // create may have been skipped; tolerate both.
+                    if let Some(ino) = live.get(&file) {
+                        fs.rewrite(ino, day_log.day)?;
+                    }
+                }
+            }
+            ops_done += 1;
+            if options.crash_after_ops > 0 && ops_done == options.crash_after_ops && crash.is_none()
+            {
+                // Power cut: a torn metadata flush scrambles derived
+                // state; fsck repairs it and the replay carries on.
+                let hits = inject_metadata_damage(
+                    &mut fs,
+                    options.crash_damage_seed,
+                    options.crash_damage_hits,
+                );
+                let report = repair(&mut fs);
+                crash = Some(CrashReport {
+                    at_op: ops_done,
+                    day: day_log.day,
+                    damage_hits: hits,
+                    repair: report,
+                });
             }
         }
         drop(ops_span);
@@ -463,126 +453,6 @@ fn run_days(
     })
 }
 
-/// One day's operations through the deterministic per-group parallel
-/// executor. Ops accumulate into a batch until one references a file id
-/// whose create is still pending in the batch (the batch then flushes so
-/// the id resolves to an inode), mirroring the inline loop's semantics:
-/// skipped creates skip their deletes and rewrites, and outcomes land in
-/// the live map in op order.
-fn run_day_parallel(
-    fs: &mut Filesystem,
-    dirs: &[DirId],
-    live: &mut LiveMap,
-    day_log: &crate::workload::DayLog,
-    threads: usize,
-    skipped: &mut u64,
-) -> FsResult<()> {
-    let day = day_log.day;
-    let mut chunk: Vec<BatchOp> = Vec::new();
-    let mut chunk_creates: Vec<Option<FileId>> = Vec::new();
-    let mut pending: BTreeSet<FileId> = BTreeSet::new();
-    for op in &day_log.ops {
-        match *op {
-            Op::Create {
-                file,
-                cg,
-                size,
-                kind: _,
-            } => {
-                chunk.push(BatchOp::Create {
-                    dir: dirs[cg.0 as usize],
-                    size,
-                });
-                chunk_creates.push(Some(file));
-                pending.insert(file);
-            }
-            Op::Delete { file } => {
-                if pending.contains(&file) {
-                    flush_chunk(
-                        fs,
-                        live,
-                        day,
-                        threads,
-                        &mut chunk,
-                        &mut chunk_creates,
-                        &mut pending,
-                        skipped,
-                    )?;
-                }
-                // A missing mapping means the create was skipped for
-                // lack of space; the delete is skipped to match.
-                if let Some(ino) = live.remove(&file) {
-                    chunk.push(BatchOp::Delete { ino });
-                    chunk_creates.push(None);
-                }
-            }
-            Op::Rewrite { file } => {
-                if pending.contains(&file) {
-                    flush_chunk(
-                        fs,
-                        live,
-                        day,
-                        threads,
-                        &mut chunk,
-                        &mut chunk_creates,
-                        &mut pending,
-                        skipped,
-                    )?;
-                }
-                if let Some(ino) = live.get(&file) {
-                    chunk.push(BatchOp::Rewrite { ino });
-                    chunk_creates.push(None);
-                }
-            }
-        }
-    }
-    flush_chunk(
-        fs,
-        live,
-        day,
-        threads,
-        &mut chunk,
-        &mut chunk_creates,
-        &mut pending,
-        skipped,
-    )
-}
-
-/// Executes the accumulated batch and folds its outcomes into the live
-/// map, in op order.
-#[allow(clippy::too_many_arguments)]
-fn flush_chunk(
-    fs: &mut Filesystem,
-    live: &mut LiveMap,
-    day: u32,
-    threads: usize,
-    chunk: &mut Vec<BatchOp>,
-    chunk_creates: &mut Vec<Option<FileId>>,
-    pending: &mut BTreeSet<FileId>,
-    skipped: &mut u64,
-) -> FsResult<()> {
-    if chunk.is_empty() {
-        chunk_creates.clear();
-        pending.clear();
-        return Ok(());
-    }
-    let outcomes = fs.run_ops(day, chunk, threads)?;
-    for (outcome, file) in outcomes.iter().zip(chunk_creates.iter()) {
-        match outcome {
-            OpOutcome::Created(ino) => {
-                let prev = live.insert(file.expect("created ops carry their file id"), *ino);
-                debug_assert!(prev.is_none());
-            }
-            OpOutcome::CreateFailed => *skipped += 1,
-            OpOutcome::Deleted | OpOutcome::Rewritten => {}
-        }
-    }
-    chunk.clear();
-    chunk_creates.clear();
-    pending.clear();
-    Ok(())
-}
-
 impl ReplayResult {
     /// The layout-score series as `(day, score)` pairs — one line of
     /// Figure 1 or 2.
@@ -630,40 +500,6 @@ mod tests {
             },
         )
         .expect("replay succeeds")
-    }
-
-    /// A threaded replay is bit-identical to the inline loop: same daily
-    /// series, same skipped count, same live map, same state digest —
-    /// for both policies and several thread counts.
-    #[test]
-    fn threaded_replay_matches_inline_loop() {
-        let params = FsParams::small_test();
-        let config = AgingConfig::small_test(20, 1996);
-        let w = generate(&config, params.ncg, params.data_capacity_bytes());
-        for policy in [AllocPolicy::Orig, AllocPolicy::Realloc] {
-            let base = replay(&w, &params, policy, ReplayOptions::default()).unwrap();
-            for threads in [2, 4] {
-                let r = replay(
-                    &w,
-                    &params,
-                    policy,
-                    ReplayOptions {
-                        threads,
-                        verify_every_days: 10,
-                        ..ReplayOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(r.daily, base.daily, "{policy:?} threads {threads}");
-                assert_eq!(r.skipped_creates, base.skipped_creates);
-                assert_eq!(r.live, base.live);
-                assert_eq!(
-                    r.fs.digest(),
-                    base.fs.digest(),
-                    "{policy:?} threads {threads}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -835,6 +671,31 @@ mod tests {
         );
         assert_eq!(full.fs.nfiles(), resumed.fs.nfiles());
         assert_eq!(full.live, resumed.live);
+    }
+
+    #[test]
+    fn resume_rejects_a_defragmenting_option_set() {
+        use defrag::{DefragPolicy, DefragSpec};
+        let params = FsParams::small_test();
+        let config = AgingConfig::small_test(4, 42);
+        let w = generate(&config, params.ncg, params.data_capacity_bytes());
+        let defragging = || ReplayOptions {
+            checkpoint_every_days: 2,
+            defrag: Some(DefragSpec::new(DefragPolicy::Scrub, 50)),
+            ..ReplayOptions::default()
+        };
+        let full = replay(&w, &params, AllocPolicy::Orig, defragging()).unwrap();
+        // The scrub cursor and device clock are not in the checkpoint:
+        // resuming would silently restart them.
+        let e = resume(
+            &w,
+            &params,
+            AllocPolicy::Orig,
+            defragging(),
+            &full.checkpoints[0],
+        )
+        .unwrap_err();
+        assert!(matches!(e, FsError::InvalidArg(_)), "{e:?}");
     }
 
     #[test]

@@ -7,11 +7,6 @@
 //! and the artifact format version. Any change to any of those yields a
 //! different key, so stale artifacts are never consulted — invalidation
 //! is by construction, not by expiry.
-//!
-//! [`ReplayOptions::threads`] is deliberately *excluded*: the
-//! per-cylinder-group parallel replay path is bit-identical to the
-//! inline loop, so a volume aged with any thread count is the same
-//! artifact and must hit the same cache entry.
 
 use aging::{AgingConfig, ReplayOptions};
 use ffs::AllocPolicy;
@@ -183,9 +178,8 @@ mod tests {
 
     #[test]
     fn thread_count_shares_one_cache_entry() {
-        // The parallel replay path is bit-identical to the inline loop,
-        // so the same volume aged with any thread count must resolve to
-        // the same artifact.
+        // `ReplayOptions::threads` is inert (replay has one day loop), so
+        // it must never split the cache.
         let params = FsParams::small_test();
         let config = AgingConfig::small_test(10, 42);
         let base = aged_key(

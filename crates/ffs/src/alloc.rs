@@ -10,12 +10,13 @@
 //! sequential blocks before it reaches the disk and tries to move it into
 //! a free cluster of the appropriate size.
 //!
-//! The allocation core lives on [`AllocEngine`], which owns a mutable
-//! view of the cylinder groups ([`CgPool`]) instead of the whole
-//! [`Filesystem`]. The sequential paths hand it every group; the
-//! deterministic parallel replay ([`crate::parallel`]) hands each worker
-//! exactly one, so the same code drives both and the borrow checker
-//! proves workers cannot reach each other's groups.
+//! The allocation core lives on [`AllocEngine`], which borrows the
+//! cylinder groups, the parameters and the counters instead of the whole
+//! [`Filesystem`], so a caller can hold a file's [`FileMeta`] mutably
+//! next to it. There is one engine shape — every group of the volume —
+//! because replay has one day loop: a paper-scale day is ~2 ms of work,
+//! so parallelism lives at job and shard granularity (`--jobs`), not
+//! inside a volume (DESIGN.md "Experiment engine").
 
 use std::collections::BTreeMap;
 
@@ -176,31 +177,8 @@ pub fn realloc_windows(nfull: u32, maxcontig: u32, nindir: u32) -> Vec<(u32, u32
     out
 }
 
-/// Mutable view of the cylinder groups an [`AllocEngine`] may touch.
-pub(crate) enum CgPool<'a> {
-    /// Every group of the volume — the sequential allocation paths.
-    All(&'a mut [CylGroup]),
-    /// Exactly one group — a parallel replay worker. The batch planner
-    /// guarantees eligible work never leaves its group; reaching for any
-    /// other group is therefore a planner bug and panics.
-    One { idx: CgIdx, cg: &'a mut CylGroup },
-}
-
-impl CgPool<'_> {
-    #[inline]
-    fn group(&mut self, g: CgIdx) -> &mut CylGroup {
-        match self {
-            CgPool::All(cgs) => &mut cgs[g.0 as usize],
-            CgPool::One { idx, cg } => {
-                assert_eq!(*idx, g, "single-group pool asked for group {}", g.0);
-                cg
-            }
-        }
-    }
-}
-
 /// Policy knobs an [`AllocEngine`] carries, captured from the owning
-/// [`Filesystem`] (or synthesized by a parallel worker).
+/// [`Filesystem`].
 #[derive(Clone, Copy)]
 pub(crate) struct EngineCfg {
     pub policy: AllocPolicy,
@@ -212,11 +190,11 @@ pub(crate) struct EngineCfg {
 
 /// The allocation core: every block, fragment, and inode placement
 /// decision, plus the realloc pass and the whole-file write path,
-/// operating on a [`CgPool`] and a detached [`FileMeta`] rather than the
-/// full [`Filesystem`].
+/// operating on the cylinder groups and a detached [`FileMeta`] rather
+/// than the full [`Filesystem`].
 pub(crate) struct AllocEngine<'a> {
     pub params: &'a FsParams,
-    pub pool: CgPool<'a>,
+    pub cgs: &'a mut [CylGroup],
     pub stats: &'a mut AllocStats,
     pub cfg: EngineCfg,
 }
@@ -242,16 +220,6 @@ pub(crate) fn pick_new_data_cg_in(cgs: &[CylGroup], cur: CgIdx) -> CgIdx {
 }
 
 impl AllocEngine<'_> {
-    /// [`pick_new_data_cg_in`] over this engine's pool. Unreachable on a
-    /// single-group pool: the parallel planner only admits files that
-    /// never cross an indirect boundary.
-    fn pick_new_data_cg(&self, cur: CgIdx) -> CgIdx {
-        match &self.pool {
-            CgPool::All(cgs) => pick_new_data_cg_in(cgs, cur),
-            CgPool::One { .. } => unreachable!("parallel-eligible files never switch groups"),
-        }
-    }
-
     /// Quadratic rehash over cylinder groups (`ffs_hashalloc`): try the
     /// preferred group, then groups at power-of-two offsets, then a linear
     /// sweep. `f` returns `Some` on success within a group.
@@ -288,8 +256,7 @@ impl AllocEngine<'_> {
     pub(crate) fn alloc_inode_pref(&mut self, dcg: CgIdx) -> FsResult<Ino> {
         let per = self.params.inodes_per_cg();
         self.hashalloc(dcg, |eng, g| {
-            eng.pool
-                .group(g)
+            eng.cgs[g.0 as usize]
                 .alloc_inode()
                 .map(|slot| Ino(g.0 * per + slot))
         })
@@ -305,7 +272,7 @@ impl AllocEngine<'_> {
         let fpb = self.params.frags_per_block();
         let got = self.hashalloc(start_cg, |eng, g| {
             let in_group = pref.filter(|&p| eng.params.dtog(p) == g);
-            let cg = eng.pool.group(g);
+            let cg = &mut eng.cgs[g.0 as usize];
             // Preferred block, if it lies in this group and is aligned.
             if let Some(p) = in_group {
                 if (p.0 - cg.block_daddr(0).0) % fpb == 0 {
@@ -359,7 +326,7 @@ impl AllocEngine<'_> {
         let bestfit = self.cfg.frag_bestfit;
         let got = self.hashalloc(start_cg, |eng, g| {
             let in_group = pref.filter(|&p| eng.params.dtog(p) == g);
-            let cg = eng.pool.group(g);
+            let cg = &mut eng.cgs[g.0 as usize];
             let from = match in_group {
                 Some(p) => cg.daddr_to_block(p).0,
                 None => cg.rotor(),
@@ -431,7 +398,7 @@ impl AllocEngine<'_> {
         }
         let in_group_pref = pref.filter(|&p| self.params.dtog(p) == g);
         let cluster_first_fit = self.cfg.cluster_first_fit;
-        let cg = self.pool.group(g);
+        let cg = &mut self.cgs[g.0 as usize];
         // Extend the previous window's cluster when the space right
         // after it is free (the chained preference); otherwise take the
         // best-fitting free run in the group. Best fit consumes the
@@ -544,7 +511,7 @@ impl AllocEngine<'_> {
         for lbn in 0..nfull {
             if switch_iter.peek().map(|l| l.0) == Some(lbn) {
                 switch_iter.next();
-                cur_cg = self.pick_new_data_cg(cur_cg);
+                cur_cg = pick_new_data_cg_in(self.cgs, cur_cg);
                 // The double-indirect root is allocated together with the
                 // first level-one indirect under it.
                 let n_meta = if lbn == ndaddr + self.params.nindir() {
@@ -671,7 +638,7 @@ impl Filesystem {
         let meta = files.get_mut(&ino).expect("realloc on live file");
         let mut eng = AllocEngine {
             params,
-            pool: CgPool::All(cgs),
+            cgs,
             stats: alloc_stats,
             cfg,
         };

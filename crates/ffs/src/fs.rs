@@ -17,7 +17,7 @@
 
 use ffs_types::{CgIdx, Daddr, DirId, FsError, FsParams, FsResult, Ino};
 
-use crate::alloc::{AllocEngine, AllocPolicy, AllocStats, CgPool, EngineCfg};
+use crate::alloc::{AllocEngine, AllocPolicy, AllocStats, EngineCfg};
 use crate::cg::CylGroup;
 use crate::inode::FileMeta;
 use crate::table::{BlockList, Slab};
@@ -254,19 +254,7 @@ impl Filesystem {
             });
         }
         let dcg = self.dirs.get(&dir).ok_or(FsError::NoSuchDir(dir))?.cg;
-        let cfg = self.engine_cfg();
-        let Filesystem {
-            params,
-            cgs,
-            alloc_stats,
-            ..
-        } = self;
-        let mut eng = AllocEngine {
-            params,
-            pool: CgPool::All(cgs),
-            stats: alloc_stats,
-            cfg,
-        };
+        let mut eng = self.engine();
         let ino = eng.alloc_inode_pref(dcg)?;
         let mut meta = FileMeta {
             ino,
@@ -283,7 +271,15 @@ impl Filesystem {
         self.used_meta_frags += meta.indirects.len() as u64 * self.params.frags_per_block() as u64;
         match res {
             Ok(()) => {
-                self.commit_create(&meta);
+                if let Some((opt, scored)) = meta.layout_counts(&self.params) {
+                    self.agg.opt += opt;
+                    self.agg.scored += scored;
+                }
+                self.used_data_frags += meta.data_frags(&self.params);
+                self.bytes_written += meta.size;
+                if let Some(d) = self.dirs.get_mut(&meta.dir) {
+                    d.nfiles += 1;
+                }
                 self.files.insert(ino, meta);
                 Ok(ino)
             }
@@ -311,18 +307,6 @@ impl Filesystem {
 
     /// Deletes a file, returning its final metadata.
     pub fn remove(&mut self, ino: Ino) -> FsResult<FileMeta> {
-        let meta = self.detach_file(ino)?;
-        self.release_meta_space(&meta);
-        let (cg, slot) = self.params.ino_to_cg(ino);
-        self.cgs[cg.0 as usize].free_inode(slot);
-        Ok(meta)
-    }
-
-    /// The bookkeeping half of a delete: takes the file out of the slab
-    /// and undoes its create-time accounting, leaving its blocks, tail,
-    /// and inode bit for the caller to free (inline for [`remove`], on a
-    /// per-group worker for [`crate::parallel`]).
-    pub(crate) fn detach_file(&mut self, ino: Ino) -> FsResult<FileMeta> {
         let Some(meta) = self.files.remove(&ino) else {
             return Err(FsError::NoSuchFile(ino));
         };
@@ -335,6 +319,9 @@ impl Filesystem {
         if let Some(d) = self.dirs.get_mut(&meta.dir) {
             d.nfiles -= 1;
         }
+        self.release_meta_space(&meta);
+        let (cg, slot) = self.params.ino_to_cg(ino);
+        self.cgs[cg.0 as usize].free_inode(slot);
         Ok(meta)
     }
 
@@ -567,8 +554,7 @@ impl Filesystem {
         }
     }
 
-    /// An [`AllocEngine`] over every cylinder group — the sequential
-    /// allocation paths.
+    /// An [`AllocEngine`] over this file system's cylinder groups.
     pub(crate) fn engine(&mut self) -> AllocEngine<'_> {
         let cfg = self.engine_cfg();
         let Filesystem {
@@ -579,22 +565,9 @@ impl Filesystem {
         } = self;
         AllocEngine {
             params,
-            pool: CgPool::All(cgs),
+            cgs,
             stats: alloc_stats,
             cfg,
-        }
-    }
-
-    /// Folds a completed create into the running aggregates.
-    pub(crate) fn commit_create(&mut self, meta: &FileMeta) {
-        if let Some((opt, scored)) = meta.layout_counts(&self.params) {
-            self.agg.opt += opt;
-            self.agg.scored += scored;
-        }
-        self.used_data_frags += meta.data_frags(&self.params);
-        self.bytes_written += meta.size;
-        if let Some(d) = self.dirs.get_mut(&meta.dir) {
-            d.nfiles += 1;
         }
     }
 

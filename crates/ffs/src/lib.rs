@@ -42,7 +42,6 @@ pub mod grow;
 pub mod inode;
 pub mod layout;
 pub mod naive;
-pub mod parallel;
 pub mod relocate;
 pub mod repair;
 pub mod table;
@@ -54,6 +53,5 @@ pub use freespace::{frag_space_stats, free_space_stats, FragSpaceStats, FreeSpac
 pub use fs::{DirMeta, Filesystem, LayoutAgg};
 pub use inode::FileMeta;
 pub use layout::{layout_by_size, recompute_aggregate, size_bins_paper, SizeBinScore};
-pub use parallel::{BatchOp, OpOutcome};
 pub use repair::{inject_metadata_damage, inject_structural_damage, repair, RepairReport};
 pub use table::{BlockList, Slab, SlabKey};

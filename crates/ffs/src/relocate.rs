@@ -49,7 +49,7 @@ impl Filesystem {
             return Err(FsError::InvalidArg("relocate target not free"));
         }
         // Delete-then-recommit around the pointer rewrite, exactly as
-        // `remove`/`commit_create` bracket a file's lifetime, so the
+        // `remove`/`create` bracket a file's lifetime, so the
         // incremental layout aggregate never drifts from a rescan.
         let counts = {
             let f = self.files.get(&ino).expect("checked above");

@@ -53,11 +53,6 @@ pub struct Options {
     pub fleet_seed: u64,
     /// `fleet` only: render a live shards-done/ETA line on stderr.
     pub progress: bool,
-    /// Worker threads for each replay's per-day operations (1 = the
-    /// classic inline loop). The per-cylinder-group parallel path is
-    /// bit-identical to the inline loop, so exhibits do not change with
-    /// this knob — only wall time does.
-    pub threads: usize,
 }
 
 impl Default for Options {
@@ -79,7 +74,6 @@ impl Default for Options {
             shards: 64,
             fleet_seed: 7,
             progress: false,
-            threads: 1,
         }
     }
 }
@@ -128,8 +122,6 @@ pub struct Shared {
     pub days: u32,
     /// Workload seed.
     pub seed: u64,
-    /// Replay worker threads (see [`Options::threads`]).
-    pub threads: usize,
 }
 
 impl Shared {
@@ -140,7 +132,6 @@ impl Shared {
             disk: DiskParams::seagate_32430n(),
             days: opts.days,
             seed: opts.seed,
-            threads: opts.threads.max(1),
         }
     }
 }

@@ -171,7 +171,6 @@ fn aging_job(
         config = config.real_fs_variant();
     }
     let store = (!opts.no_cache).then(|| ArtifactStore::new(opts.cache_path()));
-    let threads = opts.threads.max(1);
     JobSpec::new(id, &[], move |ctx| {
         let run = age_cached(
             store.as_ref(),
@@ -183,7 +182,6 @@ fn aging_job(
                 // runaway aging is cut off at a day boundary.
                 cancel: Some(ctx.cancel_token()),
                 defrag: defrag.clone(),
-                threads,
                 ..ReplayOptions::default()
             },
         )?;

@@ -330,7 +330,6 @@ pub fn snapval(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
         AllocPolicy::Orig,
         ReplayOptions {
             snapshot_every_days: 1,
-            threads: sh.threads,
             ..ReplayOptions::default()
         },
     )
@@ -349,10 +348,7 @@ pub fn snapval(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
         &derived_w,
         params,
         AllocPolicy::Orig,
-        ReplayOptions {
-            threads: sh.threads,
-            ..ReplayOptions::default()
-        },
+        ReplayOptions::default(),
     )
     .map_err(|e| e.to_string())?;
     let mut s = String::new();
@@ -389,16 +385,8 @@ pub fn profiles(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
         let mut scores = Vec::new();
         for policy in [AllocPolicy::Orig, AllocPolicy::Realloc] {
             ops += workload_ops(&w);
-            let r = replay(
-                &w,
-                &sh.params,
-                policy,
-                ReplayOptions {
-                    threads: sh.threads,
-                    ..ReplayOptions::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
+            let r = replay(&w, &sh.params, policy, ReplayOptions::default())
+                .map_err(|e| e.to_string())?;
             scores.push(r.daily.last().map_or(1.0, |d| d.layout_score));
         }
         let _ = writeln!(
@@ -550,7 +538,6 @@ pub fn smallfile(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
                     policy,
                     ReplayOptions {
                         frag_bestfit: bestfit,
-                        threads: sh.threads,
                         ..ReplayOptions::default()
                     },
                 )
@@ -600,16 +587,8 @@ pub fn sweep(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
         params.maxcontig = maxcontig;
         let w = generate(&config, params.ncg, params.data_capacity_bytes());
         ops += workload_ops(&w);
-        let r = replay(
-            &w,
-            &params,
-            AllocPolicy::Realloc,
-            ReplayOptions {
-                threads: sh.threads,
-                ..ReplayOptions::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
+        let r = replay(&w, &params, AllocPolicy::Realloc, ReplayOptions::default())
+            .map_err(|e| e.to_string())?;
         let _ = writeln!(
             s,
             "{maxcontig}\t{:.4}",

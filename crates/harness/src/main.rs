@@ -6,13 +6,8 @@
 //! harness <experiment>|all|report [--days N] [--seed S] [--out DIR]
 //!         [--jobs N] [--cache-dir DIR] [--no-cache] [--metrics PATH]
 //!         [-q|--quiet] [--profile] [--max-retries N]
-//!         [--job-deadline-ops N] [--resume-run PATH] [--threads N]
+//!         [--job-deadline-ops N] [--resume-run PATH]
 //! ```
-//!
-//! `--threads N` runs each replay's per-day operations on `N` worker
-//! threads sharded by cylinder group. The parallel path is bit-identical
-//! to the inline loop — every exhibit, TSV, and cache key is unchanged;
-//! only wall time moves.
 //!
 //! where `<experiment>` is one of `table1`, `fig1`, `fig2`, `fig3`,
 //! `fig4`, `fig5`, `fig6`, `table2`, `freespace`, `snapval`,
@@ -99,8 +94,7 @@ fn usage() -> ! {
          [--days N] [--seed S] [--out DIR] [--jobs N] [--cache-dir DIR] [--no-cache] \
          [--metrics PATH] [-q|--quiet] [--profile] [--baseline PATH] [--max-regression PCT] \
          [--max-retries N] [--job-deadline-ops N] [--resume-run PATH] \
-         [--chaos-seed N] [--chaos-kill NAME] [--shards N] [--fleet-seed S] [--progress] \
-         [--threads N]"
+         [--chaos-seed N] [--chaos-kill NAME] [--shards N] [--fleet-seed S] [--progress]"
     );
     std::process::exit(2);
 }
@@ -203,12 +197,6 @@ fn main() -> ExitCode {
             }
             "--progress" => {
                 opts.progress = true;
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
             }
             _ => usage(),
         }

@@ -112,65 +112,6 @@ fn exhibits_match_committed_goldens_at_days_30() {
 }
 
 #[test]
-fn replay_thread_count_reproduces_goldens_and_volume_digest() {
-    // `--threads` parallelizes replay *within* a volume (one worker per
-    // cylinder group); the committed days-30 goldens were produced with
-    // the inline loop, so a 4-thread run reproducing them byte for byte
-    // is the end-to-end proof that thread count never reaches an
-    // exhibit.
-    let out = std::env::temp_dir().join(format!("harness-threads-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&out);
-    let mut o = opts(&out, 0);
-    o.days = 30;
-    o.seed = 1996;
-    o.threads = 4;
-    let summary = driver::run(&o, EXHIBITS).expect("driver runs");
-    assert!(summary.all_ok(), "an experiment failed");
-    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/days30");
-    for name in EXHIBITS {
-        let got = fs::read(out.join(format!("{name}.tsv"))).expect("tsv written");
-        let want = fs::read(golden_dir.join(format!("{name}.tsv"))).expect("golden fixture");
-        assert_eq!(
-            got, want,
-            "{name}.tsv with --threads 4 diverged from the days-30 golden"
-        );
-    }
-    let _ = fs::remove_dir_all(&out);
-
-    // And the aged volume itself, not just what the exhibits print: the
-    // full paper geometry replayed inline and with 4 workers must land
-    // on the same allocation-state digest.
-    use aging::{generate, replay, AgingConfig, ReplayOptions};
-    let params = ffs_types::FsParams::paper_502mb();
-    let mut config = AgingConfig::paper(1996);
-    config.days = 10;
-    config.ramp_days = 3;
-    let w = generate(&config, params.ncg, params.data_capacity_bytes());
-    let inline = replay(
-        &w,
-        &params,
-        ffs::AllocPolicy::Orig,
-        ReplayOptions::default(),
-    )
-    .expect("inline replay");
-    let threaded = replay(
-        &w,
-        &params,
-        ffs::AllocPolicy::Orig,
-        ReplayOptions {
-            threads: 4,
-            ..ReplayOptions::default()
-        },
-    )
-    .expect("threaded replay");
-    assert_eq!(
-        inline.fs.digest(),
-        threaded.fs.digest(),
-        "volume digest differs between --threads 1 and --threads 4"
-    );
-}
-
-#[test]
 fn smallfile_matches_committed_golden_and_ignores_worker_count() {
     // The committed fixture under tests/golden/smallfile30 was produced
     // by `harness smallfile --days 30` (seed 1996) when the exhibit

@@ -17,6 +17,11 @@ use crate::span;
 /// Schema tag written into every `metrics.json`.
 pub const SCHEMA: &str = "obs-metrics-v1";
 
+/// Deepest span nesting [`Snapshot::from_json`] accepts. Recorded trees
+/// nest a handful of levels; [`Snapshot::render`] indents by depth and
+/// `format!` widths stop at `u16::MAX`, so a parsed depth must be bounded.
+const MAX_SPAN_DEPTH: u64 = 1024;
+
 /// One histogram, frozen.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistSnapshot {
@@ -132,7 +137,7 @@ impl Snapshot {
     /// minus the total of its *immediate* children (grandchildren are
     /// already inside their parents' totals). Clamped at zero — a child
     /// running on another thread can outlast its parent's exclusive
-    /// window, as in the parallel replay.
+    /// window.
     pub fn span_self_ns(&self, index: usize) -> u64 {
         let sp = &self.spans[index];
         let mut child_sum = 0u64;
@@ -293,7 +298,10 @@ impl Snapshot {
                         .and_then(|v| v.as_str())
                         .ok_or("span missing path")?
                         .to_string(),
-                    depth: json::u64_field(o, "depth")? as usize,
+                    depth: match json::u64_field(o, "depth")? {
+                        d if d <= MAX_SPAN_DEPTH => d as usize,
+                        d => return Err(format!("span depth {d} out of range")),
+                    },
                     calls: json::u64_field(o, "calls")?,
                     wall_ns: json::u64_field(o, "wall_ns")?,
                 });
@@ -475,10 +483,15 @@ mod json {
             .collect()
     }
 
+    /// Deepest array/object nesting [`parse`] follows before giving up;
+    /// the writer nests four levels, and the descent is recursive, so
+    /// unbounded input depth would be unbounded stack.
+    const MAX_DEPTH: usize = 32;
+
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = value(bytes, &mut pos)?;
+        let v = value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -502,8 +515,11 @@ mod json {
         }
     }
 
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
+        if depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+        }
         match b.get(*pos) {
             Some(b'{') => {
                 *pos += 1;
@@ -517,7 +533,7 @@ mod json {
                     skip_ws(b, pos);
                     let key = string(b, pos)?;
                     expect(b, pos, b':')?;
-                    obj.push((key, value(b, pos)?));
+                    obj.push((key, value(b, pos, depth + 1)?));
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -538,7 +554,7 @@ mod json {
                     return Ok(Value::Arr(arr));
                 }
                 loop {
-                    arr.push(value(b, pos)?);
+                    arr.push(value(b, pos, depth + 1)?);
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -684,6 +700,29 @@ mod tests {
         assert!(Snapshot::from_json("[]").is_err());
         assert!(Snapshot::from_json("{\"schema\":\"other-v9\"}").is_err());
         assert!(Snapshot::from_json("{\"schema\":\"obs-metrics-v1\"} trailing").is_err());
+    }
+
+    #[test]
+    fn unbounded_nesting_is_an_error_not_a_stack_overflow() {
+        let e = Snapshot::from_json(&"[".repeat(2_000_000)).unwrap_err();
+        assert!(e.contains("nesting"), "{e}");
+        // What the writer emits is nowhere near the cap.
+        assert!(Snapshot::from_json(&sample().to_json()).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_span_depth_is_rejected() {
+        let doc = |depth: u64| {
+            format!(
+                "{{\"schema\":\"obs-metrics-v1\",\"spans\":[{{\"path\":\"a\",\
+                 \"depth\":{depth},\"calls\":1,\"wall_ns\":1}}]}}"
+            )
+        };
+        let e = Snapshot::from_json(&doc(40_000_000_000)).unwrap_err();
+        assert!(e.contains("depth"), "{e}");
+        // The largest accepted depth still renders.
+        let ok = Snapshot::from_json(&doc(MAX_SPAN_DEPTH)).expect("in range");
+        assert!(ok.render().contains('a'));
     }
 
     #[test]

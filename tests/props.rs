@@ -204,3 +204,147 @@ proptest! {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// Every text parser is total: hostile input is `Err`, never a panic.
+// ----------------------------------------------------------------------
+
+/// One text format: a valid document, inputs that once crashed its
+/// reader, and the reader composed with everything downstream that
+/// trusts a parsed value (re-serialization, rendering).
+struct Format {
+    name: &'static str,
+    valid: String,
+    hostile: Vec<String>,
+    reparse: fn(&str) -> Result<String, String>,
+}
+
+fn formats() -> &'static [Format] {
+    static FORMATS: std::sync::OnceLock<Vec<Format>> = std::sync::OnceLock::new();
+    FORMATS.get_or_init(|| {
+        let params = FsParams::small_test();
+        let config = AgingConfig::small_test(4, 42);
+        let w = generate(&config, params.ncg, params.data_capacity_bytes());
+        let options = ReplayOptions {
+            snapshot_every_days: 4,
+            checkpoint_every_days: 4,
+            ..ReplayOptions::default()
+        };
+        let aged = replay(&w, &params, AllocPolicy::Realloc, options).expect("replay");
+        let metrics = obs::snapshot::Snapshot {
+            counters: vec![("ffs.block_allocs".into(), 42)],
+            gauges: vec![("aging.live \"files\"".into(), 7)],
+            hists: vec![obs::snapshot::HistSnapshot {
+                name: "disk.seek_cyls".into(),
+                bounds: vec![0, 1, 2],
+                buckets: vec![5, 0, 2, 3],
+                count: 10,
+                sum: 99,
+                max: 4000,
+            }],
+            spans: vec![
+                obs::snapshot::SpanSnapshot {
+                    path: "job:age:ffs".into(),
+                    depth: 0,
+                    calls: 1,
+                    wall_ns: 1_500_000,
+                },
+                obs::snapshot::SpanSnapshot {
+                    path: "job:age:ffs/age_day".into(),
+                    depth: 1,
+                    calls: 4,
+                    wall_ns: 1_200_000,
+                },
+            ],
+        };
+        vec![
+            Format {
+                name: "aging::Checkpoint",
+                valid: aged.checkpoints[0].to_text(),
+                hostile: vec![],
+                reparse: |t| Checkpoint::from_text(t).map(|c| c.to_text()),
+            },
+            Format {
+                name: "aging::Snapshot",
+                valid: aged.snapshots[0].to_text(),
+                hostile: vec![],
+                reparse: |t| aging::Snapshot::from_text(t).map(|s| s.to_text()),
+            },
+            Format {
+                name: "aging::DayStats",
+                valid: aged.daily[3].to_record(),
+                hostile: vec![],
+                reparse: |t| aging::DayStats::from_record(t).map(|d| d.to_record()),
+            },
+            Format {
+                name: "obs::Snapshot",
+                valid: metrics.to_json(),
+                hostile: vec![
+                    "[".repeat(2_000_000),
+                    "{\"schema\":\"obs-metrics-v1\",\"spans\":[{\"path\":\"a\",\
+                     \"depth\":40000000000,\"calls\":1,\"wall_ns\":1}]}"
+                        .into(),
+                ],
+                reparse: |t| {
+                    obs::snapshot::Snapshot::from_json(t).map(|s| {
+                        let _ = s.render();
+                        s.to_json()
+                    })
+                },
+            },
+        ]
+    })
+}
+
+#[test]
+fn every_text_format_round_trips_and_rejects_its_known_crashers() {
+    for f in formats() {
+        assert_eq!(
+            (f.reparse)(&f.valid).as_ref(),
+            Ok(&f.valid),
+            "{} does not round-trip",
+            f.name
+        );
+        for h in &f.hostile {
+            assert!((f.reparse)(h).is_err(), "{} accepted a crasher", f.name);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 512,
+        ..ProptestConfig::default()
+    })]
+
+    /// A valid document truncated at a random byte, with one byte
+    /// replaced, or with a printable line spliced in parses to `Ok` or
+    /// `Err` — the call returning at all is the property.
+    #[test]
+    fn damaged_documents_never_panic_a_parser(
+        which in 0usize..4,
+        damage in 0u8..3,
+        at in any::<u32>(),
+        byte in any::<u8>(),
+        line in proptest::collection::vec(0x20u8..0x7f, 0..40),
+    ) {
+        let f = &formats()[which];
+        let mut doc = f.valid.clone().into_bytes();
+        let at = at as usize % doc.len();
+        match damage {
+            0 => doc.truncate(at),
+            1 => doc[at] = byte,
+            _ => {
+                // Splice after the line `at` falls in (or at the end).
+                let cut = doc[at..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(doc.len(), |i| at + i + 1);
+                let mut spliced = line;
+                spliced.push(b'\n');
+                doc.splice(cut..cut, spliced);
+            }
+        }
+        let _ = (f.reparse)(&String::from_utf8_lossy(&doc));
+    }
+}
