@@ -11,6 +11,7 @@
 //! inconsistent map: a tampered or truncated file surfaces as
 //! [`FsError::Corrupt`] at restore time, never as a bad replay.
 
+use ffs_types::record::{push_addrs, push_tail, records};
 use ffs_types::{CgIdx, Daddr, DirId, FsError, FsParams, FsResult, Ino};
 
 use ffs::{AllocPolicy, DirMeta, FileMeta, Filesystem};
@@ -62,27 +63,6 @@ pub fn take_checkpoint(
     }
 }
 
-fn addrs(v: &[Daddr]) -> String {
-    if v.is_empty() {
-        "-".to_string()
-    } else {
-        v.iter()
-            .map(|d| d.0.to_string())
-            .collect::<Vec<_>>()
-            .join(":")
-    }
-}
-
-fn parse_addrs(s: &str, what: &str) -> Result<Vec<Daddr>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(':')
-        .map(|x| x.parse().map(Daddr))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("bad {what} list: {e}"))
-}
-
 impl Checkpoint {
     /// Serializes the checkpoint to a line-based text format, one record
     /// per line (`dir`, `file`, and `live` lines after a short header).
@@ -100,21 +80,17 @@ impl Checkpoint {
             );
         }
         for f in &self.files {
-            let tail = match f.tail {
-                Some((d, n)) => format!("{}:{}", d.0, n),
-                None => "-".to_string(),
-            };
-            let _ = writeln!(
+            let _ = write!(
                 s,
-                "file {} {} {} {} {} {} {}",
-                f.ino.0,
-                f.dir.0,
-                f.size,
-                f.mtime_day,
-                addrs(&f.blocks),
-                tail,
-                addrs(&f.indirects)
+                "file {} {} {} {} ",
+                f.ino.0, f.dir.0, f.size, f.mtime_day
             );
+            push_addrs(&mut s, &f.blocks);
+            s.push(' ');
+            push_tail(&mut s, f.tail);
+            s.push(' ');
+            push_addrs(&mut s, &f.indirects);
+            s.push('\n');
         }
         for (fid, ino) in &self.live {
             let _ = writeln!(s, "live {} {}", fid.0, ino.0);
@@ -127,84 +103,42 @@ impl Checkpoint {
 
     /// Parses the text format produced by [`Checkpoint::to_text`].
     pub fn from_text(text: &str) -> Result<Checkpoint, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty checkpoint")?;
-        let day: u32 = header
-            .strip_prefix("# checkpoint day ")
-            .ok_or("missing checkpoint header")?
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad day: {e}"))?;
+        let mut lines = records(text);
+        let mut header = lines.next().ok_or("empty checkpoint")?;
+        header.tag("# checkpoint day")?;
+        let day = header.num("day")?;
+        header.end()?;
         let mut bytes_written = None;
         let mut skipped_creates = None;
         let mut dirs = Vec::new();
         let mut files = Vec::new();
         let mut live = Vec::new();
         let mut rotors = Vec::new();
-        for (n, line) in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut f = line.split_whitespace();
-            let Some(kind) = f.next() else {
-                // `line` is non-empty after trimming, so a first token
-                // always exists; tolerate the impossible rather than
-                // panicking inside a parser fed from disk.
-                continue;
-            };
-            let mut field = |name: &str| {
-                f.next()
-                    .ok_or_else(|| format!("line {}: missing {name}", n + 1))
-            };
-            macro_rules! num {
-                ($name:literal) => {
-                    field($name)?
-                        .parse()
-                        .map_err(|e| format!("line {}: bad {}: {e}", n + 1, $name))?
-                };
-            }
-            match kind {
-                "bytes" => bytes_written = Some(num!("bytes")),
-                "skipped" => skipped_creates = Some(num!("skipped")),
+        for mut f in lines {
+            match f.word("record")? {
+                "bytes" => f.once(&mut bytes_written, "bytes")?,
+                "skipped" => f.once(&mut skipped_creates, "skipped")?,
                 "dir" => dirs.push(DirMeta {
-                    id: DirId(num!("dir id")),
-                    cg: CgIdx(num!("cg")),
-                    block: Daddr(num!("block")),
-                    ino_slot: num!("ino slot"),
-                    nfiles: num!("nfiles"),
+                    id: DirId(f.num("dir id")?),
+                    cg: CgIdx(f.num("cg")?),
+                    block: Daddr(f.num("block")?),
+                    ino_slot: f.num("ino slot")?,
+                    nfiles: f.num("nfiles")?,
                 }),
-                "file" => {
-                    let ino = Ino(num!("ino"));
-                    let dir = DirId(num!("dir"));
-                    let size = num!("size");
-                    let mtime_day = num!("mtime");
-                    let blocks = parse_addrs(field("blocks")?, "block")?;
-                    let tail_s = field("tail")?;
-                    let tail = if tail_s == "-" {
-                        None
-                    } else {
-                        let (a, b) = tail_s.split_once(':').ok_or("bad tail format")?;
-                        Some((
-                            Daddr(a.parse().map_err(|e| format!("bad tail: {e}"))?),
-                            b.parse().map_err(|e| format!("bad tail: {e}"))?,
-                        ))
-                    };
-                    let indirects = parse_addrs(field("indirects")?, "indirect")?;
-                    files.push(FileMeta {
-                        ino,
-                        dir,
-                        size,
-                        blocks: blocks.into(),
-                        tail,
-                        indirects,
-                        mtime_day,
-                    });
-                }
-                "live" => live.push((FileId(num!("file id")), Ino(num!("ino")))),
-                "rotor" => rotors.push((num!("rotor"), num!("inode rotor"))),
-                other => return Err(format!("line {}: unknown record {other:?}", n + 1)),
+                "file" => files.push(FileMeta {
+                    ino: Ino(f.num("ino")?),
+                    dir: DirId(f.num("dir")?),
+                    size: f.num("size")?,
+                    mtime_day: f.num("mtime")?,
+                    blocks: f.addrs("block")?,
+                    tail: f.tail("tail")?,
+                    indirects: f.addrs("indirect")?,
+                }),
+                "live" => live.push((FileId(f.num("file id")?), Ino(f.num("ino")?))),
+                "rotor" => rotors.push((f.num("rotor")?, f.num("inode rotor")?)),
+                other => return Err(f.err(format_args!("unknown record {other:?}"))),
             }
+            f.end()?;
         }
         Ok(Checkpoint {
             day,

@@ -19,6 +19,7 @@
 //!   a [`Checkpoint`] at end of day, from which [`resume`] continues the
 //!   same workload in a later process.
 
+use ffs_types::record::Fields;
 use ffs_types::{DirId, FsError, FsParams, FsResult, Ino};
 
 use ffs::{inject_metadata_damage, repair, AllocPolicy, Filesystem, RepairReport};
@@ -68,28 +69,24 @@ impl DayStats {
 
     /// Parses a line produced by [`DayStats::to_record`].
     pub fn from_record(line: &str) -> Result<DayStats, String> {
-        let mut f = line.split_whitespace();
-        let mut field = |name: &str| f.next().ok_or_else(|| format!("missing {name}"));
-        macro_rules! num {
-            ($name:literal) => {
-                field($name)?
-                    .parse()
-                    .map_err(|e| format!("bad {}: {e}", $name))?
-            };
-        }
-        let stats = DayStats {
-            day: num!("day"),
-            layout_score: num!("layout score"),
-            utilization: num!("utilization"),
-            nfiles: num!("nfiles"),
-            bytes_written: num!("bytes written"),
-            defrag_moves: num!("defrag moves"),
-            defrag_cost_us: num!("defrag cost"),
-        };
-        if f.next().is_some() {
-            return Err("trailing fields on day record".into());
-        }
+        let mut f = Fields::new(line, 1);
+        let stats = DayStats::from_fields(&mut f)?;
+        f.end()?;
         Ok(stats)
+    }
+
+    /// Reads the seven fields of a day record from a cursor already
+    /// inside a line (the `.aged` artifact's `daily <record>`).
+    pub fn from_fields(f: &mut Fields) -> Result<DayStats, String> {
+        Ok(DayStats {
+            day: f.num("day")?,
+            layout_score: f.num("layout score")?,
+            utilization: f.num("utilization")?,
+            nfiles: f.num("nfiles")?,
+            bytes_written: f.num("bytes written")?,
+            defrag_moves: f.num("defrag moves")?,
+            defrag_cost_us: f.num("defrag cost")?,
+        })
     }
 }
 

@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
+use ffs_types::record::{push_addrs, push_tail, records};
 use ffs_types::{CgIdx, Daddr, FsParams, Ino};
 
 use ffs::fs::LayoutAgg;
@@ -134,85 +135,33 @@ impl Snapshot {
         let mut s = String::new();
         let _ = writeln!(s, "# snapshot day {}", self.day);
         for e in &self.entries {
-            let blocks: Vec<String> = e.blocks.iter().map(|b| b.0.to_string()).collect();
-            let tail = match e.tail {
-                Some((d, n)) => format!("{}:{}", d.0, n),
-                None => "-".to_string(),
-            };
-            let _ = writeln!(
-                s,
-                "{} {} {} {} {} {}",
-                e.ino.0,
-                e.ctime_day,
-                e.size,
-                e.cg.0,
-                if blocks.is_empty() {
-                    "-".to_string()
-                } else {
-                    blocks.join(":")
-                },
-                tail
-            );
+            let _ = write!(s, "{} {} {} {} ", e.ino.0, e.ctime_day, e.size, e.cg.0);
+            push_addrs(&mut s, &e.blocks);
+            s.push(' ');
+            push_tail(&mut s, e.tail);
+            s.push('\n');
         }
         s
     }
 
     /// Parses the text format produced by [`Snapshot::to_text`].
     pub fn from_text(text: &str) -> Result<Snapshot, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty snapshot")?;
-        let day: u32 = header
-            .strip_prefix("# snapshot day ")
-            .ok_or("missing snapshot header")?
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad day: {e}"))?;
+        let mut lines = records(text);
+        let mut header = lines.next().ok_or("empty snapshot")?;
+        header.tag("# snapshot day")?;
+        let day = header.num("day")?;
+        header.end()?;
         let mut entries: Vec<SnapshotEntry> = Vec::new();
-        for (n, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut f = line.split_whitespace();
-            let mut field = |name: &str| {
-                f.next()
-                    .ok_or_else(|| format!("line {}: missing {name}", n + 2))
-            };
-            let ino = Ino(field("ino")?.parse().map_err(|e| format!("bad ino: {e}"))?);
-            let ctime_day = field("ctime")?
-                .parse()
-                .map_err(|e| format!("bad ctime: {e}"))?;
-            let size = field("size")?
-                .parse()
-                .map_err(|e| format!("bad size: {e}"))?;
-            let cg = CgIdx(field("cg")?.parse().map_err(|e| format!("bad cg: {e}"))?);
-            let blocks_s = field("blocks")?;
-            let blocks = if blocks_s == "-" {
-                BlockList::new()
-            } else {
-                blocks_s
-                    .split(':')
-                    .map(|x| x.parse().map(Daddr))
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("bad block list: {e}"))?
-            };
-            let tail_s = field("tail")?;
-            let tail = if tail_s == "-" {
-                None
-            } else {
-                let (a, b) = tail_s.split_once(':').ok_or("bad tail format")?;
-                Some((
-                    Daddr(a.parse().map_err(|e| format!("bad tail: {e}"))?),
-                    b.parse().map_err(|e| format!("bad tail: {e}"))?,
-                ))
-            };
+        for mut f in lines {
             entries.push(SnapshotEntry {
-                ino,
-                ctime_day,
-                size,
-                cg,
-                blocks,
-                tail,
+                ino: Ino(f.num("ino")?),
+                ctime_day: f.num("ctime")?,
+                size: f.num("size")?,
+                cg: CgIdx(f.num("cg")?),
+                blocks: f.addrs("block")?,
+                tail: f.tail("tail")?,
             });
+            f.end()?;
         }
         entries.sort_unstable_by_key(|e| e.ino);
         Ok(Snapshot { day, entries })

@@ -12,33 +12,26 @@ use aging::{AgingConfig, ReplayOptions};
 use ffs::AllocPolicy;
 use ffs_types::FsParams;
 
+pub use ffs_types::record::fnv1a;
+
 /// Version of the on-disk artifact format. Bump on any change to the
 /// serialization in [`crate::store`]; old artifacts then miss instead of
-/// parsing wrongly.
-pub const FORMAT_VERSION: u32 = 2;
-
-/// FNV-1a over a byte string; stable across platforms and processes
-/// (unlike `std::hash`, which is seeded per process).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// parsing wrongly. (3: the artifact is sealed with a checksum trailer.)
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The cache key of one aged file system.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AgedKey {
     /// 16-hex-digit content address; the artifact's file stem.
     pub hex: String,
-    /// The canonical provenance string the address was hashed from,
-    /// stored in the artifact for collision detection.
+    /// The canonical provenance string the address was hashed from.
+    /// Only the hash travels: an artifact echoes `hex` in its `key`
+    /// record, which catches a file stored under the wrong name; two
+    /// provenances colliding on all 64 bits would go unnoticed.
     pub provenance: String,
 }
 
-fn policy_name(policy: AllocPolicy) -> &'static str {
+pub(crate) fn policy_name(policy: AllocPolicy) -> &'static str {
     match policy {
         AllocPolicy::Orig => "orig",
         AllocPolicy::Realloc => "realloc",

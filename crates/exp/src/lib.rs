@@ -39,6 +39,6 @@ pub use engine::{
     backoff_units, run_jobs, EngineRun, JobCtx, JobError, JobOutcome, JobPolicy, JobSpec,
 };
 pub use key::{aged_key, fnv1a, AgedKey, FORMAT_VERSION};
-pub use record::{CacheStatus, Metrics, RunRecord};
+pub use record::{prior_ok, CacheStatus, Metrics, RunRecord};
 pub use report::{bench_json, compare_baseline, summarize};
-pub use store::{age_cached, AgedRun, ArtifactStore};
+pub use store::{age_cached, parse_aged, render_aged, AgedRun, ArtifactStore};

@@ -2,14 +2,15 @@
 //!
 //! Records are written as JSON lines (`runs.jsonl`) so they survive a
 //! partial run and append cleanly from other tooling. The environment is
-//! offline (no serde), so the writer emits a fixed field order by hand
-//! and the reader is a small extractor that understands exactly the
-//! output of [`RunRecord::to_json`] — enough for [`crate::report`] and
-//! the determinism tests, not a general JSON parser.
+//! offline (no serde), so [`RunRecord::to_json`] emits a fixed field
+//! order by hand; strings are escaped, and lines read back, by the
+//! workspace's one JSON codec, [`obs::json`].
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use disk::DeviceStats;
+use obs::json::{self, push_str};
 
 /// Whether a job's expensive artifact came from the store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,31 +93,6 @@ pub struct RunRecord {
     pub metrics: Metrics,
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Renders `s` as a JSON string literal, quotes and escapes included.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::new();
-    push_json_str(&mut out, s);
-    out
-}
-
 fn device_json(d: &DeviceStats) -> String {
     format!(
         "{{\"reads\":{},\"writes\":{},\"sectors_read\":{},\"sectors_written\":{},\
@@ -143,19 +119,19 @@ impl RunRecord {
     /// Serializes the record as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\"job\":");
-        push_json_str(&mut s, &self.job);
+        push_str(&mut s, &self.job);
         s.push_str(",\"deps\":[");
         for (i, d) in self.deps.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            push_json_str(&mut s, d);
+            push_str(&mut s, d);
         }
         s.push_str("],\"status\":");
-        push_json_str(&mut s, &self.status);
+        push_str(&mut s, &self.status);
         if let Some(e) = &self.error {
             s.push_str(",\"error\":");
-            push_json_str(&mut s, e);
+            push_str(&mut s, e);
         }
         let _ = write!(s, ",\"wall_s\":{:.6}", self.wall_s);
         if self.attempts > 1 || self.backoff_units > 0 {
@@ -166,11 +142,11 @@ impl RunRecord {
         }
         if let Some(c) = self.metrics.cache {
             s.push_str(",\"cache\":");
-            push_json_str(&mut s, c.as_str());
+            push_str(&mut s, c.as_str());
         }
         if let Some(k) = &self.metrics.key {
             s.push_str(",\"key\":");
-            push_json_str(&mut s, k);
+            push_str(&mut s, k);
         }
         if let Some(ops) = self.metrics.ops {
             let _ = write!(s, ",\"ops\":{ops}");
@@ -180,51 +156,38 @@ impl RunRecord {
         }
         for (k, v) in &self.metrics.notes {
             s.push(',');
-            push_json_str(&mut s, k);
+            push_str(&mut s, k);
             s.push(':');
-            push_json_str(&mut s, v);
+            push_str(&mut s, v);
         }
         s.push('}');
         s
     }
 
-    /// Extracts the string value of `field` from a line produced by
+    /// The string value of the top-level `field` of a line produced by
     /// [`RunRecord::to_json`]. Returns `None` when absent.
     pub fn field_str(line: &str, field: &str) -> Option<String> {
-        let pat = format!("\"{field}\":\"");
-        let start = line.find(&pat)? + pat.len();
-        let mut out = String::new();
-        let mut chars = line[start..].chars();
-        while let Some(c) = chars.next() {
-            match c {
-                '"' => return Some(out),
-                '\\' => match chars.next()? {
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let hex: String = chars.by_ref().take(4).collect();
-                        let v = u32::from_str_radix(&hex, 16).ok()?;
-                        out.push(char::from_u32(v)?);
-                    }
-                    other => out.push(other),
-                },
-                c => out.push(c),
-            }
-        }
-        None
+        Some(json::parse(line).ok()?.get(field)?.as_str()?.to_string())
     }
 
-    /// Extracts the numeric value of a top-level `field`.
+    /// The numeric value of the top-level `field`.
     pub fn field_num(line: &str, field: &str) -> Option<f64> {
-        let pat = format!("\"{field}\":");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
+        json::parse(line).ok()?.get(field)?.as_f64()
     }
+}
+
+/// The jobs a prior run's journal (`--resume-run <runs.jsonl>`) records
+/// as `ok`. Lines that are not run records are skipped: a journal cut
+/// off mid-line by a kill is exactly what gets resumed from.
+pub fn prior_ok(journal_path: &str) -> Result<BTreeSet<String>, String> {
+    let text = std::fs::read_to_string(journal_path)
+        .map_err(|e| format!("resume journal {journal_path}: {e}"))?;
+    let ok_job = |line: &str| {
+        let rec = json::parse(line).ok()?;
+        let ok = rec.get("status")?.as_str()? == "ok";
+        rec.get("job")?.as_str().filter(|_| ok).map(String::from)
+    };
+    Ok(text.lines().filter_map(ok_job).collect())
 }
 
 #[cfg(test)]
@@ -265,7 +228,9 @@ mod tests {
         assert_eq!(RunRecord::field_str(&line, "cache").unwrap(), "miss");
         assert_eq!(RunRecord::field_num(&line, "wall_s").unwrap(), 1.5);
         assert_eq!(RunRecord::field_num(&line, "ops").unwrap(), 1234.0);
-        assert_eq!(RunRecord::field_num(&line, "reads").unwrap(), 10.0);
+        // Accessors are top-level: nested device counters do not leak out.
+        assert!(line.contains("\"device\":{\"reads\":10,"), "{line}");
+        assert!(RunRecord::field_num(&line, "reads").is_none());
         assert_eq!(RunRecord::field_str(&line, "days").unwrap(), "300");
     }
 
@@ -334,5 +299,33 @@ mod tests {
         let line = r.to_json();
         assert_eq!(RunRecord::field_num(&line, "attempts").unwrap(), 3.0);
         assert_eq!(RunRecord::field_num(&line, "backoff_units").unwrap(), 11.0);
+    }
+
+    #[test]
+    fn prior_ok_reads_the_ok_jobs_of_a_journal() {
+        let mut failed = sample();
+        failed.job = "fig2".into();
+        failed.status = "panicked".into();
+        let mut impostor = sample();
+        impostor.job = "fig3".into();
+        impostor.status = "failed".into();
+        impostor.error = Some("\"status\":\"ok\"".into());
+        let ok_line = sample().to_json();
+        let journal = format!(
+            "{ok_line}\n{}\n\n{}\n{}",
+            failed.to_json(),
+            impostor.to_json(),
+            &ok_line[..ok_line.len() / 2]
+        );
+        let path = std::env::temp_dir().join(format!("exp-prior-ok-{}.jsonl", std::process::id()));
+        std::fs::write(&path, journal).unwrap();
+        let ok = prior_ok(path.to_str().unwrap()).unwrap();
+        assert_eq!(ok.into_iter().collect::<Vec<_>>(), ["age:ffs"]);
+        let _ = std::fs::remove_file(&path);
+        let e = prior_ok("/nonexistent/runs.jsonl").unwrap_err();
+        assert!(
+            e.starts_with("resume journal /nonexistent/runs.jsonl: "),
+            "{e}"
+        );
     }
 }

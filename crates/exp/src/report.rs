@@ -1,7 +1,7 @@
 //! `harness report`: summarize a `runs.jsonl` into a where-did-time-go
 //! table.
 
-use crate::record::RunRecord;
+use obs::json::{self, push_str, Value};
 
 struct Row {
     job: String,
@@ -12,6 +12,24 @@ struct Row {
     attempts: f64,
     records: u64,
     quarantined: Option<String>,
+}
+
+/// Parses journal line `n` (0-based), which must carry a `job`.
+fn parse_record(line: &str, n: usize) -> Result<Value, String> {
+    json::parse(line)
+        .ok()
+        .filter(|rec| rec.get("job").and_then(Value::as_str).is_some())
+        .ok_or_else(|| format!("runs.jsonl line {}: no job field", n + 1))
+}
+
+fn str_or(rec: &Value, field: &str, default: &str) -> String {
+    let s = rec.get(field).and_then(Value::as_str);
+    s.unwrap_or(default).to_string()
+}
+
+fn num_or(rec: &Value, field: &str, default: f64) -> f64 {
+    let n = rec.get(field).and_then(Value::as_f64);
+    n.unwrap_or(default)
 }
 
 /// Renders a human-readable summary of the run records in `jsonl`
@@ -32,8 +50,8 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
         if line.is_empty() {
             continue;
         }
-        let job = RunRecord::field_str(line, "job")
-            .ok_or_else(|| format!("runs.jsonl line {}: no job field", n + 1))?;
+        let rec = parse_record(line, n)?;
+        let job = str_or(&rec, "job", "?");
         let row = match rows.iter_mut().find(|r| r.job == job) {
             Some(row) => row,
             None => {
@@ -50,14 +68,14 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
                 rows.last_mut().expect("row just pushed")
             }
         };
-        row.status = RunRecord::field_str(line, "status").unwrap_or_else(|| "?".into());
-        row.cache = RunRecord::field_str(line, "cache").unwrap_or_else(|| "-".into());
-        row.wall_s += RunRecord::field_num(line, "wall_s").unwrap_or(0.0);
-        row.ops += RunRecord::field_num(line, "ops").unwrap_or(0.0);
-        row.attempts += RunRecord::field_num(line, "attempts").unwrap_or(1.0);
+        row.status = str_or(&rec, "status", "?");
+        row.cache = str_or(&rec, "cache", "-");
+        row.wall_s += num_or(&rec, "wall_s", 0.0);
+        row.ops += num_or(&rec, "ops", 0.0);
+        row.attempts += num_or(&rec, "attempts", 1.0);
         row.records += 1;
-        if let Some(path) = RunRecord::field_str(line, "quarantined") {
-            row.quarantined = Some(path);
+        if let Some(path) = rec.get("quarantined").and_then(Value::as_str) {
+            row.quarantined = Some(path.to_string());
         }
     }
     if rows.is_empty() {
@@ -147,12 +165,13 @@ pub fn bench_json(jsonl: &str) -> Result<String, String> {
         if line.is_empty() {
             continue;
         }
-        let job = RunRecord::field_str(line, "job")
-            .ok_or_else(|| format!("runs.jsonl line {}: no job field", n + 1))?;
-        let status = RunRecord::field_str(line, "status").unwrap_or_else(|| "?".into());
-        let wall_s = RunRecord::field_num(line, "wall_s").unwrap_or(0.0);
-        let ops = RunRecord::field_num(line, "ops").unwrap_or(0.0);
-        entries.push((job, status, wall_s, ops));
+        let rec = parse_record(line, n)?;
+        entries.push((
+            str_or(&rec, "job", "?"),
+            str_or(&rec, "status", "?"),
+            num_or(&rec, "wall_s", 0.0),
+            num_or(&rec, "ops", 0.0),
+        ));
     }
     if entries.is_empty() {
         return Err("no run records".into());
@@ -173,11 +192,13 @@ pub fn bench_json(jsonl: &str) -> Result<String, String> {
         } else {
             0.0
         };
+        out.push_str("{\"job\":");
+        push_str(&mut out, job);
+        out.push_str(",\"status\":");
+        push_str(&mut out, status);
         let _ = write!(
             out,
-            "{{\"job\":{},\"status\":{},\"wall_s\":{wall_s:.6},\"ops\":{},\"ops_per_sec\":{ops_per_sec:.3}}}",
-            crate::record::json_escape(job),
-            crate::record::json_escape(status),
+            ",\"wall_s\":{wall_s:.6},\"ops\":{},\"ops_per_sec\":{ops_per_sec:.3}}}",
             *ops as u64
         );
     }
@@ -187,22 +208,21 @@ pub fn bench_json(jsonl: &str) -> Result<String, String> {
 
 /// Parses a `bench-aging-v1` JSON (the output of [`bench_json`]) into
 /// `(job, ops_per_sec)` pairs for the jobs that report throughput.
-fn bench_throughputs(json: &str) -> Result<Vec<(String, f64)>, String> {
-    if !json.contains("\"schema\":\"bench-aging-v1\"") {
+fn bench_throughputs(doc: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = json::parse(doc)?;
+    if doc.get("schema").and_then(Value::as_str) != Some("bench-aging-v1") {
         return Err("not a bench-aging-v1 document".into());
     }
-    let arr = json.split_once("\"jobs\":[").ok_or("no jobs array")?.1;
-    let mut out = Vec::new();
-    for obj in arr.split("},{") {
-        let Some(job) = RunRecord::field_str(obj, "job") else {
-            continue;
-        };
-        let ops_per_sec = RunRecord::field_num(obj, "ops_per_sec").unwrap_or(0.0);
-        if ops_per_sec > 0.0 {
-            out.push((job, ops_per_sec));
-        }
-    }
-    Ok(out)
+    let jobs = doc.get("jobs").and_then(Value::as_arr);
+    Ok(jobs
+        .ok_or("no jobs array")?
+        .iter()
+        .filter_map(|j| {
+            let job = j.get("job")?.as_str()?.to_string();
+            let ops_per_sec = j.get("ops_per_sec")?.as_f64()?;
+            (ops_per_sec > 0.0).then_some((job, ops_per_sec))
+        })
+        .collect())
 }
 
 /// Compares a freshly generated `bench-aging-v1` JSON against a committed

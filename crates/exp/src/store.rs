@@ -3,27 +3,32 @@
 //! Aging is the expensive step of every experiment (two to three
 //! multi-month replays per harness invocation), and its product is a
 //! pure function of its inputs — exactly the profile of an artifact
-//! worth persisting. The store keeps one text file per [`AgedKey`]:
+//! worth persisting. The store keeps one text file per [`AgedKey`], in
+//! the workspace's line-record grammar ([`ffs_types::record`]):
 //!
 //! ```text
-//! # exp aged artifact v1
+//! # exp aged artifact v3
 //! key <16-hex content address>
 //! policy <orig|realloc>
 //! fsdigest <Filesystem::digest of the saved image>
 //! skipped <creates skipped for lack of space>
-//! daily <day> <layout> <util> <nfiles> <bytes>     (one per aged day)
+//! daily <day> <layout> <util> <nfiles> <bytes> <moves> <cost_us>   (days 0..=N)
 //! # checkpoint day <N>
 //! <the allocation-exact aging::Checkpoint text>
+//! checksum <16-hex FNV-1a of every byte above>
 //! ```
 //!
-//! Loading **trusts nothing**: the checkpoint restore path rebuilds all
-//! derived allocation state and re-verifies it with the consistency
-//! checker, and the restored image's [`ffs::Filesystem::digest`] must
-//! match the recorded one. Any damage — truncation, bit rot, a key
-//! collision, hand editing — surfaces as [`FsError::Corrupt`] and the
-//! caller re-ages transparently instead of trusting the artifact.
-//! Writes go through a temporary file and an atomic rename so a crashed
-//! writer can never leave a half-written artifact under a valid name.
+//! Loading **trusts nothing**. The checksum trailer is verified before a
+//! single record is parsed, so damage anywhere — the day series Figures
+//! 1 and 2 are drawn from as much as the image — is caught; the
+//! checkpoint restore path then rebuilds all derived allocation state
+//! and re-verifies it with the consistency checker, and the restored
+//! image's [`ffs::Filesystem::digest`] must match the recorded one. Any
+//! damage — truncation, bit rot, a file under the wrong key, hand
+//! editing — surfaces as [`FsError::Corrupt`] and the caller re-ages
+//! transparently instead of trusting the artifact. Writes go through a
+//! temporary file and an atomic rename so a crashed writer can never
+//! leave a half-written artifact under a valid name.
 
 use std::path::{Path, PathBuf};
 
@@ -32,10 +37,11 @@ use aging::{
     ReplayResult,
 };
 use ffs::AllocPolicy;
+use ffs_types::record::{records, seal, unseal};
 use ffs_types::{FsError, FsParams, FsResult};
 
 use crate::engine::JobError;
-use crate::key::{aged_key, AgedKey, FORMAT_VERSION};
+use crate::key::{aged_key, policy_name, AgedKey, FORMAT_VERSION};
 use crate::record::CacheStatus;
 
 /// A directory of cached aged-file-system artifacts.
@@ -148,103 +154,9 @@ impl ArtifactStore {
         policy: AllocPolicy,
     ) -> FsResult<Option<ReplayResult>> {
         match self.load_named(&key.hex, "aged")? {
-            Some(text) => self.parse(key, params, policy, &text).map(Some),
+            Some(text) => parse_aged(&text, key, params, policy).map(Some),
             None => Ok(None),
         }
-    }
-
-    fn parse(
-        &self,
-        key: &AgedKey,
-        params: &FsParams,
-        policy: AllocPolicy,
-        text: &str,
-    ) -> FsResult<ReplayResult> {
-        let corrupt = |what: &str| FsError::Corrupt(format!("aged artifact: {what}"));
-        let mut lines = text.lines();
-        let header = lines.next().ok_or_else(|| corrupt("empty file"))?;
-        if header != format!("# exp aged artifact v{FORMAT_VERSION}") {
-            return Err(corrupt(&format!("unknown format {header:?}")));
-        }
-        let mut stored_key = None;
-        let mut stored_digest = None;
-        let mut skipped = None;
-        let mut daily: Vec<DayStats> = Vec::new();
-        let mut checkpoint_text = String::new();
-        for line in lines.by_ref() {
-            if line.starts_with("# checkpoint day ") {
-                checkpoint_text.push_str(line);
-                checkpoint_text.push('\n');
-                break;
-            }
-            match line.split_once(' ') {
-                Some(("key", v)) => stored_key = Some(v.to_string()),
-                Some(("policy", _)) => {
-                    // Informational; the digest check below is the
-                    // authoritative policy validation.
-                }
-                Some(("fsdigest", v)) => {
-                    stored_digest = Some(
-                        v.parse::<u64>()
-                            .map_err(|e| corrupt(&format!("bad fsdigest: {e}")))?,
-                    );
-                }
-                Some(("skipped", v)) => {
-                    skipped = Some(
-                        v.parse::<u64>()
-                            .map_err(|e| corrupt(&format!("bad skipped: {e}")))?,
-                    );
-                }
-                Some(("daily", v)) => {
-                    daily.push(DayStats::from_record(v).map_err(|e| corrupt(&e))?);
-                }
-                _ => return Err(corrupt(&format!("unknown record {line:?}"))),
-            }
-        }
-        for line in lines {
-            checkpoint_text.push_str(line);
-            checkpoint_text.push('\n');
-        }
-        let stored_key = stored_key.ok_or_else(|| corrupt("missing key line"))?;
-        if stored_key != key.hex {
-            return Err(corrupt(&format!(
-                "key mismatch: file says {stored_key}, wanted {}",
-                key.hex
-            )));
-        }
-        let stored_digest = stored_digest.ok_or_else(|| corrupt("missing fsdigest line"))?;
-        let skipped = skipped.ok_or_else(|| corrupt("missing skipped line"))?;
-        if daily.is_empty() {
-            return Err(corrupt("no daily series"));
-        }
-        let ck = Checkpoint::from_text(&checkpoint_text)
-            .map_err(|e| corrupt(&format!("checkpoint: {e}")))?;
-        let last_day = daily.last().ok_or_else(|| corrupt("no daily series"))?.day;
-        if ck.day != last_day {
-            return Err(corrupt(&format!(
-                "checkpoint day {} disagrees with daily series end {last_day}",
-                ck.day
-            )));
-        }
-        // Restore rebuilds and re-verifies all derived allocation state;
-        // a tampered inode table is caught here...
-        let (fs, live) = ck.restore(params.clone(), policy)?;
-        // ...and the digest pins the rest (rotors, counters, identity).
-        let digest = fs.digest();
-        if digest != stored_digest {
-            return Err(corrupt(&format!(
-                "digest mismatch: restored {digest}, recorded {stored_digest}"
-            )));
-        }
-        Ok(ReplayResult {
-            daily,
-            fs,
-            live,
-            skipped_creates: skipped,
-            snapshots: Vec::new(),
-            checkpoints: Vec::new(),
-            crash: None,
-        })
     }
 
     /// The directory damaged artifacts are moved to.
@@ -265,30 +177,130 @@ impl ArtifactStore {
 
     /// Persists an aged run under `key` (atomic replace).
     pub fn save(&self, key: &AgedKey, result: &ReplayResult) -> Result<PathBuf, String> {
-        use std::fmt::Write as _;
-        let last = result
-            .daily
-            .last()
-            .ok_or("cannot cache a zero-day aging run")?;
-        let ck = take_checkpoint(&result.fs, &result.live, last.day, result.skipped_creates);
-        let mut text = format!("# exp aged artifact v{FORMAT_VERSION}\n");
-        let _ = writeln!(text, "key {}", key.hex);
-        let _ = writeln!(
-            text,
-            "policy {}",
-            match result.fs.policy() {
-                AllocPolicy::Orig => "orig",
-                AllocPolicy::Realloc => "realloc",
-            }
-        );
-        let _ = writeln!(text, "fsdigest {}", result.fs.digest());
-        let _ = writeln!(text, "skipped {}", result.skipped_creates);
-        for d in &result.daily {
-            let _ = writeln!(text, "daily {}", d.to_record());
-        }
-        text.push_str(&ck.to_text());
-        self.save_named(&key.hex, "aged", &text)
+        self.save_named(&key.hex, "aged", &render_aged(key, result)?)
     }
+}
+
+/// Renders an aged run as the text of the `.aged` artifact stored under
+/// `key`. The day series must be the whole run, days `0..=last`;
+/// [`parse_aged`] rejects anything else.
+pub fn render_aged(key: &AgedKey, result: &ReplayResult) -> Result<String, String> {
+    use std::fmt::Write as _;
+    let last = result
+        .daily
+        .last()
+        .ok_or("cannot cache a zero-day aging run")?;
+    let ck = take_checkpoint(&result.fs, &result.live, last.day, result.skipped_creates);
+    let mut text = format!("# exp aged artifact v{FORMAT_VERSION}\n");
+    let _ = writeln!(text, "key {}", key.hex);
+    let _ = writeln!(text, "policy {}", policy_name(result.fs.policy()));
+    let _ = writeln!(text, "fsdigest {}", result.fs.digest());
+    let _ = writeln!(text, "skipped {}", result.skipped_creates);
+    for d in &result.daily {
+        let _ = writeln!(text, "daily {}", d.to_record());
+    }
+    text.push_str(&ck.to_text());
+    seal(&mut text);
+    Ok(text)
+}
+
+/// Parses and validates the text of the `.aged` artifact stored under
+/// `key`: a pure function of its arguments. Every failure is
+/// [`FsError::Corrupt`].
+pub fn parse_aged(
+    text: &str,
+    key: &AgedKey,
+    params: &FsParams,
+    policy: AllocPolicy,
+) -> FsResult<ReplayResult> {
+    let corrupt = |what: String| FsError::Corrupt(format!("aged artifact: {what}"));
+    let (head, ck) = read_aged(text, key).map_err(corrupt)?;
+    // Restore rebuilds and re-verifies all derived allocation state;
+    // a tampered inode table is caught here...
+    let (fs, live) = ck.restore(params.clone(), policy)?;
+    // ...and the digest pins the rest (rotors, counters, identity).
+    let digest = fs.digest();
+    if digest != head.fsdigest {
+        return Err(corrupt(format!(
+            "digest mismatch: restored {digest}, recorded {}",
+            head.fsdigest
+        )));
+    }
+    Ok(ReplayResult {
+        daily: head.daily,
+        fs,
+        live,
+        skipped_creates: head.skipped,
+        snapshots: Vec::new(),
+        checkpoints: Vec::new(),
+        crash: None,
+    })
+}
+
+/// The records of an `.aged` artifact above its checkpoint section.
+struct Head {
+    fsdigest: u64,
+    skipped: u64,
+    daily: Vec<DayStats>,
+}
+
+/// The text-level half of [`parse_aged`]: seal, records, key echo and
+/// day series. No file system is built.
+fn read_aged(text: &str, key: &AgedKey) -> Result<(Head, Checkpoint), String> {
+    let body = unseal(text)?;
+    let (head, checkpoint) = body
+        .find("\n# checkpoint day ")
+        .map(|at| body.split_at(at + 1))
+        .ok_or("no checkpoint section")?;
+    let mut lines = records(head);
+    let mut header = lines.next().ok_or("empty file")?;
+    header.tag(&format!("# exp aged artifact v{FORMAT_VERSION}"))?;
+    header.end()?;
+    let mut stored_key: Option<String> = None;
+    let mut fsdigest = None;
+    let mut skipped = None;
+    let mut daily: Vec<DayStats> = Vec::new();
+    for mut f in lines {
+        match f.word("record")? {
+            "key" => f.once(&mut stored_key, "key")?,
+            // Informational; the digest check is the authoritative
+            // policy validation.
+            "policy" => drop(f.word("policy")?),
+            "fsdigest" => f.once(&mut fsdigest, "fsdigest")?,
+            "skipped" => f.once(&mut skipped, "skipped")?,
+            "daily" => {
+                let d = DayStats::from_fields(&mut f)?;
+                if d.day as usize != daily.len() {
+                    let want = daily.len();
+                    return Err(f.err(format_args!("day {} where day {want} belongs", d.day)));
+                }
+                daily.push(d);
+            }
+            other => return Err(f.err(format_args!("unknown record {other:?}"))),
+        }
+        f.end()?;
+    }
+    let stored_key = stored_key.ok_or("missing key line")?;
+    if stored_key != key.hex {
+        return Err(format!(
+            "key mismatch: file says {stored_key}, wanted {}",
+            key.hex
+        ));
+    }
+    let ck = Checkpoint::from_text(checkpoint).map_err(|e| format!("checkpoint: {e}"))?;
+    let last_day = daily.last().ok_or("no daily series")?.day;
+    if ck.day != last_day {
+        return Err(format!(
+            "checkpoint day {} disagrees with daily series end {last_day}",
+            ck.day
+        ));
+    }
+    let head = Head {
+        fsdigest: fsdigest.ok_or("missing fsdigest line")?,
+        skipped: skipped.ok_or("missing skipped line")?,
+        daily,
+    };
+    Ok((head, ck))
 }
 
 /// Ages a file system, going through the artifact store when one is
@@ -358,6 +370,14 @@ mod tests {
 
     fn small() -> (FsParams, AgingConfig) {
         (FsParams::small_test(), AgingConfig::small_test(8, 42))
+    }
+
+    /// Damage that carries a valid seal, so the checks behind the
+    /// checksum are the ones exercised.
+    fn resealed(original: &str, edit: impl FnOnce(&str) -> String) -> String {
+        let mut text = edit(unseal(original).expect("a sealed artifact"));
+        seal(&mut text);
+        text
     }
 
     #[test]
@@ -460,23 +480,36 @@ mod tests {
             .unwrap_err();
         assert!(matches!(e, FsError::Corrupt(_)), "got {e:?}");
 
-        // Tampering: steal a block address inside a file record.
-        let tampered = original.replacen("file ", "file 999999 ", 1);
-        std::fs::write(&path, tampered).unwrap();
-        let e = store
-            .load(&cold.key, &params, AllocPolicy::Realloc)
-            .unwrap_err();
-        assert!(matches!(e, FsError::Corrupt(_)), "got {e:?}");
-
-        // A wrong-key artifact under the right name is a collision, not
-        // a hit.
-        let miskeyed =
-            original.replacen(&format!("key {}", cold.key.hex), "key 0000000000000000", 1);
-        std::fs::write(&path, miskeyed).unwrap();
-        let e = store
-            .load(&cold.key, &params, AllocPolicy::Realloc)
-            .unwrap_err();
-        assert!(matches!(e, FsError::Corrupt(_)), "got {e:?}");
+        // The checks behind the seal still hold when the damage carries
+        // a valid checksum (a buggy writer, a hand edit that re-sealed).
+        for (bad, why) in [
+            // Tampering: steal a block address inside a file record.
+            (
+                resealed(&original, |t| t.replacen("file ", "file 999999 ", 1)),
+                "checkpoint: line",
+            ),
+            // A wrong-key artifact under the right name is a collision,
+            // not a hit.
+            (
+                resealed(&original, |t| {
+                    t.replacen(&format!("key {}", cold.key.hex), "key 0000000000000000", 1)
+                }),
+                "key mismatch",
+            ),
+            (
+                resealed(&original, |t| {
+                    t.replacen("skipped ", "skipped 1\nskipped ", 1)
+                }),
+                "repeated skipped record",
+            ),
+            (
+                resealed(&original, |t| t.replacen("\ndaily 3 ", "\ndaily 4 ", 1)),
+                "day 4 where day 3 belongs",
+            ),
+        ] {
+            let e = parse_aged(&bad, &cold.key, &params, AllocPolicy::Realloc).unwrap_err();
+            assert!(e.to_string().contains(why), "wanted {why:?}, got {e}");
+        }
 
         // age_cached treats all of that as "quarantine, re-age".
         std::fs::write(&path, &original[..original.len() / 3]).unwrap();
@@ -512,6 +545,61 @@ mod tests {
         )
         .unwrap();
         assert_eq!(warm.cache, CacheStatus::Hit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_day_series_is_quarantined_and_re_aged() {
+        // The day series is what Figures 1 and 2 are drawn from, and the
+        // image digest does not cover it: before the artifact was sealed
+        // a rewritten layout score loaded as a hit.
+        let dir = tmpdir("daily");
+        let store = ArtifactStore::new(&dir);
+        let (params, config) = small();
+        let age = || {
+            age_cached(
+                Some(&store),
+                &params,
+                &config,
+                AllocPolicy::Realloc,
+                ReplayOptions::default(),
+            )
+            .unwrap()
+        };
+        let cold = age();
+        let path = store.path_for(&cold.key);
+        let original = std::fs::read_to_string(&path).unwrap();
+        let day2 = original
+            .lines()
+            .find(|l| l.starts_with("daily 2 "))
+            .expect("a day-2 record");
+        // One digit of one record: the line's last.
+        let flipped = if day2.ends_with('7') { '8' } else { '7' };
+        let edited = format!("{}{flipped}", &day2[..day2.len() - 1]);
+        let one_digit = original.replacen(day2, &edited, 1);
+        let line_deleted = original.replacen(&format!("{day2}\n"), "", 1);
+        // A deleted line under a valid seal leaves a gap in the days.
+        let deleted_and_resealed = resealed(&original, |t| t.replacen(&format!("{day2}\n"), "", 1));
+        for (bad, why) in [
+            (one_digit, "checksum mismatch"),
+            (line_deleted, "checksum mismatch"),
+            (deleted_and_resealed, "day 3 where day 2 belongs"),
+        ] {
+            assert_ne!(bad, original);
+            std::fs::write(&path, &bad).unwrap();
+            let healed = age();
+            assert_eq!(healed.cache, CacheStatus::Corrupt, "{why}");
+            assert_eq!(healed.result.daily, cold.result.daily);
+            let qpath = healed.quarantined.expect("damaged artifact quarantined");
+            assert!(qpath.starts_with(store.quarantine_dir()));
+            assert_eq!(std::fs::read_to_string(&qpath).unwrap(), bad);
+            let reason = store
+                .quarantine_dir()
+                .join(format!("{}.reason", cold.key.hex));
+            let reason = std::fs::read_to_string(reason).unwrap();
+            assert!(reason.contains(why), "wanted {why:?}, got {reason}");
+            assert_eq!(age().cache, CacheStatus::Hit, "the store healed");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

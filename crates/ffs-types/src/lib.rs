@@ -9,6 +9,7 @@
 pub mod error;
 pub mod ids;
 pub mod params;
+pub mod record;
 pub mod units;
 
 pub use error::FsError;

@@ -20,7 +20,6 @@
 //! those reloads with `"resumed":"true"` so the report can tell a warm
 //! resume from an ordinary cache hit.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -191,18 +190,8 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
     // Shards a prior journal finished: their cache hits get a `resumed`
     // marker. The checkpoints themselves, not the journal, carry the
     // resume — a shard absent here but present in the store still hits.
-    let prior_ok: BTreeSet<String> = match &opts.resume_run {
-        Some(path) => {
-            let text =
-                fs::read_to_string(path).map_err(|e| format!("resume journal {path}: {e}"))?;
-            text.lines()
-                .filter_map(|line| {
-                    let job = RunRecord::field_str(line, "job")?;
-                    let status = RunRecord::field_str(line, "status")?;
-                    (status == "ok").then_some(job)
-                })
-                .collect()
-        }
+    let prior_ok = match &opts.resume_run {
+        Some(journal) => exp::prior_ok(journal)?,
         None => Default::default(),
     };
 

@@ -15,13 +15,25 @@
 //! byte-identical exhibits. Loading trusts nothing: header, key, policy,
 //! sample count, and a whole-file checksum are validated, and damage is
 //! quarantined (bytes preserved for post-mortem) before the shard is
-//! re-aged.
+//! re-aged. The layout, in the workspace's line-record grammar
+//! ([`ffs_types::record`]), sealed like `exp`'s `.aged` artifacts:
+//!
+//! ```text
+//! # fleet shard artifact v2
+//! key <16-hex content address>
+//! policy <orig|realloc>
+//! days <N>
+//! skipped <creates skipped for lack of space>
+//! sample <day> <layout> <freefrag> <util>      (N of them)
+//! checksum <16-hex FNV-1a of every byte above>
+//! ```
 
 use std::path::PathBuf;
 
 use aging::{generate, replay_tapped, CancelToken, ReplayOptions};
-use exp::{fnv1a, ArtifactStore, CacheStatus, JobError};
+use exp::{ArtifactStore, CacheStatus, JobError};
 use ffs::free_space_stats;
+use ffs_types::record::{records, seal, unseal};
 
 use crate::spec::{ShardSpec, FLEET_FORMAT_VERSION};
 
@@ -62,7 +74,8 @@ pub struct ShardOutput {
     pub quarantined: Option<PathBuf>,
 }
 
-fn render_artifact(spec: &ShardSpec, samples: &[ShardSample], skipped: u64) -> String {
+/// Renders `spec`'s sample series as the text of its `.shard` artifact.
+pub fn render_artifact(spec: &ShardSpec, samples: &[ShardSample], skipped: u64) -> String {
     use std::fmt::Write as _;
     let mut text = format!("# fleet shard artifact v{FLEET_FORMAT_VERSION}\n");
     let _ = writeln!(text, "key {}", spec.key_hex());
@@ -77,77 +90,51 @@ fn render_artifact(spec: &ShardSpec, samples: &[ShardSample], skipped: u64) -> S
             s.day, s.layout, s.freefrag, s.util
         );
     }
-    let _ = writeln!(text, "checksum {:016x}", fnv1a(text.as_bytes()));
+    seal(&mut text);
     text
 }
 
-fn parse_artifact(spec: &ShardSpec, text: &str) -> Result<(Vec<ShardSample>, u64), String> {
-    // The checksum line covers every byte before it.
-    let tail = text.rfind("checksum ").ok_or("missing checksum line")?;
-    if tail > 0 && text.as_bytes()[tail - 1] != b'\n' {
-        return Err("malformed checksum line".into());
-    }
-    let recorded = text[tail..]
-        .trim_end()
-        .strip_prefix("checksum ")
-        .ok_or("malformed checksum line")?;
-    let actual = format!("{:016x}", fnv1a(&text.as_bytes()[..tail]));
-    if recorded != actual {
-        return Err(format!(
-            "checksum mismatch: file says {recorded}, content is {actual}"
-        ));
-    }
-    let mut lines = text[..tail].lines();
-    let header = lines.next().ok_or("empty artifact")?;
-    if header != format!("# fleet shard artifact v{FLEET_FORMAT_VERSION}") {
-        return Err(format!("unknown format {header:?}"));
-    }
-    let mut days = None;
+/// Parses and validates the text of `spec`'s `.shard` artifact: a pure
+/// function of its arguments.
+pub fn parse_artifact(spec: &ShardSpec, text: &str) -> Result<(Vec<ShardSample>, u64), String> {
+    let mut lines = records(unseal(text)?);
+    let mut header = lines.next().ok_or("empty artifact")?;
+    header.tag(&format!("# fleet shard artifact v{FLEET_FORMAT_VERSION}"))?;
+    header.end()?;
+    let mut key: Option<String> = None;
+    let mut days: Option<usize> = None;
     let mut skipped = None;
     let mut samples: Vec<ShardSample> = Vec::new();
-    for line in lines {
-        match line.split_once(' ') {
-            Some(("key", v)) => {
-                if v != spec.key_hex() {
+    for mut f in lines {
+        match f.word("record")? {
+            "key" => f.once(&mut key, "key")?,
+            "policy" => {
+                let policy = f.word("policy")?;
+                if policy != spec.policy_name() {
                     return Err(format!(
-                        "key mismatch: file says {v}, wanted {}",
-                        spec.key_hex()
-                    ));
-                }
-            }
-            Some(("policy", v)) => {
-                if v != spec.policy_name() {
-                    return Err(format!(
-                        "policy mismatch: file says {v}, shard is {}",
+                        "policy mismatch: file says {policy}, shard is {}",
                         spec.policy_name()
                     ));
                 }
             }
-            Some(("days", v)) => {
-                days = Some(v.parse::<usize>().map_err(|e| format!("bad days: {e}"))?);
-            }
-            Some(("skipped", v)) => {
-                skipped = Some(v.parse::<u64>().map_err(|e| format!("bad skipped: {e}"))?);
-            }
-            Some(("sample", v)) => {
-                let mut f = v.split_whitespace();
-                let mut next =
-                    |name: &str| f.next().ok_or_else(|| format!("sample missing {name}"));
-                samples.push(ShardSample {
-                    day: next("day")?.parse().map_err(|e| format!("bad day: {e}"))?,
-                    layout: next("layout")?
-                        .parse()
-                        .map_err(|e| format!("bad layout: {e}"))?,
-                    freefrag: next("freefrag")?
-                        .parse()
-                        .map_err(|e| format!("bad freefrag: {e}"))?,
-                    util: next("util")?
-                        .parse()
-                        .map_err(|e| format!("bad util: {e}"))?,
-                });
-            }
-            _ => return Err(format!("unknown record {line:?}")),
+            "days" => f.once(&mut days, "days")?,
+            "skipped" => f.once(&mut skipped, "skipped")?,
+            "sample" => samples.push(ShardSample {
+                day: f.num("day")?,
+                layout: f.num("layout")?,
+                freefrag: f.num("freefrag")?,
+                util: f.num("util")?,
+            }),
+            other => return Err(f.err(format_args!("unknown record {other:?}"))),
         }
+        f.end()?;
+    }
+    let key = key.ok_or("missing key line")?;
+    if key != spec.key_hex() {
+        return Err(format!(
+            "key mismatch: file says {key}, wanted {}",
+            spec.key_hex()
+        ));
     }
     let days = days.ok_or("missing days line")?;
     let skipped = skipped.ok_or("missing skipped line")?;

@@ -325,18 +325,8 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
     // TSVs still exist on disk, reload instead of recomputing. They
     // become dep-free jobs, so aging runs nothing else needs drop out
     // of the DAG entirely.
-    let prior_ok: std::collections::BTreeSet<String> = match &opts.resume_run {
-        Some(path) => {
-            let text =
-                fs::read_to_string(path).map_err(|e| format!("resume journal {path}: {e}"))?;
-            text.lines()
-                .filter_map(|line| {
-                    let job = RunRecord::field_str(line, "job")?;
-                    let status = RunRecord::field_str(line, "status")?;
-                    (status == "ok").then_some(job)
-                })
-                .collect()
-        }
+    let prior_ok = match &opts.resume_run {
+        Some(journal) => exp::prior_ok(journal)?,
         None => Default::default(),
     };
     let out_dir = Path::new(&opts.out_dir);

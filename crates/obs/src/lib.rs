@@ -15,10 +15,13 @@
 //!   one tree).
 //! * [`snapshot`] — a point-in-time [`snapshot::Snapshot`] of
 //!   everything recorded, with a `metrics.json` sink
-//!   ([`snapshot::Snapshot::to_json`]), a JSON-lines sink in the same
-//!   hand-rolled style as `results/runs.jsonl`
-//!   ([`snapshot::Snapshot::to_jsonl`]), a parser for exactly those
-//!   formats, and a human profile view ([`snapshot::Snapshot::render`]).
+//!   ([`snapshot::Snapshot::to_json`]), its reader
+//!   ([`snapshot::Snapshot::from_json`]), and a human profile view
+//!   ([`snapshot::Snapshot::render`]).
+//!
+//! Beside them, [`json`] is the workspace's one JSON reader and string
+//! escaper; `metrics.json` here and `runs.jsonl` in `exp` both go
+//! through it.
 //!
 //! # Determinism and cost
 //!
@@ -46,6 +49,7 @@
 //! obs::set_enabled(false);
 //! ```
 
+pub mod json;
 pub mod metrics;
 pub mod snapshot;
 pub mod span;

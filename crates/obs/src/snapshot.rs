@@ -1,16 +1,14 @@
 //! Point-in-time snapshots of the registry and span tree, with sinks.
 //!
-//! The environment is offline (no serde), so the writer emits JSON by
-//! hand with a fixed field order, and [`Snapshot::from_json`] is a
-//! small recursive-descent parser that accepts standard JSON — enough
-//! to read back exactly what [`Snapshot::to_json`] and
-//! [`Snapshot::to_jsonl`] write (the same arrangement `exp`'s
-//! `runs.jsonl` uses). Sorted metric names and name-ordered span paths
-//! make the serialization deterministic up to the wall-time values
-//! themselves.
+//! [`Snapshot::to_json`] writes `metrics.json` with a fixed field order
+//! and [`Snapshot::from_json`] reads it back, both through the shared
+//! [`crate::json`] codec (the one `exp`'s `runs.jsonl` uses too). Sorted
+//! metric names and name-ordered span paths make the serialization
+//! deterministic up to the wall-time values themselves.
 
 use std::fmt::Write as _;
 
+use crate::json::{self, push_str, Value};
 use crate::metrics::Registry;
 use crate::span;
 
@@ -159,38 +157,33 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\"schema\":");
-        push_json_str(&mut s, SCHEMA);
-        s.push_str(",\"counters\":{");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        push_str(&mut s, SCHEMA);
+        for (key, values) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+            let _ = write!(s, ",\"{key}\":{{");
+            for (i, (n, v)) in values.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                push_str(&mut s, n);
+                let _ = write!(s, ":{v}");
             }
-            push_json_str(&mut s, n);
-            let _ = write!(s, ":{v}");
+            s.push('}');
         }
-        s.push_str("},\"gauges\":{");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_str(&mut s, n);
-            let _ = write!(s, ":{v}");
-        }
-        s.push_str("},\"histograms\":[");
+        s.push_str(",\"histograms\":[");
         for (i, h) in self.hists.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             s.push_str("{\"name\":");
-            push_json_str(&mut s, &h.name);
+            push_str(&mut s, &h.name);
+            s.push_str(",\"bounds\":");
+            push_u64_array(&mut s, &h.bounds);
+            s.push_str(",\"buckets\":");
+            push_u64_array(&mut s, &h.buckets);
             let _ = write!(
                 s,
-                ",\"bounds\":{},\"buckets\":{},\"count\":{},\"sum\":{},\"max\":{}}}",
-                num_array(&h.bounds),
-                num_array(&h.buckets),
-                h.count,
-                h.sum,
-                h.max
+                ",\"count\":{},\"sum\":{},\"max\":{}}}",
+                h.count, h.sum, h.max
             );
         }
         s.push_str("],\"spans\":[");
@@ -199,7 +192,7 @@ impl Snapshot {
                 s.push(',');
             }
             s.push_str("{\"path\":");
-            push_json_str(&mut s, &sp.path);
+            push_str(&mut s, &sp.path);
             let _ = write!(
                 s,
                 ",\"depth\":{},\"calls\":{},\"wall_ns\":{}}}",
@@ -210,102 +203,50 @@ impl Snapshot {
         s
     }
 
-    /// Serializes the snapshot as JSON lines — one object per metric
-    /// and span, in the extractor-friendly style of `runs.jsonl`, for
-    /// appending observability data alongside run records.
-    pub fn to_jsonl(&self) -> String {
-        let mut s = String::new();
-        for (n, v) in &self.counters {
-            s.push_str("{\"kind\":\"counter\",\"name\":");
-            push_json_str(&mut s, n);
-            let _ = writeln!(s, ",\"value\":{v}}}");
-        }
-        for (n, v) in &self.gauges {
-            s.push_str("{\"kind\":\"gauge\",\"name\":");
-            push_json_str(&mut s, n);
-            let _ = writeln!(s, ",\"value\":{v}}}");
-        }
-        for h in &self.hists {
-            s.push_str("{\"kind\":\"histogram\",\"name\":");
-            push_json_str(&mut s, &h.name);
-            let _ = writeln!(
-                s,
-                ",\"bounds\":{},\"buckets\":{},\"count\":{},\"sum\":{},\"max\":{}}}",
-                num_array(&h.bounds),
-                num_array(&h.buckets),
-                h.count,
-                h.sum,
-                h.max
-            );
-        }
-        for sp in &self.spans {
-            s.push_str("{\"kind\":\"span\",\"path\":");
-            push_json_str(&mut s, &sp.path);
-            let _ = writeln!(
-                s,
-                ",\"depth\":{},\"calls\":{},\"wall_ns\":{}}}",
-                sp.depth, sp.calls, sp.wall_ns
-            );
-        }
-        s
-    }
-
     /// Parses a snapshot from the output of [`Snapshot::to_json`].
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let v = json::parse(text)?;
-        let obj = v
-            .as_obj()
-            .ok_or("metrics.json: top level is not an object")?;
-        match json::get(obj, "schema").and_then(|s| s.as_str()) {
+        let doc = json::parse(text)?;
+        if doc.as_obj().is_none() {
+            return Err("metrics.json: top level is not an object".into());
+        }
+        match doc.get("schema").and_then(Value::as_str) {
             Some(s) if s == SCHEMA => {}
             Some(s) => return Err(format!("unsupported metrics schema {s:?}")),
             None => return Err("metrics.json: missing schema".into()),
         }
-        let mut snap = Snapshot::default();
-        if let Some(c) = json::get(obj, "counters").and_then(|v| v.as_obj()) {
-            for (n, v) in c {
-                snap.counters
-                    .push((n.clone(), v.as_u64().ok_or("bad counter value")?));
-            }
+        let named_values = |key: &str| -> Result<Vec<(String, u64)>, String> {
+            let members = doc.get(key).and_then(Value::as_obj).unwrap_or_default();
+            members
+                .iter()
+                .map(|(n, v)| Ok((n.clone(), v.as_u64().ok_or(format!("bad {key} value"))?)))
+                .collect()
+        };
+        let entries = |key: &str| doc.get(key).and_then(Value::as_arr).unwrap_or_default();
+        let mut snap = Snapshot {
+            counters: named_values("counters")?,
+            gauges: named_values("gauges")?,
+            ..Snapshot::default()
+        };
+        for h in entries("histograms") {
+            snap.hists.push(HistSnapshot {
+                name: str_field(h, "name")?,
+                bounds: u64_array(h, "bounds")?,
+                buckets: u64_array(h, "buckets")?,
+                count: u64_field(h, "count")?,
+                sum: u64_field(h, "sum")?,
+                max: u64_field(h, "max")?,
+            });
         }
-        if let Some(g) = json::get(obj, "gauges").and_then(|v| v.as_obj()) {
-            for (n, v) in g {
-                snap.gauges
-                    .push((n.clone(), v.as_u64().ok_or("bad gauge value")?));
-            }
-        }
-        if let Some(hs) = json::get(obj, "histograms").and_then(|v| v.as_arr()) {
-            for h in hs {
-                let o = h.as_obj().ok_or("histogram entry is not an object")?;
-                snap.hists.push(HistSnapshot {
-                    name: json::get(o, "name")
-                        .and_then(|v| v.as_str())
-                        .ok_or("histogram missing name")?
-                        .to_string(),
-                    bounds: json::u64_array(o, "bounds")?,
-                    buckets: json::u64_array(o, "buckets")?,
-                    count: json::u64_field(o, "count")?,
-                    sum: json::u64_field(o, "sum")?,
-                    max: json::u64_field(o, "max")?,
-                });
-            }
-        }
-        if let Some(sp) = json::get(obj, "spans").and_then(|v| v.as_arr()) {
-            for e in sp {
-                let o = e.as_obj().ok_or("span entry is not an object")?;
-                snap.spans.push(SpanSnapshot {
-                    path: json::get(o, "path")
-                        .and_then(|v| v.as_str())
-                        .ok_or("span missing path")?
-                        .to_string(),
-                    depth: match json::u64_field(o, "depth")? {
-                        d if d <= MAX_SPAN_DEPTH => d as usize,
-                        d => return Err(format!("span depth {d} out of range")),
-                    },
-                    calls: json::u64_field(o, "calls")?,
-                    wall_ns: json::u64_field(o, "wall_ns")?,
-                });
-            }
+        for sp in entries("spans") {
+            snap.spans.push(SpanSnapshot {
+                path: str_field(sp, "path")?,
+                depth: match u64_field(sp, "depth")? {
+                    d if d <= MAX_SPAN_DEPTH => d as usize,
+                    d => return Err(format!("span depth {d} out of range")),
+                },
+                calls: u64_field(sp, "calls")?,
+                wall_ns: u64_field(sp, "wall_ns")?,
+            });
         }
         Ok(snap)
     }
@@ -386,254 +327,37 @@ impl Snapshot {
     }
 }
 
-fn num_array<T: std::fmt::Display>(v: &[T]) -> String {
-    let mut s = String::from("[");
+fn push_u64_array(out: &mut String, v: &[u64]) {
+    out.push('[');
     for (i, x) in v.iter().enumerate() {
         if i > 0 {
-            s.push(',');
+            out.push(',');
         }
-        let _ = write!(s, "{x}");
+        let _ = write!(out, "{x}");
     }
-    s.push(']');
-    s
+    out.push(']');
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn str_field(entry: &Value, key: &str) -> Result<String, String> {
+    let s = entry.get(key).and_then(Value::as_str);
+    Ok(s.ok_or_else(|| format!("missing string field {key:?}"))?
+        .to_string())
 }
 
-/// A minimal JSON reader: just enough of the grammar to parse what this
-/// module writes (objects, arrays, strings with the escapes the writer
-/// emits, and non-negative decimal numbers with optional fraction).
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// A number (kept as f64; integral values round-trip below
-        /// 2^53, far beyond any bucket count this crate records).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
+fn u64_field(entry: &Value, key: &str) -> Result<u64, String> {
+    let n = entry.get(key).and_then(Value::as_u64);
+    n.ok_or_else(|| format!("missing or non-numeric field {key:?}"))
+}
 
-    impl Value {
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        }
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub fn u64_field(obj: &[(String, Value)], key: &str) -> Result<u64, String> {
-        get(obj, key)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-    }
-
-    pub fn u64_array(obj: &[(String, Value)], key: &str) -> Result<Vec<u64>, String> {
-        get(obj, key)
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| format!("missing array field {key:?}"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| format!("non-numeric entry in {key:?}"))
-            })
-            .collect()
-    }
-
-    /// Deepest array/object nesting [`parse`] follows before giving up;
-    /// the writer nests four levels, and the descent is recursive, so
-    /// unbounded input depth would be unbounded stack.
-    const MAX_DEPTH: usize = 32;
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, *pos))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
-        }
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut obj = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(obj));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    obj.push((key, value(b, pos, depth + 1)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(obj));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    arr.push(value(b, pos, depth + 1)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(arr));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = *pos;
-                if b[*pos] == b'-' {
-                    *pos += 1;
-                }
-                while *pos < b.len()
-                    && (b[*pos].is_ascii_digit()
-                        || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(Value::Num)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            _ => Err(format!("unexpected input at byte {}", *pos)),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let v = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(v).ok_or("bad \\u codepoint")?);
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", *pos)),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
+fn u64_array(entry: &Value, key: &str) -> Result<Vec<u64>, String> {
+    let arr = entry.get(key).and_then(Value::as_arr);
+    arr.ok_or_else(|| format!("missing array field {key:?}"))?
+        .iter()
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("non-numeric entry in {key:?}"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -711,6 +435,22 @@ mod tests {
     }
 
     #[test]
+    fn a_two_megabyte_document_parses_in_linear_time() {
+        // The reader this replaced re-validated the rest of the document
+        // per string character: quadratic, minutes at this size.
+        let mut s = Snapshot::default();
+        for i in 0..40_000u64 {
+            let name = format!("fleet.shard.{i:05}.ffs.alloc.cluster_search_length");
+            s.counters.push((name, i));
+        }
+        let text = s.to_json();
+        assert!(text.len() > 2_000_000, "{}", text.len());
+        let t0 = std::time::Instant::now();
+        assert_eq!(Snapshot::from_json(&text).expect("parse back"), s);
+        assert!(t0.elapsed().as_secs() < 5, "took {:?}", t0.elapsed());
+    }
+
+    #[test]
     fn out_of_range_span_depth_is_rejected() {
         let doc = |depth: u64| {
             format!(
@@ -772,17 +512,5 @@ mod tests {
         // Overlapping concurrent children clamp instead of underflowing.
         s.spans[1].wall_ns = 2_000_000;
         assert_eq!(s.span_self_ns(0), 0);
-    }
-
-    #[test]
-    fn jsonl_lines_carry_kind_and_name() {
-        let lines: Vec<String> = sample().to_jsonl().lines().map(String::from).collect();
-        assert_eq!(lines.len(), 2 + 1 + 1 + 2);
-        assert!(lines[0].contains("\"kind\":\"counter\""));
-        assert!(lines.iter().any(|l| l.contains("\"kind\":\"histogram\"")));
-        assert!(lines.iter().any(|l| l.contains("\"kind\":\"span\"")));
-        // Each line is independently parseable by the extractor style
-        // used on runs.jsonl: no embedded newlines, one object per line.
-        assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 }

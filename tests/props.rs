@@ -219,6 +219,16 @@ struct Format {
     reparse: fn(&str) -> Result<String, String>,
 }
 
+/// The content address of the aged run [`formats`] serializes.
+fn props_aged_key() -> exp::AgedKey {
+    exp::aged_key(
+        &FsParams::small_test(),
+        &AgingConfig::small_test(4, 42),
+        AllocPolicy::Realloc,
+        &ReplayOptions::default(),
+    )
+}
+
 fn formats() -> &'static [Format] {
     static FORMATS: std::sync::OnceLock<Vec<Format>> = std::sync::OnceLock::new();
     FORMATS.get_or_init(|| {
@@ -257,7 +267,82 @@ fn formats() -> &'static [Format] {
                 },
             ],
         };
+        // The two sealed artifacts and one journal line, rendered from
+        // the same aged run.
+        let key = props_aged_key();
+        let shard = fleet::FleetSpec::new(4, 21, 4).shard(2);
+        let samples: Vec<fleet::ShardSample> = aged
+            .daily
+            .iter()
+            .map(|d| fleet::ShardSample {
+                day: d.day,
+                layout: d.layout_score,
+                freefrag: 1.0 - d.layout_score,
+                util: d.utilization,
+            })
+            .collect();
+        let mut run_metrics = exp::Metrics {
+            cache: Some(exp::CacheStatus::Corrupt),
+            key: Some(key.hex.clone()),
+            ops: Some(1234),
+            ..exp::Metrics::default()
+        };
+        run_metrics.note("quarantined", "cache/quarantine/\"odd\"\tname.aged");
+        run_metrics.add_device(&ffs_aging::disk::DeviceStats::default());
+        let run_record = exp::RunRecord {
+            job: "age:realloc".into(),
+            deps: vec!["table1".into()],
+            status: "failed".into(),
+            error: Some("line 1\nline 2 \\ \"quoted\"".into()),
+            wall_s: 0.074642,
+            attempts: 3,
+            backoff_units: 11,
+            metrics: run_metrics,
+        };
         vec![
+            Format {
+                name: "exp .aged",
+                valid: exp::render_aged(&key, &aged).expect("render"),
+                hostile: vec![],
+                reparse: |t| {
+                    let key = props_aged_key();
+                    let params = FsParams::small_test();
+                    let r = exp::parse_aged(t, &key, &params, AllocPolicy::Realloc)
+                        .map_err(|e| e.to_string())?;
+                    exp::render_aged(&key, &r)
+                },
+            },
+            Format {
+                name: "fleet .shard",
+                valid: fleet::shard::render_artifact(&shard, &samples, 3),
+                hostile: vec![],
+                reparse: |t| {
+                    let shard = fleet::FleetSpec::new(4, 21, 4).shard(2);
+                    fleet::shard::parse_artifact(&shard, t).map(|(samples, skipped)| {
+                        fleet::shard::render_artifact(&shard, &samples, skipped)
+                    })
+                },
+            },
+            Format {
+                name: "exp::RunRecord",
+                valid: run_record.to_json(),
+                hostile: vec![],
+                reparse: |t| {
+                    // The journal's readers: every accessor the report
+                    // and the resume scan use, then the whole line.
+                    for field in ["job", "status", "cache", "quarantined", "error"] {
+                        let _ = exp::RunRecord::field_str(t, field);
+                    }
+                    for field in ["wall_s", "ops", "attempts"] {
+                        let _ = exp::RunRecord::field_num(t, field);
+                    }
+                    let _ = exp::summarize(t);
+                    let _ = exp::bench_json(t);
+                    exp::RunRecord::field_str(t, "job")
+                        .map(|_| t.to_string())
+                        .ok_or_else(|| "not a run record".to_string())
+                },
+            },
             Format {
                 name: "aging::Checkpoint",
                 valid: aged.checkpoints[0].to_text(),
@@ -322,7 +407,7 @@ proptest! {
     /// `Err` — the call returning at all is the property.
     #[test]
     fn damaged_documents_never_panic_a_parser(
-        which in 0usize..4,
+        which in 0usize..7,
         damage in 0u8..3,
         at in any::<u32>(),
         byte in any::<u8>(),
@@ -346,5 +431,24 @@ proptest! {
             }
         }
         let _ = (f.reparse)(&String::from_utf8_lossy(&doc));
+    }
+
+    /// The two sealed artifacts authenticate every byte: a one-byte
+    /// substitution anywhere is `Err`, never `Ok` with other content.
+    #[test]
+    fn sealed_artifacts_reject_any_one_byte_substitution(
+        which in 0usize..2,
+        at in any::<u32>(),
+        byte in 0x20u8..0x7f,
+    ) {
+        let f = &formats()[which];
+        prop_assert!(f.name.starts_with("exp .aged") || f.name.starts_with("fleet .shard"));
+        let mut doc = f.valid.clone().into_bytes();
+        let at = at as usize % doc.len();
+        if doc[at] != byte {
+            doc[at] = byte;
+            let doc = String::from_utf8(doc).expect("ascii in, ascii out");
+            prop_assert!((f.reparse)(&doc).is_err(), "{} accepted byte {at} = {byte:#x}", f.name);
+        }
     }
 }
