@@ -135,9 +135,10 @@ pub enum Violation {
         /// The aggregate recomputed from the files.
         recomputed: LayoutAgg,
     },
-    /// A slab table's derived index (occupancy bitmap, length counter, or
-    /// free-list wiring) disagrees with its slot tags. The tags are
-    /// ground truth, so this is rebuildable without loss.
+    /// A slab table's derived index (the key → slot entries or the
+    /// occupancy bitmap) disagrees with the keys recorded beside its
+    /// packed values. Those are ground truth, so this is rebuildable
+    /// without loss.
     SlabIndexDrift {
         /// Which table drifted: `"files"` or `"dirs"`.
         table: &'static str,
@@ -384,8 +385,8 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
             recomputed: full,
         });
     }
-    // The metadata tables' own derived indices (occupancy bitmaps,
-    // length counters, free-list wiring) against their slot tags.
+    // The metadata tables' own derived indices (key → slot entries,
+    // occupancy bitmaps) against the keys packed beside their values.
     if let Some(detail) = fs.files.index_violation() {
         errs.push(Violation::SlabIndexDrift {
             table: "files",

@@ -374,7 +374,8 @@ impl Filesystem {
     ///
     /// Returns [`FsError::Corrupt`] when the claims are malformed (an
     /// address outside the volume, a misaligned block, conflicting
-    /// owners) — the signature of a corrupted or truncated checkpoint.
+    /// owners, an inode or directory recorded twice) — the signature of
+    /// a corrupted or truncated checkpoint.
     pub fn restore(
         params: FsParams,
         policy: AllocPolicy,
@@ -393,7 +394,8 @@ impl Filesystem {
             // Directory ids are assigned sequentially from zero and never
             // reclaimed, so a legitimate checkpoint's ids are exactly
             // 0..dirs.len(). Rejecting anything larger also stops a
-            // tampered checkpoint from forcing a huge slab allocation.
+            // tampered checkpoint from sizing the slab's key index, as
+            // the inode limit below does for files.
             if d.id.0 as usize >= dirs.len()
                 || d.cg.0 >= params.ncg
                 || d.ino_slot >= params.inodes_per_cg()
@@ -426,11 +428,19 @@ impl Filesystem {
         let mut fs = Filesystem::new(params, policy);
         fs.bytes_written = bytes_written;
         fs.next_dir = dirs.iter().map(|d| d.id.0 + 1).max().unwrap_or(0);
+        // A repeated id would overwrite the earlier record and take its
+        // claims with it, leaving a smaller table that verifies clean.
         for d in dirs {
-            fs.dirs.insert(d.id, d);
+            let id = d.id;
+            if fs.dirs.insert(id, d).is_some() {
+                return Err(FsError::Corrupt(format!("directory {id:?} recorded twice")));
+            }
         }
         for f in files {
-            fs.files.insert(f.ino, f);
+            let ino = f.ino;
+            if fs.files.insert(ino, f).is_some() {
+                return Err(FsError::Corrupt(format!("file {ino:?} recorded twice")));
+            }
         }
         crate::repair::rebuild_allocation_state(&mut fs);
         crate::check::verify(&fs)?;
@@ -621,6 +631,35 @@ mod tests {
         let (o, _) = fs(AllocPolicy::Orig);
         let (r, _) = fs(AllocPolicy::Realloc);
         assert_ne!(o.digest(), r.digest());
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_inode_or_directory() {
+        let (mut f, d) = fs(AllocPolicy::Realloc);
+        f.create(d, 24 * KB, 1).unwrap();
+        f.create(d, 3 * KB, 2).unwrap();
+        let restore = |dirs: Vec<DirMeta>, files: Vec<FileMeta>| {
+            Filesystem::restore(f.params.clone(), f.policy, dirs, files, f.bytes_written)
+        };
+        let (dirs, files): (Vec<_>, Vec<_>) =
+            (f.dirs().cloned().collect(), f.files().cloned().collect());
+        let back = restore(dirs.clone(), files.clone()).expect("the intact table restores");
+        assert_eq!(back.files, f.files);
+        // Two records for one inode: the second used to overwrite the
+        // first, and the smaller table verified clean.
+        let mut twice = files.clone();
+        twice[1].ino = twice[0].ino;
+        let e = restore(dirs.clone(), twice).unwrap_err();
+        assert!(
+            matches!(&e, FsError::Corrupt(m) if m.contains(&format!("{:?}", files[0].ino))),
+            "got {e:?}"
+        );
+        // A repeated directory id passes the `id < dirs.len()` guard.
+        let e = restore(vec![dirs[0].clone(), dirs[0].clone()], files).unwrap_err();
+        assert!(
+            matches!(&e, FsError::Corrupt(m) if m.contains(&format!("{:?}", dirs[0].id))),
+            "got {e:?}"
+        );
     }
 
     #[test]

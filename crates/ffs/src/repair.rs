@@ -105,10 +105,10 @@ pub fn repair(fs: &mut Filesystem) -> RepairReport {
 /// Clashing claims are resolved as repair would (first claimant keeps),
 /// but nothing is removed: the caller's [`check`] reports them.
 pub(crate) fn rebuild_allocation_state(fs: &mut Filesystem) {
-    // The metadata tables' own indices first: the occupancy bitmaps and
-    // free lists are derived from the slot tags exactly as the fragment
-    // maps are derived from the inodes, and everything below iterates
-    // the tables through those indices.
+    // The metadata tables' own indices first: the key → slot index and
+    // the occupancy bitmap are derived from the packed keys exactly as
+    // the fragment maps are derived from the inodes, and everything
+    // below iterates the tables through those indices.
     fs.files.rebuild_index();
     fs.dirs.rebuild_index();
     let claims = ClaimMap::of_survivors(fs, &mut BTreeSet::new());
@@ -165,10 +165,9 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
 /// Damage profile of a torn update: perturbs up to `hits` pieces of
 /// *derived* allocation state — orphaned fragments and inode slots in
 /// the bitmaps, drifted free counters, drifted aggregates, cleared
-/// live-inode bits, torn slots of the groups' derived tables, and
-/// scrambled slab-index free lists — without
-/// touching the inode table itself. Returns the number of perturbations
-/// applied.
+/// live-inode bits, torn slots of the groups' derived tables, and a
+/// scrambled slab index — without touching the inode table itself.
+/// Returns the number of perturbations applied.
 ///
 /// The damage is seeded and therefore reproducible; [`repair`] restores
 /// every category losslessly, which the recovery tests assert.
@@ -192,10 +191,11 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
                 }
             }
             7 => {
-                // Scramble the file table's slab index (torn free-list
-                // update): random free-list links and head, or a flipped
-                // occupancy bit when no slot is vacant. Occupied slots —
-                // the ground truth — are never touched.
+                // Scramble the file table's slab index (torn index
+                // update): every vacant key's entry pointed at a random
+                // slot, or a cleared occupancy bit when no key is
+                // vacant. The packed values and their keys — the ground
+                // truth — are never touched.
                 if fs.files.scramble_index(|bound| rng.gen_range(0..bound)) {
                     applied += 1;
                 }
@@ -514,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn scrambled_slab_free_list_is_detected_and_repaired() {
+    fn scrambled_slab_index_is_detected_and_repaired() {
         let mut fs = aged_fs();
         let pristine = fs.clone();
         let mut x = 0xDECAF_u32;
@@ -522,7 +522,7 @@ mod tests {
             x = x.wrapping_mul(747796405).wrapping_add(2891336453);
             (x >> 16) % bound.max(1)
         });
-        assert!(hit, "aged fs should have free slots to scramble");
+        assert!(hit, "aged fs should have vacant keys to scramble");
         let errs = check(&fs);
         assert!(
             errs.iter()
@@ -631,7 +631,7 @@ mod tests {
     fn every_damage_kind_converges_under_repair() {
         // Forty hits a seed draw every damage kind many times over. The
         // three kinds that leave a signature of their own — 6 (derived
-        // table), 7 (slab free list), 8 (fragment-map bit) — must each
+        // table), 7 (slab index), 8 (fragment-map bit) — must each
         // show up in the pre-repair check, and repair must return the
         // exact pristine state and digest every time.
         let mut seen = [false; 3];

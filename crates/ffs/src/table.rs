@@ -1,15 +1,17 @@
-//! Dense, deterministic metadata tables for the replay hot path.
+//! Compact, deterministic metadata tables for the replay hot path.
 //!
 //! Two structures live here, both replacing node-based collections whose
 //! pointer-chasing dominated the aging replay once the free-space scans
 //! went word-level:
 //!
-//! * [`Slab`] — a slot vector indexed directly by an externally assigned
-//!   key ([`Ino`] or [`DirId`]), with a doubly-linked free list threaded
-//!   through the vacant slots and a packed occupancy bitmap for
-//!   ascending-index iteration. Iteration order equals `BTreeMap` key
-//!   order, so digests, checkpoints, and golden outputs are
-//!   byte-identical to the map-based implementation it replaces.
+//! * [`Slab`] — live values packed in a vector the size of the live set,
+//!   found through a `key → slot` index over the externally assigned
+//!   keys ([`Ino`] or [`DirId`]) and walked in ascending key order
+//!   through a packed occupancy bitmap. Iteration order equals
+//!   `BTreeMap` key order, so digests, checkpoints, and golden outputs
+//!   are byte-identical to the map-based implementation it replaces,
+//!   while a clone copies the live values plus four bytes per key up to
+//!   the largest in use — not one value-sized slot per inode number.
 //! * [`BlockList`] — a file's block addresses in a `SmallVec`-style
 //!   inline-then-spill layout: up to [`BlockList::INLINE`] addresses live
 //!   inside the inode itself (short-lived files — the majority, per the
@@ -17,27 +19,28 @@
 //!   into a shared, copy-on-write `Arc<Vec<_>>` so cloning a block list
 //!   for a nightly snapshot is O(1).
 //!
-//! The slab's free list and occupancy bitmap are *derived* state in the
-//! fsck sense: the `Occupied`/`Free` slot tags are ground truth, and
-//! [`Slab::index_violation`] / [`Slab::rebuild_index`] give the checker
-//! and the repairer the same detect/rebuild treatment the cylinder-group
-//! bitmaps get. A scrambled free list is detected and rebuilt losslessly
-//! without touching any occupied slot.
+//! The slab's ground truth is the packed values and the key recorded
+//! beside each one; the `key → slot` index and the occupancy bitmap are
+//! *derived* state in the fsck sense. [`Slab::index_violation`] /
+//! [`Slab::rebuild_index`] give the checker and the repairer the same
+//! detect/rebuild treatment the cylinder-group bitmaps get: a torn index
+//! is detected and rebuilt losslessly without touching any value.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use ffs_types::{Daddr, DirId, Ino};
 
-/// Sentinel for "no slot" in the free list.
+/// Index entry of a key that holds no value.
 const NIL: u32 = u32::MAX;
 
 /// Keys that index a [`Slab`] directly: a dense, externally assigned
 /// integer identity.
 pub trait SlabKey: Copy + Eq + std::fmt::Debug {
-    /// The slot index this key addresses.
+    /// The index entry this key addresses.
     fn slab_index(self) -> usize;
-    /// The key addressing slot `i` (inverse of [`SlabKey::slab_index`]).
+    /// The key addressing index entry `i` (inverse of
+    /// [`SlabKey::slab_index`]).
     fn from_slab_index(i: usize) -> Self;
 }
 
@@ -59,36 +62,30 @@ impl SlabKey for DirId {
     }
 }
 
-/// One slot of a [`Slab`]: either a live value or a link in the
-/// doubly-linked free list (`NIL`-terminated both ways).
-#[derive(Clone, Debug)]
-enum Slot<V> {
-    Occupied(V),
-    Free { prev: u32, next: u32 },
-}
-
-/// A slot vector keyed by an externally assigned dense id.
+/// A table keyed by an externally assigned dense id, sized by its live
+/// entries.
 ///
 /// Unlike an arena, the slab never *chooses* keys: the file system
 /// assigns inode numbers from the per-group inode bitmaps and directory
-/// ids sequentially, and the slab stores values at exactly those
-/// indices. The free list therefore exists to keep vacancy bookkeeping
-/// O(1) — a keyed insert unlinks an arbitrary free slot, which is why
-/// the list is doubly linked — and to let capacity be reasoned about
-/// without scanning.
-///
-/// Equality ignores the free-list wiring and spare capacity: two slabs
-/// are equal when they hold equal values at equal keys.
+/// ids sequentially. Values sit packed in `values`, each with its key in
+/// the parallel `keys`; a remove swaps the last value into the hole, so
+/// slot order records insert/remove history and is never observable —
+/// every ordered view goes through the bitmap in ascending key order,
+/// and equality compares those views.
 #[derive(Clone, Debug)]
 pub struct Slab<K, V> {
-    slots: Vec<Slot<V>>,
-    /// Occupancy bitmap: bit `i` set iff `slots[i]` is `Occupied`.
-    /// Iteration scans this, so walking the slab is O(live + words)
-    /// rather than O(capacity).
+    /// Live values, packed. Ground truth, with `keys`.
+    values: Vec<V>,
+    /// `keys[s]` is the slab index of the key whose value is `values[s]`.
+    keys: Vec<u32>,
+    /// Derived: `index[k]` is the slot holding key `k`'s value, `NIL`
+    /// when `k` is vacant. Four bytes per key up to the largest ever
+    /// inserted.
+    index: Vec<u32>,
+    /// Derived occupancy bitmap: bit `k` set iff `index[k]` is not
+    /// `NIL`. Iteration scans this, so walking the slab is
+    /// O(live + words).
     present: Vec<u64>,
-    /// Head of the free list (`NIL` when no slot is vacant).
-    free_head: u32,
-    len: usize,
     _key: PhantomData<fn() -> K>,
 }
 
@@ -102,102 +99,92 @@ impl<K: SlabKey, V> Slab<K, V> {
     /// An empty slab.
     pub fn new() -> Self {
         Slab {
-            slots: Vec::new(),
+            values: Vec::new(),
+            keys: Vec::new(),
+            index: Vec::new(),
             present: Vec::new(),
-            free_head: NIL,
-            len: 0,
             _key: PhantomData,
         }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     /// True when no entry is live.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
+    }
+
+    /// The slot holding `i`'s value. Believes the index only where the
+    /// ground truth agrees, so a torn entry reads as vacant rather than
+    /// as another key's value.
+    fn slot_of(&self, i: usize) -> Option<usize> {
+        let s = *self.index.get(i)? as usize;
+        (*self.keys.get(s)? as usize == i).then_some(s)
     }
 
     /// Looks up the value stored at `k`.
     pub fn get(&self, k: &K) -> Option<&V> {
-        match self.slots.get(k.slab_index()) {
-            Some(Slot::Occupied(v)) => Some(v),
-            _ => None,
-        }
+        self.slot_of(k.slab_index()).map(|s| &self.values[s])
     }
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
-        match self.slots.get_mut(k.slab_index()) {
-            Some(Slot::Occupied(v)) => Some(v),
-            _ => None,
-        }
+        self.slot_of(k.slab_index()).map(|s| &mut self.values[s])
     }
 
     /// True when a value is stored at `k`.
     pub fn contains_key(&self, k: &K) -> bool {
-        matches!(self.slots.get(k.slab_index()), Some(Slot::Occupied(_)))
+        self.slot_of(k.slab_index()).is_some()
     }
 
-    /// Stores `v` at `k`, returning the previous value if the slot was
-    /// occupied (map semantics).
+    /// Stores `v` at `k`, returning the previous value if the key was
+    /// live (map semantics).
     pub fn insert(&mut self, k: K, v: V) -> Option<V> {
         let i = k.slab_index();
-        self.reserve_slot(i);
-        match std::mem::replace(&mut self.slots[i], Slot::Occupied(v)) {
-            Slot::Occupied(old) => Some(old),
-            Slot::Free { prev, next } => {
-                self.unlink(i as u32, prev, next);
-                self.present[i / 64] |= 1 << (i % 64);
-                self.len += 1;
-                None
-            }
+        if let Some(s) = self.slot_of(i) {
+            return Some(std::mem::replace(&mut self.values[s], v));
         }
+        if self.index.len() <= i {
+            self.index.resize(i + 1, NIL);
+            self.present.resize(self.index.len().div_ceil(64), 0);
+        }
+        self.index[i] = self.values.len() as u32;
+        self.present[i / 64] |= 1 << (i % 64);
+        self.values.push(v);
+        self.keys.push(i as u32);
+        None
     }
 
-    /// Removes and returns the value stored at `k`.
+    /// Removes and returns the value stored at `k`; the last slot's
+    /// value moves into the hole.
     pub fn remove(&mut self, k: &K) -> Option<V> {
         let i = k.slab_index();
-        if !self.contains_key(k) {
-            return None;
-        }
-        let freed = Slot::Free {
-            prev: NIL,
-            next: self.free_head,
-        };
-        let Slot::Occupied(v) = std::mem::replace(&mut self.slots[i], freed) else {
-            unreachable!("occupancy checked above");
-        };
-        if self.free_head != NIL {
-            self.relink_prev(self.free_head, i as u32);
-        }
-        self.free_head = i as u32;
+        let s = self.slot_of(i)?;
+        self.index[i] = NIL;
         self.present[i / 64] &= !(1 << (i % 64));
-        self.len -= 1;
-        Some(v)
+        self.keys.swap_remove(s);
+        if let Some(&moved) = self.keys.get(s) {
+            self.index[moved as usize] = s as u32;
+        }
+        Some(self.values.swap_remove(s))
     }
 
     /// Iterates live values in ascending key order.
     pub fn values(&self) -> SlabValues<'_, V> {
         SlabValues {
-            slots: &self.slots,
+            values: &self.values,
+            index: &self.index,
             bits: BitIter::new(&self.present),
         }
     }
 
-    /// Iterates live values mutably in ascending key order.
+    /// Iterates live values mutably, in slot order — use only where the
+    /// order cannot matter.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        let present = &self.present;
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter(move |(i, _)| present[i / 64] & (1 << (i % 64)) != 0)
-            .map(|(_, s)| match s {
-                Slot::Occupied(v) => v,
-                Slot::Free { .. } => unreachable!("present bit set on free slot"),
-            })
+        self.values.iter_mut()
     }
 
     /// Iterates live keys in ascending order.
@@ -209,191 +196,97 @@ impl<K: SlabKey, V> Slab<K, V> {
     // Derived-state maintenance (fsck integration).
     // ------------------------------------------------------------------
 
-    /// Checks the occupancy bitmap, length, and free list against the
-    /// slot tags, returning a description of the first inconsistency.
-    /// The slot tags are ground truth; everything verified here is
-    /// derived and rebuildable by [`Slab::rebuild_index`].
+    /// Checks the `key → slot` index and the occupancy bitmap against
+    /// the packed keys, returning a description of the first
+    /// inconsistency. The values and their keys are ground truth;
+    /// everything verified here is derived and rebuildable by
+    /// [`Slab::rebuild_index`].
     pub fn index_violation(&self) -> Option<String> {
-        let words = self.slots.len().div_ceil(64);
+        let words = self.index.len().div_ceil(64);
         if self.present.len() != words {
             return Some(format!(
-                "occupancy bitmap has {} words for {} slots",
+                "occupancy bitmap has {} words for {} keys",
                 self.present.len(),
-                self.slots.len()
+                self.index.len()
             ));
         }
-        let mut live = 0usize;
-        for (i, s) in self.slots.iter().enumerate() {
-            let bit = self.present[i / 64] & (1 << (i % 64)) != 0;
-            let occupied = matches!(s, Slot::Occupied(_));
-            if bit != occupied {
+        for (s, &k) in self.keys.iter().enumerate() {
+            if self.index.get(k as usize) != Some(&(s as u32)) {
                 return Some(format!(
-                    "slot {i}: occupancy bit {bit} vs slot tag occupied={occupied}"
+                    "slot {s} holds key {k}, which the index does not map to it"
                 ));
             }
-            live += usize::from(occupied);
         }
-        if let Some(w) = self.present.get(words.saturating_sub(1)) {
-            let tail_bits = self.slots.len() % 64;
-            if tail_bits != 0 && w >> tail_bits != 0 {
-                return Some("occupancy bitmap has bits past the last slot".into());
+        // One word at a time: the bits the index implies (none past its
+        // end) against the bits stored.
+        let mut mapped = 0usize;
+        for (w, (entries, &stored)) in self.index.chunks(64).zip(&self.present).enumerate() {
+            let implied =
+                (entries.iter().enumerate()).fold(0u64, |m, (b, &s)| m | u64::from(s != NIL) << b);
+            if implied != stored {
+                let k = w * 64 + (implied ^ stored).trailing_zeros() as usize;
+                return Some(format!(
+                    "key {k}: occupancy bit disagrees with index entry {:?}",
+                    self.index.get(k)
+                ));
             }
+            mapped += implied.count_ones() as usize;
         }
-        if live != self.len {
-            return Some(format!("len {} vs {live} occupied slots", self.len));
-        }
-        // Walk the free list: it must visit every free slot exactly once
-        // with consistent back links and in-range indices.
-        let nfree = self.slots.len() - live;
-        let mut seen = 0usize;
-        let mut prev = NIL;
-        let mut cur = self.free_head;
-        while cur != NIL {
-            if cur as usize >= self.slots.len() {
-                return Some(format!("free list points at slot {cur} past capacity"));
-            }
-            let Slot::Free { prev: p, next } = self.slots[cur as usize] else {
-                return Some(format!("free list points at occupied slot {cur}"));
-            };
-            if p != prev {
-                return Some(format!("free slot {cur}: prev link {p} vs expected {prev}"));
-            }
-            seen += 1;
-            if seen > nfree {
-                return Some("free list cycles or visits a slot twice".into());
-            }
-            prev = cur;
-            cur = next;
-        }
-        if seen != nfree {
-            return Some(format!("free list covers {seen} of {nfree} free slots"));
+        if mapped != self.len() {
+            return Some(format!(
+                "index maps {mapped} keys for {} values",
+                self.len()
+            ));
         }
         None
     }
 
-    /// Rebuilds the occupancy bitmap, length, and free list from the slot
-    /// tags, in ascending index order. Lossless: occupied slots are not
-    /// touched. The repairer's counterpart to [`Slab::index_violation`].
+    /// Rebuilds the `key → slot` index and the occupancy bitmap from the
+    /// packed keys. Lossless: no value moves. The repairer's counterpart
+    /// to [`Slab::index_violation`].
     pub fn rebuild_index(&mut self) {
-        let words = self.slots.len().div_ceil(64);
+        let n = self.keys.iter().max().map_or(0, |&k| k as usize + 1);
+        self.index.clear();
+        self.index.resize(n, NIL);
         self.present.clear();
-        self.present.resize(words, 0);
-        self.len = 0;
-        self.free_head = NIL;
-        let mut tail = NIL;
-        for i in 0..self.slots.len() {
-            match self.slots[i] {
-                Slot::Occupied(_) => {
-                    self.present[i / 64] |= 1 << (i % 64);
-                    self.len += 1;
-                }
-                Slot::Free { .. } => {
-                    self.slots[i] = Slot::Free {
-                        prev: tail,
-                        next: NIL,
-                    };
-                    if tail == NIL {
-                        self.free_head = i as u32;
-                    } else {
-                        self.relink_next(tail, i as u32);
-                    }
-                    tail = i as u32;
-                }
-            }
+        self.present.resize(n.div_ceil(64), 0);
+        for (s, &k) in self.keys.iter().enumerate() {
+            self.index[k as usize] = s as u32;
+            self.present[k as usize / 64] |= 1 << (k % 64);
         }
     }
 
-    /// Scrambles the free-list links and occupancy bookkeeping with the
-    /// caller's random values — the damage model for a torn slab-index
-    /// update. Occupied slots are never touched, so
-    /// [`Slab::rebuild_index`] restores everything. Returns `true` if
-    /// anything was perturbed.
+    /// Tears the derived index with the caller's random values — the
+    /// damage model for a torn slab-index update: every vacant key's
+    /// entry is pointed at a random live slot, or, when no key is
+    /// vacant, one live key's occupancy bit is cleared. Values and their
+    /// keys are never touched, so [`Slab::rebuild_index`] restores
+    /// everything. Returns `true` if anything was perturbed.
     pub fn scramble_index(&mut self, mut next_random: impl FnMut(u32) -> u32) -> bool {
-        let cap = self.slots.len() as u32;
-        if cap == 0 {
+        if self.index.is_empty() {
             return false;
         }
-        let mut hit = false;
-        for i in 0..self.slots.len() {
-            if let Slot::Free { .. } = self.slots[i] {
-                self.slots[i] = Slot::Free {
-                    prev: next_random(cap + 1).checked_sub(1).map_or(NIL, |v| v),
-                    next: next_random(cap + 1).checked_sub(1).map_or(NIL, |v| v),
-                };
-                hit = true;
+        let live = self.len() as u32;
+        if self.index.len() > self.len() {
+            for entry in self.index.iter_mut().filter(|e| **e == NIL) {
+                *entry = next_random(live.max(1));
             }
-        }
-        if hit {
-            self.free_head = next_random(cap + 1).checked_sub(1).map_or(NIL, |v| v);
         } else {
-            // No free slot to scramble: clear a live slot's occupancy bit
-            // instead (the bit, not the slot — still derived-only damage).
-            let i = next_random(cap) as usize;
+            // No vacant key to tear: clear a live key's occupancy bit
+            // instead (the bit, not the value — still derived-only
+            // damage).
+            let i = next_random(live) as usize;
             self.present[i / 64] &= !(1u64 << (i % 64));
-            hit = true;
         }
-        hit
-    }
-
-    // ------------------------------------------------------------------
-    // Internals.
-    // ------------------------------------------------------------------
-
-    /// Grows the slot vector so index `i` exists, threading each new
-    /// vacant slot onto the front of the free list.
-    fn reserve_slot(&mut self, i: usize) {
-        while self.slots.len() <= i {
-            let n = self.slots.len() as u32;
-            self.slots.push(Slot::Free {
-                prev: NIL,
-                next: self.free_head,
-            });
-            if self.free_head != NIL {
-                self.relink_prev(self.free_head, n);
-            }
-            self.free_head = n;
-            if self.slots.len().div_ceil(64) > self.present.len() {
-                self.present.push(0);
-            }
-        }
-    }
-
-    /// Unlinks free slot `i` (with links `prev`/`next`) from the list.
-    fn unlink(&mut self, i: u32, prev: u32, next: u32) {
-        if prev == NIL {
-            debug_assert_eq!(self.free_head, i);
-            self.free_head = next;
-        } else {
-            self.relink_next(prev, next);
-        }
-        if next != NIL {
-            self.relink_prev(next, prev);
-        }
-    }
-
-    fn relink_prev(&mut self, slot: u32, prev: u32) {
-        match &mut self.slots[slot as usize] {
-            Slot::Free { prev: p, .. } => *p = prev,
-            Slot::Occupied(_) => unreachable!("free-list link to occupied slot"),
-        }
-    }
-
-    fn relink_next(&mut self, slot: u32, next: u32) {
-        match &mut self.slots[slot as usize] {
-            Slot::Free { next: n, .. } => *n = next,
-            Slot::Occupied(_) => unreachable!("free-list link to occupied slot"),
-        }
+        true
     }
 }
 
 impl<K: SlabKey, V: PartialEq> PartialEq for Slab<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        if self.len != other.len {
-            return false;
-        }
-        let mine = BitIter::new(&self.present).zip(self.values());
-        let theirs = BitIter::new(&other.present).zip(other.values());
-        mine.eq(theirs)
+        self.len() == other.len()
+            && (BitIter::new(&self.present).zip(self.values()))
+                .eq(BitIter::new(&other.present).zip(other.values()))
     }
 }
 
@@ -439,18 +332,18 @@ impl Iterator for BitIter<'_> {
 
 /// Iterator over a slab's live values in ascending key order.
 pub struct SlabValues<'a, V> {
-    slots: &'a [Slot<V>],
+    values: &'a [V],
+    index: &'a [u32],
     bits: BitIter<'a>,
 }
 
 impl<'a, V> Iterator for SlabValues<'a, V> {
     type Item = &'a V;
+    /// A set bit whose index entry leads nowhere (a torn index) ends the
+    /// walk instead of panicking.
     fn next(&mut self) -> Option<&'a V> {
-        let i = self.bits.next()?;
-        match &self.slots[i] {
-            Slot::Occupied(v) => Some(v),
-            Slot::Free { .. } => unreachable!("present bit set on free slot"),
-        }
+        let slot = *self.index.get(self.bits.next()?)?;
+        self.values.get(slot as usize)
     }
 }
 
@@ -677,8 +570,9 @@ mod tests {
     }
 
     #[test]
-    fn slab_equality_ignores_free_list_history() {
-        // Same live entries, different insert/remove history.
+    fn slab_equality_ignores_slot_history() {
+        // Same live entries, different insert/remove history — so
+        // different slot orders.
         let mut a = FileSlab::new();
         a.insert(Ino(1), 1);
         a.insert(Ino(7), 7);
@@ -698,7 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn slab_free_list_survives_churn() {
+    fn slab_index_survives_churn() {
         let mut s = FileSlab::new();
         let mut model = std::collections::BTreeMap::new();
         let mut x = 12345u64;
@@ -744,6 +638,50 @@ mod tests {
         s.insert(Ino(3), 333);
         s.remove(&Ino(1));
         assert_eq!(s.index_violation(), None);
+    }
+
+    #[test]
+    fn footprint_follows_the_live_set() {
+        // Ten files with inode numbers near a million cost ten value
+        // slots (rounded up by `Vec` growth), not a million.
+        let mut s = FileSlab::new();
+        for i in 0..10 {
+            s.insert(Ino(999_000 + 97 * i), i as u64);
+        }
+        assert_eq!(s.values.len(), 10);
+        assert!(s.values.capacity() <= 16, "{}", s.values.capacity());
+        assert_eq!(s.index_violation(), None);
+        for i in 0..10 {
+            assert_eq!(s.remove(&Ino(999_000 + 97 * i)), Some(i as u64));
+        }
+        assert_eq!((s.values.len(), s.keys.len()), (0, 0));
+        assert_eq!(s.keys().next(), None);
+        assert_eq!(s.index_violation(), None);
+    }
+
+    #[test]
+    fn accessors_stay_total_on_a_torn_index() {
+        let mut s = FileSlab::new();
+        for i in [2u32, 5, 9, 70] {
+            s.insert(Ino(i), i as u64);
+        }
+        // Every entry torn the same way — to a live slot, past the last
+        // slot, to `NIL` — under a bitmap that claims every key.
+        for torn in [0u32, 3, 4, 1 << 20, NIL] {
+            let mut t = s.clone();
+            t.index.fill(torn);
+            t.present.fill(u64::MAX);
+            assert!(t.index_violation().is_some());
+            // A lookup never serves another key's value...
+            for k in 0..80 {
+                assert!(t.get(&Ino(k)).is_none_or(|&v| v == k as u64));
+            }
+            // ...and iteration ends instead of panicking.
+            let _ = (t.values().count(), t.keys().count());
+            t.rebuild_index();
+            assert_eq!(t.index_violation(), None);
+            assert_eq!(t, s);
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Differential oracle for the slab-backed file tables.
 //!
-//! `ffs::Slab` answers keyed lookups from a slot vector plus derived
-//! indices (occupancy bitmap, free list, live count); `ffs::naive`'s
+//! `ffs::Slab` answers keyed lookups from packed values plus derived
+//! indices (key → slot entries, occupancy bitmap); `ffs::naive`'s
 //! `RefTable` is the `BTreeMap` layout it replaced, kept as the slow,
 //! obviously correct model. These tests drive both through identical
 //! randomized op sequences — keyed inserts (including re-insert over a
 //! live key), removes of live and dead keys, in-place mutation through
-//! `get_mut` — and assert the canonical state stays identical and the
-//! slab's derived indices stay sound at every step.
+//! `get_mut` — and assert the canonical state stays identical, the
+//! slab's derived indices stay sound at every step, and the slot order
+//! its swap-removes leave behind never shows.
 
 use ffs::naive::RefTable;
 use ffs::{BlockList, Slab};
@@ -45,8 +46,8 @@ fn slab_matches_map_reference_under_random_ops() {
         let mut slab: Slab<Ino, u64> = Slab::new();
         let mut reference: RefTable<Ino, u64> = RefTable::new();
         // A small key space forces heavy slot reuse: every key gets
-        // inserted, removed, and re-inserted many times, which is what
-        // exercises the free list.
+        // inserted, removed, and re-inserted many times, so values keep
+        // moving between slots under the index.
         let key_space = 48u32;
         for step in 0..3000u64 {
             let key = Ino(rng.gen_range(0..key_space));
@@ -139,4 +140,88 @@ fn slab_matches_map_reference_with_block_lists() {
     for (s, r) in &snapshots {
         assert_same(s, r, key_space);
     }
+}
+
+#[test]
+fn sparse_slab_matches_map_reference_at_paper_volume_shape() {
+    // The paper volume's shape: inode numbers from 0..131 072, at most
+    // 8 000 of them live, churned in batches of inserts, removes (live
+    // and dead keys), re-inserts over live keys, in-place edits and
+    // clones.
+    const KEY_SPACE: u32 = 131_072;
+    const MAX_LIVE: usize = 8_000;
+    let mut rng = StdRng::seed_from_u64(0x5BA5E);
+    let mut slab: Slab<Ino, u64> = Slab::new();
+    let mut reference: RefTable<Ino, u64> = RefTable::new();
+    let mut live: Vec<Ino> = Vec::new();
+    for batch in 0..16u64 {
+        for step in 0..3000u64 {
+            let value = batch << 32 | step;
+            let pick = rng.gen_range(0..live.len().max(1));
+            match rng.gen_range(0..10) {
+                0..=4 if live.len() < MAX_LIVE => {
+                    let key = Ino(rng.gen_range(0..KEY_SPACE));
+                    let old = reference.insert(key, value);
+                    assert_eq!(slab.insert(key, value), old);
+                    if old.is_none() {
+                        live.push(key);
+                    }
+                }
+                0..=6 if !live.is_empty() => {
+                    let key = live.swap_remove(pick);
+                    assert_eq!(slab.remove(&key), reference.remove(&key));
+                }
+                7 => {
+                    let key = Ino(rng.gen_range(0..KEY_SPACE));
+                    let gone = reference.remove(&key);
+                    assert_eq!(slab.remove(&key), gone);
+                    if gone.is_some() {
+                        live.retain(|&k| k != key);
+                    }
+                }
+                8 if !live.is_empty() => {
+                    let key = live[pick];
+                    assert_eq!(slab.insert(key, value), reference.insert(key, value));
+                }
+                _ if !live.is_empty() => {
+                    let key = live[pick];
+                    *slab.get_mut(&key).expect("live") ^= value;
+                    *reference.get_mut(&key).expect("live") ^= value;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(slab.len(), live.len());
+        assert_same(&slab, &reference, KEY_SPACE);
+
+        // The same entries reached by another history — ascending
+        // inserts, so another slot order — are the same table.
+        let mut rebuilt: Slab<Ino, u64> = Slab::new();
+        for (k, &v) in reference.keys().zip(reference.values()) {
+            rebuilt.insert(k, v);
+        }
+        assert_eq!(rebuilt, slab, "batch {batch}: slot order leaked");
+        assert!(rebuilt.keys().eq(slab.keys()) && rebuilt.values().eq(slab.values()));
+        let copy = slab.clone();
+        assert_eq!(copy, slab);
+        assert_eq!(copy.index_violation(), None);
+
+        // A torn index is seen, rebuilt without loss, and usable after.
+        let mut torn = copy;
+        assert!(torn.scramble_index(|bound| rng.gen_range(0..bound)));
+        assert!(
+            torn.index_violation().is_some(),
+            "batch {batch}: tear unseen"
+        );
+        torn.rebuild_index();
+        assert_eq!(torn.index_violation(), None);
+        assert_eq!(torn, slab, "batch {batch}: rebuild lost data");
+        if let Some(&key) = live.first() {
+            assert_eq!(torn.remove(&key), reference.get(&key).copied());
+            assert_eq!(torn.insert(Ino(KEY_SPACE), 1), None);
+            assert_eq!(torn.len(), slab.len());
+            assert_eq!(torn.index_violation(), None);
+        }
+    }
+    assert!(slab.len() > 4000, "churn never filled the table");
 }

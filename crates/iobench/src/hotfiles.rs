@@ -71,17 +71,17 @@ pub fn run_hot_files(fs: &Filesystem, hot: &[Ino], disk: &DiskParams) -> HotFile
     // Read phase.
     let t0 = dev.now();
     for &ino in &order {
-        let meta = fs.file(ino).expect("hot file is live").clone();
+        let meta = fs.file(ino).expect("hot file is live");
         let mut eng = IoEngine::new(&mut dev, &params, map);
-        eng.transfer_file(IoKind::Read, &meta, &params);
+        eng.transfer_file(IoKind::Read, meta, &params);
     }
     let read_us = dev.now() - t0;
     // Overwrite phase: same blocks, no allocation.
     let t1 = dev.now();
     for &ino in &order {
-        let meta = fs.file(ino).expect("hot file is live").clone();
+        let meta = fs.file(ino).expect("hot file is live");
         let mut eng = IoEngine::new(&mut dev, &params, map);
-        eng.transfer_file(IoKind::Write, &meta, &params);
+        eng.transfer_file(IoKind::Write, meta, &params);
     }
     let write_us = dev.now() - t1;
     HotFilesResult {

@@ -123,21 +123,21 @@ pub fn run_point_with_offset(
         let (cg, slot) = params.ino_to_cg(ino);
         let inode_block = params.inode_daddr(cg, slot);
         let dir_block = fs.dir(dir).expect("dir exists").block;
-        let meta = fs.file(ino).expect("file exists").clone();
+        let meta = fs.file(ino).expect("file exists");
         let mut eng = IoEngine::new(&mut dev, &params, map);
         eng.sync_block_write(inode_block, &params);
         eng.sync_block_write(dir_block, &params);
         // Data written back in clusters when the write completes.
-        eng.transfer_file(IoKind::Write, &meta, &params);
+        eng.transfer_file(IoKind::Write, meta, &params);
     }
     let write_us = dev.now() - t0;
 
     // Phase 2: read in creation order.
     let t1 = dev.now();
     for &ino in &inos {
-        let meta = fs.file(ino).expect("file exists").clone();
+        let meta = fs.file(ino).expect("file exists");
         let mut eng = IoEngine::new(&mut dev, &params, map);
-        eng.transfer_file(IoKind::Read, &meta, &params);
+        eng.transfer_file(IoKind::Read, meta, &params);
     }
     let read_us = dev.now() - t1;
 

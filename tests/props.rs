@@ -299,6 +299,7 @@ fn formats() -> &'static [Format] {
             backoff_units: 11,
             metrics: run_metrics,
         };
+        let ck_text = aged.checkpoints[0].to_text();
         vec![
             Format {
                 name: "exp .aged",
@@ -345,9 +346,22 @@ fn formats() -> &'static [Format] {
             },
             Format {
                 name: "aging::Checkpoint",
-                valid: aged.checkpoints[0].to_text(),
-                hostile: vec![],
-                reparse: |t| Checkpoint::from_text(t).map(|c| c.to_text()),
+                valid: ck_text.clone(),
+                // A well-formed checkpoint that records one inode, or one
+                // directory, twice: restore must refuse it, not keep the
+                // later record and drop the earlier one's claims.
+                hostile: ["file ", "dir "]
+                    .map(|tag| {
+                        let line = ck_text.lines().find(|l| l.starts_with(tag)).expect(tag);
+                        format!("{ck_text}{line}\n")
+                    })
+                    .into(),
+                reparse: |t| {
+                    let c = Checkpoint::from_text(t)?;
+                    c.restore(FsParams::small_test(), AllocPolicy::Realloc)
+                        .map_err(|e| e.to_string())?;
+                    Ok(c.to_text())
+                },
             },
             Format {
                 name: "aging::Snapshot",

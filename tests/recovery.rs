@@ -9,7 +9,7 @@
 
 use aging::{generate, replay, resume, AgingConfig, ReplayOptions, Workload};
 use defrag::{DefragPolicy, DefragSpec};
-use ffs::{check, inject_metadata_damage, repair, AllocPolicy, Filesystem};
+use ffs::{check, inject_metadata_damage, repair, AllocPolicy, Filesystem, Violation};
 use ffs_types::{FsParams, KB};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -192,4 +192,47 @@ fn crash_then_checkpoint_then_resume_converges() {
     assert_eq!(&clean.daily[2..], &resumed.daily[..]);
     assert_eq!(clean.fs.aggregate_layout(), resumed.fs.aggregate_layout());
     assert_eq!(clean.live, resumed.live);
+}
+
+#[test]
+fn digest_survives_clone_restore_and_slab_index_repair() {
+    // The file table packs its values in insert/remove order; nothing a
+    // digest reads may depend on that order, or on how the table was
+    // reached.
+    let params = FsParams::small_test();
+    let config = AgingConfig::small_test(30, 1996);
+    let w = generate(&config, params.ncg, params.data_capacity_bytes());
+    let aged = replay(&w, &params, AllocPolicy::Realloc, ReplayOptions::default())
+        .unwrap()
+        .fs;
+    assert!(aged.nfiles() > 50, "replay left too few files to matter");
+    let digest = aged.digest();
+    assert_eq!(aged.clone().digest(), digest);
+
+    // Restored from its own inode table: the same files, inserted in
+    // ascending inode order instead of replay order.
+    let mut back = Filesystem::restore(
+        params.clone(),
+        aged.policy(),
+        aged.dirs().cloned().collect(),
+        aged.files().cloned().collect(),
+        aged.bytes_written(),
+    )
+    .unwrap();
+    back.set_rotors(&aged.rotors()).unwrap();
+    assert_eq!(back.digest(), digest);
+
+    // Damage kind 7 alone: a seed whose single hit tears the file
+    // table's index and nothing else.
+    let mut torn = (0..256)
+        .find_map(|seed| {
+            let mut fs = aged.clone();
+            inject_metadata_damage(&mut fs, seed, 1);
+            matches!(check(&fs)[..], [Violation::SlabIndexDrift { .. }]).then_some(fs)
+        })
+        .expect("a seed that draws the slab-index damage");
+    let report = repair(&mut torn);
+    assert!(report.rebuilt && report.files_removed.is_empty());
+    assert!(check(&torn).is_empty());
+    assert_eq!(torn.digest(), digest);
 }
