@@ -171,13 +171,13 @@ impl FsParams {
     /// block) and every `nindir` blocks thereafter (footnote 1 of the
     /// paper).
     pub fn cg_switch_lbns(&self, nblocks: u32) -> Vec<Lbn> {
-        let mut v = Vec::new();
-        let mut b = NDADDR;
-        while b < nblocks {
-            v.push(Lbn(b));
-            b += self.nindir();
-        }
-        v
+        self.switch_lbns(nblocks).collect()
+    }
+
+    /// [`FsParams::cg_switch_lbns`] as an iterator, for the write path,
+    /// which walks the switch points once per file and keeps none.
+    pub fn switch_lbns(&self, nblocks: u32) -> impl Iterator<Item = Lbn> {
+        (NDADDR..nblocks).step_by(self.nindir() as usize).map(Lbn)
     }
 
     /// Splits an inode number into its cylinder group and table slot.

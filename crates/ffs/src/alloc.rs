@@ -10,6 +10,19 @@
 //! sequential blocks before it reaches the disk and tries to move it into
 //! a free cluster of the appropriate size.
 //!
+//! "One block at a time" describes the *policy*: which block the
+//! original allocator would pick next. The write path does not loop over
+//! blocks. Whenever the block the policy picked is followed by free
+//! blocks, its next picks are exactly those — each one a preference hit
+//! on the block after the last — so [`AllocEngine::alloc_blocks`] takes
+//! the whole extent with one map transition
+//! ([`CylGroup::alloc_block_run`]), up to the next point where the
+//! policy does something else (a cylinder-group switch, a realloc flush,
+//! the end of the file). Deletes and the realloc move return blocks the
+//! same way, one transition per address-contiguous run. The per-block
+//! loop this replaced lives on behind [`crate::naive::create_per_block`];
+//! `tests/extent_oracle.rs` holds the two equal.
+//!
 //! The allocation core lives on [`AllocEngine`], which borrows the
 //! cylinder groups, the parameters and the counters instead of the whole
 //! [`Filesystem`], so a caller can hold a file's [`FileMeta`] mutably
@@ -18,12 +31,13 @@
 //! so parallelism lives at job and shard granularity (`--jobs`), not
 //! inside a volume (DESIGN.md "Experiment engine").
 
-use std::collections::BTreeMap;
-
+use ffs_types::params::NDADDR;
 use ffs_types::{CgIdx, Daddr, FsError, FsParams, FsResult, Ino};
 
 use crate::cg::CylGroup;
 use crate::fs::Filesystem;
+use crate::geom::Geometry;
+use crate::grow::{file_shape, indirects_needed, opens_indirect_region};
 use crate::inode::FileMeta;
 
 /// Which disk allocation policy a file system runs.
@@ -155,26 +169,26 @@ impl AllocStats {
 /// restart at each indirect-block boundary (windows never span the
 /// cylinder-group switch of footnote 1).
 pub fn realloc_windows(nfull: u32, maxcontig: u32, nindir: u32) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    if nfull == 0 {
-        return out;
-    }
-    let mut region_start = 0u32;
-    let mut region_end = ffs_types::params::NDADDR.min(nfull);
-    loop {
-        let mut s = region_start;
-        while s < region_end {
-            let e = (s + maxcontig).min(region_end);
-            out.push((s, e));
-            s = e;
+    windows(nfull, maxcontig, nindir).collect()
+}
+
+/// [`realloc_windows`] as an iterator: the write path walks the windows
+/// once, in step with the blocks it allocates.
+pub(crate) fn windows(nfull: u32, maxcontig: u32, nindir: u32) -> impl Iterator<Item = (u32, u32)> {
+    let mut s = 0u32;
+    let mut region_end = NDADDR.min(nfull);
+    std::iter::from_fn(move || {
+        if s >= nfull {
+            return None;
         }
-        if region_end >= nfull {
-            break;
+        if s == region_end {
+            region_end = (region_end + nindir).min(nfull);
         }
-        region_start = region_end;
-        region_end = (region_end + nindir).min(nfull);
-    }
-    out
+        let e = (s + maxcontig).min(region_end);
+        let w = (s, e);
+        s = e;
+        Some(w)
+    })
 }
 
 /// Policy knobs an [`AllocEngine`] carries, captured from the owning
@@ -194,6 +208,7 @@ pub(crate) struct EngineCfg {
 /// than the full [`Filesystem`].
 pub(crate) struct AllocEngine<'a> {
     pub params: &'a FsParams,
+    pub geom: Geometry,
     pub cgs: &'a mut [CylGroup],
     pub stats: &'a mut AllocStats,
     pub cfg: EngineCfg,
@@ -263,46 +278,81 @@ impl AllocEngine<'_> {
         .ok_or(FsError::NoInodes)
     }
 
-    /// Allocates one full block. `pref` is the preferred address (the
-    /// block following the file's previous block); the original policy is
-    /// exactly this routine. Falls back across groups when the preferred
-    /// group is full.
+    /// Allocates one full block: [`AllocEngine::alloc_blocks`] with no
+    /// room to extend.
     pub(crate) fn alloc_block(&mut self, cg_hint: CgIdx, pref: Option<Daddr>) -> FsResult<Daddr> {
-        let start_cg = pref.map(|d| self.params.dtog(d)).unwrap_or(cg_hint);
-        let fpb = self.params.frags_per_block();
-        let got = self.hashalloc(start_cg, |eng, g| {
-            let in_group = pref.filter(|&p| eng.params.dtog(p) == g);
+        self.alloc_blocks(cg_hint, pref, 1).map(|(addr, _)| addr)
+    }
+
+    /// Allocates a full block and, with it, as many of the free blocks
+    /// right after it as `max` allows, returning the first address and
+    /// the extent's length in blocks. `pref` is the preferred address
+    /// (the block following the file's previous block). The first block
+    /// is the original policy's choice — the preferred block if free,
+    /// else the next free block after it, else the next one from the
+    /// rotor, falling back across groups when the preferred group is
+    /// full — and every further block is the choice that policy would
+    /// make next given the one before it (a preference hit, counted as
+    /// one), so an extent of `n` leaves the maps, the rotor and the
+    /// counters where `n` calls chained block to block would.
+    pub(crate) fn alloc_blocks(
+        &mut self,
+        cg_hint: CgIdx,
+        pref: Option<Daddr>,
+        max: u32,
+    ) -> FsResult<(Daddr, u32)> {
+        debug_assert!(max >= 1);
+        let pref_cg = pref.map(|d| self.geom.dtog(d));
+        let got = self.hashalloc(pref_cg.unwrap_or(cg_hint), |eng, g| {
             let cg = &mut eng.cgs[g.0 as usize];
-            // Preferred block, if it lies in this group and is aligned.
-            if let Some(p) = in_group {
-                if (p.0 - cg.block_daddr(0).0) % fpb == 0 {
-                    let (b, _) = cg.daddr_to_block(p);
-                    if b < cg.nblocks() && cg.is_block_free(b) {
-                        cg.alloc_block(b);
-                        let addr = cg.block_daddr(b);
-                        eng.stats.pref_hits = eng.stats.pref_hits.saturating_add(1);
-                        return Some(addr);
-                    }
-                    // Next free block after the preferred position.
-                    if let Some(b) = cg.find_free_block(b) {
-                        cg.alloc_block(b);
-                        return Some(cg.block_daddr(b));
-                    }
-                    return None;
-                }
-            }
-            // No usable preference: continue from the rotor.
-            let from = cg.rotor();
-            cg.find_free_block(from).map(|b| {
-                cg.alloc_block(b);
-                cg.block_daddr(b)
-            })
+            let in_group = pref.filter(|_| pref_cg == Some(g));
+            let (from, hit) = match in_group.map(|p| cg.daddr_to_block(p)) {
+                // Preferred block, if it lies in this group and is aligned.
+                Some((b, 0)) => (b, b < cg.nblocks() && cg.is_block_free(b)),
+                // No usable preference: continue from the rotor.
+                _ => (cg.rotor(), false),
+            };
+            // On a miss, the next free block after the position.
+            let b = if hit { from } else { cg.find_free_block(from)? };
+            let n = 1 + cg.free_len_after(b, max - 1);
+            cg.alloc_block_run(b, n);
+            let hits = u64::from(hit) + u64::from(n - 1);
+            eng.stats.pref_hits = eng.stats.pref_hits.saturating_add(hits);
+            Some((cg.block_daddr(b), n))
         });
-        let addr = got.ok_or(FsError::NoSpace {
+        let (addr, n) = got.ok_or(FsError::NoSpace {
             wanted_bytes: self.params.bsize as u64,
         })?;
-        self.stats.block_allocs = self.stats.block_allocs.saturating_add(1);
-        Ok(addr)
+        self.stats.block_allocs = self.stats.block_allocs.saturating_add(n as u64);
+        Ok((addr, n))
+    }
+
+    /// Returns full, aligned blocks to the maps, one transition per
+    /// address-contiguous run ([`CylGroup::free_block_run`]). A run never
+    /// leaves its group: every group opens with its metadata area, which
+    /// no file owns.
+    pub(crate) fn free_blocks(&mut self, addrs: impl IntoIterator<Item = Daddr>) {
+        let geom = self.geom;
+        let mut free_run = |first: Daddr, n: u32| {
+            let cg = &mut self.cgs[geom.dtog(first).0 as usize];
+            let (b, off) = cg.daddr_to_block(first);
+            debug_assert_eq!(off, 0);
+            cg.free_block_run(b, n);
+        };
+        let mut addrs = addrs.into_iter();
+        let Some(mut first) = addrs.next() else {
+            return;
+        };
+        let mut n = 1u32;
+        for a in addrs {
+            if a.0 == first.0 + n * geom.fpb {
+                n += 1;
+            } else {
+                free_run(first, n);
+                (first, n) = (a, 1);
+            }
+        }
+        free_run(first, n);
     }
 
     /// Allocates a run of `len` fragments (`1 <= len < frags_per_block`).
@@ -321,11 +371,11 @@ impl AllocEngine<'_> {
         len: u32,
         pref: Option<Daddr>,
     ) -> FsResult<Daddr> {
-        debug_assert!(len >= 1 && len < self.params.frags_per_block());
-        let start_cg = pref.map(|d| self.params.dtog(d)).unwrap_or(cg_hint);
+        debug_assert!(len >= 1 && len < self.geom.fpb);
+        let pref_cg = pref.map(|d| self.geom.dtog(d));
         let bestfit = self.cfg.frag_bestfit;
-        let got = self.hashalloc(start_cg, |eng, g| {
-            let in_group = pref.filter(|&p| eng.params.dtog(p) == g);
+        let got = self.hashalloc(pref_cg.unwrap_or(cg_hint), |eng, g| {
+            let in_group = pref.filter(|_| pref_cg == Some(g));
             let cg = &mut eng.cgs[g.0 as usize];
             let from = match in_group {
                 Some(p) => cg.daddr_to_block(p).0,
@@ -384,7 +434,8 @@ impl AllocEngine<'_> {
         }
         self.stats.realloc_windows = self.stats.realloc_windows.saturating_add(1);
         obs::hist!("ffs.realloc_window_blocks", obs::bounds::LINEAR_16, len);
-        let fpb = self.params.frags_per_block();
+        let geom = self.geom;
+        let fpb = geom.fpb;
         let addrs = &meta.blocks.as_slice()[s as usize..e as usize];
         // Already contiguous: nothing to gather.
         if addrs.windows(2).all(|w| w[1].0 == w[0].0 + fpb) {
@@ -392,13 +443,13 @@ impl AllocEngine<'_> {
             return false;
         }
         // All blocks must sit in one group, as in the real code.
-        let g = self.params.dtog(addrs[0]);
-        if addrs.iter().any(|&a| self.params.dtog(a) != g) {
+        let g = geom.dtog(addrs[0]);
+        if addrs.iter().any(|&a| geom.dtog(a) != g) {
             return false;
         }
-        let in_group_pref = pref.filter(|&p| self.params.dtog(p) == g);
+        let in_group_pref = pref.filter(|&p| geom.dtog(p) == g);
         let cluster_first_fit = self.cfg.cluster_first_fit;
-        let cg = &mut self.cgs[g.0 as usize];
+        let cg = &self.cgs[g.0 as usize];
         // Extend the previous window's cluster when the space right
         // after it is free (the chained preference); otherwise take the
         // best-fitting free run in the group. Best fit consumes the
@@ -445,16 +496,14 @@ impl AllocEngine<'_> {
             }
             return false;
         };
-        // Move: free the old blocks, claim the run, rewrite the pointers.
+        // Move: free the old blocks piece by contiguous piece, claim the
+        // run in one transition, rewrite the pointers.
         let window_slice = &mut meta.blocks.as_mut_slice()[s as usize..e as usize];
-        for &a in window_slice.iter() {
-            let (b, off) = cg.daddr_to_block(a);
-            debug_assert_eq!(off, 0);
-            cg.free_block(b);
-        }
-        for (i, slot) in window_slice.iter_mut().enumerate() {
-            cg.alloc_block(run + i as u32);
-            *slot = cg.block_daddr(run + i as u32);
+        self.free_blocks(window_slice.iter().copied());
+        let cg = &mut self.cgs[g.0 as usize];
+        cg.alloc_block_run(run, len);
+        for (slot, b) in window_slice.iter_mut().zip(run..) {
+            *slot = cg.block_daddr(b);
         }
         self.stats.realloc_moves = self.stats.realloc_moves.saturating_add(1);
         self.stats.realloc_blocks_moved =
@@ -464,119 +513,95 @@ impl AllocEngine<'_> {
 
     /// Allocates all data blocks, indirect blocks, and the fragment tail
     /// for a freshly created file, running the realloc pass at each write
-    /// chunk boundary when the policy calls for it. Operates on a
-    /// detached [`FileMeta`]; the caller owns the bookkeeping (aggregate
-    /// layout, usage counters, slab insertion) on either outcome. On
-    /// failure, everything allocated so far is recorded in `meta` so the
-    /// caller can release it.
+    /// chunk boundary when the policy calls for it. Blocks are taken an
+    /// extent at a time ([`AllocEngine::alloc_blocks`]), each extent
+    /// stopping where the policy does something other than take the next
+    /// block. Operates on a detached [`FileMeta`]; the caller owns the
+    /// bookkeeping (aggregate layout, usage counters, slab insertion) on
+    /// either outcome. On failure, everything allocated so far is
+    /// recorded in `meta` so the caller can release it.
     pub(crate) fn write_blocks(
         &mut self,
         meta: &mut FileMeta,
         dcg: CgIdx,
         size: u64,
     ) -> FsResult<()> {
-        let bsize = self.params.bsize as u64;
-        let fpb = self.params.frags_per_block();
-        let ndaddr = ffs_types::params::NDADDR;
-        let mut nfull = (size / bsize) as u32;
-        let rem = size % bsize;
-        let mut tail_frags = 0u32;
-        if rem > 0 {
-            if nfull < ndaddr {
-                tail_frags = (rem as u32).div_ceil(self.params.fsize);
-                if tail_frags == fpb {
-                    tail_frags = 0;
-                    nfull += 1;
-                }
-            } else {
-                nfull += 1;
-            }
-        }
+        let geom = self.geom;
+        let fpb = geom.fpb;
+        let nindir = self.params.nindir();
+        let (nfull, tail_frags) = file_shape(self.params, fpb, size);
         // The realloc pass only engages once a file fills its second
         // block (the paper's two-block-file quirk, Section 4).
-        let realloc_on = self.cfg.policy == AllocPolicy::Realloc && size >= 2 * bsize;
-        let windows = if realloc_on {
-            realloc_windows(nfull, self.params.maxcontig, self.params.nindir())
-        } else {
-            Vec::new()
-        };
-        let mut next_window = 0usize;
-        let switch_lbns = self.params.cg_switch_lbns(nfull);
-        let mut switch_iter = switch_lbns.iter().peekable();
-        // Region-start windows prefer the address after their indirect
-        // block; remember it per region start.
-        let mut region_pref: BTreeMap<u32, Daddr> = BTreeMap::new();
+        let realloc_on =
+            self.cfg.policy == AllocPolicy::Realloc && size >= 2 * self.params.bsize as u64;
+        let pass_blocks = if realloc_on { nfull } else { 0 };
+        let mut windows = windows(pass_blocks, self.params.maxcontig, nindir).peekable();
+        let mut switches = self.params.switch_lbns(nfull).map(|l| l.0).peekable();
+        // Flush boundary: end of an application write or end of file.
+        let chunk = self.cfg.write_chunk_blocks;
+        let mut flush_at = chunk.min(nfull);
         let mut cur_cg = dcg;
         let mut prev: Option<Daddr> = None;
-        for lbn in 0..nfull {
-            if switch_iter.peek().map(|l| l.0) == Some(lbn) {
-                switch_iter.next();
+        let mut lbn = 0u32;
+        while lbn < nfull {
+            if switches.next_if_eq(&lbn).is_some() {
                 cur_cg = pick_new_data_cg_in(self.cgs, cur_cg);
                 // The double-indirect root is allocated together with the
                 // first level-one indirect under it.
-                let n_meta = if lbn == ndaddr + self.params.nindir() {
-                    2
-                } else {
-                    1
-                };
+                let n_meta = if lbn == NDADDR + nindir { 2 } else { 1 };
                 for _ in 0..n_meta {
                     let ind = self.alloc_block(cur_cg, None)?;
                     meta.indirects.push(ind);
                     prev = Some(ind);
-                    cur_cg = self.params.dtog(ind);
+                    cur_cg = geom.dtog(ind);
                 }
-                region_pref.insert(lbn, prev.expect("indirect just set"));
             }
+            let stop = switches.peek().map_or(flush_at, |&s| s.min(flush_at));
             let pref = prev.map(|d| Daddr(d.0 + fpb));
-            let addr = self.alloc_block(cur_cg, pref)?;
-            cur_cg = self.params.dtog(addr);
-            prev = Some(addr);
-            meta.blocks.push(addr);
-            // Flush boundary: end of an application write or end of file.
-            let done = lbn + 1;
-            let flush = done % self.cfg.write_chunk_blocks == 0 || done == nfull;
-            if realloc_on && flush {
-                let _sp = obs::span!("realloc_pass");
-                while next_window < windows.len() && windows[next_window].1 <= done {
-                    let w = windows[next_window];
-                    let wpref = window_pref(meta, w.0, &region_pref, fpb);
-                    self.realloc_window(meta, w, wpref);
-                    next_window += 1;
+            let (addr, n) = self.alloc_blocks(cur_cg, pref, stop - lbn)?;
+            let last = Daddr(addr.0 + (n - 1) * fpb);
+            cur_cg = geom.dtog(addr);
+            debug_assert_eq!(geom.dtog(last), cur_cg, "extent left its group");
+            meta.blocks.push_run(addr, n, fpb);
+            prev = Some(last);
+            lbn += n;
+            if lbn == flush_at {
+                flush_at = flush_at.saturating_add(chunk).min(nfull);
+                if realloc_on {
+                    let _sp = obs::span!("realloc_pass");
+                    while let Some(w) = windows.next_if(|w| w.1 <= lbn) {
+                        let wpref = self.window_pref(meta, w.0);
+                        self.realloc_window(meta, w, wpref);
+                    }
+                    // Chain the base-allocation preference from the
+                    // (possibly moved) last block.
+                    prev = meta.blocks.last().copied();
                 }
-                // Chain the base-allocation preference from the (possibly
-                // moved) last block.
-                prev = meta.blocks.last().copied();
             }
         }
         if tail_frags > 0 {
             let pref = prev.map(|d| Daddr(d.0 + fpb));
-            let hint = prev.map(|d| self.params.dtog(d)).unwrap_or(dcg);
+            let hint = prev.map(|d| geom.dtog(d)).unwrap_or(dcg);
             let t = self.alloc_frag_run(hint, tail_frags, pref)?;
             meta.tail = Some((t, tail_frags));
         }
         Ok(())
     }
-}
 
-/// The cluster-search start for a realloc window: the address after the
-/// previous block's *current* location, or after the region's indirect
-/// block for region-start windows.
-fn window_pref(
-    meta: &FileMeta,
-    wstart: u32,
-    region_pref: &BTreeMap<u32, Daddr>,
-    fpb: u32,
-) -> Option<Daddr> {
-    if let Some(&d) = region_pref.get(&wstart) {
-        return Some(Daddr(d.0 + fpb));
+    /// The cluster-search start for a realloc window of a file being
+    /// written: the address after the previous block's *current*
+    /// location, or — for the window that opens an indirect region —
+    /// after the indirect block allocated at that switch point, the last
+    /// of the `indirects_needed` up to there.
+    fn window_pref(&self, meta: &FileMeta, wstart: u32) -> Option<Daddr> {
+        let fpb = self.geom.fpb;
+        if opens_indirect_region(self.params, wstart) {
+            let ind = meta.indirects[indirects_needed(self.params, wstart + 1) - 1];
+            return Some(Daddr(ind.0 + fpb));
+        }
+        let before = meta.blocks.get((wstart as usize).checked_sub(1)?)?;
+        Some(Daddr(before.0 + fpb))
     }
-    if wstart == 0 {
-        return None;
-    }
-    meta.blocks
-        .as_slice()
-        .get(wstart as usize - 1)
-        .map(|d| Daddr(d.0 + fpb))
 }
 
 impl Filesystem {
@@ -630,6 +655,7 @@ impl Filesystem {
         let cfg = self.engine_cfg();
         let Filesystem {
             params,
+            geom,
             cgs,
             alloc_stats,
             files,
@@ -638,6 +664,7 @@ impl Filesystem {
         let meta = files.get_mut(&ino).expect("realloc on live file");
         let mut eng = AllocEngine {
             params,
+            geom: *geom,
             cgs,
             stats: alloc_stats,
             cfg,

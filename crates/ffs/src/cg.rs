@@ -38,6 +38,16 @@
 //! oracle tests iterate the table list ([`CylGroup::derived_drift`])
 //! and never name an index.
 //!
+//! Whole blocks change state a run at a time.
+//! [`CylGroup::alloc_block_run`] and [`CylGroup::free_block_run`] take or
+//! return `n` consecutive blocks with one masked write per word of the
+//! map, one per word of `free_words`, and one `csum` update for the
+//! run — the neighbours are measured outside the run and capped lengths
+//! compose over it exactly as they do over one block — and
+//! [`CylGroup::alloc_block`]/[`CylGroup::free_block`] are the `n = 1` case
+//! of that body, not a second path. [`crate::alloc`] writes and deletes
+//! files in extents, so a run is the common case, not the lucky one.
+//!
 //! The retired byte-at-a-time scans survive verbatim in [`crate::naive`];
 //! differential oracles (`tests/scan_oracle.rs`, `tests/frag_oracle.rs`)
 //! hold the two implementations bit-for-bit equal over randomized
@@ -137,6 +147,8 @@ pub struct CylGroup {
     /// Fragments per block (always 8 for the paper geometry, kept for
     /// generality).
     fpb: u32,
+    /// `log2(fpb)` (`fs_fragshift`): block↔fragment conversions shift.
+    frag_shift: u32,
     /// Longest run length the cluster summary tells apart
     /// (`fs_contigsumsize`; 7 for the paper geometry).
     maxcontig: u32,
@@ -186,6 +198,7 @@ impl CylGroup {
             frag_words,
             derived: Derived::default(),
             fpb,
+            frag_shift: fpb.trailing_zeros(),
             maxcontig: params.maxcontig.max(1),
             free_frags: data_blocks * fpb,
             free_blocks: data_blocks,
@@ -243,14 +256,14 @@ impl CylGroup {
     /// Converts a block index within the group to a fragment address.
     pub fn block_daddr(&self, block: u32) -> Daddr {
         debug_assert!(block < self.nblocks);
-        Daddr(self.base.0 + block * self.fpb)
+        Daddr(self.base.0 + (block << self.frag_shift))
     }
 
     /// Converts a fragment address inside this group to (block, fragment).
     pub fn daddr_to_block(&self, d: Daddr) -> (u32, u32) {
         debug_assert!(d.0 >= self.base.0);
         let off = d.0 - self.base.0;
-        (off / self.fpb, off % self.fpb)
+        (off >> self.frag_shift, off & (self.fpb - 1))
     }
 
     /// Fragments per block for this group's geometry.
@@ -278,35 +291,70 @@ impl CylGroup {
         self.frag_words[bit / 64] & mask == 0
     }
 
-    /// Allocates a fully free block (`ffs_setblock`).
+    /// Allocates a fully free block (`ffs_setblock`): the one-block case
+    /// of [`CylGroup::alloc_block_run`].
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the block is not fully free.
     pub fn alloc_block(&mut self, block: u32) {
-        debug_assert!(self.is_block_free(block), "double alloc of {block}");
-        // A free-to-full transition touches no partial block, so the
-        // fragment summary is unchanged by definition.
-        self.write_lane(block, self.full_lane());
-        self.mark_block_used(block);
-        self.free_blocks -= 1;
-        self.free_frags -= self.fpb;
-        self.rotor = block;
+        self.alloc_block_run(block, 1);
     }
 
-    /// Frees a fully allocated block (`ffs_clrblock`).
+    /// Frees a fully allocated block (`ffs_clrblock`): the one-block case
+    /// of [`CylGroup::free_block_run`].
     pub fn free_block(&mut self, block: u32) {
-        debug_assert_eq!(
-            self.map_byte(block),
-            self.full_lane(),
-            "freeing non-full block"
+        self.free_block_run(block, 1);
+    }
+
+    /// Allocates the `n >= 1` consecutive fully free blocks starting at
+    /// `block`: one masked write per map word touched, one cluster-summary
+    /// update for the whole run, and the rotor left on its last block —
+    /// the state `n` single-block calls in ascending order would leave.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if any block of the run is not fully free.
+    pub fn alloc_block_run(&mut self, block: u32, n: u32) {
+        debug_assert!(n >= 1 && block + n <= self.nblocks);
+        debug_assert!(
+            (block..block + n).all(|b| self.map_byte(b) == 0),
+            "double alloc in {block}+{n}"
+        );
+        // A free-to-full transition touches no partial block, so the
+        // fragment summary is unchanged by definition.
+        fill_bits(
+            &mut self.frag_words,
+            block << self.frag_shift,
+            n << self.frag_shift,
+            true,
+        );
+        self.mark_run_used(block, n);
+        self.free_blocks -= n;
+        self.free_frags -= n << self.frag_shift;
+        self.rotor = block + n - 1;
+    }
+
+    /// Frees the `n >= 1` consecutive fully allocated blocks starting at
+    /// `block`, the mirror of [`CylGroup::alloc_block_run`] (the rotor
+    /// stays where it was, as on every free).
+    pub fn free_block_run(&mut self, block: u32, n: u32) {
+        debug_assert!(n >= 1 && block + n <= self.nblocks);
+        debug_assert!(
+            (block..block + n).all(|b| self.map_byte(b) == self.full_lane()),
+            "freeing non-full block in {block}+{n}"
         );
         debug_assert!(block >= self.meta_blocks);
         // Full-to-free: no partial block involved, frsum unchanged.
-        self.write_lane(block, 0);
-        self.mark_block_free(block);
-        self.free_blocks += 1;
-        self.free_frags += self.fpb;
+        fill_bits(
+            &mut self.frag_words,
+            block << self.frag_shift,
+            n << self.frag_shift,
+            false,
+        );
+        self.mark_run_free(block, n);
+        self.free_blocks += n;
+        self.free_frags += n << self.frag_shift;
     }
 
     /// Allocates a fragment run within one block. The block may have other
@@ -322,7 +370,7 @@ impl CylGroup {
         self.fill_account(old, false);
         self.fill_account(new, true);
         if old == 0 {
-            self.mark_block_used(block);
+            self.mark_run_used(block, 1);
             self.free_blocks -= 1;
         }
         self.free_frags -= len;
@@ -345,7 +393,7 @@ impl CylGroup {
         self.fill_account(new, true);
         self.free_frags += len;
         if new == 0 {
-            self.mark_block_free(block);
+            self.mark_run_free(block, 1);
             self.free_blocks += 1;
         }
     }
@@ -401,14 +449,18 @@ impl CylGroup {
 
     // --- Derived state: free-block bitmap and cluster summary -----------
     //
-    // `mark_block_free`/`mark_block_used` are the only writers of
+    // `mark_run_free`/`mark_run_used` are the only writers of
     // `free_words` and `csum` on the allocation path; they are called
-    // exactly when a block transitions between "fully free" and "has at
-    // least one allocated fragment". The summary update is the
-    // `ffs_clusteracct` argument: capped lengths compose, i.e.
-    // `min(L + 1 + R, cap) == min(min(L, cap) + 1 + min(R, cap), cap)`,
+    // exactly when a run of `n` blocks transitions between "fully free"
+    // and "has at least one allocated fragment" (`n` is 1 on the fragment
+    // path). The summary update is the `ffs_clusteracct` argument, which
+    // never needed the flipped piece to be one block long: with `L` and
+    // `R` the free runs just outside the piece, the merged run is
+    // `L + n + R` long and capped lengths compose, i.e.
+    // `min(L + n + R, cap) == min(min(L, cap) + n + min(R, cap), cap)`,
     // so scanning at most `cap` neighbor bits on each side is enough to
-    // keep every bucket exact.
+    // keep every bucket exact, and one update per run leaves the table
+    // `n` single-block updates would.
 
     /// Whether the free-bitmap bit for `block` is set.
     pub(crate) fn free_bit(&self, block: u32) -> bool {
@@ -462,13 +514,14 @@ impl CylGroup {
         n.min(cap)
     }
 
-    /// Records the transition of `block` from allocated to fully free: the
-    /// runs to its left and right merge with it into one.
-    fn mark_block_free(&mut self, block: u32) {
-        debug_assert!(!self.free_bit(block));
+    /// Records the transition of blocks `block .. block + n` from
+    /// allocated to fully free: the runs to their left and right merge
+    /// with them into one.
+    fn mark_run_free(&mut self, block: u32, n: u32) {
+        debug_assert!((block..block + n).all(|b| !self.free_bit(b)));
         let cap = self.maxcontig;
         let left = self.free_len_before(block, cap);
-        let right = self.free_len_after(block, cap);
+        let right = self.free_len_after(block + n - 1, cap);
         let csum = &mut self.derived.csum;
         if left > 0 {
             csum[(left - 1) as usize] -= 1;
@@ -476,20 +529,21 @@ impl CylGroup {
         if right > 0 {
             csum[(right - 1) as usize] -= 1;
         }
-        csum[((left + 1 + right).min(cap) - 1) as usize] += 1;
-        self.derived.free_words[(block / 64) as usize] |= 1 << (block % 64);
+        csum[((left + n + right).min(cap) - 1) as usize] += 1;
+        fill_bits(&mut self.derived.free_words, block, n, true);
     }
 
-    /// Records the transition of `block` from fully free to allocated: the
-    /// run containing it splits into the parts left and right of it.
-    fn mark_block_used(&mut self, block: u32) {
-        debug_assert!(self.free_bit(block));
-        self.derived.free_words[(block / 64) as usize] &= !(1 << (block % 64));
+    /// Records the transition of blocks `block .. block + n` from fully
+    /// free to allocated: the run containing them splits into the parts
+    /// left and right of them.
+    fn mark_run_used(&mut self, block: u32, n: u32) {
+        debug_assert!(self.is_cluster_free(block, n));
+        fill_bits(&mut self.derived.free_words, block, n, false);
         let cap = self.maxcontig;
         let left = self.free_len_before(block, cap);
-        let right = self.free_len_after(block, cap);
+        let right = self.free_len_after(block + n - 1, cap);
         let csum = &mut self.derived.csum;
-        csum[((left + 1 + right).min(cap) - 1) as usize] -= 1;
+        csum[((left + n + right).min(cap) - 1) as usize] -= 1;
         if left > 0 {
             csum[(left - 1) as usize] += 1;
         }
@@ -710,6 +764,12 @@ impl CylGroup {
     /// run in the window fits, the first fit beyond it (wrapping once).
     /// Keeps relocations near the rotor (temporal-spatial locality) while
     /// consuming nearby remainders instead of carving large runs.
+    ///
+    /// On an aged group most holes in the window are a block or two long
+    /// and cannot hold the request, so the scan never measures them: per
+    /// bitmap word, [`long_run_starts`] leaves a bit only where a maximal
+    /// run of at least `len` blocks begins, and only those are visited.
+    /// (Reference run-by-run scan: [`crate::naive::find_free_cluster_near`].)
     pub fn find_free_cluster_near(&self, from: u32, len: u32, window: u32) -> Option<u32> {
         debug_assert!(len >= 1);
         if len == 0 || self.nblocks == 0 {
@@ -725,26 +785,45 @@ impl CylGroup {
             from
         };
         let lim = start.saturating_add(window).min(self.nblocks);
+        let words = &self.derived.free_words[..];
         let mut best: Option<(u32, u32)> = None; // (len, start)
-        let mut pos = start;
-        while let Some(s) = next_set_bit(&self.derived.free_words, pos, self.nblocks) {
-            let run = ones_run_len(&self.derived.free_words, s, self.nblocks);
-            if run >= len {
-                if s < lim {
-                    match best {
-                        Some((blen, _)) if blen <= run => {}
-                        _ => best = Some((run, s)),
-                    }
-                    if run == len {
-                        return Some(s);
-                    }
-                } else {
+        let mut wi = (start / 64) as usize;
+        // A run straddling `start` counts from `start`: the bits below it
+        // are masked off and its first bit reads as a run start.
+        let mut x = words[wi] & (u64::MAX << (start % 64));
+        let mut below = 0u64;
+        // Past the window a fitting run only ends the search in favour of
+        // what the window offered, so with an offer in hand stop there.
+        while !(best.is_some() && wi as u32 * 64 >= lim) {
+            let above = words.get(wi + 1).copied().unwrap_or(0);
+            let mut starts = long_run_starts(x, below, above, len);
+            while starts != 0 {
+                let s = wi as u32 * 64 + starts.trailing_zeros();
+                starts &= starts - 1;
+                let run = ones_run_len(words, s, self.nblocks);
+                if run < len {
+                    // The mask vouches for 65 blocks at most.
+                    continue;
+                }
+                if s >= lim {
                     // Beyond the window: first fit wins unless the
                     // window already offered something.
                     return Some(best.map_or(s, |(_, b)| b));
                 }
+                if run == len {
+                    return Some(s);
+                }
+                match best {
+                    Some((blen, _)) if blen <= run => {}
+                    _ => best = Some((run, s)),
+                }
             }
-            pos = s + run + 1;
+            wi += 1;
+            if wi == words.len() {
+                break;
+            }
+            below = x >> 63;
+            x = words[wi];
         }
         if let Some((_, s)) = best {
             return Some(s);
@@ -1105,6 +1184,29 @@ fn next_zero_bit(words: &[u64], lo: u32, hi: u32) -> Option<u32> {
     }
 }
 
+/// The bits of `x` at which a maximal run of at least `min(len, 65)` set
+/// bits begins, the run read through into `above` (the next word of the
+/// bitmap); `below` carries the previous word's top bit, so a run that
+/// merely continues into `x` does not start in it.
+///
+/// `fits` starts as the 128 bits of `x` and `above` and is ANDed with
+/// itself shifted down until bit `i` says "bits `i .. i + need` are all
+/// set"; each step at most doubles the length already established, so it
+/// takes `log2(need)` steps. 128 bits answer that for every bit of `x`
+/// while `need <= 65`, which is why a longer request is only vouched for
+/// that far.
+fn long_run_starts(x: u64, below: u64, above: u64, len: u32) -> u64 {
+    let need = len.min(65);
+    let mut fits = u128::from(x) | u128::from(above) << 64;
+    let mut have = 1;
+    while have < need {
+        let step = have.min(need - have);
+        fits &= fits >> step;
+        have += step;
+    }
+    x & !(x << 1 | below) & fits as u64
+}
+
 /// Length of the run of set bits starting at `start`, clipped to `hi`.
 /// `start` must be below `hi` and its bit set for a non-zero answer.
 fn ones_run_len(words: &[u64], start: u32, hi: u32) -> u32 {
@@ -1126,17 +1228,30 @@ fn ones_run_len(words: &[u64], start: u32, hi: u32) -> u32 {
     b.min(hi) - start
 }
 
+/// Sets (`set`) or clears bits `lo .. lo + n` of a packed bitmap: one
+/// masked write per word touched.
+fn fill_bits(words: &mut [u64], lo: u32, n: u32, set: bool) {
+    let (mut wi, mut bit, mut left) = ((lo / 64) as usize, lo % 64, n);
+    while left > 0 {
+        let take = left.min(64 - bit);
+        let mask = (u64::MAX >> (64 - take)) << bit;
+        if set {
+            words[wi] |= mask;
+        } else {
+            words[wi] &= !mask;
+        }
+        left -= take;
+        wi += 1;
+        bit = 0;
+    }
+}
+
 /// The fragment map of a group nothing has been allocated in: `nblocks`
 /// lanes of `fpb` bits, the first `meta_blocks` of them (the static
 /// metadata area) set.
 pub(crate) fn fresh_frag_words(nblocks: u32, meta_blocks: u32, fpb: u32) -> Vec<u64> {
     let mut words = vec![0u64; (nblocks as usize * fpb as usize).div_ceil(64)];
-    let meta_bits = (meta_blocks * fpb) as usize;
-    let (whole, rest) = (meta_bits / 64, meta_bits % 64);
-    words[..whole].fill(u64::MAX);
-    if rest > 0 {
-        words[whole] = (1u64 << rest) - 1;
-    }
+    fill_bits(&mut words, 0, meta_blocks * fpb, true);
     words
 }
 

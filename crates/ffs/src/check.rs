@@ -257,7 +257,7 @@ impl std::fmt::Display for Violation {
 pub fn check(fs: &Filesystem) -> Vec<Violation> {
     let mut errs = Vec::new();
     let params = fs.params();
-    let fpb = params.frags_per_block();
+    let fpb = fs.geom.fpb;
     let mut claims = ClaimMap::new(fs);
     let mut mark = |errs: &mut Vec<Violation>, what: &'static str, ino: Ino, d: Daddr, n: u32| {
         if !claims.claim(d, n, |addr| {
@@ -287,7 +287,7 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
                 errs.push(Violation::BadTailLength { ino: f.ino, len: n });
             }
         }
-        data_frags += f.data_frags(params);
+        data_frags += f.data_frags_at(fpb);
         meta_frags += f.indirects.len() as u64 * fpb as u64;
         // The inode slot must be allocated in its group.
         let (cg, slot) = params.ino_to_cg(f.ino);

@@ -33,7 +33,7 @@ pub(crate) struct ClaimMap {
     /// Per group, the claimed fragments in `CylGroup::frag_words` layout.
     groups: Vec<Vec<u64>>,
     /// Fragments in every group but the last, which absorbs the
-    /// remainder (`FsParams::dtog`'s divisor).
+    /// remainder (`dtog`'s divisor).
     group_frags: u32,
     /// One past the volume's last fragment address.
     limit: u32,
@@ -52,15 +52,13 @@ impl ClaimMap {
     /// An empty map over `fs`'s geometry: nothing claimed but each
     /// group's static metadata area.
     pub(crate) fn new(fs: &Filesystem) -> ClaimMap {
-        let params = fs.params();
-        let fpb = params.frags_per_block();
-        let last = fs.cgs.last().expect("a file system has groups");
+        let geom = fs.geom;
         ClaimMap {
             groups: (fs.cgs.iter())
-                .map(|cg| fresh_frag_words(cg.nblocks(), cg.meta_blocks(), fpb))
+                .map(|cg| fresh_frag_words(cg.nblocks(), cg.meta_blocks(), geom.fpb))
                 .collect(),
-            group_frags: params.blocks_per_cg() * fpb,
-            limit: last.block_daddr(0).0 + last.nblocks() * fpb,
+            group_frags: geom.group_frags,
+            limit: geom.frag_limit,
         }
     }
 
@@ -161,7 +159,7 @@ impl ClaimMap {
     /// clashes, or points outside the volume, joins `condemned` and
     /// claims nothing.
     pub(crate) fn of_survivors(fs: &Filesystem, condemned: &mut BTreeSet<Ino>) -> ClaimMap {
-        let fpb = fs.params().frags_per_block();
+        let fpb = fs.geom.fpb;
         let mut map = ClaimMap::new(fs);
         for d in fs.dirs.values() {
             map.claim(d.block, fpb, |_| {});

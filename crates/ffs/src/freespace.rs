@@ -78,7 +78,7 @@ impl FragSpaceStats {
 /// O(ncg) merge, no map walk. (Reference volume rescan:
 /// [`crate::naive::frag_space_stats_rescan`].)
 pub fn frag_space_stats(fs: &Filesystem) -> FragSpaceStats {
-    let fpb = fs.params().frags_per_block();
+    let fpb = fs.geom.fpb;
     let mut stats = FragSpaceStats {
         partial_blocks: 0,
         free_frags_in_partial: 0,

@@ -19,6 +19,7 @@ use ffs_types::{CgIdx, Daddr, DirId, FsError, FsParams, FsResult, Ino};
 
 use crate::alloc::{AllocEngine, AllocPolicy, AllocStats, EngineCfg};
 use crate::cg::CylGroup;
+use crate::geom::Geometry;
 use crate::inode::FileMeta;
 use crate::table::{BlockList, Slab};
 
@@ -63,6 +64,9 @@ impl LayoutAgg {
 #[derive(Clone, Debug)]
 pub struct Filesystem {
     pub(crate) params: FsParams,
+    /// What `params` implies about the volume's shape, computed once
+    /// (the `fs_fpg`/`fs_fragshift` part of the superblock).
+    pub(crate) geom: Geometry,
     pub(crate) policy: AllocPolicy,
     pub(crate) cgs: Vec<CylGroup>,
     pub(crate) files: Slab<Ino, FileMeta>,
@@ -107,6 +111,7 @@ impl Filesystem {
             .collect();
         let write_chunk_blocks = ((4 << 20) / params.bsize).max(params.maxcontig);
         Filesystem {
+            geom: Geometry::new(&params),
             params,
             policy,
             cgs,
@@ -149,6 +154,11 @@ impl Filesystem {
     /// The file-system parameters.
     pub fn params(&self) -> &FsParams {
         &self.params
+    }
+
+    /// The volume geometry the parameters imply, computed at mkfs.
+    pub fn geometry(&self) -> Geometry {
+        self.geom
     }
 
     /// The allocation policy in force.
@@ -194,7 +204,7 @@ impl Filesystem {
         self.next_dir += 1;
         let g = &mut self.cgs[cg.0 as usize];
         g.set_ndirs(g.ndirs() + 1);
-        self.used_meta_frags += self.params.frags_per_block() as u64;
+        self.used_meta_frags += self.geom.fpb as u64;
         self.dirs.insert(
             id,
             DirMeta {
@@ -247,6 +257,22 @@ impl Filesystem {
     /// Returns the new file's inode number. On allocation failure
     /// (`FsError::NoSpace`), everything the call allocated is released.
     pub fn create(&mut self, dir: DirId, size: u64, day: u32) -> FsResult<Ino> {
+        self.create_with(dir, size, day, |eng, meta, dcg, size| {
+            eng.write_blocks(meta, dcg, size)
+        })
+    }
+
+    /// [`Filesystem::create`] with the block-allocating step passed in,
+    /// so that the retired per-block write path
+    /// ([`crate::naive::create_per_block`]) shares all the bookkeeping
+    /// around it.
+    pub(crate) fn create_with(
+        &mut self,
+        dir: DirId,
+        size: u64,
+        day: u32,
+        write_blocks: impl FnOnce(&mut AllocEngine<'_>, &mut FileMeta, CgIdx, u64) -> FsResult<()>,
+    ) -> FsResult<Ino> {
         if size > self.params.max_file_size() {
             return Err(FsError::FileTooLarge {
                 size,
@@ -265,17 +291,18 @@ impl Filesystem {
             indirects: Vec::new(),
             mtime_day: day,
         };
-        let res = eng.write_blocks(&mut meta, dcg, size);
+        let res = write_blocks(&mut eng, &mut meta, dcg, size);
         // Indirect blocks count as metadata as soon as they are
         // allocated, on either outcome — the historical accounting.
-        self.used_meta_frags += meta.indirects.len() as u64 * self.params.frags_per_block() as u64;
+        let fpb = self.geom.fpb;
+        self.used_meta_frags += meta.indirects.len() as u64 * fpb as u64;
         match res {
             Ok(()) => {
-                if let Some((opt, scored)) = meta.layout_counts(&self.params) {
+                if let Some((opt, scored)) = meta.layout_counts_at(fpb) {
                     self.agg.opt += opt;
                     self.agg.scored += scored;
                 }
-                self.used_data_frags += meta.data_frags(&self.params);
+                self.used_data_frags += meta.data_frags_at(fpb);
                 self.bytes_written += meta.size;
                 if let Some(d) = self.dirs.get_mut(&meta.dir) {
                     d.nfiles += 1;
@@ -310,12 +337,13 @@ impl Filesystem {
         let Some(meta) = self.files.remove(&ino) else {
             return Err(FsError::NoSuchFile(ino));
         };
-        if let Some((opt, scored)) = meta.layout_counts(&self.params) {
+        let fpb = self.geom.fpb;
+        if let Some((opt, scored)) = meta.layout_counts_at(fpb) {
             self.agg.opt -= opt;
             self.agg.scored -= scored;
         }
-        self.used_data_frags -= meta.data_frags(&self.params);
-        self.used_meta_frags -= meta.indirects.len() as u64 * self.params.frags_per_block() as u64;
+        self.used_data_frags -= meta.data_frags_at(fpb);
+        self.used_meta_frags -= meta.indirects.len() as u64 * fpb as u64;
         if let Some(d) = self.dirs.get_mut(&meta.dir) {
             d.nfiles -= 1;
         }
@@ -335,7 +363,7 @@ impl Filesystem {
     /// indirect blocks, and directory blocks. Matches the paper's
     /// convention of treating the minfree reserve as free space.
     pub fn utilization(&self) -> f64 {
-        let total = self.params.total_data_blocks() as u64 * self.params.frags_per_block() as u64;
+        let total = self.geom.total_data_blocks as u64 * self.geom.fpb as u64;
         (self.used_data_frags + self.used_meta_frags) as f64 / total as f64
     }
 
@@ -383,13 +411,9 @@ impl Filesystem {
         files: Vec<FileMeta>,
         bytes_written: u64,
     ) -> FsResult<Filesystem> {
-        let fpb = params.frags_per_block();
-        let last = CgIdx(params.ncg - 1);
-        let frag_limit = params.cg_base(last).0 + params.cg_nblocks(last) * fpb;
+        let geom = Geometry::new(&params);
+        let (fpb, frag_limit) = (geom.fpb, geom.frag_limit);
         let inode_limit = params.ncg * params.inodes_per_cg();
-        let block_ok = |d: Daddr| {
-            d.0.is_multiple_of(fpb) && d.0.checked_add(fpb).is_some_and(|e| e <= frag_limit)
-        };
         for d in &dirs {
             // Directory ids are assigned sequentially from zero and never
             // reclaimed, so a legitimate checkpoint's ids are exactly
@@ -399,7 +423,7 @@ impl Filesystem {
             if d.id.0 as usize >= dirs.len()
                 || d.cg.0 >= params.ncg
                 || d.ino_slot >= params.inodes_per_cg()
-                || !block_ok(d.block)
+                || !geom.is_block(d.block)
             {
                 return Err(FsError::Corrupt(format!(
                     "directory {:?} has claims outside the volume",
@@ -412,7 +436,7 @@ impl Filesystem {
                 .blocks
                 .iter()
                 .chain(f.indirects.iter())
-                .all(|&b| block_ok(b));
+                .all(|&b| geom.is_block(b));
             let tail_ok = f.tail.is_none_or(|(d, n)| {
                 (1..fpb).contains(&n)
                     && d.0 % fpb + n <= fpb
@@ -569,12 +593,14 @@ impl Filesystem {
         let cfg = self.engine_cfg();
         let Filesystem {
             params,
+            geom,
             cgs,
             alloc_stats,
             ..
         } = self;
         AllocEngine {
             params,
+            geom: *geom,
             cgs,
             stats: alloc_stats,
             cfg,
@@ -582,20 +608,13 @@ impl Filesystem {
     }
 
     /// Returns a file's blocks, tail, and indirect blocks to the free
-    /// maps (shared by delete and create-rollback).
+    /// maps (shared by delete and create-rollback), the blocks one
+    /// contiguous run at a time.
     pub(crate) fn release_meta_space(&mut self, meta: &FileMeta) {
-        for &b in meta.blocks.iter().chain(meta.indirects.iter()) {
-            let g = self.params.dtog(b);
-            let cg = &mut self.cgs[g.0 as usize];
-            let (blk, off) = cg.daddr_to_block(b);
-            debug_assert_eq!(off, 0);
-            cg.free_block(blk);
-        }
+        let blocks = meta.blocks.iter().chain(&meta.indirects);
+        self.engine().free_blocks(blocks.copied());
         if let Some((d, n)) = meta.tail {
-            let g = self.params.dtog(d);
-            let cg = &mut self.cgs[g.0 as usize];
-            let (blk, off) = cg.daddr_to_block(d);
-            cg.free_frag_run(blk, off, n);
+            self.free_frag_range(d, n);
         }
     }
 }

@@ -11,28 +11,30 @@
 use ffs_types::params::NDADDR;
 use ffs_types::{Daddr, FsError, FsParams, FsResult, Ino};
 
-use crate::alloc::{realloc_windows, AllocPolicy};
+use crate::alloc::{windows, AllocPolicy};
 use crate::fs::Filesystem;
 
 /// Number of indirect (metadata) blocks a file of `nfull` data blocks
 /// needs: one per indirect region, plus one extra for the
 /// double-indirect root.
 pub(crate) fn indirects_needed(params: &FsParams, nfull: u32) -> usize {
-    let mut n = 0usize;
-    for lbn in params.cg_switch_lbns(nfull) {
-        n += if lbn.0 == NDADDR + params.nindir() {
-            2
-        } else {
-            1
-        };
-    }
-    n
+    let root_at = NDADDR + params.nindir();
+    (params.switch_lbns(nfull))
+        .map(|lbn| if lbn.0 == root_at { 2 } else { 1 })
+        .sum()
+}
+
+/// Whether data block `lbn` is the first of an indirect region — a
+/// cylinder-group switch point ([`FsParams::switch_lbns`]) of any file
+/// long enough to have it.
+pub(crate) fn opens_indirect_region(params: &FsParams, lbn: u32) -> bool {
+    lbn >= NDADDR && (lbn - NDADDR).is_multiple_of(params.nindir())
 }
 
 /// The final shape of a file of `size` bytes: full blocks and tail
 /// fragments, under the FFS rule that only direct-block files keep a
-/// fragment tail.
-pub(crate) fn file_shape(params: &FsParams, size: u64) -> (u32, u32) {
+/// fragment tail. `fpb` is the volume's fragments per block.
+pub(crate) fn file_shape(params: &FsParams, fpb: u32, size: u64) -> (u32, u32) {
     let bsize = params.bsize as u64;
     let mut nfull = (size / bsize) as u32;
     let rem = size % bsize;
@@ -40,7 +42,7 @@ pub(crate) fn file_shape(params: &FsParams, size: u64) -> (u32, u32) {
     if rem > 0 {
         if nfull < NDADDR {
             tail = (rem as u32).div_ceil(params.fsize);
-            if tail == params.frags_per_block() {
+            if tail == fpb {
                 tail = 0;
                 nfull += 1;
             }
@@ -74,11 +76,11 @@ impl Filesystem {
                 max: self.params.max_file_size(),
             });
         }
-        let fpb = self.params.frags_per_block();
+        let fpb = self.geom.fpb;
         let dcg = self.dirs.get(&dir).expect("file's dir exists").cg;
         // Take the file out of the aggregates while its shape changes.
         self.retire_from_aggregates(ino);
-        let (nfull_new, tail_new) = file_shape(&self.params, new_size);
+        let (nfull_new, tail_new) = file_shape(&self.params, fpb, new_size);
         let old_nfull = self.files[&ino].blocks.len() as u32;
 
         // Phase A: resolve the existing tail. It either grows in place,
@@ -129,7 +131,7 @@ impl Filesystem {
         if tail_new > have_tail {
             let prev = self.files[&ino].blocks.last().copied();
             let pref = prev.map(|d| Daddr(d.0 + fpb));
-            let hint = prev.map(|d| self.params.dtog(d)).unwrap_or(dcg);
+            let hint = prev.map(|d| self.geom.dtog(d)).unwrap_or(dcg);
             match self.alloc_frag_run(hint, tail_new, pref) {
                 Ok(t) => {
                     self.files.get_mut(&ino).expect("live file").tail = Some((t, tail_new));
@@ -146,9 +148,8 @@ impl Filesystem {
         // Realloc pass over the windows the append dirtied.
         if self.policy == AllocPolicy::Realloc && new_size >= 2 * self.params.bsize as u64 {
             let _sp = obs::span!("realloc_pass");
-            let windows = realloc_windows(nfull_new, self.params.maxcontig, self.params.nindir());
             let dirty_from = old_nfull.saturating_sub(1);
-            for w in windows {
+            for w in windows(nfull_new, self.params.maxcontig, self.params.nindir()) {
                 if w.0 >= dirty_from {
                     let pref = self.append_window_pref(ino, w.0);
                     self.realloc_window(ino, w, pref);
@@ -178,9 +179,9 @@ impl Filesystem {
             f.mtime_day = day;
             return Ok(());
         }
-        let fpb = self.params.frags_per_block();
+        let fpb = self.geom.fpb;
         self.retire_from_aggregates(ino);
-        let (nfull_new, tail_new) = file_shape(&self.params, new_size);
+        let (nfull_new, tail_new) = file_shape(&self.params, fpb, new_size);
 
         // Tail handling. When the new size still ends inside the old
         // tail run (same full-block count), the tail shrinks in place;
@@ -210,7 +211,7 @@ impl Filesystem {
                 .blocks
                 .pop()
                 .expect("length checked");
-            self.free_block_at(addr);
+            self.engine().free_blocks([addr]);
         }
         // Demote the donor block into the new tail.
         if tail_new > 0 && self.files[&ino].blocks.len() as u32 == keep_blocks {
@@ -222,11 +223,8 @@ impl Filesystem {
                 .pop()
                 .expect("donor exists");
             // Free the unused back portion of the block.
-            let g = self.params.dtog(addr);
-            let cg = &mut self.cgs[g.0 as usize];
-            let (b, off) = cg.daddr_to_block(addr);
-            debug_assert_eq!(off, 0);
-            cg.free_frag_run(b, tail_new, fpb - tail_new);
+            debug_assert!(addr.0.is_multiple_of(fpb));
+            self.free_frag_range(Daddr(addr.0 + tail_new), fpb - tail_new);
             self.files.get_mut(&ino).expect("live file").tail = Some((addr, tail_new));
         }
         // Drop indirect blocks the shorter file no longer needs.
@@ -239,7 +237,7 @@ impl Filesystem {
                 .indirects
                 .pop()
                 .expect("length checked");
-            self.free_block_at(addr);
+            self.engine().free_blocks([addr]);
             self.used_meta_frags -= fpb as u64;
         }
         let f = self.files.get_mut(&ino).expect("live file");
@@ -266,8 +264,8 @@ impl Filesystem {
         dcg: ffs_types::CgIdx,
     ) -> FsResult<Daddr> {
         debug_assert!(target > tlen);
-        let fpb = self.params.frags_per_block();
-        let g = self.params.dtog(taddr);
+        let fpb = self.geom.fpb;
+        let g = self.geom.dtog(taddr);
         let (b, off) = self.cgs[g.0 as usize].daddr_to_block(taddr);
         // In-place extension: the fragments after the run are free and
         // the extended run still fits in the block.
@@ -291,8 +289,8 @@ impl Filesystem {
     /// Appends full blocks until the file has `nfull_new`, allocating
     /// indirect blocks at region boundaries.
     fn grow_blocks(&mut self, ino: Ino, dcg: ffs_types::CgIdx, nfull_new: u32) -> FsResult<()> {
-        let fpb = self.params.frags_per_block();
-        let switch_lbns = self.params.cg_switch_lbns(nfull_new);
+        let geom = self.geom;
+        let fpb = geom.fpb;
         loop {
             let (lbn, prev) = {
                 let f = self.files.get(&ino).expect("live file");
@@ -302,8 +300,8 @@ impl Filesystem {
                 return Ok(());
             }
             let mut prev = prev;
-            let mut cur_cg = prev.map(|d| self.params.dtog(d)).unwrap_or(dcg);
-            if switch_lbns.iter().any(|l| l.0 == lbn)
+            let mut cur_cg = prev.map(|d| geom.dtog(d)).unwrap_or(dcg);
+            if opens_indirect_region(&self.params, lbn)
                 && indirects_needed(&self.params, lbn + 1) > self.files[&ino].indirects.len()
             {
                 cur_cg = self.pick_new_data_cg(cur_cg);
@@ -318,7 +316,7 @@ impl Filesystem {
                     let f = self.files.get_mut(&ino).expect("live file");
                     f.indirects.push(ind);
                     prev = Some(ind);
-                    cur_cg = self.params.dtog(ind);
+                    cur_cg = geom.dtog(ind);
                 }
             }
             let pref = prev.map(|d| Daddr(d.0 + fpb));
@@ -336,47 +334,40 @@ impl Filesystem {
         if wstart == 0 {
             return None;
         }
-        let fpb = self.params.frags_per_block();
         let f = self.files.get(&ino).expect("live file");
-        f.blocks.get(wstart as usize - 1).map(|d| Daddr(d.0 + fpb))
+        (f.blocks.get(wstart as usize - 1)).map(|d| Daddr(d.0 + self.geom.fpb))
+    }
+
+    /// The file's `(optimal, scored, data fragments)` contribution to the
+    /// running aggregates.
+    fn aggregate_share(&self, ino: Ino) -> (u64, u64, u64) {
+        let meta = self.files.get(&ino).expect("live file");
+        let (opt, scored) = meta.layout_counts_at(self.geom.fpb).unwrap_or((0, 0));
+        (opt, scored, meta.data_frags_at(self.geom.fpb))
     }
 
     /// Removes the file's layout and space contribution from the running
     /// aggregates (paired with [`Filesystem::restore_to_aggregates`]).
     fn retire_from_aggregates(&mut self, ino: Ino) {
-        let meta = self.files.get(&ino).expect("live file").clone();
-        if let Some((opt, scored)) = meta.layout_counts(&self.params) {
-            self.agg.opt -= opt;
-            self.agg.scored -= scored;
-        }
-        self.used_data_frags -= meta.data_frags(&self.params);
+        let (opt, scored, frags) = self.aggregate_share(ino);
+        self.agg.opt -= opt;
+        self.agg.scored -= scored;
+        self.used_data_frags -= frags;
     }
 
     /// Re-adds the file's (possibly changed) contribution.
     fn restore_to_aggregates(&mut self, ino: Ino) {
-        let meta = self.files.get(&ino).expect("live file").clone();
-        if let Some((opt, scored)) = meta.layout_counts(&self.params) {
-            self.agg.opt += opt;
-            self.agg.scored += scored;
-        }
-        self.used_data_frags += meta.data_frags(&self.params);
+        let (opt, scored, frags) = self.aggregate_share(ino);
+        self.agg.opt += opt;
+        self.agg.scored += scored;
+        self.used_data_frags += frags;
     }
 
     /// Frees a fragment run given its address.
-    fn free_frag_range(&mut self, addr: Daddr, len: u32) {
-        let g = self.params.dtog(addr);
-        let cg = &mut self.cgs[g.0 as usize];
+    pub(crate) fn free_frag_range(&mut self, addr: Daddr, len: u32) {
+        let cg = &mut self.cgs[self.geom.dtog(addr).0 as usize];
         let (b, off) = cg.daddr_to_block(addr);
         cg.free_frag_run(b, off, len);
-    }
-
-    /// Frees a full, aligned block given its address.
-    fn free_block_at(&mut self, addr: Daddr) {
-        let g = self.params.dtog(addr);
-        let cg = &mut self.cgs[g.0 as usize];
-        let (b, off) = cg.daddr_to_block(addr);
-        debug_assert_eq!(off, 0);
-        cg.free_block(b);
     }
 }
 
@@ -395,11 +386,12 @@ mod tests {
     #[test]
     fn shape_matches_create_rules() {
         let p = ffs_types::FsParams::paper_502mb();
-        assert_eq!(file_shape(&p, 0), (0, 0));
-        assert_eq!(file_shape(&p, 3 * KB), (0, 3));
-        assert_eq!(file_shape(&p, 8 * KB), (1, 0));
-        assert_eq!(file_shape(&p, 15 * KB + 512), (2, 0));
-        assert_eq!(file_shape(&p, 100 * KB), (13, 0));
+        let shape = |size| file_shape(&p, p.frags_per_block(), size);
+        assert_eq!(shape(0), (0, 0));
+        assert_eq!(shape(3 * KB), (0, 3));
+        assert_eq!(shape(8 * KB), (1, 0));
+        assert_eq!(shape(15 * KB + 512), (2, 0));
+        assert_eq!(shape(100 * KB), (13, 0));
     }
 
     #[test]

@@ -50,8 +50,12 @@ impl FileMeta {
     /// Total fragments occupied by data (blocks plus tail), excluding
     /// indirect blocks.
     pub fn data_frags(&self, params: &FsParams) -> u64 {
-        let fpb = params.frags_per_block() as u64;
-        self.blocks.len() as u64 * fpb + self.tail.map_or(0, |(_, n)| n as u64)
+        self.data_frags_at(params.frags_per_block())
+    }
+
+    /// [`FileMeta::data_frags`] at `fpb` fragments per block.
+    pub(crate) fn data_frags_at(&self, fpb: u32) -> u64 {
+        self.blocks.len() as u64 * fpb as u64 + self.tail.map_or(0, |(_, n)| n as u64)
     }
 
     /// Per-file layout score: the fraction of chunks after the first that
@@ -65,21 +69,22 @@ impl FileMeta {
     /// `(optimal, scored)` chunk counts feeding the aggregate layout
     /// score. `None` when fewer than two chunks exist.
     pub fn layout_counts(&self, params: &FsParams) -> Option<(u64, u64)> {
+        self.layout_counts_at(params.frags_per_block())
+    }
+
+    /// [`FileMeta::layout_counts`] at `fpb` fragments per block: every
+    /// adjacent pair of blocks, then the tail against the last block.
+    pub(crate) fn layout_counts_at(&self, fpb: u32) -> Option<(u64, u64)> {
         if self.nchunks() < 2 {
             return None;
         }
-        let fpb = params.frags_per_block();
-        let mut prev: Option<Daddr> = None;
-        let mut opt = 0u64;
-        for (addr, _frags) in self.chunks(params) {
-            if let Some(p) = prev {
-                if addr.0 == p.0 + fpb {
-                    opt += 1;
-                }
-            }
-            prev = Some(addr);
+        let blocks = self.blocks.as_slice();
+        let follows = |p: Daddr, d: Daddr| d.0 == p.0 + fpb;
+        let mut opt = blocks.windows(2).filter(|w| follows(w[0], w[1])).count();
+        if let (Some(&last), Some((tail, _))) = (blocks.last(), self.tail) {
+            opt += usize::from(follows(last, tail));
         }
-        Some((opt, (self.nchunks() - 1) as u64))
+        Some((opt as u64, (self.nchunks() - 1) as u64))
     }
 
     /// Merges logically consecutive, physically contiguous chunks into

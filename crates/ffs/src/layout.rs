@@ -58,7 +58,7 @@ pub fn size_bins_paper() -> Vec<u64> {
 pub fn recompute_aggregate(fs: &Filesystem) -> LayoutAgg {
     let mut agg = LayoutAgg::default();
     for f in fs.files() {
-        if let Some((opt, scored)) = f.layout_counts(fs.params()) {
+        if let Some((opt, scored)) = f.layout_counts_at(fs.geom.fpb) {
             agg.opt += opt;
             agg.scored += scored;
         }
@@ -94,7 +94,7 @@ pub fn layout_by_size(
         };
         let b = &mut bins[idx];
         b.files += 1;
-        if let Some((opt, scored)) = f.layout_counts(fs.params()) {
+        if let Some((opt, scored)) = f.layout_counts_at(fs.geom.fpb) {
             b.scored_files += 1;
             b.agg.opt += opt;
             b.agg.scored += scored;

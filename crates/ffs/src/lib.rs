@@ -38,6 +38,7 @@ pub mod check;
 mod claims;
 pub mod freespace;
 pub mod fs;
+pub mod geom;
 pub mod grow;
 pub mod inode;
 pub mod layout;
@@ -51,6 +52,7 @@ pub use cg::{CylGroup, FragRun};
 pub use check::{assert_consistent, check, verify, Violation};
 pub use freespace::{frag_space_stats, free_space_stats, FragSpaceStats, FreeSpaceStats};
 pub use fs::{DirMeta, Filesystem, LayoutAgg};
+pub use geom::Geometry;
 pub use inode::FileMeta;
 pub use layout::{layout_by_size, recompute_aggregate, size_bins_paper, SizeBinScore};
 pub use repair::{inject_metadata_damage, inject_structural_damage, repair, RepairReport};

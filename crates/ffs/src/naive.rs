@@ -16,15 +16,23 @@
 //! are the retired one-`BTreeMap`-node-per-fragment walks that
 //! `crate::claims` replaced, held equal to [`crate::check`] and
 //! [`crate::repair`] by `tests/check_oracle.rs`.
+//!
+//! And for the write path: [`create_per_block`] is file creation as it
+//! was before [`crate::alloc`] took blocks by the extent — one
+//! allocation, one map transition and three `FsParams::dtog` per data
+//! block — held equal to [`Filesystem::create`] by
+//! `tests/extent_oracle.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 
-use ffs_types::{CgIdx, Daddr, Ino};
+use ffs_types::{CgIdx, Daddr, DirId, FsResult, Ino};
 
+use crate::alloc::{pick_new_data_cg_in, realloc_windows, AllocEngine, AllocPolicy};
 use crate::cg::{CylGroup, Derived};
 use crate::check::Violation;
 use crate::fs::Filesystem;
+use crate::inode::FileMeta;
 use crate::table::SlabKey;
 
 /// Reference [`CylGroup::find_free_block`]: first free block at or after
@@ -655,4 +663,124 @@ pub fn claimed_reference(fs: &Filesystem, condemned: &mut BTreeSet<Ino>) -> (BTr
         }
     }
     (claimed, orphans)
+}
+
+/// Reference [`Filesystem::create`]: the same bookkeeping around the
+/// retired per-block write path.
+pub fn create_per_block(fs: &mut Filesystem, dir: DirId, size: u64, day: u32) -> FsResult<Ino> {
+    fs.create_with(dir, size, day, write_blocks_per_block)
+}
+
+/// The write path before extents, verbatim (modulo taking the engine by
+/// reference): every data block is one [`AllocEngine::alloc_block`] with
+/// the address after its predecessor as the preference, the group of
+/// every address comes from [`ffs_types::FsParams::dtog`], and the realloc
+/// windows, switch points and region preferences are collected up front.
+fn write_blocks_per_block(
+    eng: &mut AllocEngine<'_>,
+    meta: &mut FileMeta,
+    dcg: CgIdx,
+    size: u64,
+) -> FsResult<()> {
+    let bsize = eng.params.bsize as u64;
+    let fpb = eng.params.frags_per_block();
+    let ndaddr = ffs_types::params::NDADDR;
+    let mut nfull = (size / bsize) as u32;
+    let rem = size % bsize;
+    let mut tail_frags = 0u32;
+    if rem > 0 {
+        if nfull < ndaddr {
+            tail_frags = (rem as u32).div_ceil(eng.params.fsize);
+            if tail_frags == fpb {
+                tail_frags = 0;
+                nfull += 1;
+            }
+        } else {
+            nfull += 1;
+        }
+    }
+    // The realloc pass only engages once a file fills its second
+    // block (the paper's two-block-file quirk, Section 4).
+    let realloc_on = eng.cfg.policy == AllocPolicy::Realloc && size >= 2 * bsize;
+    let windows = if realloc_on {
+        realloc_windows(nfull, eng.params.maxcontig, eng.params.nindir())
+    } else {
+        Vec::new()
+    };
+    let mut next_window = 0usize;
+    let switch_lbns = eng.params.cg_switch_lbns(nfull);
+    let mut switch_iter = switch_lbns.iter().peekable();
+    // Region-start windows prefer the address after their indirect
+    // block; remember it per region start.
+    let mut region_pref: BTreeMap<u32, Daddr> = BTreeMap::new();
+    let mut cur_cg = dcg;
+    let mut prev: Option<Daddr> = None;
+    for lbn in 0..nfull {
+        if switch_iter.peek().map(|l| l.0) == Some(lbn) {
+            switch_iter.next();
+            cur_cg = pick_new_data_cg_in(eng.cgs, cur_cg);
+            // The double-indirect root is allocated together with the
+            // first level-one indirect under it.
+            let n_meta = if lbn == ndaddr + eng.params.nindir() {
+                2
+            } else {
+                1
+            };
+            for _ in 0..n_meta {
+                let ind = eng.alloc_block(cur_cg, None)?;
+                meta.indirects.push(ind);
+                prev = Some(ind);
+                cur_cg = eng.params.dtog(ind);
+            }
+            region_pref.insert(lbn, prev.expect("indirect just set"));
+        }
+        let pref = prev.map(|d| Daddr(d.0 + fpb));
+        let addr = eng.alloc_block(cur_cg, pref)?;
+        cur_cg = eng.params.dtog(addr);
+        prev = Some(addr);
+        meta.blocks.push(addr);
+        // Flush boundary: end of an application write or end of file.
+        let done = lbn + 1;
+        let flush = done % eng.cfg.write_chunk_blocks == 0 || done == nfull;
+        if realloc_on && flush {
+            let _sp = obs::span!("realloc_pass");
+            while next_window < windows.len() && windows[next_window].1 <= done {
+                let w = windows[next_window];
+                let wpref = window_pref(meta, w.0, &region_pref, fpb);
+                eng.realloc_window(meta, w, wpref);
+                next_window += 1;
+            }
+            // Chain the base-allocation preference from the (possibly
+            // moved) last block.
+            prev = meta.blocks.last().copied();
+        }
+    }
+    if tail_frags > 0 {
+        let pref = prev.map(|d| Daddr(d.0 + fpb));
+        let hint = prev.map(|d| eng.params.dtog(d)).unwrap_or(dcg);
+        let t = eng.alloc_frag_run(hint, tail_frags, pref)?;
+        meta.tail = Some((t, tail_frags));
+    }
+    Ok(())
+}
+
+/// The cluster-search start for a realloc window: the address after the
+/// previous block's *current* location, or after the region's indirect
+/// block for region-start windows.
+fn window_pref(
+    meta: &FileMeta,
+    wstart: u32,
+    region_pref: &BTreeMap<u32, Daddr>,
+    fpb: u32,
+) -> Option<Daddr> {
+    if let Some(&d) = region_pref.get(&wstart) {
+        return Some(Daddr(d.0 + fpb));
+    }
+    if wstart == 0 {
+        return None;
+    }
+    meta.blocks
+        .as_slice()
+        .get(wstart as usize - 1)
+        .map(|d| Daddr(d.0 + fpb))
 }

@@ -25,7 +25,7 @@ impl Filesystem {
     /// touching any state. Relocating a block onto its own address is a
     /// no-op that returns `Ok(to)`.
     pub fn relocate_block(&mut self, ino: Ino, index: u32, to: Daddr) -> FsResult<Daddr> {
-        let fpb = self.params.frags_per_block();
+        let geom = self.geom;
         let old = {
             let f = self.files.get(&ino).ok_or(FsError::NoSuchFile(ino))?;
             *f.blocks
@@ -35,14 +35,12 @@ impl Filesystem {
         if to == old {
             return Ok(old);
         }
-        let last = ffs_types::CgIdx(self.params.ncg - 1);
-        let frag_limit = self.params.cg_base(last).0 + self.params.cg_nblocks(last) * fpb;
-        if !to.0.is_multiple_of(fpb) || to.0.checked_add(fpb).is_none_or(|e| e > frag_limit) {
+        if !geom.is_block(to) {
             return Err(FsError::InvalidArg(
                 "relocate target misaligned or out of volume",
             ));
         }
-        let ng = self.params.dtog(to);
+        let ng = geom.dtog(to);
         let (nb, noff) = self.cgs[ng.0 as usize].daddr_to_block(to);
         debug_assert_eq!(noff, 0);
         if !self.cgs[ng.0 as usize].is_block_free(nb) {
@@ -53,23 +51,17 @@ impl Filesystem {
         // incremental layout aggregate never drifts from a rescan.
         let counts = {
             let f = self.files.get(&ino).expect("checked above");
-            f.layout_counts(&self.params)
+            f.layout_counts_at(geom.fpb)
         };
         if let Some((opt, scored)) = counts {
             self.agg.opt -= opt;
             self.agg.scored -= scored;
         }
-        let og = self.params.dtog(old);
-        {
-            let cg = &mut self.cgs[og.0 as usize];
-            let (ob, ooff) = cg.daddr_to_block(old);
-            debug_assert_eq!(ooff, 0);
-            cg.free_block(ob);
-        }
+        self.engine().free_blocks([old]);
         self.cgs[ng.0 as usize].alloc_block(nb);
         let f = self.files.get_mut(&ino).expect("checked above");
         f.blocks[index as usize] = to;
-        if let Some((opt, scored)) = f.layout_counts(&self.params) {
+        if let Some((opt, scored)) = f.layout_counts_at(geom.fpb) {
             self.agg.opt += opt;
             self.agg.scored += scored;
         }

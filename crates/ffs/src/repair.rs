@@ -122,12 +122,13 @@ pub(crate) fn rebuild_allocation_state(fs: &mut Filesystem) {
 fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
     let Filesystem {
         params,
+        geom,
         cgs,
         files,
         dirs,
         ..
     } = fs;
-    let fpb = params.frags_per_block() as u64;
+    let fpb = geom.fpb as u64;
     for (cg, words) in cgs.iter_mut().zip(claims.into_groups()) {
         cg.install_frag_words(words);
         cg.raw_imap_mut().fill(0);
@@ -147,7 +148,7 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
     for f in files.values() {
         let (g, slot) = params.ino_to_cg(f.ino);
         mark_slot(cgs, g, slot);
-        used_data += f.data_frags(params);
+        used_data += f.data_frags_at(geom.fpb);
         used_meta += f.indirects.len() as u64 * fpb;
         if let Some(d) = dirs.get_mut(&f.dir) {
             d.nfiles += 1;
@@ -173,7 +174,7 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
 /// every category losslessly, which the recovery tests assert.
 pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let fpb = fs.params.frags_per_block();
+    let fpb = fs.geom.fpb;
     let ncg = fs.params.ncg;
     let mut applied = 0u32;
     for _ in 0..hits {
@@ -295,7 +296,7 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
 /// have unit tests of their own.
 pub fn inject_structural_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let fpb = fs.params.frags_per_block();
+    let fpb = fs.geom.fpb;
     let inos: Vec<Ino> = fs.files.keys().collect();
     if inos.len() < 2 {
         return 0;
@@ -304,7 +305,7 @@ pub fn inject_structural_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u3
     // block (so ending at most two blocks on) stays in the data area of
     // `d`'s group.
     let roomy = |fs: &Filesystem, d: Daddr| {
-        let cg = &fs.cgs[fs.params.dtog(d).0 as usize];
+        let cg = &fs.cgs[fs.geom.dtog(d).0 as usize];
         let (block, _) = cg.daddr_to_block(d);
         block >= cg.meta_blocks() && block + 2 < cg.nblocks()
     };

@@ -397,26 +397,33 @@ impl BlockList {
         }
     }
 
-    /// Appends an address.
+    /// Appends an address: the one-entry case of [`BlockList::push_run`].
     pub fn push(&mut self, d: Daddr) {
+        self.push_run(d, 1, 0);
+    }
+
+    /// Appends the `n` addresses `first, first + stride, ..` — an extent
+    /// of `n` blocks `stride` fragments apart — paying the copy-on-write
+    /// check (and a spill, if the list outgrows the inode) once for the
+    /// lot.
+    pub fn push_run(&mut self, first: Daddr, n: u32, stride: u32) {
+        let run = (0..n).map(|i| Daddr(first.0 + i * stride));
+        let (len, total) = (self.len as usize, (self.len + n) as usize);
         match &mut self.spill {
-            Some(v) => {
-                Arc::make_mut(v).push(d);
-                self.len += 1;
-            }
-            None => {
-                if (self.len as usize) < Self::INLINE {
-                    self.inline[self.len as usize] = d;
-                    self.len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(Self::INLINE * 2);
-                    v.extend_from_slice(&self.inline);
-                    v.push(d);
-                    self.len += 1;
-                    self.spill = Some(Arc::new(v));
+            Some(v) => Arc::make_mut(v).extend(run),
+            None if total <= Self::INLINE => {
+                for (slot, d) in self.inline[len..total].iter_mut().zip(run) {
+                    *slot = d;
                 }
             }
+            None => {
+                let mut v = Vec::with_capacity(total.max(Self::INLINE * 2));
+                v.extend_from_slice(&self.inline[..len]);
+                v.extend(run);
+                self.spill = Some(Arc::new(v));
+            }
         }
+        self.len += n;
     }
 
     /// Removes and returns the last address.

@@ -1,0 +1,94 @@
+//! Differential oracle for the precomputed volume geometry.
+//!
+//! [`ffs::Geometry`] caches what [`FsParams`] derives on demand — `dtog`
+//! becomes one divide where the parameter set takes five — and
+//! [`ffs::CylGroup`] turns blocks into addresses and back with a shift.
+//! The `FsParams` helpers are the slow, obviously correct reference; this
+//! suite holds the two equal where they could part ways: at block-aligned
+//! addresses within one block of every group boundary, at and past the
+//! volume's end, and on the first and last blocks of every group, over
+//! every shape of volume the rest of the test suite builds.
+
+use ffs::{AllocPolicy, CylGroup, Filesystem, Geometry};
+use ffs_types::{CgIdx, Daddr, FsParams, MB};
+
+/// The paper volume, the unit-test volume, dense inodes, a single group,
+/// and a last group that absorbs a remainder (426/426/428 blocks) — each
+/// at 1, 2, 4 and 8 fragments per block.
+fn geometries() -> Vec<FsParams> {
+    let small = FsParams::small_test();
+    let shapes = [
+        FsParams::paper_502mb(),
+        small.clone(),
+        FsParams {
+            bytes_per_inode: 2048,
+            ..FsParams::paper_502mb()
+        },
+        FsParams {
+            ncg: 1,
+            ..small.clone()
+        },
+        FsParams {
+            size_bytes: 10 * MB,
+            ncg: 3,
+            ..small
+        },
+    ];
+    let mut all = Vec::new();
+    for shape in shapes {
+        for fpb in [1, 2, 4, 8] {
+            all.push(FsParams {
+                fsize: shape.bsize / fpb,
+                ..shape.clone()
+            });
+        }
+    }
+    all
+}
+
+#[test]
+fn geometry_equals_the_parameter_helpers() {
+    for p in geometries() {
+        let geom = Geometry::new(&p);
+        let fpb = p.frags_per_block();
+        assert_eq!(geom.frags_per_block(), fpb);
+        assert_eq!(geom.total_data_blocks(), p.total_data_blocks(), "{p:?}");
+        let last = CgIdx(p.ncg - 1);
+        let limit = p.cg_base(last).0 + p.cg_nblocks(last) * fpb;
+        assert_eq!(geom.frag_limit(), limit, "{p:?}");
+        assert_eq!(
+            Filesystem::new(p.clone(), AllocPolicy::Orig).geometry(),
+            geom
+        );
+        // Every block-aligned address within a block of a group boundary,
+        // of the volume's end, and of the end of the address space.
+        let bases = (0..p.ncg).map(|g| p.cg_base(CgIdx(g)).0);
+        let edges = bases.chain([limit, (u32::MAX / fpb - 1) * fpb]);
+        for edge in edges {
+            for d in [edge.saturating_sub(fpb), edge, edge + fpb] {
+                assert_eq!(geom.dtog(Daddr(d)), p.dtog(Daddr(d)), "dtog({d}) {p:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn groups_convert_blocks_and_addresses_like_the_parameters() {
+    for p in geometries() {
+        let fpb = p.frags_per_block();
+        let geom = Geometry::new(&p);
+        for g in (0..p.ncg).map(CgIdx) {
+            let cg = CylGroup::new(&p, g);
+            assert_eq!(cg.nblocks(), p.cg_nblocks(g));
+            let n = cg.nblocks();
+            for b in [0, 1, cg.meta_blocks(), n / 2, n - 2, n - 1] {
+                let d = Daddr(p.cg_base(g).0 + b * fpb);
+                assert_eq!(cg.block_daddr(b), d, "block {b} of {g:?} {p:?}");
+                assert_eq!(geom.dtog(d), g);
+                for off in 0..fpb {
+                    assert_eq!(cg.daddr_to_block(Daddr(d.0 + off)), (b, off));
+                }
+            }
+        }
+    }
+}

@@ -320,6 +320,77 @@ fn window_extremes_match_naive() {
     }
 }
 
+/// The windowed search visits only the run starts its per-word mask
+/// leaves standing, so hold it to the run-by-run reference wherever the
+/// mask has an edge: a start inside a run (the run counts from there), a
+/// start on a word boundary, a window limit that falls inside a run (the
+/// run starts in the window or not by its first block alone), every
+/// length around `maxcontig` and around the 64/65-block reach of the
+/// mask, an empty window and one wider than the group — on groups whose
+/// bitmaps end mid-word.
+#[test]
+fn near_search_matches_naive_at_every_mask_edge() {
+    let params = odd_params();
+    let lens = (1..=params.maxcontig + 2).chain([63, 64, 65, 66, 67, 130]);
+    let lens: Vec<u32> = lens.collect();
+    for (seed, ops) in [(1u64, 0usize), (2, 40), (3, 200), (4, 600), (5, 1500)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cg = random_group(&params, seed as u32 % params.ncg, &mut rng, ops);
+        let n = cg.nblocks();
+        assert_ne!(n % 64, 0);
+        let near = |from: u32, len: u32, window: u32| {
+            assert_eq!(
+                cg.find_free_cluster_near(from, len, window),
+                naive::find_free_cluster_near(&cg, from, len, window),
+                "near(from={from}, len={len}, window={window}) seed {seed}"
+            );
+        };
+        for (s, r) in cg.free_runs().collect::<Vec<_>>() {
+            let inside = s + r / 2;
+            // Before the run, on the word boundary below it, at its first
+            // block, inside it, at its last block.
+            for from in [s.saturating_sub(70), s - s % 64, s, inside, s + r - 1] {
+                for &len in &lens {
+                    // The limit on the run's first block, inside the run,
+                    // one past its end; no window; more than the group.
+                    for lim in [s, inside, s + r] {
+                        near(from, len, lim.saturating_sub(from));
+                    }
+                    near(from, len, 0);
+                    near(from, len, n + 3);
+                }
+            }
+        }
+        for from in (0..n).step_by(64).chain([n - 1, n, u32::MAX]) {
+            for &len in &lens {
+                for window in [0, 1, 63, 64, 65, 512, n, u32::MAX] {
+                    near(from, len, window);
+                }
+            }
+        }
+    }
+    // One long run in an otherwise full group, starting on the last and
+    // on the first bit of a word: the requests the mask's 128 bits just
+    // reach, and the ones they do not.
+    let mut full = CylGroup::new(&params, CgIdx(0));
+    full.alloc_block_run(full.meta_blocks(), full.nblocks() - full.meta_blocks());
+    for start in [63, 64, 127, 128] {
+        for run in [63, 64, 65, 66, 67, 130] {
+            let mut cg = full.clone();
+            cg.free_block_run(start, run);
+            for len in run - 1..=run + 1 {
+                for (from, window) in [(0, 0), (0, 512), (start, 1), (start + 1, 512)] {
+                    assert_eq!(
+                        cg.find_free_cluster_near(from, len, window),
+                        naive::find_free_cluster_near(&cg, from, len, window),
+                        "run {start}+{run}: near(from={from}, len={len}, window={window})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn is_cluster_free_handles_boundaries() {
     let params = odd_params();
