@@ -40,5 +40,5 @@ pub use engine::{
 };
 pub use key::{aged_key, fnv1a, AgedKey, FORMAT_VERSION};
 pub use record::{prior_ok, CacheStatus, Metrics, RunRecord};
-pub use report::{bench_json, compare_baseline, summarize};
+pub use report::summarize;
 pub use store::{age_cached, parse_aged, render_aged, AgedRun, ArtifactStore};

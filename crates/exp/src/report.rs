@@ -1,7 +1,7 @@
 //! `harness report`: summarize a `runs.jsonl` into a where-did-time-go
 //! table.
 
-use obs::json::{self, push_str, Value};
+use obs::json::{self, Value};
 
 struct Row {
     job: String,
@@ -153,127 +153,6 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Renders the run records in `jsonl` as a machine-readable benchmark
-/// summary (schema `bench-aging-v1`): wall time per job plus replay
-/// throughput (`ops_per_sec`) for the jobs that report operation counts
-/// — the content of the repo-root `BENCH_aging.json`.
-pub fn bench_json(jsonl: &str) -> Result<String, String> {
-    use std::fmt::Write as _;
-    let mut entries = Vec::new();
-    for (n, line) in jsonl.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let rec = parse_record(line, n)?;
-        entries.push((
-            str_or(&rec, "job", "?"),
-            str_or(&rec, "status", "?"),
-            num_or(&rec, "wall_s", 0.0),
-            num_or(&rec, "ops", 0.0),
-        ));
-    }
-    if entries.is_empty() {
-        return Err("no run records".into());
-    }
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let total: f64 = entries.iter().map(|e| e.2).sum();
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"bench-aging-v1\",\"total_wall_s\":{total:.6},\"jobs\":["
-    );
-    for (i, (job, status, wall_s, ops)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let ops_per_sec = if *ops > 0.0 && *wall_s > 0.0 {
-            ops / wall_s
-        } else {
-            0.0
-        };
-        out.push_str("{\"job\":");
-        push_str(&mut out, job);
-        out.push_str(",\"status\":");
-        push_str(&mut out, status);
-        let _ = write!(
-            out,
-            ",\"wall_s\":{wall_s:.6},\"ops\":{},\"ops_per_sec\":{ops_per_sec:.3}}}",
-            *ops as u64
-        );
-    }
-    out.push_str("]}");
-    Ok(out)
-}
-
-/// Parses a `bench-aging-v1` JSON (the output of [`bench_json`]) into
-/// `(job, ops_per_sec)` pairs for the jobs that report throughput.
-fn bench_throughputs(doc: &str) -> Result<Vec<(String, f64)>, String> {
-    let doc = json::parse(doc)?;
-    if doc.get("schema").and_then(Value::as_str) != Some("bench-aging-v1") {
-        return Err("not a bench-aging-v1 document".into());
-    }
-    let jobs = doc.get("jobs").and_then(Value::as_arr);
-    Ok(jobs
-        .ok_or("no jobs array")?
-        .iter()
-        .filter_map(|j| {
-            let job = j.get("job")?.as_str()?.to_string();
-            let ops_per_sec = j.get("ops_per_sec")?.as_f64()?;
-            (ops_per_sec > 0.0).then_some((job, ops_per_sec))
-        })
-        .collect())
-}
-
-/// Compares a freshly generated `bench-aging-v1` JSON against a committed
-/// baseline: every job that reports throughput in the baseline must not
-/// have lost more than `max_regression_pct` percent of its `ops_per_sec`.
-/// Returns a per-job comparison table on success and a description of the
-/// worst offender on failure — the CI bench-smoke gate.
-pub fn compare_baseline(
-    current: &str,
-    baseline: &str,
-    max_regression_pct: f64,
-) -> Result<String, String> {
-    use std::fmt::Write as _;
-    let cur = bench_throughputs(current)?;
-    let base = bench_throughputs(baseline)?;
-    let mut out = String::new();
-    let mut compared = 0;
-    let mut worst: Option<(String, f64)> = None;
-    let _ = writeln!(
-        out,
-        "{:<12}  {:>12}  {:>12}  {:>8}",
-        "job", "base ops/s", "now ops/s", "delta"
-    );
-    for (job, base_ops) in &base {
-        let Some((_, cur_ops)) = cur.iter().find(|(j, _)| j == job) else {
-            return Err(format!("job {job} is in the baseline but not the new run"));
-        };
-        let delta_pct = 100.0 * (cur_ops - base_ops) / base_ops;
-        let _ = writeln!(
-            out,
-            "{job:<12}  {base_ops:>12.0}  {cur_ops:>12.0}  {delta_pct:>+7.1}%"
-        );
-        compared += 1;
-        if worst.as_ref().is_none_or(|(_, w)| delta_pct < *w) {
-            worst = Some((job.clone(), delta_pct));
-        }
-    }
-    if compared == 0 {
-        return Err("baseline has no jobs with throughput".into());
-    }
-    if let Some((job, delta)) = worst {
-        if delta < -max_regression_pct {
-            return Err(format!(
-                "{job} regressed {:.1}% (limit {max_regression_pct}%):\n{out}",
-                -delta
-            ));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,56 +297,5 @@ mod tests {
         // No supervision line at all when nothing needed supervising.
         let calm = summarize(&record("fig1", 0.5, None)).unwrap();
         assert!(!calm.contains("supervision"), "{calm}");
-    }
-
-    fn bench_doc(ffs: f64, realloc: f64) -> String {
-        format!(
-            "{{\"schema\":\"bench-aging-v1\",\"total_wall_s\":1.0,\"jobs\":[\
-             {{\"job\":\"age:ffs\",\"status\":\"ok\",\"wall_s\":0.2,\"ops\":100,\"ops_per_sec\":{ffs:.3}}},\
-             {{\"job\":\"age:realloc\",\"status\":\"ok\",\"wall_s\":0.3,\"ops\":100,\"ops_per_sec\":{realloc:.3}}},\
-             {{\"job\":\"fig1\",\"status\":\"ok\",\"wall_s\":0.1,\"ops\":0,\"ops_per_sec\":0.000}}]}}"
-        )
-    }
-
-    #[test]
-    fn baseline_comparison_passes_within_limit_and_fails_beyond() {
-        let base = bench_doc(1000.0, 2000.0);
-        // 10 % down on one job: inside a 20 % limit, outside a 5 % one.
-        let cur = bench_doc(900.0, 2100.0);
-        let table = compare_baseline(&cur, &base, 20.0).expect("within limit");
-        assert!(table.contains("age:ffs"), "{table}");
-        assert!(table.contains("-10.0%"), "{table}");
-        let err = compare_baseline(&cur, &base, 5.0).unwrap_err();
-        assert!(err.contains("age:ffs regressed 10.0%"), "{err}");
-        // Improvements never fail, whatever the limit.
-        assert!(compare_baseline(&bench_doc(5000.0, 9000.0), &base, 0.0).is_ok());
-    }
-
-    #[test]
-    fn baseline_comparison_gates_every_throughput_job() {
-        // Not just the age:* replays — any job reporting ops/sec (the
-        // profile sweeps, snapshot validation, ...) is held to the gate.
-        let doc = |profiles: f64| {
-            format!(
-                "{{\"schema\":\"bench-aging-v1\",\"total_wall_s\":1.0,\"jobs\":[\
-                 {{\"job\":\"age:ffs\",\"status\":\"ok\",\"wall_s\":0.2,\"ops\":100,\"ops_per_sec\":1000.000}},\
-                 {{\"job\":\"profiles\",\"status\":\"ok\",\"wall_s\":0.3,\"ops\":100,\"ops_per_sec\":{profiles:.3}}}]}}"
-            )
-        };
-        let base = doc(4000.0);
-        let table = compare_baseline(&doc(4100.0), &base, 20.0).expect("within limit");
-        assert!(table.contains("profiles"), "{table}");
-        let err = compare_baseline(&doc(2000.0), &base, 20.0).unwrap_err();
-        assert!(err.contains("profiles regressed 50.0%"), "{err}");
-    }
-
-    #[test]
-    fn baseline_comparison_rejects_missing_jobs_and_bad_docs() {
-        let base = bench_doc(1000.0, 2000.0);
-        let missing = "{\"schema\":\"bench-aging-v1\",\"total_wall_s\":0.1,\"jobs\":[\
-             {\"job\":\"age:ffs\",\"status\":\"ok\",\"wall_s\":0.2,\"ops\":100,\"ops_per_sec\":999.0}]}";
-        assert!(compare_baseline(missing, &base, 20.0).is_err());
-        assert!(compare_baseline("{}", &base, 20.0).is_err());
-        assert!(compare_baseline(&base, "not json", 20.0).is_err());
     }
 }

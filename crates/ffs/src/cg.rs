@@ -948,30 +948,6 @@ impl CylGroup {
             .map(|(block, frag)| FragRun { block, frag, len })
     }
 
-    /// Like [`CylGroup::find_frag_run`] but restricted to partially
-    /// allocated blocks (the `cg_frsum`-guided search). Kept for the
-    /// frugal-fragments ablation.
-    pub fn find_frag_run_partial_only(&self, from: u32, len: u32) -> Option<FragRun> {
-        debug_assert!(len >= 1 && len < self.fpb);
-        // The fragment summary knows whether any partial block holds a
-        // run this long.
-        if self.derived.frsum[(len - 1) as usize..]
-            .iter()
-            .all(|&n| n == 0)
-        {
-            return None;
-        }
-        let start = if from >= self.nblocks {
-            self.meta_blocks
-        } else {
-            from
-        };
-        let pick = |lane: u8| first_zero_run(lane, self.fpb, len);
-        self.scan_partial_lanes(start, self.nblocks, pick)
-            .or_else(|| self.scan_partial_lanes(0, start, pick))
-            .map(|(block, frag)| FragRun { block, frag, len })
-    }
-
     /// Best-fit fragment search guided by the fragment summary — the
     /// `allocsiz` loop of `ffs_alloccg` followed by `ffs_mapsearch`: the
     /// smallest run size `k >= len` with a live `frsum` bucket is chosen
@@ -1281,23 +1257,6 @@ fn run_mask(frag: u32, len: u32) -> u8 {
     (((1u16 << len) - 1) << frag) as u8
 }
 
-/// First position of a run of at least `len` zero bits within the low
-/// `fpb` bits of `byte`.
-fn first_zero_run(byte: u8, fpb: u32, len: u32) -> Option<u32> {
-    let mut run = 0u32;
-    for i in 0..fpb {
-        if byte & (1 << i) == 0 {
-            run += 1;
-            if run >= len {
-                return Some(i + 1 - len);
-            }
-        } else {
-            run = 0;
-        }
-    }
-    None
-}
-
 /// First position of a *maximal* run of exactly `len` zero bits within
 /// the low `fpb` bits of `byte` — bounded by set bits or the lane edges,
 /// matching what the fragment summary counts.
@@ -1450,20 +1409,6 @@ mod tests {
     }
 
     #[test]
-    fn frag_run_partial_only_skips_free_blocks() {
-        let (_, mut cg) = group();
-        let m = cg.meta_blocks();
-        cg.alloc_frags(m + 2, 0, 2);
-        let run = cg
-            .find_frag_run_partial_only(m, 3)
-            .expect("fragment block exists");
-        assert_eq!(run.block, m + 2);
-        assert!(cg.is_block_free(m), "free block must not be taken");
-        cg.free_frag_run(m + 2, 0, 2);
-        assert!(cg.find_frag_run_partial_only(m, 1).is_none());
-    }
-
-    #[test]
     fn frag_run_respects_length() {
         let (_, mut cg) = group();
         let m = cg.meta_blocks();
@@ -1528,9 +1473,6 @@ mod tests {
     fn run_mask_and_zero_run_helpers() {
         assert_eq!(run_mask(0, 8), 0xFF);
         assert_eq!(run_mask(2, 3), 0b0001_1100);
-        assert_eq!(first_zero_run(0b0001_1100, 8, 2), Some(0));
-        assert_eq!(first_zero_run(0b0001_1111, 8, 3), Some(5));
-        assert_eq!(first_zero_run(0xFF, 8, 1), None);
     }
 
     #[test]

@@ -292,12 +292,10 @@ impl Filesystem {
             mtime_day: day,
         };
         let res = write_blocks(&mut eng, &mut meta, dcg, size);
-        // Indirect blocks count as metadata as soon as they are
-        // allocated, on either outcome — the historical accounting.
         let fpb = self.geom.fpb;
-        self.used_meta_frags += meta.indirects.len() as u64 * fpb as u64;
         match res {
             Ok(()) => {
+                self.used_meta_frags += meta.indirects.len() as u64 * fpb as u64;
                 if let Some((opt, scored)) = meta.layout_counts_at(fpb) {
                     self.agg.opt += opt;
                     self.agg.scored += scored;
@@ -898,10 +896,15 @@ mod tests {
         let big = f.create(d, capacity * 9 / 10, 0).unwrap();
         let free_before = f.free_frags();
         let files_before = f.nfiles();
+        let util_before = f.utilization();
+        // A fifth of the volume does not fit in the tenth that is left,
+        // and runs out well past lbn 12 — after an indirect block.
         let err = f.create(d, capacity / 5, 0).unwrap_err();
         assert!(matches!(err, FsError::NoSpace { .. }));
         assert_eq!(f.free_frags(), free_before, "rollback must free space");
         assert_eq!(f.nfiles(), files_before);
+        assert_eq!(f.utilization(), util_before, "rollback must uncount it");
+        assert_eq!(crate::check(&f), []);
         f.remove(big).unwrap();
     }
 

@@ -69,10 +69,6 @@ pub struct FleetOptions {
     /// Enables observability and writes the captured metrics to this
     /// path as `metrics.json`.
     pub metrics: Option<String>,
-    /// Renders a live `shards done / total + ETA` line on stderr while
-    /// the fleet ages. Off by default; output files are byte-identical
-    /// either way.
-    pub progress: bool,
 }
 
 impl Default for FleetOptions {
@@ -90,7 +86,6 @@ impl Default for FleetOptions {
             resume_run: None,
             chaos_kill: None,
             metrics: None,
-            progress: false,
         }
     }
 }
@@ -167,10 +162,7 @@ impl FleetSummary {
 /// from the percentile pools) rather than aborting the fleet; the
 /// summary and the synthetic `fleet` journal record carry the damage.
 pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
-    // `--progress` rides on the observability counters, so it force-
-    // enables them; exhibits are byte-identical with obs on or off, so
-    // the flag can never change an output file.
-    if opts.metrics.is_some() || opts.progress {
+    if opts.metrics.is_some() {
         obs::reset();
         obs::set_enabled(true);
     }
@@ -244,48 +236,10 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
         );
     }
 
-    // The live progress line: a monitor thread reads the global
-    // `fleet.shards_done` counter and `fleet.shard_wall_us` histogram —
-    // the same instruments `--metrics` captures — and rewrites one
-    // stderr line until the engine drains. Stderr only; no output file
-    // sees a byte of it.
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let monitor = opts.progress.then(|| {
-        let stop = Arc::clone(&stop);
-        let total = opts.shards as u64;
-        let workers = opts.worker_count().max(1) as f64;
-        std::thread::spawn(move || {
-            use std::sync::atomic::Ordering;
-            let done_ctr = obs::registry().counter("fleet.shards_done");
-            let wall_hist = obs::registry().histogram("fleet.shard_wall_us", obs::bounds::TIME_US);
-            loop {
-                let done = done_ctr.get().min(total);
-                let eta = match wall_hist.count() {
-                    0 => "?".into(),
-                    n => {
-                        let avg_us = wall_hist.sum() as f64 / n as f64;
-                        let left = avg_us * (total - done) as f64 / workers / 1e6;
-                        format!("{left:.0}s")
-                    }
-                };
-                eprint!("\rfleet: {done}/{total} shards done, eta {eta}    ");
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(200));
-            }
-            eprintln!();
-        })
-    });
     let run = {
         let _fleet_span = obs::span!("fleet");
-        run_jobs(jobs, opts.worker_count())
+        run_jobs(jobs, opts.worker_count())?
     };
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    if let Some(h) = monitor {
-        let _ = h.join();
-    }
-    let run = run?;
     let wall = t0.elapsed().as_secs_f64();
     // Merge the group accumulators into the root, in index order
     // (though any order renders the same bytes — merge is commutative).
@@ -312,8 +266,8 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
         .filter(|r| r.metrics.notes.iter().any(|(k, _)| k == "quarantined"))
         .count() as u32;
 
-    // One synthetic fleet-level record so `harness report` and the bench
-    // gate see the whole fleet as a job (ops/sec = fleet throughput).
+    // One synthetic fleet-level record so `harness report` sees the
+    // whole fleet as a job.
     let mut fleet_metrics = Metrics {
         ops: Some(accum.total_ops()),
         ..Metrics::default()
@@ -356,10 +310,8 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
     write("runs.jsonl", &jsonl)?;
     write("fleet_layout.tsv", &layout_tsv)?;
     write("fleet_freefrag.tsv", &freefrag_tsv)?;
-    if opts.metrics.is_some() || opts.progress {
-        obs::set_enabled(false);
-    }
     if let Some(path) = &opts.metrics {
+        obs::set_enabled(false);
         let snap = obs::take_snapshot();
         fs::write(path, snap.to_json()).map_err(|e| format!("write {path}: {e}"))?;
     }

@@ -19,7 +19,7 @@
 //! ([`ffs_types::record`]), sealed like `exp`'s `.aged` artifacts:
 //!
 //! ```text
-//! # fleet shard artifact v2
+//! # fleet shard artifact v3
 //! key <16-hex content address>
 //! policy <orig|realloc>
 //! days <N>

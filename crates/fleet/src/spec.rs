@@ -20,8 +20,9 @@ use crate::sampler::SplitMix64;
 
 /// Version of the shard provenance and artifact format. Bumping it
 /// invalidates every cached shard checkpoint at once. v2 added the
-/// defragmentation draw to the shard menu.
-pub const FLEET_FORMAT_VERSION: u32 = 2;
+/// defragmentation draw to the shard menu; v3 follows the fix that
+/// stopped a failed create from inflating the recorded utilization.
+pub const FLEET_FORMAT_VERSION: u32 = 3;
 
 /// Volume sizes the sampler draws from, in megabytes. All are small
 /// multiples of the test geometry so a large fleet stays cheap while

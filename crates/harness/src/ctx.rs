@@ -51,8 +51,6 @@ pub struct Options {
     pub shards: u32,
     /// `fleet` only: master seed the per-shard draws derive from.
     pub fleet_seed: u64,
-    /// `fleet` only: render a live shards-done/ETA line on stderr.
-    pub progress: bool,
 }
 
 impl Default for Options {
@@ -73,7 +71,6 @@ impl Default for Options {
             chaos_kill: None,
             shards: 64,
             fleet_seed: 7,
-            progress: false,
         }
     }
 }

@@ -23,7 +23,7 @@ use crate::ctx::{Options, Shared};
 use crate::experiments;
 
 /// The exhibits `all` runs, in the order their output is emitted.
-/// `sweep` (the maxcontig ablation) is runnable by name but excluded
+/// `sweep` (the ablations exhibit) is runnable by name but excluded
 /// from `all`, as before the engine existed.
 pub const EXHIBITS: &[&str] = &[
     "table1",
@@ -40,9 +40,9 @@ pub const EXHIBITS: &[&str] = &[
 ];
 
 /// Experiments runnable by name but excluded from `all`: the maxcontig
-/// ablation, the defragmentation Pareto frontier, and the small-file
-/// fragment-packing sweep, all of which age far more volumes than the
-/// paper exhibits need.
+/// and realloc-variant ablations, the defragmentation Pareto frontier,
+/// and the small-file fragment-packing sweep, all of which age far more
+/// volumes than the paper exhibits need.
 pub const NAMED_ONLY: &[&str] = &["sweep", "pareto", "smallfile"];
 
 /// Whether `name` is an experiment the driver can run.

@@ -26,14 +26,11 @@
 //! it. `-q`/`--quiet` silences the per-experiment progress lines on
 //! stderr without changing any output file.
 //!
-//! `report` summarizes `<out>/runs.jsonl` and writes a machine-readable
-//! `BENCH_aging.json` (wall time per job, replay ops/sec) to the
-//! current directory; `report --profile` additionally renders the span
-//! profile from `<out>/metrics.json` (or the `--metrics` path).
-//! `report --baseline PATH` compares the fresh `BENCH_aging.json`
-//! against a committed one and fails when any `age:*` job's ops/sec
-//! regresses more than `--max-regression PCT` (default 20) — the CI
-//! bench-smoke gate.
+//! `report` summarizes `<out>/runs.jsonl` (wall time, cache outcome and
+//! replayed operations per job); `report --profile` additionally
+//! renders the span profile from `<out>/metrics.json` (or the
+//! `--metrics` path). It writes no file. Throughput is measured by
+//! `ffsbench` (`benchmark/README.md`), not here.
 //!
 //! `smallfile` ages the small-file profile family (news spool, maildir,
 //! build tree — sizes skewed below one block) on a small fragment-heavy
@@ -46,6 +43,11 @@
 //! `all` runs every exhibit (`sweep`, `pareto`, and `smallfile` excluded), reporting
 //! per-experiment status on stderr plus a one-line degradation summary,
 //! and exiting non-zero iff any experiment did not produce its exhibit.
+//!
+//! `sweep` is the ablations exhibit: one generated workload (at most
+//! 120 days) aged under the realloc policy at six `maxcontig` values,
+//! then under the four first-fit/best-fit × split/no-split variants of
+//! the cluster search — final layout score per row, no golden.
 //!
 //! `pareto` ages the workload under every defragmentation policy
 //! (greedy worst-file-first, rebuild-on-threshold, background scrub) ×
@@ -63,11 +65,9 @@
 //! constant-memory percentile accumulators. It writes
 //! `fleet_layout.tsv` and `fleet_freefrag.tsv` (p50/p90/p99 by day per
 //! policy) plus `runs.jsonl` with one record per shard and a synthetic
-//! `fleet` record for the bench gate. Roughly a quarter of the shards
+//! `fleet` record for the whole run. Roughly a quarter of the shards
 //! draw a daily defragmentation pass from the policy menu on top of
-//! their allocation policy. `--progress` renders a live
-//! `shards done / total + ETA` line on stderr (off by default; output
-//! files are byte-identical either way). Finished shards checkpoint their
+//! their allocation policy. Finished shards checkpoint their
 //! sample series in the artifact store, so rerunning a killed fleet —
 //! optionally with `--resume-run` pointing at the dead run's journal —
 //! re-ages only the missing shards. Worker count never changes an
@@ -92,9 +92,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: harness <table1|fig1|fig2|fig3|fig4|fig5|fig6|table2|freespace|snapval|profiles|sweep|pareto|smallfile|all|fleet|report> \
          [--days N] [--seed S] [--out DIR] [--jobs N] [--cache-dir DIR] [--no-cache] \
-         [--metrics PATH] [-q|--quiet] [--profile] [--baseline PATH] [--max-regression PCT] \
+         [--metrics PATH] [-q|--quiet] [--profile] \
          [--max-retries N] [--job-deadline-ops N] [--resume-run PATH] \
-         [--chaos-seed N] [--chaos-kill NAME] [--shards N] [--fleet-seed S] [--progress]"
+         [--chaos-seed N] [--chaos-kill NAME] [--shards N] [--fleet-seed S]"
     );
     std::process::exit(2);
 }
@@ -109,8 +109,6 @@ fn main() -> ExitCode {
         opts.days = 30;
     }
     let mut profile = false;
-    let mut baseline: Option<String> = None;
-    let mut max_regression = 20.0f64;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--days" => {
@@ -149,15 +147,6 @@ fn main() -> ExitCode {
             "--profile" => {
                 profile = true;
             }
-            "--baseline" => {
-                baseline = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--max-regression" => {
-                max_regression = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--max-retries" => {
                 opts.max_retries = args
                     .next()
@@ -195,13 +184,10 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--progress" => {
-                opts.progress = true;
-            }
             _ => usage(),
         }
     }
-    match run(&cmd, &opts, profile, baseline.as_deref(), max_regression) {
+    match run(&cmd, &opts, profile) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -211,12 +197,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn report(
-    opts: &Options,
-    profile: bool,
-    baseline: Option<&str>,
-    max_regression: f64,
-) -> Result<(), String> {
+fn report(opts: &Options, profile: bool) -> Result<(), String> {
     let path = std::path::Path::new(&opts.out_dir).join("runs.jsonl");
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("read {}: {e} (run an experiment first)", path.display()))?;
@@ -230,23 +211,9 @@ fn report(
                 .map_err(|e| format!("read {prior_path}: {e}"))?;
             format!("{prior}\n{text}")
         }
-        None => text.clone(),
+        None => text,
     };
     print!("{}", exp::summarize(&summarized)?);
-    let bench = exp::bench_json(&text)?;
-    std::fs::write("BENCH_aging.json", &bench)
-        .map_err(|e| format!("write BENCH_aging.json: {e}"))?;
-    if !opts.quiet {
-        eprintln!("harness: wrote BENCH_aging.json");
-    }
-    if let Some(bpath) = baseline {
-        let base = std::fs::read_to_string(bpath).map_err(|e| format!("read {bpath}: {e}"))?;
-        let table = exp::compare_baseline(&bench, &base, max_regression)?;
-        print!("{table}");
-        if !opts.quiet {
-            eprintln!("harness: throughput within {max_regression}% of {bpath}");
-        }
-    }
     if profile {
         let mpath = match &opts.metrics {
             Some(p) => std::path::PathBuf::from(p),
@@ -282,7 +249,6 @@ fn run_fleet(opts: &Options) -> Result<bool, String> {
         resume_run: opts.resume_run.clone(),
         chaos_kill: opts.chaos_kill.clone(),
         metrics: opts.metrics.clone(),
-        progress: opts.progress,
     })?;
     print!("{}", summary.layout_tsv);
     println!();
@@ -297,15 +263,9 @@ fn run_fleet(opts: &Options) -> Result<bool, String> {
     Ok(summary.all_ok())
 }
 
-fn run(
-    cmd: &str,
-    opts: &Options,
-    profile: bool,
-    baseline: Option<&str>,
-    max_regression: f64,
-) -> Result<bool, String> {
+fn run(cmd: &str, opts: &Options, profile: bool) -> Result<bool, String> {
     if cmd == "report" {
-        report(opts, profile, baseline, max_regression)?;
+        report(opts, profile)?;
         return Ok(true);
     }
     if cmd == "fleet" {

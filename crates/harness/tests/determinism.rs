@@ -146,6 +146,62 @@ fn smallfile_matches_committed_golden_and_ignores_worker_count() {
 }
 
 #[test]
+fn sweep_blocks_age_the_same_workload_and_ignore_worker_count() {
+    // `sweep` has no golden; its two blocks check each other instead.
+    // The default variant of the second block (`bestfit_split`) is the
+    // default cluster size of the first (`maxcontig = 7`): same
+    // parameters, same workload, same replay options, so the two rows
+    // must agree to the printed digit.
+    let base = std::env::temp_dir().join(format!("harness-sweep-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let run = |jobs: usize| -> String {
+        let out = base.join(format!("j{jobs}"));
+        let mut o = opts(&out, jobs);
+        o.days = 5;
+        let summary = driver::run(&o, &["sweep"]).expect("driver runs");
+        assert!(summary.all_ok(), "sweep failed");
+        fs::read_to_string(out.join("sweep.tsv")).expect("tsv written")
+    };
+    let got = run(1);
+    let blocks: Vec<Vec<(&str, &str)>> = got
+        .trim_end()
+        .split("\n\n")
+        .map(|block| {
+            block
+                .lines()
+                .skip(2) // title, column header
+                .map(|row| row.split_once('\t').expect("two columns"))
+                .collect()
+        })
+        .collect();
+    let [by_maxcontig, by_variant] = blocks.as_slice() else {
+        panic!("sweep.tsv must hold two blocks:\n{got}");
+    };
+    let labels: Vec<&str> = by_variant.iter().map(|(label, _)| *label).collect();
+    assert_eq!(
+        labels,
+        [
+            "bestfit_split",
+            "bestfit_nosplit",
+            "firstfit_split",
+            "firstfit_nosplit"
+        ]
+    );
+    for (label, score) in by_maxcontig.iter().chain(by_variant) {
+        let v: f64 = score.parse().expect("layout score");
+        assert!((0.0..=1.0).contains(&v), "{label}: {score}");
+    }
+    let default_cluster = by_maxcontig.iter().find(|(m, _)| *m == "7").expect("row 7");
+    assert_eq!(by_variant[0].1, default_cluster.1, "{got}");
+    assert_eq!(
+        got,
+        run(4),
+        "sweep.tsv differs between --jobs 1 and --jobs 4"
+    );
+    let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
 fn no_cache_disables_the_store() {
     let out = std::env::temp_dir().join(format!("harness-nocache-{}", std::process::id()));
     let _ = fs::remove_dir_all(&out);

@@ -1,9 +1,9 @@
 //! The workspace's one JSON reader and writer.
 //!
 //! The environment is offline (no serde), so every JSON document the
-//! workspace emits — `metrics.json`, the `runs.jsonl` journal,
-//! `BENCH_aging.json` — is written by hand with a fixed field order and
-//! [`push_str`] as the only string escaper, and read back through
+//! workspace emits — `metrics.json`, the `runs.jsonl` journal — is
+//! written by hand with a fixed field order and [`push_str`] as the
+//! only string escaper, and read back through
 //! [`parse`]: a recursive-descent reader of objects, arrays, strings and
 //! numbers that walks the text once.
 

@@ -338,7 +338,6 @@ fn formats() -> &'static [Format] {
                         let _ = exp::RunRecord::field_num(t, field);
                     }
                     let _ = exp::summarize(t);
-                    let _ = exp::bench_json(t);
                     exp::RunRecord::field_str(t, "job")
                         .map(|_| t.to_string())
                         .ok_or_else(|| "not a run record".to_string())
