@@ -9,9 +9,8 @@
 //! writes are unbuffered, so a back-to-back sequential write stream loses
 //! most of a rotation per request.
 
-use ffs_types::{DiskParams, FsError};
+use ffs_types::DiskParams;
 
-use crate::fault::{FaultInjector, FaultPlan};
 use crate::geometry::Geometry;
 use crate::seek::SeekCurve;
 use crate::trace::{IoTrace, TraceEvent};
@@ -46,15 +45,6 @@ pub struct DeviceStats {
     pub rot_wait_us: f64,
     /// Total media streaming time, in microseconds.
     pub stream_time_us: f64,
-    /// Transient (retryable) device errors injected.
-    pub transient_errors: u64,
-    /// Retries performed, across transient errors and latent-defect
-    /// discovery.
-    pub retries: u64,
-    /// Sectors remapped to spares after a latent defect.
-    pub remaps: u64,
-    /// Time lost to retries (one revolution each), in microseconds.
-    pub retry_time_us: f64,
 }
 
 impl DeviceStats {
@@ -71,10 +61,6 @@ impl DeviceStats {
         self.seek_time_us += other.seek_time_us;
         self.rot_wait_us += other.rot_wait_us;
         self.stream_time_us += other.stream_time_us;
-        self.transient_errors = self.transient_errors.saturating_add(other.transient_errors);
-        self.retries = self.retries.saturating_add(other.retries);
-        self.remaps = self.remaps.saturating_add(other.remaps);
-        self.retry_time_us += other.retry_time_us;
     }
 }
 
@@ -105,7 +91,6 @@ pub struct Device {
     stats: DeviceStats,
     buffer_sectors: u64,
     trace: Option<IoTrace>,
-    faults: Option<FaultInjector>,
 }
 
 impl Device {
@@ -122,21 +107,7 @@ impl Device {
             stats: DeviceStats::default(),
             buffer_sectors,
             trace: None,
-            faults: None,
         }
-    }
-
-    /// Installs a fault plan: subsequent I/O may suffer transient errors
-    /// (retried at one revolution each) and latent bad sectors (retried,
-    /// then remapped to a spare at the end of the volume). Replaces any
-    /// previously installed plan and its accumulated remap table.
-    pub fn inject_faults(&mut self, plan: &FaultPlan) {
-        self.faults = Some(FaultInjector::new(plan, self.geom.total_sectors()));
-    }
-
-    /// The active fault state, when a plan is installed.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
     }
 
     /// Enables request tracing with a bounded event buffer; pass 0 to
@@ -204,120 +175,7 @@ impl Device {
 
     /// Services a read of `sectors` sectors at `lba`; returns the request
     /// latency in microseconds and advances the clock to completion.
-    ///
-    /// Panics on an unrecoverable device error, which only a fault plan
-    /// with an exhausted spare pool (or an absurd transient rate) can
-    /// produce; fault-aware callers use [`Device::try_read`].
     pub fn read(&mut self, lba: u64, sectors: u32) -> f64 {
-        self.try_read(lba, sectors)
-            .expect("unrecoverable device read error")
-    }
-
-    /// Fallible read: like [`Device::read`], but an access that exhausts
-    /// its retries with no spare sector left surfaces as [`FsError::Io`].
-    pub fn try_read(&mut self, lba: u64, sectors: u32) -> Result<f64, FsError> {
-        self.try_io(IoKind::Read, lba, sectors)
-    }
-
-    /// Fallible write: like [`Device::write`], but an access that
-    /// exhausts its retries with no spare sector left surfaces as
-    /// [`FsError::Io`].
-    pub fn try_write(&mut self, lba: u64, sectors: u32) -> Result<f64, FsError> {
-        self.try_io(IoKind::Write, lba, sectors)
-    }
-
-    /// Common fault-handling path: splits the request into physically
-    /// contiguous runs under the remap table, then services each run with
-    /// bounded retry and remap-on-latent-defect.
-    fn try_io(&mut self, kind: IoKind, lba: u64, sectors: u32) -> Result<f64, FsError> {
-        let Some(mut inj) = self.faults.take() else {
-            return Ok(match kind {
-                IoKind::Read => self.service_read(lba, sectors),
-                IoKind::Write => self.service_write(lba, sectors),
-            });
-        };
-        let start = self.now;
-        let result = (|| {
-            for (run_lba, run_n) in inj.physical_runs(lba, sectors) {
-                self.service_run(&mut inj, kind, run_lba, run_n)?;
-            }
-            Ok(self.now - start)
-        })();
-        self.faults = Some(inj);
-        result
-    }
-
-    /// Services one physically contiguous run, discovering and remapping
-    /// any latent bad sectors inside it.
-    fn service_run(
-        &mut self,
-        inj: &mut FaultInjector,
-        kind: IoKind,
-        mut lba: u64,
-        mut n: u32,
-    ) -> Result<(), FsError> {
-        while n > 0 {
-            match inj.first_latent_in(lba, n) {
-                None => {
-                    self.attempt_with_retries(inj, kind, lba, n)?;
-                    return Ok(());
-                }
-                Some(off) => {
-                    // The clean prefix streams normally; the bad sector
-                    // burns the full retry budget, grows a remap, and is
-                    // serviced from its spare.
-                    if off > 0 {
-                        self.attempt_with_retries(inj, kind, lba, off)?;
-                    }
-                    let bad = lba + off as u64;
-                    self.charge_retries(inj.max_retries());
-                    let write = matches!(kind, IoKind::Write);
-                    let spare = inj.grow_remap(bad).ok_or(FsError::Io { lba: bad, write })?;
-                    self.stats.remaps = self.stats.remaps.saturating_add(1);
-                    self.attempt_with_retries(inj, kind, spare, 1)?;
-                    lba = bad + 1;
-                    n -= off + 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One media access with transient errors retried up to the budget.
-    fn attempt_with_retries(
-        &mut self,
-        inj: &mut FaultInjector,
-        kind: IoKind,
-        lba: u64,
-        n: u32,
-    ) -> Result<(), FsError> {
-        let mut failures = 0;
-        while inj.roll_transient() {
-            self.stats.transient_errors = self.stats.transient_errors.saturating_add(1);
-            failures += 1;
-            if failures > inj.max_retries() {
-                let write = matches!(kind, IoKind::Write);
-                return Err(FsError::Io { lba, write });
-            }
-            self.charge_retries(1);
-        }
-        match kind {
-            IoKind::Read => self.service_read(lba, n),
-            IoKind::Write => self.service_write(lba, n),
-        };
-        Ok(())
-    }
-
-    /// Charges `n` retry revolutions to the clock and the retry counters.
-    fn charge_retries(&mut self, n: u32) {
-        let rev = self.geom.params().rev_time_us();
-        self.stats.retries = self.stats.retries.saturating_add(n as u64);
-        self.stats.retry_time_us += n as f64 * rev;
-        self.now += n as f64 * rev;
-    }
-
-    /// The fault-free read path.
-    fn service_read(&mut self, lba: u64, sectors: u32) -> f64 {
         debug_assert!(sectors > 0);
         debug_assert!(lba + sectors as u64 <= self.geom.total_sectors());
         let start = self.now;
@@ -442,16 +300,7 @@ impl Device {
     /// Writes invalidate the read-ahead buffer and always pay full
     /// mechanical positioning: the drive has no write cache, which is what
     /// makes back-to-back sequential writes lose a rotation (Section 5.1).
-    ///
-    /// Panics on an unrecoverable device error; fault-aware callers use
-    /// [`Device::try_write`].
     pub fn write(&mut self, lba: u64, sectors: u32) -> f64 {
-        self.try_write(lba, sectors)
-            .expect("unrecoverable device write error")
-    }
-
-    /// The fault-free write path.
-    fn service_write(&mut self, lba: u64, sectors: u32) -> f64 {
         debug_assert!(sectors > 0);
         debug_assert!(lba + sectors as u64 <= self.geom.total_sectors());
         let start = self.now;
@@ -498,13 +347,6 @@ impl Device {
     /// host overhead before each request — the I/O path the Section 5
     /// benchmarks exercise.
     pub fn transfer(&mut self, kind: IoKind, lba: u64, bytes: u64) -> f64 {
-        self.try_transfer(kind, lba, bytes)
-            .expect("unrecoverable device error mid-transfer")
-    }
-
-    /// Fallible [`Device::transfer`]: the first unrecoverable request
-    /// aborts the remainder and surfaces as [`FsError::Io`].
-    pub fn try_transfer(&mut self, kind: IoKind, lba: u64, bytes: u64) -> Result<f64, FsError> {
         debug_assert!(bytes > 0);
         let start = self.now;
         let ssz = self.geom.params().sector_size as u64;
@@ -514,10 +356,13 @@ impl Device {
         while off < total_sectors {
             let n = (total_sectors - off).min(max_sectors) as u32;
             self.advance(self.geom.params().host_overhead_us);
-            self.try_io(kind, lba + off, n)?;
+            match kind {
+                IoKind::Read => self.read(lba + off, n),
+                IoKind::Write => self.write(lba + off, n),
+            };
             off += n as u64;
         }
-        Ok(self.now - start)
+        self.now - start
     }
 }
 
@@ -696,100 +541,6 @@ mod tests {
         assert!(!t.slowest().unwrap().buffer_hit);
         d.enable_trace(0);
         assert!(d.trace().is_none());
-    }
-
-    #[test]
-    fn transient_faults_cost_revolutions_and_count() {
-        use crate::fault::FaultPlan;
-        let mut clean = dev();
-        let mut faulty = dev();
-        faulty.inject_faults(&FaultPlan::new(3).transient_rate(0.3));
-        let t_clean = clean.transfer(IoKind::Read, 0, MB);
-        let t_faulty = faulty.transfer(IoKind::Read, 0, MB);
-        let s = faulty.stats();
-        assert!(s.transient_errors > 0, "no transient errors at 30% rate");
-        assert_eq!(s.transient_errors, s.retries);
-        assert!(s.retry_time_us > 0.0);
-        assert!(
-            t_faulty > t_clean,
-            "retries were free: {t_faulty:.0} vs {t_clean:.0} us"
-        );
-        assert_eq!(s.remaps, 0);
-    }
-
-    #[test]
-    fn latent_sector_is_remapped_once_and_perturbs_contiguity() {
-        use crate::fault::FaultPlan;
-        let mut d = dev();
-        d.inject_faults(&FaultPlan::new(1).bad_sector(64).spare_sectors(256));
-        // First pass discovers the defect: full retry budget, then remap.
-        d.transfer(IoKind::Read, 0, 128 * 1024);
-        assert_eq!(d.stats().remaps, 1);
-        let retries_after_discovery = d.stats().retries;
-        assert!(retries_after_discovery >= 3);
-        let inj = d.fault_injector().unwrap();
-        assert_eq!(inj.remap_table().len(), 1);
-        assert_eq!(inj.latent_remaining(), 0);
-        // Second pass over the same range: the defect is gone, but the
-        // request now splits around the spare — slower than a clean
-        // device reading the same bytes, with no further retries.
-        let t_remapped = d.transfer(IoKind::Read, 0, 128 * 1024);
-        assert_eq!(d.stats().retries, retries_after_discovery);
-        let mut clean = dev();
-        clean.transfer(IoKind::Read, 0, 128 * 1024);
-        let t_clean = clean.transfer(IoKind::Read, 0, 128 * 1024);
-        assert!(
-            t_remapped > t_clean,
-            "remap hid the discontinuity: {t_remapped:.0} vs {t_clean:.0} us"
-        );
-    }
-
-    #[test]
-    fn spare_exhaustion_surfaces_as_io_error() {
-        use crate::fault::FaultPlan;
-        let mut d = dev();
-        d.inject_faults(
-            &FaultPlan::new(1)
-                .bad_sector(8)
-                .bad_sector(9)
-                .spare_sectors(1),
-        );
-        assert!(d.try_write(0, 16).is_err());
-        match d.try_read(8, 4) {
-            Err(ffs_types::FsError::Io { .. }) => {}
-            other => panic!("expected Io error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fault_runs_are_deterministic_per_seed() {
-        use crate::fault::FaultPlan;
-        let plan = FaultPlan::new(77).transient_rate(0.1).latent_sectors(8);
-        let mut a = dev();
-        let mut b = dev();
-        a.inject_faults(&plan);
-        b.inject_faults(&plan);
-        for lba in [0u64, 40_000, 9_000, 1_000_000] {
-            a.transfer(IoKind::Read, lba, 256 * 1024);
-            b.transfer(IoKind::Read, lba, 256 * 1024);
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(
-            a.fault_injector().unwrap().remap_table(),
-            b.fault_injector().unwrap().remap_table()
-        );
-    }
-
-    #[test]
-    fn noop_plan_changes_nothing() {
-        use crate::fault::FaultPlan;
-        let mut plain = dev();
-        let mut planned = dev();
-        planned.inject_faults(&FaultPlan::new(5));
-        let t0 = plain.transfer(IoKind::Read, 0, MB);
-        let t1 = planned.transfer(IoKind::Read, 0, MB);
-        assert_eq!(t0, t1);
-        assert_eq!(plain.stats(), planned.stats());
     }
 
     #[test]

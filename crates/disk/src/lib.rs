@@ -37,14 +37,12 @@
 //! ```
 
 pub mod device;
-pub mod fault;
 pub mod geometry;
 pub mod raw;
 pub mod seek;
 pub mod trace;
 
 pub use device::{Device, DeviceStats, IoKind};
-pub use fault::{classify_error, ErrorClass, FaultInjector, FaultPlan};
 pub use geometry::{Chs, Geometry};
 pub use raw::{raw_read_throughput, raw_write_throughput, RawSweep};
 pub use seek::SeekCurve;

@@ -6,7 +6,7 @@
 //! how many workers exist — cannot change any job's output. That is the
 //! property the harness's determinism tests pin down: `--jobs 4`
 //! produces byte-identical exhibits to `--jobs 1`, and the same holds on
-//! the failure paths (retry counts, outcomes, and backoff accounting).
+//! the failure paths (outcomes, errors, and skip causes).
 //!
 //! Failure is contained, not fatal, in layers:
 //!
@@ -16,13 +16,7 @@
 //!   The lock itself is poison-tolerant as a second line of defense, so
 //!   surviving workers always drain the remaining independent subgraph.
 //! * **Typed failures** — jobs return [`JobError`], which separates
-//!   transient failures (the PR 1 fault layer's `FsError::Io`) from
-//!   permanent ones and from deadline cancellations.
-//! * **Deterministic retry with backoff** — a [`JobPolicy`] grants a
-//!   bounded number of retries to transient failures. The backoff
-//!   schedule is *simulated*: units derived from the job id and attempt
-//!   number via FNV-1a, recorded in the run record, never slept. Worker
-//!   count therefore still cannot change output bytes.
+//!   deterministic failures from deadline cancellations.
 //! * **Deadlines** — a per-job operation budget materializes as an
 //!   [`aging::CancelToken`] handed to the job through [`JobCtx`]; work
 //!   that threads it into `aging::replay` is cut off cooperatively at a
@@ -36,18 +30,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use aging::CancelToken;
-use disk::ErrorClass;
 use ffs_types::FsError;
 
-use crate::key::fnv1a;
 use crate::record::{Metrics, RunRecord};
 
 /// A typed job failure, classified for the supervisor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobError {
-    /// Retry-eligible: a rerun may succeed (device I/O faults).
-    Transient(String),
-    /// Deterministic failure; retrying would reproduce it.
+    /// Deterministic failure; rerunning the job would reproduce it.
     Fatal(String),
     /// The job's cancellation token fired (op budget exceeded).
     Deadline {
@@ -65,19 +55,14 @@ pub enum JobError {
 }
 
 impl JobError {
-    /// Classifies a file-system error using the fault layer's taxonomy:
-    /// `FsError::Io` is transient, `FsError::Cancelled` is a deadline,
-    /// everything else is fatal.
+    /// Classifies a file-system error: `FsError::Cancelled` is a
+    /// deadline, everything else is fatal.
     pub fn from_fs(e: &FsError) -> JobError {
-        match disk::classify_error(e) {
-            ErrorClass::Transient => JobError::Transient(e.to_string()),
-            ErrorClass::Cancelled => match e {
-                FsError::Cancelled { after_ops } => JobError::Deadline {
-                    after_ops: *after_ops,
-                },
-                _ => JobError::Deadline { after_ops: 0 },
+        match e {
+            FsError::Cancelled { after_ops } => JobError::Deadline {
+                after_ops: *after_ops,
             },
-            ErrorClass::Permanent => JobError::Fatal(e.to_string()),
+            _ => JobError::Fatal(e.to_string()),
         }
     }
 }
@@ -85,7 +70,6 @@ impl JobError {
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JobError::Transient(e) => write!(f, "transient: {e}"),
             JobError::Fatal(e) => write!(f, "{e}"),
             JobError::Deadline { after_ops } => {
                 write!(f, "deadline exceeded after {after_ops} operations")
@@ -109,21 +93,9 @@ impl From<&str> for JobError {
     }
 }
 
-/// Per-job supervision policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JobPolicy {
-    /// Retries granted to transient failures (0 = fail on first error).
-    pub max_retries: u32,
-    /// Operation budget per attempt, enforced through the job's
-    /// [`CancelToken`] (0 = no deadline).
-    pub deadline_ops: u64,
-}
-
 /// The work function of a job: consumes its dependencies' outputs
 /// through [`JobCtx`], reports measurements into [`JobCtx::metrics`].
-/// `FnMut` rather than `FnOnce` so the supervisor can re-invoke it on a
-/// transient failure.
-pub type JobFn<T> = Box<dyn FnMut(&mut JobCtx<'_, T>) -> Result<T, JobError> + Send>;
+pub type JobFn<T> = Box<dyn FnOnce(&mut JobCtx<'_, T>) -> Result<T, JobError> + Send>;
 
 /// One node of the DAG.
 pub struct JobSpec<T> {
@@ -133,39 +105,33 @@ pub struct JobSpec<T> {
     pub deps: Vec<String>,
     /// The work.
     pub run: JobFn<T>,
-    /// Retry and deadline policy.
-    pub policy: JobPolicy,
+    /// Operation budget, enforced through the job's [`CancelToken`]
+    /// (0 = no deadline).
+    pub deadline_ops: u64,
 }
 
 impl<T> JobSpec<T> {
-    /// Convenience constructor (default policy: no retries, no deadline).
+    /// Convenience constructor (no deadline).
     pub fn new<F>(id: &str, deps: &[&str], run: F) -> JobSpec<T>
     where
-        F: FnMut(&mut JobCtx<'_, T>) -> Result<T, JobError> + Send + 'static,
+        F: FnOnce(&mut JobCtx<'_, T>) -> Result<T, JobError> + Send + 'static,
     {
         JobSpec {
             id: id.to_string(),
             deps: deps.iter().map(|d| d.to_string()).collect(),
             run: Box::new(run),
-            policy: JobPolicy::default(),
+            deadline_ops: 0,
         }
-    }
-
-    /// Sets the supervision policy.
-    pub fn with_policy(mut self, policy: JobPolicy) -> JobSpec<T> {
-        self.policy = policy;
-        self
     }
 }
 
 /// What a running job sees: its dependencies' outputs, its record's
-/// metrics section, which attempt this is, and its cancellation token.
+/// metrics section, and its cancellation token.
 pub struct JobCtx<'a, T> {
     job: &'a str,
     deps: Vec<(&'a str, Arc<T>)>,
     /// Measurements merged into the job's [`RunRecord`].
     pub metrics: &'a mut Metrics,
-    attempt: u32,
     cancel: CancelToken,
 }
 
@@ -197,13 +163,7 @@ impl<T> JobCtx<'_, T> {
             })
     }
 
-    /// Which attempt this is (0 on the first run, `n` on the n-th
-    /// retry). Deterministic inputs may key behavior off it.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    /// The job's cancellation token for this attempt. Long-running work
+    /// The job's cancellation token. Long-running work
     /// threads it into `aging::ReplayOptions::cancel` so the deadline
     /// can cut it off at a checkpoint boundary.
     pub fn cancel_token(&self) -> CancelToken {
@@ -216,7 +176,7 @@ impl<T> JobCtx<'_, T> {
 pub enum JobOutcome<T> {
     /// The job ran and produced its output.
     Ok(Arc<T>),
-    /// The job ran and returned an error (retries, if any, exhausted).
+    /// The job ran and returned an error.
     Failed(String),
     /// The job's body panicked; the payload message is preserved.
     Panicked(String),
@@ -281,7 +241,7 @@ struct Pending<T> {
     id: String,
     deps: Vec<String>,
     run: Option<JobFn<T>>,
-    policy: JobPolicy,
+    deadline_ops: u64,
     waiting_on: usize,
     dependents: Vec<usize>,
 }
@@ -306,14 +266,16 @@ fn lock<'a, T>(m: &'a Mutex<Shared<T>>) -> MutexGuard<'a, Shared<T>> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The deterministic simulated-backoff schedule: exponential base with
-/// FNV-1a jitter derived from the job id and attempt number. Units are
-/// *recorded*, never slept, so the schedule is byte-identical for any
-/// worker count and costs no wall time.
-pub fn backoff_units(job: &str, attempt: u32) -> u64 {
-    let base = 1u64 << attempt.min(16);
-    let jitter = fnv1a(format!("{job}#{attempt}").as_bytes()) % base.max(1);
-    base + jitter
+/// The worker-pool size for a `jobs` option: the explicit count, or —
+/// for 0 — one worker per core, capped at 8.
+pub fn worker_count(jobs: usize) -> usize {
+    if jobs > 0 {
+        return jobs;
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
 }
 
 /// Renders a panic payload for the record.
@@ -358,7 +320,7 @@ pub fn run_jobs<T: Send + Sync + 'static>(
             id: j.id,
             deps: j.deps,
             run: Some(j.run),
-            policy: j.policy,
+            deadline_ops: j.deadline_ops,
             dependents: Vec::new(),
         })
         .collect();
@@ -471,7 +433,7 @@ fn worker_loop<T: Send + Sync>(shared: &Mutex<Shared<T>>, cond: &Condvar) {
         };
         let id = guard.jobs[i].id.clone();
         let dep_names = guard.jobs[i].deps.clone();
-        let policy = guard.jobs[i].policy;
+        let deadline_ops = guard.jobs[i].deadline_ops;
         // A dependency that did not produce output skips this job, with
         // the cause recorded.
         let mut blocked = None;
@@ -493,7 +455,7 @@ fn worker_loop<T: Send + Sync>(shared: &Mutex<Shared<T>>, cond: &Condvar) {
                 }
             }
         }
-        let mut run = guard.jobs[i]
+        let run = guard.jobs[i]
             .run
             .take()
             .expect("invariant: each job is dispatched exactly once");
@@ -515,85 +477,48 @@ fn worker_loop<T: Send + Sync>(shared: &Mutex<Shared<T>>, cond: &Condvar) {
         } else {
             drop(guard);
             let t0 = Instant::now();
-            let mut attempt = 0u32;
-            let mut backoff = 0u64;
-            let (outcome, metrics) = loop {
-                let token = if policy.deadline_ops > 0 {
-                    CancelToken::with_op_budget(policy.deadline_ops)
+            let mut metrics = Metrics::default();
+            let mut ctx = JobCtx {
+                job: &id,
+                deps: dep_names.iter().map(String::as_str).zip(dep_vals).collect(),
+                metrics: &mut metrics,
+                cancel: if deadline_ops > 0 {
+                    CancelToken::with_op_budget(deadline_ops)
                 } else {
                     CancelToken::unlimited()
-                };
-                let mut metrics = Metrics::default();
-                let mut ctx = JobCtx {
-                    job: &id,
-                    deps: dep_names
-                        .iter()
-                        .map(String::as_str)
-                        .zip(dep_vals.iter().cloned())
-                        .collect(),
-                    metrics: &mut metrics,
-                    attempt,
-                    cancel: token,
-                };
-                // The job body is arbitrary user code: a panic here must
-                // become a typed outcome, not a poisoned engine.
-                let result = {
-                    let _job_span = obs::span::enter(&format!("job:{id}"));
-                    catch_unwind(AssertUnwindSafe(|| run(&mut ctx)))
-                };
-                match result {
-                    Err(payload) => {
-                        obs::counter!("exp.jobs_panicked", 1);
-                        break (
-                            JobOutcome::Panicked(format!("panic: {}", panic_message(payload))),
-                            metrics,
-                        );
-                    }
-                    Ok(Ok(v)) => break (JobOutcome::Ok(Arc::new(v)), metrics),
-                    Ok(Err(JobError::Transient(e))) => {
-                        if attempt < policy.max_retries {
-                            backoff += backoff_units(&id, attempt);
-                            attempt += 1;
-                            obs::counter!("exp.retries", 1);
-                            continue;
-                        }
-                        break (
-                            JobOutcome::Failed(format!(
-                                "transient failure persisted through {} attempts: {e}",
-                                attempt + 1
-                            )),
-                            metrics,
-                        );
-                    }
-                    Ok(Err(JobError::Deadline { after_ops })) => {
-                        obs::counter!("exp.deadline_cancels", 1);
-                        break (
-                            JobOutcome::TimedOut(format!(
-                                "deadline exceeded after {after_ops} operations (budget {})",
-                                policy.deadline_ops
-                            )),
-                            metrics,
-                        );
-                    }
-                    Ok(Err(e @ JobError::UndeclaredDep { .. })) => {
-                        break (JobOutcome::Failed(e.to_string()), metrics)
-                    }
-                    Ok(Err(JobError::Fatal(e))) => break (JobOutcome::Failed(e), metrics),
-                }
+                },
             };
-            let wall_s = t0.elapsed().as_secs_f64();
-            obs::hist!("exp.attempts", obs::bounds::ATTEMPTS, attempt as u64 + 1);
-            if matches!(outcome, JobOutcome::Ok(_)) {
-                obs::counter!("exp.jobs_ok", 1);
-            }
+            // The job body is arbitrary user code: a panic here must
+            // become a typed outcome, not a poisoned engine.
+            let result = {
+                let _job_span = obs::span::enter(&format!("job:{id}"));
+                catch_unwind(AssertUnwindSafe(|| run(&mut ctx)))
+            };
+            let outcome = match result {
+                Err(payload) => {
+                    obs::counter!("exp.jobs_panicked", 1);
+                    JobOutcome::Panicked(format!("panic: {}", panic_message(payload)))
+                }
+                Ok(Ok(v)) => {
+                    obs::counter!("exp.jobs_ok", 1);
+                    JobOutcome::Ok(Arc::new(v))
+                }
+                Ok(Err(JobError::Deadline { after_ops })) => {
+                    obs::counter!("exp.deadline_cancels", 1);
+                    JobOutcome::TimedOut(format!(
+                        "deadline exceeded after {after_ops} operations (budget {deadline_ops})"
+                    ))
+                }
+                Ok(Err(e)) => JobOutcome::Failed(e.to_string()),
+            };
             let record = RunRecord {
                 job: id,
                 deps: dep_names,
                 status: outcome.status().into(),
                 error: outcome.err().map(str::to_string),
-                wall_s,
-                attempts: attempt + 1,
-                backoff_units: backoff,
+                wall_s: t0.elapsed().as_secs_f64(),
+                attempts: 0,
+                backoff_units: 0,
                 metrics,
             };
             guard = lock(shared);
@@ -632,7 +557,6 @@ mod tests {
             assert_eq!(run.outcomes["d"].ok(), Some(&110));
             assert_eq!(run.records.len(), 4);
             assert!(run.records.iter().all(|r| r.status == "ok"));
-            assert!(run.records.iter().all(|r| r.attempts == 1));
             let ids: Vec<&str> = run.records.iter().map(|r| r.job.as_str()).collect();
             assert_eq!(ids, ["a", "b", "c", "d"], "records sorted by id");
         }
@@ -680,50 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_with_deterministic_backoff() {
-        let make = || -> Vec<JobSpec<u64>> {
-            vec![JobSpec::new("flaky", &[], |c: &mut JobCtx<'_, u64>| {
-                if c.attempt() < 2 {
-                    Err(JobError::Transient("injected".into()))
-                } else {
-                    Ok(c.attempt() as u64)
-                }
-            })
-            .with_policy(JobPolicy {
-                max_retries: 3,
-                deadline_ops: 0,
-            })]
-        };
-        let a = run_jobs(make(), 1).unwrap();
-        let b = run_jobs(make(), 4).unwrap();
-        for run in [&a, &b] {
-            assert_eq!(run.outcomes["flaky"].ok(), Some(&2));
-            let r = &run.records[0];
-            assert_eq!(r.attempts, 3, "two retries then success");
-            assert_eq!(
-                r.backoff_units,
-                backoff_units("flaky", 0) + backoff_units("flaky", 1)
-            );
-        }
-        assert_eq!(a.records[0].attempts, b.records[0].attempts);
-        assert_eq!(a.records[0].backoff_units, b.records[0].backoff_units);
-
-        // An exhausted retry budget fails with the attempt count.
-        let hopeless: Vec<JobSpec<u64>> = vec![JobSpec::new("down", &[], |_| {
-            Err(JobError::Transient("still down".into()))
-        })
-        .with_policy(JobPolicy {
-            max_retries: 2,
-            deadline_ops: 0,
-        })];
-        let run = run_jobs(hopeless, 1).unwrap();
-        let r = &run.records[0];
-        assert_eq!(r.status, "failed");
-        assert_eq!(r.attempts, 3);
-        assert!(r.error.as_deref().unwrap().contains("3 attempts"));
-    }
-
-    #[test]
     fn undeclared_dependency_is_a_typed_failure_not_a_panic() {
         let jobs: Vec<JobSpec<u64>> = vec![
             JobSpec::new("a", &[], |_| Ok(1)),
@@ -740,17 +620,16 @@ mod tests {
     #[test]
     fn deadline_outcome_is_typed_and_contained() {
         let jobs: Vec<JobSpec<u64>> = vec![
-            JobSpec::new("slow", &[], |c: &mut JobCtx<'_, u64>| {
-                // Simulate a replay loop honoring its token.
-                let token = c.cancel_token();
-                token.charge(500);
-                token.checkpoint().map_err(|e| JobError::from_fs(&e))?;
-                Ok(1)
-            })
-            .with_policy(JobPolicy {
-                max_retries: 0,
+            JobSpec {
                 deadline_ops: 100,
-            }),
+                ..JobSpec::new("slow", &[], |c: &mut JobCtx<'_, u64>| {
+                    // Simulate a replay loop honoring its token.
+                    let token = c.cancel_token();
+                    token.charge(500);
+                    token.checkpoint().map_err(|e| JobError::from_fs(&e))?;
+                    Ok(1)
+                })
+            },
             JobSpec::new("after", &["slow"], |c| Ok(*c.dep("slow")?)),
         ];
         let run = run_jobs(jobs, 2).unwrap();
@@ -813,15 +692,5 @@ mod tests {
         for i in 0..50u64 {
             assert_eq!(run.outcomes[&format!("leaf{i:02}")].ok(), Some(&(7 + i)));
         }
-    }
-
-    #[test]
-    fn backoff_schedule_is_stable_and_grows() {
-        assert_eq!(backoff_units("j", 5), backoff_units("j", 5));
-        // Attempt 0 has base 1 and no jitter room; from attempt 1 on the
-        // jitter separates ids.
-        assert_ne!(backoff_units("j", 5), backoff_units("k", 5), "id-jittered");
-        // Base doubles per attempt, so the schedule grows overall.
-        assert!(backoff_units("j", 8) > backoff_units("j", 2));
     }
 }

@@ -10,9 +10,8 @@
 //!   every figure whose inputs are ready) run concurrently; outputs are
 //!   identical for any worker count because jobs are pure functions of
 //!   their declared dependencies. Failure is contained: panics become
-//!   typed [`engine::JobOutcome::Panicked`] records, transient failures
-//!   retry on a deterministic simulated-backoff schedule, deadlines
-//!   cancel runaway jobs cooperatively, and dependents of anything that
+//!   typed [`engine::JobOutcome::Panicked`] records, deadlines cancel
+//!   runaway jobs cooperatively, and dependents of anything that
 //!   did not produce output are recorded `skipped` while every
 //!   independent job still completes.
 //! * [`store`] — a content-addressed on-disk artifact store. An aged
@@ -35,10 +34,8 @@ pub mod record;
 pub mod report;
 pub mod store;
 
-pub use engine::{
-    backoff_units, run_jobs, EngineRun, JobCtx, JobError, JobOutcome, JobPolicy, JobSpec,
-};
+pub use engine::{run_jobs, worker_count, EngineRun, JobCtx, JobError, JobOutcome, JobSpec};
 pub use key::{aged_key, fnv1a, AgedKey, FORMAT_VERSION};
 pub use record::{prior_ok, CacheStatus, Metrics, RunRecord};
 pub use report::summarize;
-pub use store::{age_cached, parse_aged, render_aged, AgedRun, ArtifactStore};
+pub use store::{age_cached, cache_path, parse_aged, render_aged, AgedRun, ArtifactStore};

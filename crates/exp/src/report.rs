@@ -9,8 +9,6 @@ struct Row {
     cache: String,
     wall_s: f64,
     ops: f64,
-    attempts: f64,
-    records: u64,
     quarantined: Option<String>,
 }
 
@@ -38,10 +36,9 @@ fn num_or(rec: &Value, field: &str, default: f64) -> f64 {
 ///
 /// A journal may hold several records for the same job — a resumed run
 /// concatenated onto the journal it resumed from, or reruns appended by
-/// other tooling. Those aggregate into one row per key: attempt counts,
-/// wall time, and op counts sum across the records (so retries spent in
-/// an earlier, interrupted run still show), while status and cache come
-/// from the latest record — the run that finally settled the job.
+/// other tooling. Those aggregate into one row per key: wall time and
+/// op counts sum across the records, while status and cache come from
+/// the latest record — the run that finally settled the job.
 pub fn summarize(jsonl: &str) -> Result<String, String> {
     use std::fmt::Write as _;
     let mut rows: Vec<Row> = Vec::new();
@@ -61,8 +58,6 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
                     cache: "-".into(),
                     wall_s: 0.0,
                     ops: 0.0,
-                    attempts: 0.0,
-                    records: 0,
                     quarantined: None,
                 });
                 rows.last_mut().expect("row just pushed")
@@ -72,8 +67,6 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
         row.cache = str_or(&rec, "cache", "-");
         row.wall_s += num_or(&rec, "wall_s", 0.0);
         row.ops += num_or(&rec, "ops", 0.0);
-        row.attempts += num_or(&rec, "attempts", 1.0);
-        row.records += 1;
         if let Some(path) = rec.get("quarantined").and_then(Value::as_str) {
             row.quarantined = Some(path.to_string());
         }
@@ -109,13 +102,6 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
         .filter(|r| r.cache == "miss" || r.cache == "corrupt")
         .count();
     let failed = rows.iter().filter(|r| r.status != "ok").count();
-    // A skipped job records 0 attempts; everything that ran records at
-    // least 1 per record, so attempts beyond the record count are
-    // retries — including retries spent in earlier runs of the key.
-    let retries: u64 = rows
-        .iter()
-        .map(|r| (r.attempts.max(r.records as f64) - r.records as f64) as u64)
-        .sum();
     let panicked = rows.iter().filter(|r| r.status == "panicked").count();
     let timeouts = rows.iter().filter(|r| r.status == "timeout").count();
     let quarantined = rows.iter().filter(|r| r.quarantined.is_some()).count();
@@ -134,11 +120,10 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
         total,
         rows.len()
     );
-    if retries + (panicked + timeouts + quarantined) as u64 > 0 {
+    if panicked + timeouts + quarantined > 0 {
         let _ = write!(
             out,
-            "supervision: {retries} retries; {panicked} panicked; {timeouts} timed out; \
-             {quarantined} quarantined"
+            "supervision: {panicked} panicked; {timeouts} timed out; {quarantined} quarantined"
         );
         if quarantined > 0 {
             let other = quarantined - q_aged - q_shard;
@@ -165,7 +150,7 @@ mod tests {
             status: "ok".into(),
             error: None,
             wall_s: wall,
-            attempts: 1,
+            attempts: 0,
             backoff_units: 0,
             metrics: Metrics {
                 cache,
@@ -200,37 +185,20 @@ mod tests {
 
     #[test]
     fn repeated_keys_aggregate_attempts_across_runs() {
-        // The shape of a resumed run: the prior journal's record (three
-        // attempts, then failure) concatenated with the rerun's record
-        // (one attempt, success). The summary must show one row carrying
-        // all four attempts — three of them retries — with the latest
-        // status and cache winning.
-        let prior = {
-            let mut r = RunRecord {
-                job: "age:ffs".into(),
-                deps: vec![],
-                status: "failed".into(),
-                error: Some("transient".into()),
-                wall_s: 2.0,
-                attempts: 3,
-                backoff_units: 7,
-                metrics: Metrics {
-                    cache: Some(CacheStatus::Miss),
-                    ..Metrics::default()
-                },
-            };
-            r.metrics.ops = Some(100);
-            r.to_json()
-        };
+        // The shape of a resumed run: the prior journal's record (a
+        // PR 21-format line — `attempts`, `backoff_units` and a 13-key
+        // `device` object that today's readers ignore) concatenated with
+        // the rerun's record. The summary must show one row with the
+        // latest status and cache winning.
         let rerun = {
             let mut r = RunRecord {
-                job: "age:ffs".into(),
+                job: "fig4".into(),
                 deps: vec![],
                 status: "ok".into(),
                 error: None,
                 wall_s: 1.0,
-                attempts: 2,
-                backoff_units: 3,
+                attempts: 0,
+                backoff_units: 0,
                 metrics: Metrics {
                     cache: Some(CacheStatus::Hit),
                     ..Metrics::default()
@@ -239,17 +207,20 @@ mod tests {
             r.metrics.ops = Some(50);
             r.to_json()
         };
+        let prior = crate::record::PR21_LINE;
         let jsonl = format!("{prior}\n{rerun}");
         let s = summarize(&jsonl).unwrap();
-        assert_eq!(s.matches("age:ffs").count(), 1, "one row per key:\n{s}");
+        assert_eq!(s.matches("fig4").count(), 1, "one row per key:\n{s}");
         assert!(s.contains("over 1 jobs"), "{s}");
-        // 3 + 2 attempts over 2 records = 3 retries.
-        assert!(s.contains("supervision: 3 retries"), "{s}");
+        assert!(
+            !s.contains("supervision"),
+            "old retry counts are ignored:\n{s}"
+        );
         // Latest record settles status and cache; wall and ops sum.
         assert!(s.contains("ok"), "{s}");
         assert!(s.contains("hit"), "{s}");
-        assert!(s.contains("total 3.000s"), "{s}");
-        assert!(s.contains("150"), "{s}");
+        assert!(s.contains("total 2.250s"), "{s}");
+        assert!(s.contains("1284"), "{s}");
     }
 
     #[test]
@@ -260,7 +231,7 @@ mod tests {
             status: "ok".into(),
             error: None,
             wall_s: 1.0,
-            attempts: 1,
+            attempts: 0,
             backoff_units: 0,
             metrics: Metrics {
                 cache: Some(CacheStatus::Corrupt),
@@ -274,7 +245,7 @@ mod tests {
             status: "ok".into(),
             error: None,
             wall_s: 0.2,
-            attempts: 1,
+            attempts: 0,
             backoff_units: 0,
             metrics: Metrics {
                 cache: Some(CacheStatus::Corrupt),

@@ -303,6 +303,15 @@ fn read_aged(text: &str, key: &AgedKey) -> Result<(Head, Checkpoint), String> {
     Ok((head, ck))
 }
 
+/// Where a run's artifacts live: the explicit `cache_dir`, or
+/// `<out_dir>/cache` when unset.
+pub fn cache_path(cache_dir: Option<&str>, out_dir: &str) -> PathBuf {
+    match cache_dir {
+        Some(d) => PathBuf::from(d),
+        None => Path::new(out_dir).join("cache"),
+    }
+}
+
 /// Ages a file system, going through the artifact store when one is
 /// given: a valid cached image is reused (`cache: hit`), a missing one
 /// is built and saved (`miss`), and a damaged one is moved to
@@ -310,9 +319,8 @@ fn read_aged(text: &str, key: &AgedKey) -> Result<(Head, Checkpoint), String> {
 /// silently destroyed.
 ///
 /// Errors are typed for the supervisor: a replay cut off by a
-/// cancellation token surfaces as [`JobError::Deadline`], an injected
-/// device fault as [`JobError::Transient`], everything else as
-/// [`JobError::Fatal`].
+/// cancellation token surfaces as [`JobError::Deadline`], everything
+/// else as [`JobError::Fatal`].
 pub fn age_cached(
     store: Option<&ArtifactStore>,
     params: &FsParams,

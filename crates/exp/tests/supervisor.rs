@@ -1,40 +1,12 @@
-//! Chaos test for the supervised engine: one DAG where jobs panic,
-//! exceed their deadline, and fail transiently under a seeded fault
-//! plan — all at once. The supervisor must (a) complete every
-//! independent job, (b) type every failure, and (c) produce
-//! byte-identical retry counts and outcomes for any worker count.
+//! Chaos test for the supervised engine: one DAG where jobs panic and
+//! exceed their deadline at once. The supervisor must (a) complete
+//! every independent job, (b) type every failure, and (c) produce
+//! byte-identical records for any worker count.
 
 use aging::{generate, replay, AgingConfig, ReplayOptions};
-use disk::{Device, FaultPlan};
-use exp::{run_jobs, EngineRun, JobError, JobOutcome, JobPolicy, JobSpec};
+use exp::{run_jobs, EngineRun, JobError, JobOutcome, JobSpec};
 use ffs::AllocPolicy;
-use ffs_types::{DiskParams, FsParams};
-
-/// A job that writes through a fault-injecting device. The plan is
-/// seeded from the attempt number, so early attempts hit a transient
-/// I/O error deterministically and attempt 2 runs clean — the shape of
-/// a real flaky device that a bounded retry rides out.
-fn flaky_device_job(attempt: u32) -> Result<u64, JobError> {
-    let mut dev = Device::new(DiskParams::seagate_32430n());
-    if attempt < 2 {
-        // High fault rate, no device-level retries, no spares: the
-        // first write the plan marks faulty surfaces FsError::Io.
-        dev.inject_faults(
-            &FaultPlan::new(7 + attempt as u64)
-                .transient_rate(0.9)
-                .max_retries(0)
-                .spare_sectors(0),
-        );
-    }
-    let mut sectors = 0u64;
-    for lba in 0..200 {
-        match dev.try_write(lba * 16, 16) {
-            Ok(_) => sectors += 16,
-            Err(e) => return Err(JobError::from_fs(&e)),
-        }
-    }
-    Ok(sectors)
-}
+use ffs_types::FsParams;
 
 fn chaos_dag() -> Vec<JobSpec<u64>> {
     vec![
@@ -52,33 +24,26 @@ fn chaos_dag() -> Vec<JobSpec<u64>> {
         }),
         // A replay that blows through its op budget: cancelled at a day
         // boundary, typed as a timeout.
-        JobSpec::new("runaway", &[], |c| {
-            let params = FsParams::small_test();
-            let config = AgingConfig::small_test(10, 42);
-            let w = generate(&config, params.ncg, params.data_capacity_bytes());
-            let result = replay(
-                &w,
-                &params,
-                AllocPolicy::Realloc,
-                ReplayOptions {
-                    cancel: Some(c.cancel_token()),
-                    ..ReplayOptions::default()
-                },
-            )
-            .map_err(|e| JobError::from_fs(&e))?;
-            Ok(result.daily.len() as u64)
-        })
-        .with_policy(JobPolicy {
-            max_retries: 0,
+        JobSpec {
             deadline_ops: 50,
-        }),
+            ..JobSpec::new("runaway", &[], |c| {
+                let params = FsParams::small_test();
+                let config = AgingConfig::small_test(10, 42);
+                let w = generate(&config, params.ncg, params.data_capacity_bytes());
+                let result = replay(
+                    &w,
+                    &params,
+                    AllocPolicy::Realloc,
+                    ReplayOptions {
+                        cancel: Some(c.cancel_token()),
+                        ..ReplayOptions::default()
+                    },
+                )
+                .map_err(|e| JobError::from_fs(&e))?;
+                Ok(result.daily.len() as u64)
+            })
+        },
         JobSpec::new("after-runaway", &["runaway"], |c| Ok(*c.dep("runaway")?)),
-        // A transiently failing device job with enough retry budget.
-        JobSpec::new("flaky", &[], |c| flaky_device_job(c.attempt())).with_policy(JobPolicy {
-            max_retries: 3,
-            deadline_ops: 0,
-        }),
-        JobSpec::new("after-flaky", &["flaky"], |c| Ok(*c.dep("flaky")?)),
     ]
 }
 
@@ -87,12 +52,7 @@ fn chaos_dag() -> Vec<JobSpec<u64>> {
 fn fingerprint(run: &EngineRun<u64>) -> String {
     run.records
         .iter()
-        .map(|r| {
-            format!(
-                "{}|{:?}|{}|{:?}|{}|{}\n",
-                r.job, r.deps, r.status, r.error, r.attempts, r.backoff_units
-            )
-        })
+        .map(|r| format!("{}|{:?}|{}|{:?}\n", r.job, r.deps, r.status, r.error))
         .collect()
 }
 
@@ -105,14 +65,6 @@ fn chaos_dag_is_contained_and_deterministic() {
         // (a) Every independent job completed.
         assert_eq!(run.outcomes["root"].ok(), Some(&1));
         assert_eq!(run.outcomes["healthy"].ok(), Some(&2));
-        match &run.outcomes["flaky"] {
-            JobOutcome::Ok(_) => {}
-            other => panic!(
-                "flaky should succeed after retries, got {:?}",
-                other.status()
-            ),
-        }
-        assert!(run.outcomes["after-flaky"].ok().is_some());
 
         // The panic is typed and contained; its chain is skipped with
         // causes that name the culprit.
@@ -138,41 +90,9 @@ fn chaos_dag_is_contained_and_deterministic() {
             JobOutcome::Skipped(why) => assert!(why.contains("deadline"), "{why}"),
             other => panic!("expected Skipped, got {:?}", other.status()),
         }
-
-        // The flaky job actually exercised the retry path.
-        let flaky = run.records.iter().find(|r| r.job == "flaky").unwrap();
-        assert_eq!(flaky.attempts, 3, "two injected failures, then success");
-        assert!(flaky.backoff_units > 0);
     }
 
-    // (b) Retry counts, outcomes, errors, and backoff are byte-identical
-    // across worker counts.
+    // (b) Outcomes, errors, and skip causes are byte-identical across
+    // worker counts.
     assert_eq!(fingerprint(&single), fingerprint(&pooled));
-}
-
-#[test]
-fn exhausted_retries_fail_with_the_device_error() {
-    // No clean attempt ever comes: the budget runs out and the last
-    // transient error is reported, typed as a plain failure.
-    let make = || -> Vec<JobSpec<u64>> {
-        vec![
-            JobSpec::new("doomed", &[], |_| flaky_device_job(0)).with_policy(JobPolicy {
-                max_retries: 2,
-                deadline_ops: 0,
-            }),
-        ]
-    };
-    let run = run_jobs(make(), 2).unwrap();
-    let r = &run.records[0];
-    assert_eq!(r.status, "failed");
-    assert_eq!(r.attempts, 3);
-    assert!(
-        r.error.as_deref().unwrap().contains("3 attempts"),
-        "{:?}",
-        r.error
-    );
-    // Still deterministic when everything fails.
-    let again = run_jobs(make(), 1).unwrap();
-    assert_eq!(again.records[0].error, r.error);
-    assert_eq!(again.records[0].backoff_units, r.backoff_units);
 }

@@ -35,14 +35,6 @@ pub enum FsError {
     NoSuchDir(DirId),
     /// The caller passed an argument outside the legal range (`EINVAL`).
     InvalidArg(&'static str),
-    /// A device request failed permanently (`EIO`): the drive exhausted
-    /// its retries and had no spare sector left to remap to.
-    Io {
-        /// Logical block address of the failed request.
-        lba: u64,
-        /// True if the failed request was a write.
-        write: bool,
-    },
     /// On-disk state failed a consistency or format check and could not
     /// be interpreted — a checkpoint that does not parse, a snapshot
     /// naming a fragment outside the volume, and the like.
@@ -70,10 +62,6 @@ impl fmt::Display for FsError {
             FsError::NoSuchFile(ino) => write!(f, "no such file: {ino:?}"),
             FsError::NoSuchDir(dir) => write!(f, "no such directory: {dir:?}"),
             FsError::InvalidArg(what) => write!(f, "invalid argument: {what}"),
-            FsError::Io { lba, write } => {
-                let dir = if *write { "write" } else { "read" };
-                write!(f, "unrecoverable i/o error: {dir} at lba {lba}")
-            }
             FsError::Corrupt(what) => write!(f, "corrupt on-disk state: {what}"),
             FsError::Cancelled { after_ops } => {
                 write!(f, "cancelled after {after_ops} operations")
@@ -102,16 +90,6 @@ mod tests {
 
     #[test]
     fn io_and_corrupt_display_their_context() {
-        let e = FsError::Io {
-            lba: 4711,
-            write: true,
-        };
-        assert!(e.to_string().contains("write at lba 4711"));
-        let e = FsError::Io {
-            lba: 9,
-            write: false,
-        };
-        assert!(e.to_string().contains("read at lba 9"));
         let e = FsError::Corrupt("bad checkpoint header".into());
         assert!(e.to_string().contains("bad checkpoint header"));
         let e = FsError::Cancelled { after_ops: 512 };

@@ -116,19 +116,6 @@ impl FleetAccum {
         self.ops.observe(ops);
     }
 
-    /// Folds another accumulator (same horizon) into this one — the
-    /// merge half of a hierarchical aggregation.
-    pub fn merge_from(&self, other: &FleetAccum) {
-        assert_eq!(self.days, other.days, "merged fleets must share a horizon");
-        for (a, b) in self.layout.iter().zip(&other.layout) {
-            a.merge_from(b);
-        }
-        for (a, b) in self.freefrag.iter().zip(&other.freefrag) {
-            a.merge_from(b);
-        }
-        self.ops.merge_from(&other.ops);
-    }
-
     /// The (p50, p90, p99) of `metric` for `policy` on `day`, in
     /// original `[0, 1]` units. `None` when no shard of that policy has
     /// reached that day.
@@ -203,36 +190,24 @@ mod tests {
             (0..8).map(|i| series(4, 0.95 - 0.05 * i as f64)).collect();
         let forward = FleetAccum::new(4);
         let reverse = FleetAccum::new(4);
-        let halves = FleetAccum::new(4);
-        let lo = FleetAccum::new(4);
-        let hi = FleetAccum::new(4);
         for (i, s) in shards.iter().enumerate() {
             forward.fold(i % 2, s, 10 + i as u64);
-            if i < 4 {
-                lo.fold(i % 2, s, 10 + i as u64);
-            } else {
-                hi.fold(i % 2, s, 10 + i as u64);
-            }
         }
         for (i, s) in shards.iter().enumerate().rev() {
             reverse.fold(i % 2, s, 10 + i as u64);
         }
-        halves.merge_from(&lo);
-        halves.merge_from(&hi);
-        for acc in [&reverse, &halves] {
-            for day in 0..4 {
-                for policy in 0..POLICIES {
-                    for metric in [Metric::Layout, Metric::FreeFrag] {
-                        assert_eq!(
-                            acc.percentiles(metric, policy, day),
-                            forward.percentiles(metric, policy, day)
-                        );
-                    }
+        for day in 0..4 {
+            for policy in 0..POLICIES {
+                for metric in [Metric::Layout, Metric::FreeFrag] {
+                    assert_eq!(
+                        reverse.percentiles(metric, policy, day),
+                        forward.percentiles(metric, policy, day)
+                    );
                 }
             }
-            assert_eq!(acc.total_ops(), forward.total_ops());
-            assert_eq!(acc.shards_folded(), forward.shards_folded());
         }
+        assert_eq!(reverse.total_ops(), forward.total_ops());
+        assert_eq!(reverse.shards_folded(), forward.shards_folded());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The fleet driver: shards as a supervised job DAG, exhibits after.
 //!
 //! Every shard becomes one dependency-free job on the [`exp`] engine,
-//! inheriting its supervision whole: panic isolation, deterministic
-//! retry with simulated backoff, op-budget deadlines delivered through
-//! the replay's cancel token, and one structured record per shard in
-//! `runs.jsonl`.
+//! inheriting its supervision whole: panic isolation, op-budget
+//! deadlines delivered through the replay's cancel token, and one
+//! structured record per shard in `runs.jsonl`.
 //!
 //! Determinism with concurrency comes from splitting the run in two:
 //! while the engine is live, finished shards only *fold* into the
@@ -25,18 +24,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use exp::{run_jobs, ArtifactStore, CacheStatus, JobPolicy, JobSpec, Metrics, RunRecord};
+use exp::{run_jobs, ArtifactStore, CacheStatus, JobSpec, Metrics, RunRecord};
 
 use crate::accum::{policy_index, FleetAccum, Metric};
 use crate::exhibit;
 use crate::shard::run_shard;
 use crate::spec::FleetSpec;
-
-/// Group accumulators the shard folds spread over before the root
-/// merge. Fixed — never the worker count — so the grouping itself is
-/// deterministic, although merge commutativity already guarantees the
-/// rendered bytes for any grouping.
-const MERGE_GROUPS: u32 = 8;
 
 /// Options for one fleet run, mirroring the harness CLI flags.
 #[derive(Clone, Debug)]
@@ -55,8 +48,6 @@ pub struct FleetOptions {
     pub cache_dir: Option<String>,
     /// Disables shard checkpointing entirely.
     pub no_cache: bool,
-    /// Retries granted to transiently failing shards (0 = fail fast).
-    pub max_retries: u32,
     /// Per-shard operation budget; a replay that exceeds it is cancelled
     /// at the next day boundary (0 = no deadline).
     pub job_deadline_ops: u64,
@@ -81,7 +72,6 @@ impl Default for FleetOptions {
             out_dir: "fleet-results".into(),
             cache_dir: None,
             no_cache: false,
-            max_retries: 0,
             job_deadline_ops: 0,
             resume_run: None,
             chaos_kill: None,
@@ -93,21 +83,12 @@ impl Default for FleetOptions {
 impl FleetOptions {
     /// The worker-pool size the engine should use.
     pub fn worker_count(&self) -> usize {
-        if self.jobs > 0 {
-            return self.jobs;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
+        exp::worker_count(self.jobs)
     }
 
     /// Where shard checkpoints live.
     pub fn cache_path(&self) -> PathBuf {
-        match &self.cache_dir {
-            Some(d) => PathBuf::from(d),
-            None => PathBuf::from(&self.out_dir).join("cache"),
-        }
+        exp::cache_path(self.cache_dir.as_deref(), &self.out_dir)
     }
 }
 
@@ -167,16 +148,7 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
         obs::set_enabled(true);
     }
     let spec = FleetSpec::new(opts.shards, opts.fleet_seed, opts.days);
-    // Two-level aggregation: shards fold into a fixed set of group
-    // accumulators while the engine is live; the root merges the groups
-    // once it drains. Folding and merging are commutative, so the root
-    // ends up bit-identical to flat folding (the driver test pins this)
-    // while each group sees 1/MERGE_GROUPS of the fold contention.
     let accum = Arc::new(FleetAccum::new(opts.days));
-    let ngroups = MERGE_GROUPS.min(opts.shards).max(1);
-    let groups: Vec<Arc<FleetAccum>> = (0..ngroups)
-        .map(|_| Arc::new(FleetAccum::new(opts.days)))
-        .collect();
     let store = (!opts.no_cache).then(|| ArtifactStore::new(opts.cache_path()));
 
     // Shards a prior journal finished: their cache hits get a `resumed`
@@ -193,20 +165,19 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
         let shard = spec.shard(i);
         let jid = shard.job_id();
         let was_ok = prior_ok.contains(&jid);
-        let accum = Arc::clone(&groups[(i % ngroups) as usize]);
+        let accum = Arc::clone(&accum);
         let store = store.clone();
         let chaos = opts.chaos_kill.clone();
         let job_id = jid.clone();
-        jobs.push(
-            JobSpec::new(&job_id, &[], move |ctx| {
+        jobs.push(JobSpec {
+            deadline_ops: opts.job_deadline_ops,
+            ..JobSpec::new(&job_id, &[], move |ctx| {
                 if chaos.as_deref() == Some(jid.as_str()) {
                     panic!("chaos kill: {jid}");
                 }
                 let _shard_span = obs::span!("fleet:shard");
                 let wall = Instant::now();
                 let out = run_shard(store.as_ref(), &shard, Some(ctx.cancel_token()))?;
-                // Fold exactly once per shard: success terminates the
-                // job, and a failed attempt reaches none of this.
                 accum.fold(policy_index(shard.policy), &out.samples, out.ops);
                 obs::counter!("fleet.shards_done", 1);
                 obs::hist!(
@@ -229,11 +200,7 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
                 }
                 Ok(())
             })
-            .with_policy(JobPolicy {
-                max_retries: opts.max_retries,
-                deadline_ops: opts.job_deadline_ops,
-            }),
-        );
+        });
     }
 
     let run = {
@@ -241,11 +208,6 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
         run_jobs(jobs, opts.worker_count())?
     };
     let wall = t0.elapsed().as_secs_f64();
-    // Merge the group accumulators into the root, in index order
-    // (though any order renders the same bytes — merge is commutative).
-    for g in &groups {
-        accum.merge_from(g);
-    }
 
     let shards_ok = run.records.iter().filter(|r| r.status == "ok").count() as u32;
     let failures: Vec<(String, String)> = run
@@ -288,7 +250,7 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
         .into(),
         error: None,
         wall_s: wall,
-        attempts: 1,
+        attempts: 0,
         backoff_units: 0,
         metrics: fleet_metrics,
     };
@@ -333,10 +295,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn two_level_merge_matches_flat_folding() {
-        // The driver folds shards into MERGE_GROUPS group accumulators
-        // and merges them into the root; a sequential flat fold of the
-        // same shards must render the identical exhibits.
+    fn concurrent_fold_matches_sequential_fold() {
+        // Four workers fold shards into the one accumulator in whatever
+        // order they finish; a sequential fold of the same shards must
+        // render the identical exhibits.
         let dir = std::env::temp_dir().join(format!("fleet-merge-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let opts = FleetOptions {

@@ -5,11 +5,9 @@
 //! profile and length), prints the per-day summary, and optionally dumps
 //! the nightly snapshots in the text format `aging::Snapshot` parses.
 //!
-//! Robustness options exercise the full fault pipeline: a fault plan
-//! injects transient and latent sector errors into a post-aging media
-//! sweep of every live file (retries and spare-sector remaps are
-//! reported), a crash point simulates a power cut mid-replay followed by
-//! the repairing fsck, and checkpoints let a long run stop and resume.
+//! Robustness options: a crash point simulates a power cut mid-replay
+//! followed by the repairing fsck, and checkpoints let a long run stop
+//! and resume.
 //!
 //! ```text
 //! agefs [--days N] [--seed S] [--policy orig|realloc]
@@ -17,9 +15,12 @@
 //!       [--snapshots DIR] [--verify-every N]
 //!       [--crash-after-ops N] [--crash-seed S]
 //!       [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
-//!       [--fault-transient RATE] [--fault-latent N] [--fault-seed S]
 //!       [--metrics PATH] [-q|--quiet]
 //! ```
+//!
+//! `--checkpoint FILE` writes the last checkpoint taken (every day, or
+//! every `--checkpoint-every N` days) to `FILE`; the interval without a
+//! file to write to is a usage error.
 //!
 //! `--metrics PATH` enables the observability layer for the run and
 //! writes the captured counters, histograms, and span profile to `PATH`
@@ -29,13 +30,9 @@
 
 use std::process::ExitCode;
 
-use aging::{
-    generate, profiles, replay, resume, workload_stats, Checkpoint, ReplayOptions, ReplayResult,
-};
-use disk::{Device, FaultPlan};
+use aging::{generate, profiles, replay, resume, workload_stats, Checkpoint, ReplayOptions};
 use ffs::{check, AllocPolicy};
-use ffs_types::{DiskParams, FsParams};
-use iobench::FsDiskMap;
+use ffs_types::FsParams;
 
 struct Args {
     days: u32,
@@ -49,9 +46,6 @@ struct Args {
     checkpoint: Option<String>,
     checkpoint_every: u32,
     resume: Option<String>,
-    fault_transient: f64,
-    fault_latent: u32,
-    fault_seed: Option<u64>,
     metrics: Option<String>,
     quiet: bool,
 }
@@ -62,7 +56,6 @@ fn usage() -> ! {
          [--profile home|news|database|personal] [--snapshots DIR] \
          [--verify-every N] [--crash-after-ops N] [--crash-seed S] \
          [--checkpoint FILE] [--checkpoint-every N] [--resume FILE] \
-         [--fault-transient RATE] [--fault-latent N] [--fault-seed S] \
          [--metrics PATH] [-q|--quiet]"
     );
     std::process::exit(2);
@@ -81,9 +74,6 @@ fn parse_args() -> Args {
         checkpoint: None,
         checkpoint_every: 0,
         resume: None,
-        fault_transient: 0.0,
-        fault_latent: 0,
-        fault_seed: None,
         metrics: None,
         quiet: false,
     };
@@ -118,51 +108,16 @@ fn parse_args() -> Args {
             "--checkpoint" => args.checkpoint = Some(next("--checkpoint")),
             "--checkpoint-every" => args.checkpoint_every = parsed!("--checkpoint-every"),
             "--resume" => args.resume = Some(next("--resume")),
-            "--fault-transient" => args.fault_transient = parsed!("--fault-transient"),
-            "--fault-latent" => args.fault_latent = parsed!("--fault-latent"),
-            "--fault-seed" => args.fault_seed = Some(parsed!("--fault-seed")),
             "--metrics" => args.metrics = Some(next("--metrics")),
             "-q" | "--quiet" => args.quiet = true,
             _ => usage(),
         }
     }
+    if args.checkpoint_every > 0 && args.checkpoint.is_none() {
+        eprintln!("--checkpoint-every needs --checkpoint FILE to write to");
+        usage()
+    }
     args
-}
-
-/// Reads every live file through a fault-injecting device — the media
-/// sweep a scrubber (or a nervous operator) runs after a crash. Returns
-/// false when a file is unreadable even after retries and remapping.
-fn fault_sweep(result: &ReplayResult, params: &FsParams, plan: &FaultPlan, quiet: bool) -> bool {
-    let disk = DiskParams::seagate_32430n();
-    let map = FsDiskMap::new(params, disk.sector_size, 0);
-    let mut dev = Device::new(disk);
-    dev.inject_faults(plan);
-    let mut files = 0u64;
-    let mut failed = 0u64;
-    for f in result.fs.files() {
-        files += 1;
-        for (addr, frags) in f.chunks(params) {
-            if dev.try_read(map.lba(addr), map.sectors(frags)).is_err() {
-                failed += 1;
-                break;
-            }
-        }
-    }
-    let stats = dev.stats();
-    let inj = dev.fault_injector().expect("plan installed");
-    if !quiet {
-        eprintln!(
-            "# sweep: {files} files read, {failed} unreadable; \
-             {} transient errors, {} retries, {} remapped sectors \
-             ({} spares left), {:.1} ms lost to retries",
-            stats.transient_errors,
-            stats.retries,
-            stats.remaps,
-            inj.spares_remaining(),
-            stats.retry_time_us / 1000.0
-        );
-    }
-    failed == 0
 }
 
 fn main() -> ExitCode {
@@ -200,7 +155,7 @@ fn main() -> ExitCode {
         checkpoint_every_days: if args.checkpoint.is_some() {
             args.checkpoint_every.max(1)
         } else {
-            args.checkpoint_every
+            0
         },
         crash_after_ops: args.crash_after_ops,
         ..ReplayOptions::default()
@@ -310,13 +265,6 @@ fn main() -> ExitCode {
         for v in &violations {
             eprintln!("#   {v}");
         }
-        return ExitCode::FAILURE;
-    }
-    let plan = FaultPlan::new(args.fault_seed.unwrap_or(args.seed))
-        .transient_rate(args.fault_transient)
-        .latent_sectors(args.fault_latent);
-    if !plan.is_noop() && !fault_sweep(&result, &params, &plan, args.quiet) {
-        eprintln!("# sweep: unreadable files remain");
         return ExitCode::FAILURE;
     }
     if !args.quiet {

@@ -33,17 +33,12 @@ pub struct Options {
     /// Silences per-experiment progress chatter on stderr. Exhibit
     /// output (stdout and TSV files) is unchanged.
     pub quiet: bool,
-    /// Retries granted to transiently failing jobs (0 = fail fast).
-    pub max_retries: u32,
     /// Per-job operation budget; a replay that exceeds it is cancelled
     /// at the next day boundary (0 = no deadline).
     pub job_deadline_ops: u64,
     /// A prior `runs.jsonl` journal: exhibits it records as `ok` (whose
     /// TSVs still exist) are reloaded from disk instead of recomputed.
     pub resume_run: Option<String>,
-    /// Chaos hook: inject a deterministic, seed-derived number of
-    /// transient failures (at most `max_retries`) into every exhibit.
-    pub chaos_seed: Option<u64>,
     /// Chaos hook: the named exhibit panics, exercising panic isolation
     /// end to end.
     pub chaos_kill: Option<String>,
@@ -64,10 +59,8 @@ impl Default for Options {
             no_cache: false,
             metrics: None,
             quiet: false,
-            max_retries: 0,
             job_deadline_ops: 0,
             resume_run: None,
-            chaos_seed: None,
             chaos_kill: None,
             shards: 64,
             fleet_seed: 7,
@@ -78,21 +71,12 @@ impl Default for Options {
 impl Options {
     /// The worker-pool size the engine should use.
     pub fn worker_count(&self) -> usize {
-        if self.jobs > 0 {
-            return self.jobs;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
+        exp::worker_count(self.jobs)
     }
 
     /// Where aged-file-system artifacts live.
     pub fn cache_path(&self) -> PathBuf {
-        match &self.cache_dir {
-            Some(d) => PathBuf::from(d),
-            None => PathBuf::from(&self.out_dir).join("cache"),
-        }
+        exp::cache_path(self.cache_dir.as_deref(), &self.out_dir)
     }
 
     /// The paper's aging configuration at this option set's seed and

@@ -14,9 +14,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use aging::{ReplayOptions, ReplayResult};
-use exp::{
-    age_cached, fnv1a, ArtifactStore, JobCtx, JobError, JobOutcome, JobPolicy, JobSpec, RunRecord,
-};
+use exp::{age_cached, ArtifactStore, JobCtx, JobError, JobOutcome, JobSpec, RunRecord};
 use ffs::AllocPolicy;
 
 use crate::ctx::{Options, Shared};
@@ -128,33 +126,13 @@ fn as_aged(out: &JobOut) -> &ReplayResult {
     }
 }
 
-/// The supervision policy every DAG job runs under, from the CLI flags.
-fn policy_of(opts: &Options) -> JobPolicy {
-    JobPolicy {
-        max_retries: opts.max_retries,
-        deadline_ops: opts.job_deadline_ops,
-    }
-}
-
-/// The chaos hook: with `--chaos-seed`, every exhibit fails transiently
-/// a deterministic, name-derived number of times (never more than the
-/// retry budget, so a supervised run still converges); with
-/// `--chaos-kill NAME`, that exhibit panics. Both exist to exercise the
-/// supervisor end to end — CI runs them against a live DAG.
-fn chaos_gate(name: &str, opts: &Options, ctx: &JobCtx<'_, JobOut>) -> Result<(), JobError> {
+/// The chaos hook: with `--chaos-kill NAME`, that exhibit panics. It
+/// exists to exercise panic isolation end to end — CI runs it against a
+/// live DAG.
+fn chaos_gate(name: &str, opts: &Options) {
     if opts.chaos_kill.as_deref() == Some(name) {
         panic!("chaos kill: {name}");
     }
-    if let Some(seed) = opts.chaos_seed {
-        let planned = fnv1a(format!("{name}:{seed}").as_bytes()) % (opts.max_retries as u64 + 1);
-        if (ctx.attempt() as u64) < planned {
-            return Err(JobError::Transient(format!(
-                "chaos: injected failure {} of {planned} for {name}",
-                ctx.attempt() + 1
-            )));
-        }
-    }
-    Ok(())
 }
 
 fn aging_job(
@@ -171,7 +149,7 @@ fn aging_job(
         config = config.real_fs_variant();
     }
     let store = (!opts.no_cache).then(|| ArtifactStore::new(opts.cache_path()));
-    JobSpec::new(id, &[], move |ctx| {
+    let age = move |ctx: &mut JobCtx<'_, JobOut>| {
         let run = age_cached(
             store.as_ref(),
             &params,
@@ -181,7 +159,7 @@ fn aging_job(
                 // The job's deadline token rides into the replay so a
                 // runaway aging is cut off at a day boundary.
                 cancel: Some(ctx.cancel_token()),
-                defrag: defrag.clone(),
+                defrag,
                 ..ReplayOptions::default()
             },
         )?;
@@ -192,32 +170,32 @@ fn aging_job(
             ctx.metrics.note("quarantined", q.display());
         }
         Ok(JobOut::Aged(Box::new(run.result)))
-    })
-    .with_policy(policy_of(opts))
+    };
+    JobSpec {
+        deadline_ops: opts.job_deadline_ops,
+        ..JobSpec::new(id, &[], age)
+    }
 }
 
 /// A job that replays a previously produced exhibit from its TSV on
 /// disk — the `--resume-run` path. Dep-free, so the aging runs it would
 /// otherwise require drop out of the DAG entirely.
 fn resumed_job(name: &'static str, opts: &Options, path: PathBuf) -> JobSpec<JobOut> {
-    let policy = policy_of(opts);
     let opts = opts.clone();
     JobSpec::new(name, &[], move |ctx| {
-        chaos_gate(name, &opts, ctx)?;
+        chaos_gate(name, &opts);
         let tsv = fs::read_to_string(&path)
             .map_err(|e| JobError::Fatal(format!("resume {}: {e}", path.display())))?;
         ctx.metrics.note("resumed", "true");
         Ok(JobOut::Tsv(tsv))
     })
-    .with_policy(policy)
 }
 
 fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOut> {
     let sh = sh.clone();
-    let policy = policy_of(opts);
     let opts = opts.clone();
     JobSpec::new(name, deps_of(name), move |ctx| {
-        chaos_gate(name, &opts, ctx)?;
+        chaos_gate(name, &opts);
         let tsv = match name {
             "table1" => experiments::table1(&sh),
             "fig1" => experiments::fig1(aged(ctx, "age:ffs")?, aged(ctx, "age:realref")?),
@@ -256,7 +234,6 @@ fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOu
         }?;
         Ok(JobOut::Tsv(tsv))
     })
-    .with_policy(policy)
 }
 
 /// Outcome of one requested experiment.

@@ -5,8 +5,9 @@
 //! ```text
 //! harness <experiment>|all|report [--days N] [--seed S] [--out DIR]
 //!         [--jobs N] [--cache-dir DIR] [--no-cache] [--metrics PATH]
-//!         [-q|--quiet] [--profile] [--max-retries N]
-//!         [--job-deadline-ops N] [--resume-run PATH]
+//!         [-q|--quiet] [--profile] [--job-deadline-ops N]
+//!         [--resume-run PATH] [--chaos-kill NAME]
+//!         [--shards N] [--fleet-seed S]
 //! ```
 //!
 //! where `<experiment>` is one of `table1`, `fig1`, `fig2`, `fig3`,
@@ -73,15 +74,12 @@
 //! re-ages only the missing shards. Worker count never changes an
 //! output byte.
 //!
-//! The supervision flags: `--max-retries N` grants transiently failing
-//! jobs up to `N` deterministic retries (the backoff schedule is
-//! simulated, derived from the job id, and recorded — never slept);
-//! `--job-deadline-ops N` cancels any job that replays more than `N`
-//! operations at the next day boundary; `--resume-run PATH` replays a
-//! prior `runs.jsonl`, reloading exhibits it records as ok from their
-//! TSVs instead of recomputing them. `--chaos-seed N` and
-//! `--chaos-kill NAME` inject deterministic transient failures and one
-//! panic respectively — supervisor exercise for CI, not for normal use.
+//! The supervision flags: `--job-deadline-ops N` cancels any aging or
+//! fleet shard that replays more than `N` operations at the next day
+//! boundary; `--resume-run PATH` replays a prior `runs.jsonl`, reloading
+//! exhibits it records as ok from their TSVs instead of recomputing
+//! them. `--chaos-kill NAME` makes the named job panic — supervisor
+//! exercise for CI, not for normal use.
 
 use std::process::ExitCode;
 
@@ -93,8 +91,8 @@ fn usage() -> ! {
         "usage: harness <table1|fig1|fig2|fig3|fig4|fig5|fig6|table2|freespace|snapval|profiles|sweep|pareto|smallfile|all|fleet|report> \
          [--days N] [--seed S] [--out DIR] [--jobs N] [--cache-dir DIR] [--no-cache] \
          [--metrics PATH] [-q|--quiet] [--profile] \
-         [--max-retries N] [--job-deadline-ops N] [--resume-run PATH] \
-         [--chaos-seed N] [--chaos-kill NAME] [--shards N] [--fleet-seed S]"
+         [--job-deadline-ops N] [--resume-run PATH] [--chaos-kill NAME] \
+         [--shards N] [--fleet-seed S]"
     );
     std::process::exit(2);
 }
@@ -107,6 +105,8 @@ fn main() -> ExitCode {
         // Fleet shards draw their own scaled-down workloads; the
         // single-volume default of 300 days would be enormous × shards.
         opts.days = 30;
+        // `results/` holds the `all` run's journal and the goldens.
+        opts.out_dir = fleet::FleetOptions::default().out_dir;
     }
     let mut profile = false;
     while let Some(a) = args.next() {
@@ -147,12 +147,6 @@ fn main() -> ExitCode {
             "--profile" => {
                 profile = true;
             }
-            "--max-retries" => {
-                opts.max_retries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--job-deadline-ops" => {
                 opts.job_deadline_ops = args
                     .next()
@@ -161,13 +155,6 @@ fn main() -> ExitCode {
             }
             "--resume-run" => {
                 opts.resume_run = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--chaos-seed" => {
-                opts.chaos_seed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
             }
             "--chaos-kill" => {
                 opts.chaos_kill = Some(args.next().unwrap_or_else(|| usage()));
@@ -203,8 +190,7 @@ fn report(opts: &Options, profile: bool) -> Result<(), String> {
         .map_err(|e| format!("read {}: {e} (run an experiment first)", path.display()))?;
     // `report --resume-run PRIOR` summarizes the prior journal and the
     // fresh one as a single supervised run: repeated keys aggregate
-    // (attempts and wall summed, last status wins), so retries that
-    // spanned the crash are counted once, coherently.
+    // (wall and ops summed, last status wins).
     let summarized = match &opts.resume_run {
         Some(prior_path) => {
             let prior = std::fs::read_to_string(prior_path)
@@ -244,7 +230,6 @@ fn run_fleet(opts: &Options) -> Result<bool, String> {
         out_dir: opts.out_dir.clone(),
         cache_dir: opts.cache_dir.clone(),
         no_cache: opts.no_cache,
-        max_retries: opts.max_retries,
         job_deadline_ops: opts.job_deadline_ops,
         resume_run: opts.resume_run.clone(),
         chaos_kill: opts.chaos_kill.clone(),

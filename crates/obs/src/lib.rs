@@ -175,6 +175,4 @@ pub mod bounds {
     ];
     /// Small linear sizes (1–16) — realloc windows, cluster lengths.
     pub const LINEAR_16: &[u64] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16];
-    /// Supervised-job attempt counts (1 = first try succeeded).
-    pub const ATTEMPTS: &[u64] = &[1, 2, 3, 4, 5, 8, 16];
 }

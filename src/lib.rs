@@ -64,7 +64,7 @@ pub mod prelude {
         generate, replay, resume, workload_stats, AgingConfig, Checkpoint, ReplayOptions,
         ReplayResult, Workload,
     };
-    pub use disk::{raw_read_throughput, raw_write_throughput, Device, FaultPlan, IoKind};
+    pub use disk::{raw_read_throughput, raw_write_throughput, Device, IoKind};
     pub use ffs::{
         assert_consistent, check, free_space_stats, inject_metadata_damage, layout_by_size, repair,
         size_bins_paper, AllocPolicy, Filesystem, RepairReport, Violation,

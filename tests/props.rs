@@ -295,9 +295,23 @@ fn formats() -> &'static [Format] {
             status: "failed".into(),
             error: Some("line 1\nline 2 \\ \"quoted\"".into()),
             wall_s: 0.074642,
-            attempts: 3,
-            backoff_units: 11,
+            attempts: 0,
+            backoff_units: 0,
             metrics: run_metrics,
+        };
+        // The journal's readers: every accessor the report and the
+        // resume scan use, then the whole line.
+        let reparse_record: fn(&str) -> Result<String, String> = |t| {
+            for field in ["job", "status", "cache", "quarantined", "error"] {
+                let _ = exp::RunRecord::field_str(t, field);
+            }
+            for field in ["wall_s", "ops"] {
+                let _ = exp::RunRecord::field_num(t, field);
+            }
+            let _ = exp::summarize(t);
+            exp::RunRecord::field_str(t, "job")
+                .map(|_| t.to_string())
+                .ok_or_else(|| "not a run record".to_string())
         };
         let ck_text = aged.checkpoints[0].to_text();
         vec![
@@ -328,20 +342,22 @@ fn formats() -> &'static [Format] {
                 name: "exp::RunRecord",
                 valid: run_record.to_json(),
                 hostile: vec![],
-                reparse: |t| {
-                    // The journal's readers: every accessor the report
-                    // and the resume scan use, then the whole line.
-                    for field in ["job", "status", "cache", "quarantined", "error"] {
-                        let _ = exp::RunRecord::field_str(t, field);
-                    }
-                    for field in ["wall_s", "ops", "attempts"] {
-                        let _ = exp::RunRecord::field_num(t, field);
-                    }
-                    let _ = exp::summarize(t);
-                    exp::RunRecord::field_str(t, "job")
-                        .map(|_| t.to_string())
-                        .ok_or_else(|| "not a run record".to_string())
-                },
+                reparse: reparse_record,
+            },
+            Format {
+                // A line as PR 21 and earlier wrote it: retry bookkeeping
+                // and a 13-key `device` object, all ignored today.
+                name: "exp::RunRecord (PR 21 journal)",
+                valid: "{\"job\":\"fig4\",\"deps\":[\"age:ffs\",\"age:realloc\"],\
+                    \"status\":\"ok\",\"wall_s\":1.250000,\"attempts\":3,\
+                    \"backoff_units\":11,\"ops\":1234,\"device\":{\"reads\":10,\
+                    \"writes\":4,\"sectors_read\":160,\"sectors_written\":64,\
+                    \"buffer_hits\":3,\"seeks\":5,\"seek_time_us\":1200.5,\
+                    \"rot_wait_us\":800,\"stream_time_us\":950.25,\"transient_errors\":2,\
+                    \"retries\":2,\"remaps\":0,\"retry_time_us\":22222.2}}"
+                    .into(),
+                hostile: vec![],
+                reparse: reparse_record,
             },
             Format {
                 name: "aging::Checkpoint",
@@ -420,7 +436,7 @@ proptest! {
     /// `Err` — the call returning at all is the property.
     #[test]
     fn damaged_documents_never_panic_a_parser(
-        which in 0usize..7,
+        which in 0usize..8,
         damage in 0u8..3,
         at in any::<u32>(),
         byte in any::<u8>(),
