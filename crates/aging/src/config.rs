@@ -186,6 +186,20 @@ impl AgingConfig {
         )
     }
 
+    /// Operations a replay of this workload is expected to apply: every
+    /// short pair and every modify is a delete plus a create, and every
+    /// long-lived create is eventually shed. An estimate from the
+    /// per-day means (growth pressure, bursts and the day-0 population
+    /// are left out) — good enough to order jobs by cost, which is its
+    /// one use (`exp::JobSpec::weight`).
+    pub fn expected_ops(&self) -> u64 {
+        let per_day = 2.0 * self.short_pairs_per_day
+            + 2.0 * self.long_creates_per_day
+            + 2.0 * self.long_modifies_per_day
+            + self.rewrites_per_day;
+        (self.days as f64 * per_day) as u64
+    }
+
     /// The "real file system" variant used as Figure 1's reference: the
     /// same model with the fragmentation sources the paper says its aging
     /// workload under-represents turned up — heavier same-day churn and
@@ -232,6 +246,25 @@ mod tests {
             (25.0..60.0).contains(&total_gb),
             "projected write volume {total_gb} GB"
         );
+    }
+
+    #[test]
+    fn expected_ops_tracks_the_generated_count() {
+        let paper = AgingConfig::paper(1996);
+        assert_eq!(paper.expected_ops(), 300 * 3300);
+        // The estimate only has to rank jobs: within a factor of 1.5 of
+        // what the generator emits, and the heavier-churn variant ranks
+        // above the base workload.
+        let c = AgingConfig::small_test(20, 11);
+        let w = crate::generate(&c, 4, 14 << 20);
+        let actual: usize = w.days.iter().map(|d| d.ops.len()).sum();
+        let ratio = actual as f64 / c.expected_ops() as f64;
+        assert!(
+            (0.67..1.5).contains(&ratio),
+            "{actual} vs {}",
+            c.expected_ops()
+        );
+        assert!(paper.real_fs_variant().expected_ops() > paper.expected_ops());
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub use config::{AgingConfig, SizeDist};
 pub use livemap::LiveMap;
 pub use profiles::Profile;
 pub use replay::{
-    replay, replay_tapped, resume, CrashReport, DayStats, DayTap, ReplayOptions, ReplayResult,
+    replay, replay_tapped, resume, CrashReport, DayStats, DayTap, Replay, ReplayOptions,
+    ReplayResult,
 };
-pub use snapshot::{diff_to_workload, take_snapshot, Snapshot, SnapshotEntry};
+pub use snapshot::{diff_to_workload, take_snapshot, Snapshot, SnapshotDiffer, SnapshotEntry};
 pub use stats::{workload_stats, WorkloadStats};
-pub use workload::{generate, DayLog, FileId, Lifetime, Op, Workload};
+pub use workload::{generate, DayLog, Days, FileId, Lifetime, Op, Workload};

@@ -6,6 +6,11 @@
 //! order, recording the aggregate layout score and utilization at the end
 //! of every simulated day — the data behind Figures 1 and 2.
 //!
+//! The replayer is push-style: a [`Replay`] takes one [`DayLog`] at a
+//! time, so a workload can be replayed as it is generated and the caller
+//! can read the file system between days. [`replay`] and [`resume`] are
+//! the same thing looped over a materialized [`Workload`].
+//!
 //! Two robustness hooks ride along for long runs:
 //!
 //! * **Crash injection** ([`ReplayOptions::crash_after_ops`]) simulates a
@@ -16,8 +21,8 @@
 //!   file system. The [`CrashReport`] in the result records what broke
 //!   and what the repair did.
 //! * **Checkpointing** ([`ReplayOptions::checkpoint_every_days`]) captures
-//!   a [`Checkpoint`] at end of day, from which [`resume`] continues the
-//!   same workload in a later process.
+//!   a [`Checkpoint`] at end of day, from which [`Replay::resume_from`]
+//!   continues the same workload in a later process.
 
 use ffs_types::record::Fields;
 use ffs_types::{DirId, FsError, FsParams, FsResult, Ino};
@@ -26,7 +31,7 @@ use ffs::{inject_metadata_damage, repair, AllocPolicy, Filesystem, RepairReport}
 
 use crate::checkpoint::{take_checkpoint, Checkpoint};
 use crate::livemap::LiveMap;
-use crate::workload::{Op, Workload};
+use crate::workload::{DayLog, Op, Workload};
 
 /// End-of-day measurements.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -154,8 +159,6 @@ pub struct ReplayOptions {
     pub crash_after_ops: u64,
     /// Seed for the crash's metadata-damage pattern.
     pub crash_damage_seed: u64,
-    /// How many metadata perturbations the crash applies.
-    pub crash_damage_hits: u32,
     /// Cooperative cancellation: the replay charges the token with each
     /// day's operation count and probes it at day (checkpoint)
     /// boundaries; once fired, the replay stops with
@@ -192,7 +195,6 @@ impl Default for ReplayOptions {
             checkpoint_every_days: 0,
             crash_after_ops: 0,
             crash_damage_seed: 0xC4A5_11ED,
-            crash_damage_hits: 8,
             cancel: None,
             defrag: None,
             threads: 1,
@@ -207,131 +209,144 @@ impl Default for ReplayOptions {
 /// [`ReplayResult`] is byte-identical to an untapped one.
 pub type DayTap<'a> = dyn FnMut(&Filesystem, &DayStats) + 'a;
 
-/// Ages a fresh file system with `policy` by replaying `workload`.
-pub fn replay(
-    workload: &Workload,
-    params: &FsParams,
-    policy: AllocPolicy,
-    options: ReplayOptions,
-) -> FsResult<ReplayResult> {
-    replay_tapped(workload, params, policy, options, None)
-}
+/// Metadata perturbations an injected crash applies.
+const CRASH_DAMAGE_HITS: u32 = 8;
 
-/// [`replay`], with an optional per-day sample tap.
-///
-/// The tap is how a fleet driver takes daily measurements (free-space
-/// fragmentation, anything derived from the live [`Filesystem`]) without
-/// growing [`DayStats`] or the aged-artifact format: samples stream out
-/// through the callback as each day completes instead of accumulating in
-/// the result.
-pub fn replay_tapped(
-    workload: &Workload,
-    params: &FsParams,
-    policy: AllocPolicy,
-    options: ReplayOptions,
-    tap: Option<&mut DayTap<'_>>,
-) -> FsResult<ReplayResult> {
-    if workload.ncg != params.ncg {
-        return Err(FsError::InvalidArg(
-            "workload generated for a different cylinder-group count",
-        ));
-    }
-    let mut fs = Filesystem::new(params.clone(), policy);
-    fs.set_cluster_first_fit(options.cluster_first_fit);
-    fs.set_realloc_no_split(options.realloc_no_split);
-    fs.set_frag_bestfit(options.frag_bestfit);
-    let dirs = fs.mkdir_per_cg()?;
-    run_days(workload, fs, &dirs, LiveMap::new(), None, 0, options, tap)
-}
-
-/// Continues `workload` from a [`Checkpoint`] taken by an earlier replay.
-///
-/// Days up to and including `checkpoint.day` are skipped; the restored
-/// file system (rebuilt and re-verified by [`Checkpoint::restore`]) then
-/// replays the remainder. The returned [`ReplayResult::daily`] series
-/// covers only the resumed days. Op counting for
-/// [`ReplayOptions::crash_after_ops`] restarts at zero.
-///
-/// A checkpoint carries no defragmenter state, so `options.defrag` must
-/// be `None`; anything else is [`FsError::InvalidArg`].
-pub fn resume(
-    workload: &Workload,
-    params: &FsParams,
-    policy: AllocPolicy,
-    options: ReplayOptions,
-    checkpoint: &Checkpoint,
-) -> FsResult<ReplayResult> {
-    if workload.ncg != params.ncg {
-        return Err(FsError::InvalidArg(
-            "workload generated for a different cylinder-group count",
-        ));
-    }
-    if options.defrag.is_some() {
-        return Err(FsError::InvalidArg(
-            "cannot resume a defragmenting replay: pass state is not checkpointed",
-        ));
-    }
-    let (mut fs, live) = checkpoint.restore(params.clone(), policy)?;
-    fs.set_cluster_first_fit(options.cluster_first_fit);
-    fs.set_realloc_no_split(options.realloc_no_split);
-    fs.set_frag_bestfit(options.frag_bestfit);
-    // Recover the per-group directory table the op stream indexes by
-    // cylinder group. The replayer creates exactly one directory per
-    // group up front, so each group must own exactly one.
-    let mut dirs: Vec<Option<DirId>> = vec![None; params.ncg as usize];
-    for d in fs.dirs() {
-        let slot = &mut dirs[d.cg.0 as usize];
-        if slot.replace(d.id).is_some() {
-            return Err(FsError::Corrupt(format!(
-                "checkpoint has multiple directories in group {}",
-                d.cg.0
-            )));
-        }
-    }
-    let dirs: Vec<DirId> = dirs
-        .into_iter()
-        .enumerate()
-        .map(|(g, d)| d.ok_or(FsError::Corrupt(format!("group {g} has no directory"))))
-        .collect::<FsResult<_>>()?;
-    run_days(
-        workload,
-        fs,
-        &dirs,
-        live,
-        Some(checkpoint.day),
-        checkpoint.skipped_creates,
-        options,
-        None,
-    )
-}
-
-/// The shared replay loop: applies every day after `resume_after` (all of
-/// them when `None`) to `fs`.
-#[allow(clippy::too_many_arguments)]
-fn run_days(
-    workload: &Workload,
-    mut fs: Filesystem,
-    dirs: &[DirId],
-    mut live: LiveMap,
+/// A replay in progress: the file system being aged plus everything the
+/// run has recorded so far. The caller pushes one [`DayLog`] at a time
+/// ([`Replay::day`]) and may read the end-of-day state between pushes
+/// ([`Replay::fs`], [`Replay::last`]), so a workload can be replayed as
+/// it is generated ([`crate::Days`]) and one stream can feed several
+/// file systems in lockstep. [`replay`], [`replay_tapped`] and [`resume`]
+/// are `for` loops over this type; there is no other day loop.
+pub struct Replay {
+    fs: Filesystem,
+    /// One directory per cylinder group; ops name their group.
+    dirs: Vec<DirId>,
+    live: LiveMap,
+    /// Days up to and including this one are skipped (a resumed run).
     resume_after: Option<u32>,
-    mut skipped: u64,
+    skipped: u64,
     options: ReplayOptions,
-    mut tap: Option<&mut DayTap<'_>>,
-) -> FsResult<ReplayResult> {
-    let mut daily = Vec::with_capacity(workload.days.len());
-    let mut snapshots = Vec::new();
-    let mut checkpoints = Vec::new();
-    let mut crash: Option<CrashReport> = None;
-    let mut defragger = options.defrag.as_ref().map(defrag::DefragRunner::new);
-    let mut ops_done = 0u64;
-    // Allocator counters reach the obs registry once per day rather than
-    // per allocation (see `AllocStats::publish_delta`); this clone is the
-    // high-water mark already published.
-    let mut published_stats = fs.alloc_stats().clone();
-    for day_log in &workload.days {
-        if resume_after.is_some_and(|d| day_log.day <= d) {
-            continue;
+    daily: Vec<DayStats>,
+    snapshots: Vec<crate::snapshot::Snapshot>,
+    checkpoints: Vec<Checkpoint>,
+    crash: Option<CrashReport>,
+    defragger: Option<defrag::DefragRunner>,
+    ops_done: u64,
+    /// Allocator counters reach the obs registry once per day rather
+    /// than per allocation (see `AllocStats::publish_delta`); this clone
+    /// is the high-water mark already published.
+    published_stats: ffs::AllocStats,
+}
+
+impl Replay {
+    /// Starts aging a fresh file system with `policy`.
+    pub fn new(params: &FsParams, policy: AllocPolicy, options: ReplayOptions) -> FsResult<Replay> {
+        let mut fs = Filesystem::new(params.clone(), policy);
+        set_placement(&mut fs, &options);
+        let dirs = fs.mkdir_per_cg()?;
+        Ok(Replay::start(fs, dirs, LiveMap::new(), None, 0, options))
+    }
+
+    /// Continues from a [`Checkpoint`] taken by an earlier replay of the
+    /// same workload. The stream is pushed from day 0 as usual; days up
+    /// to and including `checkpoint.day` are skipped, and the restored
+    /// file system (rebuilt and re-verified by [`Checkpoint::restore`])
+    /// replays the remainder. [`ReplayResult::daily`] covers only the
+    /// resumed days, and op counting for
+    /// [`ReplayOptions::crash_after_ops`] restarts at zero.
+    ///
+    /// A checkpoint carries no defragmenter state, so `options.defrag`
+    /// must be `None`; anything else is [`FsError::InvalidArg`].
+    pub fn resume_from(
+        params: &FsParams,
+        policy: AllocPolicy,
+        options: ReplayOptions,
+        checkpoint: &Checkpoint,
+    ) -> FsResult<Replay> {
+        if options.defrag.is_some() {
+            return Err(FsError::InvalidArg(
+                "cannot resume a defragmenting replay: pass state is not checkpointed",
+            ));
         }
+        let (mut fs, live) = checkpoint.restore(params.clone(), policy)?;
+        set_placement(&mut fs, &options);
+        // Recover the per-group directory table the op stream indexes by
+        // cylinder group. The replayer creates exactly one directory per
+        // group up front, so each group must own exactly one.
+        let mut dirs: Vec<Option<DirId>> = vec![None; params.ncg as usize];
+        for d in fs.dirs() {
+            let slot = &mut dirs[d.cg.0 as usize];
+            if slot.replace(d.id).is_some() {
+                return Err(FsError::Corrupt(format!(
+                    "checkpoint has multiple directories in group {}",
+                    d.cg.0
+                )));
+            }
+        }
+        let dirs: Vec<DirId> = dirs
+            .into_iter()
+            .enumerate()
+            .map(|(g, d)| d.ok_or(FsError::Corrupt(format!("group {g} has no directory"))))
+            .collect::<FsResult<_>>()?;
+        Ok(Replay::start(
+            fs,
+            dirs,
+            live,
+            Some(checkpoint.day),
+            checkpoint.skipped_creates,
+            options,
+        ))
+    }
+
+    fn start(
+        fs: Filesystem,
+        dirs: Vec<DirId>,
+        live: LiveMap,
+        resume_after: Option<u32>,
+        skipped: u64,
+        options: ReplayOptions,
+    ) -> Replay {
+        Replay {
+            published_stats: fs.alloc_stats().clone(),
+            defragger: options.defrag.as_ref().map(defrag::DefragRunner::new),
+            fs,
+            dirs,
+            live,
+            resume_after,
+            skipped,
+            options,
+            daily: Vec::new(),
+            snapshots: Vec::new(),
+            checkpoints: Vec::new(),
+            crash: None,
+            ops_done: 0,
+        }
+    }
+
+    /// Applies one day's operations, runs the nightly work the options
+    /// ask for, and records the day's [`DayStats`]. After an error the
+    /// replay is finished: the file system is mid-day.
+    pub fn day(&mut self, day_log: &DayLog) -> FsResult<()> {
+        if self.resume_after.is_some_and(|d| day_log.day <= d) {
+            return Ok(());
+        }
+        let Replay {
+            fs,
+            dirs,
+            live,
+            resume_after: _,
+            skipped,
+            options,
+            daily,
+            snapshots,
+            checkpoints,
+            crash,
+            defragger,
+            ops_done,
+            published_stats,
+        } = self;
         let _day_span = obs::span!("age_day");
         let ops_span = obs::span!("replay_ops");
         for op in &day_log.ops {
@@ -348,7 +363,7 @@ fn run_days(
                             let prev = live.insert(file, ino);
                             debug_assert!(prev.is_none());
                         }
-                        Err(FsError::NoSpace { .. }) => skipped += 1,
+                        Err(FsError::NoSpace { .. }) => *skipped += 1,
                         Err(e) => return Err(e),
                     }
                 }
@@ -368,19 +383,17 @@ fn run_days(
                     }
                 }
             }
-            ops_done += 1;
-            if options.crash_after_ops > 0 && ops_done == options.crash_after_ops && crash.is_none()
+            *ops_done += 1;
+            if options.crash_after_ops > 0
+                && *ops_done == options.crash_after_ops
+                && crash.is_none()
             {
                 // Power cut: a torn metadata flush scrambles derived
                 // state; fsck repairs it and the replay carries on.
-                let hits = inject_metadata_damage(
-                    &mut fs,
-                    options.crash_damage_seed,
-                    options.crash_damage_hits,
-                );
-                let report = repair(&mut fs);
-                crash = Some(CrashReport {
-                    at_op: ops_done,
+                let hits = inject_metadata_damage(fs, options.crash_damage_seed, CRASH_DAMAGE_HITS);
+                let report = repair(fs);
+                *crash = Some(CrashReport {
+                    at_op: *ops_done,
                     day: day_log.day,
                     damage_hits: hits,
                     repair: report,
@@ -390,14 +403,14 @@ fn run_days(
         drop(ops_span);
         // The idle-time defragmentation pass runs after the day's
         // foreground operations, exactly once per day.
-        let pass = match defragger.as_mut() {
-            Some(runner) => runner.run_pass(&mut fs),
+        let pass = match defragger {
+            Some(runner) => runner.run_pass(fs),
             None => defrag::PassStats::default(),
         };
         obs::counter!("aging.ops_replayed", day_log.ops.len() as u64);
         obs::counter!("aging.days_replayed", 1);
-        fs.alloc_stats().publish_delta(&published_stats);
-        published_stats = fs.alloc_stats().clone();
+        fs.alloc_stats().publish_delta(published_stats);
+        *published_stats = fs.alloc_stats().clone();
         if let Some(token) = &options.cancel {
             // Deadline probes happen only here, at the day boundary, so a
             // budget cuts every run off at the same op count regardless of
@@ -421,33 +434,116 @@ fn run_days(
                 defrag_cost_us: pass.cost_us,
             });
         }
-        if let Some(t) = tap.as_mut() {
-            t(&fs, daily.last().expect("day stats just recorded"));
-        }
-        if options.verify_every_days > 0 && (day_log.day + 1) % options.verify_every_days == 0 {
+        if due(options.verify_every_days, day_log.day) {
             let _s = obs::span!("verify");
-            ffs::verify(&fs)?;
+            ffs::verify(fs)?;
         }
-        if options.snapshot_every_days > 0 && (day_log.day + 1) % options.snapshot_every_days == 0 {
+        if due(options.snapshot_every_days, day_log.day) {
             let _s = obs::span!("snapshot");
-            snapshots.push(crate::snapshot::take_snapshot(&fs, day_log.day));
+            snapshots.push(crate::snapshot::take_snapshot(fs, day_log.day));
         }
-        if options.checkpoint_every_days > 0
-            && (day_log.day + 1) % options.checkpoint_every_days == 0
-        {
+        if due(options.checkpoint_every_days, day_log.day) {
             let _s = obs::span!("checkpoint");
-            checkpoints.push(take_checkpoint(&fs, &live, day_log.day, skipped));
+            checkpoints.push(take_checkpoint(fs, live, day_log.day, *skipped));
+        }
+        Ok(())
+    }
+
+    /// The file system as the last pushed day left it.
+    pub fn fs(&self) -> &Filesystem {
+        &self.fs
+    }
+
+    /// The stats of the last day replayed (`None` before the first).
+    pub fn last(&self) -> Option<&DayStats> {
+        self.daily.last()
+    }
+
+    /// Workload operations applied so far (skipped days not counted).
+    pub fn ops(&self) -> u64 {
+        self.ops_done
+    }
+
+    /// Ends the replay and hands over everything it recorded.
+    pub fn finish(self) -> ReplayResult {
+        ReplayResult {
+            daily: self.daily,
+            fs: self.fs,
+            live: self.live,
+            skipped_creates: self.skipped,
+            snapshots: self.snapshots,
+            checkpoints: self.checkpoints,
+            crash: self.crash,
         }
     }
-    Ok(ReplayResult {
-        daily,
-        fs,
-        live,
-        skipped_creates: skipped,
-        snapshots,
-        checkpoints,
-        crash,
-    })
+}
+
+/// Whether nightly work scheduled every `every` days (0 = never) runs
+/// at the end of `day`.
+fn due(every: u32, day: u32) -> bool {
+    every > 0 && (day + 1).is_multiple_of(every)
+}
+
+fn set_placement(fs: &mut Filesystem, options: &ReplayOptions) {
+    fs.set_cluster_first_fit(options.cluster_first_fit);
+    fs.set_realloc_no_split(options.realloc_no_split);
+    fs.set_frag_bestfit(options.frag_bestfit);
+}
+
+fn check_ncg(workload: &Workload, params: &FsParams) -> FsResult<()> {
+    if workload.ncg != params.ncg {
+        return Err(FsError::InvalidArg(
+            "workload generated for a different cylinder-group count",
+        ));
+    }
+    Ok(())
+}
+
+/// Ages a fresh file system with `policy` by replaying `workload`.
+pub fn replay(
+    workload: &Workload,
+    params: &FsParams,
+    policy: AllocPolicy,
+    options: ReplayOptions,
+) -> FsResult<ReplayResult> {
+    replay_tapped(workload, params, policy, options, None)
+}
+
+/// [`replay`], with an optional per-day sample tap: the materialized
+/// form of reading [`Replay::fs`] and [`Replay::last`] between days.
+pub fn replay_tapped(
+    workload: &Workload,
+    params: &FsParams,
+    policy: AllocPolicy,
+    options: ReplayOptions,
+    mut tap: Option<&mut DayTap<'_>>,
+) -> FsResult<ReplayResult> {
+    check_ncg(workload, params)?;
+    let mut r = Replay::new(params, policy, options)?;
+    for day_log in &workload.days {
+        r.day(day_log)?;
+        if let (Some(t), Some(d)) = (tap.as_mut(), r.last()) {
+            t(r.fs(), d);
+        }
+    }
+    Ok(r.finish())
+}
+
+/// Continues `workload` from a [`Checkpoint`] taken by an earlier replay
+/// (see [`Replay::resume_from`]).
+pub fn resume(
+    workload: &Workload,
+    params: &FsParams,
+    policy: AllocPolicy,
+    options: ReplayOptions,
+    checkpoint: &Checkpoint,
+) -> FsResult<ReplayResult> {
+    check_ncg(workload, params)?;
+    let mut r = Replay::resume_from(params, policy, options, checkpoint)?;
+    for day_log in &workload.days {
+        r.day(day_log)?;
+    }
+    Ok(r.finish())
 }
 
 impl ReplayResult {
@@ -532,10 +628,11 @@ mod tests {
             verify_every_days: 1,
             ..ReplayOptions::default()
         };
-        match run_days(&w, fs, &dirs, LiveMap::new(), None, 0, options, None) {
+        let mut r = Replay::start(fs, dirs, LiveMap::new(), None, 0, options);
+        match r.day(&w.days[0]) {
             Err(FsError::Corrupt(msg)) => assert!(msg.contains("inconsistent"), "{msg}"),
             Err(e) => panic!("expected Corrupt, got {e:?}"),
-            Ok(_) => panic!("a damaged image passed verification"),
+            Ok(()) => panic!("a damaged image passed verification"),
         }
     }
 

@@ -14,6 +14,9 @@ pub fn std_normal<R: Rng>(rng: &mut R) -> f64 {
 }
 
 /// Samples a file size from a clamped log-normal distribution.
+// Drawn once per create, thousands of times a day: inlined into the
+// generator's day body so the RNG state stays in registers across it.
+#[inline]
 pub fn sample_size<R: Rng>(rng: &mut R, dist: &SizeDist) -> u64 {
     let z = std_normal(rng);
     let v = dist.median as f64 * (dist.sigma * z).exp();

@@ -168,8 +168,16 @@ impl Snapshot {
     }
 }
 
-/// Derives a replayable workload from a series of nightly snapshots,
-/// using the paper's heuristics:
+/// What the differ remembers of the previous night's snapshot: the three
+/// fields the paper's heuristics compare, without the block lists.
+struct PrevEntry {
+    ino: Ino,
+    ctime_day: u32,
+    size: u64,
+}
+
+/// Derives one day of replayable workload from each nightly snapshot as
+/// it is taken, using the paper's heuristics:
 ///
 /// * a file present in snapshot *n+1* but not *n* was **created**, at its
 ///   inode change time;
@@ -182,40 +190,60 @@ impl Snapshot {
 /// Files that lived and died between snapshots are invisible — the
 /// information loss the paper supplements with NFS traces, and the reason
 /// a derived workload ages a file system more gently than the original.
-pub fn diff_to_workload(
-    snapshots: &[Snapshot],
-    config: &AgingConfig,
+///
+/// Each snapshot is diffed against the previous night's only, so that is
+/// all the differ holds; [`diff_to_workload`] is this pushed over a
+/// slice.
+pub struct SnapshotDiffer {
+    rng: StdRng,
     ncg: u32,
-    capacity_bytes: u64,
-) -> Workload {
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5AAD_5047);
-    let mut next_id = 0u64;
-    let fresh = |n: &mut u64| {
-        let id = FileId(*n);
-        *n += 1;
-        id
-    };
-    let mut live_ids: BTreeMap<Ino, FileId> = BTreeMap::new();
-    let mut days: Vec<DayLog> = Vec::new();
-    let mut prev: Option<&Snapshot> = None;
-    for snap in snapshots {
-        let day = snap.day;
+    next_id: u64,
+    live_ids: BTreeMap<Ino, FileId>,
+    prev: Option<Vec<PrevEntry>>,
+}
+
+impl SnapshotDiffer {
+    /// A differ for a volume of `ncg` cylinder groups; `config` seeds the
+    /// within-day timestamps.
+    pub fn new(config: &AgingConfig, ncg: u32) -> SnapshotDiffer {
+        SnapshotDiffer {
+            rng: StdRng::seed_from_u64(config.seed ^ 0x5AAD_5047),
+            ncg,
+            next_id: 0,
+            live_ids: BTreeMap::new(),
+            prev: None,
+        }
+    }
+
+    /// The operations that turn the previous snapshot's population into
+    /// `snap`'s, as the workload day `snap.day`.
+    pub fn push(&mut self, snap: &Snapshot) -> DayLog {
+        let SnapshotDiffer {
+            rng,
+            ncg,
+            next_id,
+            live_ids,
+            prev,
+        } = self;
+        let mut fresh = || {
+            let id = FileId(*next_id);
+            *next_id += 1;
+            id
+        };
+        let create = |id: FileId, e: &SnapshotEntry| Op::Create {
+            file: id,
+            cg: CgIdx(e.cg.0 % *ncg),
+            size: e.size.max(1),
+            kind: Lifetime::Long,
+        };
         let mut ops: Vec<(f64, Op)> = Vec::new();
         match prev {
             None => {
                 // Initial population.
                 for e in &snap.entries {
-                    let id = fresh(&mut next_id);
+                    let id = fresh();
                     live_ids.insert(e.ino, id);
-                    ops.push((
-                        rng.gen(),
-                        Op::Create {
-                            file: id,
-                            cg: CgIdx(e.cg.0 % ncg),
-                            size: e.size.max(1),
-                            kind: Lifetime::Long,
-                        },
-                    ));
+                    ops.push((rng.gen(), create(id, e)));
                 }
             }
             Some(p) => {
@@ -227,46 +255,30 @@ pub fn diff_to_workload(
                 // original map-based diff byte for byte.
                 let mut j = 0usize;
                 for e in &snap.entries {
-                    while p.entries.get(j).is_some_and(|o| o.ino < e.ino) {
+                    while p.get(j).is_some_and(|o| o.ino < e.ino) {
                         j += 1;
                     }
-                    match p.entries.get(j).filter(|o| o.ino == e.ino) {
+                    match p.get(j).filter(|o| o.ino == e.ino) {
                         None => {
                             // Created since the last snapshot.
-                            let id = fresh(&mut next_id);
+                            let id = fresh();
                             live_ids.insert(e.ino, id);
-                            ops.push((
-                                rng.gen(),
-                                Op::Create {
-                                    file: id,
-                                    cg: CgIdx(e.cg.0 % ncg),
-                                    size: e.size.max(1),
-                                    kind: Lifetime::Long,
-                                },
-                            ));
+                            ops.push((rng.gen(), create(id, e)));
                         }
                         Some(old) if old.ctime_day != e.ctime_day || old.size != e.size => {
                             // Modified: deleted and rewritten.
                             let old_id = live_ids.remove(&e.ino).expect("modified file was live");
                             let t: f64 = rng.gen();
                             ops.push((t, Op::Delete { file: old_id }));
-                            let id = fresh(&mut next_id);
+                            let id = fresh();
                             live_ids.insert(e.ino, id);
-                            ops.push((
-                                t + 1e-6,
-                                Op::Create {
-                                    file: id,
-                                    cg: CgIdx(e.cg.0 % ncg),
-                                    size: e.size.max(1),
-                                    kind: Lifetime::Long,
-                                },
-                            ));
+                            ops.push((t + 1e-6, create(id, e)));
                         }
                         Some(_) => {}
                     }
                 }
                 let mut k = 0usize;
-                for old in &p.entries {
+                for old in p.iter() {
                     while snap.entries.get(k).is_some_and(|e| e.ino < old.ino) {
                         k += 1;
                     }
@@ -280,17 +292,33 @@ pub fn diff_to_workload(
             }
         }
         ops.sort_by(|a, b| a.0.total_cmp(&b.0));
-        days.push(DayLog {
-            day,
-            ops: ops.into_iter().map(|(_, op)| op).collect(),
+        let kept = snap.entries.iter().map(|e| PrevEntry {
+            ino: e.ino,
+            ctime_day: e.ctime_day,
+            size: e.size,
         });
-        prev = Some(snap);
+        *prev = Some(kept.collect());
+        DayLog {
+            day: snap.day,
+            ops: ops.into_iter().map(|(_, op)| op).collect(),
+        }
     }
+}
+
+/// Derives a replayable workload from a series of nightly snapshots:
+/// [`SnapshotDiffer`] pushed over the slice.
+pub fn diff_to_workload(
+    snapshots: &[Snapshot],
+    config: &AgingConfig,
+    ncg: u32,
+    capacity_bytes: u64,
+) -> Workload {
+    let mut differ = SnapshotDiffer::new(config, ncg);
     Workload {
         config: config.clone(),
         ncg,
         capacity_bytes,
-        days,
+        days: snapshots.iter().map(|s| differ.push(s)).collect(),
     }
 }
 

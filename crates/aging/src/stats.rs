@@ -1,9 +1,13 @@
 //! Workload summary statistics, used to validate the synthetic workload
 //! against the totals reported in Section 3.1 of the paper.
 
-use crate::workload::{Lifetime, Op, Workload};
+use std::collections::HashMap;
 
-/// Aggregate statistics of a generated workload.
+use crate::workload::{DayLog, FileId, Lifetime, Op, Workload};
+
+/// Aggregate statistics of a generated workload, accumulated a day at a
+/// time ([`WorkloadStats::day`]) so a streamed workload can be summarized
+/// without being kept.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkloadStats {
     /// Total operations (creates + deletes).
@@ -24,6 +28,8 @@ pub struct WorkloadStats {
     pub live_at_end: u64,
     /// Bytes still live at the end of the workload.
     pub live_bytes_at_end: u64,
+    /// Sizes of the files live after the days counted so far.
+    sizes: HashMap<FileId, u64>,
 }
 
 impl WorkloadStats {
@@ -35,35 +41,31 @@ impl WorkloadStats {
             self.bytes_written as f64 / self.creates as f64
         }
     }
-}
 
-/// Computes summary statistics by walking the workload once.
-pub fn workload_stats(w: &Workload) -> WorkloadStats {
-    let mut s = WorkloadStats::default();
-    let mut sizes = std::collections::HashMap::new();
-    let mut live_bytes = 0u64;
-    for day in &w.days {
+    /// Counts one more day of the workload.
+    pub fn day(&mut self, day: &DayLog) {
         for op in &day.ops {
-            s.total_ops += 1;
+            self.total_ops += 1;
             match *op {
                 Op::Create {
                     file, size, kind, ..
                 } => {
-                    s.creates += 1;
-                    s.bytes_written += size;
+                    self.creates += 1;
+                    self.bytes_written += size;
                     match kind {
-                        Lifetime::Short => s.short_creates += 1,
-                        Lifetime::Long => s.long_creates += 1,
+                        Lifetime::Short => self.short_creates += 1,
+                        Lifetime::Long => self.long_creates += 1,
                     }
-                    sizes.insert(file, size);
-                    live_bytes += size;
+                    self.sizes.insert(file, size);
+                    self.live_bytes_at_end += size;
                 }
                 Op::Delete { file } => {
-                    s.deletes += 1;
-                    live_bytes -= sizes.remove(&file).expect("delete of unknown file");
+                    self.deletes += 1;
+                    self.live_bytes_at_end -=
+                        self.sizes.remove(&file).expect("delete of unknown file");
                 }
                 Op::Rewrite { file } => {
-                    s.rewrites += 1;
+                    self.rewrites += 1;
                     // Workload invariant: a rewrite always targets a file
                     // that is live at this point in the op stream. The
                     // generator picks rewrite victims from the ledger
@@ -71,15 +73,23 @@ pub fn workload_stats(w: &Workload) -> WorkloadStats {
                     // same-day rewrite is timestamped strictly after its
                     // create — so a missing entry is a generator bug, not
                     // a case to paper over with zero bytes.
-                    s.bytes_written += *sizes
+                    self.bytes_written += *self
+                        .sizes
                         .get(&file)
                         .expect("rewrite of a file not live at that point in the workload");
                 }
             }
         }
+        self.live_at_end = self.sizes.len() as u64;
     }
-    s.live_at_end = sizes.len() as u64;
-    s.live_bytes_at_end = live_bytes;
+}
+
+/// Computes summary statistics by walking the workload once.
+pub fn workload_stats(w: &Workload) -> WorkloadStats {
+    let mut s = WorkloadStats::default();
+    for day in &w.days {
+        s.day(day);
+    }
     s
 }
 
@@ -87,7 +97,7 @@ pub fn workload_stats(w: &Workload) -> WorkloadStats {
 mod tests {
     use super::*;
     use crate::config::AgingConfig;
-    use crate::workload::{generate, DayLog, FileId};
+    use crate::workload::generate;
     use ffs_types::CgIdx;
 
     fn hand_built(ops: Vec<Op>) -> Workload {

@@ -194,28 +194,74 @@ impl DayStreams {
     }
 }
 
-/// Generates the aging workload for a file system with `ncg` cylinder
-/// groups and `capacity_bytes` of allocatable space.
-pub fn generate(config: &AgingConfig, ncg: u32, capacity_bytes: u64) -> Workload {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut next_id = 0u64;
-    let fresh = |n: &mut u64| {
-        let id = FileId(*n);
-        *n += 1;
-        id
-    };
-    // Static cylinder-group base weights (Zipf-ish, shuffled so the busy
-    // groups are not simply the low-numbered ones).
-    let mut base_w: Vec<f64> = (0..ncg)
-        .map(|g| 1.0 / ((g + 1) as f64).powf(config.cg_skew))
-        .collect();
-    for i in (1..base_w.len()).rev() {
-        base_w.swap(i, rng.gen_range(0..=i));
+/// The aging workload as a stream: one [`DayLog`] per simulated day, in
+/// day order, for a file system with `ncg` cylinder groups and
+/// `capacity_bytes` of allocatable space.
+///
+/// The generator's state between days is its RNG and the ledger of live
+/// long-lived files, so a consumer that replays each day as it arrives
+/// ([`crate::Replay::day`]) never holds more of the workload than one
+/// day. [`generate`] is `collect()` over this iterator: same draws, same
+/// ops.
+pub struct Days {
+    config: AgingConfig,
+    ncg: u32,
+    capacity_bytes: u64,
+    rng: StdRng,
+    next_id: u64,
+    /// Static cylinder-group base weights (Zipf-ish, shuffled so the
+    /// busy groups are not simply the low-numbered ones).
+    base_w: Vec<f64>,
+    live: Vec<LiveFile>,
+    live_bytes: u64,
+    day: u32,
+}
+
+impl Days {
+    /// Starts the stream at day 0.
+    pub fn new(config: &AgingConfig, ncg: u32, capacity_bytes: u64) -> Days {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut base_w: Vec<f64> = (0..ncg)
+            .map(|g| 1.0 / ((g + 1) as f64).powf(config.cg_skew))
+            .collect();
+        for i in (1..base_w.len()).rev() {
+            base_w.swap(i, rng.gen_range(0..=i));
+        }
+        Days {
+            config: config.clone(),
+            ncg,
+            capacity_bytes,
+            rng,
+            next_id: 0,
+            base_w,
+            live: Vec::new(),
+            live_bytes: 0,
+            day: 0,
+        }
     }
-    let mut live: Vec<LiveFile> = Vec::new();
-    let mut live_bytes = 0u64;
-    let mut days = Vec::with_capacity(config.days as usize);
-    for day in 0..config.days {
+}
+
+impl Iterator for Days {
+    type Item = DayLog;
+
+    fn next(&mut self) -> Option<DayLog> {
+        if self.day == self.config.days {
+            return None;
+        }
+        // The day works on locals and stores them back at the end, so
+        // the RNG state and the ledger are not behind `self` for the
+        // thousands of draws a day makes.
+        let (config, base_w) = (&self.config, &self.base_w);
+        let (ncg, capacity_bytes, day) = (self.ncg, self.capacity_bytes, self.day);
+        let mut rng = self.rng.clone();
+        let mut next_id = self.next_id;
+        let mut live = std::mem::take(&mut self.live);
+        let mut live_bytes = self.live_bytes;
+        let fresh = |n: &mut u64| {
+            let id = FileId(*n);
+            *n += 1;
+            id
+        };
         let mut ops = DayStreams::new();
         // Create time of every file created today, so a same-day delete
         // can never be scheduled before the create it depends on.
@@ -435,18 +481,33 @@ pub fn generate(config: &AgingConfig, ncg: u32, capacity_bytes: u64) -> Workload
             };
             ops.push(CLASS_REWRITE, t, Op::Rewrite { file: f.id });
         }
+        self.rng = rng;
+        self.next_id = next_id;
+        self.live = live;
+        self.live_bytes = live_bytes;
+        self.day += 1;
         // Merge into time order. Ties cannot reorder a file's delete
         // before its create because each pair is strictly ordered.
-        days.push(DayLog {
+        Some(DayLog {
             day,
             ops: ops.merge(),
-        });
+        })
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.config.days - self.day) as usize;
+        (left, Some(left))
+    }
+}
+
+/// Generates the aging workload for a file system with `ncg` cylinder
+/// groups and `capacity_bytes` of allocatable space.
+pub fn generate(config: &AgingConfig, ncg: u32, capacity_bytes: u64) -> Workload {
     Workload {
         config: config.clone(),
         ncg,
         capacity_bytes,
-        days,
+        days: Days::new(config, ncg, capacity_bytes).collect(),
     }
 }
 

@@ -108,10 +108,16 @@ pub struct JobSpec<T> {
     /// Operation budget, enforced through the job's [`CancelToken`]
     /// (0 = no deadline).
     pub deadline_ops: u64,
+    /// Expected cost, in any unit the table uses consistently (the
+    /// harness uses replayed ops). A free worker takes the heaviest
+    /// ready job, so the longest jobs start first and the short ones
+    /// fill in behind them; ties go to the lowest index. Scheduling
+    /// only — jobs are pure, so no weight can change an outcome.
+    pub weight: u64,
 }
 
 impl<T> JobSpec<T> {
-    /// Convenience constructor (no deadline).
+    /// Convenience constructor (no deadline, weight 0).
     pub fn new<F>(id: &str, deps: &[&str], run: F) -> JobSpec<T>
     where
         F: FnOnce(&mut JobCtx<'_, T>) -> Result<T, JobError> + Send + 'static,
@@ -121,6 +127,7 @@ impl<T> JobSpec<T> {
             deps: deps.iter().map(|d| d.to_string()).collect(),
             run: Box::new(run),
             deadline_ops: 0,
+            weight: 0,
         }
     }
 }
@@ -242,6 +249,7 @@ struct Pending<T> {
     deps: Vec<String>,
     run: Option<JobFn<T>>,
     deadline_ops: u64,
+    weight: u64,
     waiting_on: usize,
     dependents: Vec<usize>,
 }
@@ -321,6 +329,7 @@ pub fn run_jobs<T: Send + Sync + 'static>(
             deps: j.deps,
             run: Some(j.run),
             deadline_ops: j.deadline_ops,
+            weight: j.weight,
             dependents: Vec::new(),
         })
         .collect();
@@ -423,11 +432,17 @@ fn worker_loop<T: Send + Sync>(shared: &Mutex<Shared<T>>, cond: &Condvar) {
             if guard.unfinished == 0 || guard.aborted {
                 return;
             }
-            // Lowest-index first keeps the pick order stable; harmless
-            // either way, but it makes schedules easier to reason about.
-            if let Some(&min) = guard.ready.iter().min() {
-                guard.ready.retain(|&j| j != min);
-                break min;
+            // Heaviest first, so the longest job is never the one left
+            // running alone at the end; lowest index among equals keeps
+            // the pick order stable.
+            let pick = guard
+                .ready
+                .iter()
+                .copied()
+                .min_by_key(|&j| (std::cmp::Reverse(guard.jobs[j].weight), j));
+            if let Some(pick) = pick {
+                guard.ready.retain(|&j| j != pick);
+                break pick;
             }
             guard = cond.wait(guard).unwrap_or_else(PoisonError::into_inner);
         };
@@ -655,6 +670,71 @@ mod tests {
         let run = run_jobs(jobs, 1).unwrap();
         assert_eq!(run.records[0].metrics.ops, Some(42));
         assert_eq!(run.records[0].metrics.notes[0].1, "test");
+    }
+
+    /// A table with work on both layers: three dep-free roots of very
+    /// different cost, a failing root, and dependents of each.
+    fn weighted_table(weights: [u64; 4], started: &Arc<Mutex<Vec<String>>>) -> Vec<JobSpec<u64>> {
+        let job = |id: &'static str, deps: &[&str], weight: u64, out: Result<u64, &'static str>| {
+            let started = Arc::clone(started);
+            JobSpec {
+                weight,
+                ..JobSpec::new(id, deps, move |c: &mut JobCtx<'_, u64>| {
+                    started.lock().unwrap().push(id.to_string());
+                    c.metrics.ops = out.ok();
+                    Ok(out?)
+                })
+            }
+        };
+        let [light, heavy, middling, doomed] = weights;
+        vec![
+            job("light", &[], light, Ok(1)),
+            job("heavy", &[], heavy, Ok(2)),
+            job("middling", &[], middling, Ok(3)),
+            job("doomed", &[], doomed, Err("boom")),
+            job("sum", &["light", "heavy", "middling"], 0, Ok(6)),
+            job("orphan", &["doomed"], 0, Ok(0)),
+        ]
+    }
+
+    #[test]
+    fn the_heaviest_ready_job_starts_first_and_changes_nothing() {
+        let run = |weights: [u64; 4], workers: usize| {
+            let started = Arc::new(Mutex::new(Vec::new()));
+            let run = run_jobs(weighted_table(weights, &started), workers).unwrap();
+            let outcomes: Vec<(String, &'static str, Option<u64>)> = run
+                .outcomes
+                .iter()
+                .map(|(id, o)| (id.clone(), o.status(), o.ok().copied()))
+                .collect();
+            let records: Vec<String> = run
+                .records
+                .iter()
+                .map(|r| {
+                    RunRecord {
+                        wall_s: 0.0,
+                        ..r.clone()
+                    }
+                    .to_json()
+                })
+                .collect();
+            let order = started.lock().unwrap().clone();
+            (outcomes, records, order)
+        };
+        let (flat_outcomes, flat_records, flat_order) = run([0; 4], 1);
+        assert_eq!(flat_order[..4], ["light", "heavy", "middling", "doomed"]);
+        for workers in [1, 2, 4] {
+            let (outcomes, records, order) = run([10, 1000, 100, 100], workers);
+            assert_eq!(outcomes, flat_outcomes, "{workers} workers");
+            assert_eq!(records, flat_records, "{workers} workers");
+            // Whichever worker wins the lock first takes the heaviest
+            // root; with one worker the whole order is by weight, ties
+            // to the lower index.
+            assert_eq!(order[0], "heavy", "{workers} workers: {order:?}");
+            if workers == 1 {
+                assert_eq!(order[..4], ["heavy", "middling", "doomed", "light"]);
+            }
+        }
     }
 
     fn expect_err(r: Result<EngineRun<u64>, String>) -> String {

@@ -33,8 +33,7 @@
 use std::path::{Path, PathBuf};
 
 use aging::{
-    generate, replay, take_checkpoint, AgingConfig, Checkpoint, DayStats, ReplayOptions,
-    ReplayResult,
+    take_checkpoint, AgingConfig, Checkpoint, DayStats, Days, Replay, ReplayOptions, ReplayResult,
 };
 use ffs::AllocPolicy;
 use ffs_types::record::{records, seal, unseal};
@@ -349,9 +348,12 @@ pub fn age_cached(
             }
         }
     }
-    let w = generate(config, params.ncg, params.data_capacity_bytes());
-    let ops = w.days.iter().map(|d| d.ops.len() as u64).sum();
-    let result = replay(&w, params, policy, options).map_err(|e| JobError::from_fs(&e))?;
+    let mut replay = Replay::new(params, policy, options).map_err(|e| JobError::from_fs(&e))?;
+    for day in Days::new(config, params.ncg, params.data_capacity_bytes()) {
+        replay.day(&day).map_err(|e| JobError::from_fs(&e))?;
+    }
+    let ops = replay.ops();
+    let result = replay.finish();
     if let Some(store) = store {
         if !result.daily.is_empty() {
             store.save(&key, &result).map_err(JobError::Fatal)?;

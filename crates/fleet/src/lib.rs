@@ -14,9 +14,9 @@
 //!   parameters, policy, and workload configuration; every shard's
 //!   provenance hashes to a content address for caching.
 //! * [`sampler`] — the splitmix64 generator behind that expansion.
-//! * [`shard`] — [`shard::run_shard`] ages one volume through the day
-//!   tap ([`aging::replay_tapped`]), streaming one
-//!   [`shard::ShardSample`] per day, and checkpoints the sample series
+//! * [`shard`] — [`shard::run_shard`] ages one volume a generated day
+//!   at a time ([`aging::Replay`]), taking one
+//!   [`shard::ShardSample`] between days, and checkpoints the sample series
 //!   through the content-addressed [`exp::ArtifactStore`] (atomic
 //!   install, checksum validation, quarantine on damage) so a resumed
 //!   fleet never re-ages a finished shard.

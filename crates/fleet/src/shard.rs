@@ -1,12 +1,12 @@
 //! One shard of the fleet: age one volume, stream its day samples.
 //!
-//! [`run_shard`] replays a shard's workload through
-//! [`aging::replay_tapped`], measuring at the end of every simulated day
-//! — layout score and utilization from the recorded [`aging::DayStats`],
-//! free-space fragmentation computed live from the end-of-day file
-//! system. The aged image itself is discarded: a fleet cares about the
-//! sample series, and persisting thousands of full images would defeat
-//! the constant-memory design.
+//! [`run_shard`] pushes a shard's workload through an [`aging::Replay`]
+//! one generated day at a time, measuring between days — layout score
+//! and utilization from the recorded [`aging::DayStats`], free-space
+//! fragmentation computed live from the end-of-day file system. The
+//! aged image itself is discarded: a fleet cares about the sample
+//! series, and persisting thousands of full images would defeat the
+//! constant-memory design.
 //!
 //! The sample series *is* checkpointed, through the content-addressed
 //! [`ArtifactStore`] (`<key>.shard`, atomic install). Floats are written
@@ -30,7 +30,7 @@
 
 use std::path::PathBuf;
 
-use aging::{generate, replay_tapped, CancelToken, ReplayOptions};
+use aging::{CancelToken, Days, Replay, ReplayOptions};
 use exp::{ArtifactStore, CacheStatus, JobError};
 use ffs::free_space_stats;
 use ffs_types::record::{records, seal, unseal};
@@ -188,33 +188,30 @@ pub fn run_shard(
             }
         }
     }
-    let w = generate(
+    let options = ReplayOptions {
+        cancel,
+        defrag: spec.defrag.clone(),
+        ..ReplayOptions::default()
+    };
+    let mut replay =
+        Replay::new(&spec.params, spec.policy, options).map_err(|e| JobError::from_fs(&e))?;
+    let mut samples: Vec<ShardSample> = Vec::with_capacity(spec.config.days as usize);
+    for day in Days::new(
         &spec.config,
         spec.params.ncg,
         spec.params.data_capacity_bytes(),
-    );
-    let ops: u64 = w.days.iter().map(|d| d.ops.len() as u64).sum();
-    let mut samples: Vec<ShardSample> = Vec::with_capacity(spec.config.days as usize);
-    let mut tap = |fs: &ffs::Filesystem, d: &aging::DayStats| {
+    ) {
+        replay.day(&day).map_err(|e| JobError::from_fs(&e))?;
+        let d = replay.last().expect("a fresh replay records every day");
         samples.push(ShardSample {
             day: d.day,
             layout: d.layout_score,
-            freefrag: 1.0 - free_space_stats(fs, FREE_HIST_MAX).clusterable_fraction(),
+            freefrag: 1.0 - free_space_stats(replay.fs(), FREE_HIST_MAX).clusterable_fraction(),
             util: d.utilization,
         });
-    };
-    let result = replay_tapped(
-        &w,
-        &spec.params,
-        spec.policy,
-        ReplayOptions {
-            cancel,
-            defrag: spec.defrag.clone(),
-            ..ReplayOptions::default()
-        },
-        Some(&mut tap),
-    )
-    .map_err(|e| JobError::from_fs(&e))?;
+    }
+    let ops = replay.ops();
+    let result = replay.finish();
     if let Some(store) = store {
         store
             .save_named(

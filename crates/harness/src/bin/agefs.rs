@@ -30,7 +30,7 @@
 
 use std::process::ExitCode;
 
-use aging::{generate, profiles, replay, resume, workload_stats, Checkpoint, ReplayOptions};
+use aging::{profiles, Checkpoint, Days, Replay, ReplayOptions, WorkloadStats};
 use ffs::{check, AllocPolicy};
 use ffs_types::FsParams;
 
@@ -139,16 +139,6 @@ fn main() -> ExitCode {
     if args.days < config.ramp_days {
         config.ramp_days = (args.days / 3).max(1);
     }
-    let workload = generate(&config, params.ncg, params.data_capacity_bytes());
-    let stats = workload_stats(&workload);
-    if !args.quiet {
-        eprintln!(
-            "# workload: {} ops, {:.1} GB written, {} live files at end",
-            stats.total_ops,
-            stats.bytes_written as f64 / (1u64 << 30) as f64,
-            stats.live_at_end
-        );
-    }
     let mut options = ReplayOptions {
         verify_every_days: args.verify_every,
         snapshot_every_days: if args.snapshots.is_some() { 1 } else { 0 },
@@ -163,8 +153,8 @@ fn main() -> ExitCode {
     if let Some(seed) = args.crash_seed {
         options.crash_damage_seed = seed;
     }
-    let run = match &args.resume {
-        None => replay(&workload, &params, args.policy, options),
+    let started = match &args.resume {
+        None => Replay::new(&params, args.policy, options),
         Some(path) => {
             let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
@@ -178,7 +168,7 @@ fn main() -> ExitCode {
                     if !args.quiet {
                         eprintln!("# resuming after day {} from {path}", ck.day);
                     }
-                    resume(&workload, &params, args.policy, options, &ck)
+                    Replay::resume_from(&params, args.policy, options, &ck)
                 }
                 Err(e) => {
                     eprintln!("agefs: bad checkpoint {path}: {e}");
@@ -187,6 +177,16 @@ fn main() -> ExitCode {
             }
         }
     };
+    // The workload is generated, summarized and replayed one day at a
+    // time; a resumed run skips the days its checkpoint covers.
+    let mut stats = WorkloadStats::default();
+    let run = started.and_then(|mut replay| {
+        for day in Days::new(&config, params.ncg, params.data_capacity_bytes()) {
+            stats.day(&day);
+            replay.day(&day)?;
+        }
+        Ok(replay.finish())
+    });
     let result = match run {
         Ok(r) => r,
         Err(e) => {
@@ -194,6 +194,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if !args.quiet {
+        eprintln!(
+            "# workload: {} ops, {:.1} GB written, {} live files at end",
+            stats.total_ops,
+            stats.bytes_written as f64 / (1u64 << 30) as f64,
+            stats.live_at_end
+        );
+    }
     println!("day\tlayout\tutil\tfiles\tgb_written");
     for d in &result.daily {
         println!(

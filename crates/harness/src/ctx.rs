@@ -80,15 +80,21 @@ impl Options {
     }
 
     /// The paper's aging configuration at this option set's seed and
-    /// length (with the ramp shortened to fit truncated runs).
+    /// length.
     pub fn aging_config(&self) -> AgingConfig {
-        let mut config = AgingConfig::paper(self.seed);
-        config.days = self.days;
-        if self.days < config.ramp_days {
-            config.ramp_days = (self.days / 3).max(1);
-        }
-        config
+        paper_config(self.seed, self.days)
     }
+}
+
+/// The paper's aging configuration at `seed`, cut to `days` (with the
+/// ramp shortened to fit truncated runs).
+pub(crate) fn paper_config(seed: u64, days: u32) -> AgingConfig {
+    let mut config = AgingConfig::paper(seed);
+    config.days = days;
+    if days < config.ramp_days {
+        config.ramp_days = (days / 3).max(1);
+    }
+    config
 }
 
 /// The static inputs every experiment consumes: Table 1's file-system

@@ -1,19 +1,23 @@
 //! Builds the experiment DAG and drives it through the engine.
 //!
-//! The graph has two layers: three aging jobs (`age:ffs`, `age:realloc`,
-//! `age:realref`) that each produce an aged file system — through the
-//! artifact cache, so a warm run loads them instead of replaying ten
-//! months of workload — and one job per requested exhibit consuming the
-//! aged runs it needs. Exhibit jobs return their TSV as a string; this
-//! module prints and writes the blocks in canonical order *after* the
-//! engine finishes, so worker count and scheduling order cannot change
-//! the bytes the user sees.
+//! The graph has two layers. Underneath, the jobs that replay: three
+//! aging jobs (`age:ffs`, `age:realloc`, `age:realref`) that each
+//! produce an aged file system — through the artifact cache, so a warm
+//! run loads them instead of replaying ten months of workload — and one
+//! `profile:<name>` job per usage profile, each producing its row of the
+//! `profiles` exhibit. On top, one job per requested exhibit consuming
+//! what it needs from the first layer. Replaying jobs carry their
+//! expected op count as [`JobSpec::weight`], so the engine starts the
+//! longest first. Exhibit jobs return their TSV as a string; this module
+//! prints and writes the blocks in canonical order *after* the engine
+//! finishes, so worker count and scheduling order cannot change the
+//! bytes the user sees.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use aging::{ReplayOptions, ReplayResult};
+use aging::{profiles, ReplayOptions, ReplayResult};
 use exp::{age_cached, ArtifactStore, JobCtx, JobError, JobOutcome, JobSpec, RunRecord};
 use ffs::AllocPolicy;
 
@@ -69,6 +73,15 @@ const PARETO_DEPS: &[&str] = &[
     "age:scrub:1000",
 ];
 
+/// The row jobs the `profiles` exhibit renders, in [`profiles::all`]
+/// order (held to it by a test below).
+const PROFILE_JOBS: &[&str] = &[
+    "profile:home",
+    "profile:news",
+    "profile:database",
+    "profile:personal",
+];
+
 /// Column/row label of an aging job in the pareto exhibit: `age:ffs`
 /// becomes `ffs`, `age:greedy:50` becomes `greedy/50`.
 fn pareto_label(id: &str) -> String {
@@ -85,17 +98,17 @@ fn defrag_spec_of(id: &str) -> Option<defrag::DefragSpec> {
     ))
 }
 
-/// What a job produces: an aged file system (aging layer) or a TSV
-/// block (exhibit layer).
+/// What a job produces: an aged file system (aging jobs) or TSV text
+/// (an exhibit's block, or a `profile:<name>` job's one row).
 pub enum JobOut {
     /// Output of an aging job (boxed: a `ReplayResult` is large and the
     /// TSV variant is small).
     Aged(Box<ReplayResult>),
-    /// Output of an exhibit job.
+    /// Output of an exhibit or profile-row job.
     Tsv(String),
 }
 
-/// The aged runs an exhibit consumes.
+/// The first-layer jobs an exhibit consumes.
 fn deps_of(name: &str) -> &'static [&'static str] {
     match name {
         "fig1" => &["age:ffs", "age:realref"],
@@ -103,6 +116,7 @@ fn deps_of(name: &str) -> &'static [&'static str] {
             &["age:ffs", "age:realloc"]
         }
         "pareto" => PARETO_DEPS,
+        "profiles" => PROFILE_JOBS,
         _ => &[],
     }
 }
@@ -117,6 +131,13 @@ fn aged<'a>(ctx: &'a JobCtx<'_, JobOut>, id: &str) -> Result<&'a ReplayResult, J
 /// Owned variant of [`aged`] for jobs that also borrow `ctx.metrics`.
 fn aged_arc(ctx: &JobCtx<'_, JobOut>, id: &str) -> Result<std::sync::Arc<JobOut>, JobError> {
     ctx.dep_arc(id)
+}
+
+fn tsv<'a>(ctx: &'a JobCtx<'_, JobOut>, id: &str) -> Result<&'a str, JobError> {
+    match ctx.dep(id)? {
+        JobOut::Tsv(text) => Ok(text),
+        JobOut::Aged(_) => Err(JobError::Fatal(format!("{id} is an aging job"))),
+    }
 }
 
 fn as_aged(out: &JobOut) -> &ReplayResult {
@@ -149,6 +170,7 @@ fn aging_job(
         config = config.real_fs_variant();
     }
     let store = (!opts.no_cache).then(|| ArtifactStore::new(opts.cache_path()));
+    let weight = config.expected_ops();
     let age = move |ctx: &mut JobCtx<'_, JobOut>| {
         let run = age_cached(
             store.as_ref(),
@@ -173,7 +195,30 @@ fn aging_job(
     };
     JobSpec {
         deadline_ops: opts.job_deadline_ops,
+        weight,
         ..JobSpec::new(id, &[], age)
+    }
+}
+
+/// One usage profile aged under both policies: a dep-free node of its
+/// own, so the four profiles spread over the workers instead of running
+/// back to back inside the `profiles` exhibit.
+fn profile_job(id: &str, sh: &Shared, name: &str) -> JobSpec<JobOut> {
+    let sh = sh.clone();
+    let profile = profiles::all(sh.seed)
+        .into_iter()
+        .find(|p| p.name == name)
+        .unwrap_or_else(|| unreachable!("unknown profile job {id}"));
+    JobSpec {
+        // One generated stream feeds two file systems.
+        weight: 2 * experiments::profile_config(&sh, &profile).expected_ops(),
+        ..JobSpec::new(id, &[], move |ctx| {
+            Ok(JobOut::Tsv(experiments::profile_row(
+                &sh,
+                &profile,
+                ctx.metrics,
+            )?))
+        })
     }
 }
 
@@ -194,7 +239,13 @@ fn resumed_job(name: &'static str, opts: &Options, path: PathBuf) -> JobSpec<Job
 fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOut> {
     let sh = sh.clone();
     let opts = opts.clone();
-    JobSpec::new(name, deps_of(name), move |ctx| {
+    // `snapval` replays too: its workload into one file system and the
+    // snapshot-derived one into a second.
+    let weight = match name {
+        "snapval" => 2 * experiments::capped_paper_config(&sh).expected_ops(),
+        _ => 0,
+    };
+    let run = move |ctx: &mut JobCtx<'_, JobOut>| {
         chaos_gate(name, &opts);
         let tsv = match name {
             "table1" => experiments::table1(&sh),
@@ -216,7 +267,13 @@ fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOu
             }
             "freespace" => experiments::freespace(aged(ctx, "age:ffs")?, aged(ctx, "age:realloc")?),
             "snapval" => experiments::snapval(&sh, ctx.metrics),
-            "profiles" => experiments::profiles(&sh, ctx.metrics),
+            "profiles" => {
+                let rows: Vec<&str> = PROFILE_JOBS
+                    .iter()
+                    .map(|id| tsv(ctx, id))
+                    .collect::<Result<_, JobError>>()?;
+                experiments::profiles(&sh, &rows)
+            }
             "sweep" => experiments::sweep(&sh, ctx.metrics),
             "smallfile" => experiments::smallfile(&sh, ctx.metrics),
             "pareto" => {
@@ -233,7 +290,11 @@ fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOu
             other => Err(format!("unknown experiment '{other}'")),
         }?;
         Ok(JobOut::Tsv(tsv))
-    })
+    };
+    JobSpec {
+        weight,
+        ..JobSpec::new(name, deps_of(name), run)
+    }
 }
 
 /// Outcome of one requested experiment.
@@ -300,8 +361,8 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
 
     // --resume-run: exhibits a prior journal records as ok, and whose
     // TSVs still exist on disk, reload instead of recomputing. They
-    // become dep-free jobs, so aging runs nothing else needs drop out
-    // of the DAG entirely.
+    // become dep-free jobs, so first-layer jobs nothing else needs
+    // drop out of the DAG entirely.
     let prior_ok = match &opts.resume_run {
         Some(journal) => exp::prior_ok(journal)?,
         None => Default::default(),
@@ -311,25 +372,28 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
     let resumable = |name: &str| prior_ok.contains(name) && tsv_path(name).is_file();
 
     let mut jobs: Vec<JobSpec<JobOut>> = Vec::new();
-    let mut aging_needed: Vec<&str> = Vec::new();
+    let mut deps_needed: Vec<&str> = Vec::new();
     for name in requested {
         if resumable(name) {
             continue;
         }
         for dep in deps_of(name) {
-            if !aging_needed.contains(dep) {
-                aging_needed.push(dep);
+            if !deps_needed.contains(dep) {
+                deps_needed.push(dep);
             }
         }
     }
-    for id in &aging_needed {
+    for id in &deps_needed {
         jobs.push(match *id {
             "age:ffs" => aging_job(id, opts, &sh, AllocPolicy::Orig, false, None),
             "age:realloc" => aging_job(id, opts, &sh, AllocPolicy::Realloc, false, None),
             "age:realref" => aging_job(id, opts, &sh, AllocPolicy::Orig, true, None),
-            other => match defrag_spec_of(other) {
-                Some(spec) => aging_job(id, opts, &sh, AllocPolicy::Orig, false, Some(spec)),
-                None => unreachable!("unknown aging job {other}"),
+            other => match (other.strip_prefix("profile:"), defrag_spec_of(other)) {
+                (Some(name), _) => profile_job(id, &sh, name),
+                (None, Some(spec)) => {
+                    aging_job(id, opts, &sh, AllocPolicy::Orig, false, Some(spec))
+                }
+                (None, None) => unreachable!("unknown first-layer job {other}"),
             },
         });
     }
@@ -394,4 +458,18 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
         fs::write(path, snap.to_json()).map_err(|e| format!("write {path}: {e}"))?;
     }
     Ok(Summary { results })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn profile_jobs_name_every_profile_in_exhibit_order() {
+        let names: Vec<String> = profiles::all(1996)
+            .iter()
+            .map(|p| format!("profile:{}", p.name))
+            .collect();
+        assert_eq!(names, PROFILE_JOBS);
+    }
 }

@@ -8,15 +8,18 @@
 
 use std::fmt::Write as _;
 
-use aging::ReplayResult;
+use aging::{
+    generate, profiles, take_snapshot, AgingConfig, Days, Profile, Replay, ReplayOptions,
+    ReplayResult, SnapshotDiffer, Workload,
+};
 use disk::{raw_read_throughput, raw_write_throughput};
 use exp::Metrics;
-use ffs::{free_space_stats, layout_by_size, size_bins_paper, Filesystem};
+use ffs::{free_space_stats, layout_by_size, size_bins_paper, AllocPolicy, Filesystem};
 use ffs_types::units::fmt_bytes;
-use ffs_types::{Ino, KB, MB};
+use ffs_types::{FsParams, Ino, KB, MB};
 use iobench::{paper_file_sizes, run_hot_files, run_point, SeqBenchConfig};
 
-use crate::ctx::Shared;
+use crate::ctx::{paper_config, Shared};
 
 /// Days of the aging run whose modified files form the "hot" set
 /// (Section 5.2: "the last month").
@@ -300,8 +303,10 @@ pub fn freespace(orig: &ReplayResult, realloc: &ReplayResult) -> Result<String, 
     Ok(s)
 }
 
-fn workload_ops(w: &aging::Workload) -> u64 {
-    w.days.iter().map(|d| d.ops.len() as u64).sum()
+/// The paper's workload capped at 120 days — what the extension
+/// exhibits that age their own volumes (`snapval`, `sweep`) replay.
+pub fn capped_paper_config(sh: &Shared) -> AgingConfig {
+    paper_config(sh.seed, sh.days.min(120))
 }
 
 /// Extension: the snapshot-derivation validation loop. Replays the main
@@ -311,95 +316,109 @@ fn workload_ops(w: &aging::Workload) -> u64 {
 /// layout series. The derived run under-fragments relative to the
 /// original — the same relationship Figure 1 shows between the paper's
 /// snapshot-derived workload and the real file system it came from.
+///
+/// The whole pipeline advances one day at a time — generate, replay,
+/// snapshot, diff against last night, replay the derived day — so it
+/// holds two file systems, one snapshot and one day of operations,
+/// never a workload or a snapshot series.
 pub fn snapval(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
-    use aging::{diff_to_workload, generate, replay, AgingConfig, ReplayOptions};
-    use ffs::AllocPolicy;
-    let mut config = AgingConfig::paper(sh.seed);
-    config.days = sh.days.min(120);
-    if config.days < config.ramp_days {
-        config.ramp_days = (config.days / 3).max(1);
-    }
+    let config = capped_paper_config(sh);
     let params = &sh.params;
-    let w = {
-        let _s = obs::span!("gen_workload");
-        generate(&config, params.ncg, params.data_capacity_bytes())
+    let fresh = || {
+        Replay::new(params, AllocPolicy::Orig, ReplayOptions::default()).map_err(|e| e.to_string())
     };
-    let original = replay(
-        &w,
-        params,
-        AllocPolicy::Orig,
-        ReplayOptions {
-            snapshot_every_days: 1,
-            ..ReplayOptions::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    let derived_w = {
-        let _s = obs::span!("derive_workload");
-        diff_to_workload(
-            &original.snapshots,
-            &config,
-            params.ncg,
-            params.data_capacity_bytes(),
-        )
-    };
-    m.ops = Some(workload_ops(&w) + workload_ops(&derived_w));
-    let derived = replay(
-        &derived_w,
-        params,
-        AllocPolicy::Orig,
-        ReplayOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    let (mut original, mut derived) = (fresh()?, fresh()?);
+    let mut differ = SnapshotDiffer::new(&config, params.ncg);
     let mut s = String::new();
     let _ = writeln!(
         s,
         "# Snapshot-derivation validation: original vs snapshot-derived workload"
     );
     let _ = writeln!(s, "day	original	derived");
-    for (a, b) in original.daily.iter().zip(&derived.daily) {
-        let _ = writeln!(s, "{}	{:.4}	{:.4}", a.day, a.layout_score, b.layout_score);
+    let mut days = Days::new(&config, params.ncg, params.data_capacity_bytes());
+    while let Some(day) = {
+        let _s = obs::span!("gen_workload");
+        days.next()
+    } {
+        original.day(&day).map_err(|e| e.to_string())?;
+        let derived_day = {
+            let _s = obs::span!("derive_workload");
+            differ.push(&take_snapshot(original.fs(), day.day))
+        };
+        derived.day(&derived_day).map_err(|e| e.to_string())?;
+        if let (Some(a), Some(b)) = (original.last(), derived.last()) {
+            let _ = writeln!(s, "{}	{:.4}	{:.4}", a.day, a.layout_score, b.layout_score);
+        }
     }
+    m.ops = Some(original.ops() + derived.ops());
     Ok(s)
+}
+
+/// One usage profile's workload at the length the `profiles` exhibit
+/// ages it.
+pub fn profile_config(sh: &Shared, profile: &Profile) -> AgingConfig {
+    let mut config = profile.config.clone();
+    config.days = sh.days.min(120);
+    config.ramp_days = (config.days / 3).max(1);
+    config
+}
+
+/// One row of the `profiles` exhibit: `profile`'s workload, generated
+/// once and fed a day at a time to an FFS and a realloc file system in
+/// lockstep — the paper's method, the same day applied to both.
+pub fn profile_row(sh: &Shared, profile: &Profile, m: &mut Metrics) -> Result<String, String> {
+    let config = profile_config(sh, profile);
+    let fresh = |policy| {
+        Replay::new(&sh.params, policy, ReplayOptions::default()).map_err(|e| e.to_string())
+    };
+    let mut pair = [fresh(AllocPolicy::Orig)?, fresh(AllocPolicy::Realloc)?];
+    for day in Days::new(&config, sh.params.ncg, sh.params.data_capacity_bytes()) {
+        for r in &mut pair {
+            r.day(&day).map_err(|e| e.to_string())?;
+        }
+    }
+    m.ops = Some(pair.iter().map(Replay::ops).sum());
+    let [ffs, realloc] = pair.map(|r| r.last().map_or(1.0, |d| d.layout_score));
+    Ok(format!(
+        "{}	{ffs:.4}	{realloc:.4}	{:+.4}\n",
+        profile.name,
+        realloc - ffs
+    ))
 }
 
 /// Extension (Section 6 future work): aging under different usage
 /// profiles — news spool, database, personal computing — compared with
-/// the paper's home-directory workload, under both policies.
-pub fn profiles(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
-    use aging::{generate, profiles, replay, ReplayOptions};
-    use ffs::AllocPolicy;
-    let days = sh.days.min(120);
-    let mut ops = 0u64;
+/// the paper's home-directory workload, under both policies. `rows` are
+/// the [`profile_row`]s in [`profiles::all`] order.
+pub fn profiles(sh: &Shared, rows: &[&str]) -> Result<String, String> {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "# Aging by usage profile ({days} days): final aggregate layout score"
+        "# Aging by usage profile ({} days): final aggregate layout score",
+        sh.days.min(120)
     );
     let _ = writeln!(s, "profile	ffs	ffs_realloc	gap");
-    for p in profiles::all(sh.seed) {
-        let mut config = p.config.clone();
-        config.days = days;
-        config.ramp_days = (days / 3).max(1);
-        let w = generate(&config, sh.params.ncg, sh.params.data_capacity_bytes());
-        let mut scores = Vec::new();
-        for policy in [AllocPolicy::Orig, AllocPolicy::Realloc] {
-            ops += workload_ops(&w);
-            let r = replay(&w, &sh.params, policy, ReplayOptions::default())
-                .map_err(|e| e.to_string())?;
-            scores.push(r.daily.last().map_or(1.0, |d| d.layout_score));
-        }
-        let _ = writeln!(
-            s,
-            "{}	{:.4}	{:.4}	{:+.4}",
-            p.name,
-            scores[0],
-            scores[1],
-            scores[1] - scores[0]
-        );
+    for row in rows {
+        s.push_str(row);
     }
-    m.ops = Some(ops);
     Ok(s)
+}
+
+/// Replays a workload several variants share and adds the operations it
+/// applied to `ops`.
+fn replay_counted(
+    w: &Workload,
+    params: &FsParams,
+    policy: AllocPolicy,
+    options: ReplayOptions,
+    ops: &mut u64,
+) -> Result<ReplayResult, String> {
+    let mut r = Replay::new(params, policy, options).map_err(|e| e.to_string())?;
+    for day in &w.days {
+        r.day(day).map_err(|e| e.to_string())?;
+    }
+    *ops += r.ops();
+    Ok(r.finish())
 }
 
 /// Marker line separating the pareto exhibit's frontier table from its
@@ -476,9 +495,7 @@ pub fn pareto(
 /// partial blocks, mean fill, free fragments stranded per live file,
 /// block splits, and the final aggregate layout score.
 pub fn smallfile(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
-    use aging::{generate, profiles, replay, ReplayOptions};
-    use ffs::{frag_space_stats, AllocPolicy};
-    use ffs_types::FsParams;
+    use ffs::frag_space_stats;
 
     /// Plateau utilizations swept; the peak rides three points above
     /// (capped below the generator's hard ceiling).
@@ -531,17 +548,11 @@ pub fn smallfile(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
             config.peak_util = (util + 0.03).min(0.97);
             let w = generate(&config, params.ncg, params.data_capacity_bytes());
             for (label, policy, bestfit) in VARIANTS {
-                ops += workload_ops(&w);
-                let r = replay(
-                    &w,
-                    &params,
-                    policy,
-                    ReplayOptions {
-                        frag_bestfit: bestfit,
-                        ..ReplayOptions::default()
-                    },
-                )
-                .map_err(|e| e.to_string())?;
+                let options = ReplayOptions {
+                    frag_bestfit: bestfit,
+                    ..ReplayOptions::default()
+                };
+                let r = replay_counted(&w, &params, policy, options, &mut ops)?;
                 let fr = frag_space_stats(&r.fs);
                 let al = r.fs.alloc_stats();
                 let files = r.live.len().max(1) as f64;
@@ -573,8 +584,6 @@ pub fn smallfile(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
 /// so `bestfit_split` (the default) repeats the first block's
 /// `maxcontig = 7` row and `firstfit_nosplit` is stock `ffs_reallocblks`.
 pub fn sweep(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
-    use aging::{generate, replay, AgingConfig, ReplayOptions};
-    use ffs::AllocPolicy;
     /// Variant label × `cluster_first_fit` × `realloc_no_split`.
     const VARIANTS: [(&str, bool, bool); 4] = [
         ("bestfit_split", false, false),
@@ -582,18 +591,13 @@ pub fn sweep(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
         ("firstfit_split", true, false),
         ("firstfit_nosplit", true, true),
     ];
-    let mut config = AgingConfig::paper(sh.seed);
-    config.days = sh.days.min(120);
-    if config.days < config.ramp_days {
-        config.ramp_days = (config.days / 3).max(1);
-    }
+    let config = capped_paper_config(sh);
     let w = generate(&config, sh.params.ncg, sh.params.data_capacity_bytes());
     let mut ops = 0u64;
     let mut final_score = |maxcontig: u32, options: ReplayOptions| -> Result<f64, String> {
         let mut params = sh.params.clone();
         params.maxcontig = maxcontig;
-        ops += workload_ops(&w);
-        let r = replay(&w, &params, AllocPolicy::Realloc, options).map_err(|e| e.to_string())?;
+        let r = replay_counted(&w, &params, AllocPolicy::Realloc, options, &mut ops)?;
         Ok(r.daily.last().map_or(1.0, |d| d.layout_score))
     };
     let mut s = String::new();

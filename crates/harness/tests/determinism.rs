@@ -21,7 +21,12 @@ fn opts(out: &Path, jobs: usize) -> Options {
 }
 
 fn run_all(out: &Path, jobs: usize) -> BTreeMap<String, Vec<u8>> {
-    let summary = driver::run(&opts(out, jobs), EXHIBITS).expect("driver runs");
+    run_exhibits(&opts(out, jobs))
+}
+
+fn run_exhibits(o: &Options) -> BTreeMap<String, Vec<u8>> {
+    let out = Path::new(&o.out_dir);
+    let summary = driver::run(o, EXHIBITS).expect("driver runs");
     assert!(summary.all_ok(), "an experiment failed");
     EXHIBITS
         .iter()
@@ -48,13 +53,44 @@ fn cache_lines(out: &Path) -> Vec<(String, String)> {
 fn worker_count_does_not_change_any_exhibit() {
     let base = std::env::temp_dir().join(format!("harness-det-{}", std::process::id()));
     let (serial, parallel) = (base.join("serial"), base.join("parallel"));
-    let a = run_all(&serial, 1);
-    let b = run_all(&parallel, 4);
+    // Thirty days at the paper's seed: long enough that the replaying
+    // jobs' weights differ and the heaviest-first pick reorders them.
+    let days30 = |out: &Path, jobs| Options {
+        days: 30,
+        seed: 1996,
+        ..opts(out, jobs)
+    };
+    let a = run_exhibits(&days30(&serial, 1));
+    let b = run_exhibits(&days30(&parallel, 4));
     for name in EXHIBITS {
         assert_eq!(
             a[*name], b[*name],
             "{name}.tsv differs between --jobs 1 and --jobs 4"
         );
+    }
+    // Each usage profile is a node of its own; the `profiles` exhibit
+    // only renders their rows, so it replays nothing itself.
+    for dir in [&serial, &parallel] {
+        let journal = fs::read_to_string(dir.join("runs.jsonl")).unwrap();
+        let ops_of = |job: &str| {
+            let line = journal
+                .lines()
+                .find(|l| exp::RunRecord::field_str(l, "job").as_deref() == Some(job))
+                .unwrap_or_else(|| panic!("{job} missing from the journal:\n{journal}"));
+            exp::RunRecord::field_num(line, "ops")
+        };
+        for job in [
+            "profile:news",
+            "profile:database",
+            "profile:personal",
+            "profile:home",
+        ] {
+            assert!(
+                ops_of(job).is_some_and(|n| n > 0.0),
+                "{job} records its ops"
+            );
+        }
+        assert_eq!(ops_of("profiles"), None);
     }
     let _ = fs::remove_dir_all(&base);
 }

@@ -1,7 +1,7 @@
 //! `--resume-run`: a rerun that replays a prior journal reloads
 //! already-succeeded exhibits from their TSVs instead of recomputing
-//! them, and the aging jobs they would have required drop out of the
-//! DAG entirely.
+//! them, and the jobs underneath them — agings, and the `profile:*` row
+//! jobs of `profiles` — drop out of the DAG entirely.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -49,6 +49,7 @@ fn resume_run_reloads_ok_exhibits_and_drops_agings() {
     assert!(first.all_ok());
     let first_tsvs = tsvs(&out);
     let first_journal = journal(&out);
+    assert_eq!(first_journal.matches("\"job\":\"profile:").count(), 4);
 
     // Preserve the journal: the resumed run overwrites runs.jsonl.
     let journal_path = out.join("prior-runs.jsonl");
@@ -78,8 +79,8 @@ fn resume_run_reloads_ok_exhibits_and_drops_agings() {
     // marked resumed, and zero replayed operations.
     let second_journal = journal(&out);
     assert!(
-        !second_journal.contains("age:"),
-        "aging jobs must drop out of a fully resumed DAG:\n{second_journal}"
+        !second_journal.contains("age:") && !second_journal.contains("profile:"),
+        "aging and profile-row jobs must drop out of a fully resumed DAG:\n{second_journal}"
     );
     for line in second_journal.lines() {
         let job = exp::RunRecord::field_str(line, "job").unwrap();
@@ -95,6 +96,51 @@ fn resume_run_reloads_ok_exhibits_and_drops_agings() {
     }
     assert_eq!(second_journal.lines().count(), EXHIBITS.len());
 
+    let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn chaos_kill_profiles_takes_down_the_render_node_only() {
+    let out = std::env::temp_dir().join(format!("harness-chaos-profiles-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&out);
+    let killed = Options {
+        chaos_kill: Some("profiles".into()),
+        ..opts(&out)
+    };
+    let run = driver::run(&killed, &["profiles", "table1"]).expect("the run survives");
+    let status: BTreeMap<&str, &str> = run
+        .results
+        .iter()
+        .map(|r| (r.name, r.status.as_str()))
+        .collect();
+    assert_eq!(status["profiles"], "panicked");
+    assert_eq!(status["table1"], "ok");
+    let journal = journal(&out);
+    for line in journal.lines() {
+        let job = exp::RunRecord::field_str(line, "job").unwrap();
+        let want = if job == "profiles" { "panicked" } else { "ok" };
+        assert_eq!(
+            exp::RunRecord::field_str(line, "status").as_deref(),
+            Some(want),
+            "{job}"
+        );
+    }
+    assert_eq!(journal.lines().count(), 6, "four rows, one render, table1");
+    assert!(!out.join("profiles.tsv").exists());
+
+    // The rows were not journalled as `profiles`, so a resume from this
+    // journal recomputes the exhibit — rows and all.
+    let journal_path = out.join("prior-runs.jsonl");
+    fs::write(&journal_path, &journal).unwrap();
+    let resumed = Options {
+        resume_run: Some(journal_path.to_str().unwrap().to_string()),
+        ..opts(&out)
+    };
+    let second = driver::run(&resumed, &["profiles", "table1"]).expect("resumed run");
+    assert!(second.all_ok());
+    let second_journal = self::journal(&out);
+    assert_eq!(second_journal.matches("\"job\":\"profile:").count(), 4);
+    assert!(out.join("profiles.tsv").is_file());
     let _ = fs::remove_dir_all(&out);
 }
 
