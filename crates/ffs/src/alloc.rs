@@ -256,7 +256,9 @@ impl AllocEngine<'_> {
             }
             i *= 2;
         }
-        for i in 0..ncg {
+        // Offset 0 was the first probe and offset 1 the rehash's first, so
+        // the sweep runs `i = 2 .. ncg` as `ffs_hashalloc`'s does.
+        for i in 0..ncg.saturating_sub(2) {
             let g = CgIdx((start.0 + 2 + i) % ncg);
             if let Some(t) = f(self, g) {
                 self.stats.cg_spills = self.stats.cg_spills.saturating_add(1);
@@ -269,7 +271,7 @@ impl AllocEngine<'_> {
     /// Allocates an inode near the directory's group, spilling to other
     /// groups when full (`ffs_valloc`).
     pub(crate) fn alloc_inode_pref(&mut self, dcg: CgIdx) -> FsResult<Ino> {
-        let per = self.params.inodes_per_cg();
+        let per = self.geom.inodes_per_cg;
         self.hashalloc(dcg, |eng, g| {
             eng.cgs[g.0 as usize]
                 .alloc_inode()
@@ -723,6 +725,48 @@ mod tests {
         let addr = f.file(ino).unwrap().blocks[0];
         assert_ne!(f.params().dtog(addr), CgIdx(0));
         assert!(f.alloc_stats().cg_spills > spills_before);
+    }
+
+    /// The groups a failed allocation probes from `start`, in order.
+    fn failed_probes(f: &mut Filesystem, start: CgIdx) -> Vec<u32> {
+        let mut probed = Vec::new();
+        let got = f.engine().hashalloc(start, |_, g| {
+            probed.push(g.0);
+            None::<()>
+        });
+        assert!(got.is_none());
+        probed
+    }
+
+    #[test]
+    fn failed_hashalloc_probes_no_group_a_third_time() {
+        // Four groups: the preferred one, the rehash at offsets 1 and 2,
+        // then the sweep over offsets 2 and 3 — `i = 2 .. ncg`. The sweep
+        // used to run `ncg` long and end on offsets 0 and 1 again (seven
+        // probes, not five).
+        let mut f = fs();
+        assert_eq!(failed_probes(&mut f, CgIdx(1)), [1, 2, 3, 3, 0]);
+        // However many groups, every one of them is still asked — two
+        // groups once each, where the sweep used to ask both again.
+        for ncg in 1..=9 {
+            let params = FsParams {
+                ncg,
+                ..FsParams::small_test()
+            };
+            let mut f = Filesystem::new(params, AllocPolicy::Orig);
+            for start in 0..ncg {
+                let mut probed = failed_probes(&mut f, CgIdx(start));
+                let rehash = ncg.next_power_of_two().trailing_zeros();
+                assert_eq!(probed.len() as u32, 1 + rehash + ncg.saturating_sub(2));
+                probed.sort_unstable();
+                probed.dedup();
+                assert_eq!(
+                    probed,
+                    (0..ncg).collect::<Vec<_>>(),
+                    "ncg {ncg} from {start}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,17 @@
 //!   contribute nothing). It drives the best-fit fragment search of
 //!   [`CylGroup::find_frag_run_bestfit`], which picks the smallest
 //!   adequate run size before touching the map at all — `ffs_alloccg`'s
-//!   `allocsiz` loop;
+//!   `allocsiz` loop — and, with the free-block count, refuses a
+//!   first-fit request no block of the group can hold;
 //! * `fill_hist` — the partial-block census: `fill_hist[k-1]` counts
-//!   partial blocks with exactly `k` allocated fragments.
+//!   partial blocks with exactly `k` allocated fragments;
+//! * `fit_words` — the partial-block fit index: `fpb - 1` bitmaps laid
+//!   out like `free_words`, level `k` holding a bit for every partial
+//!   block whose longest free run is at least `k` fragments. With
+//!   `free_words` it turns both fragment searches
+//!   ([`CylGroup::find_frag_run`], [`CylGroup::find_frag_run_bestfit`])
+//!   into `trailing_zeros` walks 64 blocks to the step; only fragment
+//!   transitions write it, the whole-block path never does.
 //!
 //! There is exactly one from-scratch builder for that value, the
 //! byte-at-a-time [`crate::naive::recount_derived`], and one named-table
@@ -86,17 +94,25 @@ pub struct Derived {
     /// full) with exactly `k` allocated fragments (`fpb - 1` entries).
     /// Feeds [`crate::freespace::frag_space_stats`] without a map walk.
     pub(crate) fill_hist: Vec<u32>,
+    /// The partial-block fit index: `fpb - 1` bitmaps of
+    /// `free_words.len()` words each, flattened level after level. Bit
+    /// `block` of level `k` (1-based) is set when the block is partially
+    /// allocated and its longest free run is at least `k` fragments, so a
+    /// block whose longest run is `r` has its bit in levels `1..=r`.
+    /// Fully free and fully allocated blocks have no bit at any level.
+    pub(crate) fit_words: Vec<u64>,
 }
 
 impl Derived {
     /// The tables by name, in a fixed order — the one list that check,
     /// fault injection and the oracle tests iterate.
-    pub(crate) fn tables(&self) -> [(&'static str, Table<'_>); 4] {
+    pub(crate) fn tables(&self) -> [(&'static str, Table<'_>); 5] {
         [
             ("free_words", Table::Words(&self.free_words)),
             ("csum", Table::Counts(&self.csum)),
             ("frsum", Table::Counts(&self.frsum)),
             ("fill_hist", Table::Counts(&self.fill_hist)),
+            ("fit_words", Table::Words(&self.fit_words)),
         ]
     }
 
@@ -105,15 +121,19 @@ impl Derived {
     /// Returns `false` for an empty table (the fragment tables at one
     /// fragment per block).
     pub(crate) fn perturb(&mut self, i: usize, mut draw: impl FnMut(u32) -> u32) -> bool {
-        let counts = match i {
-            0 => {
-                let w = &mut self.free_words[..];
-                w[draw(w.len() as u32) as usize] ^= 1 << draw(64);
-                return true;
+        let mut flip_bit = |w: &mut [u64]| {
+            if w.is_empty() {
+                return false;
             }
+            w[draw(w.len() as u32) as usize] ^= 1 << draw(64);
+            true
+        };
+        let counts = match i {
+            0 => return flip_bit(&mut self.free_words),
             1 => &mut self.csum[..],
             2 => &mut self.frsum[..],
             3 => &mut self.fill_hist[..],
+            4 => return flip_bit(&mut self.fit_words),
             _ => unreachable!("no derived table {i}"),
         };
         if counts.is_empty() {
@@ -365,8 +385,9 @@ impl CylGroup {
         let old = self.map_byte(block);
         let new = old | run_mask(frag, len);
         self.write_lane(block, new);
-        self.frsum_account(old, false);
-        self.frsum_account(new, true);
+        let was = self.frsum_account(old, false);
+        let now = self.frsum_account(new, true);
+        self.fit_account(block, was, now);
         self.fill_account(old, false);
         self.fill_account(new, true);
         if old == 0 {
@@ -387,8 +408,9 @@ impl CylGroup {
         debug_assert!(block >= self.meta_blocks);
         let new = old & !mask;
         self.write_lane(block, new);
-        self.frsum_account(old, false);
-        self.frsum_account(new, true);
+        let was = self.frsum_account(old, false);
+        let now = self.frsum_account(new, true);
+        self.fit_account(block, was, now);
         self.fill_account(old, false);
         self.fill_account(new, true);
         self.free_frags += len;
@@ -415,22 +437,52 @@ impl CylGroup {
     /// lanes contribute nothing (`cg_frsum` counts runs in partial
     /// blocks only), so callers account the old lane out and the new
     /// lane in around every fragment-level mutation and the empty/full
-    /// endpoints fall out automatically.
-    fn frsum_account(&mut self, lane: u8, add: bool) {
+    /// endpoints fall out automatically. Returns the lane's longest such
+    /// run — zero for the empty and full lanes — which is what
+    /// [`CylGroup::fit_account`] files the block under.
+    fn frsum_account(&mut self, lane: u8, add: bool) -> u32 {
         if lane == 0 || lane == self.full_lane() {
-            return;
+            return 0;
         }
         // Walk the maximal zero runs with bit intrinsics: a partial lane
         // has at most fpb/2 runs and usually one, so this is a couple of
         // iterations where a per-bit loop is always fpb + 1.
         let mut z = !u32::from(lane) & u32::from(self.full_lane());
+        let mut longest = 0;
         while z != 0 {
             let start = z.trailing_zeros();
             let run = (z >> start).trailing_ones();
             let slot = &mut self.derived.frsum[(run - 1) as usize];
             *slot = if add { *slot + 1 } else { *slot - 1 };
+            longest = longest.max(run);
             z &= !(((1u32 << run) - 1) << start);
         }
+        longest
+    }
+
+    /// Refiles `block` in the fit index after a fragment transition took
+    /// its longest free run (as [`CylGroup::frsum_account`] reports it,
+    /// zero when the lane is not partial) from `was` to `now`: the block's
+    /// bit belongs in levels `1..=longest`, so exactly the levels between
+    /// the two flip — at most `fpb - 1` of them, none when the longest run
+    /// did not change. Whole-block transitions go empty to full or back
+    /// and are zero on both sides, which is why
+    /// [`CylGroup::alloc_block_run`] and [`CylGroup::free_block_run`]
+    /// never come here.
+    fn fit_account(&mut self, block: u32, was: u32, now: u32) {
+        let stride = self.derived.free_words.len();
+        let (wi, bit) = ((block / 64) as usize, 1u64 << (block % 64));
+        for level in was.min(now)..was.max(now) {
+            self.derived.fit_words[level as usize * stride + wi] ^= bit;
+        }
+    }
+
+    /// Level `k` of the fit index (`1 <= k < fpb`): one bit per block, set
+    /// where a partially allocated block has a free run of at least `k`
+    /// fragments.
+    fn fit_level(&self, k: u32) -> &[u64] {
+        let stride = self.derived.free_words.len();
+        &self.derived.fit_words[(k - 1) as usize * stride..][..stride]
     }
 
     /// Adds (`add`) or removes one block lane's contribution to the
@@ -849,80 +901,13 @@ impl CylGroup {
         None
     }
 
-    /// Word-parallel first-fit fragment search over blocks `lo..hi`: the
-    /// earliest free run of at least `len` fragments that does not cross
-    /// a lane boundary, whether in a partial or a fully free block.
-    ///
-    /// One `u64` of map holds `64 / fpb` lanes; ANDing the complemented
-    /// word with itself shifted `1..len` times leaves a set bit at every
-    /// position starting `len` free fragments, and a precomputed
-    /// per-lane mask drops the starts too close to a lane edge. A word
-    /// of full lanes dies at the first AND, so the loop skips allocated
-    /// regions at word speed and `trailing_zeros` lands on the earliest
-    /// hit — no per-lane walk anywhere.
-    fn scan_free_run(&self, lo: u32, hi: u32, len: u32) -> Option<(u32, u32)> {
-        let lanes = 64 / self.fpb;
-        // Valid in-lane starts: fragment offsets 0..=fpb-len, broadcast
-        // to every lane (the multiply cannot carry: the per-lane pattern
-        // is below 1 << fpb).
-        let unit = u64::MAX / u64::from(self.full_lane());
-        let starts = ((1u64 << (self.fpb - len + 1)) - 1).wrapping_mul(unit);
-        let mut b = lo.max(self.meta_blocks);
-        while b < hi {
-            let word_base = b - b % lanes;
-            let z = !self.frag_words[(b / lanes) as usize];
-            let mut m = z;
-            for i in 1..len {
-                m &= z >> i;
-            }
-            m &= starts << ((b % lanes) * self.fpb);
-            let lim = (hi - word_base).min(lanes) * self.fpb;
-            if lim < 64 {
-                m &= (1u64 << lim) - 1;
-            }
-            if m != 0 {
-                let p = m.trailing_zeros();
-                return Some((word_base + p / self.fpb, p % self.fpb));
-            }
-            b = word_base + lanes;
-        }
-        None
-    }
-
-    /// Word-at-a-time walk of the partially allocated lanes of blocks
-    /// `lo..hi` in address order. One compare skips a whole word of
-    /// lanes when every lane at or after the cursor in it is fully
-    /// allocated or fully free — on an aged group most words are
-    /// exactly that. `pick` inspects the surviving partial lanes;
-    /// returns the first `(block, frag)` it accepts.
-    fn scan_partial_lanes(
-        &self,
-        lo: u32,
-        hi: u32,
-        pick: impl Fn(u8) -> Option<u32>,
-    ) -> Option<(u32, u32)> {
-        let full = self.full_lane();
-        let lanes = 64 / self.fpb;
-        let mut b = lo.max(self.meta_blocks);
-        while b < hi {
-            let sh = (b % lanes) * self.fpb;
-            let w = self.frag_words[(b / lanes) as usize];
-            if w >> sh == u64::MAX >> sh || w >> sh == 0 {
-                b += lanes - b % lanes;
-                continue;
-            }
-            let word_end = (b - b % lanes + lanes).min(hi);
-            while b < word_end {
-                let lane = (w >> ((b % lanes) * self.fpb)) as u8 & full;
-                if lane != full && lane != 0 {
-                    if let Some(frag) = pick(lane) {
-                        return Some((b, frag));
-                    }
-                }
-                b += 1;
-            }
-        }
-        None
+    /// First block in `lo..hi` that can hold `len` fragments: the earlier
+    /// of the first fully free block and the first partial block with a
+    /// free run of at least `len`, each one bitmap walk, the second
+    /// bounded by what the first found.
+    fn next_fit(&self, len: u32, lo: u32, hi: u32) -> Option<u32> {
+        let free = next_set_bit(&self.derived.free_words, lo, hi);
+        next_set_bit(self.fit_level(len), lo, free.unwrap_or(hi)).or(free)
     }
 
     /// Finds a free fragment run of at least `len` fragments, first fit
@@ -931,11 +916,19 @@ impl CylGroup {
     /// it lies in a partially allocated fragment block or at the start of
     /// a fully free block (which this allocation then splits). Locality
     /// beats frugality, exactly as in the BSD code.
+    ///
+    /// The fragment map itself is read for one lane only. Whether any
+    /// block fits is answered from the counters first, as `ffs_alloccg`
+    /// consults `cg_frsum` before it searches — a group with loose
+    /// fragments but no run of `len` is refused in O(fpb), which is what
+    /// every group a spilled allocation probes on a full volume looks
+    /// like — and which block fits first is `next_fit` over
+    /// two bitmaps. (Reference per-fragment scan:
+    /// [`crate::naive::find_frag_run`].)
     pub fn find_frag_run(&self, from: u32, len: u32) -> Option<FragRun> {
         debug_assert!(len >= 1 && len < self.fpb);
-        // A fitting run needs at least `len` free fragments somewhere;
-        // skip the map scan outright when the count rules one out.
-        if self.free_frags < len {
+        let longer = &self.derived.frsum[(len - 1) as usize..];
+        if self.free_blocks == 0 && longer.iter().all(|&c| c == 0) {
             return None;
         }
         let start = if from >= self.nblocks {
@@ -943,9 +936,13 @@ impl CylGroup {
         } else {
             from
         };
-        self.scan_free_run(start, self.nblocks, len)
-            .or_else(|| self.scan_free_run(0, start, len))
-            .map(|(block, frag)| FragRun { block, frag, len })
+        let block = self
+            .next_fit(len, start, self.nblocks)
+            .or_else(|| self.next_fit(len, 0, start));
+        debug_assert!(block.is_some(), "the summaries say {len} frags fit");
+        let block = block?;
+        let frag = first_zero_run(self.map_byte(block), self.fpb, len);
+        Some(FragRun { block, frag, len })
     }
 
     /// Best-fit fragment search guided by the fragment summary — the
@@ -954,9 +951,11 @@ impl CylGroup {
     /// in O(fpb) before the map is touched, then the first partially
     /// allocated block at or after `from` (wrapping once) holding a
     /// maximal free run of exactly `k` fragments supplies the first
-    /// `len` of them. Returns `None` when no partial block has an
-    /// adequate run; the caller then splits a fully free block, exactly
-    /// as the BSD allocator falls back to `ffs_alloccgblk`.
+    /// `len` of them. The candidates are the set bits of fit level `k`;
+    /// a block filed there for a longer run only is passed over.
+    /// Returns `None` when no partial block has an adequate run; the
+    /// caller then splits a fully free block, exactly as the BSD
+    /// allocator falls back to `ffs_alloccgblk`.
     pub fn find_frag_run_bestfit(&self, from: u32, len: u32) -> Option<FragRun> {
         debug_assert!(len >= 1 && len < self.fpb);
         let k = (len..self.fpb).find(|&k| self.derived.frsum[(k - 1) as usize] > 0)?;
@@ -965,11 +964,18 @@ impl CylGroup {
         } else {
             from
         };
-        let pick = |lane: u8| exact_zero_run(lane, self.fpb, k);
-        let found = self
-            .scan_partial_lanes(start, self.nblocks, pick)
-            .or_else(|| self.scan_partial_lanes(0, start, pick))
-            .map(|(block, frag)| FragRun { block, frag, len });
+        let level = self.fit_level(k);
+        let scan = |lo: u32, hi: u32| {
+            let mut pos = lo;
+            while let Some(block) = next_set_bit(level, pos, hi) {
+                if let Some(frag) = exact_zero_run(self.map_byte(block), self.fpb, k) {
+                    return Some(FragRun { block, frag, len });
+                }
+                pos = block + 1;
+            }
+            None
+        };
+        let found = scan(start, self.nblocks).or_else(|| scan(0, start));
         debug_assert!(
             found.is_some(),
             "frsum says a {k}-frag run exists but none was found"
@@ -1257,6 +1263,18 @@ fn run_mask(frag: u32, len: u32) -> u8 {
     (((1u16 << len) - 1) << frag) as u8
 }
 
+/// First position of a run of at least `len` zero bits within the low
+/// `fpb` bits of `lane`; the lane must have one.
+fn first_zero_run(lane: u8, fpb: u32, len: u32) -> u32 {
+    let z = !u32::from(lane) & ((1 << fpb) - 1);
+    let mut starts = z;
+    for i in 1..len {
+        starts &= z >> i;
+    }
+    debug_assert!(starts != 0, "no {len}-frag run in lane {lane:#b}");
+    starts.trailing_zeros()
+}
+
 /// First position of a *maximal* run of exactly `len` zero bits within
 /// the low `fpb` bits of `byte` — bounded by set bits or the lane edges,
 /// matching what the fragment summary counts.
@@ -1506,6 +1524,56 @@ mod tests {
         cg.free_frag_run(m, 5, 2);
         assert!(cg.is_block_free(m));
         assert!(cg.frag_summary().iter().all(|&c| c == 0));
+    }
+
+    /// The fit-index levels that hold `block`'s bit.
+    fn fit_levels(cg: &CylGroup, block: u32) -> Vec<u32> {
+        (1..cg.fpb)
+            .filter(|&k| cg.fit_level(k)[(block / 64) as usize] & (1 << (block % 64)) != 0)
+            .collect()
+    }
+
+    #[test]
+    fn fit_index_files_a_partial_block_under_its_longest_run() {
+        let (_, mut cg) = group();
+        let m = cg.meta_blocks();
+        assert_eq!(fit_levels(&cg, m), []);
+        cg.alloc_frags(m, 0, 3); // One free run of 5.
+        assert_eq!(fit_levels(&cg, m), [1, 2, 3, 4, 5]);
+        cg.alloc_frags(m, 5, 2); // Runs of 2 and 1.
+        assert_eq!(fit_levels(&cg, m), [1, 2]);
+        cg.alloc_frags(m, 7, 1); // The 2-run is still the longest.
+        assert_eq!(fit_levels(&cg, m), [1, 2]);
+        cg.alloc_frags(m, 3, 2); // Full: filed nowhere.
+        assert_eq!(fit_levels(&cg, m), []);
+        cg.free_frag_run(m, 1, 7); // One free run of 7.
+        assert_eq!(fit_levels(&cg, m), [1, 2, 3, 4, 5, 6, 7]);
+        cg.free_frag_run(m, 0, 1); // Fully free: `free_words` has it now.
+        assert_eq!(fit_levels(&cg, m), []);
+        assert!(cg.free_bit(m));
+        assert!(cg.derived_drift().is_empty());
+    }
+
+    #[test]
+    fn block_path_never_touches_the_fit_index() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (_, mut cg) = group();
+        let (m, n) = (cg.meta_blocks(), cg.nblocks());
+        let mut rng = StdRng::seed_from_u64(24);
+        for _ in 0..2000 {
+            let b = rng.gen_range(m..n);
+            let want = rng.gen_range(1u32..=9);
+            if cg.is_block_free(b) {
+                cg.alloc_block_run(b, 1 + cg.free_len_after(b, want - 1));
+            } else {
+                // No fragment is ever allocated here, so not free is full.
+                let run = (b..n.min(b + want)).take_while(|&x| !cg.is_block_free(x));
+                cg.free_block_run(b, run.count() as u32);
+            }
+            assert!(cg.derived.fit_words.iter().all(|&w| w == 0));
+        }
+        assert!(cg.free_blocks() < n - m, "the churn allocated nothing");
+        assert!(cg.derived_drift().is_empty());
     }
 
     #[test]

@@ -290,7 +290,7 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
         data_frags += f.data_frags_at(fpb);
         meta_frags += f.indirects.len() as u64 * fpb as u64;
         // The inode slot must be allocated in its group.
-        let (cg, slot) = params.ino_to_cg(f.ino);
+        let (cg, slot) = fs.geom.itog(f.ino);
         if !fs.cg(cg).inode_used(slot) {
             errs.push(Violation::FileInodeSlotFree(f.ino));
         }

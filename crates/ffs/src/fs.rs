@@ -310,7 +310,7 @@ impl Filesystem {
             }
             Err(e) => {
                 self.release_meta_space(&meta);
-                let (cg, slot) = self.params.ino_to_cg(ino);
+                let (cg, slot) = self.geom.itog(ino);
                 self.cgs[cg.0 as usize].free_inode(slot);
                 Err(e)
             }
@@ -346,7 +346,7 @@ impl Filesystem {
             d.nfiles -= 1;
         }
         self.release_meta_space(&meta);
-        let (cg, slot) = self.params.ino_to_cg(ino);
+        let (cg, slot) = self.geom.itog(ino);
         self.cgs[cg.0 as usize].free_inode(slot);
         Ok(meta)
     }

@@ -4,13 +4,14 @@
 //! count) and derives everything else on demand: `FsParams::dtog` is five
 //! integer divisions, one of them 64-bit, and the block path used to call
 //! it three times per block. 4.4BSD keeps `fs_fpg` and `fs_fragshift` in
-//! the superblock so that `dtog` is one divide and `fragstoblks` a shift;
-//! [`Geometry`] is that part of the superblock. [`crate::Filesystem::new`]
+//! the superblock so that `dtog` is one divide and `fragstoblks` a shift,
+//! and `fs_ipg` so that `itog` is one more; [`Geometry`] is that part of
+//! the superblock. [`crate::Filesystem::new`]
 //! builds one and every module of this crate reads it; the `FsParams`
 //! helpers stay as the slow, obviously correct reference
 //! (`tests/geom_oracle.rs` holds the two equal).
 
-use ffs_types::{CgIdx, Daddr, FsParams};
+use ffs_types::{CgIdx, Daddr, FsParams, Ino};
 
 /// What the allocator needs to know about a volume's shape, as plain
 /// numbers. A pure function of [`FsParams`]; it caches, it decides
@@ -30,6 +31,8 @@ pub struct Geometry {
     pub(crate) frag_limit: u32,
     /// Data blocks over all groups (capacity available to files).
     pub(crate) total_data_blocks: u32,
+    /// Inode slots in every group (`fs_ipg`).
+    pub(crate) inodes_per_cg: u32,
 }
 
 impl Geometry {
@@ -47,6 +50,7 @@ impl Geometry {
             last_cg: params.ncg - 1,
             frag_limit: params.total_blocks() * fpb,
             total_data_blocks: params.total_data_blocks(),
+            inodes_per_cg: params.inodes_per_cg(),
         }
     }
 
@@ -60,6 +64,21 @@ impl Geometry {
     /// [`FsParams::dtog`] maps them.
     pub fn dtog(&self, d: Daddr) -> CgIdx {
         CgIdx((d.0 / self.group_frags).min(self.last_cg))
+    }
+
+    /// Inode slots per cylinder group.
+    pub fn inodes_per_cg(&self) -> u32 {
+        self.inodes_per_cg
+    }
+
+    /// The cylinder group and table slot of an inode number (`itog` and
+    /// `ino % fs_ipg`): inode numbers are dense per group, so one divide
+    /// where [`FsParams::ino_to_cg`] re-derives the group size first.
+    pub fn itog(&self, ino: Ino) -> (CgIdx, u32) {
+        (
+            CgIdx(ino.0 / self.inodes_per_cg),
+            ino.0 % self.inodes_per_cg,
+        )
     }
 
     /// One past the volume's last fragment address.

@@ -274,19 +274,23 @@ impl<K: SlabKey, V> RefTable<K, V> {
 /// counts maximal free runs of capped length `k + 1`, runs of `maxcontig`
 /// blocks or more pooled in the last bucket), the fragment summary
 /// (bucket `k` counts maximal free fragment runs of exactly `k + 1`
-/// fragments inside partially allocated blocks — `cg_frsum` semantics)
-/// and the partial-block census (bucket `k` counts partial blocks with
-/// exactly `k + 1` allocated fragments). The incrementally maintained
-/// value in `CylGroup` must equal this after every operation.
+/// fragments inside partially allocated blocks — `cg_frsum` semantics),
+/// the partial-block census (bucket `k` counts partial blocks with
+/// exactly `k + 1` allocated fragments) and the partial-block fit index
+/// (a partial block whose longest free run is `r` fragments has its bit
+/// in levels `1..=r`). The incrementally maintained value in `CylGroup`
+/// must equal this after every operation.
 pub fn recount_derived(cg: &CylGroup) -> Derived {
     let fpb = cg.frags_per_block();
     let full = cg.full_lane();
     let cap = cg.maxcontig() as usize;
+    let nwords = cg.nblocks().div_ceil(64) as usize;
     let mut d = Derived {
-        free_words: vec![0u64; cg.nblocks().div_ceil(64) as usize],
+        free_words: vec![0u64; nwords],
         csum: vec![0u32; cap],
         frsum: vec![0u32; (fpb - 1) as usize],
         fill_hist: vec![0u32; (fpb - 1) as usize],
+        fit_words: vec![0u64; (fpb - 1) as usize * nwords],
     };
     let mut run = 0usize;
     // One step past the end, read as allocated, closes a trailing run.
@@ -310,13 +314,18 @@ pub fn recount_derived(cg: &CylGroup) -> Derived {
         }
         d.fill_hist[(byte.count_ones() - 1) as usize] += 1;
         let mut frun = 0u32;
+        let mut longest = 0u32;
         for i in 0..=fpb {
             if i < fpb && byte & (1 << i) == 0 {
                 frun += 1;
             } else if frun > 0 {
                 d.frsum[(frun - 1) as usize] += 1;
+                longest = longest.max(frun);
                 frun = 0;
             }
+        }
+        for level in 0..longest as usize {
+            d.fit_words[level * nwords + (b / 64) as usize] |= 1 << (b % 64);
         }
     }
     d

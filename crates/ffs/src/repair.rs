@@ -121,7 +121,6 @@ pub(crate) fn rebuild_allocation_state(fs: &mut Filesystem) {
 /// used-space counters.
 fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
     let Filesystem {
-        params,
         geom,
         cgs,
         files,
@@ -146,7 +145,7 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
         d.nfiles = 0;
     }
     for f in files.values() {
-        let (g, slot) = params.ino_to_cg(f.ino);
+        let (g, slot) = geom.itog(f.ino);
         mark_slot(cgs, g, slot);
         used_data += f.data_frags_at(geom.fpb);
         used_meta += f.indirects.len() as u64 * fpb;
@@ -270,7 +269,7 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
                     }
                 };
                 if let Some(ino) = victim {
-                    let (g, slot) = fs.params.ino_to_cg(ino);
+                    let (g, slot) = fs.geom.itog(ino);
                     let (w, b) = ((slot / 64) as usize, slot % 64);
                     fs.cgs[g.0 as usize].raw_imap_mut()[w] &= !(1 << b);
                 } else {
@@ -592,6 +591,10 @@ mod tests {
             churn(&mut pristine, &mut rng, 60);
             assert_consistent(&pristine);
             let names = pristine.cgs[0].derived_mut().tables().map(|(name, _)| name);
+            assert_eq!(
+                names,
+                ["free_words", "csum", "frsum", "fill_hist", "fit_words"]
+            );
             for (t, name) in names.into_iter().enumerate() {
                 let mut fs = pristine.clone();
                 let g = rng.gen_range(0..fs.cgs.len());

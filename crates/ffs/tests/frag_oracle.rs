@@ -9,7 +9,11 @@
 //! frag-per-block geometry (1, 2, 4, 8 — each leaving a non-multiple-
 //! of-64 trailing fragment word on the odd group size) and assert that
 //! the searches are bit-for-bit identical and that the summary always
-//! equals a from-scratch recount, after *every* mutation.
+//! equals a from-scratch recount, after *every* mutation. Beside the
+//! random maps, four constructed ones pin the shapes the searches branch
+//! on — loose fragments but no fitting run, only fully free blocks, only
+//! partial blocks, the sole fit below the starting block — against the
+//! references for every `(from, len)` there is.
 
 use ffs::naive;
 use ffs::CylGroup;
@@ -92,6 +96,22 @@ fn draw_from(rng: &mut StdRng, n: u32) -> u32 {
     }
 }
 
+/// Both fragment searches vs their naive references for one query.
+fn assert_query_matches(cg: &CylGroup, from: u32, len: u32) {
+    let fpb = cg.frags_per_block();
+    assert_eq!(
+        cg.find_frag_run(from, len).map(|r| (r.block, r.frag)),
+        naive::find_frag_run(cg, from, len),
+        "find_frag_run(from={from}, len={len}, fpb={fpb})"
+    );
+    assert_eq!(
+        cg.find_frag_run_bestfit(from, len)
+            .map(|r| (r.block, r.frag)),
+        naive::find_frag_run_bestfit(cg, from, len),
+        "find_frag_run_bestfit(from={from}, len={len}, fpb={fpb})"
+    );
+}
+
 /// Both fragment searches vs their naive references for `queries`
 /// random `(from, len)` pairs. Sub-block requests only exist for
 /// `fpb > 1`; the fpb = 1 geometry is covered by the summary checks
@@ -104,17 +124,7 @@ fn assert_searches_match(cg: &CylGroup, rng: &mut StdRng, queries: usize) {
     for _ in 0..queries {
         let from = draw_from(rng, cg.nblocks());
         let len = rng.gen_range(1..fpb);
-        assert_eq!(
-            cg.find_frag_run(from, len).map(|r| (r.block, r.frag)),
-            naive::find_frag_run(cg, from, len),
-            "find_frag_run(from={from}, len={len}, fpb={fpb})"
-        );
-        assert_eq!(
-            cg.find_frag_run_bestfit(from, len)
-                .map(|r| (r.block, r.frag)),
-            naive::find_frag_run_bestfit(cg, from, len),
-            "find_frag_run_bestfit(from={from}, len={len}, fpb={fpb})"
-        );
+        assert_query_matches(cg, from, len);
         if let Some(r) = cg.find_frag_run_bestfit(from, len) {
             assert!(cg.is_run_free(r.block, r.frag, r.len));
             assert_eq!(r.len, len, "best fit returns the requested length");
@@ -221,5 +231,91 @@ fn bestfit_never_splits_while_a_partial_run_fits() {
         cg.alloc_frags(m + 50, fpb - 1, 1);
         assert!(cg.find_frag_run_bestfit(m, 1).is_none());
         assert!(naive::find_frag_run_bestfit(&cg, m, 1).is_none());
+    }
+}
+
+/// Group 1 of the geometry with every data block fully allocated.
+fn full_group(fsize: u32) -> CylGroup {
+    let mut cg = CylGroup::new(&geometry(fsize), CgIdx(1));
+    let m = cg.meta_blocks();
+    cg.alloc_block_run(m, cg.nblocks() - m);
+    assert_eq!(cg.free_frags(), 0);
+    cg
+}
+
+/// Both fragment searches vs their naive references for every starting
+/// block (the two past-the-end resets included) and every length.
+fn assert_every_query_matches(cg: &CylGroup) {
+    let fpb = cg.frags_per_block();
+    assert_summary_exact(cg);
+    for from in (0..=cg.nblocks() + 1).chain([u32::MAX]) {
+        for len in 1..fpb {
+            assert_query_matches(cg, from, len);
+        }
+    }
+}
+
+#[test]
+fn loose_fragments_without_a_fitting_run_are_refused() {
+    // A one-fragment hole in every third block: plenty of free
+    // fragments, no two of them adjacent. The free-fragment count alone
+    // cannot refuse this group; the summary must.
+    for &fsize in &FSIZES[..3] {
+        let mut cg = full_group(fsize);
+        let fpb = cg.frags_per_block();
+        for b in (cg.meta_blocks()..cg.nblocks()).step_by(3) {
+            cg.free_frag_run(b, b % fpb, 1);
+        }
+        for len in 2..fpb {
+            assert!(cg.free_frags() >= len);
+            assert_eq!(cg.find_frag_run(cg.meta_blocks(), len), None);
+            assert_eq!(cg.find_frag_run_bestfit(cg.meta_blocks(), len), None);
+        }
+        assert_every_query_matches(&cg);
+    }
+}
+
+#[test]
+fn only_fully_free_blocks() {
+    for &fsize in &FSIZES[..3] {
+        let mut cg = full_group(fsize);
+        let (m, n) = (cg.meta_blocks(), cg.nblocks());
+        for b in [m + 1, m + 70, m + 71, n - 1] {
+            cg.free_block(b);
+        }
+        assert_eq!(cg.partial_blocks(), 0);
+        assert_every_query_matches(&cg);
+    }
+}
+
+#[test]
+fn only_partial_blocks() {
+    // Holes of every length from 1 to fpb - 1 at varying offsets, every
+    // fifth block; no block is fully free.
+    for &fsize in &FSIZES[..3] {
+        let mut cg = full_group(fsize);
+        let fpb = cg.frags_per_block();
+        for (i, b) in (cg.meta_blocks()..cg.nblocks()).step_by(5).enumerate() {
+            let len = 1 + i as u32 % (fpb - 1);
+            cg.free_frag_run(b, (3 * i as u32) % (fpb - len + 1), len);
+        }
+        assert_eq!(cg.free_blocks(), 0);
+        assert!(cg.frag_summary().iter().all(|&c| c > 0));
+        assert_every_query_matches(&cg);
+    }
+}
+
+#[test]
+fn sole_fit_below_the_starting_block_is_found_by_wrapping() {
+    for &fsize in &FSIZES[..3] {
+        let mut cg = full_group(fsize);
+        let fpb = cg.frags_per_block();
+        let hole = cg.meta_blocks() + 3;
+        cg.free_frag_run(hole, 1, fpb - 1);
+        for len in 1..fpb {
+            let r = cg.find_frag_run(cg.nblocks() - 10, len).expect("wraps");
+            assert_eq!((r.block, r.frag), (hole, 1));
+        }
+        assert_every_query_matches(&cg);
     }
 }

@@ -1,16 +1,17 @@
 //! Differential oracle for the precomputed volume geometry.
 //!
 //! [`ffs::Geometry`] caches what [`FsParams`] derives on demand — `dtog`
-//! becomes one divide where the parameter set takes five — and
+//! becomes one divide where the parameter set takes five, `itog` one where
+//! it takes three — and
 //! [`ffs::CylGroup`] turns blocks into addresses and back with a shift.
 //! The `FsParams` helpers are the slow, obviously correct reference; this
 //! suite holds the two equal where they could part ways: at block-aligned
 //! addresses within one block of every group boundary, at and past the
-//! volume's end, and on the first and last blocks of every group, over
+//! volume's end, on the first and last blocks and inodes of every group, over
 //! every shape of volume the rest of the test suite builds.
 
 use ffs::{AllocPolicy, CylGroup, Filesystem, Geometry};
-use ffs_types::{CgIdx, Daddr, FsParams, MB};
+use ffs_types::{CgIdx, Daddr, FsParams, Ino, MB};
 
 /// The paper volume, the unit-test volume, dense inodes, a single group,
 /// and a last group that absorbs a remainder (426/426/428 blocks) — each
@@ -56,6 +57,19 @@ fn geometry_equals_the_parameter_helpers() {
         let last = CgIdx(p.ncg - 1);
         let limit = p.cg_base(last).0 + p.cg_nblocks(last) * fpb;
         assert_eq!(geom.frag_limit(), limit, "{p:?}");
+        // The first, second and last inode of every group, and the one
+        // past the volume's last.
+        let per = p.inodes_per_cg();
+        assert_eq!(geom.inodes_per_cg(), per, "{p:?}");
+        for g in 0..p.ncg {
+            for ino in [g * per, g * per + 1, (g + 1) * per - 1, (g + 1) * per] {
+                assert_eq!(
+                    geom.itog(Ino(ino)),
+                    p.ino_to_cg(Ino(ino)),
+                    "itog({ino}) {p:?}"
+                );
+            }
+        }
         assert_eq!(
             Filesystem::new(p.clone(), AllocPolicy::Orig).geometry(),
             geom
