@@ -11,7 +11,7 @@
 //! inconsistent map: a tampered or truncated file surfaces as
 //! [`FsError::Corrupt`] at restore time, never as a bad replay.
 
-use ffs_types::record::{push_addrs, push_tail, records};
+use ffs_types::record::{push_addrs, push_num, push_tail, records};
 use ffs_types::{CgIdx, Daddr, DirId, FsError, FsParams, FsResult, Ino};
 
 use ffs::{AllocPolicy, DirMeta, FileMeta, Filesystem};
@@ -67,38 +67,48 @@ impl Checkpoint {
     /// Serializes the checkpoint to a line-based text format, one record
     /// per line (`dir`, `file`, and `live` lines after a short header).
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
         let mut s = String::new();
-        let _ = writeln!(s, "# checkpoint day {}", self.day);
-        let _ = writeln!(s, "bytes {}", self.bytes_written);
-        let _ = writeln!(s, "skipped {}", self.skipped_creates);
+        self.push_text(&mut s);
+        s
+    }
+
+    /// Appends [`Checkpoint::to_text`]'s bytes to `out`: the form an
+    /// artifact that embeds a checkpoint writes it in.
+    pub fn push_text(&self, out: &mut String) {
+        let line = |out: &mut String, tag: &str, nums: &[u64]| {
+            out.push_str(tag);
+            for &n in nums {
+                out.push(' ');
+                push_num(out, n);
+            }
+            out.push('\n');
+        };
+        line(out, "# checkpoint day", &[self.day.into()]);
+        line(out, "bytes", &[self.bytes_written]);
+        line(out, "skipped", &[self.skipped_creates]);
         for d in &self.dirs {
-            let _ = writeln!(
-                s,
-                "dir {} {} {} {} {}",
-                d.id.0, d.cg.0, d.block.0, d.ino_slot, d.nfiles
-            );
+            let dir = [d.id.0, d.cg.0, d.block.0, d.ino_slot, d.nfiles];
+            line(out, "dir", &dir.map(u64::from));
         }
         for f in &self.files {
-            let _ = write!(
-                s,
-                "file {} {} {} {} ",
-                f.ino.0, f.dir.0, f.size, f.mtime_day
-            );
-            push_addrs(&mut s, &f.blocks);
-            s.push(' ');
-            push_tail(&mut s, f.tail);
-            s.push(' ');
-            push_addrs(&mut s, &f.indirects);
-            s.push('\n');
+            out.push_str("file ");
+            for n in [f.ino.0.into(), f.dir.0.into(), f.size, f.mtime_day.into()] {
+                push_num(out, n);
+                out.push(' ');
+            }
+            push_addrs(out, &f.blocks);
+            out.push(' ');
+            push_tail(out, f.tail);
+            out.push(' ');
+            push_addrs(out, &f.indirects);
+            out.push('\n');
         }
         for (fid, ino) in &self.live {
-            let _ = writeln!(s, "live {} {}", fid.0, ino.0);
+            line(out, "live", &[fid.0, ino.0.into()]);
         }
-        for (rotor, irotor) in &self.rotors {
-            let _ = writeln!(s, "rotor {rotor} {irotor}");
+        for &(rotor, irotor) in &self.rotors {
+            line(out, "rotor", &[rotor.into(), irotor.into()]);
         }
-        s
     }
 
     /// Parses the text format produced by [`Checkpoint::to_text`].

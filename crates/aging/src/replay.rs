@@ -24,7 +24,7 @@
 //!   a [`Checkpoint`] at end of day, from which [`Replay::resume_from`]
 //!   continues the same workload in a later process.
 
-use ffs_types::record::Fields;
+use ffs_types::record::{push_num, Fields};
 use ffs_types::{DirId, FsError, FsParams, FsResult, Ino};
 
 use ffs::{inject_metadata_damage, repair, AllocPolicy, Filesystem, RepairReport};
@@ -60,16 +60,27 @@ impl DayStats {
     /// [`DayStats::from_record`] reproduces the value bit for bit — a
     /// cached aging artifact replays Figures 1 and 2 byte-identically.
     pub fn to_record(&self) -> String {
-        format!(
-            "{} {} {} {} {} {} {}",
-            self.day,
-            self.layout_score,
-            self.utilization,
-            self.nfiles,
+        let mut s = String::new();
+        self.push_record(&mut s);
+        s
+    }
+
+    /// Appends [`DayStats::to_record`]'s line (without a newline) to
+    /// `out`.
+    pub fn push_record(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        push_num(out, self.day.into());
+        let _ = write!(out, " {} {}", self.layout_score, self.utilization);
+        let counts = [
+            self.nfiles as u64,
             self.bytes_written,
             self.defrag_moves,
-            self.defrag_cost_us
-        )
+            self.defrag_cost_us,
+        ];
+        for n in counts {
+            out.push(' ');
+            push_num(out, n);
+        }
     }
 
     /// Parses a line produced by [`DayStats::to_record`].

@@ -21,20 +21,18 @@
 //! workload under-fragments relative to the original — the gap Figure 1
 //! quantifies.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use ffs_types::record::{push_addrs, push_tail, records};
+use ffs_types::record::{push_addrs, push_num, push_tail, records};
 use ffs_types::{CgIdx, Daddr, FsParams, Ino};
 
 use ffs::fs::LayoutAgg;
 use ffs::{BlockList, Filesystem};
 
 use crate::config::AgingConfig;
-use crate::workload::{DayLog, FileId, Lifetime, Op, Workload};
+use crate::workload::{DayLog, DayOps, FileId, Lifetime, Op, Workload};
 
 /// One file's record in a snapshot.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,13 +70,13 @@ pub struct Snapshot {
 /// Captures a snapshot of the file system, as the paper's nightly job
 /// did.
 pub fn take_snapshot(fs: &Filesystem, day: u32) -> Snapshot {
-    let params = fs.params();
+    let geom = fs.geometry();
     let mut entries: Vec<SnapshotEntry> = Vec::with_capacity(fs.nfiles());
     entries.extend(fs.files().map(|f| SnapshotEntry {
         ino: f.ino,
         ctime_day: f.mtime_day,
         size: f.size,
-        cg: params.ino_to_cg(f.ino).0,
+        cg: geom.itog(f.ino).0,
         blocks: f.blocks.clone(),
         tail: f.tail,
     }));
@@ -131,11 +129,14 @@ impl Snapshot {
     /// Serializes the snapshot to the line-based text format used by the
     /// `harness` tooling (one file per line).
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "# snapshot day {}", self.day);
+        let mut s = String::from("# snapshot day ");
+        push_num(&mut s, self.day.into());
+        s.push('\n');
         for e in &self.entries {
-            let _ = write!(s, "{} {} {} {} ", e.ino.0, e.ctime_day, e.size, e.cg.0);
+            for n in [e.ino.0.into(), e.ctime_day.into(), e.size, e.cg.0.into()] {
+                push_num(&mut s, n);
+                s.push(' ');
+            }
             push_addrs(&mut s, &e.blocks);
             s.push(' ');
             push_tail(&mut s, e.tail);
@@ -144,7 +145,10 @@ impl Snapshot {
         s
     }
 
-    /// Parses the text format produced by [`Snapshot::to_text`].
+    /// Parses the text format produced by [`Snapshot::to_text`]. Files
+    /// must come in strictly ascending inode order, as `to_text` writes
+    /// them: a repeated or out-of-order inode is an error naming it and
+    /// its line.
     pub fn from_text(text: &str) -> Result<Snapshot, String> {
         let mut lines = records(text);
         let mut header = lines.next().ok_or("empty snapshot")?;
@@ -153,8 +157,19 @@ impl Snapshot {
         header.end()?;
         let mut entries: Vec<SnapshotEntry> = Vec::new();
         for mut f in lines {
+            let ino = Ino(f.num("ino")?);
+            match entries.last().map(|e| e.ino) {
+                Some(prev) if ino == prev => {
+                    return Err(f.err(format_args!("repeated inode {}", ino.0)));
+                }
+                Some(prev) if ino < prev => {
+                    let what = format_args!("inode {} out of order after {}", ino.0, prev.0);
+                    return Err(f.err(what));
+                }
+                _ => {}
+            }
             entries.push(SnapshotEntry {
-                ino: Ino(f.num("ino")?),
+                ino,
                 ctime_day: f.num("ctime")?,
                 size: f.num("size")?,
                 cg: CgIdx(f.num("cg")?),
@@ -163,17 +178,18 @@ impl Snapshot {
             });
             f.end()?;
         }
-        entries.sort_unstable_by_key(|e| e.ino);
         Ok(Snapshot { day, entries })
     }
 }
 
-/// What the differ remembers of the previous night's snapshot: the three
-/// fields the paper's heuristics compare, without the block lists.
+/// What the differ remembers of a previous-night file: the three fields
+/// the paper's heuristics compare, without the block lists, and the
+/// workload id the file was last created under.
 struct PrevEntry {
     ino: Ino,
     ctime_day: u32,
     size: u64,
+    id: FileId,
 }
 
 /// Derives one day of replayable workload from each nightly snapshot as
@@ -185,21 +201,25 @@ struct PrevEntry {
 ///   time within the day;
 /// * a file present in both whose change time or size moved was
 ///   **modified**, replayed as a delete followed by a re-create;
-/// * the first snapshot seeds the initial population.
+/// * the first snapshot seeds the initial population (every file in it
+///   is new against the empty night before).
 ///
 /// Files that lived and died between snapshots are invisible — the
 /// information loss the paper supplements with NFS traces, and the reason
 /// a derived workload ages a file system more gently than the original.
 ///
 /// Each snapshot is diffed against the previous night's only, so that is
-/// all the differ holds; [`diff_to_workload`] is this pushed over a
-/// slice.
+/// all the differ holds — and the workload ids ride in it: every file
+/// the previous night had carries the id its ops use, so the merge-join
+/// that pairs the two nights also supplies the id, with no map from
+/// inode to id. [`diff_to_workload`] is this pushed over a slice.
 pub struct SnapshotDiffer {
     rng: StdRng,
     ncg: u32,
     next_id: u64,
-    live_ids: BTreeMap<Ino, FileId>,
-    prev: Option<Vec<PrevEntry>>,
+    /// The previous night's files in ascending inode order (empty before
+    /// the first night).
+    prev: Vec<PrevEntry>,
 }
 
 impl SnapshotDiffer {
@@ -210,19 +230,25 @@ impl SnapshotDiffer {
             rng: StdRng::seed_from_u64(config.seed ^ 0x5AAD_5047),
             ncg,
             next_id: 0,
-            live_ids: BTreeMap::new(),
-            prev: None,
+            prev: Vec::new(),
         }
     }
 
     /// The operations that turn the previous snapshot's population into
     /// `snap`'s, as the workload day `snap.day`.
+    ///
+    /// `snap.entries` must be in strictly ascending inode order, as
+    /// [`take_snapshot`] and [`Snapshot::from_text`] guarantee: the
+    /// merge-join pairs a file with its previous night by position.
     pub fn push(&mut self, snap: &Snapshot) -> DayLog {
+        debug_assert!(
+            snap.entries.windows(2).all(|w| w[0].ino < w[1].ino),
+            "snapshot entries must be in strictly ascending inode order"
+        );
         let SnapshotDiffer {
             rng,
             ncg,
             next_id,
-            live_ids,
             prev,
         } = self;
         let mut fresh = || {
@@ -236,71 +262,56 @@ impl SnapshotDiffer {
             size: e.size.max(1),
             kind: Lifetime::Long,
         };
-        let mut ops: Vec<(f64, Op)> = Vec::new();
-        match prev {
-            None => {
-                // Initial population.
-                for e in &snap.entries {
-                    let id = fresh();
-                    live_ids.insert(e.ino, id);
-                    ops.push((rng.gen(), create(id, e)));
-                }
+        let mut ops = DayOps::new();
+        let mut tonight: Vec<PrevEntry> = Vec::with_capacity(snap.entries.len());
+        // Both nights are ino-sorted, so each pass walks the other with
+        // an advancing cursor (a merge-join). The two-pass shape is
+        // load-bearing: op emission — and with it the RNG draw sequence —
+        // is creates and modifies in tonight's order, then deletes in the
+        // previous night's.
+        let mut j = 0usize;
+        for e in &snap.entries {
+            while prev.get(j).is_some_and(|o| o.ino < e.ino) {
+                j += 1;
             }
-            Some(p) => {
-                // Both entry lists are ino-sorted, so each pass walks
-                // the other snapshot with an advancing cursor (a
-                // merge-join) instead of a per-file map lookup. The
-                // two-pass shape is load-bearing: op emission — and
-                // with it the RNG draw sequence — must match the
-                // original map-based diff byte for byte.
-                let mut j = 0usize;
-                for e in &snap.entries {
-                    while p.get(j).is_some_and(|o| o.ino < e.ino) {
-                        j += 1;
-                    }
-                    match p.get(j).filter(|o| o.ino == e.ino) {
-                        None => {
-                            // Created since the last snapshot.
-                            let id = fresh();
-                            live_ids.insert(e.ino, id);
-                            ops.push((rng.gen(), create(id, e)));
-                        }
-                        Some(old) if old.ctime_day != e.ctime_day || old.size != e.size => {
-                            // Modified: deleted and rewritten.
-                            let old_id = live_ids.remove(&e.ino).expect("modified file was live");
-                            let t: f64 = rng.gen();
-                            ops.push((t, Op::Delete { file: old_id }));
-                            let id = fresh();
-                            live_ids.insert(e.ino, id);
-                            ops.push((t + 1e-6, create(id, e)));
-                        }
-                        Some(_) => {}
-                    }
+            let id = match prev.get(j).filter(|o| o.ino == e.ino) {
+                None => {
+                    // Created since the last snapshot.
+                    let id = fresh();
+                    ops.push(rng.gen(), create(id, e));
+                    id
                 }
-                let mut k = 0usize;
-                for old in p.iter() {
-                    while snap.entries.get(k).is_some_and(|e| e.ino < old.ino) {
-                        k += 1;
-                    }
-                    if snap.entries.get(k).is_none_or(|e| e.ino != old.ino) {
-                        // Deleted; the snapshot gives no hint when.
-                        if let Some(id) = live_ids.remove(&old.ino) {
-                            ops.push((rng.gen(), Op::Delete { file: id }));
-                        }
-                    }
+                Some(old) if old.ctime_day != e.ctime_day || old.size != e.size => {
+                    // Modified: deleted and rewritten.
+                    let t: f64 = rng.gen();
+                    ops.push(t, Op::Delete { file: old.id });
+                    let id = fresh();
+                    ops.push(t + 1e-6, create(id, e));
+                    id
                 }
+                Some(old) => old.id,
+            };
+            tonight.push(PrevEntry {
+                ino: e.ino,
+                ctime_day: e.ctime_day,
+                size: e.size,
+                id,
+            });
+        }
+        let mut k = 0usize;
+        for old in prev.iter() {
+            while tonight.get(k).is_some_and(|e| e.ino < old.ino) {
+                k += 1;
+            }
+            if tonight.get(k).is_none_or(|e| e.ino != old.ino) {
+                // Deleted; the snapshot gives no hint when.
+                ops.push(rng.gen(), Op::Delete { file: old.id });
             }
         }
-        ops.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let kept = snap.entries.iter().map(|e| PrevEntry {
-            ino: e.ino,
-            ctime_day: e.ctime_day,
-            size: e.size,
-        });
-        *prev = Some(kept.collect());
+        *prev = tonight;
         DayLog {
             day: snap.day,
-            ops: ops.into_iter().map(|(_, op)| op).collect(),
+            ops: ops.into_sorted(),
         }
     }
 }
@@ -393,6 +404,12 @@ mod tests {
         assert!(Snapshot::from_text("").is_err());
         assert!(Snapshot::from_text("nonsense").is_err());
         assert!(Snapshot::from_text("# snapshot day 3\n1 2 not-a-size 0 - -").is_err());
+        // A repeated inode would re-id the file in the differ; one out of
+        // order would pair it with the wrong previous-night file.
+        let e = Snapshot::from_text("# snapshot day 3\n5 2 9 0 - -\n5 2 9 0 - -\n").unwrap_err();
+        assert_eq!(e, "line 3: repeated inode 5");
+        let e = Snapshot::from_text("# snapshot day 3\n5 2 9 0 - -\n\n4 2 9 0 - -").unwrap_err();
+        assert_eq!(e, "line 4: inode 4 out of order after 5");
     }
 
     #[test]

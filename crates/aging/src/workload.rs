@@ -105,92 +105,92 @@ struct LiveFile {
     cg: CgIdx,
 }
 
-/// Internal op with a within-day timestamp and a day-global push
-/// sequence number; per-class streams are merged on `(t, seq)`.
-struct TimedOp {
-    t: f64,
-    seq: u32,
-    op: Op,
-}
-
-/// Op-stream class: each generation phase pushes into its own stream.
-const CLASS_MODIFY: usize = 0;
-const CLASS_CREATE: usize = 1;
-const CLASS_BURST: usize = 2;
-const CLASS_DELETE: usize = 3;
-const CLASS_SHORT: usize = 4;
-const CLASS_REWRITE: usize = 5;
-const NCLASSES: usize = 6;
-
-/// Per-class operation streams for one simulated day.
+/// One simulated day's operations in push order, each with its within-day
+/// timestamp, to be put in time order at day end — by the generator and
+/// by the snapshot differ.
 ///
-/// The old generator pushed every op into one vector and stable-sorted
-/// it by timestamp at day end. A stable sort by `t` orders ties by push
-/// position — so tagging each push with a day-global `seq`, sorting each
-/// class stream by `(t, seq)`, and k-way merging on the same key
-/// reproduces that order exactly while sorting several short, mostly
-/// ordered runs instead of one large mixed one.
-struct DayStreams {
-    seq: u32,
-    classes: [Vec<TimedOp>; NCLASSES],
+/// The order contract is a stable sort by timestamp over all pushes —
+/// ties keep push order. Each push's sort key packs both into one `u128`:
+/// the timestamp's bits, mapped so unsigned order is `f64::total_cmp`
+/// order, above the 32-bit push index. Keys are unique, so one
+/// `sort_unstable` of 16-byte keys reproduces the stable sort exactly
+/// and moves no `Op`.
+pub(crate) struct DayOps {
+    ops: Vec<Op>,
+    keys: Vec<u128>,
 }
 
-impl DayStreams {
-    fn new() -> Self {
-        DayStreams {
-            seq: 0,
-            classes: Default::default(),
+impl DayOps {
+    pub(crate) fn new() -> Self {
+        DayOps {
+            ops: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
-    fn push(&mut self, class: usize, t: f64, op: Op) {
-        self.classes[class].push(TimedOp {
-            t,
-            seq: self.seq,
-            op,
-        });
-        self.seq += 1;
+    pub(crate) fn push(&mut self, t: f64, op: Op) {
+        let bits = t.to_bits();
+        // Negative values reverse their order, positive ones sort above
+        // every negative one: the `total_cmp` order as an unsigned key.
+        let ordered = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        let seq = u32::try_from(self.ops.len()).expect("a day has fewer than 2^32 ops");
+        self.keys.push(u128::from(ordered) << 32 | u128::from(seq));
+        self.ops.push(op);
     }
 
     /// Creates pushed so far, counted per cylinder group.
     fn create_counts(&self, ncg: u32) -> Vec<u32> {
         let mut counts = vec![0u32; ncg as usize];
-        for class in &self.classes {
-            for op in class {
-                if let Op::Create { cg, .. } = op.op {
-                    counts[cg.0 as usize] += 1;
-                }
+        for op in &self.ops {
+            if let Op::Create { cg, .. } = *op {
+                counts[cg.0 as usize] += 1;
             }
         }
         counts
     }
 
-    /// Merges the class streams into one time-ordered op list,
-    /// equivalent to a stable sort by `t` over all pushes in push order.
-    fn merge(mut self) -> Vec<Op> {
-        let key = |x: &TimedOp, y: &TimedOp| x.t.total_cmp(&y.t).then(x.seq.cmp(&y.seq));
-        for class in &mut self.classes {
-            // `seq` is unique across the day, so `(t, seq)` is a total
-            // order and an unstable sort cannot reorder anything.
-            class.sort_unstable_by(key);
+    /// The ops in time order, ties in push order.
+    pub(crate) fn into_sorted(mut self) -> Vec<Op> {
+        self.keys.sort_unstable();
+        self.keys
+            .iter()
+            .map(|&k| self.ops[k as u32 as usize])
+            .collect()
+    }
+}
+
+/// The create time of every long-lived file created so far today.
+///
+/// Today's ids are issued consecutively from the day's first, and each
+/// long-lived create is recorded as soon as its id is issued, so the
+/// times sit in a dense vector indexed by `id − first`. Short-lived pairs
+/// take their ids after the day's last long-lived create and are never
+/// looked up; an id from an earlier day falls below `first`.
+struct CreatedToday {
+    first: u64,
+    times: Vec<f64>,
+}
+
+impl CreatedToday {
+    fn new(first: u64) -> Self {
+        CreatedToday {
+            first,
+            times: Vec::new(),
         }
-        let total = self.classes.iter().map(Vec::len).sum();
-        let mut heads = [0usize; NCLASSES];
-        let mut out = Vec::with_capacity(total);
-        for _ in 0..total {
-            let mut best = usize::MAX;
-            for c in 0..NCLASSES {
-                let Some(x) = self.classes[c].get(heads[c]) else {
-                    continue;
-                };
-                if best == usize::MAX || key(x, &self.classes[best][heads[best]]).is_lt() {
-                    best = c;
-                }
-            }
-            out.push(self.classes[best][heads[best]].op);
-            heads[best] += 1;
-        }
-        out
+    }
+
+    fn insert(&mut self, id: FileId, t: f64) {
+        debug_assert_eq!(id.0, self.first + self.times.len() as u64);
+        self.times.push(t);
+    }
+
+    fn get(&self, id: FileId) -> Option<f64> {
+        let i = usize::try_from(id.0.checked_sub(self.first)?).ok()?;
+        self.times.get(i).copied()
     }
 }
 
@@ -262,19 +262,16 @@ impl Iterator for Days {
             *n += 1;
             id
         };
-        let mut ops = DayStreams::new();
-        // Create time of every file created today, so a same-day delete
-        // can never be scheduled before the create it depends on.
-        let mut created_today: std::collections::HashMap<FileId, f64> =
-            std::collections::HashMap::new();
+        let mut ops = DayOps::new();
+        // Create time of every long-lived file created today, so a
+        // same-day delete can never be scheduled before the create it
+        // depends on.
+        let mut created_today = CreatedToday::new(next_id);
         // Timestamp for deleting `file`, respecting same-day creates.
-        let delete_t =
-            |created: &std::collections::HashMap<FileId, f64>, file: FileId, t: f64| match created
-                .get(&file)
-            {
-                Some(&ct) => ct.max(t) + 1e-6,
-                None => t,
-            };
+        let delete_t = |created: &CreatedToday, file: FileId, t: f64| match created.get(file) {
+            Some(ct) => ct.max(t) + 1e-6,
+            None => t,
+        };
         // Slow per-day activity drift on top of the base weights.
         let day_w: Vec<f64> = base_w
             .iter()
@@ -294,11 +291,10 @@ impl Iterator for Days {
             let new_size = ((old.size as f64 * scale) as u64)
                 .clamp(config.long_sizes.min, config.long_sizes.max);
             let dt = delete_t(&created_today, old.id, rng.gen::<f64>());
-            ops.push(CLASS_MODIFY, dt, Op::Delete { file: old.id });
+            ops.push(dt, Op::Delete { file: old.id });
             let id = fresh(&mut next_id);
             created_today.insert(id, dt + 1e-6);
             ops.push(
-                CLASS_MODIFY,
                 dt + 1e-6,
                 Op::Create {
                     file: id,
@@ -335,7 +331,6 @@ impl Iterator for Days {
             let t = (peaks[cg.0 as usize] + 0.06 * std_normal(&mut rng)).rem_euclid(1.0);
             created_today.insert(id, t);
             ops.push(
-                CLASS_CREATE,
                 t,
                 Op::Create {
                     file: id,
@@ -368,7 +363,6 @@ impl Iterator for Days {
                         goal - freed,
                         &created_today,
                         &mut ops,
-                        CLASS_BURST,
                     );
                     if got == 0 {
                         break;
@@ -388,7 +382,6 @@ impl Iterator for Days {
                     let id = fresh(&mut next_id);
                     created_today.insert(id, t0 + 0.2 * (i as f64 / batch as f64));
                     ops.push(
-                        CLASS_BURST,
                         t0 + 0.2 * (i as f64 / batch as f64),
                         Op::Create {
                             file: id,
@@ -421,7 +414,7 @@ impl Iterator for Days {
                 let idx = pick_victim(&mut rng, &live, day, config.delete_age_bias);
                 let f = live.swap_remove(idx);
                 let t = delete_t(&created_today, f.id, rng.gen());
-                ops.push(CLASS_DELETE, t, Op::Delete { file: f.id });
+                ops.push(t, Op::Delete { file: f.id });
                 f.size
             } else {
                 delete_cohort(
@@ -432,7 +425,6 @@ impl Iterator for Days {
                     goal,
                     &created_today,
                     &mut ops,
-                    CLASS_DELETE,
                 )
             };
             live_bytes -= freed;
@@ -451,7 +443,6 @@ impl Iterator for Days {
             let t = rng.gen::<f64>() * 0.97;
             let dt = 0.002 + 0.03 * rng.gen::<f64>();
             ops.push(
-                CLASS_SHORT,
                 t,
                 Op::Create {
                     file: id,
@@ -460,7 +451,7 @@ impl Iterator for Days {
                     kind: Lifetime::Short,
                 },
             );
-            ops.push(CLASS_SHORT, t + dt, Op::Delete { file: id });
+            ops.push(t + dt, Op::Delete { file: id });
         }
         // --- In-place rewrites of existing files: write volume and
         // mtime freshness without reallocation.
@@ -475,11 +466,11 @@ impl Iterator for Days {
             let f = live[idx];
             // Only rewrite files that exist before today's sort; same-day
             // creations are handled by ordering after their create time.
-            let t = match created_today.get(&f.id) {
-                Some(&ct) => ct + 1e-6,
+            let t = match created_today.get(f.id) {
+                Some(ct) => ct + 1e-6,
                 None => rng.gen(),
             };
-            ops.push(CLASS_REWRITE, t, Op::Rewrite { file: f.id });
+            ops.push(t, Op::Rewrite { file: f.id });
         }
         self.rng = rng;
         self.next_id = next_id;
@@ -490,7 +481,7 @@ impl Iterator for Days {
         // before its create because each pair is strictly ordered.
         Some(DayLog {
             day,
-            ops: ops.merge(),
+            ops: ops.into_sorted(),
         })
     }
 
@@ -600,9 +591,8 @@ fn delete_cohort(
     today: u32,
     age_bias: f64,
     goal_bytes: u64,
-    created_today: &std::collections::HashMap<FileId, f64>,
-    ops: &mut DayStreams,
-    class: usize,
+    created_today: &CreatedToday,
+    ops: &mut DayOps,
 ) -> u64 {
     if live.is_empty() {
         return 0;
@@ -635,11 +625,11 @@ fn delete_cohort(
         }
         let f = live.swap_remove(idx);
         freed += f.size;
-        let t = match created_today.get(&f.id) {
-            Some(&ct) => ct.max(base_t) + 1e-6,
+        let t = match created_today.get(f.id) {
+            Some(ct) => ct.max(base_t) + 1e-6,
             None => (base_t + 0.01 * rng.gen::<f64>()).min(1.5),
         };
-        ops.push(class, t, Op::Delete { file: f.id });
+        ops.push(t, Op::Delete { file: f.id });
     }
     freed
 }
@@ -666,23 +656,30 @@ mod tests {
 
     #[test]
     fn merge_matches_stable_sort_reference() {
-        // The replay order contract: merging the per-class streams on
-        // `(t, seq)` must equal a stable sort by `t` over all pushes in
-        // push order — the scheme the generator used before streams.
+        // The replay order contract: sorting the day's pushes on their
+        // `(t, seq)` keys must equal a stable sort by `t` over all pushes
+        // in push order — the scheme the generator used first.
         let mut rng = StdRng::seed_from_u64(0xCAFE);
-        let mut streams = DayStreams::new();
+        let mut day = DayOps::new();
         let mut reference: Vec<(f64, Op)> = Vec::new();
         for i in 0..800u64 {
-            let class = rng.gen_range(0..NCLASSES);
-            // Coarse timestamps force plenty of ties across classes.
-            let t = rng.gen_range(0..50) as f64 / 25.0;
+            // Coarse timestamps force plenty of ties, and the negative,
+            // signed-zero and past-one values the key mapping must order
+            // as `total_cmp` does.
+            let t = match rng.gen_range(0..8) {
+                0 => -(rng.gen_range(0..4) as f64) / 3.0,
+                1 => -0.0,
+                2 => 0.0,
+                3 => 1.0 + rng.gen_range(0..4) as f64 / 7.0,
+                _ => rng.gen_range(0..50) as f64 / 25.0,
+            };
             let op = Op::Rewrite { file: FileId(i) };
-            streams.push(class, t, op);
+            day.push(t, op);
             reference.push((t, op));
         }
         reference.sort_by(|a, b| a.0.total_cmp(&b.0));
         let expect: Vec<Op> = reference.into_iter().map(|(_, op)| op).collect();
-        assert_eq!(streams.merge(), expect);
+        assert_eq!(day.into_sorted(), expect);
     }
 
     #[test]

@@ -279,7 +279,8 @@ fn relayout_file(
     out: &mut Vec<BlockMove>,
 ) -> u32 {
     let params = fs.params();
-    let fpb = params.frags_per_block();
+    let geom = fs.geometry();
+    let fpb = geom.frags_per_block();
     let nfull = meta.blocks.len() as u32;
     let mut planned = 0u32;
     for (s, e) in realloc_windows(nfull, params.maxcontig, params.nindir()) {
@@ -296,8 +297,8 @@ fn relayout_file(
         }
         // Whole-window gathering stays within one group, like the
         // realloc pass; split windows fall through to in-place healing.
-        let g = params.dtog(addrs[0]);
-        let whole = addrs.iter().all(|&a| params.dtog(a) == g) && planned + len <= budget_left;
+        let g = geom.dtog(addrs[0]);
+        let whole = addrs.iter().all(|&a| geom.dtog(a) == g) && planned + len <= budget_left;
         if whole {
             let cg = fs.cg(g);
             let from = cg.daddr_to_block(addrs[0]).0;
@@ -357,8 +358,8 @@ fn heal_in_place(
     claimed: &mut BTreeSet<u32>,
     out: &mut Vec<BlockMove>,
 ) -> u32 {
-    let params = fs.params();
-    let fpb = params.frags_per_block();
+    let geom = fs.geometry();
+    let fpb = geom.frags_per_block();
     let (s, e) = window;
     let mut planned = 0u32;
     let mut cur = meta.blocks[s as usize];
@@ -372,8 +373,9 @@ fn heal_in_place(
             cur = a;
             continue;
         }
-        if in_volume(params, want) && params.dtog(want) == params.dtog(cur) {
-            let cg = fs.cg(params.dtog(want));
+        let g = geom.dtog(want);
+        if geom.is_block(want) && g == geom.dtog(cur) {
+            let cg = fs.cg(g);
             let (wb, woff) = cg.daddr_to_block(want);
             if woff == 0 && cg.is_block_free(wb) && !claimed.contains(&want.0) {
                 claimed.insert(want.0);
@@ -393,14 +395,6 @@ fn heal_in_place(
     planned
 }
 
-/// Whether a block starting at `d` lies entirely inside the volume.
-fn in_volume(params: &FsParams, d: Daddr) -> bool {
-    let fpb = params.frags_per_block();
-    let last = ffs_types::CgIdx(params.ncg - 1);
-    let frag_limit = params.cg_base(last).0 + params.cg_nblocks(last) * fpb;
-    d.0.is_multiple_of(fpb) && d.0.checked_add(fpb).is_some_and(|e| e <= frag_limit)
-}
-
 // ----------------------------------------------------------------------
 // Policies.
 // ----------------------------------------------------------------------
@@ -417,12 +411,14 @@ impl Defragmenter for GreedyWorstFile {
     }
 
     fn plan(&mut self, fs: &Filesystem, budget: MoveBudget) -> Vec<BlockMove> {
-        let params = fs.params();
+        let fpb = fs.geometry().frags_per_block();
         let mut worst: Vec<(f64, Ino)> = fs
             .files()
             .filter_map(|f| {
-                let score = f.layout_score(params)?;
-                (score < 1.0).then_some((score, f.ino))
+                // The per-file layout score, below 1 exactly when some
+                // chunk is out of place.
+                let (opt, scored) = f.layout_counts_at(fpb)?;
+                (opt < scored).then(|| (opt as f64 / scored as f64, f.ino))
             })
             .collect();
         worst.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1 .0.cmp(&b.1 .0)));
@@ -516,21 +512,26 @@ impl Defragmenter for ScrubSweep {
     }
 
     fn plan(&mut self, fs: &Filesystem, budget: MoveBudget) -> Vec<BlockMove> {
-        let params = fs.params();
+        let geom = fs.geometry();
         let ncg = fs.ncg();
+        // Files by anchor group, inode order within each: one walk of the
+        // file table instead of one per group visited.
+        let mut anchored: Vec<Vec<&FileMeta>> = vec![Vec::new(); ncg as usize];
+        for meta in fs.files() {
+            if let Some(&b) = meta.blocks.first() {
+                anchored[geom.dtog(b).0 as usize].push(meta);
+            }
+        }
         let mut out = Vec::new();
         let mut claimed = BTreeSet::new();
         let mut left = budget.moves;
         'sweep: for step in 0..ncg {
-            let g = ffs_types::CgIdx((self.cursor + step) % ncg);
-            for meta in fs.files() {
+            let g = (self.cursor + step) % ncg;
+            for meta in &anchored[g as usize] {
                 if left == 0 {
                     break 'sweep;
                 }
-                let anchored = meta.blocks.first().is_some_and(|&b| params.dtog(b) == g);
-                if anchored {
-                    left -= relayout_file(fs, meta, left, &mut claimed, &mut out);
-                }
+                left -= relayout_file(fs, meta, left, &mut claimed, &mut out);
             }
         }
         self.cursor = (self.cursor + 1) % ncg.max(1);

@@ -36,7 +36,7 @@ use aging::{
     take_checkpoint, AgingConfig, Checkpoint, DayStats, Days, Replay, ReplayOptions, ReplayResult,
 };
 use ffs::AllocPolicy;
-use ffs_types::record::{records, seal, unseal};
+use ffs_types::record::{push_num, records, seal, unseal};
 use ffs_types::{FsError, FsParams, FsResult};
 
 use crate::engine::JobError;
@@ -184,21 +184,26 @@ impl ArtifactStore {
 /// `key`. The day series must be the whole run, days `0..=last`;
 /// [`parse_aged`] rejects anything else.
 pub fn render_aged(key: &AgedKey, result: &ReplayResult) -> Result<String, String> {
-    use std::fmt::Write as _;
     let last = result
         .daily
         .last()
         .ok_or("cannot cache a zero-day aging run")?;
     let ck = take_checkpoint(&result.fs, &result.live, last.day, result.skipped_creates);
-    let mut text = format!("# exp aged artifact v{FORMAT_VERSION}\n");
-    let _ = writeln!(text, "key {}", key.hex);
-    let _ = writeln!(text, "policy {}", policy_name(result.fs.policy()));
-    let _ = writeln!(text, "fsdigest {}", result.fs.digest());
-    let _ = writeln!(text, "skipped {}", result.skipped_creates);
+    let mut text = format!(
+        "# exp aged artifact v{FORMAT_VERSION}\nkey {}\npolicy {}\nfsdigest ",
+        key.hex,
+        policy_name(result.fs.policy())
+    );
+    push_num(&mut text, result.fs.digest());
+    text.push_str("\nskipped ");
+    push_num(&mut text, result.skipped_creates);
+    text.push('\n');
     for d in &result.daily {
-        let _ = writeln!(text, "daily {}", d.to_record());
+        text.push_str("daily ");
+        d.push_record(&mut text);
+        text.push('\n');
     }
-    text.push_str(&ck.to_text());
+    ck.push_text(&mut text);
     seal(&mut text);
     Ok(text)
 }

@@ -167,14 +167,13 @@ impl AllocStats {
 /// The logical-block windows over which the realloc pass operates for a
 /// file of `nfull` full blocks: runs of up to `maxcontig` blocks that
 /// restart at each indirect-block boundary (windows never span the
-/// cylinder-group switch of footnote 1).
-pub fn realloc_windows(nfull: u32, maxcontig: u32, nindir: u32) -> Vec<(u32, u32)> {
-    windows(nfull, maxcontig, nindir).collect()
-}
-
-/// [`realloc_windows`] as an iterator: the write path walks the windows
-/// once, in step with the blocks it allocates.
-pub(crate) fn windows(nfull: u32, maxcontig: u32, nindir: u32) -> impl Iterator<Item = (u32, u32)> {
+/// cylinder-group switch of footnote 1). An iterator, so the write path
+/// and the defragmenter walk a file's windows without collecting them.
+pub fn realloc_windows(
+    nfull: u32,
+    maxcontig: u32,
+    nindir: u32,
+) -> impl Iterator<Item = (u32, u32)> {
     let mut s = 0u32;
     let mut region_end = NDADDR.min(nfull);
     std::iter::from_fn(move || {
@@ -537,7 +536,7 @@ impl AllocEngine<'_> {
         let realloc_on =
             self.cfg.policy == AllocPolicy::Realloc && size >= 2 * self.params.bsize as u64;
         let pass_blocks = if realloc_on { nfull } else { 0 };
-        let mut windows = windows(pass_blocks, self.params.maxcontig, nindir).peekable();
+        let mut windows = realloc_windows(pass_blocks, self.params.maxcontig, nindir).peekable();
         let mut switches = self.params.switch_lbns(nfull).map(|l| l.0).peekable();
         // Flush boundary: end of an application write or end of file.
         let chunk = self.cfg.write_chunk_blocks;
@@ -803,35 +802,35 @@ mod tests {
         assert_eq!(AllocPolicy::Realloc.label(), "FFS + Realloc");
     }
 
+    /// The paper geometry's windows (`maxcontig` 7, 2048 pointers per
+    /// indirect block), collected.
+    fn windows(nfull: u32) -> Vec<(u32, u32)> {
+        realloc_windows(nfull, 7, 2048).collect()
+    }
+
     #[test]
     fn windows_for_small_files() {
         // 5 blocks: one window.
-        assert_eq!(realloc_windows(5, 7, 2048), vec![(0, 5)]);
+        assert_eq!(windows(5), vec![(0, 5)]);
         // 7 blocks: exactly one full window.
-        assert_eq!(realloc_windows(7, 7, 2048), vec![(0, 7)]);
+        assert_eq!(windows(7), vec![(0, 7)]);
         // 8 blocks: a full window plus a singleton.
-        assert_eq!(realloc_windows(8, 7, 2048), vec![(0, 7), (7, 8)]);
+        assert_eq!(windows(8), vec![(0, 7), (7, 8)]);
         // Empty file: no windows.
-        assert!(realloc_windows(0, 7, 2048).is_empty());
+        assert!(windows(0).is_empty());
     }
 
     #[test]
     fn windows_restart_at_indirect_boundary() {
         // 13 blocks (104 KB): [0,7) [7,12) then the indirect region [12,13).
-        assert_eq!(
-            realloc_windows(13, 7, 2048),
-            vec![(0, 7), (7, 12), (12, 13)]
-        );
+        assert_eq!(windows(13), vec![(0, 7), (7, 12), (12, 13)]);
         // 20 blocks: indirect region windows restart at 12.
-        assert_eq!(
-            realloc_windows(20, 7, 2048),
-            vec![(0, 7), (7, 12), (12, 19), (19, 20)]
-        );
+        assert_eq!(windows(20), vec![(0, 7), (7, 12), (12, 19), (19, 20)]);
     }
 
     #[test]
     fn windows_restart_at_double_indirect_boundary() {
-        let w = realloc_windows(2100, 7, 2048);
+        let w = windows(2100);
         // A window must end exactly at 2060 (= 12 + 2048) and a new one
         // start there.
         assert!(w.iter().any(|&(_, e)| e == 2060));

@@ -92,7 +92,7 @@ impl Geometry {
     }
 
     /// Whether `d .. d + fpb` is an aligned block inside the volume.
-    pub(crate) fn is_block(&self, d: Daddr) -> bool {
+    pub fn is_block(&self, d: Daddr) -> bool {
         d.0 & (self.fpb - 1) == 0
             && d.0
                 .checked_add(self.fpb)

@@ -11,7 +11,7 @@
 use ffs_types::params::NDADDR;
 use ffs_types::{Daddr, FsError, FsParams, FsResult, Ino};
 
-use crate::alloc::{windows, AllocPolicy};
+use crate::alloc::{realloc_windows, AllocPolicy};
 use crate::fs::Filesystem;
 
 /// Number of indirect (metadata) blocks a file of `nfull` data blocks
@@ -149,7 +149,7 @@ impl Filesystem {
         if self.policy == AllocPolicy::Realloc && new_size >= 2 * self.params.bsize as u64 {
             let _sp = obs::span!("realloc_pass");
             let dirty_from = old_nfull.saturating_sub(1);
-            for w in windows(nfull_new, self.params.maxcontig, self.params.nindir()) {
+            for w in realloc_windows(nfull_new, self.params.maxcontig, self.params.nindir()) {
                 if w.0 >= dirty_from {
                     let pref = self.append_window_pref(ino, w.0);
                     self.realloc_window(ino, w, pref);

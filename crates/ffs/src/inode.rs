@@ -72,9 +72,11 @@ impl FileMeta {
         self.layout_counts_at(params.frags_per_block())
     }
 
-    /// [`FileMeta::layout_counts`] at `fpb` fragments per block: every
-    /// adjacent pair of blocks, then the tail against the last block.
-    pub(crate) fn layout_counts_at(&self, fpb: u32) -> Option<(u64, u64)> {
+    /// [`FileMeta::layout_counts`] at `fpb` fragments per block (as
+    /// [`crate::Geometry::frags_per_block`] gives it, with no division):
+    /// every adjacent pair of blocks, then the tail against the last
+    /// block.
+    pub fn layout_counts_at(&self, fpb: u32) -> Option<(u64, u64)> {
         if self.nchunks() < 2 {
             return None;
         }

@@ -712,7 +712,7 @@ fn write_blocks_per_block(
     // block (the paper's two-block-file quirk, Section 4).
     let realloc_on = eng.cfg.policy == AllocPolicy::Realloc && size >= 2 * bsize;
     let windows = if realloc_on {
-        realloc_windows(nfull, eng.params.maxcontig, eng.params.nindir())
+        realloc_windows(nfull, eng.params.maxcontig, eng.params.nindir()).collect()
     } else {
         Vec::new()
     };

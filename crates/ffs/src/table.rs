@@ -514,17 +514,28 @@ impl From<Vec<Daddr>> for BlockList {
 }
 
 impl FromIterator<Daddr> for BlockList {
+    /// Fills the inline slots, then moves them into a spill that takes
+    /// the rest of the iterator in one `extend`: no per-element
+    /// copy-on-write check.
     fn from_iter<I: IntoIterator<Item = Daddr>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
         let mut b = BlockList::new();
-        for d in iter {
-            match &mut b.spill {
-                Some(v) => {
-                    Arc::make_mut(v).push(d);
-                    b.len += 1;
-                }
-                None => b.push(d),
+        for slot in &mut b.inline {
+            match iter.next() {
+                Some(d) => *slot = d,
+                None => return b,
             }
+            b.len += 1;
         }
+        let Some(next) = iter.next() else {
+            return b;
+        };
+        let mut v = Vec::with_capacity(Self::INLINE * 2);
+        v.extend_from_slice(&b.inline);
+        v.push(next);
+        v.extend(iter);
+        b.len = u32::try_from(v.len()).expect("a block list fits the inode's u32 length");
+        b.spill = Some(Arc::new(v));
         b
     }
 }

@@ -33,7 +33,7 @@ use std::path::PathBuf;
 use aging::{CancelToken, Days, Replay, ReplayOptions};
 use exp::{ArtifactStore, CacheStatus, JobError};
 use ffs::free_space_stats;
-use ffs_types::record::{records, seal, unseal};
+use ffs_types::record::{push_num, records, seal, unseal};
 
 use crate::spec::{ShardSpec, FLEET_FORMAT_VERSION};
 
@@ -77,18 +77,20 @@ pub struct ShardOutput {
 /// Renders `spec`'s sample series as the text of its `.shard` artifact.
 pub fn render_artifact(spec: &ShardSpec, samples: &[ShardSample], skipped: u64) -> String {
     use std::fmt::Write as _;
-    let mut text = format!("# fleet shard artifact v{FLEET_FORMAT_VERSION}\n");
-    let _ = writeln!(text, "key {}", spec.key_hex());
-    let _ = writeln!(text, "policy {}", spec.policy_name());
-    let _ = writeln!(text, "days {}", samples.len());
-    let _ = writeln!(text, "skipped {skipped}");
+    let mut text = format!(
+        "# fleet shard artifact v{FLEET_FORMAT_VERSION}\nkey {}\npolicy {}\ndays ",
+        spec.key_hex(),
+        spec.policy_name()
+    );
+    push_num(&mut text, samples.len() as u64);
+    text.push_str("\nskipped ");
+    push_num(&mut text, skipped);
+    text.push('\n');
     for s in samples {
+        text.push_str("sample ");
+        push_num(&mut text, s.day.into());
         // Shortest round-trip Display: reload is bit-exact.
-        let _ = writeln!(
-            text,
-            "sample {} {} {} {}",
-            s.day, s.layout, s.freefrag, s.util
-        );
+        let _ = writeln!(text, " {} {} {}", s.layout, s.freefrag, s.util);
     }
     seal(&mut text);
     text

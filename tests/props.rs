@@ -314,6 +314,7 @@ fn formats() -> &'static [Format] {
                 .ok_or_else(|| "not a run record".to_string())
         };
         let ck_text = aged.checkpoints[0].to_text();
+        let snap_text = aged.snapshots[0].to_text();
         vec![
             Format {
                 name: "exp .aged",
@@ -380,8 +381,13 @@ fn formats() -> &'static [Format] {
             },
             Format {
                 name: "aging::Snapshot",
-                valid: aged.snapshots[0].to_text(),
-                hostile: vec![],
+                valid: snap_text.clone(),
+                // The same file listed twice: it would re-id the file in
+                // the snapshot differ.
+                hostile: {
+                    let line = snap_text.lines().nth(1).expect("a file line");
+                    vec![snap_text.replacen(line, &format!("{line}\n{line}"), 1)]
+                },
                 reparse: |t| aging::Snapshot::from_text(t).map(|s| s.to_text()),
             },
             Format {
