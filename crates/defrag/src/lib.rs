@@ -462,7 +462,7 @@ impl RebuildOnThreshold {
         let nfull = meta.blocks.len() as u32;
         let min_extents =
             params.cg_switch_lbns(nfull).len() as u32 + 1 + u32::from(meta.tail.is_some());
-        let actual = meta.extents(params).len() as u32;
+        let actual = meta.extents(params).count() as u32;
         actual >= self.factor * min_extents
     }
 }

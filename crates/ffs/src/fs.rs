@@ -251,6 +251,47 @@ impl Filesystem {
         self.files.len()
     }
 
+    /// A copy of this file system's free space without its files: what
+    /// `self.clone()` would give, except that the file table starts
+    /// empty. The cylinder groups (maps, rotors, counters), the
+    /// directories, the next directory id, the space and write counters,
+    /// the layout aggregate, the allocator statistics and the placement
+    /// settings are all copied.
+    ///
+    /// No allocation decision reads the file table, so the copy
+    /// allocates exactly as `self` would: the same `mkdir` / `create`
+    /// sequence returns the same ids and places the same blocks on
+    /// either, and leaves equal groups, rotors, utilization and layout
+    /// aggregate behind. What the copy cannot answer is anything about
+    /// the files it left out: [`Filesystem::nfiles`],
+    /// [`Filesystem::files`], [`Filesystem::file`] and
+    /// [`Filesystem::digest`] describe only the files created on the
+    /// copy (an inode of `self`'s reads as absent), and
+    /// [`crate::check()`] finds the copy inconsistent, since the space
+    /// and counters of the left-out files belong to no inode. This is
+    /// the starting point of a benchmark that writes new files into an
+    /// aged image and never touches the old ones (`iobench::run_point`).
+    pub fn copy_free_space(&self) -> Filesystem {
+        Filesystem {
+            params: self.params.clone(),
+            geom: self.geom,
+            policy: self.policy,
+            cgs: self.cgs.clone(),
+            files: Slab::new(),
+            dirs: self.dirs.clone(),
+            next_dir: self.next_dir,
+            agg: self.agg,
+            used_data_frags: self.used_data_frags,
+            used_meta_frags: self.used_meta_frags,
+            bytes_written: self.bytes_written,
+            alloc_stats: self.alloc_stats.clone(),
+            cluster_first_fit: self.cluster_first_fit,
+            realloc_no_split: self.realloc_no_split,
+            frag_bestfit: self.frag_bestfit,
+            write_chunk_blocks: self.write_chunk_blocks,
+        }
+    }
+
     /// Creates a file of `size` bytes in `dir`, allocating all of its
     /// blocks under the configured policy, and stamps it with `day`.
     ///

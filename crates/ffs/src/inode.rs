@@ -91,19 +91,22 @@ impl FileMeta {
 
     /// Merges logically consecutive, physically contiguous chunks into
     /// extents `(address, frags)` — the unit a clustered I/O pass reads or
-    /// writes with one disk request stream.
-    pub fn extents(&self, params: &FsParams) -> Vec<(Daddr, u32)> {
+    /// writes with one disk request stream. Walked lazily, so a pass over
+    /// a file allocates nothing.
+    pub fn extents<'a>(&'a self, params: &'a FsParams) -> impl Iterator<Item = (Daddr, u32)> + 'a {
         let fpb = params.frags_per_block();
-        let mut out: Vec<(Daddr, u32)> = Vec::new();
-        for (addr, frags) in self.chunks(params) {
-            match out.last_mut() {
-                Some((start, len)) if start.0 + *len == addr.0 && *len % fpb == 0 => {
-                    *len += frags;
+        let mut chunks = self.chunks(params).peekable();
+        std::iter::from_fn(move || {
+            let (start, mut len) = chunks.next()?;
+            while let Some(&(addr, frags)) = chunks.peek() {
+                if start.0 + len != addr.0 || len % fpb != 0 {
+                    break;
                 }
-                _ => out.push((addr, frags)),
+                len += frags;
+                chunks.next();
             }
-        }
-        out
+            Some((start, len))
+        })
     }
 }
 
@@ -166,7 +169,7 @@ mod tests {
     #[test]
     fn extents_merge_contiguous_chunks() {
         let m = meta(vec![100, 108, 300], Some((308, 2)));
-        let e = m.extents(&params());
+        let e: Vec<_> = m.extents(&params()).collect();
         assert_eq!(e, vec![(Daddr(100), 16), (Daddr(300), 10)]);
     }
 

@@ -15,11 +15,7 @@
 pub mod hotfiles;
 pub mod map;
 pub mod sequential;
-pub mod stats;
 
 pub use hotfiles::{run_hot_files, sort_by_directory, HotFilesResult};
 pub use map::{FsDiskMap, IoEngine};
-pub use sequential::{
-    paper_file_sizes, run_point, run_point_with_offset, run_sweep, SeqBenchConfig, SeqPoint,
-};
-pub use stats::{run_point_repeated, RepeatedPoint, RunStats};
+pub use sequential::{paper_file_sizes, run_point, run_sweep, SeqBenchConfig, SeqPoint};

@@ -92,7 +92,6 @@ impl<'d> IoEngine<'d> {
     /// small-file create throughput in Figure 4.
     pub fn sync_block_write(&mut self, addr: Daddr, params: &FsParams) {
         let lba = self.map.lba(addr);
-        self.dev.advance(params.bsize as f64 * 0.0); // No extra host work.
         self.dev.transfer(IoKind::Write, lba, params.bsize as u64);
     }
 }

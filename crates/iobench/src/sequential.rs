@@ -76,38 +76,18 @@ pub fn paper_file_sizes() -> Vec<u64> {
     .collect()
 }
 
-/// Runs one point of the sequential benchmark against a **clone** of the
-/// given (typically aged) file system, so sweep points are independent.
+/// Runs one point of the sequential benchmark against a copy of the
+/// given (typically aged) file system's free space, so sweep points are
+/// independent. The benchmark only writes and reads its own new files,
+/// so the copy leaves out the aged file table
+/// ([`Filesystem::copy_free_space`]); every placement is the one a full
+/// clone would make.
 pub fn run_point(aged: &Filesystem, config: &SeqBenchConfig, file_size: u64) -> FsResult<SeqPoint> {
-    run_point_with_offset(aged, config, file_size, 0)
-}
-
-/// Like [`run_point`], but rotates the benchmark's directories
-/// `cg_offset` cylinder groups away from the default placement — the
-/// variation source for repeated-run statistics
-/// ([`crate::stats::run_point_repeated`]).
-pub fn run_point_with_offset(
-    aged: &Filesystem,
-    config: &SeqBenchConfig,
-    file_size: u64,
-    cg_offset: u32,
-) -> FsResult<SeqPoint> {
-    let mut fs = aged.clone();
+    let mut fs = aged.copy_free_space();
     let params = fs.params().clone();
     let nfiles = (config.total_bytes / file_size).max(1) as u32;
     let ndirs = nfiles.div_ceil(config.files_per_dir);
-    let dirs: Vec<_> = (0..ndirs)
-        .map(|_| {
-            if cg_offset == 0 {
-                fs.mkdir()
-            } else {
-                // Rotate the directory-placement policy's choice.
-                let base = fs.dirs().last().map(|d| d.cg.0).unwrap_or(0);
-                let g = (base + 1 + cg_offset) % params.ncg;
-                fs.mkdir_in(ffs_types::CgIdx(g))
-            }
-        })
-        .collect::<FsResult<_>>()?;
+    let dirs: Vec<_> = (0..ndirs).map(|_| fs.mkdir()).collect::<FsResult<_>>()?;
     let mut dev = Device::new(config.disk.clone());
     let map = FsDiskMap::new(&params, config.disk.sector_size, 0);
 
