@@ -37,7 +37,6 @@ use ffs_types::{CgIdx, Daddr, FsError, FsParams, FsResult, Ino};
 use crate::cg::CylGroup;
 use crate::fs::Filesystem;
 use crate::geom::Geometry;
-use crate::grow::{file_shape, indirects_needed, opens_indirect_region};
 use crate::inode::FileMeta;
 
 /// Which disk allocation policy a file system runs.
@@ -84,9 +83,12 @@ pub struct AllocStats {
     pub realloc_blocks_moved: u64,
     /// Realloc windows that needed a move but found no free cluster.
     pub realloc_failures: u64,
-    /// Tail runs extended in place (`ffs_fragextend`).
+    /// Tail runs extended in place (`ffs_fragextend`). Always 0: no op
+    /// grows a live file, so nothing produces it. Kept only because the
+    /// frozen bench folds it into every `sim_fingerprint`.
     pub frag_extends: u64,
-    /// Tail runs that had to move to a larger run or block.
+    /// Tail runs that had to move to a larger run or block. Always 0, and
+    /// kept, for the same reason as `frag_extends`.
     pub frag_moves: u64,
     /// Realloc windows already contiguous (no move needed).
     pub realloc_already_contig: u64,
@@ -188,6 +190,45 @@ pub fn realloc_windows(
         s = e;
         Some(w)
     })
+}
+
+/// Number of indirect (metadata) blocks a file of `nfull` data blocks
+/// needs: one per indirect region, plus one extra for the
+/// double-indirect root.
+fn indirects_needed(params: &FsParams, nfull: u32) -> usize {
+    let root_at = NDADDR + params.nindir();
+    (params.switch_lbns(nfull))
+        .map(|lbn| if lbn.0 == root_at { 2 } else { 1 })
+        .sum()
+}
+
+/// Whether data block `lbn` is the first of an indirect region — a
+/// cylinder-group switch point ([`FsParams::switch_lbns`]) of any file
+/// long enough to have it.
+fn opens_indirect_region(params: &FsParams, lbn: u32) -> bool {
+    lbn >= NDADDR && (lbn - NDADDR).is_multiple_of(params.nindir())
+}
+
+/// The final shape of a file of `size` bytes: full blocks and tail
+/// fragments, under the FFS rule that only direct-block files keep a
+/// fragment tail. `fpb` is the volume's fragments per block.
+fn file_shape(params: &FsParams, fpb: u32, size: u64) -> (u32, u32) {
+    let bsize = params.bsize as u64;
+    let mut nfull = (size / bsize) as u32;
+    let rem = size % bsize;
+    let mut tail = 0u32;
+    if rem > 0 {
+        if nfull < NDADDR {
+            tail = (rem as u32).div_ceil(params.fsize);
+            if tail == fpb {
+                tail = 0;
+                nfull += 1;
+            }
+        } else {
+            nfull += 1;
+        }
+    }
+    (nfull, tail)
 }
 
 /// Policy knobs an [`AllocEngine`] carries, captured from the owning
@@ -625,53 +666,6 @@ impl Filesystem {
         }
         best.map(|(_, idx)| idx).unwrap_or(CgIdx(0))
     }
-
-    /// [`pick_new_data_cg_in`] over the whole volume.
-    pub(crate) fn pick_new_data_cg(&self, cur: CgIdx) -> CgIdx {
-        pick_new_data_cg_in(&self.cgs, cur)
-    }
-
-    /// [`AllocEngine::alloc_block`] against every group.
-    pub(crate) fn alloc_block(&mut self, cg_hint: CgIdx, pref: Option<Daddr>) -> FsResult<Daddr> {
-        self.engine().alloc_block(cg_hint, pref)
-    }
-
-    /// [`AllocEngine::alloc_frag_run`] against every group.
-    pub(crate) fn alloc_frag_run(
-        &mut self,
-        cg_hint: CgIdx,
-        len: u32,
-        pref: Option<Daddr>,
-    ) -> FsResult<Daddr> {
-        self.engine().alloc_frag_run(cg_hint, len, pref)
-    }
-
-    /// [`AllocEngine::realloc_window`] over a live file's blocks.
-    pub(crate) fn realloc_window(
-        &mut self,
-        ino: Ino,
-        window: (u32, u32),
-        pref: Option<Daddr>,
-    ) -> bool {
-        let cfg = self.engine_cfg();
-        let Filesystem {
-            params,
-            geom,
-            cgs,
-            alloc_stats,
-            files,
-            ..
-        } = self;
-        let meta = files.get_mut(&ino).expect("realloc on live file");
-        let mut eng = AllocEngine {
-            params,
-            geom: *geom,
-            cgs,
-            stats: alloc_stats,
-            cfg,
-        };
-        eng.realloc_window(meta, window, pref)
-    }
 }
 
 #[cfg(test)]
@@ -705,9 +699,29 @@ mod tests {
             f.create(d1, 64 * KB, 0).unwrap();
         }
         // From group 0, the next above-average group is 2 (1 is full).
-        assert_eq!(f.pick_new_data_cg(CgIdx(0)), CgIdx(2));
+        assert_eq!(pick_new_data_cg_in(&f.cgs, CgIdx(0)), CgIdx(2));
         // From group 1 itself, scanning starts at 2 as well.
-        assert_eq!(f.pick_new_data_cg(CgIdx(1)), CgIdx(2));
+        assert_eq!(pick_new_data_cg_in(&f.cgs, CgIdx(1)), CgIdx(2));
+    }
+
+    #[test]
+    fn shape_matches_create_rules() {
+        let p = FsParams::paper_502mb();
+        let shape = |size| file_shape(&p, p.frags_per_block(), size);
+        assert_eq!(shape(0), (0, 0));
+        assert_eq!(shape(3 * KB), (0, 3));
+        assert_eq!(shape(8 * KB), (1, 0));
+        assert_eq!(shape(15 * KB + 512), (2, 0));
+        assert_eq!(shape(100 * KB), (13, 0));
+    }
+
+    #[test]
+    fn indirects_needed_matches_create() {
+        let p = FsParams::paper_502mb();
+        assert_eq!(indirects_needed(&p, 12), 0);
+        assert_eq!(indirects_needed(&p, 13), 1);
+        assert_eq!(indirects_needed(&p, 2060), 1);
+        assert_eq!(indirects_needed(&p, 2061), 3);
     }
 
     #[test]

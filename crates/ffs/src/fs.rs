@@ -193,7 +193,7 @@ impl Filesystem {
         let slot = self.cgs[cg.0 as usize]
             .alloc_inode()
             .ok_or(FsError::NoInodes)?;
-        let block = match self.alloc_block(cg, None) {
+        let block = match self.engine().alloc_block(cg, None) {
             Ok(b) => b,
             Err(e) => {
                 self.cgs[cg.0 as usize].free_inode(slot);
@@ -616,20 +616,16 @@ impl Filesystem {
     // Internals.
     // ------------------------------------------------------------------
 
-    /// The engine configuration this file system's policy knobs imply.
-    pub(crate) fn engine_cfg(&self) -> EngineCfg {
-        EngineCfg {
+    /// An [`AllocEngine`] over this file system's cylinder groups, with
+    /// the policy knobs captured.
+    pub(crate) fn engine(&mut self) -> AllocEngine<'_> {
+        let cfg = EngineCfg {
             policy: self.policy,
             cluster_first_fit: self.cluster_first_fit,
             realloc_no_split: self.realloc_no_split,
             frag_bestfit: self.frag_bestfit,
             write_chunk_blocks: self.write_chunk_blocks,
-        }
-    }
-
-    /// An [`AllocEngine`] over this file system's cylinder groups.
-    pub(crate) fn engine(&mut self) -> AllocEngine<'_> {
-        let cfg = self.engine_cfg();
+        };
         let Filesystem {
             params,
             geom,
@@ -653,7 +649,9 @@ impl Filesystem {
         let blocks = meta.blocks.iter().chain(&meta.indirects);
         self.engine().free_blocks(blocks.copied());
         if let Some((d, n)) = meta.tail {
-            self.free_frag_range(d, n);
+            let cg = &mut self.cgs[self.geom.dtog(d).0 as usize];
+            let (b, off) = cg.daddr_to_block(d);
+            cg.free_frag_run(b, off, n);
         }
     }
 }

@@ -39,7 +39,6 @@ mod claims;
 pub mod freespace;
 pub mod fs;
 pub mod geom;
-pub mod grow;
 pub mod inode;
 pub mod layout;
 pub mod naive;

@@ -44,7 +44,7 @@ fn small_geometries() -> Vec<FsParams> {
 }
 
 /// A file system after `ops` random creates (pure-fragment, direct and
-/// indirect sizes), removes, appends and rewrites.
+/// indirect sizes), removes, modifies and rewrites.
 fn churned(params: FsParams, rng: &mut StdRng, ops: u32) -> Filesystem {
     let policy = if rng.gen() {
         AllocPolicy::Realloc
@@ -61,7 +61,14 @@ fn churned(params: FsParams, rng: &mut StdRng, ops: u32) -> Filesystem {
                 fs.remove(live.swap_remove(pick)).unwrap();
             }
             3 if !live.is_empty() => {
-                let _ = fs.append(live[pick], rng.gen_range(1..40 * KB), day);
+                // Modify: removed, then created afresh at a new size in
+                // the same directory.
+                let ino = live.swap_remove(pick);
+                let dir = fs.file(ino).unwrap().dir;
+                fs.remove(ino).unwrap();
+                if let Ok(ino) = fs.create(dir, rng.gen_range(1..=40 * KB), day) {
+                    live.push(ino);
+                }
             }
             4 if !live.is_empty() => {
                 let _ = fs.rewrite(live[pick], day);

@@ -49,8 +49,8 @@
 //!
 //! The paper-scale experiment is the same code with
 //! [`FsParams::paper_502mb`](ffs_types::FsParams::paper_502mb) and
-//! [`AgingConfig::paper`](aging::AgingConfig::paper) — see the `examples/`
-//! directory and DESIGN.md.
+//! [`AgingConfig::paper`](aging::AgingConfig::paper) — see `harness fig2`
+//! and DESIGN.md.
 
 pub use aging;
 pub use disk;

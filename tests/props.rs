@@ -12,8 +12,7 @@ enum PropOp {
     Create { dir: u8, size: u64 },
     Remove { pick: u16 },
     Rewrite { pick: u16 },
-    Append { pick: u16, bytes: u64 },
-    Truncate { pick: u16, frac: u8 },
+    Modify { pick: u16, size: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = PropOp> {
@@ -22,10 +21,8 @@ fn op_strategy() -> impl Strategy<Value = PropOp> {
             .prop_map(|(dir, size)| PropOp::Create { dir, size }),
         2 => any::<u16>().prop_map(|pick| PropOp::Remove { pick }),
         1 => any::<u16>().prop_map(|pick| PropOp::Rewrite { pick }),
-        2 => (any::<u16>(), 1u64..120 * KB)
-            .prop_map(|(pick, bytes)| PropOp::Append { pick, bytes }),
-        2 => (any::<u16>(), any::<u8>())
-            .prop_map(|(pick, frac)| PropOp::Truncate { pick, frac }),
+        4 => (any::<u16>(), 1u64..400 * KB)
+            .prop_map(|(pick, size)| PropOp::Modify { pick, size }),
     ]
 }
 
@@ -48,23 +45,16 @@ fn apply(fs: &mut Filesystem, live: &mut Vec<Ino>, op: &PropOp, dirs: &[ffs_type
                 fs.rewrite(ino, 1).expect("live file rewrites cleanly");
             }
         }
-        PropOp::Append { pick, bytes } => {
+        PropOp::Modify { pick, size } => {
+            // A file that changed size is removed, then created afresh in
+            // its directory, as `diff_to_workload` replays it.
             if !live.is_empty() {
-                let ino = live[pick as usize % live.len()];
-                // Out-of-space appends are legal; anything else is a bug.
-                match fs.append(ino, bytes, 2) {
-                    Ok(()) => {}
-                    Err(ffs_types::FsError::NoSpace { .. }) => {}
-                    Err(e) => panic!("append failed: {e}"),
+                let ino = live.swap_remove(pick as usize % live.len());
+                let dir = fs.file(ino).expect("live").dir;
+                fs.remove(ino).expect("live file removes cleanly");
+                if let Ok(ino) = fs.create(dir, size, 2) {
+                    live.push(ino);
                 }
-            }
-        }
-        PropOp::Truncate { pick, frac } => {
-            if !live.is_empty() {
-                let ino = live[pick as usize % live.len()];
-                let size = fs.file(ino).expect("live").size;
-                let new = size * (frac as u64 % 100) / 100;
-                fs.truncate(ino, new, 3).expect("truncate cleanly");
             }
         }
     }
@@ -126,12 +116,8 @@ proptest! {
     /// utilization) — they may only disagree on *where*.
     #[test]
     fn policies_agree_on_logical_state(
-        mut ops in proptest::collection::vec(op_strategy(), 1..80),
+        ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        // Partial growth after an out-of-space append may legitimately
-        // differ between policies; keep this property about the
-        // guaranteed-identical operations.
-        ops.retain(|op| !matches!(op, PropOp::Append { .. }));
         let mut results = Vec::new();
         for policy in [AllocPolicy::Orig, AllocPolicy::Realloc] {
             let mut fs = Filesystem::new(FsParams::small_test(), policy);

@@ -32,8 +32,8 @@ fn tiny_workload(days: u32, seed: u64) -> (FsParams, Workload) {
     (params, w)
 }
 
-/// Ages a file system with a seeded mix of creates, deletes, appends, and
-/// rewrites — enough churn to make the allocation maps interesting.
+/// Ages a file system with a seeded mix of creates, deletes, modifies,
+/// and rewrites — enough churn to make the allocation maps interesting.
 fn scripted_fs(seed: u64) -> Filesystem {
     let mut fs = Filesystem::new(FsParams::small_test(), AllocPolicy::Realloc);
     let dirs = fs.mkdir_per_cg().expect("mkdir per group");
@@ -55,10 +55,15 @@ fn scripted_fs(seed: u64) -> Filesystem {
                 }
             }
             3 => {
-                if let Some(&ino) =
-                    live.get(rng.gen_range(0..live.len().max(1)) % live.len().max(1))
-                {
-                    let _ = fs.append(ino, rng.gen_range(1..64 * KB), day);
+                // Modify: the file is removed and created afresh at a
+                // new size in its directory, as `diff_to_workload` replays it.
+                if !live.is_empty() {
+                    let ino = live.swap_remove(rng.gen_range(0..live.len()));
+                    let dir = fs.file(ino).expect("live file").dir;
+                    fs.remove(ino).expect("remove live file");
+                    if let Ok(ino) = fs.create(dir, rng.gen_range(1..200 * KB), day) {
+                        live.push(ino);
+                    }
                 }
             }
             _ => {
