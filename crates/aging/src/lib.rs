@@ -24,7 +24,6 @@
 //! assert_eq!(aged.daily.len(), 5);
 //! ```
 
-pub mod cancel;
 pub mod checkpoint;
 pub mod config;
 pub mod livemap;
@@ -35,7 +34,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod workload;
 
-pub use cancel::CancelToken;
 pub use checkpoint::{take_checkpoint, Checkpoint};
 pub use config::{AgingConfig, SizeDist};
 pub use livemap::LiveMap;

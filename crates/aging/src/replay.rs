@@ -170,18 +170,11 @@ pub struct ReplayOptions {
     pub crash_after_ops: u64,
     /// Seed for the crash's metadata-damage pattern.
     pub crash_damage_seed: u64,
-    /// Cooperative cancellation: the replay charges the token with each
-    /// day's operation count and probes it at day (checkpoint)
-    /// boundaries; once fired, the replay stops with
-    /// [`FsError::Cancelled`]. Deterministic — the budget is counted in
-    /// replayed ops, never wall time. `None` never cancels.
-    pub cancel: Option<crate::cancel::CancelToken>,
     /// Budgeted online defragmentation: when set, an idle-time pass runs
     /// at the end of every day's operations, spending at most
     /// `moves_per_day` block relocations through the safe
     /// `ffs` primitive and charging each move's mechanical cost to the
-    /// spec's disk model. Executed moves are charged to the cancel
-    /// token alongside replayed ops. Pass state (the device clock and
+    /// spec's disk model. Pass state (the device clock and
     /// the scrub policy's sweep cursor) lives for the duration of one
     /// replay and is not in a [`Checkpoint`], so [`resume`] rejects a
     /// defragmenting option set with [`FsError::InvalidArg`] rather
@@ -206,7 +199,6 @@ impl Default for ReplayOptions {
             checkpoint_every_days: 0,
             crash_after_ops: 0,
             crash_damage_seed: 0xC4A5_11ED,
-            cancel: None,
             defrag: None,
             threads: 1,
         }
@@ -422,17 +414,6 @@ impl Replay {
         obs::counter!("aging.days_replayed", 1);
         fs.alloc_stats().publish_delta(published_stats);
         *published_stats = fs.alloc_stats().clone();
-        if let Some(token) = &options.cancel {
-            // Deadline probes happen only here, at the day boundary, so a
-            // budget cuts every run off at the same op count regardless of
-            // scheduling — cancellation cannot perturb surviving output.
-            // Defrag moves count against the same budget as replayed ops.
-            token.charge(day_log.ops.len() as u64 + pass.moves);
-            if let Err(e) = token.checkpoint() {
-                obs::counter!("aging.replays_cancelled", 1);
-                return Err(e);
-            }
-        }
         {
             let _s = obs::span!("day_stats");
             daily.push(DayStats {
@@ -804,46 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn op_budget_cancels_at_a_day_boundary() {
-        use crate::cancel::CancelToken;
-        let params = FsParams::small_test();
-        let config = AgingConfig::small_test(15, 42);
-        let w = generate(&config, params.ncg, params.data_capacity_bytes());
-        let day0_ops = w.days[0].ops.len() as u64;
-        // A budget smaller than day 0 cancels at the first boundary ...
-        let token = CancelToken::with_op_budget(day0_ops.saturating_sub(1).max(1));
-        let e = replay(
-            &w,
-            &params,
-            AllocPolicy::Orig,
-            ReplayOptions {
-                cancel: Some(token.clone()),
-                ..ReplayOptions::default()
-            },
-        )
-        .unwrap_err();
-        match e {
-            FsError::Cancelled { after_ops } => {
-                assert_eq!(after_ops, day0_ops, "cut off exactly at the boundary")
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-        assert!(token.is_cancelled());
-        // ... and an ample budget never fires.
-        let r = replay(
-            &w,
-            &params,
-            AllocPolicy::Orig,
-            ReplayOptions {
-                cancel: Some(CancelToken::with_op_budget(u64::MAX / 2)),
-                ..ReplayOptions::default()
-            },
-        )
-        .expect("ample budget");
-        assert_eq!(r.daily.len(), 15);
-    }
-
-    #[test]
     fn day_tap_observes_every_day_without_perturbing_the_run() {
         let params = FsParams::small_test();
         let config = AgingConfig::small_test(15, 42);
@@ -944,32 +885,6 @@ mod tests {
             "daily defragmentation should age better than none"
         );
         assert!(ffs::check(&defragged.fs).is_empty());
-    }
-
-    #[test]
-    fn defrag_moves_charge_the_cancel_budget() {
-        use crate::cancel::CancelToken;
-        use defrag::{DefragPolicy, DefragSpec};
-        let params = FsParams::small_test();
-        let config = AgingConfig::small_test(15, 42);
-        let w = generate(&config, params.ncg, params.data_capacity_bytes());
-        let token = CancelToken::unlimited();
-        replay(
-            &w,
-            &params,
-            AllocPolicy::Orig,
-            ReplayOptions {
-                cancel: Some(token.clone()),
-                defrag: Some(DefragSpec::new(DefragPolicy::Greedy, 200)),
-                ..ReplayOptions::default()
-            },
-        )
-        .unwrap();
-        let total_ops: u64 = w.days.iter().map(|d| d.ops.len() as u64).sum();
-        assert!(
-            token.ops_charged() > total_ops,
-            "executed moves must count against the op budget"
-        );
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! [`replay`] / [`resume`], [`SnapshotDiffer`] vs [`diff_to_workload`].
 //! The folds are thin, so what these hold is the contract the streaming
 //! callers lean on — state read between pushes, several consumers of one
-//! stream, a stream that outlives a cancel — not just the final answer.
+//! stream, a resumed stream — not just the final answer.
 
 use aging::{
-    diff_to_workload, generate, profiles, replay, resume, AgingConfig, CancelToken, DayLog, Days,
-    Replay, ReplayOptions, ReplayResult, SnapshotDiffer,
+    diff_to_workload, generate, profiles, replay, resume, AgingConfig, DayLog, Days, Replay,
+    ReplayOptions, ReplayResult, SnapshotDiffer,
 };
 use defrag::{DefragPolicy, DefragSpec};
 use ffs::AllocPolicy;
-use ffs_types::{FsError, FsParams};
+use ffs_types::FsParams;
 
 fn small() -> (FsParams, AgingConfig) {
     (FsParams::small_test(), AgingConfig::small_test(15, 42))
@@ -113,35 +113,6 @@ fn replay_pushed_by_the_day_equals_replay() {
         .unwrap()
         .crash
         .is_some());
-}
-
-#[test]
-fn a_fired_cancel_token_stops_the_push_where_it_stops_replay() {
-    let (params, config) = small();
-    let w = generate(&config, params.ncg, params.data_capacity_bytes());
-    let budget = (w.days[0].ops.len() + w.days[1].ops.len() + 1) as u64;
-    let cancelled = |token: &CancelToken| ReplayOptions {
-        cancel: Some(token.clone()),
-        ..ReplayOptions::default()
-    };
-    let whole_token = CancelToken::with_op_budget(budget);
-    let whole = replay(&w, &params, AllocPolicy::Orig, cancelled(&whole_token)).unwrap_err();
-    let token = CancelToken::with_op_budget(budget);
-    let mut r = Replay::new(&params, AllocPolicy::Orig, cancelled(&token)).unwrap();
-    let mut days = days_of(&params, &config);
-    let pushed = loop {
-        let day = days.next().expect("the budget runs out before the stream");
-        if let Err(e) = r.day(&day) {
-            break e;
-        }
-    };
-    assert!(matches!(pushed, FsError::Cancelled { .. }), "{pushed:?}");
-    assert_eq!(pushed, whole);
-    assert_eq!(token.ops_charged(), whole_token.ops_charged());
-    // Cut off at the third day boundary: two days recorded, the third's
-    // ops applied; the stream itself is untouched by the cancel.
-    assert_eq!(r.last().map(|d| d.day), Some(1));
-    assert_eq!(days.next().map(|d| d.day), Some(3));
 }
 
 #[test]

@@ -15,12 +15,8 @@
 //!   [`JobOutcome::Panicked`] record instead of a poisoned engine lock.
 //!   The lock itself is poison-tolerant as a second line of defense, so
 //!   surviving workers always drain the remaining independent subgraph.
-//! * **Typed failures** — jobs return [`JobError`], which separates
-//!   deterministic failures from deadline cancellations.
-//! * **Deadlines** — a per-job operation budget materializes as an
-//!   [`aging::CancelToken`] handed to the job through [`JobCtx`]; work
-//!   that threads it into `aging::replay` is cut off cooperatively at a
-//!   checkpoint boundary and recorded as [`JobOutcome::TimedOut`].
+//! * **Typed failures** — jobs return [`JobError`]; a returned error is
+//!   recorded as [`JobOutcome::Failed`] with its message.
 //! * **Skip propagation** — dependents of a job that did not produce
 //!   output are recorded as [`JobOutcome::Skipped`] with the cause.
 
@@ -29,7 +25,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use aging::CancelToken;
 use ffs_types::FsError;
 
 use crate::record::{Metrics, RunRecord};
@@ -39,11 +34,6 @@ use crate::record::{Metrics, RunRecord};
 pub enum JobError {
     /// Deterministic failure; rerunning the job would reproduce it.
     Fatal(String),
-    /// The job's cancellation token fired (op budget exceeded).
-    Deadline {
-        /// Operations the job had completed when it was cut off.
-        after_ops: u64,
-    },
     /// The job consumed a dependency it never declared — a DAG
     /// construction bug, surfaced in the record instead of a panic.
     UndeclaredDep {
@@ -54,16 +44,9 @@ pub enum JobError {
     },
 }
 
-impl JobError {
-    /// Classifies a file-system error: `FsError::Cancelled` is a
-    /// deadline, everything else is fatal.
-    pub fn from_fs(e: &FsError) -> JobError {
-        match e {
-            FsError::Cancelled { after_ops } => JobError::Deadline {
-                after_ops: *after_ops,
-            },
-            _ => JobError::Fatal(e.to_string()),
-        }
+impl From<FsError> for JobError {
+    fn from(e: FsError) -> JobError {
+        JobError::Fatal(e.to_string())
     }
 }
 
@@ -71,9 +54,6 @@ impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Fatal(e) => write!(f, "{e}"),
-            JobError::Deadline { after_ops } => {
-                write!(f, "deadline exceeded after {after_ops} operations")
-            }
             JobError::UndeclaredDep { job, dep } => {
                 write!(f, "job {job:?} consumed undeclared dependency {dep:?}")
             }
@@ -105,9 +85,6 @@ pub struct JobSpec<T> {
     pub deps: Vec<String>,
     /// The work.
     pub run: JobFn<T>,
-    /// Operation budget, enforced through the job's [`CancelToken`]
-    /// (0 = no deadline).
-    pub deadline_ops: u64,
     /// Expected cost, in any unit the table uses consistently (the
     /// harness uses replayed ops). A free worker takes the heaviest
     /// ready job, so the longest jobs start first and the short ones
@@ -117,7 +94,7 @@ pub struct JobSpec<T> {
 }
 
 impl<T> JobSpec<T> {
-    /// Convenience constructor (no deadline, weight 0).
+    /// Convenience constructor (weight 0).
     pub fn new<F>(id: &str, deps: &[&str], run: F) -> JobSpec<T>
     where
         F: FnOnce(&mut JobCtx<'_, T>) -> Result<T, JobError> + Send + 'static,
@@ -126,20 +103,18 @@ impl<T> JobSpec<T> {
             id: id.to_string(),
             deps: deps.iter().map(|d| d.to_string()).collect(),
             run: Box::new(run),
-            deadline_ops: 0,
             weight: 0,
         }
     }
 }
 
-/// What a running job sees: its dependencies' outputs, its record's
-/// metrics section, and its cancellation token.
+/// What a running job sees: its dependencies' outputs and its record's
+/// metrics section.
 pub struct JobCtx<'a, T> {
     job: &'a str,
     deps: Vec<(&'a str, Arc<T>)>,
     /// Measurements merged into the job's [`RunRecord`].
     pub metrics: &'a mut Metrics,
-    cancel: CancelToken,
 }
 
 impl<T> JobCtx<'_, T> {
@@ -169,13 +144,6 @@ impl<T> JobCtx<'_, T> {
                 dep: id.to_string(),
             })
     }
-
-    /// The job's cancellation token. Long-running work
-    /// threads it into `aging::ReplayOptions::cancel` so the deadline
-    /// can cut it off at a checkpoint boundary.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
 }
 
 /// Terminal state of one job.
@@ -187,8 +155,6 @@ pub enum JobOutcome<T> {
     Failed(String),
     /// The job's body panicked; the payload message is preserved.
     Panicked(String),
-    /// The job exceeded its deadline budget and was cancelled.
-    TimedOut(String),
     /// The job never ran because a dependency did not produce output.
     Skipped(String),
 }
@@ -206,10 +172,7 @@ impl<T> JobOutcome<T> {
     pub fn err(&self) -> Option<&str> {
         match self {
             JobOutcome::Ok(_) => None,
-            JobOutcome::Failed(e)
-            | JobOutcome::Panicked(e)
-            | JobOutcome::TimedOut(e)
-            | JobOutcome::Skipped(e) => Some(e),
+            JobOutcome::Failed(e) | JobOutcome::Panicked(e) | JobOutcome::Skipped(e) => Some(e),
         }
     }
 
@@ -219,7 +182,6 @@ impl<T> JobOutcome<T> {
             JobOutcome::Ok(_) => "ok",
             JobOutcome::Failed(_) => "failed",
             JobOutcome::Panicked(_) => "panicked",
-            JobOutcome::TimedOut(_) => "timeout",
             JobOutcome::Skipped(_) => "skipped",
         }
     }
@@ -230,7 +192,6 @@ impl<T> JobOutcome<T> {
             JobOutcome::Ok(_) => unreachable!("ok dependencies do not skip dependents"),
             JobOutcome::Failed(_) => format!("dependency {dep:?} failed"),
             JobOutcome::Panicked(_) => format!("dependency {dep:?} panicked"),
-            JobOutcome::TimedOut(_) => format!("dependency {dep:?} exceeded its deadline"),
             JobOutcome::Skipped(_) => format!("dependency {dep:?} was skipped"),
         }
     }
@@ -248,7 +209,6 @@ struct Pending<T> {
     id: String,
     deps: Vec<String>,
     run: Option<JobFn<T>>,
-    deadline_ops: u64,
     weight: u64,
     waiting_on: usize,
     dependents: Vec<usize>,
@@ -298,8 +258,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Executes `jobs` on `workers` threads (clamped to at least 1) and
-/// returns every outcome and run record. A failing, panicking, or
-/// timed-out job never aborts the run: its transitive dependents are
+/// returns every outcome and run record. A failing or panicking job
+/// never aborts the run: its transitive dependents are
 /// recorded `skipped` and every independent job still completes.
 ///
 /// Fails up front — before running anything — on duplicate ids, unknown
@@ -328,7 +288,6 @@ pub fn run_jobs<T: Send + Sync + 'static>(
             id: j.id,
             deps: j.deps,
             run: Some(j.run),
-            deadline_ops: j.deadline_ops,
             weight: j.weight,
             dependents: Vec::new(),
         })
@@ -448,7 +407,6 @@ fn worker_loop<T: Send + Sync>(shared: &Mutex<Shared<T>>, cond: &Condvar) {
         };
         let id = guard.jobs[i].id.clone();
         let dep_names = guard.jobs[i].deps.clone();
-        let deadline_ops = guard.jobs[i].deadline_ops;
         // A dependency that did not produce output skips this job, with
         // the cause recorded.
         let mut blocked = None;
@@ -497,11 +455,6 @@ fn worker_loop<T: Send + Sync>(shared: &Mutex<Shared<T>>, cond: &Condvar) {
                 job: &id,
                 deps: dep_names.iter().map(String::as_str).zip(dep_vals).collect(),
                 metrics: &mut metrics,
-                cancel: if deadline_ops > 0 {
-                    CancelToken::with_op_budget(deadline_ops)
-                } else {
-                    CancelToken::unlimited()
-                },
             };
             // The job body is arbitrary user code: a panic here must
             // become a typed outcome, not a poisoned engine.
@@ -517,12 +470,6 @@ fn worker_loop<T: Send + Sync>(shared: &Mutex<Shared<T>>, cond: &Condvar) {
                 Ok(Ok(v)) => {
                     obs::counter!("exp.jobs_ok", 1);
                     JobOutcome::Ok(Arc::new(v))
-                }
-                Ok(Err(JobError::Deadline { after_ops })) => {
-                    obs::counter!("exp.deadline_cancels", 1);
-                    JobOutcome::TimedOut(format!(
-                        "deadline exceeded after {after_ops} operations (budget {deadline_ops})"
-                    ))
                 }
                 Ok(Err(e)) => JobOutcome::Failed(e.to_string()),
             };
@@ -633,34 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_outcome_is_typed_and_contained() {
-        let jobs: Vec<JobSpec<u64>> = vec![
-            JobSpec {
-                deadline_ops: 100,
-                ..JobSpec::new("slow", &[], |c: &mut JobCtx<'_, u64>| {
-                    // Simulate a replay loop honoring its token.
-                    let token = c.cancel_token();
-                    token.charge(500);
-                    token.checkpoint().map_err(|e| JobError::from_fs(&e))?;
-                    Ok(1)
-                })
-            },
-            JobSpec::new("after", &["slow"], |c| Ok(*c.dep("slow")?)),
-        ];
-        let run = run_jobs(jobs, 2).unwrap();
-        match &run.outcomes["slow"] {
-            JobOutcome::TimedOut(msg) => {
-                assert!(msg.contains("after 500"), "{msg}");
-                assert!(msg.contains("budget 100"), "{msg}");
-            }
-            other => panic!("expected TimedOut, got {:?}", other.status()),
-        }
-        let r = run.records.iter().find(|r| r.job == "slow").unwrap();
-        assert_eq!(r.status, "timeout");
-        assert!(matches!(run.outcomes["after"], JobOutcome::Skipped(_)));
-    }
-
-    #[test]
     fn metrics_land_in_the_record() {
         let jobs: Vec<JobSpec<u64>> = vec![JobSpec::new("m", &[], |c| {
             c.metrics.ops = Some(42);
@@ -673,14 +592,30 @@ mod tests {
     }
 
     /// A table with work on both layers: three dep-free roots of very
-    /// different cost, a failing root, and dependents of each.
-    fn weighted_table(weights: [u64; 4], started: &Arc<Mutex<Vec<String>>>) -> Vec<JobSpec<u64>> {
+    /// different cost, a failing root, and dependents of each. The first
+    /// `workers` bodies to start record their id and then wait for each
+    /// other, so no job can finish, free a worker and record a later
+    /// pick before every worker has made its first one.
+    fn weighted_table(
+        weights: [u64; 4],
+        workers: usize,
+        started: &Arc<Mutex<Vec<String>>>,
+    ) -> Vec<JobSpec<u64>> {
+        let gate = Arc::new(std::sync::Barrier::new(workers));
         let job = |id: &'static str, deps: &[&str], weight: u64, out: Result<u64, &'static str>| {
             let started = Arc::clone(started);
+            let gate = Arc::clone(&gate);
             JobSpec {
                 weight,
                 ..JobSpec::new(id, deps, move |c: &mut JobCtx<'_, u64>| {
-                    started.lock().unwrap().push(id.to_string());
+                    let nth = {
+                        let mut started = started.lock().unwrap();
+                        started.push(id.to_string());
+                        started.len()
+                    };
+                    if nth <= workers {
+                        gate.wait();
+                    }
                     c.metrics.ops = out.ok();
                     Ok(out?)
                 })
@@ -701,7 +636,7 @@ mod tests {
     fn the_heaviest_ready_job_starts_first_and_changes_nothing() {
         let run = |weights: [u64; 4], workers: usize| {
             let started = Arc::new(Mutex::new(Vec::new()));
-            let run = run_jobs(weighted_table(weights, &started), workers).unwrap();
+            let run = run_jobs(weighted_table(weights, workers, &started), workers).unwrap();
             let outcomes: Vec<(String, &'static str, Option<u64>)> = run
                 .outcomes
                 .iter()
@@ -727,13 +662,19 @@ mod tests {
             let (outcomes, records, order) = run([10, 1000, 100, 100], workers);
             assert_eq!(outcomes, flat_outcomes, "{workers} workers");
             assert_eq!(records, flat_records, "{workers} workers");
-            // Whichever worker wins the lock first takes the heaviest
-            // root; with one worker the whole order is by weight, ties
-            // to the lower index.
-            assert_eq!(order[0], "heavy", "{workers} workers: {order:?}");
+            // Picks go by weight, ties to the lower index. With one
+            // worker that is the whole start order. With more, the first
+            // `workers` picks are the heaviest roots; their bodies record
+            // in a race, so they are compared as a set.
+            let by_weight = ["heavy", "middling", "doomed", "light"];
             if workers == 1 {
-                assert_eq!(order[..4], ["heavy", "middling", "doomed", "light"]);
+                assert_eq!(order[..4], by_weight);
             }
+            let mut first = order[..workers].to_vec();
+            first.sort();
+            let mut heaviest = by_weight[..workers].to_vec();
+            heaviest.sort();
+            assert_eq!(first, heaviest, "{workers} workers: {order:?}");
         }
     }
 

@@ -10,10 +10,9 @@
 //!   every figure whose inputs are ready) run concurrently; outputs are
 //!   identical for any worker count because jobs are pure functions of
 //!   their declared dependencies. Failure is contained: panics become
-//!   typed [`engine::JobOutcome::Panicked`] records, deadlines cancel
-//!   runaway jobs cooperatively, and dependents of anything that
-//!   did not produce output are recorded `skipped` while every
-//!   independent job still completes.
+//!   typed [`engine::JobOutcome::Panicked`] records, and dependents of
+//!   anything that did not produce output are recorded `skipped` while
+//!   every independent job still completes.
 //! * [`store`] — a content-addressed on-disk artifact store. An aged
 //!   file system is keyed by the full provenance of its construction
 //!   (file-system parameters, aging configuration, seed, days, policy,
@@ -21,7 +20,9 @@
 //!   [`aging::Checkpoint`] format, so it is aged once and reused across
 //!   processes. Damaged artifacts are rejected with
 //!   [`ffs_types::FsError::Corrupt`], preserved under `quarantine/`,
-//!   and transparently re-aged.
+//!   and transparently re-aged. The store is also how an interrupted
+//!   run resumes: a rerun over the same store reloads every aging that
+//!   finished (`cache: hit`) and recomputes the rest.
 //! * [`record`] — structured JSON-lines run records (job id, dependency
 //!   keys, cache hit/miss, wall time, op counts,
 //!   [`disk::DeviceStats`]) written to `runs.jsonl`.
@@ -36,6 +37,6 @@ pub mod store;
 
 pub use engine::{run_jobs, worker_count, EngineRun, JobCtx, JobError, JobOutcome, JobSpec};
 pub use key::{aged_key, fnv1a, AgedKey, FORMAT_VERSION};
-pub use record::{prior_ok, CacheStatus, Metrics, RunRecord};
+pub use record::{CacheStatus, Metrics, RunRecord};
 pub use report::summarize;
 pub use store::{age_cached, cache_path, parse_aged, render_aged, AgedRun, ArtifactStore};

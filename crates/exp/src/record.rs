@@ -6,7 +6,6 @@
 //! order by hand; strings are escaped, and lines read back, by the
 //! workspace's one JSON codec, [`obs::json`].
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use disk::DeviceStats;
@@ -76,7 +75,7 @@ pub struct RunRecord {
     pub job: String,
     /// Identifiers of the jobs this one consumed.
     pub deps: Vec<String>,
-    /// `ok`, `failed`, `panicked`, `timeout`, or `skipped`.
+    /// `ok`, `failed`, `panicked`, or `skipped`.
     pub status: String,
     /// Error message for jobs that did not succeed.
     pub error: Option<String>,
@@ -164,25 +163,11 @@ impl RunRecord {
     }
 }
 
-/// The jobs a prior run's journal (`--resume-run <runs.jsonl>`) records
-/// as `ok`. Lines that are not run records are skipped: a journal cut
-/// off mid-line by a kill is exactly what gets resumed from.
-pub fn prior_ok(journal_path: &str) -> Result<BTreeSet<String>, String> {
-    let text = std::fs::read_to_string(journal_path)
-        .map_err(|e| format!("resume journal {journal_path}: {e}"))?;
-    let ok_job = |line: &str| {
-        let rec = json::parse(line).ok()?;
-        let ok = rec.get("status")?.as_str()? == "ok";
-        rec.get("job")?.as_str().filter(|_| ok).map(String::from)
-    };
-    Ok(text.lines().filter_map(ok_job).collect())
-}
-
-/// A journal line as PR 21 and earlier wrote it: retry bookkeeping at
+/// A journal line in the older format that carried retry bookkeeping at
 /// the top level and a 13-key `device` object. Readers must keep
 /// accepting it — unknown keys are ignored, never an error.
 #[cfg(test)]
-pub(crate) const PR21_LINE: &str = "{\"job\":\"fig4\",\"deps\":[\"age:ffs\",\"age:realloc\"],\
+pub(crate) const RETRY_ERA_LINE: &str = "{\"job\":\"fig4\",\"deps\":[\"age:ffs\",\"age:realloc\"],\
     \"status\":\"ok\",\"wall_s\":1.250000,\"attempts\":3,\"backoff_units\":11,\"ops\":1234,\
     \"device\":{\"reads\":10,\"writes\":4,\"sectors_read\":160,\"sectors_written\":64,\
     \"buffer_hits\":3,\"seeks\":5,\"seek_time_us\":1200.5,\"rot_wait_us\":800,\
@@ -287,34 +272,6 @@ mod tests {
         assert!(
             !line.contains("attempts") && !line.contains("backoff_units"),
             "the inert fields are never written: {line}"
-        );
-    }
-
-    #[test]
-    fn prior_ok_reads_the_ok_jobs_of_a_journal() {
-        let mut failed = sample();
-        failed.job = "fig2".into();
-        failed.status = "panicked".into();
-        let mut impostor = sample();
-        impostor.job = "fig3".into();
-        impostor.status = "failed".into();
-        impostor.error = Some("\"status\":\"ok\"".into());
-        let ok_line = sample().to_json();
-        let journal = format!(
-            "{ok_line}\n{}\n\n{}\n{PR21_LINE}\n{}",
-            failed.to_json(),
-            impostor.to_json(),
-            &ok_line[..ok_line.len() / 2]
-        );
-        let path = std::env::temp_dir().join(format!("exp-prior-ok-{}.jsonl", std::process::id()));
-        std::fs::write(&path, journal).unwrap();
-        let ok = prior_ok(path.to_str().unwrap()).unwrap();
-        assert_eq!(ok.into_iter().collect::<Vec<_>>(), ["age:ffs", "fig4"]);
-        let _ = std::fs::remove_file(&path);
-        let e = prior_ok("/nonexistent/runs.jsonl").unwrap_err();
-        assert!(
-            e.starts_with("resume journal /nonexistent/runs.jsonl: "),
-            "{e}"
         );
     }
 }

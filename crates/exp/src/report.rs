@@ -31,14 +31,10 @@ fn num_or(rec: &Value, field: &str, default: f64) -> f64 {
 }
 
 /// Renders a human-readable summary of the run records in `jsonl`
-/// (the contents of a `runs.jsonl` file): one row per job key sorted by
-/// wall time, then cache and failure totals.
-///
-/// A journal may hold several records for the same job — a resumed run
-/// concatenated onto the journal it resumed from, or reruns appended by
-/// other tooling. Those aggregate into one row per key: wall time and
-/// op counts sum across the records, while status and cache come from
-/// the latest record — the run that finally settled the job.
+/// (the contents of a `runs.jsonl` file): one row per record sorted by
+/// wall time, then cache and failure totals. A run writes one record
+/// per job (the engine rejects duplicate ids) and overwrites the file,
+/// so a row is a job.
 pub fn summarize(jsonl: &str) -> Result<String, String> {
     use std::fmt::Write as _;
     let mut rows: Vec<Row> = Vec::new();
@@ -48,28 +44,17 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
             continue;
         }
         let rec = parse_record(line, n)?;
-        let job = str_or(&rec, "job", "?");
-        let row = match rows.iter_mut().find(|r| r.job == job) {
-            Some(row) => row,
-            None => {
-                rows.push(Row {
-                    job,
-                    status: "?".into(),
-                    cache: "-".into(),
-                    wall_s: 0.0,
-                    ops: 0.0,
-                    quarantined: None,
-                });
-                rows.last_mut().expect("row just pushed")
-            }
-        };
-        row.status = str_or(&rec, "status", "?");
-        row.cache = str_or(&rec, "cache", "-");
-        row.wall_s += num_or(&rec, "wall_s", 0.0);
-        row.ops += num_or(&rec, "ops", 0.0);
-        if let Some(path) = rec.get("quarantined").and_then(Value::as_str) {
-            row.quarantined = Some(path.to_string());
-        }
+        rows.push(Row {
+            job: str_or(&rec, "job", "?"),
+            status: str_or(&rec, "status", "?"),
+            cache: str_or(&rec, "cache", "-"),
+            wall_s: num_or(&rec, "wall_s", 0.0),
+            ops: num_or(&rec, "ops", 0.0),
+            quarantined: rec
+                .get("quarantined")
+                .and_then(Value::as_str)
+                .map(String::from),
+        });
     }
     if rows.is_empty() {
         return Err("no run records".into());
@@ -103,7 +88,6 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
         .count();
     let failed = rows.iter().filter(|r| r.status != "ok").count();
     let panicked = rows.iter().filter(|r| r.status == "panicked").count();
-    let timeouts = rows.iter().filter(|r| r.status == "timeout").count();
     let quarantined = rows.iter().filter(|r| r.quarantined.is_some()).count();
     // Quarantined artifacts split by kind: an `.aged` image lost from the
     // experiment cache is a different degradation than a `.shard`
@@ -120,10 +104,10 @@ pub fn summarize(jsonl: &str) -> Result<String, String> {
         total,
         rows.len()
     );
-    if panicked + timeouts + quarantined > 0 {
+    if panicked + quarantined > 0 {
         let _ = write!(
             out,
-            "supervision: {panicked} panicked; {timeouts} timed out; {quarantined} quarantined"
+            "supervision: {panicked} panicked; {quarantined} quarantined"
         );
         if quarantined > 0 {
             let other = quarantined - q_aged - q_shard;
@@ -184,43 +168,18 @@ mod tests {
     }
 
     #[test]
-    fn repeated_keys_aggregate_attempts_across_runs() {
-        // The shape of a resumed run: the prior journal's record (a
-        // PR 21-format line — `attempts`, `backoff_units` and a 13-key
-        // `device` object that today's readers ignore) concatenated with
-        // the rerun's record. The summary must show one row with the
-        // latest status and cache winning.
-        let rerun = {
-            let mut r = RunRecord {
-                job: "fig4".into(),
-                deps: vec![],
-                status: "ok".into(),
-                error: None,
-                wall_s: 1.0,
-                attempts: 0,
-                backoff_units: 0,
-                metrics: Metrics {
-                    cache: Some(CacheStatus::Hit),
-                    ..Metrics::default()
-                },
-            };
-            r.metrics.ops = Some(50);
-            r.to_json()
-        };
-        let prior = crate::record::PR21_LINE;
-        let jsonl = format!("{prior}\n{rerun}");
-        let s = summarize(&jsonl).unwrap();
-        assert_eq!(s.matches("fig4").count(), 1, "one row per key:\n{s}");
-        assert!(s.contains("over 1 jobs"), "{s}");
+    fn retry_era_lines_are_read() {
+        // `attempts`, `backoff_units` and a 13-key `device` object, which
+        // today's readers ignore.
+        let s = summarize(crate::record::RETRY_ERA_LINE).unwrap();
+        assert_eq!(s.matches("fig4").count(), 1, "{s}");
+        assert!(s.contains("total 1.250s over 1 jobs"), "{s}");
+        assert!(s.contains("1234"), "{s}");
+        assert!(s.contains("0 not ok"), "{s}");
         assert!(
             !s.contains("supervision"),
             "old retry counts are ignored:\n{s}"
         );
-        // Latest record settles status and cache; wall and ops sum.
-        assert!(s.contains("ok"), "{s}");
-        assert!(s.contains("hit"), "{s}");
-        assert!(s.contains("total 2.250s"), "{s}");
-        assert!(s.contains("1284"), "{s}");
     }
 
     #[test]

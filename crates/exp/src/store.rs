@@ -320,11 +320,7 @@ pub fn cache_path(cache_dir: Option<&str>, out_dir: &str) -> PathBuf {
 /// given: a valid cached image is reused (`cache: hit`), a missing one
 /// is built and saved (`miss`), and a damaged one is moved to
 /// `quarantine/` and rebuilt (`corrupt`) — never trusted, never
-/// silently destroyed.
-///
-/// Errors are typed for the supervisor: a replay cut off by a
-/// cancellation token surfaces as [`JobError::Deadline`], everything
-/// else as [`JobError::Fatal`].
+/// silently destroyed. A replay or save error is [`JobError::Fatal`].
 pub fn age_cached(
     store: Option<&ArtifactStore>,
     params: &FsParams,
@@ -353,9 +349,9 @@ pub fn age_cached(
             }
         }
     }
-    let mut replay = Replay::new(params, policy, options).map_err(|e| JobError::from_fs(&e))?;
+    let mut replay = Replay::new(params, policy, options)?;
     for day in Days::new(config, params.ncg, params.data_capacity_bytes()) {
-        replay.day(&day).map_err(|e| JobError::from_fs(&e))?;
+        replay.day(&day)?;
     }
     let ops = replay.ops();
     let result = replay.finish();

@@ -1,5 +1,5 @@
 //! Chaos test for the supervised engine: one DAG where jobs panic and
-//! exceed their deadline at once. The supervisor must (a) complete
+//! fail at once. The supervisor must (a) complete
 //! every independent job, (b) type every failure, and (c) produce
 //! byte-identical records for any worker count.
 
@@ -22,28 +22,18 @@ fn chaos_dag() -> Vec<JobSpec<u64>> {
         JobSpec::new("bomb-grandchild", &["bomb-child"], |c| {
             Ok(*c.dep("bomb-child")?)
         }),
-        // A replay that blows through its op budget: cancelled at a day
-        // boundary, typed as a timeout.
-        JobSpec {
-            deadline_ops: 50,
-            ..JobSpec::new("runaway", &[], |c| {
-                let params = FsParams::small_test();
-                let config = AgingConfig::small_test(10, 42);
-                let w = generate(&config, params.ncg, params.data_capacity_bytes());
-                let result = replay(
-                    &w,
-                    &params,
-                    AllocPolicy::Realloc,
-                    ReplayOptions {
-                        cancel: Some(c.cancel_token()),
-                        ..ReplayOptions::default()
-                    },
-                )
-                .map_err(|e| JobError::from_fs(&e))?;
-                Ok(result.daily.len() as u64)
-            })
-        },
-        JobSpec::new("after-runaway", &["runaway"], |c| Ok(*c.dep("runaway")?)),
+        // A replay the file system rejects (a workload generated for one
+        // group too many): its `FsError` is typed as a failure. The
+        // rejection comes from the group-count check, before day 0 is
+        // replayed.
+        JobSpec::new("misfit", &[], |_| {
+            let params = FsParams::small_test();
+            let config = AgingConfig::small_test(10, 42);
+            let w = generate(&config, params.ncg + 1, params.data_capacity_bytes());
+            let result = replay(&w, &params, AllocPolicy::Realloc, ReplayOptions::default())?;
+            Ok(result.daily.len() as u64)
+        }),
+        JobSpec::new("after-misfit", &["misfit"], |c| Ok(*c.dep("misfit")?)),
     ]
 }
 
@@ -81,13 +71,13 @@ fn chaos_dag_is_contained_and_deterministic() {
             JobOutcome::Skipped(_)
         ));
 
-        // The runaway replay was cancelled at a day boundary.
-        match &run.outcomes["runaway"] {
-            JobOutcome::TimedOut(msg) => assert!(msg.contains("budget 50"), "{msg}"),
-            other => panic!("expected TimedOut, got {:?}", other.status()),
+        // The rejected replay failed with the file system's message.
+        match &run.outcomes["misfit"] {
+            JobOutcome::Failed(msg) => assert!(msg.contains("invalid argument"), "{msg}"),
+            other => panic!("expected Failed, got {:?}", other.status()),
         }
-        match &run.outcomes["after-runaway"] {
-            JobOutcome::Skipped(why) => assert!(why.contains("deadline"), "{why}"),
+        match &run.outcomes["after-misfit"] {
+            JobOutcome::Skipped(why) => assert!(why.contains("failed"), "{why}"),
             other => panic!("expected Skipped, got {:?}", other.status()),
         }
     }

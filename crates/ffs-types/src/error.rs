@@ -39,14 +39,6 @@ pub enum FsError {
     /// be interpreted — a checkpoint that does not parse, a snapshot
     /// naming a fragment outside the volume, and the like.
     Corrupt(String),
-    /// A cooperative cancellation token fired: the operation observed
-    /// the cancellation at a checkpoint boundary and stopped after
-    /// `after_ops` operations (`ECANCELED`). Used by supervised runs to
-    /// cut off jobs that exceed their deadline budget.
-    Cancelled {
-        /// Operations completed before the cancellation was observed.
-        after_ops: u64,
-    },
 }
 
 impl fmt::Display for FsError {
@@ -63,9 +55,6 @@ impl fmt::Display for FsError {
             FsError::NoSuchDir(dir) => write!(f, "no such directory: {dir:?}"),
             FsError::InvalidArg(what) => write!(f, "invalid argument: {what}"),
             FsError::Corrupt(what) => write!(f, "corrupt on-disk state: {what}"),
-            FsError::Cancelled { after_ops } => {
-                write!(f, "cancelled after {after_ops} operations")
-            }
         }
     }
 }
@@ -92,8 +81,6 @@ mod tests {
     fn io_and_corrupt_display_their_context() {
         let e = FsError::Corrupt("bad checkpoint header".into());
         assert!(e.to_string().contains("bad checkpoint header"));
-        let e = FsError::Cancelled { after_ops: 512 };
-        assert!(e.to_string().contains("cancelled after 512"));
     }
 
     #[test]

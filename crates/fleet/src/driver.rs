@@ -1,9 +1,8 @@
 //! The fleet driver: shards as a supervised job DAG, exhibits after.
 //!
 //! Every shard becomes one dependency-free job on the [`exp`] engine,
-//! inheriting its supervision whole: panic isolation, op-budget
-//! deadlines delivered through the replay's cancel token, and one
-//! structured record per shard in `runs.jsonl`.
+//! inheriting its supervision whole: panic isolation and one structured
+//! record per shard in `runs.jsonl`.
 //!
 //! Determinism with concurrency comes from splitting the run in two:
 //! while the engine is live, finished shards only *fold* into the
@@ -12,19 +11,17 @@
 //! engine drains, on the main thread in canonical order. `--jobs N`
 //! can therefore never change an output byte.
 //!
-//! Resume needs no journal surgery: every finished shard checkpointed
-//! its sample series in the content-addressed store, so a re-run hits
-//! the cache for finished shards (zero replay ops) and only ages the
-//! ones the crash took. A prior journal passed via `resume_run` marks
-//! those reloads with `"resumed":"true"` so the report can tell a warm
-//! resume from an ordinary cache hit.
+//! Resume is the store: every finished shard checkpointed its sample
+//! series in the content-addressed store, so a re-run hits the cache
+//! for finished shards (zero replay ops) and only ages the ones the
+//! crash took.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use exp::{run_jobs, ArtifactStore, CacheStatus, JobSpec, Metrics, RunRecord};
+use exp::{run_jobs, ArtifactStore, JobSpec, Metrics, RunRecord};
 
 use crate::accum::{policy_index, FleetAccum, Metric};
 use crate::exhibit;
@@ -48,12 +45,6 @@ pub struct FleetOptions {
     pub cache_dir: Option<String>,
     /// Disables shard checkpointing entirely.
     pub no_cache: bool,
-    /// Per-shard operation budget; a replay that exceeds it is cancelled
-    /// at the next day boundary (0 = no deadline).
-    pub job_deadline_ops: u64,
-    /// A prior fleet `runs.jsonl`: shards it records as `ok` reload from
-    /// their checkpoints and are marked `resumed` in the new journal.
-    pub resume_run: Option<String>,
     /// Chaos hook: the named shard job panics, exercising panic
     /// isolation and resume end to end.
     pub chaos_kill: Option<String>,
@@ -72,8 +63,6 @@ impl Default for FleetOptions {
             out_dir: "fleet-results".into(),
             cache_dir: None,
             no_cache: false,
-            job_deadline_ops: 0,
-            resume_run: None,
             chaos_kill: None,
             metrics: None,
         }
@@ -151,56 +140,41 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetSummary, String> {
     let accum = Arc::new(FleetAccum::new(opts.days));
     let store = (!opts.no_cache).then(|| ArtifactStore::new(opts.cache_path()));
 
-    // Shards a prior journal finished: their cache hits get a `resumed`
-    // marker. The checkpoints themselves, not the journal, carry the
-    // resume — a shard absent here but present in the store still hits.
-    let prior_ok = match &opts.resume_run {
-        Some(journal) => exp::prior_ok(journal)?,
-        None => Default::default(),
-    };
-
     let t0 = Instant::now();
     let mut jobs: Vec<JobSpec<()>> = Vec::with_capacity(opts.shards as usize);
     for i in 0..opts.shards {
         let shard = spec.shard(i);
         let jid = shard.job_id();
-        let was_ok = prior_ok.contains(&jid);
         let accum = Arc::clone(&accum);
         let store = store.clone();
         let chaos = opts.chaos_kill.clone();
         let job_id = jid.clone();
-        jobs.push(JobSpec {
-            deadline_ops: opts.job_deadline_ops,
-            ..JobSpec::new(&job_id, &[], move |ctx| {
-                if chaos.as_deref() == Some(jid.as_str()) {
-                    panic!("chaos kill: {jid}");
-                }
-                let _shard_span = obs::span!("fleet:shard");
-                let wall = Instant::now();
-                let out = run_shard(store.as_ref(), &shard, Some(ctx.cancel_token()))?;
-                accum.fold(policy_index(shard.policy), &out.samples, out.ops);
-                obs::counter!("fleet.shards_done", 1);
-                obs::hist!(
-                    "fleet.shard_wall_us",
-                    obs::bounds::TIME_US,
-                    wall.elapsed().as_micros() as u64
-                );
-                ctx.metrics.cache = Some(out.cache);
-                ctx.metrics.key = Some(shard.key_hex());
-                ctx.metrics.ops = Some(out.ops);
-                ctx.metrics.note("policy", shard.policy_name());
-                if let Some(d) = &shard.defrag {
-                    ctx.metrics.note("defrag", d.label());
-                }
-                if was_ok && out.cache == CacheStatus::Hit {
-                    ctx.metrics.note("resumed", "true");
-                }
-                if let Some(q) = &out.quarantined {
-                    ctx.metrics.note("quarantined", q.display());
-                }
-                Ok(())
-            })
-        });
+        jobs.push(JobSpec::new(&job_id, &[], move |ctx| {
+            if chaos.as_deref() == Some(jid.as_str()) {
+                panic!("chaos kill: {jid}");
+            }
+            let _shard_span = obs::span!("fleet:shard");
+            let wall = Instant::now();
+            let out = run_shard(store.as_ref(), &shard, None)?;
+            accum.fold(policy_index(shard.policy), &out.samples, out.ops);
+            obs::counter!("fleet.shards_done", 1);
+            obs::hist!(
+                "fleet.shard_wall_us",
+                obs::bounds::TIME_US,
+                wall.elapsed().as_micros() as u64
+            );
+            ctx.metrics.cache = Some(out.cache);
+            ctx.metrics.key = Some(shard.key_hex());
+            ctx.metrics.ops = Some(out.ops);
+            ctx.metrics.note("policy", shard.policy_name());
+            if let Some(d) = &shard.defrag {
+                ctx.metrics.note("defrag", d.label());
+            }
+            if let Some(q) = &out.quarantined {
+                ctx.metrics.note("quarantined", q.display());
+            }
+            Ok(())
+        }));
     }
 
     let run = {

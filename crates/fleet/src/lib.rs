@@ -30,7 +30,7 @@
 //! * [`exhibit`] — renders the accumulator into the fleet TSVs
 //!   (p50/p90/p99 by day, per policy).
 //! * [`driver`] — [`driver::run_fleet`] runs the shards as a supervised
-//!   DAG on [`exp::run_jobs`] (panic isolation, deadlines) and writes
+//!   DAG on [`exp::run_jobs`] (panic isolation) and writes
 //!   `runs.jsonl` plus the exhibits.
 //!
 //! # Example

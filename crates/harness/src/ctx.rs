@@ -33,12 +33,6 @@ pub struct Options {
     /// Silences per-experiment progress chatter on stderr. Exhibit
     /// output (stdout and TSV files) is unchanged.
     pub quiet: bool,
-    /// Per-job operation budget; a replay that exceeds it is cancelled
-    /// at the next day boundary (0 = no deadline).
-    pub job_deadline_ops: u64,
-    /// A prior `runs.jsonl` journal: exhibits it records as `ok` (whose
-    /// TSVs still exist) are reloaded from disk instead of recomputed.
-    pub resume_run: Option<String>,
     /// Chaos hook: the named exhibit panics, exercising panic isolation
     /// end to end.
     pub chaos_kill: Option<String>,
@@ -59,8 +53,6 @@ impl Default for Options {
             no_cache: false,
             metrics: None,
             quiet: false,
-            job_deadline_ops: 0,
-            resume_run: None,
             chaos_kill: None,
             shards: 64,
             fleet_seed: 7,

@@ -15,7 +15,7 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use aging::{profiles, ReplayOptions, ReplayResult};
 use exp::{age_cached, ArtifactStore, JobCtx, JobError, JobOutcome, JobSpec, RunRecord};
@@ -128,11 +128,6 @@ fn aged<'a>(ctx: &'a JobCtx<'_, JobOut>, id: &str) -> Result<&'a ReplayResult, J
     }
 }
 
-/// Owned variant of [`aged`] for jobs that also borrow `ctx.metrics`.
-fn aged_arc(ctx: &JobCtx<'_, JobOut>, id: &str) -> Result<std::sync::Arc<JobOut>, JobError> {
-    ctx.dep_arc(id)
-}
-
 fn tsv<'a>(ctx: &'a JobCtx<'_, JobOut>, id: &str) -> Result<&'a str, JobError> {
     match ctx.dep(id)? {
         JobOut::Tsv(text) => Ok(text),
@@ -178,9 +173,6 @@ fn aging_job(
             &config,
             policy,
             ReplayOptions {
-                // The job's deadline token rides into the replay so a
-                // runaway aging is cut off at a day boundary.
-                cancel: Some(ctx.cancel_token()),
                 defrag,
                 ..ReplayOptions::default()
             },
@@ -194,7 +186,6 @@ fn aging_job(
         Ok(JobOut::Aged(Box::new(run.result)))
     };
     JobSpec {
-        deadline_ops: opts.job_deadline_ops,
         weight,
         ..JobSpec::new(id, &[], age)
     }
@@ -222,20 +213,6 @@ fn profile_job(id: &str, sh: &Shared, name: &str) -> JobSpec<JobOut> {
     }
 }
 
-/// A job that replays a previously produced exhibit from its TSV on
-/// disk — the `--resume-run` path. Dep-free, so the aging runs it would
-/// otherwise require drop out of the DAG entirely.
-fn resumed_job(name: &'static str, opts: &Options, path: PathBuf) -> JobSpec<JobOut> {
-    let opts = opts.clone();
-    JobSpec::new(name, &[], move |ctx| {
-        chaos_gate(name, &opts);
-        let tsv = fs::read_to_string(&path)
-            .map_err(|e| JobError::Fatal(format!("resume {}: {e}", path.display())))?;
-        ctx.metrics.note("resumed", "true");
-        Ok(JobOut::Tsv(tsv))
-    })
-}
-
 fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOut> {
     let sh = sh.clone();
     let opts = opts.clone();
@@ -253,16 +230,16 @@ fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOu
             "fig2" => experiments::fig2(aged(ctx, "age:ffs")?, aged(ctx, "age:realloc")?),
             "fig3" => experiments::fig3(aged(ctx, "age:ffs")?, aged(ctx, "age:realloc")?),
             "fig4" => {
-                let (o, r) = (aged_arc(ctx, "age:ffs")?, aged_arc(ctx, "age:realloc")?);
+                let (o, r) = (ctx.dep_arc("age:ffs")?, ctx.dep_arc("age:realloc")?);
                 experiments::fig4(&sh, as_aged(&o), as_aged(&r), ctx.metrics)
             }
             "fig5" => {
-                let (o, r) = (aged_arc(ctx, "age:ffs")?, aged_arc(ctx, "age:realloc")?);
+                let (o, r) = (ctx.dep_arc("age:ffs")?, ctx.dep_arc("age:realloc")?);
                 experiments::fig5(&sh, as_aged(&o), as_aged(&r), ctx.metrics)
             }
             "fig6" => experiments::fig6(aged(ctx, "age:ffs")?, aged(ctx, "age:realloc")?),
             "table2" => {
-                let (o, r) = (aged_arc(ctx, "age:ffs")?, aged_arc(ctx, "age:realloc")?);
+                let (o, r) = (ctx.dep_arc("age:ffs")?, ctx.dep_arc("age:realloc")?);
                 experiments::table2(&sh, as_aged(&o), as_aged(&r), ctx.metrics)
             }
             "freespace" => experiments::freespace(aged(ctx, "age:ffs")?, aged(ctx, "age:realloc")?),
@@ -279,7 +256,7 @@ fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOu
             "pareto" => {
                 let arcs: Vec<(String, std::sync::Arc<JobOut>)> = PARETO_DEPS
                     .iter()
-                    .map(|id| Ok((pareto_label(id), aged_arc(ctx, id)?)))
+                    .map(|id| Ok((pareto_label(id), ctx.dep_arc(id)?)))
                     .collect::<Result<_, JobError>>()?;
                 let runs: Vec<(String, &ReplayResult)> = arcs
                     .iter()
@@ -301,8 +278,8 @@ fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOu
 pub struct ExperimentResult {
     /// Experiment name.
     pub name: &'static str,
-    /// The job's terminal status: `ok`, `failed`, `panicked`, `timeout`,
-    /// or `skipped`.
+    /// The job's terminal status: `ok`, `failed`, `panicked`, or
+    /// `skipped`.
     pub status: String,
     /// `Err` holds the failure (or skip) reason.
     pub outcome: Result<(), String>,
@@ -328,11 +305,10 @@ impl Summary {
         }
         let count = |s: &str| self.results.iter().filter(|r| r.status == s).count();
         format!(
-            "degraded run: {} ok, {} failed, {} panicked, {} timed out, {} skipped",
+            "degraded run: {} ok, {} failed, {} panicked, {} skipped",
             count("ok"),
             count("failed"),
             count("panicked"),
-            count("timeout"),
             count("skipped")
         )
     }
@@ -358,25 +334,11 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
         obs::set_enabled(true);
     }
     let sh = Shared::from_options(opts);
-
-    // --resume-run: exhibits a prior journal records as ok, and whose
-    // TSVs still exist on disk, reload instead of recomputing. They
-    // become dep-free jobs, so first-layer jobs nothing else needs
-    // drop out of the DAG entirely.
-    let prior_ok = match &opts.resume_run {
-        Some(journal) => exp::prior_ok(journal)?,
-        None => Default::default(),
-    };
     let out_dir = Path::new(&opts.out_dir);
-    let tsv_path = |name: &str| out_dir.join(format!("{name}.tsv"));
-    let resumable = |name: &str| prior_ok.contains(name) && tsv_path(name).is_file();
 
     let mut jobs: Vec<JobSpec<JobOut>> = Vec::new();
     let mut deps_needed: Vec<&str> = Vec::new();
     for name in requested {
-        if resumable(name) {
-            continue;
-        }
         for dep in deps_of(name) {
             if !deps_needed.contains(dep) {
                 deps_needed.push(dep);
@@ -398,11 +360,7 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
         });
     }
     for name in requested {
-        if resumable(name) {
-            jobs.push(resumed_job(name, opts, tsv_path(name)));
-        } else {
-            jobs.push(exhibit_job(name, opts, &sh));
-        }
+        jobs.push(exhibit_job(name, opts, &sh));
     }
 
     let run = exp::run_jobs(jobs, opts.worker_count())?;
@@ -422,7 +380,7 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
         let (status, outcome) = match run.outcomes.get(*name) {
             Some(o @ JobOutcome::Ok(out)) => match out.as_ref() {
                 JobOut::Tsv(tsv) => {
-                    let path = tsv_path(name);
+                    let path = out_dir.join(format!("{name}.tsv"));
                     fs::write(&path, tsv).map_err(|e| format!("write {}: {e}", path.display()))?;
                     // The pareto exhibit's headline table additionally
                     // lands in its own file, so downstream tooling can

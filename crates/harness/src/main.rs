@@ -5,8 +5,7 @@
 //! ```text
 //! harness <experiment>|all|report [--days N] [--seed S] [--out DIR]
 //!         [--jobs N] [--cache-dir DIR] [--no-cache] [--metrics PATH]
-//!         [-q|--quiet] [--profile] [--job-deadline-ops N]
-//!         [--resume-run PATH] [--chaos-kill NAME]
+//!         [-q|--quiet] [--profile] [--chaos-kill NAME]
 //!         [--shards N] [--fleet-seed S]
 //! ```
 //!
@@ -18,7 +17,8 @@
 //! `--no-cache`). Each exhibit prints its tab-separated block to stdout
 //! and writes it to `<out>/<experiment>.tsv`; every run also writes
 //! structured per-job records to `<out>/runs.jsonl`, which
-//! `harness report` summarizes.
+//! `harness report` summarizes. A rerun over the same cache is the
+//! resume: it reloads every aging that finished and recomputes the rest.
 //!
 //! `--metrics PATH` turns on the observability layer for the run and
 //! writes the captured counters, histograms (seek distances, realloc
@@ -69,17 +69,12 @@
 //! `fleet` record for the whole run. Roughly a quarter of the shards
 //! draw a daily defragmentation pass from the policy menu on top of
 //! their allocation policy. Finished shards checkpoint their
-//! sample series in the artifact store, so rerunning a killed fleet —
-//! optionally with `--resume-run` pointing at the dead run's journal —
+//! sample series in the artifact store, so rerunning a killed fleet
 //! re-ages only the missing shards. Worker count never changes an
 //! output byte.
 //!
-//! The supervision flags: `--job-deadline-ops N` cancels any aging or
-//! fleet shard that replays more than `N` operations at the next day
-//! boundary; `--resume-run PATH` replays a prior `runs.jsonl`, reloading
-//! exhibits it records as ok from their TSVs instead of recomputing
-//! them. `--chaos-kill NAME` makes the named job panic — supervisor
-//! exercise for CI, not for normal use.
+//! `--chaos-kill NAME` makes the named job panic — supervisor exercise
+//! for CI, not for normal use.
 
 use std::process::ExitCode;
 
@@ -90,8 +85,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: harness <table1|fig1|fig2|fig3|fig4|fig5|fig6|table2|freespace|snapval|profiles|sweep|pareto|smallfile|all|fleet|report> \
          [--days N] [--seed S] [--out DIR] [--jobs N] [--cache-dir DIR] [--no-cache] \
-         [--metrics PATH] [-q|--quiet] [--profile] \
-         [--job-deadline-ops N] [--resume-run PATH] [--chaos-kill NAME] \
+         [--metrics PATH] [-q|--quiet] [--profile] [--chaos-kill NAME] \
          [--shards N] [--fleet-seed S]"
     );
     std::process::exit(2);
@@ -147,15 +141,6 @@ fn main() -> ExitCode {
             "--profile" => {
                 profile = true;
             }
-            "--job-deadline-ops" => {
-                opts.job_deadline_ops = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--resume-run" => {
-                opts.resume_run = Some(args.next().unwrap_or_else(|| usage()));
-            }
             "--chaos-kill" => {
                 opts.chaos_kill = Some(args.next().unwrap_or_else(|| usage()));
             }
@@ -188,18 +173,7 @@ fn report(opts: &Options, profile: bool) -> Result<(), String> {
     let path = std::path::Path::new(&opts.out_dir).join("runs.jsonl");
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("read {}: {e} (run an experiment first)", path.display()))?;
-    // `report --resume-run PRIOR` summarizes the prior journal and the
-    // fresh one as a single supervised run: repeated keys aggregate
-    // (wall and ops summed, last status wins).
-    let summarized = match &opts.resume_run {
-        Some(prior_path) => {
-            let prior = std::fs::read_to_string(prior_path)
-                .map_err(|e| format!("read {prior_path}: {e}"))?;
-            format!("{prior}\n{text}")
-        }
-        None => text,
-    };
-    print!("{}", exp::summarize(&summarized)?);
+    print!("{}", exp::summarize(&text)?);
     if profile {
         let mpath = match &opts.metrics {
             Some(p) => std::path::PathBuf::from(p),
@@ -230,8 +204,6 @@ fn run_fleet(opts: &Options) -> Result<bool, String> {
         out_dir: opts.out_dir.clone(),
         cache_dir: opts.cache_dir.clone(),
         no_cache: opts.no_cache,
-        job_deadline_ops: opts.job_deadline_ops,
-        resume_run: opts.resume_run.clone(),
         chaos_kill: opts.chaos_kill.clone(),
         metrics: opts.metrics.clone(),
     })?;

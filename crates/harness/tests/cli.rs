@@ -46,9 +46,12 @@ fn flags_in(text: &str) -> BTreeSet<String> {
 #[test]
 fn removed_and_malformed_flags_are_usage_errors() {
     let cwd = tmpdir("usage");
-    let cases: [(&str, &[&str]); 5] = [
+    let cases: [(&str, &[&str]); 8] = [
         (HARNESS, &["all", "--max-retries", "1"]),
         (HARNESS, &["all", "--chaos-seed", "1"]),
+        (HARNESS, &["all", "--job-deadline-ops", "1"]),
+        (HARNESS, &["all", "--resume-run", "x"]),
+        (HARNESS, &["report", "--resume-run", "x"]),
         (AGEFS, &["--fault-latent", "1"]),
         // An interval with no file to write the checkpoints to used to
         // take them all and drop them on exit.
@@ -113,40 +116,6 @@ fn bare_fleet_writes_into_fleet_results_and_quiet_is_silent() {
     }
     // `results/` holds the `all` run's journal and the committed goldens.
     assert!(!cwd.join("results").exists());
-    let _ = fs::remove_dir_all(&cwd);
-}
-
-#[test]
-fn job_deadline_ops_times_the_agings_out_and_skips_their_exhibit() {
-    let cwd = tmpdir("deadline");
-    let out = run(
-        HARNESS,
-        &cwd,
-        &[
-            "fig2",
-            "--days",
-            "2",
-            "--job-deadline-ops",
-            "10",
-            "--no-cache",
-            "--out",
-            "o",
-        ],
-    );
-    assert_eq!(out.status.code(), Some(1));
-    let err = stderr(&out);
-    assert!(
-        err.contains("SKIPPED") && err.contains("exceeded its deadline"),
-        "{err}"
-    );
-    let journal = fs::read_to_string(cwd.join("o/runs.jsonl")).unwrap();
-    assert_eq!(
-        journal.matches("\"status\":\"timeout\"").count(),
-        2,
-        "{journal}"
-    );
-    assert!(journal.contains("(budget 10)"), "{journal}");
-    assert!(!cwd.join("o/fig2.tsv").exists());
     let _ = fs::remove_dir_all(&cwd);
 }
 

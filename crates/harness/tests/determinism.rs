@@ -1,7 +1,7 @@
 //! The engine's core guarantees, end to end through the driver:
-//! worker count cannot change a byte of any exhibit, and a warm
-//! artifact cache reproduces the cold run exactly while skipping the
-//! agings.
+//! worker count cannot change a byte of any exhibit, a warm artifact
+//! cache reproduces the cold run exactly while skipping the agings, and
+//! a panicking job takes down only itself and its dependents.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -251,5 +251,37 @@ fn no_cache_disables_the_store() {
         cache.iter().all(|(_, c)| c == "disabled"),
         "agings report cache disabled: {cache:?}"
     );
+    let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn chaos_kill_profiles_takes_down_the_render_node_only() {
+    let out = std::env::temp_dir().join(format!("harness-chaos-profiles-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&out);
+    let killed = Options {
+        chaos_kill: Some("profiles".into()),
+        no_cache: true,
+        ..opts(&out, 2)
+    };
+    let run = driver::run(&killed, &["profiles", "table1"]).expect("the run survives");
+    let status: BTreeMap<&str, &str> = run
+        .results
+        .iter()
+        .map(|r| (r.name, r.status.as_str()))
+        .collect();
+    assert_eq!(status["profiles"], "panicked");
+    assert_eq!(status["table1"], "ok");
+    let journal = fs::read_to_string(out.join("runs.jsonl")).expect("runs.jsonl written");
+    for line in journal.lines() {
+        let job = exp::RunRecord::field_str(line, "job").unwrap();
+        let want = if job == "profiles" { "panicked" } else { "ok" };
+        assert_eq!(
+            exp::RunRecord::field_str(line, "status").as_deref(),
+            Some(want),
+            "{job}"
+        );
+    }
+    assert_eq!(journal.lines().count(), 6, "four rows, one render, table1");
+    assert!(!out.join("profiles.tsv").exists());
     let _ = fs::remove_dir_all(&out);
 }
