@@ -539,12 +539,6 @@ pub fn resume(
 }
 
 impl ReplayResult {
-    /// The layout-score series as `(day, score)` pairs — one line of
-    /// Figure 1 or 2.
-    pub fn layout_series(&self) -> Vec<(u32, f64)> {
-        self.daily.iter().map(|d| (d.day, d.layout_score)).collect()
-    }
-
     /// Inodes of the files modified during the last `days` days of the
     /// run — the paper's "hot" file set (Section 5.2).
     pub fn hot_files(&self, days: u32) -> Vec<Ino> {

@@ -33,15 +33,6 @@ pub struct WorkloadStats {
 }
 
 impl WorkloadStats {
-    /// Mean size of created files in bytes.
-    pub fn mean_create_size(&self) -> f64 {
-        if self.creates == 0 {
-            0.0
-        } else {
-            self.bytes_written as f64 / self.creates as f64
-        }
-    }
-
     /// Counts one more day of the workload.
     pub fn day(&mut self, day: &DayLog) {
         for op in &day.ops {
@@ -152,7 +143,7 @@ mod tests {
         assert_eq!(s.total_ops, s.creates + s.deletes + s.rewrites);
         assert_eq!(s.creates, s.short_creates + s.long_creates);
         assert_eq!(s.live_at_end, s.creates - s.deletes);
-        assert!(s.mean_create_size() > 0.0);
+        assert!(s.bytes_written > 0);
         assert!(s.live_bytes_at_end <= s.bytes_written);
     }
 

@@ -198,16 +198,6 @@ impl DefragRunner {
         &self.spec
     }
 
-    /// Cumulative mechanical cost across all passes, in microseconds.
-    pub fn total_cost_us(&self) -> f64 {
-        self.device.now()
-    }
-
-    /// The cost-model device's counters.
-    pub fn device_stats(&self) -> &disk::DeviceStats {
-        self.device.stats()
-    }
-
     /// Runs one budgeted pass: plan, then execute each move through
     /// `Filesystem::relocate_block`, charging a block read at the old
     /// address and a block write at the new one to the disk model. A
@@ -643,10 +633,10 @@ mod tests {
         let stats = runner.run_pass(&mut fs);
         assert!(stats.moves > 0);
         assert!(stats.cost_us > 0, "moves must cost mechanical time");
-        let dev = runner.device_stats();
+        let dev = runner.device.stats();
         assert_eq!(dev.reads, stats.moves);
         assert_eq!(dev.writes, stats.moves);
-        assert!(runner.total_cost_us() >= stats.cost_us as f64 - 1.0);
+        assert!(runner.device.now() >= stats.cost_us as f64 - 1.0);
     }
 
     #[test]

@@ -234,18 +234,6 @@ fn lock<'a, T>(m: &'a Mutex<Shared<T>>) -> MutexGuard<'a, Shared<T>> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The worker-pool size for a `jobs` option: the explicit count, or —
-/// for 0 — one worker per core, capped at 8.
-pub fn worker_count(jobs: usize) -> usize {
-    if jobs > 0 {
-        return jobs;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 /// Renders a panic payload for the record.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

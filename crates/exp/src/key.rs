@@ -31,13 +31,6 @@ pub struct AgedKey {
     pub provenance: String,
 }
 
-pub(crate) fn policy_name(policy: AllocPolicy) -> &'static str {
-    match policy {
-        AllocPolicy::Orig => "orig",
-        AllocPolicy::Realloc => "realloc",
-    }
-}
-
 /// Builds the key for an aging run.
 pub fn aged_key(
     params: &FsParams,
@@ -62,7 +55,7 @@ pub fn aged_key(
         params.bytes_per_inode,
         params.inode_size,
         config.fingerprint(),
-        policy_name(policy),
+        policy.name(),
         options.cluster_first_fit,
         options.realloc_no_split,
         options.frag_bestfit,

@@ -28,15 +28,21 @@
 //!   [`disk::DeviceStats`]) written to `runs.jsonl`.
 //! * [`report`] — summarizes a `runs.jsonl` into a where-did-time-go
 //!   table (the `harness report` command).
+//! * [`run`] — [`RunOptions`], the one option set of every `harness`
+//!   command, and [`run_journaled`], the one path from a DAG to its
+//!   `runs.jsonl` (worker count, chaos hook, `--metrics` capture) that
+//!   the exhibit driver and the fleet both take.
 
 pub mod engine;
 pub mod key;
 pub mod record;
 pub mod report;
+pub mod run;
 pub mod store;
 
-pub use engine::{run_jobs, worker_count, EngineRun, JobCtx, JobError, JobOutcome, JobSpec};
+pub use engine::{run_jobs, EngineRun, JobCtx, JobError, JobOutcome, JobSpec};
 pub use key::{aged_key, fnv1a, AgedKey, FORMAT_VERSION};
 pub use record::{CacheStatus, Metrics, RunRecord};
 pub use report::summarize;
-pub use store::{age_cached, cache_path, parse_aged, render_aged, AgedRun, ArtifactStore};
+pub use run::{run_journaled, RunOptions};
+pub use store::{age_cached, parse_aged, render_aged, AgedRun, ArtifactStore};

@@ -40,8 +40,11 @@ use ffs_types::record::{push_num, records, seal, unseal};
 use ffs_types::{FsError, FsParams, FsResult};
 
 use crate::engine::JobError;
-use crate::key::{aged_key, policy_name, AgedKey, FORMAT_VERSION};
+use crate::key::{aged_key, AgedKey, FORMAT_VERSION};
 use crate::record::CacheStatus;
+
+/// Artifact extension of aged images.
+const AGED: &str = "aged";
 
 /// A directory of cached aged-file-system artifacts.
 #[derive(Clone, Debug)]
@@ -75,29 +78,18 @@ impl ArtifactStore {
         &self.dir
     }
 
-    /// The artifact path for a key.
-    pub fn path_for(&self, key: &AgedKey) -> PathBuf {
-        self.named_path(&key.hex, "aged")
-    }
-
-    /// The path of the generic text artifact `<stem>.<ext>` in this
-    /// store. The aged images use `ext = "aged"`; other layers (the
-    /// fleet's per-shard sample checkpoints) bring their own extension
-    /// so they share the directory, the atomic-install discipline, and
-    /// the quarantine flow without colliding.
-    pub fn named_path(&self, stem: &str, ext: &str) -> PathBuf {
+    /// The path of the text artifact `<stem>.<ext>`. Aged images use
+    /// `ext = "aged"`; the fleet's per-shard sample checkpoints bring
+    /// their own extension, so both share the directory, the atomic
+    /// install and the quarantine flow without colliding.
+    fn path(&self, stem: &str, ext: &str) -> PathBuf {
         self.dir.join(format!("{stem}.{ext}"))
     }
 
-    /// Loads the raw text of the named artifact `<stem>.<ext>`.
-    ///
-    /// Returns `Ok(None)` when no artifact exists and
-    /// [`FsError::Corrupt`] when one exists but cannot be read — the
-    /// same trust-nothing contract as [`ArtifactStore::load`], with
-    /// content validation left to the caller (formats differ per
-    /// extension).
-    pub fn load_named(&self, stem: &str, ext: &str) -> FsResult<Option<String>> {
-        let path = self.named_path(stem, ext);
+    /// The raw text of `<stem>.<ext>`: `Ok(None)` when no artifact
+    /// exists, [`FsError::Corrupt`] when one exists but cannot be read.
+    fn read(&self, stem: &str, ext: &str) -> FsResult<Option<String>> {
+        let path = self.path(stem, ext);
         match std::fs::read_to_string(&path) {
             Ok(t) => Ok(Some(t)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -108,13 +100,37 @@ impl ArtifactStore {
         }
     }
 
-    /// Atomically installs `text` as the named artifact `<stem>.<ext>`
+    /// Looks up `<stem>.<ext>` and validates it with `parse`, trusting
+    /// nothing: `Ok` is a hit; `Err` carries the outcome a run record
+    /// reports — [`CacheStatus::Miss`] when no artifact exists, or
+    /// [`CacheStatus::Corrupt`] when one could not be read or parsed,
+    /// with the path it was quarantined to (the bytes moved to
+    /// `quarantine/` beside a `<stem>.reason` file naming the error).
+    /// Either way the caller recomputes and saves over the old name.
+    pub fn lookup<T, E: std::fmt::Display>(
+        &self,
+        stem: &str,
+        ext: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, (CacheStatus, Option<PathBuf>)> {
+        let reason = match self.read(stem, ext) {
+            Ok(None) => return Err((CacheStatus::Miss, None)),
+            Ok(Some(text)) => match parse(&text) {
+                Ok(found) => return Ok(found),
+                Err(e) => e.to_string(),
+            },
+            Err(e) => e.to_string(),
+        };
+        Err((CacheStatus::Corrupt, self.quarantine(stem, ext, &reason)))
+    }
+
+    /// Atomically installs `text` as the artifact `<stem>.<ext>`
     /// (temporary file + rename, so a crashed writer can never leave a
     /// half-written artifact under a valid name).
     pub fn save_named(&self, stem: &str, ext: &str, text: &str) -> Result<PathBuf, String> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("creating {}: {e}", self.dir.display()))?;
-        let path = self.named_path(stem, ext);
+        let path = self.path(stem, ext);
         let tmp = self
             .dir
             .join(format!("{stem}.{ext}.tmp{}", std::process::id()));
@@ -123,11 +139,15 @@ impl ArtifactStore {
         Ok(path)
     }
 
-    /// Moves the named artifact `<stem>.<ext>` into `quarantine/` with a
-    /// `<stem>.reason` side file — the generic form of
-    /// [`ArtifactStore::quarantine`], same best-effort semantics.
-    pub fn quarantine_named(&self, stem: &str, ext: &str, reason: &str) -> Option<PathBuf> {
-        let src = self.named_path(stem, ext);
+    /// Moves `<stem>.<ext>` into `quarantine/`, preserving the bytes for
+    /// post-mortem instead of silently overwriting them, and drops a
+    /// `<stem>.reason` side file naming why. Returns the quarantined
+    /// path, or `None` when nothing could be preserved (the artifact
+    /// vanished, or the move itself failed — in either case the caller
+    /// proceeds to rebuild; quarantine is best-effort forensics, never a
+    /// correctness dependency).
+    fn quarantine(&self, stem: &str, ext: &str, reason: &str) -> Option<PathBuf> {
+        let src = self.path(stem, ext);
         let qdir = self.quarantine_dir();
         if std::fs::create_dir_all(&qdir).is_err() {
             return None;
@@ -152,7 +172,7 @@ impl ArtifactStore {
         params: &FsParams,
         policy: AllocPolicy,
     ) -> FsResult<Option<ReplayResult>> {
-        match self.load_named(&key.hex, "aged")? {
+        match self.read(&key.hex, AGED)? {
             Some(text) => parse_aged(&text, key, params, policy).map(Some),
             None => Ok(None),
         }
@@ -163,20 +183,9 @@ impl ArtifactStore {
         self.dir.join("quarantine")
     }
 
-    /// Moves the artifact for `key` into `quarantine/`, preserving the
-    /// bytes for post-mortem instead of silently overwriting them, and
-    /// drops a `<key>.reason` side file naming why. Returns the
-    /// quarantined path, or `None` when nothing could be preserved (the
-    /// artifact vanished, or the move itself failed — in either case the
-    /// caller proceeds to rebuild; quarantine is best-effort forensics,
-    /// never a correctness dependency).
-    pub fn quarantine(&self, key: &AgedKey, reason: &str) -> Option<PathBuf> {
-        self.quarantine_named(&key.hex, "aged", reason)
-    }
-
     /// Persists an aged run under `key` (atomic replace).
     pub fn save(&self, key: &AgedKey, result: &ReplayResult) -> Result<PathBuf, String> {
-        self.save_named(&key.hex, "aged", &render_aged(key, result)?)
+        self.save_named(&key.hex, AGED, &render_aged(key, result)?)
     }
 }
 
@@ -192,7 +201,7 @@ pub fn render_aged(key: &AgedKey, result: &ReplayResult) -> Result<String, Strin
     let mut text = format!(
         "# exp aged artifact v{FORMAT_VERSION}\nkey {}\npolicy {}\nfsdigest ",
         key.hex,
-        policy_name(result.fs.policy())
+        result.fs.policy().name()
     );
     push_num(&mut text, result.fs.digest());
     text.push_str("\nskipped ");
@@ -307,15 +316,6 @@ fn read_aged(text: &str, key: &AgedKey) -> Result<(Head, Checkpoint), String> {
     Ok((head, ck))
 }
 
-/// Where a run's artifacts live: the explicit `cache_dir`, or
-/// `<out_dir>/cache` when unset.
-pub fn cache_path(cache_dir: Option<&str>, out_dir: &str) -> PathBuf {
-    match cache_dir {
-        Some(d) => PathBuf::from(d),
-        None => Path::new(out_dir).join("cache"),
-    }
-}
-
 /// Ages a file system, going through the artifact store when one is
 /// given: a valid cached image is reused (`cache: hit`), a missing one
 /// is built and saved (`miss`), and a damaged one is moved to
@@ -329,26 +329,20 @@ pub fn age_cached(
     options: ReplayOptions,
 ) -> Result<AgedRun, JobError> {
     let key = aged_key(params, config, policy, &options);
-    let mut cache = CacheStatus::Disabled;
-    let mut quarantined = None;
-    if let Some(store) = store {
-        match store.load(&key, params, policy) {
-            Ok(Some(result)) => {
-                return Ok(AgedRun {
-                    result,
-                    cache: CacheStatus::Hit,
-                    key,
-                    ops: 0,
-                    quarantined: None,
-                })
-            }
-            Ok(None) => cache = CacheStatus::Miss,
-            Err(e) => {
-                cache = CacheStatus::Corrupt;
-                quarantined = store.quarantine(&key, &e.to_string());
-            }
+    let found = store.map(|s| s.lookup(&key.hex, AGED, |t| parse_aged(t, &key, params, policy)));
+    let (cache, quarantined) = match found {
+        Some(Ok(result)) => {
+            return Ok(AgedRun {
+                result,
+                cache: CacheStatus::Hit,
+                key,
+                ops: 0,
+                quarantined: None,
+            })
         }
-    }
+        Some(Err(missed)) => missed,
+        None => (CacheStatus::Disabled, None),
+    };
     let mut replay = Replay::new(params, policy, options)?;
     for day in Days::new(config, params.ncg, params.data_capacity_bytes()) {
         replay.day(&day)?;
@@ -406,7 +400,7 @@ mod tests {
         .unwrap();
         assert_eq!(cold.cache, CacheStatus::Miss);
         assert!(cold.ops > 0);
-        assert!(store.path_for(&cold.key).exists());
+        assert!(store.path(&cold.key.hex, AGED).exists());
         let warm = age_cached(
             Some(&store),
             &params,
@@ -464,7 +458,7 @@ mod tests {
         assert_ne!(o.key.hex, r.key.hex);
         assert_eq!(o.cache, CacheStatus::Miss);
         assert_eq!(r.cache, CacheStatus::Miss);
-        assert!(store.path_for(&o.key).exists() && store.path_for(&r.key).exists());
+        assert!(store.path(&o.key.hex, AGED).exists() && store.path(&r.key.hex, AGED).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -481,7 +475,7 @@ mod tests {
             ReplayOptions::default(),
         )
         .unwrap();
-        let path = store.path_for(&cold.key);
+        let path = store.path(&cold.key.hex, AGED);
         let original = std::fs::read_to_string(&path).unwrap();
 
         // Truncation: cut the artifact mid-checkpoint.
@@ -578,7 +572,7 @@ mod tests {
             .unwrap()
         };
         let cold = age();
-        let path = store.path_for(&cold.key);
+        let path = store.path(&cold.key.hex, AGED);
         let original = std::fs::read_to_string(&path).unwrap();
         let day2 = original
             .lines()
@@ -618,23 +612,23 @@ mod tests {
     fn named_artifacts_round_trip_and_quarantine() {
         let dir = tmpdir("named");
         let store = ArtifactStore::new(&dir);
-        assert_eq!(store.load_named("00ff", "shard").unwrap(), None);
-        let path = store.save_named("00ff", "shard", "hello\n").unwrap();
-        assert_eq!(path, store.named_path("00ff", "shard"));
+        let text = |t: &str| Ok::<String, String>(t.to_string());
         assert_eq!(
-            store.load_named("00ff", "shard").unwrap().unwrap(),
-            "hello\n"
+            store.lookup("00ff", "shard", text),
+            Err((CacheStatus::Miss, None))
         );
+        let path = store.save_named("00ff", "shard", "hello\n").unwrap();
+        assert_eq!(path, store.path("00ff", "shard"));
+        assert_eq!(store.lookup("00ff", "shard", text).unwrap(), "hello\n");
         // Saving again atomically replaces.
         store.save_named("00ff", "shard", "world\n").unwrap();
-        assert_eq!(
-            store.load_named("00ff", "shard").unwrap().unwrap(),
-            "world\n"
-        );
-        // Quarantine preserves the bytes and records why.
-        let q = store
-            .quarantine_named("00ff", "shard", "checksum mismatch")
-            .unwrap();
+        assert_eq!(store.lookup("00ff", "shard", text).unwrap(), "world\n");
+        // A parse failure quarantines: the bytes are preserved and the
+        // reason file records why.
+        let reject = |_: &str| Err::<String, _>("checksum mismatch");
+        let (cache, q) = store.lookup("00ff", "shard", reject).unwrap_err();
+        assert_eq!(cache, CacheStatus::Corrupt);
+        let q = q.unwrap();
         assert!(q.starts_with(store.quarantine_dir()));
         assert_eq!(std::fs::read_to_string(&q).unwrap(), "world\n");
         assert!(
@@ -642,9 +636,12 @@ mod tests {
                 .unwrap()
                 .contains("checksum")
         );
-        assert_eq!(store.load_named("00ff", "shard").unwrap(), None);
+        assert_eq!(
+            store.lookup("00ff", "shard", text),
+            Err((CacheStatus::Miss, None))
+        );
         // Quarantining a vanished artifact preserves nothing, calmly.
-        assert!(store.quarantine_named("00ff", "shard", "again").is_none());
+        assert!(store.quarantine("00ff", "shard", "again").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -59,6 +59,16 @@ impl AllocPolicy {
             AllocPolicy::Realloc => "FFS + Realloc",
         }
     }
+
+    /// Stable name used in run records, artifacts and cache keys
+    /// (`orig` / `realloc`). Every cached artifact's content address
+    /// hashes it, so it never changes.
+    pub fn name(self) -> &'static str {
+        match self {
+            AllocPolicy::Orig => "orig",
+            AllocPolicy::Realloc => "realloc",
+        }
+    }
 }
 
 /// Counters describing allocator behaviour, used by tests, ablations, and
@@ -814,6 +824,8 @@ mod tests {
     fn policy_labels_match_figures() {
         assert_eq!(AllocPolicy::Orig.label(), "FFS");
         assert_eq!(AllocPolicy::Realloc.label(), "FFS + Realloc");
+        assert_eq!(AllocPolicy::Orig.name(), "orig");
+        assert_eq!(AllocPolicy::Realloc.name(), "realloc");
     }
 
     /// The paper geometry's windows (`maxcontig` 7, 2048 pointers per

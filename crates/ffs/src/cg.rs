@@ -983,17 +983,6 @@ impl CylGroup {
         found
     }
 
-    /// Histogram of free-cluster lengths: `hist[k]` counts maximal runs of
-    /// exactly `k+1` fully free blocks. Used for the free-space analysis
-    /// and by property tests.
-    pub fn cluster_histogram(&self, max_len: usize) -> Vec<u32> {
-        let mut hist = vec![0u32; max_len];
-        for (_, run) in self.free_runs() {
-            hist[(run as usize - 1).min(max_len - 1)] += 1;
-        }
-        hist
-    }
-
     /// Allocates an inode slot, preferring the rotor position. Returns the
     /// slot index.
     pub fn alloc_inode(&mut self) -> Option<u32> {
@@ -1465,26 +1454,6 @@ mod tests {
         assert_eq!(n, cg.free_inodes + n); // All slots consumed.
         assert_eq!(cg.free_inodes(), 0);
         assert!(cg.alloc_inode().is_none());
-    }
-
-    #[test]
-    fn cluster_histogram_counts_maximal_runs() {
-        let (_, mut cg) = group();
-        let m = cg.meta_blocks();
-        let n = cg.nblocks();
-        // Allocate all, then free two separated runs: lengths 2 and 5.
-        for b in m..n {
-            cg.alloc_block(b);
-        }
-        cg.free_block(m + 1);
-        cg.free_block(m + 2);
-        for b in m + 10..m + 15 {
-            cg.free_block(b);
-        }
-        let hist = cg.cluster_histogram(8);
-        assert_eq!(hist[1], 1); // One run of 2.
-        assert_eq!(hist[4], 1); // One run of 5.
-        assert_eq!(hist.iter().sum::<u32>(), 2);
     }
 
     #[test]

@@ -454,14 +454,6 @@ impl BlockList {
         self.len = 0;
         self.spill = None;
     }
-
-    /// True when this list shares a spilled allocation with a clone —
-    /// the state a snapshot leaves behind (observability for tests).
-    pub fn is_shared(&self) -> bool {
-        self.spill
-            .as_ref()
-            .is_some_and(|a| Arc::strong_count(a) > 1)
-    }
 }
 
 impl Default for BlockList {
@@ -726,12 +718,13 @@ mod tests {
     fn block_list_clone_shares_spill_and_cow_unshares() {
         let big: BlockList = (0..20u32).map(|i| Daddr(i * 8)).collect();
         let snap = big.clone();
-        assert!(big.is_shared() && snap.is_shared());
+        let is_shared = |b: &BlockList| b.spill.as_ref().is_some_and(|a| Arc::strong_count(a) > 1);
+        assert!(is_shared(&big) && is_shared(&snap));
         let mut writable = big.clone();
         writable[0] = Daddr(4096); // triggers the copy
         assert_eq!(snap[0], Daddr(0));
         assert_eq!(writable[0], Daddr(4096));
-        assert!(!writable.is_shared());
+        assert!(!is_shared(&writable));
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl FleetAccum {
         self.ops.sum()
     }
 
-    /// How many shards have folded in.
-    pub fn shards_folded(&self) -> u64 {
-        self.ops.count()
-    }
-
     /// Total histogram buckets held — the accumulator's memory footprint
     /// in units of one `u64` counter. A function of the horizon only,
     /// never of the shard count: the constant-memory guard pins this.
@@ -180,7 +175,7 @@ mod tests {
         assert_eq!(p99, 0.90);
         // No realloc shard folded: that policy has no percentiles.
         assert_eq!(a.percentiles(Metric::Layout, 1, 0), None);
-        assert_eq!(a.shards_folded(), 4);
+        assert_eq!(a.ops.count(), 4);
         assert_eq!(a.total_ops(), 100 + 101 + 102 + 103);
     }
 
@@ -207,7 +202,7 @@ mod tests {
             }
         }
         assert_eq!(reverse.total_ops(), forward.total_ops());
-        assert_eq!(reverse.shards_folded(), forward.shards_folded());
+        assert_eq!(reverse.ops.count(), forward.ops.count());
     }
 
     #[test]
@@ -223,8 +218,8 @@ mod tests {
             large.fold((i % 2) as usize, &series(30, 0.9), i);
         }
         assert_eq!(small.footprint_buckets(), large.footprint_buckets());
-        assert_eq!(small.shards_folded(), 16);
-        assert_eq!(large.shards_folded(), 256);
+        assert_eq!(small.ops.count(), 16);
+        assert_eq!(large.ops.count(), 256);
         // And the footprint is a function of the horizon.
         assert!(FleetAccum::new(60).footprint_buckets() > small.footprint_buckets());
     }

@@ -30,8 +30,9 @@
 //! * [`exhibit`] — renders the accumulator into the fleet TSVs
 //!   (p50/p90/p99 by day, per policy).
 //! * [`driver`] — [`driver::run_fleet`] runs the shards as a supervised
-//!   DAG on [`exp::run_jobs`] (panic isolation) and writes
-//!   `runs.jsonl` plus the exhibits.
+//!   DAG through [`exp::run_journaled`], the harness's own run path
+//!   (panic isolation, `runs.jsonl`, `--metrics`), and writes the
+//!   exhibits.
 //!
 //! # Example
 //!

@@ -81,7 +81,7 @@ pub fn render_artifact(spec: &ShardSpec, samples: &[ShardSample], skipped: u64) 
     let mut text = format!(
         "# fleet shard artifact v{FLEET_FORMAT_VERSION}\nkey {}\npolicy {}\ndays ",
         spec.key_hex(),
-        spec.policy_name()
+        spec.policy.name()
     );
     push_num(&mut text, samples.len() as u64);
     text.push_str("\nskipped ");
@@ -113,10 +113,10 @@ pub fn parse_artifact(spec: &ShardSpec, text: &str) -> Result<(Vec<ShardSample>,
             "key" => f.once(&mut key, "key")?,
             "policy" => {
                 let policy = f.word("policy")?;
-                if policy != spec.policy_name() {
+                if policy != spec.policy.name() {
                     return Err(format!(
                         "policy mismatch: file says {policy}, shard is {}",
-                        spec.policy_name()
+                        spec.policy.name()
                     ));
                 }
             }
@@ -168,32 +168,20 @@ pub fn run_shard(
     _inert: Option<Infallible>,
 ) -> Result<ShardOutput, JobError> {
     let key = spec.key_hex();
-    let mut cache = CacheStatus::Disabled;
-    let mut quarantined = None;
-    if let Some(store) = store {
-        match store.load_named(&key, EXT) {
-            Ok(Some(text)) => match parse_artifact(spec, &text) {
-                Ok((samples, skipped)) => {
-                    return Ok(ShardOutput {
-                        samples,
-                        ops: 0,
-                        skipped,
-                        cache: CacheStatus::Hit,
-                        quarantined: None,
-                    });
-                }
-                Err(reason) => {
-                    cache = CacheStatus::Corrupt;
-                    quarantined = store.quarantine_named(&key, EXT, &reason);
-                }
-            },
-            Ok(None) => cache = CacheStatus::Miss,
-            Err(e) => {
-                cache = CacheStatus::Corrupt;
-                quarantined = store.quarantine_named(&key, EXT, &e.to_string());
-            }
+    let found = store.map(|s| s.lookup(&key, EXT, |t| parse_artifact(spec, t)));
+    let (cache, quarantined) = match found {
+        Some(Ok((samples, skipped))) => {
+            return Ok(ShardOutput {
+                samples,
+                ops: 0,
+                skipped,
+                cache: CacheStatus::Hit,
+                quarantined: None,
+            });
         }
-    }
+        Some(Err(missed)) => missed,
+        None => (CacheStatus::Disabled, None),
+    };
     let options = ReplayOptions {
         defrag: spec.defrag.clone(),
         ..ReplayOptions::default()
@@ -282,7 +270,7 @@ mod tests {
         let store = ArtifactStore::new(&dir);
         let spec = FleetSpec::new(4, 9, 3).shard(1);
         let cold = run_shard(Some(&store), &spec, None).unwrap();
-        let path = store.named_path(&spec.key_hex(), EXT);
+        let path = store.dir().join(format!("{}.{EXT}", spec.key_hex()));
         let original = std::fs::read_to_string(&path).unwrap();
 
         // Every validation layer rejects: bit rot (checksum), truncation,

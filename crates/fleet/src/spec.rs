@@ -134,14 +134,6 @@ impl ShardSpec {
         format!("shard:{:04}", self.index)
     }
 
-    /// The policy as the string used in records and artifacts.
-    pub fn policy_name(&self) -> &'static str {
-        match self.policy {
-            AllocPolicy::Orig => "orig",
-            AllocPolicy::Realloc => "realloc",
-        }
-    }
-
     /// The full provenance of this shard's sample series: everything
     /// that shapes the samples, and nothing that does not. Two shards
     /// produce the same series iff their provenances match, so its hash
@@ -165,7 +157,7 @@ impl ShardSpec {
              policy {}\n\
              config {}\n\
              defrag {}\n",
-            self.policy_name(),
+            self.policy.name(),
             self.config.fingerprint(),
             self.defrag
                 .as_ref()
@@ -212,7 +204,7 @@ mod tests {
             assert_eq!(s.index, i);
             assert_eq!(s.config.days, 10);
             sizes.insert(s.params.size_bytes);
-            policies.insert(s.policy_name());
+            policies.insert(s.policy.name());
             assert!(NCG_MENU.contains(&s.params.ncg));
             assert!((0.55..0.85).contains(&s.config.plateau_util));
             assert!(s.config.peak_util <= 0.92);

@@ -122,10 +122,7 @@ fn parse_args() -> Args {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    if args.metrics.is_some() {
-        obs::reset();
-        obs::set_enabled(true);
-    }
+    let capture = obs::Capture::start(args.metrics.as_deref());
     let params = FsParams::paper_502mb();
     let profile = profiles::all(args.seed)
         .into_iter()
@@ -283,16 +280,12 @@ fn main() -> ExitCode {
             result.skipped_creates
         );
     }
-    if let Some(path) = &args.metrics {
-        obs::set_enabled(false);
-        let snap = obs::take_snapshot();
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("agefs: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        if !args.quiet {
-            eprintln!("# metrics written to {path}");
-        }
+    if let Err(e) = capture.finish() {
+        eprintln!("agefs: {e}");
+        return ExitCode::FAILURE;
+    }
+    if let (Some(path), false) = (&args.metrics, args.quiet) {
+        eprintln!("# metrics written to {path}");
     }
     ExitCode::SUCCESS
 }

@@ -18,10 +18,10 @@ use std::io::Write as _;
 use std::path::Path;
 
 use aging::{profiles, ReplayOptions, ReplayResult};
-use exp::{age_cached, ArtifactStore, JobCtx, JobError, JobOutcome, JobSpec, RunRecord};
+use exp::{age_cached, JobCtx, JobError, JobOutcome, JobSpec, RunRecord};
 use ffs::AllocPolicy;
 
-use crate::ctx::{Options, Shared};
+use crate::ctx::{paper_config, Options, Shared};
 use crate::experiments;
 
 /// The exhibits `all` runs, in the order their output is emitted.
@@ -46,11 +46,6 @@ pub const EXHIBITS: &[&str] = &[
 /// and the small-file fragment-packing sweep, all of which age far more
 /// volumes than the paper exhibits need.
 pub const NAMED_ONLY: &[&str] = &["sweep", "pareto", "smallfile"];
-
-/// Whether `name` is an experiment the driver can run.
-pub fn is_experiment(name: &str) -> bool {
-    NAMED_ONLY.contains(&name) || EXHIBITS.contains(&name)
-}
 
 /// The aged runs the pareto exhibit consumes: both allocation-policy
 /// baselines plus every defragmentation policy × daily move budget.
@@ -142,15 +137,6 @@ fn as_aged(out: &JobOut) -> &ReplayResult {
     }
 }
 
-/// The chaos hook: with `--chaos-kill NAME`, that exhibit panics. It
-/// exists to exercise panic isolation end to end — CI runs it against a
-/// live DAG.
-fn chaos_gate(name: &str, opts: &Options) {
-    if opts.chaos_kill.as_deref() == Some(name) {
-        panic!("chaos kill: {name}");
-    }
-}
-
 fn aging_job(
     id: &str,
     opts: &Options,
@@ -160,11 +146,11 @@ fn aging_job(
     defrag: Option<defrag::DefragSpec>,
 ) -> JobSpec<JobOut> {
     let params = sh.params.clone();
-    let mut config = opts.aging_config();
+    let mut config = paper_config(opts.seed, opts.days);
     if real_variant {
         config = config.real_fs_variant();
     }
-    let store = (!opts.no_cache).then(|| ArtifactStore::new(opts.cache_path()));
+    let store = opts.store();
     let weight = config.expected_ops();
     let age = move |ctx: &mut JobCtx<'_, JobOut>| {
         let run = age_cached(
@@ -213,9 +199,8 @@ fn profile_job(id: &str, sh: &Shared, name: &str) -> JobSpec<JobOut> {
     }
 }
 
-fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOut> {
+fn exhibit_job(name: &'static str, sh: &Shared) -> JobSpec<JobOut> {
     let sh = sh.clone();
-    let opts = opts.clone();
     // `snapval` replays too: its workload into one file system and the
     // snapshot-derived one into a second.
     let weight = match name {
@@ -223,7 +208,6 @@ fn exhibit_job(name: &'static str, opts: &Options, sh: &Shared) -> JobSpec<JobOu
         _ => 0,
     };
     let run = move |ctx: &mut JobCtx<'_, JobOut>| {
-        chaos_gate(name, &opts);
         let tsv = match name {
             "table1" => experiments::table1(&sh),
             "fig1" => experiments::fig1(aged(ctx, "age:ffs")?, aged(ctx, "age:realref")?),
@@ -326,13 +310,6 @@ fn fail(jsonl: &[RunRecord], id: &str) -> String {
 /// engine, writes run records to `<out>/runs.jsonl` and each exhibit to
 /// stdout and `<out>/<name>.tsv`, and returns per-experiment outcomes.
 pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String> {
-    // Observability wraps the whole run: metrics and spans recorded by
-    // the engine, replays, and simulated devices only *observe* — the
-    // exhibit bytes are identical with the flag on or off.
-    if opts.metrics.is_some() {
-        obs::reset();
-        obs::set_enabled(true);
-    }
     let sh = Shared::from_options(opts);
     let out_dir = Path::new(&opts.out_dir);
 
@@ -360,19 +337,13 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
         });
     }
     for name in requested {
-        jobs.push(exhibit_job(name, opts, &sh));
+        jobs.push(exhibit_job(name, &sh));
     }
 
-    let run = exp::run_jobs(jobs, opts.worker_count())?;
-
-    fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
-    let mut jsonl = String::new();
-    for rec in &run.records {
-        jsonl.push_str(&rec.to_json());
-        jsonl.push('\n');
-    }
-    let runs_path = out_dir.join("runs.jsonl");
-    fs::write(&runs_path, jsonl).map_err(|e| format!("write {}: {e}", runs_path.display()))?;
+    // Metrics and spans recorded by the engine, replays, and simulated
+    // devices only *observe*: the exhibit bytes are identical with
+    // `--metrics` on or off.
+    let run = exp::run_journaled(opts, jobs, |_| Vec::new())?;
 
     let mut results = Vec::new();
     let mut stdout = std::io::stdout().lock();
@@ -409,11 +380,6 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
             status: status.to_string(),
             outcome,
         });
-    }
-    if let Some(path) = &opts.metrics {
-        obs::set_enabled(false);
-        let snap = obs::take_snapshot();
-        fs::write(path, snap.to_json()).map_err(|e| format!("write {path}: {e}"))?;
     }
     Ok(Summary { results })
 }

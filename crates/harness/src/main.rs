@@ -100,7 +100,7 @@ fn main() -> ExitCode {
         // single-volume default of 300 days would be enormous × shards.
         opts.days = 30;
         // `results/` holds the `all` run's journal and the goldens.
-        opts.out_dir = fleet::FleetOptions::default().out_dir;
+        opts.out_dir = "fleet-results".into();
     }
     let mut profile = false;
     while let Some(a) = args.next() {
@@ -192,21 +192,10 @@ fn report(opts: &Options, profile: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the fleet command: maps the shared CLI options onto
-/// [`fleet::FleetOptions`], prints both fleet exhibits to stdout, and
+/// Runs the fleet command: prints both fleet exhibits to stdout and
 /// reports degradation like `all` does for exhibits.
 fn run_fleet(opts: &Options) -> Result<bool, String> {
-    let summary = fleet::run_fleet(&fleet::FleetOptions {
-        shards: opts.shards,
-        fleet_seed: opts.fleet_seed,
-        days: opts.days,
-        jobs: opts.jobs,
-        out_dir: opts.out_dir.clone(),
-        cache_dir: opts.cache_dir.clone(),
-        no_cache: opts.no_cache,
-        chaos_kill: opts.chaos_kill.clone(),
-        metrics: opts.metrics.clone(),
-    })?;
+    let summary = fleet::run_fleet(opts)?;
     print!("{}", summary.layout_tsv);
     println!();
     print!("{}", summary.freefrag_tsv);

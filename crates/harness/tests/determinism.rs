@@ -285,3 +285,88 @@ fn chaos_kill_profiles_takes_down_the_render_node_only() {
     assert!(!out.join("profiles.tsv").exists());
     let _ = fs::remove_dir_all(&out);
 }
+
+/// A journal line with its one nondeterministic field, `wall_s`, cut.
+fn without_wall(line: &str) -> String {
+    let (head, rest) = line
+        .split_once(",\"wall_s\":")
+        .expect("every record has wall_s");
+    let end = rest
+        .find([',', '}'])
+        .expect("wall_s is followed by a field or the end");
+    format!("{head}{}", &rest[end..])
+}
+
+#[test]
+fn chaos_kill_reaches_an_aging_job_and_skips_its_dependents() {
+    let base = std::env::temp_dir().join(format!("harness-chaos-age-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let run = |jobs: usize| -> Vec<String> {
+        let out = base.join(format!("j{jobs}"));
+        let killed = Options {
+            days: 10,
+            seed: 1996,
+            chaos_kill: Some("age:ffs".into()),
+            no_cache: true,
+            ..opts(&out, jobs)
+        };
+        let summary = driver::run(&killed, EXHIBITS).expect("the run survives");
+        let status: BTreeMap<&str, &str> = summary
+            .results
+            .iter()
+            .map(|r| (r.name, r.status.as_str()))
+            .collect();
+        for name in [
+            "fig1",
+            "fig2",
+            "fig3",
+            "fig4",
+            "fig5",
+            "fig6",
+            "table2",
+            "freespace",
+        ] {
+            assert_eq!(status[name], "skipped", "{name} depends on age:ffs");
+        }
+        for name in ["table1", "snapval", "profiles"] {
+            assert_eq!(status[name], "ok", "{name} does not");
+        }
+        let journal = fs::read_to_string(out.join("runs.jsonl")).expect("runs.jsonl written");
+        let age = journal
+            .lines()
+            .find(|l| exp::RunRecord::field_str(l, "job").as_deref() == Some("age:ffs"))
+            .expect("age:ffs journaled");
+        assert_eq!(
+            exp::RunRecord::field_str(age, "status").as_deref(),
+            Some("panicked")
+        );
+        assert!(age.contains("chaos kill: age:ffs"), "{age}");
+        journal.lines().map(without_wall).collect()
+    };
+    assert_eq!(
+        run(1),
+        run(4),
+        "records differ between --jobs 1 and --jobs 4"
+    );
+    let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
+fn a_failed_run_leaves_obs_off() {
+    // An output directory that cannot be created fails the run after the
+    // engine finished with `--metrics` recording. No other test in this
+    // binary turns obs on, so the switch is this run's to leave.
+    let base = std::env::temp_dir().join(format!("harness-obs-off-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    fs::create_dir_all(&base).unwrap();
+    let file = base.join("a-file");
+    fs::write(&file, "not a directory").unwrap();
+    let o = Options {
+        metrics: Some(base.join("metrics.json").display().to_string()),
+        no_cache: true,
+        ..opts(&file.join("out"), 1)
+    };
+    assert!(driver::run(&o, &["table1"]).is_err());
+    assert!(!obs::enabled(), "a failed run left obs recording");
+    let _ = fs::remove_dir_all(&base);
+}

@@ -101,6 +101,47 @@ pub fn take_snapshot() -> snapshot::Snapshot {
     snapshot::Snapshot::capture(registry())
 }
 
+/// Observability for one run, the one switch every binary flips: with a
+/// `metrics.json` path, [`Capture::start`] resets the registry and turns
+/// recording on, and [`Capture::finish`] turns it off and writes the
+/// snapshot. Dropping an unfinished capture (an early `?` return) turns
+/// recording off too, so a failed run never leaves the global switch on.
+/// Without a path the capture is inert.
+pub struct Capture {
+    path: Option<String>,
+}
+
+impl Capture {
+    /// Starts recording from a clean slate when `path` is set.
+    pub fn start(path: Option<&str>) -> Capture {
+        if path.is_some() {
+            reset();
+            set_enabled(true);
+        }
+        Capture {
+            path: path.map(str::to_string),
+        }
+    }
+
+    /// Stops recording and writes the snapshot as JSON to the path given
+    /// to [`Capture::start`]; does nothing when inert.
+    pub fn finish(mut self) -> Result<(), String> {
+        let Some(path) = self.path.take() else {
+            return Ok(());
+        };
+        set_enabled(false);
+        std::fs::write(&path, take_snapshot().to_json()).map_err(|e| format!("write {path}: {e}"))
+    }
+}
+
+impl Drop for Capture {
+    fn drop(&mut self) {
+        if self.path.is_some() {
+            set_enabled(false);
+        }
+    }
+}
+
 /// Adds `$n` to the monotonic counter `$name` when recording is
 /// enabled; otherwise a branch on a static.
 ///

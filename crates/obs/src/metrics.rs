@@ -154,30 +154,6 @@ impl Histogram {
         self.max.store(0, Ordering::Relaxed);
     }
 
-    /// Folds another histogram with identical bounds into this one:
-    /// buckets, count, and sum add, max takes the larger value. Because
-    /// every component is a commutative fold, merging partial histograms
-    /// in any order — or observing into a shared histogram from any
-    /// number of threads — produces the same result as one sequential
-    /// pass, which is what lets a fleet aggregate per-shard samples
-    /// concurrently without perturbing a single output byte.
-    pub fn merge_from(&self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "merged histograms must share bucket bounds"
-        );
-        for (b, n) in self.buckets.iter().zip(other.bucket_counts()) {
-            b.fetch_add(n, Ordering::Relaxed);
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        let _ = self
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(other.sum()))
-            });
-        self.max.fetch_max(other.max(), Ordering::Relaxed);
-    }
-
     /// The upper bound of the bucket holding the `q`-quantile
     /// observation (`0.0 < q <= 1.0`), i.e. the smallest bound below
     /// which at least `ceil(q * count)` observations fall. Observations
@@ -346,38 +322,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
         let _ = Histogram::new(&[2, 1]);
-    }
-
-    #[test]
-    fn merge_matches_sequential_observation() {
-        let bounds = &[1, 2, 4, 8];
-        let all = Histogram::new(bounds);
-        let left = Histogram::new(bounds);
-        let right = Histogram::new(bounds);
-        for v in [0, 2, 3, 8, 9] {
-            all.observe(v);
-        }
-        for v in [0, 3] {
-            left.observe(v);
-        }
-        for v in [2, 8, 9] {
-            right.observe(v);
-        }
-        // Merge order cannot matter: fold right-into-left and compare
-        // against the single-pass histogram component by component.
-        left.merge_from(&right);
-        assert_eq!(left.bucket_counts(), all.bucket_counts());
-        assert_eq!(left.count(), all.count());
-        assert_eq!(left.sum(), all.sum());
-        assert_eq!(left.max(), all.max());
-    }
-
-    #[test]
-    #[should_panic(expected = "share bucket bounds")]
-    fn merge_rejects_mismatched_bounds() {
-        let a = Histogram::new(&[1, 2]);
-        let b = Histogram::new(&[1, 2, 3]);
-        a.merge_from(&b);
     }
 
     #[test]
