@@ -432,7 +432,13 @@ impl Replay {
         }
         if due(options.snapshot_every_days, day_log.day) {
             let _s = obs::span!("snapshot");
-            snapshots.push(crate::snapshot::take_snapshot(fs, day_log.day));
+            // Each night after the first shares the last one's entries
+            // for every file that did not change.
+            let snap = match snapshots.last() {
+                Some(prev) => prev.next(fs, day_log.day),
+                None => crate::snapshot::take_snapshot(fs, day_log.day),
+            };
+            snapshots.push(snap);
         }
         if due(options.checkpoint_every_days, day_log.day) {
             let _s = obs::span!("checkpoint");

@@ -12,7 +12,9 @@
 //! the day.
 //!
 //! This module implements the same pipeline against the simulator:
-//! [`take_snapshot`] captures a file system, [`Snapshot::aggregate_layout`]
+//! [`take_snapshot`] captures a file system ([`Snapshot::next`] captures
+//! it as the night after an earlier capture, sharing every entry that
+//! did not change), [`Snapshot::aggregate_layout`]
 //! recomputes the fragmentation metric from the recorded block lists
 //! (exactly how the paper scored its snapshots), and [`diff_to_workload`]
 //! turns a snapshot series back into a replayable [`Workload`]. The
@@ -20,6 +22,8 @@
 //! files created and deleted between snapshots vanish, so a derived
 //! workload under-fragments relative to the original — the gap Figure 1
 //! quantifies.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -54,7 +58,7 @@ pub struct SnapshotEntry {
 }
 
 /// A point-in-time capture of every live file.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Day the snapshot was taken (end of that day).
     pub day: u32,
@@ -63,37 +67,70 @@ pub struct Snapshot {
     /// serialization) or merge-joined against their neighbor
     /// ([`diff_to_workload`]), so the flat layout wins on every access
     /// path and point lookups fall back to [`Snapshot::get`]'s binary
-    /// search.
-    pub entries: Vec<SnapshotEntry>,
+    /// search. Each entry is shared: a snapshot taken with
+    /// [`Snapshot::next`] holds the previous night's entry for every
+    /// file that did not change, so a series costs what changed.
+    pub entries: Vec<Arc<SnapshotEntry>>,
 }
 
 /// Captures a snapshot of the file system, as the paper's nightly job
-/// did.
+/// did: [`Snapshot::next`] against an empty night, so every entry is
+/// new.
 pub fn take_snapshot(fs: &Filesystem, day: u32) -> Snapshot {
-    let geom = fs.geometry();
-    let mut entries: Vec<SnapshotEntry> = Vec::with_capacity(fs.nfiles());
-    entries.extend(fs.files().map(|f| SnapshotEntry {
-        ino: f.ino,
-        ctime_day: f.mtime_day,
-        size: f.size,
-        cg: geom.itog(f.ino).0,
-        blocks: f.blocks.clone(),
-        tail: f.tail,
-    }));
-    // The file table iterates in slab order, which is inode order for
-    // most histories but not after slot reuse; the sort is O(n) on
-    // already-sorted input.
-    entries.sort_unstable_by_key(|e| e.ino);
-    Snapshot { day, entries }
+    Snapshot::default().next(fs, day)
 }
 
 impl Snapshot {
+    /// Captures `fs` at the end of `day` as the night after `self`. A
+    /// file whose inode change time, size, block list and tail all equal
+    /// its entry in `self` shares that entry; every other file gets a
+    /// new one. The result equals [`take_snapshot`]`(fs, day)` for any
+    /// earlier snapshot of the same volume as `self` (an inode's group is
+    /// not compared) — sharing changes what a series costs, never a
+    /// value.
+    ///
+    /// The file table iterates in inode order, so `self` is walked
+    /// beside it with one advancing cursor (a merge-join).
+    pub fn next(&self, fs: &Filesystem, day: u32) -> Snapshot {
+        let geom = fs.geometry();
+        let mut prev = self.entries.iter().peekable();
+        let mut entries: Vec<Arc<SnapshotEntry>> = Vec::with_capacity(fs.nfiles());
+        let mut shared = 0u64;
+        for f in fs.files() {
+            while prev.next_if(|e| e.ino < f.ino).is_some() {}
+            let unchanged = prev.next_if(|e| {
+                e.ino == f.ino
+                    && e.ctime_day == f.mtime_day
+                    && e.size == f.size
+                    && e.tail == f.tail
+                    && e.blocks == f.blocks
+            });
+            entries.push(match unchanged {
+                Some(e) => {
+                    shared += 1;
+                    Arc::clone(e)
+                }
+                None => Arc::new(SnapshotEntry {
+                    ino: f.ino,
+                    ctime_day: f.mtime_day,
+                    size: f.size,
+                    cg: geom.itog(f.ino).0,
+                    blocks: f.blocks.clone(),
+                    tail: f.tail,
+                }),
+            });
+        }
+        obs::counter!("aging.snapshot.entries_shared", shared);
+        obs::counter!("aging.snapshot.entries_new", entries.len() as u64 - shared);
+        Snapshot { day, entries }
+    }
+
     /// Looks up the entry for `ino`, if that file was live.
     pub fn get(&self, ino: Ino) -> Option<&SnapshotEntry> {
         self.entries
             .binary_search_by_key(&ino, |e| e.ino)
             .ok()
-            .map(|i| &self.entries[i])
+            .map(|i| &*self.entries[i])
     }
 
     /// Recomputes the aggregate layout score from the snapshot's block
@@ -155,7 +192,7 @@ impl Snapshot {
         header.tag("# snapshot day")?;
         let day = header.num("day")?;
         header.end()?;
-        let mut entries: Vec<SnapshotEntry> = Vec::new();
+        let mut entries: Vec<Arc<SnapshotEntry>> = Vec::new();
         for mut f in lines {
             let ino = Ino(f.num("ino")?);
             match entries.last().map(|e| e.ino) {
@@ -168,14 +205,14 @@ impl Snapshot {
                 }
                 _ => {}
             }
-            entries.push(SnapshotEntry {
+            entries.push(Arc::new(SnapshotEntry {
                 ino,
                 ctime_day: f.num("ctime")?,
                 size: f.num("size")?,
                 cg: CgIdx(f.num("cg")?),
                 blocks: f.addrs("block")?,
                 tail: f.tail("tail")?,
-            });
+            }));
             f.end()?;
         }
         Ok(Snapshot { day, entries })
@@ -461,6 +498,7 @@ mod tests {
         // No op grows a live file, so the grown file is written into the
         // night's snapshot directly.
         let grown = s1.entries.iter_mut().find(|e| e.ino == grows).unwrap();
+        let grown = Arc::make_mut(grown);
         grown.size += 8 * KB;
         grown.ctime_day = 1;
         let config = AgingConfig::small_test(2, 1);

@@ -1,16 +1,18 @@
 //! The streaming primitives against the materialized entry points they
 //! replaced as day loops: [`Days`] vs [`generate`], [`Replay`] vs
-//! [`replay`] / [`resume`], [`SnapshotDiffer`] vs [`diff_to_workload`].
+//! [`replay`] / [`resume`], [`SnapshotDiffer`] vs [`diff_to_workload`],
+//! and the nightly job's shared snapshot series vs fresh captures.
 //! The folds are thin, so what these hold is the contract the streaming
 //! callers lean on — state read between pushes, several consumers of one
 //! stream, a resumed stream — not just the final answer.
 
 use aging::{
-    diff_to_workload, generate, profiles, replay, resume, AgingConfig, DayLog, Days, Replay,
-    ReplayOptions, ReplayResult, SnapshotDiffer,
+    diff_to_workload, generate, profiles, replay, resume, take_snapshot, AgingConfig, DayLog, Days,
+    Replay, ReplayOptions, ReplayResult, SnapshotDiffer,
 };
 use defrag::{DefragPolicy, DefragSpec};
 use ffs::AllocPolicy;
+use ffs_types::record::fnv1a;
 use ffs_types::FsParams;
 
 fn small() -> (FsParams, AgingConfig) {
@@ -202,4 +204,62 @@ fn snapshots_diffed_as_they_are_taken_equal_the_diffed_series() {
     }
     assert_eq!(derived, whole.days);
     assert!(derived[1..].iter().any(|d| !d.ops.is_empty()));
+}
+
+#[test]
+fn nightly_snapshots_share_exactly_the_unchanged_entries() {
+    let params = FsParams::small_test();
+    let config = AgingConfig::small_test(30, 42);
+    // Defrag moves blocks of files nothing else touched, so a night can
+    // change a block list under an unchanged change time and size.
+    let options = || ReplayOptions {
+        snapshot_every_days: 1,
+        defrag: Some(DefragSpec::new(DefragPolicy::Greedy, 200)),
+        ..ReplayOptions::default()
+    };
+    let mut text = String::new();
+    for policy in [AllocPolicy::Orig, AllocPolicy::Realloc] {
+        let what = policy.label();
+        let mut r = Replay::new(&params, policy, options()).unwrap();
+        let mut fresh = Vec::new();
+        for day in days_of(&params, &config) {
+            r.day(&day).unwrap();
+            fresh.push(take_snapshot(r.fs(), day.day));
+        }
+        let series = r.finish().snapshots;
+        assert_eq!(series.len(), fresh.len());
+        for (night, take) in series.iter().zip(&fresh) {
+            assert!(night == take, "{what}: night {} vs a fresh take", take.day);
+        }
+        // A file present both nights keeps last night's entry (the same
+        // allocation) exactly when nothing about it changed.
+        let (mut shared, mut moved) = (0, 0);
+        for pair in series.windows(2) {
+            for e in &pair[1].entries {
+                let Some(old) = pair[0].get(e.ino) else {
+                    continue;
+                };
+                let same = std::ptr::eq(old, &**e);
+                assert_eq!(
+                    same,
+                    old == &**e,
+                    "{what}: day {} ino {}",
+                    pair[1].day,
+                    e.ino.0
+                );
+                shared += usize::from(same);
+                moved += usize::from(
+                    old.ctime_day == e.ctime_day && old.size == e.size && old.blocks != e.blocks,
+                );
+            }
+        }
+        assert!(shared > 0, "{what}: nothing shared");
+        assert!(moved > 0, "{what}: no block moved under an unchanged file");
+        for s in &series {
+            text.push_str(&s.to_text());
+        }
+    }
+    // Both series' bytes (667 168 of them) as the unshared snapshots
+    // wrote them, one fresh take per night.
+    assert_eq!(fnv1a(text.as_bytes()), 0x6d12_1318_facb_5bce);
 }

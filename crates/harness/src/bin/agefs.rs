@@ -18,9 +18,10 @@
 //!       [--metrics PATH] [-q|--quiet]
 //! ```
 //!
-//! `--checkpoint FILE` writes the last checkpoint taken (every day, or
-//! every `--checkpoint-every N` days) to `FILE`; the interval without a
-//! file to write to is a usage error.
+//! `--checkpoint FILE` writes one checkpoint to `FILE`: the last one an
+//! interval of `--checkpoint-every N` days (default 1) reaches, i.e.
+//! after day `(days / N) * N - 1`. Only that one is taken. The interval
+//! without a file to write to is a usage error.
 //!
 //! `--metrics PATH` enables the observability layer for the run and
 //! writes the captured counters, histograms, and span profile to `PATH`
@@ -140,7 +141,12 @@ fn main() -> ExitCode {
         verify_every_days: args.verify_every,
         snapshot_every_days: if args.snapshots.is_some() { 1 } else { 0 },
         checkpoint_every_days: if args.checkpoint.is_some() {
-            args.checkpoint_every.max(1)
+            // Only the last checkpoint is written, so only it is taken:
+            // an interval of `days / every * every` is due once, on the
+            // last day an interval of `every` reaches (0, never, when
+            // `every` exceeds the run).
+            let every = args.checkpoint_every.max(1);
+            args.days / every * every
         } else {
             0
         },

@@ -9,8 +9,8 @@
 use std::fmt::Write as _;
 
 use aging::{
-    generate, profiles, take_snapshot, AgingConfig, Days, Profile, Replay, ReplayOptions,
-    ReplayResult, SnapshotDiffer, Workload,
+    generate, profiles, AgingConfig, Days, Profile, Replay, ReplayOptions, ReplayResult, Snapshot,
+    SnapshotDiffer, Workload,
 };
 use disk::{raw_read_throughput, raw_write_throughput};
 use exp::Metrics;
@@ -320,7 +320,9 @@ pub fn capped_paper_config(sh: &Shared) -> AgingConfig {
 /// The whole pipeline advances one day at a time — generate, replay,
 /// snapshot, diff against last night, replay the derived day — so it
 /// holds two file systems, one snapshot and one day of operations,
-/// never a workload or a snapshot series.
+/// never a workload or a snapshot series. Each night is taken with
+/// [`Snapshot::next`] from the one before, so only changed files
+/// allocate an entry.
 pub fn snapval(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
     let config = capped_paper_config(sh);
     let params = &sh.params;
@@ -329,6 +331,7 @@ pub fn snapval(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
     };
     let (mut original, mut derived) = (fresh()?, fresh()?);
     let mut differ = SnapshotDiffer::new(&config, params.ncg);
+    let mut last_night = Snapshot::default();
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -343,7 +346,8 @@ pub fn snapval(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
         original.day(&day).map_err(|e| e.to_string())?;
         let derived_day = {
             let _s = obs::span!("derive_workload");
-            differ.push(&take_snapshot(original.fs(), day.day))
+            last_night = last_night.next(original.fs(), day.day);
+            differ.push(&last_night)
         };
         derived.day(&derived_day).map_err(|e| e.to_string())?;
         if let (Some(a), Some(b)) = (original.last(), derived.last()) {

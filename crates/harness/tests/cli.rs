@@ -172,12 +172,27 @@ fn agefs_crash_checkpoint_resume_lands_on_the_uninterrupted_run() {
     ] {
         assert!(err.contains(line), "{line}:\n{err}");
     }
+    let mut entries = 0;
+    for snap in fs::read_dir(cwd.join("snaps")).unwrap() {
+        let text = fs::read_to_string(snap.unwrap().path()).unwrap();
+        entries += text.lines().count() as u64 - 1;
+    }
     assert_eq!(fs::read_dir(cwd.join("snaps")).unwrap().count(), 4);
     let metrics = fs::read_to_string(cwd.join("m.json")).unwrap();
     assert!(
         metrics.contains("\"path\":\"age_day/verify\""),
         "fsck span recorded"
     );
+    // Every entry of every night is either shared with the night before
+    // or new.
+    let metrics = obs::snapshot::Snapshot::from_json(&metrics).unwrap();
+    let counter = |name: &str| {
+        let found = metrics.counters.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("{name} missing")).1
+    };
+    let shared = counter("aging.snapshot.entries_shared");
+    assert!(shared > 0, "an unchanged file shares last night's entry");
+    assert_eq!(shared + counter("aging.snapshot.entries_new"), entries);
 
     // Resuming from the day-2 checkpoint replays only the last day and
     // prints its row exactly as the uninterrupted run did.
@@ -188,5 +203,35 @@ fn agefs_crash_checkpoint_resume_lands_on_the_uninterrupted_run() {
         rows(&stdout(&resumed)),
         [&rows(&table)[..1], &rows(&table)[4..]].concat()
     );
+    let _ = fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn agefs_default_checkpoint_is_the_last_daily_one() {
+    let cwd = tmpdir("agefs-ck");
+    let (days, seed) = (10, 7);
+    let args = "--days 10 --seed 7 --policy orig --profile news -q --checkpoint ck.txt";
+    let out = run(AGEFS, &cwd, &args.split(' ').collect::<Vec<_>>());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let written = fs::read_to_string(cwd.join("ck.txt")).unwrap();
+    assert!(written.starts_with("# checkpoint day 9\n"));
+    // The same run taking a checkpoint every day, as `agefs` used to.
+    let params = ffs_types::FsParams::paper_502mb();
+    let news = aging::profiles::all(seed)
+        .into_iter()
+        .find(|p| p.name == "news");
+    let mut config = news.unwrap().config;
+    config.days = days;
+    if days < config.ramp_days {
+        config.ramp_days = (days / 3).max(1);
+    }
+    let w = aging::generate(&config, params.ncg, params.data_capacity_bytes());
+    let options = aging::ReplayOptions {
+        checkpoint_every_days: 1,
+        ..aging::ReplayOptions::default()
+    };
+    let daily = aging::replay(&w, &params, ffs::AllocPolicy::Orig, options).unwrap();
+    assert_eq!(daily.checkpoints.len(), days as usize);
+    assert!(written == daily.checkpoints.last().unwrap().to_text());
     let _ = fs::remove_dir_all(&cwd);
 }
