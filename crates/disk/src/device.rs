@@ -11,7 +11,7 @@
 
 use ffs_types::DiskParams;
 
-use crate::geometry::Geometry;
+use crate::geometry::{Chs, Geometry};
 use crate::seek::SeekCurve;
 use crate::trace::{IoTrace, TraceEvent};
 
@@ -81,6 +81,10 @@ struct ReadAhead {
 }
 
 /// The simulated disk.
+///
+/// Everything a request derives from [`DiskParams`] is worked out once in
+/// [`Device::new`] (here, in [`Geometry`] and in [`SeekCurve`]), and a
+/// mechanical request decodes its LBA once.
 #[derive(Clone, Debug)]
 pub struct Device {
     geom: Geometry,
@@ -90,6 +94,12 @@ pub struct Device {
     ra: Option<ReadAhead>,
     stats: DeviceStats,
     buffer_sectors: u64,
+    /// Bus rate in bytes per microsecond.
+    bus_rate: f64,
+    /// Bytes per sector, for the bus time.
+    sector_bytes: f64,
+    /// Largest request `transfer` issues, in sectors.
+    max_sectors: u64,
     trace: Option<IoTrace>,
 }
 
@@ -98,6 +108,9 @@ impl Device {
     pub fn new(params: DiskParams) -> Device {
         let seek = SeekCurve::new(&params);
         let buffer_sectors = (params.track_buffer_bytes / params.sector_size) as u64;
+        let bus_rate = params.bus_mb_per_sec * 1024.0 * 1024.0 / 1e6;
+        let sector_bytes = params.sector_size as f64;
+        let max_sectors = (params.max_transfer_bytes as u64 / params.sector_size as u64).max(1);
         Device {
             geom: Geometry::new(params),
             seek,
@@ -106,6 +119,9 @@ impl Device {
             ra: None,
             stats: DeviceStats::default(),
             buffer_sectors,
+            bus_rate,
+            sector_bytes,
+            max_sectors,
             trace: None,
         }
     }
@@ -147,19 +163,22 @@ impl Device {
         self.now += us;
     }
 
-    /// Rotational wait from time `t` until the angular slot of `lba`
-    /// arrives under the head.
-    fn rot_wait(&self, t: f64, lba: u64) -> f64 {
-        let rev = self.geom.params().rev_time_us();
-        let target = self.geom.angular_offset_us(lba);
-        let phase = t.rem_euclid(rev);
-        (target - phase).rem_euclid(rev)
+    /// Rotational wait from time `t` until the angular slot of `target`
+    /// arrives under the head; in `[0, rev)`.
+    fn rot_wait(&self, t: f64, target: Chs) -> f64 {
+        // Both terms lie in [0, rev), so one add wraps the difference.
+        let d = self.geom.angular_offset_us(target) - self.geom.rot_phase_us(t);
+        if d < 0.0 {
+            d + self.geom.rev_time_us()
+        } else {
+            d
+        }
     }
 
     /// Moves the read-ahead frontier forward to account for streaming that
     /// happened up to time `t`.
     fn advance_frontier(&mut self, t: f64) {
-        let st = self.geom.params().sector_time_us();
+        let st = self.geom.sector_time_us();
         let total = self.geom.total_sectors();
         if let Some(ra) = &mut self.ra {
             let cap = (ra.consumed + self.buffer_sectors).min(total);
@@ -224,27 +243,41 @@ impl Device {
     /// stream (no state change).
     fn buffered_completion(&self, lba: u64, sectors: u32) -> f64 {
         let end_lba = lba + sectors as u64;
-        let bus_rate = self.geom.params().bus_mb_per_sec * 1024.0 * 1024.0 / 1e6;
-        let bytes = sectors as f64 * self.geom.params().sector_size as f64;
-        let bus_done = self.now + bytes / bus_rate;
+        let bytes = sectors as f64 * self.sector_bytes;
+        let bus_done = self.now + bytes / self.bus_rate;
         let ra = self.ra.as_ref().expect("candidate requires read-ahead");
         let media_done = if end_lba <= ra.frontier {
             self.now
         } else {
             let need = (end_lba - ra.frontier) as u32;
-            ra.frontier_time + self.geom.stream_time_us(ra.frontier, need)
+            let from = self.geom.lba_to_chs(ra.frontier);
+            ra.frontier_time + self.geom.stream_time_us(from, need).0
         };
         bus_done.max(media_done)
     }
 
-    /// `(total, seek, rot, stream)` cost of a fresh mechanical access
-    /// starting now (no state change).
-    fn mechanical_cost(&self, lba: u64, sectors: u32) -> (f64, f64, f64, f64) {
+    /// Positions the head for a fresh mechanical access starting now and
+    /// streams the transfer: charges seek, rotational wait and streaming
+    /// to the stats, leaves the head on the transfer's last cylinder, and
+    /// returns `(seek, rot, stream)` for the caller to add to the clock.
+    fn mechanical(&mut self, lba: u64, sectors: u32) -> (f64, f64, f64) {
         let target = self.geom.lba_to_chs(lba);
+        obs::hist!(
+            "disk.seek_cyls",
+            obs::bounds::POW2,
+            target.cyl.abs_diff(self.cur_cyl)
+        );
         let sk = self.seek.seek_us(self.cur_cyl, target.cyl);
-        let rot = self.rot_wait(self.now + sk, lba);
-        let stream = self.geom.stream_time_us(lba, sectors);
-        (sk + rot + stream, sk, rot, stream)
+        if sk > 0.0 {
+            self.stats.seeks = self.stats.seeks.saturating_add(1);
+        }
+        let rot = self.rot_wait(self.now + sk, target);
+        let (stream, end_cyl) = self.geom.stream_time_us(target, sectors);
+        self.stats.seek_time_us += sk;
+        self.stats.rot_wait_us += rot;
+        self.stats.stream_time_us += stream;
+        self.cur_cyl = end_cyl;
+        (sk, rot, stream)
     }
 
     fn read_from_buffer(&mut self, lba: u64, sectors: u32) {
@@ -270,19 +303,11 @@ impl Device {
     }
 
     fn read_from_media(&mut self, lba: u64, sectors: u32) {
-        let (total, sk, rot, stream) = self.mechanical_cost(lba, sectors);
-        obs::hist!(
-            "disk.seek_cyls",
-            obs::bounds::POW2,
-            (self.geom.lba_to_chs(lba).cyl as i64 - self.cur_cyl as i64).unsigned_abs()
-        );
-        if sk > 0.0 {
-            self.stats.seeks = self.stats.seeks.saturating_add(1);
-        }
-        let t = self.now + total;
-        self.stats.seek_time_us += sk;
-        self.stats.rot_wait_us += rot;
-        self.stats.stream_time_us += stream;
+        let (sk, rot, stream) = self.mechanical(lba, sectors);
+        // A read sums its parts before adding them to the clock (a write
+        // adds them one by one); the two orders round differently, and
+        // the device golden pins both.
+        let t = self.now + (sk + rot + stream);
         let end_lba = lba + sectors as u64;
         self.ra = Some(ReadAhead {
             buf_start: lba,
@@ -291,7 +316,6 @@ impl Device {
             consumed: end_lba,
         });
         self.now = t;
-        self.cur_cyl = self.geom.lba_to_chs(end_lba - 1).cyl;
     }
 
     /// Services a write of `sectors` sectors at `lba`; returns the request
@@ -305,28 +329,10 @@ impl Device {
         debug_assert!(lba + sectors as u64 <= self.geom.total_sectors());
         let start = self.now;
         self.ra = None;
-        let target = self.geom.lba_to_chs(lba);
-        let sk = self.seek.seek_us(self.cur_cyl, target.cyl);
-        obs::hist!(
-            "disk.seek_cyls",
-            obs::bounds::POW2,
-            (target.cyl as i64 - self.cur_cyl as i64).unsigned_abs()
-        );
-        if sk > 0.0 {
-            self.stats.seeks = self.stats.seeks.saturating_add(1);
-        }
-        let mut t = self.now + sk;
-        let rot = self.rot_wait(t, lba);
-        t += rot;
-        let stream = self.geom.stream_time_us(lba, sectors);
-        t += stream;
-        self.stats.seek_time_us += sk;
-        self.stats.rot_wait_us += rot;
-        self.stats.stream_time_us += stream;
+        let (sk, rot, stream) = self.mechanical(lba, sectors);
+        self.now = self.now + sk + rot + stream;
         self.stats.writes = self.stats.writes.saturating_add(1);
         self.stats.sectors_written = self.stats.sectors_written.saturating_add(sectors as u64);
-        self.now = t;
-        self.cur_cyl = self.geom.lba_to_chs(lba + sectors as u64 - 1).cyl;
         let latency = self.now - start;
         obs::hist!("disk.write_us", obs::bounds::TIME_US, latency);
         if let Some(tr) = &mut self.trace {
@@ -349,13 +355,12 @@ impl Device {
     pub fn transfer(&mut self, kind: IoKind, lba: u64, bytes: u64) -> f64 {
         debug_assert!(bytes > 0);
         let start = self.now;
-        let ssz = self.geom.params().sector_size as u64;
-        let max_sectors = (self.geom.params().max_transfer_bytes as u64 / ssz).max(1);
-        let total_sectors = bytes.div_ceil(ssz);
+        let total_sectors = bytes.div_ceil(self.geom.params().sector_size as u64);
+        let host_us = self.geom.params().host_overhead_us;
         let mut off = 0u64;
         while off < total_sectors {
-            let n = (total_sectors - off).min(max_sectors) as u32;
-            self.advance(self.geom.params().host_overhead_us);
+            let n = (total_sectors - off).min(self.max_sectors) as u32;
+            self.advance(host_us);
             match kind {
                 IoKind::Read => self.read(lba + off, n),
                 IoKind::Write => self.write(lba + off, n),

@@ -8,27 +8,38 @@
 
 use ffs_types::DiskParams;
 
-/// A calibrated seek-time curve for one drive.
+/// A calibrated seek-time curve for one drive, with both pieces' slopes
+/// worked out once at construction.
 #[derive(Clone, Debug)]
 pub struct SeekCurve {
     min_us: f64,
     avg_us: f64,
-    max_us: f64,
     /// Distance at which the curve switches from sqrt to linear (one third
     /// of the cylinder span).
     knee: f64,
-    cylinders: u32,
+    /// Slope of the sqrt piece, per unit of `sqrt(d) - 1`.
+    sqrt_slope: f64,
+    /// Slope of the linear piece, per cylinder past the knee.
+    lin_slope: f64,
 }
 
 impl SeekCurve {
     /// Builds the curve from disk parameters.
     pub fn new(params: &DiskParams) -> SeekCurve {
+        let min_us = params.min_seek_ms * 1000.0;
+        let avg_us = params.avg_seek_ms * 1000.0;
+        let max_us = params.max_seek_ms * 1000.0;
+        let knee = (params.cylinders as f64 / 3.0).max(1.0);
+        // sqrt piece through (1, min) and (knee, avg).
+        let sqrt_span = (knee.sqrt() - 1.0).max(1e-9);
+        // Linear piece through (knee, avg) and (cylinders-1, max).
+        let lin_span = (params.cylinders as f64 - 1.0 - knee).max(1.0);
         SeekCurve {
-            min_us: params.min_seek_ms * 1000.0,
-            avg_us: params.avg_seek_ms * 1000.0,
-            max_us: params.max_seek_ms * 1000.0,
-            knee: (params.cylinders as f64 / 3.0).max(1.0),
-            cylinders: params.cylinders,
+            min_us,
+            avg_us,
+            knee,
+            sqrt_slope: (avg_us - min_us) / sqrt_span,
+            lin_slope: (max_us - avg_us) / lin_span,
         }
     }
 
@@ -37,18 +48,11 @@ impl SeekCurve {
     pub fn seek_us(&self, from_cyl: u32, to_cyl: u32) -> f64 {
         let d = from_cyl.abs_diff(to_cyl) as f64;
         if d == 0.0 {
-            return 0.0;
-        }
-        if d <= self.knee {
-            // sqrt piece through (1, min) and (knee, avg).
-            let span = (self.knee.sqrt() - 1.0).max(1e-9);
-            let b = (self.avg_us - self.min_us) / span;
-            self.min_us + b * (d.sqrt() - 1.0)
+            0.0
+        } else if d <= self.knee {
+            self.min_us + self.sqrt_slope * (d.sqrt() - 1.0)
         } else {
-            // Linear piece through (knee, avg) and (cylinders-1, max).
-            let span = (self.cylinders as f64 - 1.0 - self.knee).max(1.0);
-            let b = (self.max_us - self.avg_us) / span;
-            self.avg_us + b * (d - self.knee)
+            self.avg_us + self.lin_slope * (d - self.knee)
         }
     }
 }

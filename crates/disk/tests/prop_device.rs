@@ -1,6 +1,6 @@
 //! Property tests for the disk timing model.
 
-use disk::{Device, IoKind};
+use disk::{Device, Geometry, IoKind};
 use ffs_types::DiskParams;
 use proptest::prelude::*;
 
@@ -28,33 +28,58 @@ fn reqs() -> impl Strategy<Value = Vec<Req>> {
     )
 }
 
+/// Physical upper bound on one request's latency: max seek, two
+/// revolutions, the streaming, and a generous switch allowance.
+fn latency_bound(params: &DiskParams, sectors: u32) -> f64 {
+    params.max_seek_ms * 1000.0
+        + 2.0 * params.rev_time_us()
+        + sectors as f64 * params.sector_time_us()
+        + sectors as f64 / 100.0 * 3000.0
+        + 10_000.0
+}
+
+/// A grid of drive shapes around Table 1's: spindle speed, sectors per
+/// track, heads, cylinders.
+fn drives() -> impl Strategy<Value = DiskParams> {
+    (3600u32..15_001, 16u32..400, 1u32..32, 100u32..10_000).prop_map(
+        |(rpm, sectors_per_track, heads, cylinders)| DiskParams {
+            rpm,
+            sectors_per_track,
+            heads,
+            cylinders,
+            ..DiskParams::seagate_32430n()
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Time only moves forward; every latency is non-negative and
-    /// bounded by physics (seek + rotation + streaming + switches).
+    /// Time only moves forward; every latency, read or write, is
+    /// non-negative and bounded by physics (seek + rotation + streaming +
+    /// switches); every mechanical request waits less than one
+    /// revolution for its sector.
     #[test]
     fn time_is_monotone_and_bounded(script in reqs()) {
         let params = DiskParams::seagate_32430n();
+        let rev = params.rev_time_us();
         let mut dev = Device::new(params.clone());
         let mut prev = dev.now();
         for r in &script {
+            let rot_before = dev.stats().rot_wait_us;
+            let hits_before = dev.stats().buffer_hits;
             match *r {
                 Req::Read { lba, sectors } => {
                     let lat = dev.read(lba, sectors);
                     prop_assert!(lat >= 0.0);
-                    // Upper bound: max seek + rev + stream + generous
-                    // switch allowance.
-                    let bound = params.max_seek_ms * 1000.0
-                        + 2.0 * params.rev_time_us()
-                        + sectors as f64 * params.sector_time_us()
-                        + sectors as f64 / 100.0 * 3000.0
-                        + 10_000.0;
+                    let bound = latency_bound(&params, sectors);
                     prop_assert!(lat <= bound, "read latency {lat} > {bound}");
                 }
                 Req::Write { lba, sectors } => {
                     let lat = dev.write(lba, sectors);
                     prop_assert!(lat >= 0.0);
+                    let bound = latency_bound(&params, sectors);
+                    prop_assert!(lat <= bound, "write latency {lat} > {bound}");
                 }
                 Req::Think { us } => dev.advance(us as f64),
                 Req::Transfer { lba, bytes, write } => {
@@ -63,9 +88,47 @@ proptest! {
                     prop_assert!(lat > 0.0);
                 }
             }
+            let mechanical = match *r {
+                Req::Read { .. } => dev.stats().buffer_hits == hits_before,
+                Req::Write { .. } => true,
+                _ => false,
+            };
+            if mechanical {
+                let rot = dev.stats().rot_wait_us - rot_before;
+                prop_assert!((0.0..rev).contains(&rot), "rotational wait {rot} outside [0, {rev})");
+            }
             prop_assert!(dev.now() >= prev, "clock moved backwards");
             prev = dev.now();
         }
+    }
+
+    /// The constants `Geometry` caches are the ones `DiskParams` derives,
+    /// bit for bit.
+    #[test]
+    fn geometry_caches_the_params_constants(params in drives()) {
+        let g = Geometry::new(params.clone());
+        prop_assert_eq!(g.rev_time_us().to_bits(), params.rev_time_us().to_bits());
+        prop_assert_eq!(g.sector_time_us().to_bits(), params.sector_time_us().to_bits());
+        prop_assert_eq!(g.sectors_per_cyl(), params.sectors_per_cyl());
+        prop_assert_eq!(
+            g.total_sectors(),
+            params.cylinders as u64 * params.sectors_per_cyl() as u64
+        );
+    }
+
+    /// The streaming walk ends on the cylinder of the transfer's last
+    /// sector.
+    #[test]
+    fn stream_ends_on_the_last_sectors_cylinder(
+        params in drives(),
+        at in 0.0f64..1.0,
+        sectors in 1u32..4096,
+    ) {
+        let g = Geometry::new(params);
+        let sectors = (sectors as u64).min(g.total_sectors()) as u32;
+        let lba = (at * (g.total_sectors() - sectors as u64) as f64) as u64;
+        let (_, end_cyl) = g.stream_time_us(g.lba_to_chs(lba), sectors);
+        prop_assert_eq!(end_cyl, g.lba_to_chs(lba + sectors as u64 - 1).cyl);
     }
 
     /// The device is deterministic: the same script produces the same

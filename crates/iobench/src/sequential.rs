@@ -12,7 +12,7 @@ use disk::{Device, DeviceStats, IoKind};
 use ffs::fs::LayoutAgg;
 use ffs::Filesystem;
 use ffs_types::units::mb_per_sec;
-use ffs_types::{DiskParams, FsResult, Ino, KB, MB};
+use ffs_types::{DiskParams, FsError, FsResult, Ino, KB, MB};
 
 use crate::map::{FsDiskMap, IoEngine};
 
@@ -82,7 +82,17 @@ pub fn paper_file_sizes() -> Vec<u64> {
 /// so the copy leaves out the aged file table
 /// ([`Filesystem::copy_free_space`]); every placement is the one a full
 /// clone would make.
+///
+/// A zero `file_size` or `config.files_per_dir` is
+/// [`FsError::InvalidArg`]: both divide the data into files and
+/// directories.
 pub fn run_point(aged: &Filesystem, config: &SeqBenchConfig, file_size: u64) -> FsResult<SeqPoint> {
+    if file_size == 0 {
+        return Err(FsError::InvalidArg("file_size must be positive"));
+    }
+    if config.files_per_dir == 0 {
+        return Err(FsError::InvalidArg("files_per_dir must be positive"));
+    }
     let mut fs = aged.copy_free_space();
     let params = fs.params().clone();
     let nfiles = (config.total_bytes / file_size).max(1) as u32;
@@ -174,6 +184,28 @@ mod tests {
         assert!(p.read_mb_s > 0.1);
         assert!(p.device.reads > 0 && p.device.writes > 0);
         assert!(p.device.sectors_read >= p.nfiles as u64);
+    }
+
+    #[test]
+    fn zero_file_size_is_an_invalid_argument() {
+        let fs = empty_fs(AllocPolicy::Realloc);
+        assert!(matches!(
+            run_point(&fs, &small_config(), 0),
+            Err(FsError::InvalidArg(_))
+        ));
+    }
+
+    #[test]
+    fn zero_files_per_dir_is_an_invalid_argument() {
+        let fs = empty_fs(AllocPolicy::Realloc);
+        let config = SeqBenchConfig {
+            files_per_dir: 0,
+            ..small_config()
+        };
+        assert!(matches!(
+            run_point(&fs, &config, 64 * KB),
+            Err(FsError::InvalidArg(_))
+        ));
     }
 
     #[test]
