@@ -17,7 +17,7 @@
 //!   power cut mid-replay: after the `n`-th operation the derived
 //!   allocation state is scrambled the way a torn metadata flush would
 //!   leave it ([`ffs::inject_metadata_damage`]), the repairing fsck
-//!   ([`ffs::repair`]) is run, and the replay resumes on the repaired
+//!   ([`ffs::repair()`]) is run, and the replay resumes on the repaired
 //!   file system. The [`CrashReport`] in the result records what broke
 //!   and what the repair did.
 //! * **Checkpointing** ([`ReplayOptions::checkpoint_every_days`]) captures

@@ -10,9 +10,9 @@
 //!
 //! The design splits policy from mechanism:
 //!
-//! * a [`Defragmenter`] **plans**: given a read-only view of the file
-//!   system and a [`MoveBudget`], it returns a list of [`BlockMove`]s.
-//!   Three policies ship — [`DefragPolicy::Greedy`] (worst-file-first),
+//! * a planner **plans**: given a read-only view of the file system and
+//!   a move budget, it returns a list of [`BlockMove`]s. Three policies
+//!   ship — [`DefragPolicy::Greedy`] (worst-file-first),
 //!   [`DefragPolicy::Threshold`] (cost-oblivious rebuild-on-threshold,
 //!   after *Cost-Oblivious Storage Reallocation*, arXiv 1404.2019), and
 //!   [`DefragPolicy::Scrub`] (an scfs-style background sweep that
@@ -35,13 +35,6 @@ use disk::Device;
 use ffs::{realloc_windows, FileMeta, Filesystem};
 use ffs_types::{Daddr, DiskParams, FsParams, Ino};
 
-/// How many moves a single defragmentation pass may spend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MoveBudget {
-    /// Maximum number of single-block relocations.
-    pub moves: u32,
-}
-
 /// One planned relocation: move data block `index` of file `ino` from
 /// `from` to the free block at `to`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,20 +48,6 @@ pub struct BlockMove {
     pub from: Daddr,
     /// The free block the data moves to.
     pub to: Daddr,
-}
-
-/// A defragmentation policy: plans at most `budget.moves` relocations
-/// against a read-only snapshot of the file system.
-///
-/// Planners may keep state across passes (the scrub policy keeps its
-/// round-robin cursor), hence `&mut self`.
-pub trait Defragmenter {
-    /// Short policy name used in exhibits and provenance strings.
-    fn name(&self) -> &'static str;
-    /// Plans one pass. The returned moves must target distinct free
-    /// blocks; the executor skips (and counts) any move invalidated by
-    /// the time it runs.
-    fn plan(&mut self, fs: &Filesystem, budget: MoveBudget) -> Vec<BlockMove>;
 }
 
 /// The shipped planner policies.
@@ -149,15 +128,6 @@ impl DefragSpec {
             self.moves_per_day
         )
     }
-
-    /// Builds the planner this spec names.
-    pub fn planner(&self) -> Box<dyn Defragmenter + Send> {
-        match self.policy {
-            DefragPolicy::Greedy => Box::new(GreedyWorstFile),
-            DefragPolicy::Threshold => Box::new(RebuildOnThreshold::default()),
-            DefragPolicy::Scrub => Box::new(ScrubSweep::default()),
-        }
-    }
 }
 
 /// What one executed pass did.
@@ -174,28 +144,40 @@ pub struct PassStats {
     pub skipped: u64,
 }
 
-/// Executes planned moves against a live file system, charging each to
-/// a persistent simulated disk so cumulative cost is honest across
-/// passes.
+/// Plans and executes budgeted passes against a live file system,
+/// charging each move to a persistent simulated disk so cumulative cost
+/// is honest across passes.
 pub struct DefragRunner {
     spec: DefragSpec,
-    planner: Box<dyn Defragmenter + Send>,
+    /// The group the next scrub pass starts from; advances one group per
+    /// pass. Unused by the other policies.
+    scrub_cursor: u32,
     device: Device,
 }
 
 impl DefragRunner {
-    /// Builds a runner (planner plus cost-model disk) for a spec.
+    /// Builds a runner (planner state plus cost-model disk) for a spec.
     pub fn new(spec: &DefragSpec) -> DefragRunner {
         DefragRunner {
-            planner: spec.planner(),
-            device: Device::new(spec.disk.clone()),
             spec: spec.clone(),
+            scrub_cursor: 0,
+            device: Device::new(spec.disk.clone()),
         }
     }
 
-    /// The spec this runner executes.
-    pub fn spec(&self) -> &DefragSpec {
-        &self.spec
+    /// Plans one pass of at most `budget` moves under the spec's policy.
+    /// The returned moves target distinct free blocks; the executor
+    /// skips (and counts) any move invalidated by the time it runs.
+    fn plan(&mut self, fs: &Filesystem, budget: u32) -> Vec<BlockMove> {
+        match self.spec.policy {
+            DefragPolicy::Greedy => plan_greedy(fs, budget),
+            DefragPolicy::Threshold => plan_threshold(fs, budget),
+            DefragPolicy::Scrub => {
+                let plan = plan_scrub(fs, budget, self.scrub_cursor);
+                self.scrub_cursor = (self.scrub_cursor + 1) % fs.ncg().max(1);
+                plan
+            }
+        }
     }
 
     /// Runs one budgeted pass: plan, then execute each move through
@@ -207,11 +189,9 @@ impl DefragRunner {
             return PassStats::default();
         }
         let _sp = obs::span!("defrag.pass");
-        let budget = MoveBudget {
-            moves: self.spec.moves_per_day,
-        };
-        let plan = self.planner.plan(fs, budget);
-        debug_assert!(plan.len() as u64 <= budget.moves as u64);
+        let budget = self.spec.moves_per_day;
+        let plan = self.plan(fs, budget);
+        debug_assert!(plan.len() as u64 <= budget as u64);
         let params = fs.params().clone();
         let sectors_per_frag = (params.fsize / self.spec.disk.sector_size) as u64;
         let block_sectors = params.bsize / self.spec.disk.sector_size;
@@ -312,6 +292,25 @@ fn relayout_file(
     planned
 }
 
+/// Re-lays `files` in the order given, one [`relayout_file`] each, until
+/// `budget` moves are planned; targets are claimed across the whole pass.
+fn relayout_files<'a>(
+    fs: &Filesystem,
+    budget: u32,
+    files: impl Iterator<Item = &'a FileMeta>,
+) -> Vec<BlockMove> {
+    let mut out = Vec::new();
+    let mut claimed = BTreeSet::new();
+    let mut left = budget;
+    for meta in files {
+        if left == 0 {
+            break;
+        }
+        left -= relayout_file(fs, meta, left, &mut claimed, &mut out);
+    }
+    out
+}
+
 /// First-fit free-cluster search that also avoids targets claimed by
 /// earlier plans in the same pass.
 fn find_unclaimed_cluster(
@@ -392,141 +391,69 @@ fn heal_in_place(
 /// Worst-file-first: sorts scoreable files by per-file layout score
 /// (ascending, inode-number tie-break) and re-lays them in that order
 /// until the budget runs out.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GreedyWorstFile;
+fn plan_greedy(fs: &Filesystem, budget: u32) -> Vec<BlockMove> {
+    let fpb = fs.geometry().frags_per_block();
+    let mut worst: Vec<(f64, Ino)> = fs
+        .files()
+        .filter_map(|f| {
+            // The per-file layout score, below 1 exactly when some
+            // chunk is out of place.
+            let (opt, scored) = f.layout_counts_at(fpb)?;
+            (opt < scored).then(|| (opt as f64 / scored as f64, f.ino))
+        })
+        .collect();
+    worst.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1 .0.cmp(&b.1 .0)));
+    let files = worst
+        .into_iter()
+        .map(|(_, ino)| fs.file(ino).expect("planned over live files"));
+    relayout_files(fs, budget, files)
+}
 
-impl Defragmenter for GreedyWorstFile {
-    fn name(&self) -> &'static str {
-        "greedy"
+/// Multiplicative slack of the threshold policy: a file is rebuilt once
+/// its extent count reaches this many times the unavoidable minimum.
+const THRESHOLD_FACTOR: u32 = 2;
+
+/// Whether `meta`'s fragmentation reaches the rebuild threshold: its
+/// extent count is at least [`THRESHOLD_FACTOR`] times the unavoidable
+/// minimum (one extent per cylinder-group region, plus the tail).
+fn over_threshold(params: &FsParams, meta: &FileMeta) -> bool {
+    if meta.nchunks() < 2 {
+        return false;
     }
+    let nfull = meta.blocks.len() as u32;
+    let min_extents =
+        params.cg_switch_lbns(nfull).len() as u32 + 1 + u32::from(meta.tail.is_some());
+    let actual = meta.extents(params).count() as u32;
+    actual >= THRESHOLD_FACTOR * min_extents
+}
 
-    fn plan(&mut self, fs: &Filesystem, budget: MoveBudget) -> Vec<BlockMove> {
-        let fpb = fs.geometry().frags_per_block();
-        let mut worst: Vec<(f64, Ino)> = fs
-            .files()
-            .filter_map(|f| {
-                // The per-file layout score, below 1 exactly when some
-                // chunk is out of place.
-                let (opt, scored) = f.layout_counts_at(fpb)?;
-                (opt < scored).then(|| (opt as f64 / scored as f64, f.ino))
-            })
-            .collect();
-        worst.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1 .0.cmp(&b.1 .0)));
-        let mut out = Vec::new();
-        let mut claimed = BTreeSet::new();
-        let mut left = budget.moves;
-        for (_, ino) in worst {
-            if left == 0 {
-                break;
-            }
-            let meta = fs.file(ino).expect("planned over live files");
-            left -= relayout_file(fs, meta, left, &mut claimed, &mut out);
+/// Cost-oblivious rebuild-on-threshold (arXiv 1404.2019): re-lays, in
+/// inode order, only the files [`over_threshold`]. Files below it are
+/// never touched, so quiescent layouts cost nothing.
+fn plan_threshold(fs: &Filesystem, budget: u32) -> Vec<BlockMove> {
+    let files = fs.files().filter(|meta| over_threshold(fs.params(), meta));
+    relayout_files(fs, budget, files)
+}
+
+/// Background scrub: sweeps cylinder groups round-robin from `cursor`,
+/// re-laying the files anchored (first data block) in each group,
+/// continuing into subsequent groups while budget remains. The caller
+/// advances the cursor exactly one group per pass regardless of how far
+/// the budget reached, so every group is eventually visited.
+fn plan_scrub(fs: &Filesystem, budget: u32, cursor: u32) -> Vec<BlockMove> {
+    let geom = fs.geometry();
+    let ncg = fs.ncg();
+    // Files by anchor group, inode order within each: one walk of the
+    // file table instead of one per group visited.
+    let mut anchored: Vec<Vec<&FileMeta>> = vec![Vec::new(); ncg as usize];
+    for meta in fs.files() {
+        if let Some(&b) = meta.blocks.first() {
+            anchored[geom.dtog(b).0 as usize].push(meta);
         }
-        out
     }
-}
-
-/// Cost-oblivious rebuild-on-threshold (arXiv 1404.2019): a file is
-/// only rebuilt once its extent count reaches `factor` times the
-/// unavoidable minimum (one extent per cylinder-group region, plus the
-/// tail). Files below threshold are never touched, so quiescent layouts
-/// cost nothing.
-#[derive(Clone, Copy, Debug)]
-pub struct RebuildOnThreshold {
-    /// Multiplicative slack before a rebuild triggers.
-    pub factor: u32,
-}
-
-impl Default for RebuildOnThreshold {
-    fn default() -> Self {
-        RebuildOnThreshold { factor: 2 }
-    }
-}
-
-impl RebuildOnThreshold {
-    /// Whether `meta`'s fragmentation exceeds the rebuild threshold.
-    fn over_threshold(&self, params: &FsParams, meta: &FileMeta) -> bool {
-        if meta.nchunks() < 2 {
-            return false;
-        }
-        let nfull = meta.blocks.len() as u32;
-        let min_extents =
-            params.cg_switch_lbns(nfull).len() as u32 + 1 + u32::from(meta.tail.is_some());
-        let actual = meta.extents(params).count() as u32;
-        actual >= self.factor * min_extents
-    }
-}
-
-impl Defragmenter for RebuildOnThreshold {
-    fn name(&self) -> &'static str {
-        "thresh"
-    }
-
-    fn plan(&mut self, fs: &Filesystem, budget: MoveBudget) -> Vec<BlockMove> {
-        let params = fs.params();
-        let mut out = Vec::new();
-        let mut claimed = BTreeSet::new();
-        let mut left = budget.moves;
-        for meta in fs.files() {
-            if left == 0 {
-                break;
-            }
-            if self.over_threshold(params, meta) {
-                left -= relayout_file(fs, meta, left, &mut claimed, &mut out);
-            }
-        }
-        out
-    }
-}
-
-/// Background scrub: sweeps cylinder groups round-robin, re-laying the
-/// files anchored (first data block) in the group under the cursor,
-/// continuing into subsequent groups while budget remains. The cursor
-/// advances exactly one group per pass regardless of how far the budget
-/// reached, so every group is eventually visited.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScrubSweep {
-    cursor: u32,
-}
-
-impl ScrubSweep {
-    /// The group the next pass starts from (for tests).
-    pub fn cursor(&self) -> u32 {
-        self.cursor
-    }
-}
-
-impl Defragmenter for ScrubSweep {
-    fn name(&self) -> &'static str {
-        "scrub"
-    }
-
-    fn plan(&mut self, fs: &Filesystem, budget: MoveBudget) -> Vec<BlockMove> {
-        let geom = fs.geometry();
-        let ncg = fs.ncg();
-        // Files by anchor group, inode order within each: one walk of the
-        // file table instead of one per group visited.
-        let mut anchored: Vec<Vec<&FileMeta>> = vec![Vec::new(); ncg as usize];
-        for meta in fs.files() {
-            if let Some(&b) = meta.blocks.first() {
-                anchored[geom.dtog(b).0 as usize].push(meta);
-            }
-        }
-        let mut out = Vec::new();
-        let mut claimed = BTreeSet::new();
-        let mut left = budget.moves;
-        'sweep: for step in 0..ncg {
-            let g = (self.cursor + step) % ncg;
-            for meta in &anchored[g as usize] {
-                if left == 0 {
-                    break 'sweep;
-                }
-                left -= relayout_file(fs, meta, left, &mut claimed, &mut out);
-            }
-        }
-        self.cursor = (self.cursor + 1) % ncg.max(1);
-        out
-    }
+    let files =
+        (0..ncg).flat_map(|step| anchored[((cursor + step) % ncg) as usize].iter().copied());
+    relayout_files(fs, budget, files)
 }
 
 #[cfg(test)]
@@ -648,9 +575,10 @@ mod tests {
         for _ in 0..10 {
             fs.create(d, 32 * KB, 0).unwrap();
         }
-        let mut planner = RebuildOnThreshold::default();
-        let plan = planner.plan(&fs, MoveBudget { moves: 1000 });
-        assert!(plan.is_empty(), "healthy files must not be rebuilt");
+        assert!(
+            plan_threshold(&fs, 1000).is_empty(),
+            "healthy files must not be rebuilt"
+        );
         let digest = fs.digest();
         let stats = run_days(&mut fs, &DefragSpec::new(DefragPolicy::Threshold, 1000), 3);
         assert!(stats.iter().all(|s| s.moves == 0));
@@ -660,11 +588,11 @@ mod tests {
     #[test]
     fn scrub_cursor_round_robins_groups() {
         let fs = fragmented_fs();
-        let mut planner = ScrubSweep::default();
+        let mut runner = DefragRunner::new(&DefragSpec::new(DefragPolicy::Scrub, 1));
         let ncg = fs.ncg();
         for expect in 1..=ncg {
-            planner.plan(&fs, MoveBudget { moves: 1 });
-            assert_eq!(planner.cursor(), expect % ncg);
+            runner.plan(&fs, 1);
+            assert_eq!(runner.scrub_cursor, expect % ncg);
         }
     }
 
@@ -686,8 +614,7 @@ mod tests {
     fn planned_moves_respect_the_budget_exactly() {
         let fs = fragmented_fs();
         for budget in [1u32, 3, 7, 25] {
-            let mut planner = GreedyWorstFile;
-            let plan = planner.plan(&fs, MoveBudget { moves: budget });
+            let plan = plan_greedy(&fs, budget);
             assert!(plan.len() as u32 <= budget);
             // Targets are distinct.
             let targets: BTreeSet<u32> = plan.iter().map(|m| m.to.0).collect();

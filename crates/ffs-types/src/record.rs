@@ -332,7 +332,7 @@ const DIGIT_PAIRS: &str = "\
 
 /// Appends `n` in decimal, two digits per step: the value splits into
 /// base-100 digits from the bottom, and each is appended as a two-byte
-/// slice of [`DIGIT_PAIRS`] from the top.
+/// slice of `DIGIT_PAIRS` from the top.
 pub fn push_num(out: &mut String, mut n: u64) {
     let mut low = [0u8; 10];
     let mut k = 0;

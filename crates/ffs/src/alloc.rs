@@ -14,7 +14,7 @@
 //! original allocator would pick next. The write path does not loop over
 //! blocks. Whenever the block the policy picked is followed by free
 //! blocks, its next picks are exactly those — each one a preference hit
-//! on the block after the last — so [`AllocEngine::alloc_blocks`] takes
+//! on the block after the last — so `AllocEngine::alloc_blocks` takes
 //! the whole extent with one map transition
 //! ([`CylGroup::alloc_block_run`]), up to the next point where the
 //! policy does something else (a cylinder-group switch, a realloc flush,
@@ -23,7 +23,7 @@
 //! loop this replaced lives on behind [`crate::naive::create_per_block`];
 //! `tests/extent_oracle.rs` holds the two equal.
 //!
-//! The allocation core lives on [`AllocEngine`], which borrows the
+//! The allocation core lives on `AllocEngine`, which borrows the
 //! cylinder groups, the parameters and the counters instead of the whole
 //! [`Filesystem`], so a caller can hold a file's [`FileMeta`] mutably
 //! next to it. There is one engine shape — every group of the volume —

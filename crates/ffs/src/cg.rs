@@ -9,8 +9,8 @@
 //! one shift and mask.
 //!
 //! Search does not walk the raw map. Everything that is a pure function
-//! of it lives in one [`Derived`] value, maintained incrementally on
-//! every allocation and free:
+//! of it lives in one [`Derived`] value of four tables, maintained
+//! incrementally on every allocation and free:
 //!
 //! * `free_words` — one bit per block (set = fully free), packed into
 //!   `u64` words, so the scans behind [`CylGroup::find_free_block`] and
@@ -29,8 +29,6 @@
 //!   adequate run size before touching the map at all — `ffs_alloccg`'s
 //!   `allocsiz` loop — and, with the free-block count, refuses a
 //!   first-fit request no block of the group can hold;
-//! * `fill_hist` — the partial-block census: `fill_hist[k-1]` counts
-//!   partial blocks with exactly `k` allocated fragments;
 //! * `fit_words` — the partial-block fit index: `fpb - 1` bitmaps laid
 //!   out like `free_words`, level `k` holding a bit for every partial
 //!   block whose longest free run is at least `k` fragments. With
@@ -42,7 +40,7 @@
 //! There is exactly one from-scratch builder for that value, the
 //! byte-at-a-time [`crate::naive::recount_derived`], and one named-table
 //! view of it, `Derived::tables`. Group construction and fsck rebuild
-//! are "recount and assign"; [`crate::check`], fault injection and the
+//! are "recount and assign"; [`mod@crate::check`], fault injection and the
 //! oracle tests iterate the table list ([`CylGroup::derived_drift`])
 //! and never name an index.
 //!
@@ -90,10 +88,6 @@ pub struct Derived {
     /// blocks. Has `fpb - 1` entries (a partial block's longest free run
     /// is `fpb - 1`; empty when `fpb == 1` and fragments cannot exist).
     pub(crate) frsum: Vec<u32>,
-    /// `fill_hist[k-1]` counts partial blocks (lane neither empty nor
-    /// full) with exactly `k` allocated fragments (`fpb - 1` entries).
-    /// Feeds [`crate::freespace::frag_space_stats`] without a map walk.
-    pub(crate) fill_hist: Vec<u32>,
     /// The partial-block fit index: `fpb - 1` bitmaps of
     /// `free_words.len()` words each, flattened level after level. Bit
     /// `block` of level `k` (1-based) is set when the block is partially
@@ -106,12 +100,11 @@ pub struct Derived {
 impl Derived {
     /// The tables by name, in a fixed order — the one list that check,
     /// fault injection and the oracle tests iterate.
-    pub(crate) fn tables(&self) -> [(&'static str, Table<'_>); 5] {
+    pub(crate) fn tables(&self) -> [(&'static str, Table<'_>); 4] {
         [
             ("free_words", Table::Words(&self.free_words)),
             ("csum", Table::Counts(&self.csum)),
             ("frsum", Table::Counts(&self.frsum)),
-            ("fill_hist", Table::Counts(&self.fill_hist)),
             ("fit_words", Table::Words(&self.fit_words)),
         ]
     }
@@ -132,8 +125,7 @@ impl Derived {
             0 => return flip_bit(&mut self.free_words),
             1 => &mut self.csum[..],
             2 => &mut self.frsum[..],
-            3 => &mut self.fill_hist[..],
-            4 => return flip_bit(&mut self.fit_words),
+            3 => return flip_bit(&mut self.fit_words),
             _ => unreachable!("no derived table {i}"),
         };
         if counts.is_empty() {
@@ -388,8 +380,6 @@ impl CylGroup {
         let was = self.frsum_account(old, false);
         let now = self.frsum_account(new, true);
         self.fit_account(block, was, now);
-        self.fill_account(old, false);
-        self.fill_account(new, true);
         if old == 0 {
             self.mark_run_used(block, 1);
             self.free_blocks -= 1;
@@ -411,8 +401,6 @@ impl CylGroup {
         let was = self.frsum_account(old, false);
         let now = self.frsum_account(new, true);
         self.fit_account(block, was, now);
-        self.fill_account(old, false);
-        self.fill_account(new, true);
         self.free_frags += len;
         if new == 0 {
             self.mark_run_free(block, 1);
@@ -483,20 +471,6 @@ impl CylGroup {
     fn fit_level(&self, k: u32) -> &[u64] {
         let stride = self.derived.free_words.len();
         &self.derived.fit_words[(k - 1) as usize * stride..][..stride]
-    }
-
-    /// Adds (`add`) or removes one block lane's contribution to the
-    /// partial-block census `fill_hist`. Like
-    /// [`CylGroup::frsum_account`], fully free and fully allocated lanes
-    /// contribute nothing, so bracketing every fragment mutation with the
-    /// old lane out and the new lane in keeps the census exact without
-    /// ever walking the map.
-    fn fill_account(&mut self, lane: u8, add: bool) {
-        if lane == 0 || lane == self.full_lane() {
-            return;
-        }
-        let slot = &mut self.derived.fill_hist[(lane.count_ones() - 1) as usize];
-        *slot = if add { *slot + 1 } else { *slot - 1 };
     }
 
     // --- Derived state: free-block bitmap and cluster summary -----------
@@ -701,25 +675,6 @@ impl CylGroup {
         &self.derived.frsum
     }
 
-    /// Partially allocated data blocks (lane neither empty nor full).
-    pub fn partial_blocks(&self) -> u32 {
-        self.derived.fill_hist.iter().sum()
-    }
-
-    /// Free fragments stranded inside partially allocated blocks.
-    pub fn free_frags_partial(&self) -> u32 {
-        (1..self.fpb)
-            .zip(&self.derived.fill_hist)
-            .map(|(used, &n)| (self.fpb - used) * n)
-            .sum()
-    }
-
-    /// The fragment-fill histogram: entry `k` counts partial blocks with
-    /// exactly `k + 1` allocated fragments.
-    pub fn fill_hist(&self) -> &[u32] {
-        &self.derived.fill_hist
-    }
-
     /// Finds the first fully free block at or after `from` (block index),
     /// wrapping around the group once. The search mirrors `ffs_mapsearch`:
     /// it does not care how large the surrounding free region is — the
@@ -819,7 +774,7 @@ impl CylGroup {
     ///
     /// On an aged group most holes in the window are a block or two long
     /// and cannot hold the request, so the scan never measures them: per
-    /// bitmap word, [`long_run_starts`] leaves a bit only where a maximal
+    /// bitmap word, `long_run_starts` leaves a bit only where a maximal
     /// run of at least `len` blocks begins, and only those are visited.
     /// (Reference run-by-run scan: [`crate::naive::find_free_cluster_near`].)
     pub fn find_free_cluster_near(&self, from: u32, len: u32, window: u32) -> Option<u32> {
@@ -1608,29 +1563,6 @@ mod tests {
         assert_eq!(cg.free_blocks(), blocks + 2);
         // The cluster summary re-merged the run across the boundary.
         assert!(cg.is_cluster_free(63, 2));
-        assert!(cg.derived_drift().is_empty());
-    }
-
-    #[test]
-    fn fill_stats_track_mutations() {
-        let (_, mut cg) = group();
-        let m = cg.meta_blocks();
-        assert_eq!((cg.partial_blocks(), cg.free_frags_partial()), (0, 0));
-        // A fragment tail makes the block partial and is counted exactly.
-        cg.alloc_frags(m, 0, 3);
-        assert_eq!(cg.partial_blocks(), 1);
-        assert_eq!(cg.free_frags_partial(), 5);
-        assert_eq!(cg.fill_hist()[2], 1);
-        // Growing the tail rebrackets the fill histogram.
-        cg.alloc_frags(m, 3, 2);
-        assert_eq!(cg.fill_hist()[2], 0);
-        assert_eq!(cg.fill_hist()[4], 1);
-        assert_eq!(cg.free_frags_partial(), 3);
-        assert!(cg.derived_drift().is_empty());
-        // Freeing everything empties the census again.
-        cg.free_frag_run(m, 0, 5);
-        assert_eq!((cg.partial_blocks(), cg.free_frags_partial()), (0, 0));
-        assert!(cg.fill_hist().iter().all(|&c| c == 0));
         assert!(cg.derived_drift().is_empty());
     }
 

@@ -6,7 +6,7 @@
 //! to guarantee the two policies are compared on a sound substrate.
 //!
 //! Each inconsistency is reported as a typed [`Violation`] so callers can
-//! react structurally: [`crate::repair`] dispatches on the variants, the
+//! react structurally: [`crate::repair()`] dispatches on the variants, the
 //! harness counts them by kind, and tests assert on exactly the defect
 //! they planted rather than on message substrings.
 

@@ -73,10 +73,11 @@ impl FragSpaceStats {
     }
 }
 
-/// Computes fragment-packing statistics by folding each group's
-/// incrementally maintained fragment summary and fill histogram — an
-/// O(ncg) merge, no map walk. (Reference volume rescan:
-/// [`crate::naive::frag_space_stats_rescan`].)
+/// Computes fragment-packing statistics: one walk of every group's
+/// block lanes for the partial-block census, plus a fold of each
+/// group's fragment summary. Nothing keeps the census incrementally —
+/// its one caller, the `smallfile` exhibit, asks a few dozen times a
+/// run.
 pub fn frag_space_stats(fs: &Filesystem) -> FragSpaceStats {
     let fpb = fs.geom.fpb;
     let mut stats = FragSpaceStats {
@@ -87,13 +88,19 @@ pub fn frag_space_stats(fs: &Filesystem) -> FragSpaceStats {
     };
     for g in 0..fs.ncg() {
         let cg = fs.cg(CgIdx(g));
-        stats.partial_blocks += cg.partial_blocks() as u64;
-        stats.free_frags_in_partial += cg.free_frags_partial() as u64;
-        for (i, &n) in cg.fill_hist().iter().enumerate() {
-            stats.fill_hist[i] += n as u64;
-        }
+        let full = cg.full_lane();
         for (i, &n) in cg.frag_summary().iter().enumerate() {
             stats.frsum_totals[i] += n as u64;
+        }
+        for b in cg.meta_blocks()..cg.nblocks() {
+            let lane = cg.map_byte(b);
+            if lane == 0 || lane == full {
+                continue;
+            }
+            let used = lane.count_ones();
+            stats.partial_blocks += 1;
+            stats.free_frags_in_partial += (fpb - used) as u64;
+            stats.fill_hist[(used - 1) as usize] += 1;
         }
     }
     stats
@@ -169,16 +176,37 @@ mod tests {
 
     #[test]
     fn frag_stats_count_partial_blocks() {
-        let mut fs = Filesystem::new(FsParams::small_test(), AllocPolicy::Orig);
-        let d = fs.mkdir().unwrap();
-        // A 3 KB file is one 3-fragment tail splitting a free block.
-        fs.create(d, 3 * KB, 0).unwrap();
-        let s = frag_space_stats(&fs);
-        assert_eq!(s.partial_blocks, 1);
-        assert_eq!(s.free_frags_in_partial, 5);
-        assert_eq!(s.fill_hist[2], 1, "3 allocated frags: {:?}", s.fill_hist);
-        assert_eq!(s.frsum_totals[4], 1, "one free 5-run: {:?}", s.frsum_totals);
-        assert!((s.mean_fill() - 3.0).abs() < 1e-9);
+        // Every fill level of every fragment geometry: a file of `used`
+        // fragments is one tail splitting a free block, leaving one
+        // partial block with a single free run of `fpb - used`.
+        for fpb in [2u32, 4, 8] {
+            let params = FsParams {
+                fsize: 8 * KB as u32 / fpb,
+                ..FsParams::small_test()
+            };
+            assert_eq!(params.frags_per_block(), fpb);
+            for used in 1..fpb {
+                let mut fs = Filesystem::new(params.clone(), AllocPolicy::Orig);
+                let d = fs.mkdir().unwrap();
+                fs.create(d, (used * params.fsize) as u64, 0).unwrap();
+                let s = frag_space_stats(&fs);
+                let case = format!("fpb {fpb}, {used} allocated: {s:?}");
+                assert_eq!(s.partial_blocks, 1, "{case}");
+                assert_eq!(s.free_frags_in_partial, (fpb - used) as u64, "{case}");
+                let mut hist = vec![0u64; (fpb - 1) as usize];
+                hist[(used - 1) as usize] = 1;
+                assert_eq!(s.fill_hist, hist, "{case}");
+                assert!((s.mean_fill() - used as f64).abs() < 1e-9, "{case}");
+                let mut frsum = vec![0u64; (fpb - 1) as usize];
+                for g in 0..fs.ncg() {
+                    for (i, &n) in fs.cg(CgIdx(g)).frag_summary().iter().enumerate() {
+                        frsum[i] += n as u64;
+                    }
+                }
+                assert_eq!(s.frsum_totals, frsum, "{case}");
+                assert_eq!(s.frsum_totals[(fpb - used - 1) as usize], 1, "{case}");
+            }
+        }
     }
 
     #[test]
@@ -232,7 +260,6 @@ mod tests {
         assert_eq!(frag.partial_blocks, 0);
         assert_eq!(frag.free_frags_in_partial, 0);
         assert_eq!(s, crate::naive::free_space_stats_rescan(&fs, 4096));
-        assert_eq!(frag, crate::naive::frag_space_stats_rescan(&fs));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! The same goes for fsck: [`check_reference`] and [`claimed_reference`]
 //! are the retired one-`BTreeMap`-node-per-fragment walks that
-//! `crate::claims` replaced, held equal to [`crate::check`] and
-//! [`crate::repair`] by `tests/check_oracle.rs`.
+//! `crate::claims` replaced, held equal to [`crate::check()`] and
+//! [`crate::repair()`] by `tests/check_oracle.rs`.
 //!
 //! And for the write path: [`create_per_block`] is file creation as it
 //! was before [`crate::alloc`] took blocks by the extent — one
@@ -274,9 +274,8 @@ impl<K: SlabKey, V> RefTable<K, V> {
 /// counts maximal free runs of capped length `k + 1`, runs of `maxcontig`
 /// blocks or more pooled in the last bucket), the fragment summary
 /// (bucket `k` counts maximal free fragment runs of exactly `k + 1`
-/// fragments inside partially allocated blocks — `cg_frsum` semantics),
-/// the partial-block census (bucket `k` counts partial blocks with
-/// exactly `k + 1` allocated fragments) and the partial-block fit index
+/// fragments inside partially allocated blocks — `cg_frsum` semantics)
+/// and the partial-block fit index
 /// (a partial block whose longest free run is `r` fragments has its bit
 /// in levels `1..=r`). The incrementally maintained value in `CylGroup`
 /// must equal this after every operation.
@@ -289,7 +288,6 @@ pub fn recount_derived(cg: &CylGroup) -> Derived {
         free_words: vec![0u64; nwords],
         csum: vec![0u32; cap],
         frsum: vec![0u32; (fpb - 1) as usize],
-        fill_hist: vec![0u32; (fpb - 1) as usize],
         fit_words: vec![0u64; (fpb - 1) as usize * nwords],
     };
     let mut run = 0usize;
@@ -312,7 +310,6 @@ pub fn recount_derived(cg: &CylGroup) -> Derived {
         if byte == full {
             continue;
         }
-        d.fill_hist[(byte.count_ones() - 1) as usize] += 1;
         let mut frun = 0u32;
         let mut longest = 0u32;
         for i in 0..=fpb {
@@ -366,36 +363,6 @@ pub fn free_space_stats_rescan(
                 stats.longest_run = stats.longest_run.max(run);
                 run = 0;
             }
-        }
-    }
-    stats
-}
-
-/// Reference [`crate::freespace::frag_space_stats`]: the retired
-/// full-volume rescan, walking every group's partial-block lanes.
-pub fn frag_space_stats_rescan(fs: &crate::fs::Filesystem) -> crate::freespace::FragSpaceStats {
-    let fpb = fs.params().frags_per_block();
-    let mut stats = crate::freespace::FragSpaceStats {
-        partial_blocks: 0,
-        free_frags_in_partial: 0,
-        fill_hist: vec![0u64; (fpb - 1) as usize],
-        frsum_totals: vec![0u64; (fpb - 1) as usize],
-    };
-    for g in 0..fs.ncg() {
-        let cg = fs.cg(ffs_types::CgIdx(g));
-        let full = cg.full_lane();
-        for (i, &n) in cg.frag_summary().iter().enumerate() {
-            stats.frsum_totals[i] += n as u64;
-        }
-        for b in cg.meta_blocks()..cg.nblocks() {
-            let byte = cg.map_byte(b);
-            if byte == 0 || byte == full {
-                continue;
-            }
-            let used = byte.count_ones();
-            stats.partial_blocks += 1;
-            stats.free_frags_in_partial += (fpb - used) as u64;
-            stats.fill_hist[(used - 1) as usize] += 1;
         }
     }
     stats

@@ -591,10 +591,7 @@ mod tests {
             churn(&mut pristine, &mut rng, 60);
             assert_consistent(&pristine);
             let names = pristine.cgs[0].derived_mut().tables().map(|(name, _)| name);
-            assert_eq!(
-                names,
-                ["free_words", "csum", "frsum", "fill_hist", "fit_words"]
-            );
+            assert_eq!(names, ["free_words", "csum", "frsum", "fit_words"]);
             for (t, name) in names.into_iter().enumerate() {
                 let mut fs = pristine.clone();
                 let g = rng.gen_range(0..fs.cgs.len());

@@ -1,17 +1,15 @@
 //! Differential oracle for the free-space statistics.
 //!
 //! [`ffs::free_space_stats`] walks each group's derived free-block
-//! bitmap and [`ffs::frag_space_stats`] folds the per-group fragment
-//! summary and fill histogram that `cg.rs` maintains on every mutation;
-//! [`ffs::naive`] keeps block-at-a-time rescans of the fragment map
-//! itself. This suite drives random create/remove churn through the
+//! bitmap; [`ffs::naive`] keeps a block-at-a-time rescan of the fragment
+//! map itself. This suite drives random create/remove churn through the
 //! whole filesystem stack on three geometries — 512-block groups
 //! (`small_test`), 2920-block groups (`paper_502mb`), and 426-block
 //! groups (a 10 MB, 3-group layout) — and holds the two bit-equal, plus
 //! every group's derived state equal to its recount.
 
 use ffs::naive;
-use ffs::{frag_space_stats, free_space_stats, AllocPolicy, Filesystem};
+use ffs::{free_space_stats, AllocPolicy, Filesystem};
 use ffs_types::{CgIdx, DirId, FsParams, Ino, KB, MB};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,8 +53,8 @@ fn churn_once(fs: &mut Filesystem, dir: DirId, live: &mut Vec<Ino>, rng: &mut St
     }
 }
 
-/// The statistics vs the map rescans, and every group's derived state
-/// vs its naive recount.
+/// The free-space walk vs the map rescan, and every group's derived
+/// state vs its naive recount.
 fn assert_stats_exact(fs: &Filesystem) {
     for hist_max in [0, 8, 64, 4096] {
         assert_eq!(
@@ -65,11 +63,6 @@ fn assert_stats_exact(fs: &Filesystem) {
             "free-space walk drifted from the rescan (hist_max {hist_max})"
         );
     }
-    assert_eq!(
-        frag_space_stats(fs),
-        naive::frag_space_stats_rescan(fs),
-        "fragment-fill merge drifted from the rescan"
-    );
     for g in 0..fs.ncg() {
         let cg = fs.cg(CgIdx(g));
         assert_eq!(cg.derived_drift(), [], "cg {g}: derived state drifted");

@@ -182,6 +182,41 @@ fn smallfile_matches_committed_golden_and_ignores_worker_count() {
 }
 
 #[test]
+fn pareto_matches_committed_golden_and_ignores_worker_count() {
+    // The committed fixture under tests/golden/pareto10 was produced by
+    // `harness pareto --days 10 --seed 1996 --no-cache`. Every planner
+    // moves blocks within ten days, so the twelve defragmenting rows pin
+    // what each policy plans, not just that a zero budget changes nothing.
+    let base = std::env::temp_dir().join(format!("harness-pareto-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let run = |jobs: usize| -> Vec<u8> {
+        let out = base.join(format!("j{jobs}"));
+        let o = Options {
+            days: 10,
+            seed: 1996,
+            no_cache: true,
+            ..opts(&out, jobs)
+        };
+        let summary = driver::run(&o, &["pareto"]).expect("driver runs");
+        assert!(summary.all_ok(), "pareto failed");
+        fs::read(out.join("pareto.tsv")).expect("tsv written")
+    };
+    let got = run(1);
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/pareto10/pareto.tsv");
+    assert_eq!(
+        got,
+        fs::read(&golden).expect("golden fixture"),
+        "pareto.tsv diverged from the committed days-10 golden"
+    );
+    assert_eq!(
+        got,
+        run(4),
+        "pareto.tsv differs between --jobs 1 and --jobs 4"
+    );
+    let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
 fn sweep_blocks_age_the_same_workload_and_ignore_worker_count() {
     // `sweep` has no golden; its two blocks check each other instead.
     // The default variant of the second block (`bestfit_split`) is the

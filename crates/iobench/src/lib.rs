@@ -18,4 +18,4 @@ pub mod sequential;
 
 pub use hotfiles::{run_hot_files, sort_by_directory, HotFilesResult};
 pub use map::{FsDiskMap, IoEngine};
-pub use sequential::{paper_file_sizes, run_point, run_sweep, SeqBenchConfig, SeqPoint};
+pub use sequential::{paper_file_sizes, run_point, SeqBenchConfig, SeqPoint};

@@ -150,14 +150,6 @@ pub fn run_point(aged: &Filesystem, config: &SeqBenchConfig, file_size: u64) -> 
     })
 }
 
-/// Runs the full sweep of [`paper_file_sizes`].
-pub fn run_sweep(aged: &Filesystem, config: &SeqBenchConfig) -> FsResult<Vec<SeqPoint>> {
-    paper_file_sizes()
-        .into_iter()
-        .map(|size| run_point(aged, config, size))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 //!   [`metrics::Histogram`]s. Registration (first use of a name) takes a
 //!   mutex once; every increment after that is a relaxed atomic
 //!   operation on a handle cached at the call site.
-//! * [`span`] — hierarchical timing spans. `let _s = obs::span!("x");`
+//! * [`mod@span`] — hierarchical timing spans. `let _s = obs::span!("x");`
 //!   opens a span until end of scope; nested spans build a per-run
 //!   profile tree (wall time and call counts per path), aggregated
 //!   across threads (each thread nests independently, all threads share

@@ -70,5 +70,5 @@ pub mod prelude {
         size_bins_paper, AllocPolicy, Filesystem, RepairReport, Violation,
     };
     pub use ffs_types::{DiskParams, FsParams, KB, MB};
-    pub use iobench::{run_hot_files, run_point, run_sweep, SeqBenchConfig};
+    pub use iobench::{run_hot_files, run_point, SeqBenchConfig};
 }
