@@ -100,11 +100,11 @@ impl Checkpoint {
             out.push(' ');
             push_tail(out, f.tail);
             out.push(' ');
-            push_addrs(out, &f.indirects);
+            push_addrs(out, f.indirects());
             out.push('\n');
         }
         for (fid, ino) in &self.live {
-            line(out, "live", &[fid.0, ino.0.into()]);
+            line(out, "live", &[fid.0.into(), ino.0.into()]);
         }
         for &(rotor, irotor) in &self.rotors {
             line(out, "rotor", &[rotor.into(), irotor.into()]);
@@ -135,15 +135,23 @@ impl Checkpoint {
                     ino_slot: f.num("ino slot")?,
                     nfiles: f.num("nfiles")?,
                 }),
-                "file" => files.push(FileMeta {
-                    ino: Ino(f.num("ino")?),
-                    dir: DirId(f.num("dir")?),
-                    size: f.num("size")?,
-                    mtime_day: f.num("mtime")?,
-                    blocks: f.addrs("block")?,
-                    tail: f.tail("tail")?,
-                    indirects: f.addrs("indirect")?,
-                }),
+                "file" => {
+                    let mut meta = FileMeta {
+                        ino: Ino(f.num("ino")?),
+                        dir: DirId(f.num("dir")?),
+                        // Every file size is below 4 GiB (`Filesystem::create`
+                        // rejects larger), and a workload op holds it as a
+                        // `u32`: a bigger one is damage.
+                        size: f.num::<u32>("size")?.into(),
+                        mtime_day: f.num("mtime")?,
+                        blocks: f.addrs("block")?,
+                        tail: f.tail("tail")?,
+                    };
+                    for d in f.addrs::<Vec<Daddr>>("indirect")? {
+                        meta.blocks.push_indirect(d);
+                    }
+                    files.push(meta);
+                }
                 "live" => live.push((FileId(f.num("file id")?), Ino(f.num("ino")?))),
                 "rotor" => rotors.push((f.num("rotor")?, f.num("inode rotor")?)),
                 other => return Err(f.err(format_args!("unknown record {other:?}"))),
@@ -187,7 +195,7 @@ impl Checkpoint {
         // multi-gigabyte allocation. Real ids are issued sequentially
         // per create — even a years-long paper-scale run stays orders
         // of magnitude below this.
-        const MAX_LIVE_FILE_ID: u64 = 1 << 28;
+        const MAX_LIVE_FILE_ID: u32 = 1 << 28;
         let mut live = LiveMap::new();
         for &(fid, ino) in &self.live {
             if fid.0 >= MAX_LIVE_FILE_ID {
@@ -262,6 +270,24 @@ mod tests {
         assert!(Checkpoint::from_text("# checkpoint day 3\nbytes nope").is_err());
         // Missing the mandatory bytes/skipped lines.
         assert!(Checkpoint::from_text("# checkpoint day 3\n").is_err());
+        // File ids and file sizes are `u32`s in a workload op: a record
+        // one past that range is an error naming the field, never a
+        // wrapped value.
+        let head = "# checkpoint day 3\nbytes 0\nskipped 0\n";
+        let ok = format!("{head}live 4294967295 7\n");
+        assert_eq!(
+            Checkpoint::from_text(&ok).unwrap().live,
+            [(FileId(u32::MAX), Ino(7))]
+        );
+        let e = Checkpoint::from_text(&format!("{head}live 4294967296 7\n")).unwrap_err();
+        assert!(e.contains("line 4: bad file id"), "{e}");
+        let file = |size: u64| format!("{head}file 5 0 {size} 0 - - -\n");
+        assert_eq!(
+            Checkpoint::from_text(&file(u32::MAX.into())).unwrap().files[0].size,
+            u32::MAX.into()
+        );
+        let e = Checkpoint::from_text(&file(1 << 32)).unwrap_err();
+        assert!(e.contains("line 4: bad size"), "{e}");
     }
 
     #[test]
@@ -296,7 +322,7 @@ mod tests {
         assert!(matches!(e, FsError::Corrupt(_)), "got {e:?}");
         // Dangling live-map entry.
         let mut dangle = ck.clone();
-        dangle.live.push((FileId(u64::MAX), Ino(u32::MAX)));
+        dangle.live.push((FileId(u32::MAX), Ino(u32::MAX)));
         let e = dangle.restore(params, AllocPolicy::Realloc).unwrap_err();
         assert!(matches!(e, FsError::Corrupt(_)), "got {e:?}");
     }

@@ -100,7 +100,8 @@ impl LiveMap {
             .iter()
             .enumerate()
             .filter(|(_, &s)| s != EMPTY && s != TOMB)
-            .map(|(i, &s)| (FileId(i as u64), Ino(s)))
+            // Slots are indexed by `u32` ids, so every index fits one.
+            .map(|(i, &s)| (FileId(i as u32), Ino(s)))
     }
 }
 
@@ -143,11 +144,11 @@ mod tests {
     #[test]
     fn iteration_is_in_file_id_order() {
         let mut m = LiveMap::new();
-        for &(f, i) in &[(9u64, 90u32), (2, 20), (5, 50)] {
+        for &(f, i) in &[(9u32, 90u32), (2, 20), (5, 50)] {
             m.insert(FileId(f), Ino(i));
         }
         m.remove(&FileId(5));
-        let pairs: Vec<(u64, u32)> = m.iter().map(|(f, i)| (f.0, i.0)).collect();
+        let pairs: Vec<(u32, u32)> = m.iter().map(|(f, i)| (f.0, i.0)).collect();
         assert_eq!(pairs, vec![(2, 20), (9, 90)]);
     }
 

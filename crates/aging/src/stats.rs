@@ -42,6 +42,7 @@ impl WorkloadStats {
                     file, size, kind, ..
                 } => {
                     self.creates += 1;
+                    let size = u64::from(size);
                     self.bytes_written += size;
                     match kind {
                         Lifetime::Short => self.short_creates += 1,

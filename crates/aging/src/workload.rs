@@ -27,9 +27,11 @@ use crate::config::AgingConfig;
 use crate::sizes::{sample_count, sample_size, std_normal, weighted_index};
 
 /// Stable identifier for a workload file, independent of the inode number
-/// the replayed file system will assign.
+/// the replayed file system will assign. Ids are issued sequentially from
+/// zero, one per create: a `u32` outlasts any run by orders of magnitude
+/// (the 300-day paper workload issues about half a million).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FileId(pub u64);
+pub struct FileId(pub u32);
 
 /// Whether a file comes from the snapshot (long-lived) or NFS
 /// (short-lived) model. Reported in workload statistics.
@@ -41,7 +43,9 @@ pub enum Lifetime {
     Short,
 }
 
-/// One workload operation.
+/// One workload operation: 16 bytes, because a held workload is millions
+/// of them. The fields of [`Op::Create`] take 13 bytes and the variant
+/// tag lives in [`Lifetime`]'s spare byte values.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Op {
     /// Create a file of `size` bytes in the directory of cylinder group
@@ -51,8 +55,9 @@ pub enum Op {
         file: FileId,
         /// Target cylinder group.
         cg: CgIdx,
-        /// File size in bytes.
-        size: u64,
+        /// File size in bytes (below 4 GiB, as every file size is:
+        /// [`ffs::Filesystem::create`] rejects larger).
+        size: u32,
         /// Long- or short-lived provenance.
         kind: Lifetime,
     },
@@ -184,12 +189,12 @@ impl CreatedToday {
     }
 
     fn insert(&mut self, id: FileId, t: f64) {
-        debug_assert_eq!(id.0, self.first + self.times.len() as u64);
+        debug_assert_eq!(u64::from(id.0), self.first + self.times.len() as u64);
         self.times.push(t);
     }
 
     fn get(&self, id: FileId) -> Option<f64> {
-        let i = usize::try_from(id.0.checked_sub(self.first)?).ok()?;
+        let i = usize::try_from(u64::from(id.0).checked_sub(self.first)?).ok()?;
         self.times.get(i).copied()
     }
 }
@@ -258,7 +263,7 @@ impl Iterator for Days {
         let mut live = std::mem::take(&mut self.live);
         let mut live_bytes = self.live_bytes;
         let fresh = |n: &mut u64| {
-            let id = FileId(*n);
+            let id = FileId(u32::try_from(*n).expect("a workload issues fewer than 2^32 file ids"));
             *n += 1;
             id
         };
@@ -299,7 +304,7 @@ impl Iterator for Days {
                 Op::Create {
                     file: id,
                     cg: old.cg,
-                    size: new_size,
+                    size: op_size(new_size),
                     kind: Lifetime::Long,
                 },
             );
@@ -335,7 +340,7 @@ impl Iterator for Days {
                 Op::Create {
                     file: id,
                     cg,
-                    size,
+                    size: op_size(size),
                     kind: Lifetime::Long,
                 },
             );
@@ -386,7 +391,7 @@ impl Iterator for Days {
                         Op::Create {
                             file: id,
                             cg,
-                            size,
+                            size: op_size(size),
                             kind: Lifetime::Long,
                         },
                     );
@@ -447,7 +452,7 @@ impl Iterator for Days {
                 Op::Create {
                     file: id,
                     cg,
-                    size,
+                    size: op_size(size),
                     kind: Lifetime::Short,
                 },
             );
@@ -489,6 +494,14 @@ impl Iterator for Days {
         let left = (self.config.days - self.day) as usize;
         (left, Some(left))
     }
+}
+
+/// `size`, drawn from one of the configuration's
+/// [`SizeDist`](crate::config::SizeDist)s, as an
+/// [`Op::Create`] size. Every profile's distribution tops out far below
+/// 4 GiB; one that does not is a configuration error, named as such.
+fn op_size(size: u64) -> u32 {
+    u32::try_from(size).expect("a size distribution's max is below 4 GiB (Op::Create holds a u32)")
 }
 
 /// Generates the aging workload for a file system with `ncg` cylinder
@@ -662,7 +675,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xCAFE);
         let mut day = DayOps::new();
         let mut reference: Vec<(f64, Op)> = Vec::new();
-        for i in 0..800u64 {
+        for i in 0..800u32 {
             // Coarse timestamps force plenty of ties, and the negative,
             // signed-zero and past-one values the key mapping must order
             // as `total_cmp` does.
@@ -680,6 +693,13 @@ mod tests {
         reference.sort_by(|a, b| a.0.total_cmp(&b.0));
         let expect: Vec<Op> = reference.into_iter().map(|(_, op)| op).collect();
         assert_eq!(day.into_sorted(), expect);
+    }
+
+    #[test]
+    fn op_is_sixteen_bytes() {
+        // `ffsbench age-smallfile` holds six workloads, 4.7 M ops: each
+        // byte here is 4.7 MB of its `peak_rss_mb`.
+        assert_eq!(std::mem::size_of::<Op>(), 16);
     }
 
     #[test]

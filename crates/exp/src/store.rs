@@ -511,8 +511,17 @@ mod tests {
                 resealed(&original, |t| t.replacen("\ndaily 3 ", "\ndaily 4 ", 1)),
                 "day 4 where day 3 belongs",
             ),
+            // A live file id one past the `u32` a workload op holds is
+            // rejected by name, never wrapped onto a real id.
+            (
+                resealed(&original, |t| {
+                    t.replacen("\nlive ", "\nlive 4294967296 1\nlive ", 1)
+                }),
+                "bad file id: number too large",
+            ),
         ] {
             let e = parse_aged(&bad, &cold.key, &params, AllocPolicy::Realloc).unwrap_err();
+            assert!(matches!(e, FsError::Corrupt(_)), "got {e:?}");
             assert!(e.to_string().contains(why), "wanted {why:?}, got {e}");
         }
 
@@ -673,8 +682,8 @@ mod tests {
         let mut b = warm.result.fs.clone();
         let da = a.mkdir().unwrap();
         let db = b.mkdir().unwrap();
-        let ia = a.create(da, 100 * 1024, 99).unwrap();
-        let ib = b.create(db, 100 * 1024, 99).unwrap();
+        let ia = a.create(da, 100 * 1024u64, 99).unwrap();
+        let ib = b.create(db, 100 * 1024u64, 99).unwrap();
         assert_eq!(ia, ib);
         assert_eq!(
             a.file(ia).unwrap().blocks,

@@ -603,7 +603,7 @@ impl AllocEngine<'_> {
                 let n_meta = if lbn == NDADDR + nindir { 2 } else { 1 };
                 for _ in 0..n_meta {
                     let ind = self.alloc_block(cur_cg, None)?;
-                    meta.indirects.push(ind);
+                    meta.blocks.push_indirect(ind);
                     prev = Some(ind);
                     cur_cg = geom.dtog(ind);
                 }
@@ -648,7 +648,7 @@ impl AllocEngine<'_> {
     fn window_pref(&self, meta: &FileMeta, wstart: u32) -> Option<Daddr> {
         let fpb = self.geom.fpb;
         if opens_indirect_region(self.params, wstart) {
-            let ind = meta.indirects[indirects_needed(self.params, wstart + 1) - 1];
+            let ind = meta.indirects()[indirects_needed(self.params, wstart + 1) - 1];
             return Some(Daddr(ind.0 + fpb));
         }
         let before = meta.blocks.get((wstart as usize).checked_sub(1)?)?;

@@ -278,7 +278,7 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
                 });
             }
         }
-        for &b in &f.indirects {
+        for &b in f.indirects() {
             mark(&mut errs, "indirect block", f.ino, b, fpb);
         }
         if let Some((d, n)) = f.tail {
@@ -288,7 +288,7 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
             }
         }
         data_frags += f.data_frags_at(fpb);
-        meta_frags += f.indirects.len() as u64 * fpb as u64;
+        meta_frags += f.indirects().len() as u64 * fpb as u64;
         // The inode slot must be allocated in its group.
         let (cg, slot) = fs.geom.itog(f.ino);
         if !fs.cg(cg).inode_used(slot) {

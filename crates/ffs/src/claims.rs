@@ -128,7 +128,7 @@ impl ClaimMap {
     /// lies outside the volume.
     fn claim_file(&mut self, f: &FileMeta, fpb: u32) -> bool {
         let runs = || {
-            let blocks = f.blocks.iter().chain(&f.indirects);
+            let blocks = f.blocks.iter().chain(f.indirects());
             blocks.map(|&b| (b, fpb)).chain(f.tail)
         };
         for (i, (d, n)) in runs().enumerate() {
@@ -267,7 +267,7 @@ mod tests {
         // (never reached) an address outside the volume.
         let mut thief = other.clone();
         thief.blocks.push(first.blocks[1]);
-        thief.indirects.push(Daddr(u32::MAX - 9));
+        thief.blocks.push_indirect(Daddr(u32::MAX - 9));
         assert!(!map.claim_file(&thief, fpb));
         assert_eq!(map, before, "rollback left bits behind");
         // A file that claims one of its own blocks twice clashes with

@@ -297,8 +297,11 @@ impl Filesystem {
     ///
     /// Returns the new file's inode number. On allocation failure
     /// (`FsError::NoSpace`), everything the call allocated is released.
-    pub fn create(&mut self, dir: DirId, size: u64, day: u32) -> FsResult<Ino> {
-        self.create_with(dir, size, day, |eng, meta, dcg, size| {
+    /// A size above 4 GiB (`u32::MAX`) is [`FsError::InvalidArg`]: a
+    /// workload op holds its size as a `u32`, so every file size is one.
+    /// `size` takes that `u32` as readily as a `u64`.
+    pub fn create(&mut self, dir: DirId, size: impl Into<u64>, day: u32) -> FsResult<Ino> {
+        self.create_with(dir, size.into(), day, |eng, meta, dcg, size| {
             eng.write_blocks(meta, dcg, size)
         })
     }
@@ -320,6 +323,9 @@ impl Filesystem {
                 max: self.params.max_file_size(),
             });
         }
+        if size > u32::MAX.into() {
+            return Err(FsError::InvalidArg("file size above 4 GiB"));
+        }
         let dcg = self.dirs.get(&dir).ok_or(FsError::NoSuchDir(dir))?.cg;
         let mut eng = self.engine();
         let ino = eng.alloc_inode_pref(dcg)?;
@@ -329,14 +335,13 @@ impl Filesystem {
             size,
             blocks: BlockList::new(),
             tail: None,
-            indirects: Vec::new(),
             mtime_day: day,
         };
         let res = write_blocks(&mut eng, &mut meta, dcg, size);
         let fpb = self.geom.fpb;
         match res {
             Ok(()) => {
-                self.used_meta_frags += meta.indirects.len() as u64 * fpb as u64;
+                self.used_meta_frags += meta.indirects().len() as u64 * fpb as u64;
                 if let Some((opt, scored)) = meta.layout_counts_at(fpb) {
                     self.agg.opt += opt;
                     self.agg.scored += scored;
@@ -382,7 +387,7 @@ impl Filesystem {
             self.agg.scored -= scored;
         }
         self.used_data_frags -= meta.data_frags_at(fpb);
-        self.used_meta_frags -= meta.indirects.len() as u64 * fpb as u64;
+        self.used_meta_frags -= meta.indirects().len() as u64 * fpb as u64;
         if let Some(d) = self.dirs.get_mut(&meta.dir) {
             d.nfiles -= 1;
         }
@@ -474,7 +479,7 @@ impl Filesystem {
             let blocks_ok = f
                 .blocks
                 .iter()
-                .chain(f.indirects.iter())
+                .chain(f.indirects())
                 .all(|&b| geom.is_block(b));
             let tail_ok = f.tail.is_none_or(|(d, n)| {
                 (1..fpb).contains(&n)
@@ -600,8 +605,8 @@ impl Filesystem {
                 }
                 None => eat(0),
             }
-            eat(f.indirects.len() as u64);
-            for b in &f.indirects {
+            eat(f.indirects().len() as u64);
+            for b in f.indirects() {
                 eat(b.0 as u64);
             }
         }
@@ -646,7 +651,7 @@ impl Filesystem {
     /// maps (shared by delete and create-rollback), the blocks one
     /// contiguous run at a time.
     pub(crate) fn release_meta_space(&mut self, meta: &FileMeta) {
-        let blocks = meta.blocks.iter().chain(&meta.indirects);
+        let blocks = meta.blocks.iter().chain(meta.indirects());
         self.engine().free_blocks(blocks.copied());
         if let Some((d, n)) = meta.tail {
             let cg = &mut self.cgs[self.geom.dtog(d).0 as usize];
@@ -765,7 +770,7 @@ mod tests {
         let m = f.file(ino).unwrap();
         assert_eq!(m.blocks.len(), 13);
         assert!(m.tail.is_none());
-        assert_eq!(m.indirects.len(), 1);
+        assert_eq!(m.indirects().len(), 1);
     }
 
     #[test]
@@ -784,12 +789,12 @@ mod tests {
         let ino = f.create(d, 104 * KB, 0).unwrap();
         let m = f.file(ino).unwrap();
         assert_eq!(m.blocks.len(), 13);
-        assert_eq!(m.indirects.len(), 1);
+        assert_eq!(m.indirects().len(), 1);
         let p = f.params();
         // Block 12 lives in a different group than block 11...
         assert_ne!(p.dtog(m.blocks[11]), p.dtog(m.blocks[12]));
         // ...and the same group as its indirect block.
-        assert_eq!(p.dtog(m.indirects[0]), p.dtog(m.blocks[12]));
+        assert_eq!(p.dtog(m.indirects()[0]), p.dtog(m.blocks[12]));
         // So the 13th block can never be optimal: score <= 11/12.
         let (opt, scored) = m.layout_counts(p).unwrap();
         assert_eq!(scored, 12);
@@ -958,7 +963,7 @@ mod tests {
     #[test]
     fn zero_size_file_is_legal() {
         let (mut f, d) = fs(AllocPolicy::Orig);
-        let ino = f.create(d, 0, 0).unwrap();
+        let ino = f.create(d, 0u64, 0).unwrap();
         let m = f.file(ino).unwrap();
         assert_eq!(m.nchunks(), 0);
         assert_eq!(m.layout_score(f.params()), None);
@@ -973,5 +978,12 @@ mod tests {
             f.create(d, max + 1, 0),
             Err(FsError::FileTooLarge { .. })
         ));
+        // Below the volume's limit but past what a workload op holds.
+        assert!(max > u32::MAX.into());
+        assert!(matches!(
+            f.create(d, u64::from(u32::MAX) + 1, 0),
+            Err(FsError::InvalidArg(_))
+        ));
+        assert_eq!(f.nfiles(), 0, "a rejected create allocates nothing");
     }
 }

@@ -9,7 +9,9 @@ use crate::table::BlockList;
 /// physical address of each logical block; the indirect *blocks* are still
 /// tracked because they consume space and force the cylinder-group switch
 /// described in footnote 1 of the paper.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// At most 64 bytes: an aged image holds tens of thousands of these.
+#[derive(Clone, Debug)]
 pub struct FileMeta {
     /// The file's inode number.
     pub ino: Ino,
@@ -18,19 +20,46 @@ pub struct FileMeta {
     /// File size in bytes.
     pub size: u64,
     /// Physical address of each full data block, in logical order.
-    /// Inline up to [`BlockList::INLINE`] blocks, copy-on-write beyond.
+    /// Inline up to [`BlockList::INLINE`] blocks, copy-on-write beyond;
+    /// the spill also holds the indirect-block addresses
+    /// ([`FileMeta::indirects`]).
     pub blocks: BlockList,
     /// Tail fragment run `(address, length_in_frags)` when the last
     /// partial block is fragment-allocated.
     pub tail: Option<(Daddr, u32)>,
-    /// Addresses of indirect (metadata) blocks, in allocation order.
-    pub indirects: Vec<Daddr>,
     /// Day (or other tick) the file was last written; used by the aging
     /// study to select the "hot" file set.
     pub mtime_day: u32,
 }
 
+impl PartialEq for FileMeta {
+    fn eq(&self, other: &Self) -> bool {
+        // `BlockList` equality covers the data blocks only, so the
+        // indirect addresses are compared here.
+        let FileMeta {
+            ino,
+            dir,
+            size,
+            blocks,
+            tail,
+            mtime_day,
+        } = self;
+        *ino == other.ino
+            && *dir == other.dir
+            && *size == other.size
+            && *blocks == other.blocks
+            && blocks.indirects() == other.blocks.indirects()
+            && *tail == other.tail
+            && *mtime_day == other.mtime_day
+    }
+}
+
 impl FileMeta {
+    /// Addresses of indirect (metadata) blocks, in allocation order.
+    pub fn indirects(&self) -> &[Daddr] {
+        self.blocks.indirects()
+    }
+
     /// Number of scored chunks: full blocks plus the tail run. The layout
     /// score is defined over these (Section 3.3).
     pub fn nchunks(&self) -> usize {
@@ -125,9 +154,25 @@ mod tests {
             size: 0,
             blocks: blocks.into_iter().map(Daddr).collect(),
             tail: tail.map(|(d, n)| (Daddr(d), n)),
-            indirects: Vec::new(),
             mtime_day: 0,
         }
+    }
+
+    #[test]
+    fn file_meta_fits_sixty_four_bytes() {
+        // An aged image holds one per file: `ffsbench age-smallfile`'s
+        // six final images hold 365 k of them in its `peak_rss_mb`.
+        assert!(std::mem::size_of::<FileMeta>() <= 64);
+    }
+
+    #[test]
+    fn equality_covers_the_indirect_blocks() {
+        let a = meta((0..13).map(|i| 100 + 8 * i).collect(), None);
+        let mut b = a.clone();
+        assert_eq!(a, b);
+        b.blocks.push_indirect(Daddr(4000));
+        assert_ne!(a, b);
+        assert_eq!(b.indirects(), [Daddr(4000)]);
     }
 
     #[test]

@@ -475,7 +475,7 @@ pub fn check_reference(fs: &Filesystem) -> Vec<Violation> {
                 });
             }
         }
-        for &b in &f.indirects {
+        for &b in f.indirects() {
             mark(&mut errs, "indirect block", b, fpb);
         }
         if let Some((d, n)) = f.tail {
@@ -485,7 +485,7 @@ pub fn check_reference(fs: &Filesystem) -> Vec<Violation> {
             }
         }
         data_frags += f.data_frags(params);
-        meta_frags += f.indirects.len() as u64 * fpb as u64;
+        meta_frags += f.indirects().len() as u64 * fpb as u64;
         // The inode slot must be allocated in its group.
         let (cg, slot) = params.ino_to_cg(f.ino);
         if !fs.cg(cg).inode_used(slot) {
@@ -613,7 +613,7 @@ pub fn claimed_reference(fs: &Filesystem, condemned: &mut BTreeSet<Ino>) -> (BTr
             continue;
         }
         let mut frags: Vec<u32> = Vec::new();
-        for &b in f.blocks.iter().chain(f.indirects.iter()) {
+        for &b in f.blocks.iter().chain(f.indirects()) {
             frags.extend((0..fpb).map(|i| b.0 + i));
         }
         if let Some((d, n)) = f.tail {
@@ -704,7 +704,7 @@ fn write_blocks_per_block(
             };
             for _ in 0..n_meta {
                 let ind = eng.alloc_block(cur_cg, None)?;
-                meta.indirects.push(ind);
+                meta.blocks.push_indirect(ind);
                 prev = Some(ind);
                 cur_cg = eng.params.dtog(ind);
             }

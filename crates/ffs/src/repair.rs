@@ -148,7 +148,7 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
         let (g, slot) = geom.itog(f.ino);
         mark_slot(cgs, g, slot);
         used_data += f.data_frags_at(geom.fpb);
-        used_meta += f.indirects.len() as u64 * fpb;
+        used_meta += f.indirects().len() as u64 * fpb;
         if let Some(d) = dirs.get_mut(&f.dir) {
             d.nfiles += 1;
         }

@@ -16,8 +16,9 @@
 //!   inline-then-spill layout: up to [`BlockList::INLINE`] addresses live
 //!   inside the inode itself (short-lived files — the majority, per the
 //!   paper's trace analysis — never touch the heap), longer files spill
-//!   into a shared, copy-on-write `Arc<Vec<_>>` so cloning a block list
-//!   for a nightly snapshot is O(1).
+//!   into a shared, copy-on-write `Arc` so cloning a block list for a
+//!   nightly snapshot is O(1). The spill also holds the file's indirect
+//!   block addresses, which only a long file has.
 //!
 //! The slab's ground truth is the packed values and the key recorded
 //! beside each one; the `key → slot` index and the occupancy bitmap are
@@ -352,48 +353,126 @@ impl<'a, V> Iterator for SlabValues<'a, V> {
 // ----------------------------------------------------------------------
 
 /// A file's data-block addresses in logical order, inline up to
-/// [`BlockList::INLINE`] entries and copy-on-write shared beyond.
+/// [`BlockList::INLINE`] entries and copy-on-write shared beyond — and,
+/// in the shared spill, the file's indirect-block addresses.
 ///
 /// Dereferences to `&[Daddr]` (and `&mut [Daddr]`, which triggers the
 /// copy-on-write), so slice indexing, iteration, and `windows` work as
 /// they did on the `Vec` it replaces. `Clone` never copies a spilled
 /// vector — it bumps the `Arc` — which is what makes nightly snapshots
 /// zero-copy; the first mutation after a share pays the copy instead.
+///
+/// 32 bytes: the inline addresses share their space with the spill
+/// pointer, and the inline length's spare values tell the two apart.
 #[derive(Clone)]
 pub struct BlockList {
-    len: u32,
-    inline: [Daddr; BlockList::INLINE],
-    spill: Option<Arc<Vec<Daddr>>>,
+    repr: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` addresses in place; no indirect block.
+    Inline(InlineLen, [Daddr; BlockList::INLINE]),
+    /// Everything on the heap, shared copy-on-write.
+    Spill(Arc<Spill>),
+}
+
+/// A spilled list. An indirect block only exists once a file has more
+/// than `NDADDR` (12) blocks, so a file that has one is always spilled,
+/// and its addresses ride here instead of in a field of every inode.
+#[derive(Clone)]
+struct Spill {
+    blocks: Vec<Daddr>,
+    indirects: Vec<Daddr>,
+}
+
+/// An inline list's length, `0..=INLINE`. An enum rather than an
+/// integer so that its other byte values are free to tag [`Repr`]: that
+/// is what fits a [`BlockList`] in 32 bytes.
+#[derive(Clone, Copy)]
+#[repr(u8)]
+enum InlineLen {
+    L0,
+    L1,
+    L2,
+    L3,
+    L4,
+    L5,
+    L6,
+    L7,
+}
+
+impl InlineLen {
+    /// `n` as an inline length; `n` is at most [`BlockList::INLINE`].
+    fn new(n: usize) -> InlineLen {
+        use InlineLen::*;
+        [L0, L1, L2, L3, L4, L5, L6, L7][n]
+    }
 }
 
 impl BlockList {
-    /// Addresses stored inline before spilling to the heap. Files up to
-    /// 64 KB at the paper's 8 KB block size stay inline — which covers
-    /// the short-lived majority of the aging workload.
-    pub const INLINE: usize = 8;
+    /// Addresses stored inline before spilling to the heap: one
+    /// `maxcontig` cluster, 56 KB at the paper's 8 KB block size, which
+    /// holds the short-lived majority of the aging workload.
+    pub const INLINE: usize = 7;
 
     /// An empty block list.
     pub fn new() -> Self {
         BlockList {
-            len: 0,
-            inline: [Daddr(0); Self::INLINE],
-            spill: None,
+            repr: Repr::Inline(InlineLen::L0, [Daddr(0); Self::INLINE]),
+        }
+    }
+
+    /// The inline list of `blocks`, which holds at most
+    /// [`BlockList::INLINE`] addresses.
+    fn inline(blocks: &[Daddr]) -> Self {
+        let mut inline = [Daddr(0); Self::INLINE];
+        inline[..blocks.len()].copy_from_slice(blocks);
+        BlockList {
+            repr: Repr::Inline(InlineLen::new(blocks.len()), inline),
+        }
+    }
+
+    /// The spilled list of `blocks`, with no indirect block.
+    fn spilled(blocks: Vec<Daddr>) -> Self {
+        let indirects = Vec::new();
+        BlockList {
+            repr: Repr::Spill(Arc::new(Spill { blocks, indirects })),
         }
     }
 
     /// The addresses as a slice.
     pub fn as_slice(&self) -> &[Daddr] {
-        match &self.spill {
-            Some(v) => v,
-            None => &self.inline[..self.len as usize],
+        match &self.repr {
+            Repr::Inline(len, inline) => &inline[..*len as usize],
+            Repr::Spill(s) => &s.blocks,
         }
     }
 
     /// The addresses as a mutable slice (copies a shared spill first).
     pub fn as_mut_slice(&mut self) -> &mut [Daddr] {
-        match &mut self.spill {
-            Some(v) => Arc::make_mut(v).as_mut_slice(),
-            None => &mut self.inline[..self.len as usize],
+        match &mut self.repr {
+            Repr::Inline(len, inline) => &mut inline[..*len as usize],
+            Repr::Spill(s) => &mut Arc::make_mut(s).blocks,
+        }
+    }
+
+    /// The file's indirect-block addresses, in allocation order.
+    pub fn indirects(&self) -> &[Daddr] {
+        match &self.repr {
+            Repr::Inline(..) => &[],
+            Repr::Spill(s) => &s.indirects,
+        }
+    }
+
+    /// Appends an indirect-block address, spilling the list if it is
+    /// still inline.
+    pub fn push_indirect(&mut self, d: Daddr) {
+        if let Repr::Inline(..) = self.repr {
+            *self = Self::spilled(self.as_slice().to_vec());
+        }
+        if let Repr::Spill(s) = &mut self.repr {
+            Arc::make_mut(s).indirects.push(d);
         }
     }
 
@@ -408,51 +487,44 @@ impl BlockList {
     /// lot.
     pub fn push_run(&mut self, first: Daddr, n: u32, stride: u32) {
         let run = (0..n).map(|i| Daddr(first.0 + i * stride));
-        let (len, total) = (self.len as usize, (self.len + n) as usize);
-        match &mut self.spill {
-            Some(v) => Arc::make_mut(v).extend(run),
-            None if total <= Self::INLINE => {
-                for (slot, d) in self.inline[len..total].iter_mut().zip(run) {
-                    *slot = d;
+        match &mut self.repr {
+            Repr::Spill(s) => Arc::make_mut(s).blocks.extend(run),
+            Repr::Inline(len, inline) => {
+                let (at, total) = (*len as usize, *len as usize + n as usize);
+                if total <= Self::INLINE {
+                    for (slot, d) in inline[at..total].iter_mut().zip(run) {
+                        *slot = d;
+                    }
+                    *len = InlineLen::new(total);
+                } else {
+                    let mut v = Vec::with_capacity(total.max(Self::INLINE * 2));
+                    v.extend_from_slice(&inline[..at]);
+                    v.extend(run);
+                    *self = Self::spilled(v);
                 }
             }
-            None => {
-                let mut v = Vec::with_capacity(total.max(Self::INLINE * 2));
-                v.extend_from_slice(&self.inline[..len]);
-                v.extend(run);
-                self.spill = Some(Arc::new(v));
-            }
         }
-        self.len += n;
     }
 
-    /// Removes and returns the last address.
+    /// Removes and returns the last address. A spilled list with no
+    /// indirect block that shrinks back to [`BlockList::INLINE`]
+    /// addresses moves back inline.
     pub fn pop(&mut self) -> Option<Daddr> {
-        if self.len == 0 {
-            return None;
-        }
-        let d = match &mut self.spill {
-            Some(v) => {
-                let d = Arc::make_mut(v).pop().expect("len tracked");
-                self.len -= 1;
-                if self.len as usize <= Self::INLINE {
-                    self.inline[..self.len as usize].copy_from_slice(v);
-                    self.spill = None;
+        match &mut self.repr {
+            Repr::Inline(len, inline) => {
+                let n = (*len as usize).checked_sub(1)?;
+                *len = InlineLen::new(n);
+                Some(inline[n])
+            }
+            Repr::Spill(s) => {
+                let s = Arc::make_mut(s);
+                let d = s.blocks.pop()?;
+                if s.blocks.len() <= Self::INLINE && s.indirects.is_empty() {
+                    *self = Self::inline(&s.blocks);
                 }
-                d
+                Some(d)
             }
-            None => {
-                self.len -= 1;
-                self.inline[self.len as usize]
-            }
-        };
-        Some(d)
-    }
-
-    /// Empties the list, dropping any spill.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill = None;
+        }
     }
 }
 
@@ -476,12 +548,16 @@ impl std::ops::DerefMut for BlockList {
 }
 
 impl PartialEq for BlockList {
+    /// Compares the data-block addresses. The indirect addresses in the
+    /// spill are the inode's, compared by `FileMeta`: a snapshot entry
+    /// shares a live file's spill, and one parsed back from text has
+    /// none.
     fn eq(&self, other: &Self) -> bool {
         // A nightly snapshot shares an unchanged long file's spill with
         // the live file, so the check that decides whether the next
         // night may share the entry usually finds one `Arc` on both sides.
-        match (&self.spill, &other.spill) {
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => true,
+        match (&self.repr, &other.repr) {
+            (Repr::Spill(a), Repr::Spill(b)) if Arc::ptr_eq(a, b) => true,
             _ => self.as_slice() == other.as_slice(),
         }
     }
@@ -489,24 +565,23 @@ impl PartialEq for BlockList {
 
 impl std::fmt::Debug for BlockList {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
+        f.debug_list().entries(self.as_slice()).finish()?;
+        match self.indirects() {
+            [] => Ok(()),
+            ind => {
+                f.write_str(" indirect ")?;
+                f.debug_list().entries(ind).finish()
+            }
+        }
     }
 }
 
 impl From<Vec<Daddr>> for BlockList {
     fn from(v: Vec<Daddr>) -> Self {
         if v.len() <= Self::INLINE {
-            let mut b = BlockList::new();
-            for d in v {
-                b.push(d);
-            }
-            b
+            BlockList::inline(&v)
         } else {
-            BlockList {
-                len: v.len() as u32,
-                inline: [Daddr(0); Self::INLINE],
-                spill: Some(Arc::new(v)),
-            }
+            BlockList::spilled(v)
         }
     }
 }
@@ -517,24 +592,21 @@ impl FromIterator<Daddr> for BlockList {
     /// copy-on-write check.
     fn from_iter<I: IntoIterator<Item = Daddr>>(iter: I) -> Self {
         let mut iter = iter.into_iter();
-        let mut b = BlockList::new();
-        for slot in &mut b.inline {
+        let mut inline = [Daddr(0); Self::INLINE];
+        for (n, slot) in inline.iter_mut().enumerate() {
             match iter.next() {
                 Some(d) => *slot = d,
-                None => return b,
+                None => return BlockList::inline(&inline[..n]),
             }
-            b.len += 1;
         }
         let Some(next) = iter.next() else {
-            return b;
+            return BlockList::inline(&inline);
         };
         let mut v = Vec::with_capacity(Self::INLINE * 2);
-        v.extend_from_slice(&b.inline);
+        v.extend_from_slice(&inline);
         v.push(next);
         v.extend(iter);
-        b.len = u32::try_from(v.len()).expect("a block list fits the inode's u32 length");
-        b.spill = Some(Arc::new(v));
-        b
+        BlockList::spilled(v)
     }
 }
 
@@ -700,6 +772,19 @@ mod tests {
         }
     }
 
+    fn is_spilled(b: &BlockList) -> bool {
+        matches!(b.repr, Repr::Spill(_))
+    }
+
+    #[test]
+    fn block_list_is_thirty_two_bytes() {
+        // Every `FileMeta` and every `SnapshotEntry` holds one: a byte
+        // here is 365 k bytes of `ffsbench age-smallfile`'s
+        // `peak_rss_mb` (its six final images) and a byte per live file
+        // per night of `nightly-jobs`'.
+        assert_eq!(std::mem::size_of::<BlockList>(), 32);
+    }
+
     #[test]
     fn block_list_stays_inline_then_spills() {
         let mut b = BlockList::new();
@@ -708,23 +793,50 @@ mod tests {
             b.push(Daddr(i as u32 * 8));
         }
         assert_eq!(b.len(), BlockList::INLINE);
-        assert!(b.spill.is_none(), "inline capacity should not spill");
+        assert!(!is_spilled(&b), "inline capacity should not spill");
         b.push(Daddr(999));
-        assert!(b.spill.is_some());
+        assert!(is_spilled(&b));
         assert_eq!(b.len(), BlockList::INLINE + 1);
-        assert_eq!(b[8], Daddr(999));
+        assert_eq!(b[BlockList::INLINE], Daddr(999));
         // Popping back under the inline limit drops the spill.
         assert_eq!(b.pop(), Some(Daddr(999)));
-        assert!(b.spill.is_none());
-        assert_eq!(b.pop(), Some(Daddr(56)));
+        assert!(!is_spilled(&b));
+        assert_eq!(b.pop(), Some(Daddr(48)));
         assert_eq!(b.len(), BlockList::INLINE - 1);
+    }
+
+    #[test]
+    fn indirects_ride_in_the_spill() {
+        let mut b: BlockList = (0..3u32).map(|i| Daddr(i * 8)).collect();
+        assert_eq!(b.indirects(), []);
+        b.push_indirect(Daddr(4000));
+        assert!(is_spilled(&b), "an indirect block spills the list");
+        assert_eq!(b.as_slice(), [Daddr(0), Daddr(8), Daddr(16)]);
+        assert_eq!(b.indirects(), [Daddr(4000)]);
+        // A spill holding indirects never moves back inline, and block
+        // equality ignores them.
+        assert_eq!(b.pop(), Some(Daddr(16)));
+        assert_eq!(b.indirects(), [Daddr(4000)]);
+        assert_eq!(b, BlockList::from(vec![Daddr(0), Daddr(8)]));
+        // A clone shares them; a write to the clone does not leak back.
+        let mut c = b.clone();
+        c.push_indirect(Daddr(4008));
+        assert_eq!(b.indirects(), [Daddr(4000)]);
+        assert_eq!(c.indirects(), [Daddr(4000), Daddr(4008)]);
+        assert!(
+            format!("{c:?}").ends_with("indirect [d4000, d4008]"),
+            "{c:?}"
+        );
     }
 
     #[test]
     fn block_list_clone_shares_spill_and_cow_unshares() {
         let big: BlockList = (0..20u32).map(|i| Daddr(i * 8)).collect();
         let snap = big.clone();
-        let is_shared = |b: &BlockList| b.spill.as_ref().is_some_and(|a| Arc::strong_count(a) > 1);
+        let is_shared = |b: &BlockList| match &b.repr {
+            Repr::Spill(a) => Arc::strong_count(a) > 1,
+            Repr::Inline(..) => false,
+        };
         assert!(is_shared(&big) && is_shared(&snap));
         let mut writable = big.clone();
         writable[0] = Daddr(4096); // triggers the copy

@@ -134,7 +134,7 @@ fn run_stream(params: FsParams, variant: Variant, seed: u64, ops: u32, reached: 
                 Ok(ino) => {
                     live.push(ino);
                     let f = extents.file(ino).unwrap();
-                    reached.double_indirect += u32::from(f.indirects.len() >= 3);
+                    reached.double_indirect += u32::from(f.indirects().len() >= 3);
                     reached.past_write_chunk += u32::from(size > chunk_bytes);
                 }
                 Err(FsError::NoSpace { .. }) => reached.no_space += 1,
