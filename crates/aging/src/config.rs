@@ -84,8 +84,8 @@ pub struct AgingConfig {
     /// selection toward recent files.
     pub delete_age_bias: f64,
     /// Probability that a shed-to-target delete takes a lone, uncorrelated
-    /// victim instead of a cohort. The real-FS reference model raises
-    /// this: uncorrelated deletions punch isolated holes.
+    /// victim instead of a cohort: uncorrelated deletions punch isolated
+    /// holes.
     pub scatter_deletes: f64,
 }
 
@@ -199,25 +199,7 @@ impl AgingConfig {
             + self.rewrites_per_day;
         (self.days as f64 * per_day) as u64
     }
-
-    /// The "real file system" variant used as Figure 1's reference: the
-    /// same model with the fragmentation sources the paper says its aging
-    /// workload under-represents turned up — heavier same-day churn and
-    /// less age-biased deletion (old, settled files also die, punching
-    /// holes into otherwise quiet regions).
-    pub fn real_fs_variant(&self) -> AgingConfig {
-        let mut c = self.clone();
-        c.short_pairs_per_day *= 1.5;
-        c.long_modifies_per_day *= 1.8;
-        c.delete_age_bias = 0.2;
-        c.scatter_deletes = 1.0;
-        c.seed = self.seed.wrapping_add(SEED_REAL_SALT);
-        c
-    }
 }
-
-/// Seed offset separating the real-FS reference run from the main run.
-const SEED_REAL_SALT: u64 = 0x5EED_0001;
 
 #[cfg(test)]
 mod tests {
@@ -253,8 +235,7 @@ mod tests {
         let paper = AgingConfig::paper(1996);
         assert_eq!(paper.expected_ops(), 300 * 3300);
         // The estimate only has to rank jobs: within a factor of 1.5 of
-        // what the generator emits, and the heavier-churn variant ranks
-        // above the base workload.
+        // what the generator emits.
         let c = AgingConfig::small_test(20, 11);
         let w = crate::generate(&c, 4, 14 << 20);
         let actual: usize = w.days.iter().map(|d| d.ops.len()).sum();
@@ -264,7 +245,6 @@ mod tests {
             "{actual} vs {}",
             c.expected_ops()
         );
-        assert!(paper.real_fs_variant().expected_ops() > paper.expected_ops());
     }
 
     #[test]
@@ -279,17 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn real_variant_is_heavier_churn() {
-        let base = AgingConfig::paper(7);
-        let real = base.real_fs_variant();
-        assert!(real.short_pairs_per_day > base.short_pairs_per_day);
-        assert!(real.long_modifies_per_day > base.long_modifies_per_day);
-        assert!(real.scatter_deletes > base.scatter_deletes);
-        assert_ne!(real.seed, base.seed);
-        assert_eq!(real.days, base.days);
-    }
-
-    #[test]
     fn fingerprint_separates_distinct_configs() {
         let a = AgingConfig::paper(1);
         assert_eq!(a.fingerprint(), AgingConfig::paper(1).fingerprint());
@@ -297,10 +266,12 @@ mod tests {
         let mut b = AgingConfig::paper(1);
         b.wobble += 1e-9;
         assert_ne!(a.fingerprint(), b.fingerprint(), "float drift must show");
+        let mut c = AgingConfig::paper(1);
+        c.scatter_deletes = 1.0;
         assert_ne!(
             a.fingerprint(),
-            a.real_fs_variant().fingerprint(),
-            "the reference-run variant is a different artifact"
+            c.fingerprint(),
+            "a changed delete knob is a different artifact"
         );
     }
 

@@ -35,7 +35,7 @@ fn assert_same(a: &ReplayResult, b: &ReplayResult, what: &str) {
 }
 
 /// Pushes a generated stream through `r`, reading the replay's state
-/// between days the way `run_shard` and `snapval` do.
+/// between days the way `run_shard` and `fig1` do.
 fn push_all(mut r: Replay, days: Days) -> ReplayResult {
     let mut ops = 0u64;
     for day in days {

@@ -1,12 +1,12 @@
 //! The experiment engine behind the harness.
 //!
 //! The paper's protocol is many repeated end-to-end runs: two 300-day
-//! agings per figure plus a third for the real-file-system reference,
-//! then a fan of figure and table computations over the aged images.
+//! agings per figure, then a fan of figure and table computations over
+//! the aged images.
 //! This crate turns that protocol into data:
 //!
 //! * [`engine`] — a supervised, deterministic job DAG executed on a
-//!   `std::thread` worker pool. Independent jobs (the three agings;
+//!   `std::thread` worker pool. Independent jobs (the two agings;
 //!   every figure whose inputs are ready) run concurrently; outputs are
 //!   identical for any worker count because jobs are pure functions of
 //!   their declared dependencies. Failure is contained: panics become

@@ -1,17 +1,17 @@
 //! Builds the experiment DAG and drives it through the engine.
 //!
-//! The graph has two layers. Underneath, the jobs that replay: three
-//! aging jobs (`age:ffs`, `age:realloc`, `age:realref`) that each
-//! produce an aged file system — through the artifact cache, so a warm
-//! run loads them instead of replaying ten months of workload — and one
-//! `profile:<name>` job per usage profile, each producing its row of the
-//! `profiles` exhibit. On top, one job per requested exhibit consuming
-//! what it needs from the first layer. Replaying jobs carry their
-//! expected op count as [`JobSpec::weight`], so the engine starts the
-//! longest first. Exhibit jobs return their TSV as a string; this module
-//! prints and writes the blocks in canonical order *after* the engine
-//! finishes, so worker count and scheduling order cannot change the
-//! bytes the user sees.
+//! The graph has two layers. Underneath, the jobs that replay: two
+//! aging jobs (`age:ffs`, `age:realloc`) that each produce an aged file
+//! system — through the artifact cache, so a warm run loads them instead
+//! of replaying ten months of workload — and one `profile:<name>` job
+//! per usage profile, each producing its row of the `profiles` exhibit.
+//! On top, one job per requested exhibit consuming what it needs from
+//! the first layer (`fig1` needs nothing: it replays its own pair of
+//! file systems). Replaying jobs carry their expected op count as
+//! [`JobSpec::weight`], so the engine starts the longest first. Exhibit
+//! jobs return their TSV as a string; this module prints and writes the
+//! blocks in canonical order *after* the engine finishes, so worker
+//! count and scheduling order cannot change the bytes the user sees.
 
 use std::fs;
 use std::io::Write as _;
@@ -37,7 +37,6 @@ pub const EXHIBITS: &[&str] = &[
     "fig6",
     "table2",
     "freespace",
-    "snapval",
     "profiles",
 ];
 
@@ -106,7 +105,6 @@ pub enum JobOut {
 /// The first-layer jobs an exhibit consumes.
 fn deps_of(name: &str) -> &'static [&'static str] {
     match name {
-        "fig1" => &["age:ffs", "age:realref"],
         "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "table2" | "freespace" => {
             &["age:ffs", "age:realloc"]
         }
@@ -142,14 +140,10 @@ fn aging_job(
     opts: &Options,
     sh: &Shared,
     policy: AllocPolicy,
-    real_variant: bool,
     defrag: Option<defrag::DefragSpec>,
 ) -> JobSpec<JobOut> {
     let params = sh.params.clone();
-    let mut config = paper_config(opts.seed, opts.days);
-    if real_variant {
-        config = config.real_fs_variant();
-    }
+    let config = paper_config(opts.seed, opts.days);
     let store = opts.store();
     let weight = config.expected_ops();
     let age = move |ctx: &mut JobCtx<'_, JobOut>| {
@@ -201,16 +195,16 @@ fn profile_job(id: &str, sh: &Shared, name: &str) -> JobSpec<JobOut> {
 
 fn exhibit_job(name: &'static str, sh: &Shared) -> JobSpec<JobOut> {
     let sh = sh.clone();
-    // `snapval` replays too: its workload into one file system and the
-    // snapshot-derived one into a second.
+    // `fig1` replays too: the generated workload into one file system
+    // and the snapshot-derived one into a second.
     let weight = match name {
-        "snapval" => 2 * experiments::capped_paper_config(&sh).expected_ops(),
+        "fig1" => 2 * paper_config(sh.seed, sh.days).expected_ops(),
         _ => 0,
     };
     let run = move |ctx: &mut JobCtx<'_, JobOut>| {
         let tsv = match name {
             "table1" => experiments::table1(&sh),
-            "fig1" => experiments::fig1(aged(ctx, "age:ffs")?, aged(ctx, "age:realref")?),
+            "fig1" => experiments::fig1(&sh, ctx.metrics),
             "fig2" => experiments::fig2(aged(ctx, "age:ffs")?, aged(ctx, "age:realloc")?),
             "fig3" => experiments::fig3(aged(ctx, "age:ffs")?, aged(ctx, "age:realloc")?),
             "fig4" => {
@@ -227,7 +221,6 @@ fn exhibit_job(name: &'static str, sh: &Shared) -> JobSpec<JobOut> {
                 experiments::table2(&sh, as_aged(&o), as_aged(&r), ctx.metrics)
             }
             "freespace" => experiments::freespace(aged(ctx, "age:ffs")?, aged(ctx, "age:realloc")?),
-            "snapval" => experiments::snapval(&sh, ctx.metrics),
             "profiles" => {
                 let rows: Vec<&str> = PROFILE_JOBS
                     .iter()
@@ -324,14 +317,11 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
     }
     for id in &deps_needed {
         jobs.push(match *id {
-            "age:ffs" => aging_job(id, opts, &sh, AllocPolicy::Orig, false, None),
-            "age:realloc" => aging_job(id, opts, &sh, AllocPolicy::Realloc, false, None),
-            "age:realref" => aging_job(id, opts, &sh, AllocPolicy::Orig, true, None),
+            "age:ffs" => aging_job(id, opts, &sh, AllocPolicy::Orig, None),
+            "age:realloc" => aging_job(id, opts, &sh, AllocPolicy::Realloc, None),
             other => match (other.strip_prefix("profile:"), defrag_spec_of(other)) {
                 (Some(name), _) => profile_job(id, &sh, name),
-                (None, Some(spec)) => {
-                    aging_job(id, opts, &sh, AllocPolicy::Orig, false, Some(spec))
-                }
+                (None, Some(spec)) => aging_job(id, opts, &sh, AllocPolicy::Orig, Some(spec)),
                 (None, None) => unreachable!("unknown first-layer job {other}"),
             },
         });

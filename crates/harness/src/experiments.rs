@@ -85,12 +85,54 @@ fn layout_series_tsv(title: &str, series: &[(&str, &ReplayResult)]) -> String {
     s
 }
 
-/// Figure 1: aggregate layout score over time, real vs simulated.
-pub fn fig1(orig: &ReplayResult, real_ref: &ReplayResult) -> Result<String, String> {
-    Ok(layout_series_tsv(
-        "Figure 1: Aggregate Layout Score Over Time: Real vs. Simulated",
-        &[("simulated", orig), ("real", real_ref)],
-    ))
+/// Figure 1: aggregate layout score over time, real vs simulated, by
+/// the paper's own validation method (Section 3.1). The "real" file
+/// system replays the generated history under FFS — the same replay as
+/// `age:ffs`, so its column equals Figure 2's `ffs`. It is snapshotted
+/// nightly, a workload is derived from the snapshot diffs (with the
+/// same information loss the paper's had: same-day files vanish and a
+/// modify reads as delete plus create), and the "simulated" column
+/// replays that derived workload into a second file system.
+///
+/// The whole pipeline advances one day at a time — generate, replay,
+/// snapshot, diff against last night, replay the derived day — so it
+/// holds two file systems, one snapshot and one day of operations,
+/// never a workload or a snapshot series. Each night is taken with
+/// [`Snapshot::next`] from the one before, so only changed files
+/// allocate an entry.
+pub fn fig1(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
+    let config = paper_config(sh.seed, sh.days);
+    let params = &sh.params;
+    let fresh = || {
+        Replay::new(params, AllocPolicy::Orig, ReplayOptions::default()).map_err(|e| e.to_string())
+    };
+    let (mut real, mut simulated) = (fresh()?, fresh()?);
+    let mut differ = SnapshotDiffer::new(&config, params.ncg);
+    let mut last_night = Snapshot::default();
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "# Figure 1: Aggregate Layout Score Over Time: Real vs. Simulated"
+    );
+    let _ = writeln!(s, "day\treal\tsimulated");
+    let mut days = Days::new(&config, params.ncg, params.data_capacity_bytes());
+    while let Some(day) = {
+        let _s = obs::span!("gen_workload");
+        days.next()
+    } {
+        real.day(&day).map_err(|e| e.to_string())?;
+        let derived_day = {
+            let _s = obs::span!("derive_workload");
+            last_night = last_night.next(real.fs(), day.day);
+            differ.push(&last_night)
+        };
+        simulated.day(&derived_day).map_err(|e| e.to_string())?;
+        if let (Some(a), Some(b)) = (real.last(), simulated.last()) {
+            let _ = writeln!(s, "{}\t{:.4}\t{:.4}", a.day, a.layout_score, b.layout_score);
+        }
+    }
+    m.ops = Some(real.ops() + simulated.ops());
+    Ok(s)
 }
 
 /// Figure 2: aggregate layout score over time, FFS vs realloc.
@@ -300,61 +342,6 @@ pub fn freespace(orig: &ReplayResult, realloc: &ReplayResult) -> Result<String, 
         let head: Vec<String> = st.hist[..16].iter().map(|n| n.to_string()).collect();
         let _ = writeln!(s, "# {name} run-length hist 1..16: {}", head.join(" "));
     }
-    Ok(s)
-}
-
-/// The paper's workload capped at 120 days — what the extension
-/// exhibits that age their own volumes (`snapval`, `sweep`) replay.
-pub fn capped_paper_config(sh: &Shared) -> AgingConfig {
-    paper_config(sh.seed, sh.days.min(120))
-}
-
-/// Extension: the snapshot-derivation validation loop. Replays the main
-/// workload while taking nightly snapshots, derives a new workload from
-/// the snapshot diffs (the paper's Section 3.1 pipeline, with the same
-/// information loss), replays the derived workload, and prints both
-/// layout series. The derived run under-fragments relative to the
-/// original — the same relationship Figure 1 shows between the paper's
-/// snapshot-derived workload and the real file system it came from.
-///
-/// The whole pipeline advances one day at a time — generate, replay,
-/// snapshot, diff against last night, replay the derived day — so it
-/// holds two file systems, one snapshot and one day of operations,
-/// never a workload or a snapshot series. Each night is taken with
-/// [`Snapshot::next`] from the one before, so only changed files
-/// allocate an entry.
-pub fn snapval(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
-    let config = capped_paper_config(sh);
-    let params = &sh.params;
-    let fresh = || {
-        Replay::new(params, AllocPolicy::Orig, ReplayOptions::default()).map_err(|e| e.to_string())
-    };
-    let (mut original, mut derived) = (fresh()?, fresh()?);
-    let mut differ = SnapshotDiffer::new(&config, params.ncg);
-    let mut last_night = Snapshot::default();
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "# Snapshot-derivation validation: original vs snapshot-derived workload"
-    );
-    let _ = writeln!(s, "day	original	derived");
-    let mut days = Days::new(&config, params.ncg, params.data_capacity_bytes());
-    while let Some(day) = {
-        let _s = obs::span!("gen_workload");
-        days.next()
-    } {
-        original.day(&day).map_err(|e| e.to_string())?;
-        let derived_day = {
-            let _s = obs::span!("derive_workload");
-            last_night = last_night.next(original.fs(), day.day);
-            differ.push(&last_night)
-        };
-        derived.day(&derived_day).map_err(|e| e.to_string())?;
-        if let (Some(a), Some(b)) = (original.last(), derived.last()) {
-            let _ = writeln!(s, "{}	{:.4}	{:.4}", a.day, a.layout_score, b.layout_score);
-        }
-    }
-    m.ops = Some(original.ops() + derived.ops());
     Ok(s)
 }
 
@@ -595,7 +582,7 @@ pub fn sweep(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
         ("firstfit_split", true, false),
         ("firstfit_nosplit", true, true),
     ];
-    let config = capped_paper_config(sh);
+    let config = paper_config(sh.seed, sh.days.min(120));
     let w = generate(&config, sh.params.ncg, sh.params.data_capacity_bytes());
     let mut ops = 0u64;
     let mut final_score = |maxcontig: u32, options: ReplayOptions| -> Result<f64, String> {

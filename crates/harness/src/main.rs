@@ -10,12 +10,13 @@
 //! ```
 //!
 //! where `<experiment>` is one of `table1`, `fig1`, `fig2`, `fig3`,
-//! `fig4`, `fig5`, `fig6`, `table2`, `freespace`, `snapval`,
-//! `profiles`, `sweep`, `pareto`, or `smallfile`. Experiments run as jobs on the `exp`
-//! engine's worker pool; aged file systems are cached under
-//! `<out>/cache` (override with `--cache-dir`, disable with
-//! `--no-cache`). Each exhibit prints its tab-separated block to stdout
-//! and writes it to `<out>/<experiment>.tsv`; every run also writes
+//! `fig4`, `fig5`, `fig6`, `table2`, `freespace`, `profiles`,
+//! `sweep`, `pareto`, or `smallfile`; any other command is a usage
+//! error. Experiments run as jobs on the `exp` engine's worker pool;
+//! aged file systems are cached under `<out>/cache` (override with
+//! `--cache-dir`, disable with `--no-cache`). Each exhibit prints its
+//! tab-separated block to stdout and writes it to
+//! `<out>/<experiment>.tsv`; every run also writes
 //! structured per-job records to `<out>/runs.jsonl`, which
 //! `harness report` summarizes. A rerun over the same cache is the
 //! resume: it reloads every aging that finished and recomputes the rest.
@@ -83,7 +84,7 @@ use harness::driver;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness <table1|fig1|fig2|fig3|fig4|fig5|fig6|table2|freespace|snapval|profiles|sweep|pareto|smallfile|all|fleet|report> \
+        "usage: harness <table1|fig1|fig2|fig3|fig4|fig5|fig6|table2|freespace|profiles|sweep|pareto|smallfile|all|fleet|report> \
          [--days N] [--seed S] [--out DIR] [--jobs N] [--cache-dir DIR] [--no-cache] \
          [--metrics PATH] [-q|--quiet] [--profile] [--chaos-kill NAME] \
          [--shards N] [--fleet-seed S]"
@@ -226,7 +227,10 @@ fn run(cmd: &str, opts: &Options, profile: bool) -> Result<bool, String> {
             .find(|n| **n == cmd)
         {
             Some(n) => vec![n],
-            None => return Err(format!("unknown experiment '{cmd}'")),
+            None => {
+                eprintln!("harness: unknown command '{cmd}'");
+                usage()
+            }
         }
     };
     let summary = driver::run(opts, &requested)?;

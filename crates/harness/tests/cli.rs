@@ -46,12 +46,14 @@ fn flags_in(text: &str) -> BTreeSet<String> {
 #[test]
 fn removed_and_malformed_flags_are_usage_errors() {
     let cwd = tmpdir("usage");
-    let cases: [(&str, &[&str]); 8] = [
+    let cases: [(&str, &[&str]); 9] = [
         (HARNESS, &["all", "--max-retries", "1"]),
         (HARNESS, &["all", "--chaos-seed", "1"]),
         (HARNESS, &["all", "--job-deadline-ops", "1"]),
         (HARNESS, &["all", "--resume-run", "x"]),
         (HARNESS, &["report", "--resume-run", "x"]),
+        // The snapshot-validation exhibit became Figure 1.
+        (HARNESS, &["snapval"]),
         (AGEFS, &["--fault-latent", "1"]),
         // An interval with no file to write the checkpoints to used to
         // take them all and drop them on exit.
@@ -64,6 +66,8 @@ fn removed_and_malformed_flags_are_usage_errors() {
         assert!(stderr(&out).contains("usage: "), "{bin} {args:?}");
         assert!(out.stdout.is_empty(), "{bin} {args:?}");
     }
+    let unknown = stderr(&run(HARNESS, &cwd, &["snapval"]));
+    assert!(unknown.contains("unknown command 'snapval'"), "{unknown}");
     assert_eq!(fs::read_dir(&cwd).unwrap().count(), 0, "nothing written");
     let _ = fs::remove_dir_all(&cwd);
 }

@@ -70,7 +70,7 @@ fn metrics_change_no_exhibit_bytes_and_cover_the_run() {
     assert!(snap.counter("aging.ops_replayed").unwrap_or(0) > 0);
 
     // The span tree covers every job the driver scheduled: each
-    // exhibit plus the three agings appear as top-level `job:` spans.
+    // exhibit plus the two agings appear as top-level `job:` spans.
     let jobs: Vec<&str> = snap
         .spans
         .iter()
@@ -84,7 +84,7 @@ fn metrics_change_no_exhibit_bytes_and_cover_the_run() {
             "missing span {want}: {jobs:?}"
         );
     }
-    for id in ["age:ffs", "age:realloc", "age:realref"] {
+    for id in ["age:ffs", "age:realloc"] {
         let want = format!("job:{id}");
         assert!(
             jobs.contains(&want.as_str()),
