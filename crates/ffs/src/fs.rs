@@ -785,20 +785,22 @@ mod tests {
 
     #[test]
     fn indirect_block_forces_group_switch() {
-        let (mut f, d) = fs(AllocPolicy::Orig);
-        let ino = f.create(d, 104 * KB, 0).unwrap();
-        let m = f.file(ino).unwrap();
-        assert_eq!(m.blocks.len(), 13);
-        assert_eq!(m.indirects().len(), 1);
-        let p = f.params();
-        // Block 12 lives in a different group than block 11...
-        assert_ne!(p.dtog(m.blocks[11]), p.dtog(m.blocks[12]));
-        // ...and the same group as its indirect block.
-        assert_eq!(p.dtog(m.indirects()[0]), p.dtog(m.blocks[12]));
-        // So the 13th block can never be optimal: score <= 11/12.
-        let (opt, scored) = m.layout_counts(p).unwrap();
-        assert_eq!(scored, 12);
-        assert!(opt <= 11);
+        for policy in [AllocPolicy::Orig, AllocPolicy::Realloc] {
+            let (mut f, d) = fs(policy);
+            let ino = f.create(d, 104 * KB, 0).unwrap();
+            let m = f.file(ino).unwrap();
+            assert_eq!(m.blocks.len(), 13);
+            assert_eq!(m.indirects().len(), 1);
+            let p = f.params();
+            // Block 12 lives in a different group than block 11...
+            assert_ne!(p.dtog(m.blocks[11]), p.dtog(m.blocks[12]), "{policy:?}");
+            // ...and the same group as its indirect block.
+            assert_eq!(p.dtog(m.indirects()[0]), p.dtog(m.blocks[12]));
+            // So the 13th block can never be optimal: score <= 11/12.
+            let (opt, scored) = m.layout_counts(p).unwrap();
+            assert_eq!(scored, 12);
+            assert!(opt <= 11, "{policy:?}");
+        }
     }
 
     #[test]

@@ -160,16 +160,15 @@ fn tsv_rows(dir: &Path, name: &str) -> Vec<Vec<String>> {
 fn fig1_real_is_fig2_ffs() {
     // Figure 1's "real" file system replays the generated history under
     // FFS, the same replay `age:ffs` feeds Figure 2: the two columns
-    // must agree row for row, at 30 days and at paper scale.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for dir in [root.join("tests/golden/days30"), root.join("../../results")] {
-        let (fig1, fig2) = (tsv_rows(&dir, "fig1"), tsv_rows(&dir, "fig2"));
-        assert!(!fig1.is_empty(), "{}: fig1.tsv has rows", dir.display());
-        assert_eq!(fig1.len(), fig2.len(), "{}: row count", dir.display());
-        for (a, b) in fig1.iter().zip(&fig2) {
-            // fig1: day, real, simulated; fig2: day, ffs, ffs_realloc.
-            assert_eq!(a[..2], b[..2], "{}: fig1 real vs fig2 ffs", dir.display());
-        }
+    // must agree row for row. `paper_scale.rs` checks the same at 300
+    // days.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/days30");
+    let (fig1, fig2) = (tsv_rows(&dir, "fig1"), tsv_rows(&dir, "fig2"));
+    assert!(!fig1.is_empty(), "fig1.tsv has rows");
+    assert_eq!(fig1.len(), fig2.len(), "row count");
+    for (a, b) in fig1.iter().zip(&fig2) {
+        // fig1: day, real, simulated; fig2: day, ffs, ffs_realloc.
+        assert_eq!(a[..2], b[..2], "fig1 real vs fig2 ffs");
     }
 }
 
