@@ -19,9 +19,9 @@
 //! ([`CylGroup::alloc_block_run`]), up to the next point where the
 //! policy does something else (a cylinder-group switch, a realloc flush,
 //! the end of the file). Deletes and the realloc move return blocks the
-//! same way, one transition per address-contiguous run. The per-block
-//! loop this replaced lives on behind [`crate::naive::create_per_block`];
-//! `tests/extent_oracle.rs` holds the two equal.
+//! same way, one transition per address-contiguous run.
+//! `tests/extent_oracle.rs` holds every create to a 4.4BSD reference
+//! that allocates block by block in `ffs_balloc` order.
 //!
 //! The allocation core lives on `AllocEngine`, which borrows the
 //! cylinder groups, the parameters and the counters instead of the whole
@@ -285,9 +285,12 @@ pub(crate) fn pick_new_data_cg_in(cgs: &[CylGroup], cur: CgIdx) -> CgIdx {
 }
 
 impl AllocEngine<'_> {
-    /// Quadratic rehash over cylinder groups (`ffs_hashalloc`): try the
-    /// preferred group, then groups at power-of-two offsets, then a linear
-    /// sweep. `f` returns `Some` on success within a group.
+    /// Rehash over cylinder groups after `ffs_hashalloc`: try the
+    /// preferred group, then the groups at offsets 1, 2, 4, … from it,
+    /// then a linear sweep. The offsets are ours: `ffs_hashalloc`
+    /// accumulates them (1, 3, 7, …), and `tests/bsd/mod.rs` carries that
+    /// difference as its `HashallocOffsets` allowlist entry. `f` returns
+    /// `Some` on success within a group.
     pub(crate) fn hashalloc<T>(
         &mut self,
         start: CgIdx,

@@ -38,7 +38,7 @@
 //!   transitions write it, the whole-block path never does.
 //!
 //! There is exactly one from-scratch builder for that value, the
-//! byte-at-a-time [`crate::naive::recount_derived`], and one named-table
+//! byte-at-a-time `CylGroup::recount_derived`, and one named-table
 //! view of it, `Derived::tables`. Group construction and fsck rebuild
 //! are "recount and assign"; [`mod@crate::check`], fault injection and the
 //! oracle tests iterate the table list ([`CylGroup::derived_drift`])
@@ -54,10 +54,10 @@
 //! of that body, not a second path. [`crate::alloc`] writes and deletes
 //! files in extents, so a run is the common case, not the lucky one.
 //!
-//! The retired byte-at-a-time scans survive verbatim in [`crate::naive`];
-//! differential oracles (`tests/scan_oracle.rs`, `tests/frag_oracle.rs`)
-//! hold the two implementations bit-for-bit equal over randomized
-//! bitmaps and every fragment-per-block geometry.
+//! Every search and summary here is held to an independent 4.4BSD
+//! reference that reads the group as `struct cg` bytes
+//! (`tests/scan_oracle.rs`, `tests/frag_oracle.rs`,
+//! `tests/stats_oracle.rs`) over every fragment-per-block geometry.
 
 use ffs_types::{CgIdx, Daddr, FsParams};
 
@@ -71,7 +71,7 @@ pub(crate) enum Table<'a> {
 }
 
 /// Everything in a cylinder group that is a pure function of its
-/// fragment map. [`crate::naive::recount_derived`] is the only
+/// fragment map. `CylGroup::recount_derived` is the only
 /// from-scratch builder; the allocation path keeps it current
 /// incrementally.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -500,7 +500,8 @@ impl CylGroup {
     /// consecutive set bits downward in one instruction. The shift
     /// zero-fills from below, so the count self-limits at the word edge
     /// and the loop crosses into the next word only on a full-word run.
-    /// (Reference per-bit scan: [`crate::naive::free_len_before`].)
+    /// (Reference: `ffs_clusteracct`'s backward scan, in
+    /// `tests/bsd/mod.rs`.)
     pub fn free_len_before(&self, block: u32, cap: u32) -> u32 {
         let mut n = 0;
         let mut i = block;
@@ -523,7 +524,8 @@ impl CylGroup {
     /// `trailing_zeros` of the complement of the shifted word counts the
     /// consecutive set bits upward. Bits at and beyond `nblocks` are
     /// never set, so the scan stops at the group edge on its own.
-    /// (Reference per-bit scan: [`crate::naive::free_len_after`].)
+    /// (Reference: `ffs_clusteracct`'s forward scan, in
+    /// `tests/bsd/mod.rs`.)
     pub fn free_len_after(&self, block: u32, cap: u32) -> u32 {
         let mut n = 0;
         let mut i = block + 1;
@@ -627,7 +629,61 @@ impl CylGroup {
     /// construction, and fsck-style rebuild after the raw map has been
     /// rewritten.
     pub(crate) fn rebuild_derived(&mut self) {
-        self.derived = crate::naive::recount_derived(self);
+        self.derived = self.recount_derived();
+    }
+
+    /// The group's [`Derived`] state recounted from the fragment map
+    /// alone, one block lane at a time: `free_words`, `csum`, `frsum` and
+    /// the fit index, each as its field documents. Construction and the
+    /// fsck rebuild assign it; [`CylGroup::derived_drift`] diffs against
+    /// it.
+    fn recount_derived(&self) -> Derived {
+        let fpb = self.fpb;
+        let full = self.full_lane();
+        let cap = self.maxcontig as usize;
+        let nwords = self.nblocks.div_ceil(64) as usize;
+        let mut d = Derived {
+            free_words: vec![0u64; nwords],
+            csum: vec![0u32; cap],
+            frsum: vec![0u32; (fpb - 1) as usize],
+            fit_words: vec![0u64; (fpb - 1) as usize * nwords],
+        };
+        let mut run = 0usize;
+        // One step past the end, read as allocated, closes a trailing run.
+        for b in 0..=self.nblocks {
+            let byte = if b < self.nblocks {
+                self.map_byte(b)
+            } else {
+                full
+            };
+            if byte == 0 {
+                d.free_words[(b / 64) as usize] |= 1 << (b % 64);
+                run += 1;
+                continue;
+            }
+            if run > 0 {
+                d.csum[(run - 1).min(cap - 1)] += 1;
+                run = 0;
+            }
+            if byte == full {
+                continue;
+            }
+            let mut frun = 0u32;
+            let mut longest = 0u32;
+            for i in 0..=fpb {
+                if i < fpb && byte & (1 << i) == 0 {
+                    frun += 1;
+                } else if frun > 0 {
+                    d.frsum[(frun - 1) as usize] += 1;
+                    longest = longest.max(frun);
+                    frun = 0;
+                }
+            }
+            for level in 0..longest as usize {
+                d.fit_words[level * nwords + (b / 64) as usize] |= 1 << (b % 64);
+            }
+        }
+        d
     }
 
     /// Raw mutable access to the derived state, for fault injection; same
@@ -646,7 +702,7 @@ impl CylGroup {
                 None => format!("length {} vs {}", a.len(), b.len()),
             }
         }
-        let recount = crate::naive::recount_derived(self);
+        let recount = self.recount_derived();
         let mut drift = Vec::new();
         for ((name, a), (_, b)) in self.derived.tables().into_iter().zip(recount.tables()) {
             match (a, b) {
@@ -660,11 +716,6 @@ impl CylGroup {
             }
         }
         drift
-    }
-
-    /// Longest run length the cluster summary tells apart.
-    pub(crate) fn maxcontig(&self) -> u32 {
-        self.maxcontig
     }
 
     /// The fragment summary table (`cg_frsum`): entry `k` counts the
@@ -776,7 +827,8 @@ impl CylGroup {
     /// and cannot hold the request, so the scan never measures them: per
     /// bitmap word, `long_run_starts` leaves a bit only where a maximal
     /// run of at least `len` blocks begins, and only those are visited.
-    /// (Reference run-by-run scan: [`crate::naive::find_free_cluster_near`].)
+    /// (Reference: a run-by-run scan of `cg_clustersfree`, in
+    /// `tests/bsd/mod.rs`.)
     pub fn find_free_cluster_near(&self, from: u32, len: u32, window: u32) -> Option<u32> {
         debug_assert!(len >= 1);
         if len == 0 || self.nblocks == 0 {
@@ -878,8 +930,8 @@ impl CylGroup {
     /// fragments but no run of `len` is refused in O(fpb), which is what
     /// every group a spilled allocation probes on a full volume looks
     /// like — and which block fits first is `next_fit` over
-    /// two bitmaps. (Reference per-fragment scan:
-    /// [`crate::naive::find_frag_run`].)
+    /// two bitmaps. (Reference: a per-block scan of `cg_blksfree`, in
+    /// `tests/bsd/mod.rs`.)
     pub fn find_frag_run(&self, from: u32, len: u32) -> Option<FragRun> {
         debug_assert!(len >= 1 && len < self.fpb);
         let longer = &self.derived.frsum[(len - 1) as usize..];
@@ -973,8 +1025,7 @@ impl CylGroup {
 
     /// One block's fragment lane extracted from the packed map: bit `i`
     /// set means fragment `i` of the block is allocated (for the
-    /// consistency checker and the byte-at-a-time references in
-    /// [`crate::naive`]).
+    /// consistency checker and the full recount).
     pub fn map_byte(&self, block: u32) -> u8 {
         let bit = block as usize * self.fpb as usize;
         ((self.frag_words[bit / 64] >> (bit % 64)) & self.full_lane() as u64) as u8

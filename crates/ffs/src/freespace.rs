@@ -110,8 +110,8 @@ pub fn frag_space_stats(fs: &Filesystem) -> FragSpaceStats {
 /// maximal free runs off its free-block bitmap, a word at a time.
 /// `hist_max` bounds the histogram length; runs longer than that land in
 /// the last bucket (their blocks are still counted exactly), and
-/// `hist_max == 0` asks for the totals alone. (Reference block-at-a-time
-/// rescan: [`crate::naive::free_space_stats_rescan`].)
+/// `hist_max == 0` asks for the totals alone. (Reference: a count off
+/// `cg_blksfree`, in `tests/bsd/mod.rs`.)
 pub fn free_space_stats(fs: &Filesystem, hist_max: usize) -> FreeSpaceStats {
     let maxcontig = fs.params().maxcontig;
     let mut stats = FreeSpaceStats {
@@ -226,7 +226,6 @@ mod tests {
         assert!(s.hist.iter().all(|&c| c == 0));
         // Vacuous case pinned: no free space means nothing is fragmented.
         assert_eq!(s.clusterable_fraction(), 1.0);
-        assert_eq!(s, crate::naive::free_space_stats_rescan(&fs, 64));
     }
 
     #[test]
@@ -246,7 +245,6 @@ mod tests {
         assert_eq!(s.longest_run as u64, data);
         assert_eq!(s.free_blocks, data);
         assert_eq!(s.clusterable_fraction(), 1.0);
-        assert_eq!(s, crate::naive::free_space_stats_rescan(&fs, 16));
     }
 
     #[test]
@@ -259,7 +257,6 @@ mod tests {
         let frag = frag_space_stats(&fs);
         assert_eq!(frag.partial_blocks, 0);
         assert_eq!(frag.free_frags_in_partial, 0);
-        assert_eq!(s, crate::naive::free_space_stats_rescan(&fs, 4096));
     }
 
     #[test]
@@ -277,7 +274,6 @@ mod tests {
             (none.free_blocks, none.clusterable_blocks, none.longest_run),
             (some.free_blocks, some.clusterable_blocks, some.longest_run)
         );
-        assert_eq!(none, crate::naive::free_space_stats_rescan(&fs, 0));
     }
 
     #[test]

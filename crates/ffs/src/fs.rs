@@ -301,22 +301,7 @@ impl Filesystem {
     /// workload op holds its size as a `u32`, so every file size is one.
     /// `size` takes that `u32` as readily as a `u64`.
     pub fn create(&mut self, dir: DirId, size: impl Into<u64>, day: u32) -> FsResult<Ino> {
-        self.create_with(dir, size.into(), day, |eng, meta, dcg, size| {
-            eng.write_blocks(meta, dcg, size)
-        })
-    }
-
-    /// [`Filesystem::create`] with the block-allocating step passed in,
-    /// so that the retired per-block write path
-    /// ([`crate::naive::create_per_block`]) shares all the bookkeeping
-    /// around it.
-    pub(crate) fn create_with(
-        &mut self,
-        dir: DirId,
-        size: u64,
-        day: u32,
-        write_blocks: impl FnOnce(&mut AllocEngine<'_>, &mut FileMeta, CgIdx, u64) -> FsResult<()>,
-    ) -> FsResult<Ino> {
+        let size = size.into();
         if size > self.params.max_file_size() {
             return Err(FsError::FileTooLarge {
                 size,
@@ -337,7 +322,7 @@ impl Filesystem {
             tail: None,
             mtime_day: day,
         };
-        let res = write_blocks(&mut eng, &mut meta, dcg, size);
+        let res = eng.write_blocks(&mut meta, dcg, size);
         let fpb = self.geom.fpb;
         match res {
             Ok(()) => {

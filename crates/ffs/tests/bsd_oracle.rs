@@ -1,0 +1,84 @@
+//! Our allocator held to an independent 4.4BSD reference (`bsd/mod.rs`)
+//! that sees every cylinder group only as `struct cg` bytes: a 30-day
+//! `small_test` aging replay, op by op, under the original policy and
+//! realloc at our default and at the stock switches. Both sides start
+//! each op from the same bytes; after it the file, the bytes (rotors and
+//! summaries included) and the allocation counts must be equal. The
+//! queries are held to the same reference in `scan_oracle`,
+//! `frag_oracle` and `stats_oracle`, the create/remove streams under
+//! all sixteen policy variants in `extent_oracle`. The reference follows
+//! ours only where its allowlist says so, and every allowlist entry must
+//! be live.
+
+mod bsd;
+
+use bsd::pair::{stream, tiny_blocks, variant, Pair};
+use bsd::{Cg, Sb, ALLOWLIST};
+use ffs::CylGroup;
+use ffs_types::{CgIdx, FsParams, KB};
+
+#[test]
+fn small_test_replay_matches_the_reference() {
+    let params = FsParams::small_test();
+    let config = aging::AgingConfig::small_test(30, 1996);
+    for i in [0, 1, 7] {
+        let mut p = Pair::new(&params, variant(i), ALLOWLIST.to_vec());
+        let mut live = std::collections::HashMap::new();
+        for day in aging::Days::new(&config, params.ncg, params.data_capacity_bytes()) {
+            for op in &day.ops {
+                let res = match *op {
+                    aging::Op::Create { file, cg, size, .. } => {
+                        let ino = p.create(cg.0 as usize, size.into(), day.day);
+                        ino.map(|ino| live.extend(ino.map(|ino| (file, ino))))
+                    }
+                    aging::Op::Delete { file } => {
+                        live.remove(&file).map_or(Ok(()), |ino| p.remove(ino))
+                    }
+                    aging::Op::Rewrite { .. } => Ok(()),
+                };
+                res.unwrap_or_else(|e| {
+                    panic!("variant {i} {:?}, day {}: {e}", variant(i), day.day)
+                });
+            }
+        }
+        assert!(p.ops > 1000, "the replay ran {} ops", p.ops);
+    }
+}
+
+/// Without any one allowlist entry the reference reads 4.4BSD there,
+/// and an op of the streams — for `MapsearchStart`, which only bites
+/// below 8 fragments per block, a query at 4 — comes out differently.
+/// Each is printed; the `HashallocOffsets` one is a spilled create.
+#[test]
+fn every_allowlist_entry_is_live() {
+    let params = FsParams {
+        fsize: 2 * KB as u32,
+        ..FsParams::small_test()
+    };
+    let (sb, fresh) = (Sb::new(&params), CylGroup::new(&params, CgIdx(0)));
+    for d in ALLOWLIST {
+        let mut allow = ALLOWLIST.to_vec();
+        allow.retain(|&x| x != d);
+        let r = Cg::encode(&sb, &fresh);
+        let query = (0..fresh.nblocks())
+            .find(|&f| fresh.find_free_block(f) != r.mapsearch_block(f, &allow))
+            .map(|f| format!("find_free_block(from={f}) at fpb 4"));
+        let op = query.or_else(|| {
+            let mut ops = (0..16).map(|i| {
+                (
+                    i,
+                    stream(
+                        &tiny_blocks(),
+                        i,
+                        (1996 + u64::from(i), 140),
+                        allow.clone(),
+                        &mut [0; 3],
+                    ),
+                )
+            });
+            ops.find_map(|(i, res)| res.err().map(|e| format!("variant {i}, {e}")))
+        });
+        let op = op.unwrap_or_else(|| panic!("{d:?} is not live"));
+        eprintln!("without {d:?}: {op}");
+    }
+}

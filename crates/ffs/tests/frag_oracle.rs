@@ -4,18 +4,22 @@
 //! `crates/ffs/src/cg.rs` keeps the fragment allocation map packed into
 //! `u64` words with an incrementally maintained fragment summary
 //! (`cg_frsum`), and answers fragment searches from them;
-//! `crates/ffs/src/naive.rs` keeps byte-at-a-time references. These
+//! the 4.4BSD reference (`bsd/mod.rs`) answers them from the group's
+//! `struct cg` bytes with the kernel's per-`fs_frag` masks. These
 //! tests drive both over random small-file churn on every supported
 //! frag-per-block geometry (1, 2, 4, 8 — each leaving a non-multiple-
 //! of-64 trailing fragment word on the odd group size) and assert that
-//! the searches are bit-for-bit identical and that the summary always
+//! the fragment searches, and beside them the whole-block search and the
+//! capped free runs, are bit-for-bit identical and that the summary always
 //! equals a from-scratch recount, after *every* mutation. Beside the
 //! random maps, four constructed ones pin the shapes the searches branch
 //! on — loose fragments but no fitting run, only fully free blocks, only
 //! partial blocks, the sole fit below the starting block — against the
-//! references for every `(from, len)` there is.
+//! reference for every `(from, len)` there is.
 
-use ffs::naive;
+mod bsd;
+
+use bsd::{Cg, Sb, ALLOWLIST};
 use ffs::CylGroup;
 use ffs_types::{CgIdx, FsParams, KB, MB};
 use proptest::prelude::*;
@@ -36,6 +40,12 @@ fn geometry(fsize: u32) -> FsParams {
         fsize,
         ..FsParams::small_test()
     }
+}
+
+/// `cg`, a group of [`geometry`], as the reference decodes it.
+fn reference(cg: &CylGroup) -> Cg {
+    let fsize = FsParams::small_test().bsize / cg.frags_per_block();
+    Cg::encode(&Sb::new(&geometry(fsize)), cg)
 }
 
 /// One random public mutation on the group, mimicking small-file churn:
@@ -69,11 +79,14 @@ fn churn_once(cg: &mut CylGroup, rng: &mut StdRng) {
     }
 }
 
-/// The derived state and free counters vs their from-scratch recounts.
+/// The derived state and free counters vs their from-scratch recounts,
+/// ours and the reference's.
 fn assert_summary_exact(cg: &CylGroup) {
     let fpb = cg.frags_per_block();
     assert_eq!(cg.frag_summary().len(), (fpb - 1) as usize);
     assert_eq!(cg.derived_drift(), [], "derived state drifted (fpb {fpb})");
+    let r = reference(cg);
+    assert_eq!(r.summary(), r.recount(), "summaries vs recount (fpb {fpb})");
     let free_frags: u32 = (0..cg.nblocks())
         .map(|b| fpb - cg.map_byte(b).count_ones())
         .sum();
@@ -96,35 +109,57 @@ fn draw_from(rng: &mut StdRng, n: u32) -> u32 {
     }
 }
 
-/// Both fragment searches vs their naive references for one query.
-fn assert_query_matches(cg: &CylGroup, from: u32, len: u32) {
+/// Both fragment searches vs the reference, `r`, for one query:
+/// fragment first fit, and `ffs_alloccg`'s `cg_frsum`-guided best fit.
+fn assert_query_matches(cg: &CylGroup, r: &Cg, from: u32, len: u32) {
     let fpb = cg.frags_per_block();
     assert_eq!(
-        cg.find_frag_run(from, len).map(|r| (r.block, r.frag)),
-        naive::find_frag_run(cg, from, len),
+        cg.find_frag_run(from, len).map(|f| (f.block, f.frag)),
+        r.frag_first_fit(from, len),
         "find_frag_run(from={from}, len={len}, fpb={fpb})"
     );
     assert_eq!(
         cg.find_frag_run_bestfit(from, len)
-            .map(|r| (r.block, r.frag)),
-        naive::find_frag_run_bestfit(cg, from, len),
+            .map(|f| (f.block, f.frag)),
+        r.frag_best_fit(from, len, &ALLOWLIST),
         "find_frag_run_bestfit(from={from}, len={len}, fpb={fpb})"
     );
 }
 
-/// Both fragment searches vs their naive references for `queries`
-/// random `(from, len)` pairs. Sub-block requests only exist for
-/// `fpb > 1`; the fpb = 1 geometry is covered by the summary checks
-/// (its summary is empty and must stay empty).
-fn assert_searches_match(cg: &CylGroup, rng: &mut StdRng, queries: usize) {
-    let fpb = cg.frags_per_block();
-    if fpb == 1 {
-        return;
+/// The whole-block search from `from` and the capped free runs on
+/// either side of it vs the reference, `r`: the block-level answers,
+/// which must not depend on the fragments per block.
+fn assert_block_queries_match(cg: &CylGroup, r: &Cg, from: u32) {
+    let (fpb, n) = (cg.frags_per_block(), cg.nblocks());
+    assert_eq!(
+        cg.find_free_block(from),
+        r.mapsearch_block(from, &ALLOWLIST),
+        "find_free_block(from={from}, fpb={fpb})"
+    );
+    for cap in [1, 7, 64, n + 1].into_iter().filter(|_| from < n) {
+        let ours = (cg.free_len_before(from, cap), cg.free_len_after(from, cap));
+        let want = (r.free_len_before(from, cap), r.free_len_after(from, cap));
+        assert_eq!(
+            ours, want,
+            "free_len_before/after(block={from}, cap={cap}, fpb={fpb})"
+        );
     }
+}
+
+/// The block-level queries and both fragment searches vs the reference
+/// for `queries` random `(from, len)` pairs. Sub-block requests only
+/// exist for `fpb > 1`; at fpb = 1 the summary checks cover the
+/// fragment side (its summary is empty and must stay empty).
+fn assert_searches_match(cg: &CylGroup, rng: &mut StdRng, queries: usize) {
+    let (fpb, r) = (cg.frags_per_block(), reference(cg));
     for _ in 0..queries {
         let from = draw_from(rng, cg.nblocks());
+        assert_block_queries_match(cg, &r, from);
+        if fpb == 1 {
+            continue;
+        }
         let len = rng.gen_range(1..fpb);
-        assert_query_matches(cg, from, len);
+        assert_query_matches(cg, &r, from, len);
         if let Some(r) = cg.find_frag_run_bestfit(from, len) {
             assert!(cg.is_run_free(r.block, r.frag, r.len));
             assert_eq!(r.len, len, "best fit returns the requested length");
@@ -136,7 +171,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Random churn on every geometry, then the summary recount and both
-    /// searches vs their references.
+    /// searches vs the reference.
     #[test]
     fn frag_machinery_matches_naive_on_every_geometry(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -224,13 +259,13 @@ fn bestfit_never_splits_while_a_partial_run_fits() {
         let r = cg.find_frag_run_bestfit(m, 1).expect("hole exists");
         assert_eq!((r.block, r.frag), (m + 50, fpb - 1));
         assert_eq!(
-            naive::find_frag_run_bestfit(&cg, m, 1),
+            reference(&cg).frag_best_fit(m, 1, &ALLOWLIST),
             Some((m + 50, fpb - 1))
         );
         // Fill the hole: nothing partial remains, the search reports so.
         cg.alloc_frags(m + 50, fpb - 1, 1);
         assert!(cg.find_frag_run_bestfit(m, 1).is_none());
-        assert!(naive::find_frag_run_bestfit(&cg, m, 1).is_none());
+        assert!(reference(&cg).frag_best_fit(m, 1, &ALLOWLIST).is_none());
     }
 }
 
@@ -243,14 +278,16 @@ fn full_group(fsize: u32) -> CylGroup {
     cg
 }
 
-/// Both fragment searches vs their naive references for every starting
-/// block (the two past-the-end resets included) and every length.
+/// The block-level queries and both fragment searches vs the reference
+/// for every starting block (the two past-the-end resets included) and
+/// every length.
 fn assert_every_query_matches(cg: &CylGroup) {
-    let fpb = cg.frags_per_block();
+    let (fpb, r) = (cg.frags_per_block(), reference(cg));
     assert_summary_exact(cg);
     for from in (0..=cg.nblocks() + 1).chain([u32::MAX]) {
+        assert_block_queries_match(cg, &r, from);
         for len in 1..fpb {
-            assert_query_matches(cg, from, len);
+            assert_query_matches(cg, &r, from, len);
         }
     }
 }

@@ -2,14 +2,17 @@
 //!
 //! `crates/ffs/src/cg.rs` answers every free-space query from two derived
 //! structures (a packed free-block bitmap and an incrementally maintained
-//! cluster summary table); `crates/ffs/src/naive.rs` keeps the original
-//! byte-at-a-time scans. These tests drive both implementations over
-//! randomized allocation states and randomized queries — including the
-//! wraparound, past-the-end, and longer-than-the-group edge cases — and
-//! assert they are bit-for-bit identical, and that the summary table
-//! always equals a from-scratch recount.
+//! cluster summary table); the 4.4BSD reference (`bsd/mod.rs`) answers
+//! the same queries from the group's `struct cg` bytes alone. These
+//! tests drive both over randomized allocation states and randomized
+//! queries — including the wraparound, past-the-end, and
+//! longer-than-the-group edge cases — and assert they are bit-for-bit
+//! identical, and that the summary table always equals a from-scratch
+//! recount.
 
-use ffs::naive;
+mod bsd;
+
+use bsd::{Cg, Sb, ALLOWLIST};
 use ffs::CylGroup;
 use ffs_types::{CgIdx, FsParams, KB, MB};
 use proptest::prelude::*;
@@ -24,6 +27,11 @@ fn odd_params() -> FsParams {
         ncg: 3,
         ..FsParams::small_test()
     }
+}
+
+/// `cg` of a volume of `params` as the reference decodes it.
+fn reference(params: &FsParams, cg: &CylGroup) -> Cg {
+    Cg::encode(&Sb::new(params), cg)
 }
 
 /// Builds a randomly fragmented group by replaying `ops` random public
@@ -78,11 +86,11 @@ fn draw_len(rng: &mut StdRng, n: u32) -> u32 {
     }
 }
 
-/// Asserts every search function agrees with its naive reference for
+/// Asserts every search function agrees with the reference for
 /// `queries` random `(from, len, window)` triples, and that the derived
 /// state matches a from-scratch recount.
-fn assert_oracle(cg: &CylGroup, rng: &mut StdRng, queries: usize) {
-    let n = cg.nblocks();
+fn assert_oracle(params: &FsParams, cg: &CylGroup, rng: &mut StdRng, queries: usize) {
+    let (n, r) = (cg.nblocks(), reference(params, cg));
     assert_eq!(cg.derived_drift(), [], "derived state drifted from the map");
     let runs: Vec<(u32, u32)> = cg.free_runs().collect();
     assert_eq!(
@@ -106,26 +114,31 @@ fn assert_oracle(cg: &CylGroup, rng: &mut StdRng, queries: usize) {
         };
         assert_eq!(
             cg.find_free_block(from),
-            naive::find_free_block(cg, from),
+            r.mapsearch_block(from, &ALLOWLIST),
             "find_free_block(from={from})"
         );
         assert_eq!(
             cg.find_free_cluster(from, len),
-            naive::find_free_cluster(cg, from, len),
+            r.clusteralloc(from, len, &ALLOWLIST),
             "find_free_cluster(from={from}, len={len})"
         );
         assert_eq!(
             cg.find_free_cluster_bestfit(len),
-            naive::find_free_cluster_bestfit(cg, len),
+            r.cluster_near(0, len, u32::MAX),
             "find_free_cluster_bestfit(len={len})"
         );
         assert_eq!(
+            cg.is_cluster_free(from, len),
+            r.is_cluster_free(from, len),
+            "is_cluster_free(from={from}, len={len})"
+        );
+        assert_eq!(
             cg.find_free_cluster_near(from, len, window),
-            naive::find_free_cluster_near(cg, from, len, window),
+            r.cluster_near(from, len, window),
             "find_free_cluster_near(from={from}, len={len}, window={window})"
         );
         // The word-at-a-time neighbor-run scans feeding the cluster
-        // summary, vs their per-bit references. Uncapped-ish caps too,
+        // summary, vs the reference's per-bit walks. Uncapped-ish caps too,
         // so whole-word runs and the group edge both get exercised.
         let b = rng.gen_range(0..n);
         let cap = match rng.gen_range(0u32..4) {
@@ -135,12 +148,12 @@ fn assert_oracle(cg: &CylGroup, rng: &mut StdRng, queries: usize) {
         };
         assert_eq!(
             cg.free_len_before(b, cap),
-            naive::free_len_before(cg, b, cap),
+            r.free_len_before(b, cap),
             "free_len_before(block={b}, cap={cap})"
         );
         assert_eq!(
             cg.free_len_after(b, cap),
-            naive::free_len_after(cg, b, cap),
+            r.free_len_after(b, cap),
             "free_len_after(block={b}, cap={cap})"
         );
     }
@@ -157,7 +170,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let ops = rng.gen_range(0usize..1200);
         let cg = random_group(&params, 1, &mut rng, ops);
-        assert_oracle(&cg, &mut rng, 64);
+        assert_oracle(&params, &cg, &mut rng, 64);
     }
 
     /// The paper's 502 MB geometry: 2920-block groups, NOT a multiple of
@@ -168,7 +181,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let ops = rng.gen_range(0usize..4000);
         let cg = random_group(&params, 3, &mut rng, ops);
-        assert_oracle(&cg, &mut rng, 32);
+        assert_oracle(&params, &cg, &mut rng, 32);
     }
 
     /// Odd geometry (426/428-block groups) including the oversized final
@@ -180,11 +193,12 @@ proptest! {
         let cg_idx = rng.gen_range(0u32..params.ncg);
         let ops = rng.gen_range(0usize..1000);
         let cg = random_group(&params, cg_idx, &mut rng, ops);
-        assert_oracle(&cg, &mut rng, 48);
+        assert_oracle(&params, &cg, &mut rng, 48);
     }
 
     /// The incremental summary stays exact after *every* single mutation,
-    /// not just at the end of a burst.
+    /// not just at the end of a burst: equal to our recount and, as
+    /// `struct cg` bytes, to the reference's.
     #[test]
     fn summary_tracks_every_mutation(seed in any::<u64>()) {
         let params = FsParams::small_test();
@@ -212,6 +226,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(cg.derived_drift(), []);
+            let r = reference(&params, &cg);
+            prop_assert_eq!(r.summary(), r.recount());
         }
     }
 }
@@ -223,18 +239,22 @@ fn from_past_the_end_restarts_at_metadata() {
     let m = cg.meta_blocks();
     let n = cg.nblocks();
     cg.alloc_block(m); // Metadata edge allocated: the answer is m + 1.
+    let r = reference(&params, &cg);
     for from in [n, n + 1, n + 513, u32::MAX] {
         assert_eq!(cg.find_free_block(from), Some(m + 1));
         assert_eq!(cg.find_free_cluster(from, 3), Some(m + 1));
         assert_eq!(cg.find_free_cluster_near(from, 3, 8), Some(m + 1));
-        assert_eq!(cg.find_free_block(from), naive::find_free_block(&cg, from));
+        assert_eq!(
+            cg.find_free_block(from),
+            r.mapsearch_block(from, &ALLOWLIST)
+        );
         assert_eq!(
             cg.find_free_cluster(from, 3),
-            naive::find_free_cluster(&cg, from, 3)
+            r.clusteralloc(from, 3, &ALLOWLIST)
         );
         assert_eq!(
             cg.find_free_cluster_near(from, 3, 8),
-            naive::find_free_cluster_near(&cg, from, 3, 8)
+            r.cluster_near(from, 3, 8)
         );
     }
 }
@@ -243,7 +263,7 @@ fn from_past_the_end_restarts_at_metadata() {
 fn requests_longer_than_the_group_are_rejected() {
     let params = FsParams::small_test();
     let cg = CylGroup::new(&params, CgIdx(0));
-    let data = cg.nblocks() - cg.meta_blocks();
+    let (data, r) = (cg.nblocks() - cg.meta_blocks(), reference(&params, &cg));
     // The whole data area is one free run: exactly `data` fits, more than
     // `data` does not, no matter how absurd the request.
     assert_eq!(cg.find_free_cluster(0, data), Some(cg.meta_blocks()));
@@ -253,7 +273,7 @@ fn requests_longer_than_the_group_are_rejected() {
         assert_eq!(cg.find_free_cluster_near(0, len, 64), None);
         assert_eq!(
             cg.find_free_cluster(0, len),
-            naive::find_free_cluster(&cg, 0, len)
+            r.clusteralloc(0, len, &ALLOWLIST)
         );
     }
 }
@@ -272,6 +292,11 @@ fn exhausted_group_returns_none_everywhere() {
     assert_eq!(cg.find_free_cluster_bestfit(1), None);
     assert_eq!(cg.find_free_cluster_near(100, 2, 50), None);
     assert_eq!(cg.free_runs().count(), 0);
+    let r = reference(&params, &cg);
+    assert_eq!(r.mapsearch_block(0, &ALLOWLIST), None);
+    assert_eq!(r.clusteralloc(7, 1, &ALLOWLIST), None);
+    assert_eq!(r.cluster_near(0, 1, u32::MAX), None);
+    assert_eq!(r.cluster_near(100, 2, 50), None);
 }
 
 #[test]
@@ -289,15 +314,16 @@ fn wrap_margin_covers_runs_crossing_the_start() {
     // A 5-cluster search from inside the run sees only its tail going
     // forward; the wrap pass must re-scan far enough past `from` to see
     // the full run.
+    let r = reference(&params, &cg);
     assert_eq!(cg.find_free_cluster(s + 1, 5), Some(s - 2));
     assert_eq!(
         cg.find_free_cluster(s + 1, 5),
-        naive::find_free_cluster(&cg, s + 1, 5)
+        r.clusteralloc(s + 1, 5, &ALLOWLIST)
     );
     assert_eq!(cg.find_free_cluster(s + 1, 6), None);
     assert_eq!(
         cg.find_free_cluster_near(s + 1, 5, 10),
-        naive::find_free_cluster_near(&cg, s + 1, 5, 10)
+        r.cluster_near(s + 1, 5, 10)
     );
 }
 
@@ -306,13 +332,13 @@ fn window_extremes_match_naive() {
     let params = FsParams::small_test();
     let mut rng = StdRng::seed_from_u64(47);
     let cg = random_group(&params, 1, &mut rng, 600);
-    let n = cg.nblocks();
+    let (n, r) = (cg.nblocks(), reference(&params, &cg));
     for from in [0, n / 2, n - 1] {
         for len in [1, 3, 7] {
             for window in [0, 1, n, u32::MAX] {
                 assert_eq!(
                     cg.find_free_cluster_near(from, len, window),
-                    naive::find_free_cluster_near(&cg, from, len, window),
+                    r.cluster_near(from, len, window),
                     "near(from={from}, len={len}, window={window})"
                 );
             }
@@ -336,24 +362,24 @@ fn near_search_matches_naive_at_every_mask_edge() {
     for (seed, ops) in [(1u64, 0usize), (2, 40), (3, 200), (4, 600), (5, 1500)] {
         let mut rng = StdRng::seed_from_u64(seed);
         let cg = random_group(&params, seed as u32 % params.ncg, &mut rng, ops);
-        let n = cg.nblocks();
+        let (n, r) = (cg.nblocks(), reference(&params, &cg));
         assert_ne!(n % 64, 0);
         let near = |from: u32, len: u32, window: u32| {
             assert_eq!(
                 cg.find_free_cluster_near(from, len, window),
-                naive::find_free_cluster_near(&cg, from, len, window),
+                r.cluster_near(from, len, window),
                 "near(from={from}, len={len}, window={window}) seed {seed}"
             );
         };
-        for (s, r) in cg.free_runs().collect::<Vec<_>>() {
-            let inside = s + r / 2;
+        for (s, run) in cg.free_runs().collect::<Vec<_>>() {
+            let inside = s + run / 2;
             // Before the run, on the word boundary below it, at its first
             // block, inside it, at its last block.
-            for from in [s.saturating_sub(70), s - s % 64, s, inside, s + r - 1] {
+            for from in [s.saturating_sub(70), s - s % 64, s, inside, s + run - 1] {
                 for &len in &lens {
                     // The limit on the run's first block, inside the run,
                     // one past its end; no window; more than the group.
-                    for lim in [s, inside, s + r] {
+                    for lim in [s, inside, s + run] {
                         near(from, len, lim.saturating_sub(from));
                     }
                     near(from, len, 0);
@@ -378,11 +404,12 @@ fn near_search_matches_naive_at_every_mask_edge() {
         for run in [63, 64, 65, 66, 67, 130] {
             let mut cg = full.clone();
             cg.free_block_run(start, run);
+            let r = reference(&params, &cg);
             for len in run - 1..=run + 1 {
                 for (from, window) in [(0, 0), (0, 512), (start, 1), (start + 1, 512)] {
                     assert_eq!(
                         cg.find_free_cluster_near(from, len, window),
-                        naive::find_free_cluster_near(&cg, from, len, window),
+                        r.cluster_near(from, len, window),
                         "run {start}+{run}: near(from={from}, len={len}, window={window})"
                     );
                 }
@@ -417,8 +444,24 @@ fn is_cluster_free_handles_boundaries() {
     assert_eq!(cg.find_free_cluster(0, 4), None);
     assert_eq!(
         cg.find_free_cluster(0, 3),
-        naive::find_free_cluster(&cg, 0, 3)
+        reference(&params, &cg).clusteralloc(0, 3, &ALLOWLIST)
     );
+}
+
+/// A run of `n` blocks from `b` given back (`free`) or taken in one
+/// transition, against the reference moving them a block at a time
+/// (`ffs_clusteracct` per block, so the summary, `cg_clustersfree` and
+/// the rotor all follow).
+fn assert_run(params: &FsParams, cg: &CylGroup, b: u32, n: u32, free: bool) {
+    let (mut ours, mut r) = (cg.clone(), reference(params, cg));
+    match free {
+        true => ours.free_block_run(b, n),
+        false => ours.alloc_block_run(b, n),
+    }
+    r.blocks(b, n, free);
+    let diff = reference(params, &ours).diff(&r);
+    let fpb = params.frags_per_block();
+    assert_eq!(diff, None, "blocks {b}+{n} free={free} at fpb {fpb}");
 }
 
 #[test]
@@ -442,6 +485,40 @@ fn summary_pools_long_runs_in_the_last_bucket() {
     }
     assert_eq!(cg.derived_drift(), []);
     assert_eq!(cg.cluster_summary()[0], 1);
+    // Run transitions on full groups of every fpb, both sizes ending in
+    // a partial trailing word: inside a word and across one and two word
+    // boundaries, from the first data block and up to the last block,
+    // with free neighbours on either side absent, under the pooling cap,
+    // at it and over it.
+    let fsizes = [KB, 2 * KB, 4 * KB, 8 * KB].map(|f| f as u32);
+    for (fsize, g) in fsizes.into_iter().flat_map(|f| [(f, 0), (f, 2)]) {
+        let params = FsParams {
+            fsize,
+            ..odd_params()
+        };
+        let mut full = CylGroup::new(&params, CgIdx(g));
+        let (m, end, cap) = (full.meta_blocks(), full.nblocks(), params.maxcontig);
+        full.alloc_block_run(m, end - m);
+        for n in [1, 2, 7, 8, 9, 63, 64, 65, 129, 130] {
+            for b in [m, 40, 60, 63, 64, 65, 127, 128, 200, end - n] {
+                for (left, right) in [0, 3, cap, cap + 5].into_iter().zip([0, cap, cap + 6, 2]) {
+                    if b < m + left || b + n + right > end {
+                        continue;
+                    }
+                    let mut cg = full.clone();
+                    for (at, len) in [(b - left, left), (b + n, right)] {
+                        if len > 0 {
+                            cg.free_block_run(at, len);
+                        }
+                    }
+                    assert_run(&params, &cg, b, n, true);
+                    cg.free_block_run(b, n);
+                    assert_run(&params, &cg, b, n, false);
+                }
+            }
+        }
+        assert_run(&params, &full, m, end - m, true);
+    }
 }
 
 #[test]

@@ -1,14 +1,17 @@
 //! Differential oracle for the free-space statistics.
 //!
 //! [`ffs::free_space_stats`] walks each group's derived free-block
-//! bitmap; [`ffs::naive`] keeps a block-at-a-time rescan of the fragment
-//! map itself. This suite drives random create/remove churn through the
+//! bitmap; the 4.4BSD reference (`bsd/mod.rs`) counts the same
+//! statistics block by block from each group's `struct cg` bytes. This
+//! suite drives random create/remove churn through the
 //! whole filesystem stack on three geometries — 512-block groups
 //! (`small_test`), 2920-block groups (`paper_502mb`), and 426-block
 //! groups (a 10 MB, 3-group layout) — and holds the two bit-equal, plus
 //! every group's derived state equal to its recount.
 
-use ffs::naive;
+mod bsd;
+
+use bsd::{encode_fs, Sb};
 use ffs::{free_space_stats, AllocPolicy, Filesystem};
 use ffs_types::{CgIdx, DirId, FsParams, Ino, KB, MB};
 use proptest::prelude::*;
@@ -53,19 +56,22 @@ fn churn_once(fs: &mut Filesystem, dir: DirId, live: &mut Vec<Ino>, rng: &mut St
     }
 }
 
-/// The free-space walk vs the map rescan, and every group's derived
-/// state vs its naive recount.
+/// The free-space walk vs the reference's count, and every group's
+/// derived state vs its recount, ours and the reference's.
 fn assert_stats_exact(fs: &Filesystem) {
-    for hist_max in [0, 8, 64, 4096] {
+    let sb = Sb::new(fs.params());
+    let cgs = encode_fs(&sb, fs);
+    for hist_max in [0, 8, 16, 64, 4096] {
         assert_eq!(
             free_space_stats(fs, hist_max),
-            naive::free_space_stats_rescan(fs, hist_max),
-            "free-space walk drifted from the rescan (hist_max {hist_max})"
+            bsd::free_space_stats(&sb, &cgs, hist_max),
+            "free-space walk drifted from the reference (hist_max {hist_max})"
         );
     }
-    for g in 0..fs.ncg() {
-        let cg = fs.cg(CgIdx(g));
+    for (g, r) in cgs.iter().enumerate() {
+        let cg = fs.cg(CgIdx(g as u32));
         assert_eq!(cg.derived_drift(), [], "cg {g}: derived state drifted");
+        assert_eq!(r.summary(), r.recount(), "cg {g}: summaries vs recount");
     }
 }
 
@@ -120,4 +126,26 @@ fn rescans_agree_on_a_deterministic_aging_run() {
     }
     assert_stats_exact(&fs);
     assert!(fs.free_blocks() < fs.params().total_blocks() as u64);
+    // Fixed volumes at the extremes: full to the last block, a fresh
+    // one-group volume, a fresh one, and every other file removed.
+    let small = FsParams::small_test();
+    let mkfs = |p: &FsParams| Filesystem::new(p.clone(), AllocPolicy::Orig);
+    let (mut full, mut holes) = (mkfs(&small), mkfs(&small));
+    let d = full.mkdir().unwrap();
+    while full.create(d, 8 * KB, 0).is_ok() {}
+    let d = holes.mkdir().unwrap();
+    let inos: Vec<_> = (0..40)
+        .map(|day| holes.create(d, 8 * KB, day).unwrap())
+        .collect();
+    for ino in inos.into_iter().step_by(2) {
+        holes.remove(ino).unwrap();
+    }
+    let one_group = FsParams {
+        size_bytes: 4 * MB,
+        ncg: 1,
+        ..small.clone()
+    };
+    for fs in [full, mkfs(&one_group), mkfs(&small), holes] {
+        assert_stats_exact(&fs);
+    }
 }
