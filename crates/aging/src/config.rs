@@ -133,13 +133,20 @@ impl AgingConfig {
         let scale = 1.0 / 31.0;
         c.days = days;
         c.ramp_days = (days / 3).max(1);
-        c.short_pairs_per_day *= scale;
-        c.long_creates_per_day = (c.long_creates_per_day * scale).max(4.0);
-        c.long_modifies_per_day = (c.long_modifies_per_day * scale).max(3.0);
-        c.rewrites_per_day = (c.rewrites_per_day * scale).max(3.0);
+        c.scale_rates(scale);
         c.long_sizes.max = MB;
         c.short_sizes.max = MB / 2;
         c
+    }
+
+    /// Scales the per-day rates by `scale`, a ratio of capacities. The
+    /// long-file and rewrite rates keep a floor (4, 3 and 3 a day), so a
+    /// small volume still sees every kind of op daily.
+    pub fn scale_rates(&mut self, scale: f64) {
+        self.short_pairs_per_day *= scale;
+        self.long_creates_per_day = (self.long_creates_per_day * scale).max(4.0);
+        self.long_modifies_per_day = (self.long_modifies_per_day * scale).max(3.0);
+        self.rewrites_per_day = (self.rewrites_per_day * scale).max(3.0);
     }
 
     /// A canonical, field-complete text rendering of the configuration,

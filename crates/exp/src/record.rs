@@ -83,7 +83,7 @@ pub struct RunRecord {
     pub wall_s: f64,
     /// Inert: nothing reads it and [`RunRecord::to_json`] never writes
     /// it. Kept, like `backoff_units`, only because a struct literal in
-    /// the frozen `benchmark/` spells both (ROADMAP item 1 g).
+    /// the frozen `benchmark/` spells both (ROADMAP item 11 (g)).
     pub attempts: u32,
     /// Inert; see `attempts`.
     pub backoff_units: u64,

@@ -37,6 +37,7 @@ use ffs_types::{CgIdx, Daddr, FsError, FsParams, FsResult, Ino};
 use crate::cg::CylGroup;
 use crate::fs::Filesystem;
 use crate::geom::Geometry;
+use crate::geom::FPB;
 use crate::inode::FileMeta;
 
 /// Which disk allocation policy a file system runs.
@@ -221,8 +222,8 @@ fn opens_indirect_region(params: &FsParams, lbn: u32) -> bool {
 
 /// The final shape of a file of `size` bytes: full blocks and tail
 /// fragments, under the FFS rule that only direct-block files keep a
-/// fragment tail. `fpb` is the volume's fragments per block.
-fn file_shape(params: &FsParams, fpb: u32, size: u64) -> (u32, u32) {
+/// fragment tail.
+fn file_shape(params: &FsParams, size: u64) -> (u32, u32) {
     let bsize = params.bsize as u64;
     let mut nfull = (size / bsize) as u32;
     let rem = size % bsize;
@@ -230,7 +231,7 @@ fn file_shape(params: &FsParams, fpb: u32, size: u64) -> (u32, u32) {
     if rem > 0 {
         if nfull < NDADDR {
             tail = (rem as u32).div_ceil(params.fsize);
-            if tail == fpb {
+            if tail == FPB {
                 tail = 0;
                 nfull += 1;
             }
@@ -400,7 +401,7 @@ impl AllocEngine<'_> {
         };
         let mut n = 1u32;
         for a in addrs {
-            if a.0 == first.0 + n * geom.fpb {
+            if a.0 == first.0 + n * FPB {
                 n += 1;
             } else {
                 free_run(first, n);
@@ -426,7 +427,7 @@ impl AllocEngine<'_> {
         len: u32,
         pref: Option<Daddr>,
     ) -> FsResult<Daddr> {
-        debug_assert!(len >= 1 && len < self.geom.fpb);
+        debug_assert!((1..FPB).contains(&len));
         let pref_cg = pref.map(|d| self.geom.dtog(d));
         let bestfit = self.cfg.frag_bestfit;
         let got = self.hashalloc(pref_cg.unwrap_or(cg_hint), |eng, g| {
@@ -490,10 +491,9 @@ impl AllocEngine<'_> {
         self.stats.realloc_windows = self.stats.realloc_windows.saturating_add(1);
         obs::hist!("ffs.realloc_window_blocks", obs::bounds::LINEAR_16, len);
         let geom = self.geom;
-        let fpb = geom.fpb;
         let addrs = &meta.blocks.as_slice()[s as usize..e as usize];
         // Already contiguous: nothing to gather.
-        if addrs.windows(2).all(|w| w[1].0 == w[0].0 + fpb) {
+        if addrs.windows(2).all(|w| w[1].0 == w[0].0 + FPB) {
             self.stats.realloc_already_contig = self.stats.realloc_already_contig.saturating_add(1);
             return false;
         }
@@ -545,7 +545,7 @@ impl AllocEngine<'_> {
                 let mid = s + len.div_ceil(2);
                 let moved_lo = self.realloc_window(meta, (s, mid), pref);
                 let lo_end = meta.blocks.as_slice()[mid as usize - 1];
-                let hi_pref = Some(Daddr(lo_end.0 + fpb));
+                let hi_pref = Some(Daddr(lo_end.0 + FPB));
                 let moved_hi = self.realloc_window(meta, (mid, e), hi_pref);
                 return moved_lo || moved_hi;
             }
@@ -582,9 +582,8 @@ impl AllocEngine<'_> {
         size: u64,
     ) -> FsResult<()> {
         let geom = self.geom;
-        let fpb = geom.fpb;
         let nindir = self.params.nindir();
-        let (nfull, tail_frags) = file_shape(self.params, fpb, size);
+        let (nfull, tail_frags) = file_shape(self.params, size);
         // The realloc pass only engages once a file fills its second
         // block (the paper's two-block-file quirk, Section 4).
         let realloc_on =
@@ -612,12 +611,12 @@ impl AllocEngine<'_> {
                 }
             }
             let stop = switches.peek().map_or(flush_at, |&s| s.min(flush_at));
-            let pref = prev.map(|d| Daddr(d.0 + fpb));
+            let pref = prev.map(|d| Daddr(d.0 + FPB));
             let (addr, n) = self.alloc_blocks(cur_cg, pref, stop - lbn)?;
-            let last = Daddr(addr.0 + (n - 1) * fpb);
+            let last = Daddr(addr.0 + (n - 1) * FPB);
             cur_cg = geom.dtog(addr);
             debug_assert_eq!(geom.dtog(last), cur_cg, "extent left its group");
-            meta.blocks.push_run(addr, n, fpb);
+            meta.blocks.push_run(addr, n, FPB);
             prev = Some(last);
             lbn += n;
             if lbn == flush_at {
@@ -635,7 +634,7 @@ impl AllocEngine<'_> {
             }
         }
         if tail_frags > 0 {
-            let pref = prev.map(|d| Daddr(d.0 + fpb));
+            let pref = prev.map(|d| Daddr(d.0 + FPB));
             let hint = prev.map(|d| geom.dtog(d)).unwrap_or(dcg);
             let t = self.alloc_frag_run(hint, tail_frags, pref)?;
             meta.tail = Some((t, tail_frags));
@@ -649,13 +648,12 @@ impl AllocEngine<'_> {
     /// after the indirect block allocated at that switch point, the last
     /// of the `indirects_needed` up to there.
     fn window_pref(&self, meta: &FileMeta, wstart: u32) -> Option<Daddr> {
-        let fpb = self.geom.fpb;
         if opens_indirect_region(self.params, wstart) {
             let ind = meta.indirects()[indirects_needed(self.params, wstart + 1) - 1];
-            return Some(Daddr(ind.0 + fpb));
+            return Some(Daddr(ind.0 + FPB));
         }
         let before = meta.blocks.get((wstart as usize).checked_sub(1)?)?;
-        Some(Daddr(before.0 + fpb))
+        Some(Daddr(before.0 + FPB))
     }
 }
 
@@ -720,7 +718,7 @@ mod tests {
     #[test]
     fn shape_matches_create_rules() {
         let p = FsParams::paper_502mb();
-        let shape = |size| file_shape(&p, p.frags_per_block(), size);
+        let shape = |size| file_shape(&p, size);
         assert_eq!(shape(0), (0, 0));
         assert_eq!(shape(3 * KB), (0, 3));
         assert_eq!(shape(8 * KB), (1, 0));

@@ -1,12 +1,10 @@
 //! Cylinder groups: the allocation pools of FFS.
 //!
 //! Each group keeps a fragment-granularity allocation map packed into
-//! `u64` words: bit `block * fpb + frag` set means that fragment is
-//! allocated — the `cg_blksfree` map of 4.4BSD, tested and updated with
-//! the `ffs_isblock`/`ffs_setblock`/`ffs_clrblock` masked-word idiom.
-//! The supported fragment-per-block geometries (1, 2, 4, 8) all divide
-//! 64, so a block's lane never straddles a word and every lane test is
-//! one shift and mask.
+//! `u64` words: bit `block * 8 + frag` set means that fragment is
+//! allocated — the complement of 4.4BSD's `cg_blksfree` at `fs_frag = 8`
+//! (the only geometry, `geom::FPB`), so a block's lane is one
+//! byte of a word, and every lane test is one shift and mask.
 //!
 //! Search does not walk the raw map. Everything that is a pure function
 //! of it lives in one [`Derived`] value of four tables, maintained
@@ -29,7 +27,7 @@
 //!   adequate run size before touching the map at all — `ffs_alloccg`'s
 //!   `allocsiz` loop — and, with the free-block count, refuses a
 //!   first-fit request no block of the group can hold;
-//! * `fit_words` — the partial-block fit index: `fpb - 1` bitmaps laid
+//! * `fit_words` — the partial-block fit index: seven bitmaps laid
 //!   out like `free_words`, level `k` holding a bit for every partial
 //!   block whose longest free run is at least `k` fragments. With
 //!   `free_words` it turns both fragment searches
@@ -57,9 +55,11 @@
 //! Every search and summary here is held to an independent 4.4BSD
 //! reference that reads the group as `struct cg` bytes
 //! (`tests/scan_oracle.rs`, `tests/frag_oracle.rs`,
-//! `tests/stats_oracle.rs`) over every fragment-per-block geometry.
+//! `tests/stats_oracle.rs`).
 
 use ffs_types::{CgIdx, Daddr, FsParams};
+
+use crate::geom::FPB;
 
 /// One table of a group's [`Derived`] state, as a borrowed slice.
 #[derive(Debug)]
@@ -85,10 +85,10 @@ pub struct Derived {
     pub(crate) csum: Vec<u32>,
     /// Fragment summary (`cg_frsum`): `frsum[k-1]` counts maximal free
     /// fragment runs of exactly `k` fragments inside partially allocated
-    /// blocks. Has `fpb - 1` entries (a partial block's longest free run
-    /// is `fpb - 1`; empty when `fpb == 1` and fragments cannot exist).
+    /// blocks. Has seven entries: a partial block's longest free run is
+    /// seven fragments.
     pub(crate) frsum: Vec<u32>,
-    /// The partial-block fit index: `fpb - 1` bitmaps of
+    /// The partial-block fit index: seven bitmaps of
     /// `free_words.len()` words each, flattened level after level. Bit
     /// `block` of level `k` (1-based) is set when the block is partially
     /// allocated and its longest free run is at least `k` fragments, so a
@@ -111,16 +111,8 @@ impl Derived {
 
     /// Tears one slot of table `i` of [`Derived::tables`] — flips a bitmap
     /// bit or bumps a count — at a position drawn from `draw(bound)`.
-    /// Returns `false` for an empty table (the fragment tables at one
-    /// fragment per block).
-    pub(crate) fn perturb(&mut self, i: usize, mut draw: impl FnMut(u32) -> u32) -> bool {
-        let mut flip_bit = |w: &mut [u64]| {
-            if w.is_empty() {
-                return false;
-            }
-            w[draw(w.len() as u32) as usize] ^= 1 << draw(64);
-            true
-        };
+    pub(crate) fn perturb(&mut self, i: usize, mut draw: impl FnMut(u32) -> u32) {
+        let mut flip_bit = |w: &mut [u64]| w[draw(w.len() as u32) as usize] ^= 1 << draw(64);
         let counts = match i {
             0 => return flip_bit(&mut self.free_words),
             1 => &mut self.csum[..],
@@ -128,12 +120,8 @@ impl Derived {
             3 => return flip_bit(&mut self.fit_words),
             _ => unreachable!("no derived table {i}"),
         };
-        if counts.is_empty() {
-            return false;
-        }
         let slot = &mut counts[draw(counts.len() as u32) as usize];
         *slot = slot.wrapping_add(1 + draw(4));
-        true
     }
 }
 
@@ -149,18 +137,12 @@ pub struct CylGroup {
     /// descriptor, and inode table; marked allocated at initialization.
     meta_blocks: u32,
     /// Fragment allocation map, one bit per fragment packed 64 to the
-    /// word: bit `block * fpb + frag` set means that fragment is
-    /// allocated. `fpb` divides 64, so each block's lane of `fpb` bits
-    /// lives in exactly one word (`cg_blksfree` with `ffs_isblock`-style
-    /// masked access).
+    /// word: bit `block * 8 + frag` set means that fragment is
+    /// allocated, so each block's lane is one byte of a word
+    /// (`cg_blksfree` with `ffs_isblock`-style masked access).
     frag_words: Vec<u64>,
     /// The indexes derived from `frag_words`.
     derived: Derived,
-    /// Fragments per block (always 8 for the paper geometry, kept for
-    /// generality).
-    fpb: u32,
-    /// `log2(fpb)` (`fs_fragshift`): block↔fragment conversions shift.
-    frag_shift: u32,
     /// Longest run length the cluster summary tells apart
     /// (`fs_contigsumsize`; 7 for the paper geometry).
     maxcontig: u32,
@@ -194,12 +176,8 @@ impl CylGroup {
     pub fn new(params: &FsParams, idx: CgIdx) -> CylGroup {
         let nblocks = params.cg_nblocks(idx);
         let meta_blocks = params.cg_meta_blocks().min(nblocks);
-        let fpb = params.frags_per_block();
-        debug_assert!(
-            fpb.is_power_of_two() && fpb <= 8,
-            "unsupported frag-per-block geometry {fpb}"
-        );
-        let frag_words = fresh_frag_words(nblocks, meta_blocks, fpb);
+        debug_assert_eq!(params.frags_per_block(), FPB, "unsupported geometry");
+        let frag_words = fresh_frag_words(nblocks, meta_blocks);
         let ninodes = params.inodes_per_cg();
         let data_blocks = nblocks - meta_blocks;
         let mut cg = CylGroup {
@@ -209,10 +187,8 @@ impl CylGroup {
             meta_blocks,
             frag_words,
             derived: Derived::default(),
-            fpb,
-            frag_shift: fpb.trailing_zeros(),
             maxcontig: params.maxcontig.max(1),
-            free_frags: data_blocks * fpb,
+            free_frags: data_blocks * FPB,
             free_blocks: data_blocks,
             rotor: meta_blocks,
             imap: vec![0u64; ninodes.div_ceil(64) as usize],
@@ -268,25 +244,24 @@ impl CylGroup {
     /// Converts a block index within the group to a fragment address.
     pub fn block_daddr(&self, block: u32) -> Daddr {
         debug_assert!(block < self.nblocks);
-        Daddr(self.base.0 + (block << self.frag_shift))
+        Daddr(self.base.0 + block * FPB)
     }
 
     /// Converts a fragment address inside this group to (block, fragment).
     pub fn daddr_to_block(&self, d: Daddr) -> (u32, u32) {
         debug_assert!(d.0 >= self.base.0);
         let off = d.0 - self.base.0;
-        (off >> self.frag_shift, off & (self.fpb - 1))
+        (off / FPB, off % FPB)
     }
 
-    /// Fragments per block for this group's geometry.
+    /// Fragments per block: always 8.
     pub fn frags_per_block(&self) -> u32 {
-        self.fpb
+        FPB
     }
 
-    /// The lane value of a fully allocated block (`0xFF` for the paper's
-    /// 8-frags-per-block geometry, `(1 << fpb) - 1` in general).
+    /// The lane value of a fully allocated block.
     pub fn full_lane(&self) -> u8 {
-        ((1u16 << self.fpb) - 1) as u8
+        0xFF
     }
 
     /// Whether the block is fully free (`ffs_isblock`: one masked word
@@ -297,8 +272,8 @@ impl CylGroup {
 
     /// Whether the given fragment run is entirely free.
     pub fn is_run_free(&self, block: u32, frag: u32, len: u32) -> bool {
-        debug_assert!(frag + len <= self.fpb);
-        let bit = block as usize * self.fpb as usize + frag as usize;
+        debug_assert!(frag + len <= FPB);
+        let bit = (block * FPB + frag) as usize;
         let mask = ((1u64 << len) - 1) << (bit % 64);
         self.frag_words[bit / 64] & mask == 0
     }
@@ -335,15 +310,10 @@ impl CylGroup {
         );
         // A free-to-full transition touches no partial block, so the
         // fragment summary is unchanged by definition.
-        fill_bits(
-            &mut self.frag_words,
-            block << self.frag_shift,
-            n << self.frag_shift,
-            true,
-        );
+        fill_bits(&mut self.frag_words, block * FPB, n * FPB, true);
         self.mark_run_used(block, n);
         self.free_blocks -= n;
-        self.free_frags -= n << self.frag_shift;
+        self.free_frags -= n * FPB;
         self.rotor = block + n - 1;
     }
 
@@ -358,15 +328,10 @@ impl CylGroup {
         );
         debug_assert!(block >= self.meta_blocks);
         // Full-to-free: no partial block involved, frsum unchanged.
-        fill_bits(
-            &mut self.frag_words,
-            block << self.frag_shift,
-            n << self.frag_shift,
-            false,
-        );
+        fill_bits(&mut self.frag_words, block * FPB, n * FPB, false);
         self.mark_run_free(block, n);
         self.free_blocks += n;
-        self.free_frags += n << self.frag_shift;
+        self.free_frags += n * FPB;
     }
 
     /// Allocates a fragment run within one block. The block may have other
@@ -413,11 +378,8 @@ impl CylGroup {
     /// read-modify-write for partial ones). Raw map write only: no
     /// counter, summary, or free-bitmap maintenance.
     fn write_lane(&mut self, block: u32, lane: u8) {
-        debug_assert!(u32::from(lane) <= u32::from(self.full_lane()));
-        let bit = block as usize * self.fpb as usize;
-        let (wi, sh) = (bit / 64, bit % 64);
-        let full = self.full_lane() as u64;
-        self.frag_words[wi] = (self.frag_words[wi] & !(full << sh)) | ((lane as u64) << sh);
+        let (wi, sh) = ((block / 8) as usize, block % 8 * 8);
+        self.frag_words[wi] = (self.frag_words[wi] & !(0xFF << sh)) | (u64::from(lane) << sh);
     }
 
     /// Adds (`add`) or removes the maximal free runs of one block lane
@@ -429,13 +391,13 @@ impl CylGroup {
     /// run — zero for the empty and full lanes — which is what
     /// [`CylGroup::fit_account`] files the block under.
     fn frsum_account(&mut self, lane: u8, add: bool) -> u32 {
-        if lane == 0 || lane == self.full_lane() {
+        if lane == 0 || lane == 0xFF {
             return 0;
         }
         // Walk the maximal zero runs with bit intrinsics: a partial lane
-        // has at most fpb/2 runs and usually one, so this is a couple of
-        // iterations where a per-bit loop is always fpb + 1.
-        let mut z = !u32::from(lane) & u32::from(self.full_lane());
+        // has at most four runs and usually one, so this is a couple of
+        // iterations where a per-bit loop is always nine.
+        let mut z = u32::from(!lane);
         let mut longest = 0;
         while z != 0 {
             let start = z.trailing_zeros();
@@ -452,7 +414,7 @@ impl CylGroup {
     /// its longest free run (as [`CylGroup::frsum_account`] reports it,
     /// zero when the lane is not partial) from `was` to `now`: the block's
     /// bit belongs in levels `1..=longest`, so exactly the levels between
-    /// the two flip — at most `fpb - 1` of them, none when the longest run
+    /// the two flip — at most seven of them, none when the longest run
     /// did not change. Whole-block transitions go empty to full or back
     /// and are zero on both sides, which is why
     /// [`CylGroup::alloc_block_run`] and [`CylGroup::free_block_run`]
@@ -465,7 +427,7 @@ impl CylGroup {
         }
     }
 
-    /// Level `k` of the fit index (`1 <= k < fpb`): one bit per block, set
+    /// Level `k` of the fit index (`1 <= k < 8`): one bit per block, set
     /// where a partially allocated block has a free run of at least `k`
     /// fragments.
     fn fit_level(&self, k: u32) -> &[u64] {
@@ -638,15 +600,13 @@ impl CylGroup {
     /// fsck rebuild assign it; [`CylGroup::derived_drift`] diffs against
     /// it.
     fn recount_derived(&self) -> Derived {
-        let fpb = self.fpb;
-        let full = self.full_lane();
         let cap = self.maxcontig as usize;
         let nwords = self.nblocks.div_ceil(64) as usize;
         let mut d = Derived {
             free_words: vec![0u64; nwords],
             csum: vec![0u32; cap],
-            frsum: vec![0u32; (fpb - 1) as usize],
-            fit_words: vec![0u64; (fpb - 1) as usize * nwords],
+            frsum: vec![0u32; (FPB - 1) as usize],
+            fit_words: vec![0u64; (FPB - 1) as usize * nwords],
         };
         let mut run = 0usize;
         // One step past the end, read as allocated, closes a trailing run.
@@ -654,7 +614,7 @@ impl CylGroup {
             let byte = if b < self.nblocks {
                 self.map_byte(b)
             } else {
-                full
+                0xFF
             };
             if byte == 0 {
                 d.free_words[(b / 64) as usize] |= 1 << (b % 64);
@@ -665,13 +625,13 @@ impl CylGroup {
                 d.csum[(run - 1).min(cap - 1)] += 1;
                 run = 0;
             }
-            if byte == full {
+            if byte == 0xFF {
                 continue;
             }
             let mut frun = 0u32;
             let mut longest = 0u32;
-            for i in 0..=fpb {
-                if i < fpb && byte & (1 << i) == 0 {
+            for i in 0..=FPB {
+                if i < FPB && byte & (1 << i) == 0 {
                     frun += 1;
                 } else if frun > 0 {
                     d.frsum[(frun - 1) as usize] += 1;
@@ -720,8 +680,7 @@ impl CylGroup {
 
     /// The fragment summary table (`cg_frsum`): entry `k` counts the
     /// maximal free fragment runs of exactly `k + 1` fragments inside
-    /// partially allocated blocks. Empty for the 1-frag-per-block
-    /// geometry, where sub-block allocation cannot exist.
+    /// partially allocated blocks.
     pub fn frag_summary(&self) -> &[u32] {
         &self.derived.frsum
     }
@@ -765,63 +724,30 @@ impl CylGroup {
     /// Finds a run of at least `len` consecutive fully free blocks at or
     /// after `from`, wrapping once — the cluster search used by the
     /// realloc policy (`ffs_clusteralloc`). Returns the first block of the
-    /// first fitting run.
+    /// first fitting run (a run that crosses the start counts from it):
+    /// the windowed search with an empty window.
     pub fn find_free_cluster(&self, from: u32, len: u32) -> Option<u32> {
-        debug_assert!(len >= 1);
-        if len == 0 || self.nblocks == 0 {
-            return None;
-        }
-        if !self.summary_may_fit(len) {
-            obs::counter!("ffs.cg_summary_reject", 1);
-            return None;
-        }
-        let start = if from >= self.nblocks {
-            self.meta_blocks
-        } else {
-            from
-        };
-        self.scan_cluster(start, self.nblocks, len)
-            .or_else(|| self.scan_cluster(0, start + len.min(self.nblocks) - 1, len))
+        self.find_free_cluster_near(from, len, 0)
     }
 
     /// Finds the *smallest* free run of at least `len` blocks anywhere in
-    /// the group (best fit; ties broken toward lower addresses). Consumes
-    /// left-over remainders instead of carving up the group's large runs,
-    /// which is what preserves big free clusters on a long-aged file
-    /// system.
+    /// the group (best fit; an exact fit at once, ties broken toward lower
+    /// addresses): the windowed search from block 0 with the whole group
+    /// as the window. Consumes left-over remainders instead of carving up
+    /// the group's large runs, which is what preserves big free clusters
+    /// on a long-aged file system.
     pub fn find_free_cluster_bestfit(&self, len: u32) -> Option<u32> {
-        debug_assert!(len >= 1);
-        if len == 0 || self.nblocks == 0 {
-            return None;
-        }
-        if !self.summary_may_fit(len) {
-            obs::counter!("ffs.cg_summary_reject", 1);
-            return None;
-        }
-        let mut best: Option<(u32, u32)> = None; // (len, start)
-        let mut pos = 0u32;
-        while let Some(s) = next_set_bit(&self.derived.free_words, pos, self.nblocks) {
-            let run = ones_run_len(&self.derived.free_words, s, self.nblocks);
-            if run >= len {
-                if run == len {
-                    // Exact fit cannot be beaten.
-                    return Some(s);
-                }
-                match best {
-                    Some((blen, _)) if blen <= run => {}
-                    _ => best = Some((run, s)),
-                }
-            }
-            pos = s + run + 1;
-        }
-        best.map(|(_, start)| start)
+        self.find_free_cluster_near(0, len, self.nblocks)
     }
 
     /// Windowed best fit: the best-fitting free run of at least `len`
     /// blocks that *starts* within `window` blocks after `from`; when no
     /// run in the window fits, the first fit beyond it (wrapping once).
     /// Keeps relocations near the rotor (temporal-spatial locality) while
-    /// consuming nearby remainders instead of carving large runs.
+    /// consuming nearby remainders instead of carving large runs. A run
+    /// crossing `from` counts from it. The group's one cluster scan: an
+    /// empty window makes it first fit, the whole group from block 0 best
+    /// fit.
     ///
     /// On an aged group most holes in the window are a block or two long
     /// and cannot hold the request, so the scan never measures them: per
@@ -927,13 +853,13 @@ impl CylGroup {
     /// The fragment map itself is read for one lane only. Whether any
     /// block fits is answered from the counters first, as `ffs_alloccg`
     /// consults `cg_frsum` before it searches — a group with loose
-    /// fragments but no run of `len` is refused in O(fpb), which is what
+    /// fragments but no run of `len` is refused in eight steps, which is what
     /// every group a spilled allocation probes on a full volume looks
     /// like — and which block fits first is `next_fit` over
     /// two bitmaps. (Reference: a per-block scan of `cg_blksfree`, in
     /// `tests/bsd/mod.rs`.)
     pub fn find_frag_run(&self, from: u32, len: u32) -> Option<FragRun> {
-        debug_assert!(len >= 1 && len < self.fpb);
+        debug_assert!((1..FPB).contains(&len));
         let longer = &self.derived.frsum[(len - 1) as usize..];
         if self.free_blocks == 0 && longer.iter().all(|&c| c == 0) {
             return None;
@@ -948,14 +874,14 @@ impl CylGroup {
             .or_else(|| self.next_fit(len, 0, start));
         debug_assert!(block.is_some(), "the summaries say {len} frags fit");
         let block = block?;
-        let frag = first_zero_run(self.map_byte(block), self.fpb, len);
+        let frag = first_zero_run(self.map_byte(block), len);
         Some(FragRun { block, frag, len })
     }
 
     /// Best-fit fragment search guided by the fragment summary — the
     /// `allocsiz` loop of `ffs_alloccg` followed by `ffs_mapsearch`: the
     /// smallest run size `k >= len` with a live `frsum` bucket is chosen
-    /// in O(fpb) before the map is touched, then the first partially
+    /// in eight steps before the map is touched, then the first partially
     /// allocated block at or after `from` (wrapping once) holding a
     /// maximal free run of exactly `k` fragments supplies the first
     /// `len` of them. The candidates are the set bits of fit level `k`;
@@ -964,8 +890,8 @@ impl CylGroup {
     /// caller then splits a fully free block, exactly as the BSD
     /// allocator falls back to `ffs_alloccgblk`.
     pub fn find_frag_run_bestfit(&self, from: u32, len: u32) -> Option<FragRun> {
-        debug_assert!(len >= 1 && len < self.fpb);
-        let k = (len..self.fpb).find(|&k| self.derived.frsum[(k - 1) as usize] > 0)?;
+        debug_assert!((1..FPB).contains(&len));
+        let k = (len..FPB).find(|&k| self.derived.frsum[(k - 1) as usize] > 0)?;
         let start = if from >= self.nblocks {
             self.meta_blocks
         } else {
@@ -975,7 +901,7 @@ impl CylGroup {
         let scan = |lo: u32, hi: u32| {
             let mut pos = lo;
             while let Some(block) = next_set_bit(level, pos, hi) {
-                if let Some(frag) = exact_zero_run(self.map_byte(block), self.fpb, k) {
+                if let Some(frag) = exact_zero_run(self.map_byte(block), k) {
                     return Some(FragRun { block, frag, len });
                 }
                 pos = block + 1;
@@ -1027,11 +953,10 @@ impl CylGroup {
     /// set means fragment `i` of the block is allocated (for the
     /// consistency checker and the full recount).
     pub fn map_byte(&self, block: u32) -> u8 {
-        let bit = block as usize * self.fpb as usize;
-        ((self.frag_words[bit / 64] >> (bit % 64)) & self.full_lane() as u64) as u8
+        (self.frag_words[(block / 8) as usize] >> (block % 8 * 8)) as u8
     }
 
-    /// The packed fragment map itself: bit `block * fpb + frag`, set =
+    /// The packed fragment map itself: bit `block * 8 + frag`, set =
     /// allocated, bits past the last block clear. The layout
     /// fsck's claim map mirrors, so the two compare a word at a time.
     pub fn frag_words(&self) -> &[u64] {
@@ -1044,7 +969,7 @@ impl CylGroup {
     pub(crate) fn install_frag_words(&mut self, words: Vec<u64>) {
         debug_assert_eq!(words.len(), self.frag_words.len());
         self.frag_words = words;
-        (self.free_frags, self.free_blocks) = free_counts(&self.frag_words, self.nblocks, self.fpb);
+        (self.free_frags, self.free_blocks) = free_counts(&self.frag_words, self.nblocks);
         self.rebuild_derived();
     }
 
@@ -1224,32 +1149,28 @@ fn fill_bits(words: &mut [u64], lo: u32, n: u32, set: bool) {
 }
 
 /// The fragment map of a group nothing has been allocated in: `nblocks`
-/// lanes of `fpb` bits, the first `meta_blocks` of them (the static
-/// metadata area) set.
-pub(crate) fn fresh_frag_words(nblocks: u32, meta_blocks: u32, fpb: u32) -> Vec<u64> {
-    let mut words = vec![0u64; (nblocks as usize * fpb as usize).div_ceil(64)];
-    fill_bits(&mut words, 0, meta_blocks * fpb, true);
+/// byte lanes, the first `meta_blocks` of them (the static metadata
+/// area) set.
+pub(crate) fn fresh_frag_words(nblocks: u32, meta_blocks: u32) -> Vec<u64> {
+    let mut words = vec![0u64; nblocks.div_ceil(8) as usize];
+    fill_bits(&mut words, 0, meta_blocks * FPB, true);
     words
 }
 
 /// `(free_frags, free_blocks)` of a packed fragment map of `nblocks`
-/// lanes of `fpb` bits: free fragments by popcount, free blocks by
-/// OR-folding every lane onto its low bit and counting the lanes left
-/// zero. Bits past the last lane must be clear.
-pub(crate) fn free_counts(words: &[u64], nblocks: u32, fpb: u32) -> (u32, u32) {
-    let low_bits = u64::MAX / ((1u64 << fpb) - 1);
+/// byte lanes: free fragments by popcount, free blocks by OR-folding
+/// every lane onto its low bit and counting the lanes left zero. Bits
+/// past the last lane must be clear.
+pub(crate) fn free_counts(words: &[u64], nblocks: u32) -> (u32, u32) {
+    const LOW_BITS: u64 = u64::MAX / 0xFF;
     let (mut used_frags, mut used_blocks) = (0u32, 0u32);
     for &w in words {
         used_frags += w.count_ones();
-        let mut fold = w;
-        let mut shift = fpb / 2;
-        while shift > 0 {
-            fold |= fold >> shift;
-            shift /= 2;
-        }
-        used_blocks += (fold & low_bits).count_ones();
+        let fold = w | w >> 4;
+        let fold = fold | fold >> 2;
+        used_blocks += ((fold | fold >> 1) & LOW_BITS).count_ones();
     }
-    (nblocks * fpb - used_frags, nblocks - used_blocks)
+    (nblocks * FPB - used_frags, nblocks - used_blocks)
 }
 
 /// Bit mask covering fragments `frag .. frag + len` of a block byte.
@@ -1258,10 +1179,10 @@ fn run_mask(frag: u32, len: u32) -> u8 {
     (((1u16 << len) - 1) << frag) as u8
 }
 
-/// First position of a run of at least `len` zero bits within the low
-/// `fpb` bits of `lane`; the lane must have one.
-fn first_zero_run(lane: u8, fpb: u32, len: u32) -> u32 {
-    let z = !u32::from(lane) & ((1 << fpb) - 1);
+/// First position of a run of at least `len` zero bits in `lane`; the
+/// lane must have one.
+fn first_zero_run(lane: u8, len: u32) -> u32 {
+    let z = u32::from(!lane);
     let mut starts = z;
     for i in 1..len {
         starts &= z >> i;
@@ -1270,13 +1191,13 @@ fn first_zero_run(lane: u8, fpb: u32, len: u32) -> u32 {
     starts.trailing_zeros()
 }
 
-/// First position of a *maximal* run of exactly `len` zero bits within
-/// the low `fpb` bits of `byte` — bounded by set bits or the lane edges,
-/// matching what the fragment summary counts.
-fn exact_zero_run(byte: u8, fpb: u32, len: u32) -> Option<u32> {
+/// First position of a *maximal* run of exactly `len` zero bits in
+/// `byte` — bounded by set bits or the lane edges, matching what the
+/// fragment summary counts.
+fn exact_zero_run(byte: u8, len: u32) -> Option<u32> {
     let mut run = 0u32;
-    for i in 0..=fpb {
-        if i < fpb && byte & (1 << i) == 0 {
+    for i in 0..=FPB {
+        if i < FPB && byte & (1 << i) == 0 {
             run += 1;
         } else {
             if run == len {
@@ -1472,12 +1393,12 @@ mod tests {
     fn exact_zero_run_matches_maximal_runs_only() {
         // 0b0001_1100: maximal free runs are frags 0..2 (len 2) and
         // 5..8 (len 3).
-        assert_eq!(exact_zero_run(0b0001_1100, 8, 2), Some(0));
-        assert_eq!(exact_zero_run(0b0001_1100, 8, 3), Some(5));
-        assert_eq!(exact_zero_run(0b0001_1100, 8, 1), None);
-        assert_eq!(exact_zero_run(0b0001_1100, 8, 4), None);
-        assert_eq!(exact_zero_run(0b0000_0001, 8, 7), Some(1));
-        assert_eq!(exact_zero_run(0xFF, 8, 1), None);
+        assert_eq!(exact_zero_run(0b0001_1100, 2), Some(0));
+        assert_eq!(exact_zero_run(0b0001_1100, 3), Some(5));
+        assert_eq!(exact_zero_run(0b0001_1100, 1), None);
+        assert_eq!(exact_zero_run(0b0001_1100, 4), None);
+        assert_eq!(exact_zero_run(0b0000_0001, 7), Some(1));
+        assert_eq!(exact_zero_run(0xFF, 1), None);
     }
 
     #[test]
@@ -1503,7 +1424,7 @@ mod tests {
 
     /// The fit-index levels that hold `block`'s bit.
     fn fit_levels(cg: &CylGroup, block: u32) -> Vec<u32> {
-        (1..cg.fpb)
+        (1..FPB)
             .filter(|&k| cg.fit_level(k)[(block / 64) as usize] & (1 << (block % 64)) != 0)
             .collect()
     }

@@ -15,6 +15,7 @@ use ffs_types::{CgIdx, Daddr, DirId, FsError, FsResult, Ino};
 use crate::cg::free_counts;
 use crate::claims::ClaimMap;
 use crate::fs::{Filesystem, LayoutAgg};
+use crate::geom::FPB;
 use crate::layout::recompute_aggregate;
 
 /// One consistency violation found by [`check`].
@@ -257,7 +258,6 @@ impl std::fmt::Display for Violation {
 pub fn check(fs: &Filesystem) -> Vec<Violation> {
     let mut errs = Vec::new();
     let params = fs.params();
-    let fpb = fs.geom.fpb;
     let mut claims = ClaimMap::new(fs);
     let mut mark = |errs: &mut Vec<Violation>, what: &'static str, ino: Ino, d: Daddr, n: u32| {
         if !claims.claim(d, n, |addr| {
@@ -270,8 +270,8 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
     let mut meta_frags = 0u64;
     for f in fs.files() {
         for &b in &f.blocks {
-            mark(&mut errs, "data block", f.ino, b, fpb);
-            if b.0 % fpb != 0 {
+            mark(&mut errs, "data block", f.ino, b, FPB);
+            if b.0 % FPB != 0 {
                 errs.push(Violation::MisalignedBlock {
                     block: b,
                     ino: f.ino,
@@ -279,16 +279,16 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
             }
         }
         for &b in f.indirects() {
-            mark(&mut errs, "indirect block", f.ino, b, fpb);
+            mark(&mut errs, "indirect block", f.ino, b, FPB);
         }
         if let Some((d, n)) = f.tail {
             mark(&mut errs, "tail", f.ino, d, n);
-            if n == 0 || n >= fpb {
+            if n == 0 || n >= FPB {
                 errs.push(Violation::BadTailLength { ino: f.ino, len: n });
             }
         }
-        data_frags += f.data_frags_at(fpb);
-        meta_frags += f.indirects().len() as u64 * fpb as u64;
+        data_frags += f.data_frags_at(FPB);
+        meta_frags += f.indirects().len() as u64 * u64::from(FPB);
         // The inode slot must be allocated in its group.
         let (cg, slot) = fs.geom.itog(f.ino);
         if !fs.cg(cg).inode_used(slot) {
@@ -296,7 +296,7 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
         }
         // Tail fragments must not cross a block boundary.
         if let Some((d, n)) = f.tail {
-            if (d.0 % fpb).saturating_add(n) > fpb {
+            if (d.0 % FPB).saturating_add(n) > FPB {
                 errs.push(Violation::TailCrossesBlock { ino: f.ino });
             }
         }
@@ -305,20 +305,19 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
         // Directories are never condemned, so a directory block outside
         // the volume has no owner to name; `Filesystem::restore` rejects
         // one up front and nothing moves a directory afterwards.
-        claims.claim(d.block, fpb, |addr| {
+        claims.claim(d.block, FPB, |addr| {
             errs.push(Violation::DoubleAlloc {
                 addr,
                 what: "directory block",
             })
         });
-        meta_frags += fpb as u64;
+        meta_frags += u64::from(FPB);
         if !fs.cg(d.cg).inode_used(d.ino_slot) {
             errs.push(Violation::DirInodeSlotFree(d.id));
         }
     }
-    // Compare the maps group by group: whole words first, lanes only
-    // inside a word that differs.
-    let lanes = 64 / fpb;
+    // Compare the maps group by group: whole words first, lanes (a byte
+    // each) only inside a word that differs.
     for g in 0..fs.ncg() {
         let cg = fs.cg(CgIdx(g));
         let claimed = claims.group(g as usize);
@@ -327,19 +326,19 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
             if actual == expected {
                 continue;
             }
-            for lane in 0..lanes {
-                let lane_of = |word: u64| (word >> (lane * fpb)) as u8 & cg.full_lane();
-                if lane_of(actual) != lane_of(expected) {
+            let lanes = actual.to_le_bytes().into_iter().zip(expected.to_le_bytes());
+            for (lane, (actual, expected)) in (0..).zip(lanes) {
+                if actual != expected {
                     errs.push(Violation::MapMismatch {
                         cg: g,
-                        block: w as u32 * lanes + lane,
-                        actual: lane_of(actual),
-                        expected: lane_of(expected),
+                        block: w as u32 * 8 + lane,
+                        actual,
+                        expected,
                     });
                 }
             }
         }
-        let (free_frags, free_blocks) = free_counts(claimed, cg.nblocks(), fpb);
+        let (free_frags, free_blocks) = free_counts(claimed, cg.nblocks());
         if cg.free_frags() != free_frags {
             errs.push(Violation::FreeFragsDrift {
                 cg: g,

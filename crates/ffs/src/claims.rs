@@ -1,7 +1,7 @@
 //! The claim map: which fragments do the inodes claim.
 //!
 //! One bit per fragment, per cylinder group, in exactly
-//! [`CylGroup`]'s fragment-map layout — bit `block * fpb + frag`, set =
+//! [`CylGroup`]'s fragment-map layout — bit `block * 8 + frag`, set =
 //! claimed, the static metadata area preset, bits past the last block
 //! clear. It is `fsck_ffs` pass 1's block map (`setbmap`/`testbmap`):
 //! every owner's runs are test-and-set into it through
@@ -25,6 +25,7 @@ use ffs_types::{Daddr, Ino};
 
 use crate::cg::{fresh_frag_words, CylGroup};
 use crate::fs::Filesystem;
+use crate::geom::FPB;
 use crate::inode::FileMeta;
 
 /// One bit per fragment of the volume; see the module docs.
@@ -55,7 +56,7 @@ impl ClaimMap {
         let geom = fs.geom;
         ClaimMap {
             groups: (fs.cgs.iter())
-                .map(|cg| fresh_frag_words(cg.nblocks(), cg.meta_blocks(), geom.fpb))
+                .map(|cg| fresh_frag_words(cg.nblocks(), cg.meta_blocks()))
                 .collect(),
             group_frags: geom.group_frags,
             limit: geom.frag_limit,
@@ -63,7 +64,7 @@ impl ClaimMap {
     }
 
     /// Splits the run `d .. d + n` at word and group boundaries. A block
-    /// or tail of a sound file is always one chunk (`fpb` divides 64);
+    /// or tail of a sound file is always one chunk (a block is one byte of a word);
     /// only a misaligned block or an impossible tail length yields more.
     fn chunks(&self, d: Daddr, n: u32) -> impl Iterator<Item = Chunk> {
         let group_frags = self.group_frags;
@@ -126,10 +127,10 @@ impl ClaimMap {
     /// blocks, tail. Returns `false`, leaving the map as it was, when any
     /// of it is already claimed (by an earlier owner or by `f` itself) or
     /// lies outside the volume.
-    fn claim_file(&mut self, f: &FileMeta, fpb: u32) -> bool {
+    fn claim_file(&mut self, f: &FileMeta) -> bool {
         let runs = || {
             let blocks = f.blocks.iter().chain(f.indirects());
-            blocks.map(|&b| (b, fpb)).chain(f.tail)
+            blocks.map(|&b| (b, FPB)).chain(f.tail)
         };
         for (i, (d, n)) in runs().enumerate() {
             let mut dup = Vec::new();
@@ -159,13 +160,12 @@ impl ClaimMap {
     /// clashes, or points outside the volume, joins `condemned` and
     /// claims nothing.
     pub(crate) fn of_survivors(fs: &Filesystem, condemned: &mut BTreeSet<Ino>) -> ClaimMap {
-        let fpb = fs.geom.fpb;
         let mut map = ClaimMap::new(fs);
         for d in fs.dirs.values() {
-            map.claim(d.block, fpb, |_| {});
+            map.claim(d.block, FPB, |_| {});
         }
         for f in fs.files.values() {
-            if !condemned.contains(&f.ino) && !map.claim_file(f, fpb) {
+            if !condemned.contains(&f.ino) && !map.claim_file(f) {
                 condemned.insert(f.ino);
             }
         }
@@ -257,30 +257,29 @@ mod tests {
     #[test]
     fn a_clashing_file_claims_nothing() {
         let fs = fs_with_files();
-        let fpb = fs.params().frags_per_block();
         let files: Vec<&FileMeta> = fs.files().collect();
         let (first, other) = (files[5], files[9]);
         let mut map = ClaimMap::new(&fs);
-        assert!(map.claim_file(first, fpb));
+        assert!(map.claim_file(first));
         let before = map.clone();
         // A file that claims fresh blocks, then one of `first`'s, then
         // (never reached) an address outside the volume.
         let mut thief = other.clone();
         thief.blocks.push(first.blocks[1]);
         thief.blocks.push_indirect(Daddr(u32::MAX - 9));
-        assert!(!map.claim_file(&thief, fpb));
+        assert!(!map.claim_file(&thief));
         assert_eq!(map, before, "rollback left bits behind");
         // A file that claims one of its own blocks twice clashes with
         // itself.
         let mut twice = other.clone();
         twice.blocks.push(other.blocks[0]);
-        assert!(!map.claim_file(&twice, fpb));
+        assert!(!map.claim_file(&twice));
         assert_eq!(map, before);
         // Partial overlap: a misaligned block half on `first`'s.
         let mut skew = other.clone();
         skew.blocks.push(Daddr(first.blocks[0].0 - 3));
-        assert!(!map.claim_file(&skew, fpb));
+        assert!(!map.claim_file(&skew));
         assert_eq!(map, before);
-        assert!(map.claim_file(other, fpb));
+        assert!(map.claim_file(other));
     }
 }

@@ -8,6 +8,7 @@
 use ffs_types::CgIdx;
 
 use crate::fs::Filesystem;
+use crate::geom::FPB;
 
 /// Distribution of maximal free-cluster lengths.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,8 +47,8 @@ pub struct FragSpaceStats {
     /// whole-block allocation can use.
     pub free_frags_in_partial: u64,
     /// `fill_hist[k]` counts partial blocks with exactly `k + 1`
-    /// allocated fragments (`fpb - 1` entries; a partial block holds
-    /// between 1 and `fpb - 1` allocated fragments).
+    /// allocated fragments (seven entries; a partial block holds
+    /// between 1 and 7 allocated fragments).
     pub fill_hist: Vec<u64>,
     /// Per-size free-run histogram summed over all groups: entry `k`
     /// counts maximal free runs of exactly `k + 1` fragments in partial
@@ -79,27 +80,25 @@ impl FragSpaceStats {
 /// its one caller, the `smallfile` exhibit, asks a few dozen times a
 /// run.
 pub fn frag_space_stats(fs: &Filesystem) -> FragSpaceStats {
-    let fpb = fs.geom.fpb;
     let mut stats = FragSpaceStats {
         partial_blocks: 0,
         free_frags_in_partial: 0,
-        fill_hist: vec![0u64; (fpb - 1) as usize],
-        frsum_totals: vec![0u64; (fpb - 1) as usize],
+        fill_hist: vec![0u64; (FPB - 1) as usize],
+        frsum_totals: vec![0u64; (FPB - 1) as usize],
     };
     for g in 0..fs.ncg() {
         let cg = fs.cg(CgIdx(g));
-        let full = cg.full_lane();
         for (i, &n) in cg.frag_summary().iter().enumerate() {
             stats.frsum_totals[i] += n as u64;
         }
         for b in cg.meta_blocks()..cg.nblocks() {
             let lane = cg.map_byte(b);
-            if lane == 0 || lane == full {
+            if lane == 0 || lane == 0xFF {
                 continue;
             }
             let used = lane.count_ones();
             stats.partial_blocks += 1;
-            stats.free_frags_in_partial += (fpb - used) as u64;
+            stats.free_frags_in_partial += u64::from(FPB - used);
             stats.fill_hist[(used - 1) as usize] += 1;
         }
     }
@@ -176,36 +175,30 @@ mod tests {
 
     #[test]
     fn frag_stats_count_partial_blocks() {
-        // Every fill level of every fragment geometry: a file of `used`
-        // fragments is one tail splitting a free block, leaving one
-        // partial block with a single free run of `fpb - used`.
-        for fpb in [2u32, 4, 8] {
-            let params = FsParams {
-                fsize: 8 * KB as u32 / fpb,
-                ..FsParams::small_test()
-            };
-            assert_eq!(params.frags_per_block(), fpb);
-            for used in 1..fpb {
-                let mut fs = Filesystem::new(params.clone(), AllocPolicy::Orig);
-                let d = fs.mkdir().unwrap();
-                fs.create(d, (used * params.fsize) as u64, 0).unwrap();
-                let s = frag_space_stats(&fs);
-                let case = format!("fpb {fpb}, {used} allocated: {s:?}");
-                assert_eq!(s.partial_blocks, 1, "{case}");
-                assert_eq!(s.free_frags_in_partial, (fpb - used) as u64, "{case}");
-                let mut hist = vec![0u64; (fpb - 1) as usize];
-                hist[(used - 1) as usize] = 1;
-                assert_eq!(s.fill_hist, hist, "{case}");
-                assert!((s.mean_fill() - used as f64).abs() < 1e-9, "{case}");
-                let mut frsum = vec![0u64; (fpb - 1) as usize];
-                for g in 0..fs.ncg() {
-                    for (i, &n) in fs.cg(CgIdx(g)).frag_summary().iter().enumerate() {
-                        frsum[i] += n as u64;
-                    }
+        // Every fill level: a file of `used` fragments is one tail
+        // splitting a free block, leaving one partial block with a single
+        // free run of `8 - used`.
+        let params = FsParams::small_test();
+        for used in 1..8u32 {
+            let mut fs = Filesystem::new(params.clone(), AllocPolicy::Orig);
+            let d = fs.mkdir().unwrap();
+            fs.create(d, (used * params.fsize) as u64, 0).unwrap();
+            let s = frag_space_stats(&fs);
+            let case = format!("{used} allocated: {s:?}");
+            assert_eq!(s.partial_blocks, 1, "{case}");
+            assert_eq!(s.free_frags_in_partial, (8 - used) as u64, "{case}");
+            let mut hist = vec![0u64; 7];
+            hist[(used - 1) as usize] = 1;
+            assert_eq!(s.fill_hist, hist, "{case}");
+            assert!((s.mean_fill() - used as f64).abs() < 1e-9, "{case}");
+            let mut frsum = vec![0u64; 7];
+            for g in 0..fs.ncg() {
+                for (i, &n) in fs.cg(CgIdx(g)).frag_summary().iter().enumerate() {
+                    frsum[i] += n as u64;
                 }
-                assert_eq!(s.frsum_totals, frsum, "{case}");
-                assert_eq!(s.frsum_totals[(fpb - used - 1) as usize], 1, "{case}");
             }
+            assert_eq!(s.frsum_totals, frsum, "{case}");
+            assert_eq!(s.frsum_totals[(8 - used - 1) as usize], 1, "{case}");
         }
     }
 

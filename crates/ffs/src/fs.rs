@@ -19,7 +19,7 @@ use ffs_types::{CgIdx, Daddr, DirId, FsError, FsParams, FsResult, Ino};
 
 use crate::alloc::{AllocEngine, AllocPolicy, AllocStats, EngineCfg};
 use crate::cg::CylGroup;
-use crate::geom::Geometry;
+use crate::geom::{Geometry, FPB};
 use crate::inode::FileMeta;
 use crate::table::{BlockList, Slab};
 
@@ -204,7 +204,7 @@ impl Filesystem {
         self.next_dir += 1;
         let g = &mut self.cgs[cg.0 as usize];
         g.set_ndirs(g.ndirs() + 1);
-        self.used_meta_frags += self.geom.fpb as u64;
+        self.used_meta_frags += u64::from(FPB);
         self.dirs.insert(
             id,
             DirMeta {
@@ -323,15 +323,14 @@ impl Filesystem {
             mtime_day: day,
         };
         let res = eng.write_blocks(&mut meta, dcg, size);
-        let fpb = self.geom.fpb;
         match res {
             Ok(()) => {
-                self.used_meta_frags += meta.indirects().len() as u64 * fpb as u64;
-                if let Some((opt, scored)) = meta.layout_counts_at(fpb) {
+                self.used_meta_frags += meta.indirects().len() as u64 * u64::from(FPB);
+                if let Some((opt, scored)) = meta.layout_counts_at(FPB) {
                     self.agg.opt += opt;
                     self.agg.scored += scored;
                 }
-                self.used_data_frags += meta.data_frags_at(fpb);
+                self.used_data_frags += meta.data_frags_at(FPB);
                 self.bytes_written += meta.size;
                 if let Some(d) = self.dirs.get_mut(&meta.dir) {
                     d.nfiles += 1;
@@ -366,13 +365,12 @@ impl Filesystem {
         let Some(meta) = self.files.remove(&ino) else {
             return Err(FsError::NoSuchFile(ino));
         };
-        let fpb = self.geom.fpb;
-        if let Some((opt, scored)) = meta.layout_counts_at(fpb) {
+        if let Some((opt, scored)) = meta.layout_counts_at(FPB) {
             self.agg.opt -= opt;
             self.agg.scored -= scored;
         }
-        self.used_data_frags -= meta.data_frags_at(fpb);
-        self.used_meta_frags -= meta.indirects().len() as u64 * fpb as u64;
+        self.used_data_frags -= meta.data_frags_at(FPB);
+        self.used_meta_frags -= meta.indirects().len() as u64 * u64::from(FPB);
         if let Some(d) = self.dirs.get_mut(&meta.dir) {
             d.nfiles -= 1;
         }
@@ -392,7 +390,7 @@ impl Filesystem {
     /// indirect blocks, and directory blocks. Matches the paper's
     /// convention of treating the minfree reserve as free space.
     pub fn utilization(&self) -> f64 {
-        let total = self.geom.total_data_blocks as u64 * self.geom.fpb as u64;
+        let total = self.geom.total_data_blocks as u64 * u64::from(FPB);
         (self.used_data_frags + self.used_meta_frags) as f64 / total as f64
     }
 
@@ -441,7 +439,7 @@ impl Filesystem {
         bytes_written: u64,
     ) -> FsResult<Filesystem> {
         let geom = Geometry::new(&params);
-        let (fpb, frag_limit) = (geom.fpb, geom.frag_limit);
+        let frag_limit = geom.frag_limit;
         let inode_limit = params.ncg * params.inodes_per_cg();
         for d in &dirs {
             // Directory ids are assigned sequentially from zero and never
@@ -467,8 +465,8 @@ impl Filesystem {
                 .chain(f.indirects())
                 .all(|&b| geom.is_block(b));
             let tail_ok = f.tail.is_none_or(|(d, n)| {
-                (1..fpb).contains(&n)
-                    && d.0 % fpb + n <= fpb
+                (1..FPB).contains(&n)
+                    && d.0 % FPB + n <= FPB
                     && d.0.checked_add(n).is_some_and(|e| e <= frag_limit)
             });
             if !blocks_ok || !tail_ok || f.ino.0 >= inode_limit {

@@ -10,18 +10,22 @@
 //! builds one and every module of this crate reads it; the `FsParams`
 //! helpers stay as the slow, obviously correct reference
 //! (`tests/geom_oracle.rs` holds the two equal).
+//!
+//! The fragment geometry is fixed at `FPB` = 8 fragments per block, as
+//! in the 8 KB blocks of 1 KB fragments the paper ages and measures
+//! (Table 1): a block's lane in a group's map is one byte, and a
+//! block↔fragment conversion is a shift by a constant.
 
 use ffs_types::{CgIdx, Daddr, FsParams, Ino};
+
+/// Fragments per block (`fs_frag`), the only geometry supported.
+pub(crate) const FPB: u32 = 8;
 
 /// What the allocator needs to know about a volume's shape, as plain
 /// numbers. A pure function of [`FsParams`]; it caches, it decides
 /// nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Geometry {
-    /// Fragments per block (`fs_frag`), a power of two.
-    pub(crate) fpb: u32,
-    /// `log2(fpb)` (`fs_fragshift`).
-    pub(crate) frag_shift: u32,
     /// Fragments in every group but the last (`fs_fpg`), which absorbs
     /// the remainder.
     pub(crate) group_frags: u32,
@@ -37,26 +41,29 @@ pub struct Geometry {
 
 impl Geometry {
     /// The geometry `params` implies.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a block is 8 fragments.
     pub fn new(params: &FsParams) -> Geometry {
-        let fpb = params.frags_per_block();
         assert!(
-            fpb.is_power_of_two() && fpb <= 8,
-            "unsupported frag-per-block geometry {fpb}"
+            params.fsize.checked_mul(FPB) == Some(params.bsize),
+            "unsupported geometry: {} B blocks of {} B fragments ({FPB} fragments per block only)",
+            params.bsize,
+            params.fsize
         );
         Geometry {
-            fpb,
-            frag_shift: fpb.trailing_zeros(),
-            group_frags: params.blocks_per_cg() * fpb,
+            group_frags: params.blocks_per_cg() * FPB,
             last_cg: params.ncg - 1,
-            frag_limit: params.total_blocks() * fpb,
+            frag_limit: params.total_blocks() * FPB,
             total_data_blocks: params.total_data_blocks(),
             inodes_per_cg: params.inodes_per_cg(),
         }
     }
 
-    /// Fragments per block.
+    /// Fragments per block: always 8.
     pub fn frags_per_block(&self) -> u32 {
-        self.fpb
+        FPB
     }
 
     /// The cylinder group containing a fragment address (`dtog`): one
@@ -91,11 +98,8 @@ impl Geometry {
         self.total_data_blocks
     }
 
-    /// Whether `d .. d + fpb` is an aligned block inside the volume.
+    /// Whether `d .. d + FPB` is an aligned block inside the volume.
     pub fn is_block(&self, d: Daddr) -> bool {
-        d.0 & (self.fpb - 1) == 0
-            && d.0
-                .checked_add(self.fpb)
-                .is_some_and(|e| e <= self.frag_limit)
+        d.0.is_multiple_of(FPB) && d.0.checked_add(FPB).is_some_and(|e| e <= self.frag_limit)
     }
 }

@@ -10,6 +10,7 @@
 use ffs_types::{Ino, KB};
 
 use crate::fs::{Filesystem, LayoutAgg};
+use crate::geom::FPB;
 
 /// One size bin of a layout-by-size analysis.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,7 +59,7 @@ pub fn size_bins_paper() -> Vec<u64> {
 pub fn recompute_aggregate(fs: &Filesystem) -> LayoutAgg {
     let mut agg = LayoutAgg::default();
     for f in fs.files() {
-        if let Some((opt, scored)) = f.layout_counts_at(fs.geom.fpb) {
+        if let Some((opt, scored)) = f.layout_counts_at(FPB) {
             agg.opt += opt;
             agg.scored += scored;
         }
@@ -94,7 +95,7 @@ pub fn layout_by_size(
         };
         let b = &mut bins[idx];
         b.files += 1;
-        if let Some((opt, scored)) = f.layout_counts_at(fs.geom.fpb) {
+        if let Some((opt, scored)) = f.layout_counts_at(FPB) {
             b.scored_files += 1;
             b.agg.opt += opt;
             b.agg.scored += scored;

@@ -13,6 +13,7 @@
 use ffs_types::{Daddr, FsError, FsResult, Ino};
 
 use crate::fs::Filesystem;
+use crate::geom::FPB;
 
 impl Filesystem {
     /// Moves data block `index` of file `ino` to the free block at `to`,
@@ -51,7 +52,7 @@ impl Filesystem {
         // incremental layout aggregate never drifts from a rescan.
         let counts = {
             let f = self.files.get(&ino).expect("checked above");
-            f.layout_counts_at(geom.fpb)
+            f.layout_counts_at(FPB)
         };
         if let Some((opt, scored)) = counts {
             self.agg.opt -= opt;
@@ -61,7 +62,7 @@ impl Filesystem {
         self.cgs[ng.0 as usize].alloc_block(nb);
         let f = self.files.get_mut(&ino).expect("checked above");
         f.blocks[index as usize] = to;
-        if let Some((opt, scored)) = f.layout_counts_at(geom.fpb) {
+        if let Some((opt, scored)) = f.layout_counts_at(FPB) {
             self.agg.opt += opt;
             self.agg.scored += scored;
         }

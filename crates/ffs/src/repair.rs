@@ -29,6 +29,7 @@ use crate::cg::CylGroup;
 use crate::check::check;
 use crate::claims::ClaimMap;
 use crate::fs::Filesystem;
+use crate::geom::FPB;
 use crate::layout::recompute_aggregate;
 
 /// What [`repair`] found and did.
@@ -127,7 +128,6 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
         dirs,
         ..
     } = fs;
-    let fpb = geom.fpb as u64;
     for (cg, words) in cgs.iter_mut().zip(claims.into_groups()) {
         cg.install_frag_words(words);
         cg.raw_imap_mut().fill(0);
@@ -141,14 +141,14 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
         mark_slot(cgs, d.cg, d.ino_slot);
         let cg = &mut cgs[d.cg.0 as usize];
         cg.set_ndirs(cg.ndirs() + 1);
-        used_meta += fpb;
+        used_meta += u64::from(FPB);
         d.nfiles = 0;
     }
     for f in files.values() {
         let (g, slot) = geom.itog(f.ino);
         mark_slot(cgs, g, slot);
-        used_data += f.data_frags_at(geom.fpb);
-        used_meta += f.indirects().len() as u64 * fpb;
+        used_data += f.data_frags_at(FPB);
+        used_meta += f.indirects().len() as u64 * u64::from(FPB);
         if let Some(d) = dirs.get_mut(&f.dir) {
             d.nfiles += 1;
         }
@@ -173,7 +173,6 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
 /// every category losslessly, which the recovery tests assert.
 pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let fpb = fs.geom.fpb;
     let ncg = fs.params.ncg;
     let mut applied = 0u32;
     for _ in 0..hits {
@@ -186,9 +185,8 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
                 // table is a draw over the group's own list.
                 let derived = fs.cgs[g].derived_mut();
                 let t = rng.gen_range(0..derived.tables().len());
-                if derived.perturb(t, |bound| rng.gen_range(0..bound)) {
-                    applied += 1;
-                }
+                derived.perturb(t, |bound| rng.gen_range(0..bound));
+                applied += 1;
             }
             7 => {
                 // Scramble the file table's slab index (torn index
@@ -208,7 +206,7 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
                 let (mb, nb) = (cg.meta_blocks(), cg.nblocks());
                 if nb > mb {
                     let b = rng.gen_range(mb..nb);
-                    let bit = 1u8 << rng.gen_range(0..fpb);
+                    let bit = 1u8 << rng.gen_range(0..FPB);
                     cg.set_map_byte(b, cg.map_byte(b) ^ bit);
                     applied += 1;
                 }
@@ -219,7 +217,7 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
                 let (mb, nb) = (cg.meta_blocks(), cg.nblocks());
                 if nb > mb {
                     let b = rng.gen_range(mb..nb);
-                    let bit = 1u8 << rng.gen_range(0..fpb);
+                    let bit = 1u8 << rng.gen_range(0..FPB);
                     if cg.map_byte(b) & bit == 0 {
                         cg.set_map_byte(b, cg.map_byte(b) | bit);
                         applied += 1;
@@ -295,7 +293,6 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
 /// have unit tests of their own.
 pub fn inject_structural_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let fpb = fs.geom.fpb;
     let inos: Vec<Ino> = fs.files.keys().collect();
     if inos.len() < 2 {
         return 0;
@@ -323,22 +320,22 @@ pub fn inject_structural_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u3
             // Duplicate claim: an earlier file's first block, again.
             (0, Some(b), _, _) => victim.blocks.push(b),
             // Misaligned block pointer.
-            (1, _, Some(b), _) if fpb > 1 => {
-                victim.blocks.as_mut_slice()[j] = Daddr(b.0 + rng.gen_range(1..fpb));
+            (1, _, Some(b), _) => {
+                victim.blocks.as_mut_slice()[j] = Daddr(b.0 + rng.gen_range(1..FPB));
             }
             // Tail of length zero, or of a block and more.
             (2, _, _, Some((d, _))) => {
                 let len = if rng.gen() {
                     0
                 } else {
-                    fpb + rng.gen_range(0..fpb)
+                    FPB + rng.gen_range(0..FPB)
                 };
                 victim.tail = Some((d, len));
             }
             // Tail across a block boundary (of a legal length wherever
             // the geometry has one that can cross).
             (3, _, _, Some((d, n))) => {
-                victim.tail = Some((Daddr(d.0 - d.0 % fpb + fpb - 1), n.max(2)));
+                victim.tail = Some((Daddr(d.0 - d.0 % FPB + FPB - 1), n.max(2)));
             }
             _ => continue,
         }
@@ -568,54 +565,48 @@ mod tests {
         }
     }
 
-    /// The whole derived-state contract, driven off the table list: at
-    /// every fragment-per-block geometry (426/428-block groups, so every
-    /// bitmap ends in a partial trailing word) churn keeps each table
-    /// equal to its recount, a perturbed table is reported by name and as
-    /// rebuildable, and repair restores the group exactly.
+    /// The whole derived-state contract, driven off the table list: on
+    /// 426/428-block groups, so every bitmap ends in a partial trailing
+    /// word, churn keeps each table equal to its recount, a perturbed
+    /// table is reported by name and as rebuildable, and repair restores
+    /// the group exactly.
     fn derived_contract_holds(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for fsize in [KB, 2 * KB, 4 * KB, 8 * KB] {
-            let params = FsParams {
-                size_bytes: 10 * ffs_types::MB,
-                ncg: 3,
-                fsize: fsize as u32,
-                ..FsParams::small_test()
+        let params = FsParams {
+            size_bytes: 10 * ffs_types::MB,
+            ncg: 3,
+            ..FsParams::small_test()
+        };
+        let policy = if rng.gen() {
+            AllocPolicy::Realloc
+        } else {
+            AllocPolicy::Orig
+        };
+        let mut pristine = Filesystem::new(params, policy);
+        churn(&mut pristine, &mut rng, 60);
+        assert_consistent(&pristine);
+        let names = pristine.cgs[0].derived_mut().tables().map(|(name, _)| name);
+        assert_eq!(names, ["free_words", "csum", "frsum", "fit_words"]);
+        for (t, name) in names.into_iter().enumerate() {
+            let mut fs = pristine.clone();
+            let g = rng.gen_range(0..fs.cgs.len());
+            let torn = fs.cgs[g].derived_mut();
+            torn.perturb(t, |bound| rng.gen_range(0..bound));
+            let errs = check(&fs);
+            let named = |v: &Violation| {
+                matches!(v, Violation::DerivedDrift { cg, index, .. }
+                    if *cg == g as u32 && *index == name)
             };
-            let policy = if rng.gen() {
-                AllocPolicy::Realloc
-            } else {
-                AllocPolicy::Orig
-            };
-            let mut pristine = Filesystem::new(params, policy);
-            churn(&mut pristine, &mut rng, 60);
-            assert_consistent(&pristine);
-            let names = pristine.cgs[0].derived_mut().tables().map(|(name, _)| name);
-            assert_eq!(names, ["free_words", "csum", "frsum", "fit_words"]);
-            for (t, name) in names.into_iter().enumerate() {
-                let mut fs = pristine.clone();
-                let g = rng.gen_range(0..fs.cgs.len());
-                let torn = fs.cgs[g].derived_mut();
-                if !torn.perturb(t, |bound| rng.gen_range(0..bound)) {
-                    // fpb 1 has no fragments, so its fragment tables are empty.
-                    continue;
-                }
-                let errs = check(&fs);
-                let named = |v: &Violation| {
-                    matches!(v, Violation::DerivedDrift { cg, index, .. }
-                        if *cg == g as u32 && *index == name)
-                };
-                assert!(
-                    errs.iter().any(named),
-                    "{name} drift in cg {g} not reported: {errs:?}"
-                );
-                assert!(errs.iter().all(|v| !v.is_structural()));
-                let report = repair(&mut fs);
-                assert!(report.rebuilt && report.files_removed.is_empty());
-                assert_consistent(&fs);
-                assert_eq!(fs.cgs, pristine.cgs, "{name} rebuild was not lossless");
-                assert_eq!(fs.digest(), pristine.digest());
-            }
+            assert!(
+                errs.iter().any(named),
+                "{name} drift in cg {g} not reported: {errs:?}"
+            );
+            assert!(errs.iter().all(|v| !v.is_structural()));
+            let report = repair(&mut fs);
+            assert!(report.rebuilt && report.files_removed.is_empty());
+            assert_consistent(&fs);
+            assert_eq!(fs.cgs, pristine.cgs, "{name} rebuild was not lossless");
+            assert_eq!(fs.digest(), pristine.digest());
         }
     }
 

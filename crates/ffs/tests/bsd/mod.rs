@@ -2,7 +2,7 @@
 //! "The 4.4BSD reference"). It sees a cylinder group only as its
 //! on-disk `struct cg` bytes, which [`Cg::encode`] alone builds from a
 //! group's public accessors, and works on them with the kernel's idioms:
-//! `ffs_isblock` masks per `fs_frag`, `setbit`, `ffs_fragacct`,
+//! `ffs_isblock` on a whole map byte, `setbit`, `ffs_fragacct`,
 //! `ffs_clusteracct`. It answers every free-space query and recount, and
 //! ([`RefFs`]) creates files block by block in `ffs_balloc` order and
 //! removes them through `ffs_blkfree` / `ffs_vfree`. Where ours departs
@@ -18,6 +18,9 @@ use ffs::{AllocStats, CylGroup, FileMeta, Filesystem, FreeSpaceStats};
 use ffs_types::{CgIdx, FsParams};
 
 const NDADDR: u32 = 12;
+/// `fs_frag`: a block is one byte of `cg_blksfree`, as on every volume
+/// ours builds.
+const FS_FRAG: u32 = 8;
 /// Our windowed best fit's lookahead (DESIGN.md §6).
 const LOOKAHEAD: u32 = 512;
 
@@ -52,8 +55,6 @@ pub enum Divergence {
     SectionSwitch,
     /// The inode search starts one past the last slot taken.
     InodeRotor,
-    /// Searches start at the block, not at its map byte.
-    MapsearchStart,
     /// A realloc window moves only within its own group.
     ReallocOneGroup,
     /// First-fit cluster search wraps below the preference.
@@ -61,13 +62,12 @@ pub enum Divergence {
 }
 
 /// Every divergence found.
-pub const ALLOWLIST: [Divergence; 8] = [
+pub const ALLOWLIST: [Divergence; 7] = [
     Divergence::HashallocOffsets,
     Divergence::OneRotor,
     Divergence::FirstBlockPref,
     Divergence::SectionSwitch,
     Divergence::InodeRotor,
-    Divergence::MapsearchStart,
     Divergence::ReallocOneGroup,
     Divergence::ClusterWrap,
 ];
@@ -76,7 +76,6 @@ pub const ALLOWLIST: [Divergence; 8] = [
 #[derive(Clone, Debug)]
 pub struct Sb {
     ncg: u32,
-    fpb: u32,
     fpg: u32,
     ipg: u32,
     pub maxcontig: u32,
@@ -90,11 +89,9 @@ pub struct Sb {
 
 impl Sb {
     pub fn new(p: &FsParams) -> Sb {
-        let fpb = p.bsize / p.fsize;
         Sb {
             ncg: p.ncg,
-            fpb,
-            fpg: p.blocks_per_cg() * fpb,
+            fpg: p.blocks_per_cg() * FS_FRAG,
             ipg: p.inodes_per_cg(),
             maxcontig: p.maxcontig.max(1),
             nindir: p.bsize / 4,
@@ -110,11 +107,11 @@ impl Sb {
 
     /// Block `h` of group `g` as a fragment address, and back.
     fn daddr(&self, g: u32, h: u32) -> u32 {
-        g * self.fpg + h * self.fpb
+        g * self.fpg + h * FS_FRAG
     }
 
     fn block(&self, g: u32, d: u32) -> u32 {
-        (d - g * self.fpg) / self.fpb
+        (d - g * self.fpg) / FS_FRAG
     }
 }
 
@@ -122,7 +119,6 @@ impl Sb {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cg {
     bytes: Vec<u8>,
-    fpb: u32,
     meta: u32,
     ipg: u32,
     cap: u32,
@@ -147,15 +143,14 @@ pub struct Summary {
 impl Cg {
     /// The group's `struct cg`, from its public accessors alone.
     pub fn encode(sb: &Sb, cg: &CylGroup) -> Cg {
-        let (n, fpb, cap) = (cg.nblocks(), sb.fpb, sb.maxcontig);
+        let (n, cap) = (cg.nblocks(), sb.maxcontig);
         let freeoff = SPACE + sb.ipg.div_ceil(8) as usize;
-        let nfrags = (n * fpb) as usize;
+        let nfrags = (n * FS_FRAG) as usize;
         let sumoff = (freeoff + nfrags.div_ceil(8)).next_multiple_of(4);
         let clusteroff = sumoff + 4 * (cap as usize + 1);
         let end = clusteroff + n.div_ceil(8) as usize;
         let mut c = Cg {
             bytes: vec![0; end],
-            fpb,
             meta: cg.meta_blocks(),
             ipg: sb.ipg,
             cap,
@@ -163,17 +158,17 @@ impl Cg {
             sumoff,
             clusteroff,
         };
-        let nffree = cg.free_frags().wrapping_sub(cg.free_blocks() * fpb);
+        let nffree = cg.free_frags().wrapping_sub(cg.free_blocks() * FS_FRAG);
         let header = [
             (4, 0x0009_0255), // CG_MAGIC
             (12, cg.idx().0),
-            (20, n * fpb),
+            (20, n * FS_FRAG),
             (CS_NDIR, cg.ndirs()),
             (CS_NBFREE, cg.free_blocks()),
             (CS_NIFREE, cg.free_inodes()),
             (CS_NFFREE, nffree),
-            (ROTOR, cg.rotor() * fpb),
-            (FROTOR, cg.rotor() * fpb),
+            (ROTOR, cg.rotor() * FS_FRAG),
+            (FROTOR, cg.rotor() * FS_FRAG),
             (IROTOR, cg.irotor()),
             (92, SPACE as u32), // cg_iusedoff
             (96, freeoff as u32),
@@ -235,34 +230,20 @@ impl Cg {
         self.get(NCLUSTERBLKS)
     }
 
-    /// The byte of `cg_blksfree` holding block `h`, and `h`'s mask in it.
-    fn block_mask(&self, h: u32) -> (usize, u8) {
-        let (i, m) = match self.fpb {
-            8 => (h, 0xff),
-            4 => (h >> 1, 0x0f << ((h & 0x01) << 2)),
-            2 => (h >> 2, 0x03 << ((h & 0x03) << 1)),
-            1 => (h >> 3, 0x01 << (h & 0x07)),
-            f => unreachable!("fs_frag {f}"),
-        };
-        (self.freeoff + i as usize, m)
+    /// `blkmap`: block `h`'s byte of `cg_blksfree`, fragment `i` free at
+    /// bit `i`.
+    fn blkmap(&self, h: u32) -> u32 {
+        u32::from(self.bytes[self.freeoff + h as usize])
     }
 
     /// `ffs_isblock`: every fragment of block `h` is free.
     pub fn isblock(&self, h: u32) -> bool {
-        let (i, m) = self.block_mask(h);
-        self.bytes[i] & m == m
+        self.blkmap(h) == 0xff
     }
 
     /// `ffs_setblock` (`free`) or `ffs_clrblock`.
     fn setblock(&mut self, h: u32, free: bool) {
-        let (i, m) = self.block_mask(h);
-        self.bytes[i] = self.bytes[i] & !m | if free { m } else { 0 };
-    }
-
-    /// `blkmap`: block `h`'s free bits, fragment `i` at bit `i`.
-    fn blkmap(&self, h: u32) -> u32 {
-        let (i, m) = self.block_mask(h);
-        u32::from((self.bytes[i] & m) >> m.trailing_zeros())
+        self.bytes[self.freeoff + h as usize] = if free { 0xff } else { 0 };
     }
 
     fn clustersum(&self, k: u32) -> usize {
@@ -275,7 +256,7 @@ impl Cg {
             nbfree: self.get(CS_NBFREE),
             nffree: self.get(CS_NFFREE),
             nifree: self.get(CS_NIFREE),
-            frsum: (1..self.fpb)
+            frsum: (1..FS_FRAG)
                 .map(|k| self.get(FRSUM + 4 * k as usize))
                 .collect(),
             clustersum: (1..=self.cap)
@@ -292,7 +273,7 @@ impl Cg {
             nbfree: 0,
             nffree: 0,
             nifree: (0..self.ipg).filter(|&i| !self.bit(SPACE, i)).count() as u32,
-            frsum: vec![0; self.fpb as usize],
+            frsum: vec![0; FS_FRAG as usize],
             clustersum: vec![0; self.cap as usize + 1],
             clustersfree: vec![0; n.div_ceil(8) as usize],
         };
@@ -310,7 +291,7 @@ impl Cg {
             }
             if h < n {
                 s.nffree += self.blkmap(h).count_ones();
-                fragacct(self.fpb, self.blkmap(h), |siz| s.frsum[siz as usize] += 1);
+                fragacct(self.blkmap(h), |siz| s.frsum[siz as usize] += 1);
             }
         }
         s.frsum.remove(0);
@@ -338,7 +319,7 @@ impl Cg {
                 let f = (o - self.freeoff) as u32 * 8;
                 format!(
                     "cg_blksfree, frags {f}.. (block {}): {a:#04x} vs {b:#04x}",
-                    f / self.fpb
+                    f / FS_FRAG
                 )
             }
             o if o < self.clusteroff => format!("cg_clustersum[{}]: {word}", (o - self.sumoff) / 4),
@@ -361,20 +342,10 @@ impl Cg {
         }
     }
 
-    /// [`Cg::start`] as `ffs_mapsearch` takes it: the first block of its
-    /// map byte.
-    fn map_start(&self, from: u32, allow: &[Divergence]) -> u32 {
-        let s = self.start(from);
-        match allow.contains(&Divergence::MapsearchStart) {
-            true => s,
-            false => s - s % (8 / self.fpb),
-        }
-    }
-
     /// `ffs_mapsearch` for a whole block: the first free block from the
     /// start, wrapping once.
-    pub fn mapsearch_block(&self, from: u32, allow: &[Divergence]) -> Option<u32> {
-        let s = self.map_start(from, allow);
+    pub fn mapsearch_block(&self, from: u32) -> Option<u32> {
+        let s = self.start(from);
         (s..self.nblocks()).chain(0..s).find(|&h| self.isblock(h))
     }
 
@@ -479,7 +450,7 @@ impl Cg {
         let (s, want) = (self.start(from), (1 << len) - 1);
         let blocks = (s..self.nblocks()).chain(0..s).filter(|&h| h >= self.meta);
         blocks.map(|h| (h, self.blkmap(h))).find_map(|(h, map)| {
-            let p = (0..=self.fpb - len).find(|&p| map >> p & want == want);
+            let p = (0..=FS_FRAG - len).find(|&p| map >> p & want == want);
             p.map(|p| (h, p))
         })
     }
@@ -488,13 +459,13 @@ impl Cg {
     /// `ffs_mapsearch` for a run of exactly that size, bounded by used
     /// fragments or the block's edges (`around` / `inside`). `None` when
     /// no partial block has a run of `len` or more.
-    pub fn frag_best_fit(&self, from: u32, len: u32, allow: &[Divergence]) -> Option<(u32, u32)> {
-        let allocsiz = (len..self.fpb).find(|&k| self.get(FRSUM + 4 * k as usize) > 0)?;
-        let s = self.map_start(from, allow);
+    pub fn frag_best_fit(&self, from: u32, len: u32) -> Option<(u32, u32)> {
+        let allocsiz = (len..FS_FRAG).find(|&k| self.get(FRSUM + 4 * k as usize) > 0)?;
+        let s = self.start(from);
         let (around, inside) = ((1u32 << (allocsiz + 2)) - 1, ((1u32 << allocsiz) - 1) << 1);
         let blocks = (s..self.nblocks()).chain(0..s);
         blocks
-            .flat_map(|h| (0..=self.fpb - allocsiz).map(move |p| (h, p)))
+            .flat_map(|h| (0..=FS_FRAG - allocsiz).map(move |p| (h, p)))
             .find(|&(h, p)| (self.blkmap(h) << 1) & (around << p) == inside << p)
     }
 
@@ -535,7 +506,7 @@ impl Cg {
     /// `ffs_fragacct` of block `h`'s map into `cg_frsum`.
     fn fragacct(&mut self, h: u32, cnt: i32) {
         let map = self.blkmap(h);
-        fragacct(self.fpb, map, |siz| self.add(FRSUM + 4 * siz as usize, cnt));
+        fragacct(map, |siz| self.add(FRSUM + 4 * siz as usize, cnt));
     }
 
     /// `ffs_alloccgblk` from `gotit:` (`free` false), or `ffs_blkfree`
@@ -549,7 +520,7 @@ impl Cg {
     /// Block `h` became whole (`cnt` 1) or stopped being whole: its
     /// fragments move between `cs_nffree` and `cs_nbfree`.
     fn whole(&mut self, h: u32, cnt: i32) {
-        self.add(CS_NFFREE, -cnt * self.fpb as i32);
+        self.add(CS_NFFREE, -cnt * FS_FRAG as i32);
         self.clusteracct(h, cnt);
         self.add(CS_NBFREE, cnt);
     }
@@ -560,7 +531,7 @@ impl Cg {
     fn frags(&mut self, h: u32, p: u32, len: u32, free: bool) {
         let was_whole = self.isblock(h);
         self.fragacct(h, -1);
-        (p..p + len).for_each(|i| self.put(self.freeoff, h * self.fpb + i, free));
+        (p..p + len).for_each(|i| self.put(self.freeoff, h * FS_FRAG + i, free));
         self.add(CS_NFFREE, if free { len as i32 } else { -(len as i32) });
         if was_whole {
             self.whole(h, -1);
@@ -577,27 +548,27 @@ impl Cg {
     pub fn blocks(&mut self, b: u32, n: u32, free: bool) {
         (b..b + n).for_each(|h| self.block(h, free));
         if !free {
-            self.set(ROTOR, (b + n - 1) * self.fpb);
-            self.set(FROTOR, (b + n - 1) * self.fpb);
+            self.set(ROTOR, (b + n - 1) * FS_FRAG);
+            self.set(FROTOR, (b + n - 1) * FS_FRAG);
         }
     }
 
     /// `ffs_mapsearch` leaves `cg_frotor` on the found map byte.
     fn set_frotor(&mut self, h: u32) {
-        self.set(FROTOR, h * self.fpb / 8 * 8);
+        self.set(FROTOR, h * FS_FRAG);
     }
 }
 
 /// `ffs_fragacct`'s census: `f(siz)` for every maximal run of free
 /// fragments shorter than a block in the free-bit lane `map`.
-fn fragacct(fpb: u32, map: u32, mut f: impl FnMut(u32)) {
+fn fragacct(map: u32, mut f: impl FnMut(u32)) {
     let mut run = 0;
-    for i in (0..=fpb).filter(|_| map != 0) {
-        if i < fpb && map & (1 << i) != 0 {
+    for i in (0..=FS_FRAG).filter(|_| map != 0) {
+        if i < FS_FRAG && map & (1 << i) != 0 {
             run += 1;
             continue;
         }
-        if run > 0 && run < fpb {
+        if run > 0 && run < FS_FRAG {
             f(run);
         }
         run = 0;
@@ -749,7 +720,7 @@ impl RefFs<'_> {
     /// `ffs_alloccgblk` in group `g`: the preferred block if free, else a
     /// map search from it, or from the rotor.
     fn alloccgblk(&mut self, g: u32, pref: Option<u32>) -> Option<u32> {
-        let (sb, allow, ours) = (self.sb, self.allow, self.ours(Divergence::OneRotor));
+        let (sb, ours) = (self.sb, self.ours(Divergence::OneRotor));
         let cg = &mut self.cgs[g as usize];
         if cg.get(CS_NBFREE) == 0 {
             return None;
@@ -762,17 +733,17 @@ impl RefFs<'_> {
                     0 if !ours => cg.get(FROTOR),
                     r => r,
                 };
-                let h = cg.mapsearch_block(want.unwrap_or(rotor / sb.fpb), allow)?;
+                let h = cg.mapsearch_block(want.unwrap_or(rotor / FS_FRAG))?;
                 if !ours {
                     cg.set_frotor(h);
-                    cg.set(ROTOR, h * sb.fpb);
+                    cg.set(ROTOR, h * FS_FRAG);
                 }
                 h
             }
         };
         if ours {
-            cg.set(ROTOR, h * sb.fpb);
-            cg.set(FROTOR, h * sb.fpb);
+            cg.set(ROTOR, h * FS_FRAG);
+            cg.set(FROTOR, h * FS_FRAG);
         }
         cg.block(h, false);
         Some(sb.daddr(g, h))
@@ -790,18 +761,18 @@ impl RefFs<'_> {
     /// `ffs_alloc` of `len` fragments: `ffs_alloccg`'s fragment path,
     /// or our first fit. Taking them from a whole free block is a split.
     fn alloc_frags(&mut self, hint: u32, len: u32, pref: Option<u32>) -> Option<u32> {
-        let (sb, allow, ours) = (self.sb, self.allow, self.ours(Divergence::OneRotor));
+        let (sb, ours) = (self.sb, self.ours(Divergence::OneRotor));
         let start = pref.map_or(hint, |p| sb.dtog(p));
         let d = self.hashalloc(start, |fs, g| {
             let cg = &fs.cgs[g as usize];
             let from = match pref {
                 Some(p) if ours && sb.dtog(p) == g => sb.block(g, p),
                 Some(p) if !ours => sb.block(sb.dtog(p), p),
-                _ if ours => cg.get(ROTOR) / sb.fpb,
-                _ => cg.get(FROTOR) / sb.fpb,
+                _ if ours => cg.get(ROTOR) / FS_FRAG,
+                _ => cg.get(FROTOR) / FS_FRAG,
             };
             let found = match fs.sw.frag_bestfit {
-                true => cg.frag_best_fit(from, len, allow),
+                true => cg.frag_best_fit(from, len),
                 false => cg.frag_first_fit(from, len),
             };
             if let Some((h, p)) = found {
@@ -819,14 +790,14 @@ impl RefFs<'_> {
             // No partial block fits: split a whole one.
             let d = match ours {
                 true => {
-                    let h = cg.mapsearch_block(from, allow)?;
+                    let h = cg.mapsearch_block(from)?;
                     fs.cgs[g as usize].block(h, false);
                     sb.daddr(g, h)
                 }
                 false => fs.alloccgblk(g, pref)?,
             };
             let (cg, h) = (&mut fs.cgs[g as usize], sb.block(g, d));
-            cg.frags(h, len, sb.fpb - len, true);
+            cg.frags(h, len, FS_FRAG - len, true);
             fs.stats.frag_splits += 1;
             Some(d)
         })?;
@@ -890,7 +861,7 @@ impl RefFs<'_> {
     /// `ffs_blkfree` of the block at `d`, or of `frags` fragments there.
     fn blkfree(&mut self, d: u32, frags: Option<u32>) {
         let g = self.sb.dtog(d);
-        let (h, p) = (self.sb.block(g, d), d % self.sb.fpb);
+        let (h, p) = (self.sb.block(g, d), d % FS_FRAG);
         let cg = &mut self.cgs[g as usize];
         match frags {
             None => cg.block(h, true),
@@ -900,13 +871,13 @@ impl RefFs<'_> {
 
     fn write(&mut self, f: &mut RefFile, dir_cg: u32, size: u64) -> Option<()> {
         let sb = self.sb;
-        let (fpb, nindir) = (sb.fpb, sb.nindir);
+        let nindir = sb.nindir;
         // Only a direct-block file keeps a fragment tail, and a tail of a
         // whole block is a block.
         let (mut nfull, mut tail) = ((size / sb.bsize) as u32, 0);
         if !size.is_multiple_of(sb.bsize) {
             tail = (size % sb.bsize).div_ceil(sb.fsize) as u32;
-            if nfull >= NDADDR || tail == fpb {
+            if nfull >= NDADDR || tail == FS_FRAG {
                 (nfull, tail) = (nfull + 1, 0);
             }
         }
@@ -919,7 +890,7 @@ impl RefFs<'_> {
         for lbn in 0..nfull {
             let mut pref = match lbn {
                 0 => self.first_pref(f.ino),
-                _ => prev.map(|d| d + fpb),
+                _ => prev.map(|d| d + FS_FRAG),
             };
             if lbn >= NDADDR && (lbn - NDADDR).is_multiple_of(nindir) {
                 let ours = self.ours(Divergence::SectionSwitch);
@@ -934,7 +905,7 @@ impl RefFs<'_> {
                     let ind = self.alloc(cur, ipref)?;
                     f.indirects.push(ind);
                     cur = sb.dtog(ind);
-                    pref = Some(ind + fpb);
+                    pref = Some(ind + FS_FRAG);
                 }
                 if !ours {
                     pref = self.section_pref(f.ino, lbn);
@@ -951,7 +922,7 @@ impl RefFs<'_> {
                         Some(r) if self.ours(Divergence::SectionSwitch) => r.1,
                         Some(_) => self.section_pref(f.ino, s),
                         None if s == 0 => self.first_pref(f.ino),
-                        None => Some(f.blocks[s as usize - 1] + fpb),
+                        None => Some(f.blocks[s as usize - 1] + FS_FRAG),
                     };
                     self.reallocblks(f, (s, e), wpref);
                 }
@@ -959,7 +930,7 @@ impl RefFs<'_> {
             }
         }
         if tail > 0 {
-            let pref = prev.map_or_else(|| self.first_pref(f.ino), |d| Some(d + fpb));
+            let pref = prev.map_or_else(|| self.first_pref(f.ino), |d| Some(d + FS_FRAG));
             let hint = prev.map_or(dir_cg, |d| sb.dtog(d));
             f.tail = Some((self.alloc_frags(hint, tail, pref)?, tail));
         }
@@ -973,7 +944,7 @@ impl RefFs<'_> {
         let from = match pref.filter(|&p| sb.dtog(p) == g) {
             Some(p) if cg.is_cluster_free(sb.block(g, p), len) => return Some(sb.block(g, p)),
             Some(p) => sb.block(g, p),
-            None if self.ours(Divergence::ReallocOneGroup) => cg.get(ROTOR) / sb.fpb,
+            None if self.ours(Divergence::ReallocOneGroup) => cg.get(ROTOR) / FS_FRAG,
             None => 0,
         };
         match self.sw.cluster_first_fit {
@@ -991,7 +962,7 @@ impl RefFs<'_> {
             return;
         }
         self.stats.realloc_windows += 1;
-        if addrs.windows(2).all(|w| w[1] == w[0] + sb.fpb) {
+        if addrs.windows(2).all(|w| w[1] == w[0] + FS_FRAG) {
             self.stats.realloc_already_contig += 1;
             return;
         }
@@ -1014,7 +985,7 @@ impl RefFs<'_> {
                 let mid = s + len.div_ceil(2);
                 self.reallocblks(f, (s, mid), pref);
                 let lo_end = f.blocks[mid as usize - 1];
-                self.reallocblks(f, (mid, e), Some(lo_end + sb.fpb));
+                self.reallocblks(f, (mid, e), Some(lo_end + FS_FRAG));
             }
             return;
         };

@@ -13,9 +13,8 @@
 mod bsd;
 
 use bsd::pair::{stream, tiny_blocks, variant, Pair};
-use bsd::{Cg, Sb, ALLOWLIST};
-use ffs::CylGroup;
-use ffs_types::{CgIdx, FsParams, KB};
+use bsd::ALLOWLIST;
+use ffs_types::FsParams;
 
 #[test]
 fn small_test_replay_matches_the_reference() {
@@ -46,37 +45,17 @@ fn small_test_replay_matches_the_reference() {
 }
 
 /// Without any one allowlist entry the reference reads 4.4BSD there,
-/// and an op of the streams — for `MapsearchStart`, which only bites
-/// below 8 fragments per block, a query at 4 — comes out differently.
-/// Each is printed; the `HashallocOffsets` one is a spilled create.
+/// and an op of the streams comes out differently. Each is printed; the
+/// `HashallocOffsets` one is a spilled create.
 #[test]
 fn every_allowlist_entry_is_live() {
-    let params = FsParams {
-        fsize: 2 * KB as u32,
-        ..FsParams::small_test()
-    };
-    let (sb, fresh) = (Sb::new(&params), CylGroup::new(&params, CgIdx(0)));
     for d in ALLOWLIST {
         let mut allow = ALLOWLIST.to_vec();
         allow.retain(|&x| x != d);
-        let r = Cg::encode(&sb, &fresh);
-        let query = (0..fresh.nblocks())
-            .find(|&f| fresh.find_free_block(f) != r.mapsearch_block(f, &allow))
-            .map(|f| format!("find_free_block(from={f}) at fpb 4"));
-        let op = query.or_else(|| {
-            let mut ops = (0..16).map(|i| {
-                (
-                    i,
-                    stream(
-                        &tiny_blocks(),
-                        i,
-                        (1996 + u64::from(i), 140),
-                        allow.clone(),
-                        &mut [0; 3],
-                    ),
-                )
-            });
-            ops.find_map(|(i, res)| res.err().map(|e| format!("variant {i}, {e}")))
+        let op = (0..16).find_map(|i| {
+            let seed = (1996 + u64::from(i), 140);
+            let res = stream(&tiny_blocks(), i, seed, allow.clone(), &mut [0; 3]);
+            res.err().map(|e| format!("variant {i}, {e}"))
         });
         let op = op.unwrap_or_else(|| panic!("{d:?} is not live"));
         eprintln!("without {d:?}: {op}");

@@ -5,8 +5,7 @@
 //! in the groups' own word layout); [`ffs::naive`] keeps the walks that
 //! map retired — one `BTreeMap` node per claimed fragment, probed once
 //! per fragment of the volume. This suite churns random files through
-//! the whole stack at every fragments-per-block geometry, on group sizes
-//! whose bitmaps end in a partial word and whose bases are not multiples
+//! the whole stack on group sizes whose bitmaps end in a partial word and whose bases are not multiples
 //! of 64 (426/428 blocks), plus 512- and 2920-block groups, then plants
 //! derived-state and structural damage and holds the two implementations
 //! to the same violations in the same order, the same repair verdict, and
@@ -24,23 +23,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// 426/428-block groups (a 10 MB, 3-group layout) at `fpb` fragments per
-/// block.
-fn mid_geometry(fpb: u32) -> FsParams {
-    let small = FsParams::small_test();
+/// 426/428-block groups (a 10 MB, 3-group layout).
+fn mid_geometry() -> FsParams {
     FsParams {
         size_bytes: 10 * MB,
         ncg: 3,
-        fsize: small.bsize / fpb,
-        ..small
+        ..FsParams::small_test()
     }
-}
-
-/// The geometries cheap enough to sweep under proptest.
-fn small_geometries() -> Vec<FsParams> {
-    let mut all: Vec<FsParams> = [1, 2, 4, 8].map(mid_geometry).into();
-    all.push(FsParams::small_test());
-    all
 }
 
 /// A file system after `ops` random creates (pure-fragment, direct and
@@ -104,12 +93,11 @@ fn restored(fs: &Filesystem) -> ffs_types::FsResult<Filesystem> {
 /// Every group's fragment map is exactly the reference's claimed set plus
 /// the static metadata area.
 fn assert_maps_are(fs: &Filesystem, claimed: &BTreeSet<u32>) {
-    let fpb = fs.params().frags_per_block();
     for g in 0..fs.ncg() {
         let cg = fs.cg(CgIdx(g));
         for b in 0..cg.nblocks() {
             let base = cg.block_daddr(b).0;
-            let lane = (0..fpb)
+            let lane = (0..8)
                 .filter(|i| claimed.contains(&(base + i)))
                 .fold(0u8, |lane, i| lane | 1 << i);
             let expected = if b < cg.meta_blocks() {
@@ -183,7 +171,7 @@ proptest! {
 
     #[test]
     fn claim_map_fsck_matches_the_btree_reference(seed in any::<u64>()) {
-        for params in small_geometries() {
+        for params in [mid_geometry(), FsParams::small_test()] {
             oracle_holds(params, seed, 120);
         }
     }
@@ -201,7 +189,7 @@ fn every_planted_fault_is_seen_and_resolved() {
     // structural violation shows up, with both impossible tail lengths,
     // and every one costs at least the file it was planted in.
     let mut rng = StdRng::seed_from_u64(7);
-    let fs = churned(mid_geometry(8), &mut rng, 200);
+    let fs = churned(mid_geometry(), &mut rng, 200);
     let mut seen = [false; 5];
     for seed in 0..24 {
         let mut bad = fs.clone();

@@ -11,14 +11,13 @@
 //! every shape of volume the rest of the test suite builds.
 
 use ffs::{AllocPolicy, CylGroup, Filesystem, Geometry};
-use ffs_types::{CgIdx, Daddr, FsParams, Ino, MB};
+use ffs_types::{CgIdx, Daddr, FsParams, Ino, KB, MB};
 
 /// The paper volume, the unit-test volume, dense inodes, a single group,
-/// and a last group that absorbs a remainder (426/426/428 blocks) — each
-/// at 1, 2, 4 and 8 fragments per block.
-fn geometries() -> Vec<FsParams> {
+/// and a last group that absorbs a remainder (426/426/428 blocks).
+fn geometries() -> [FsParams; 5] {
     let small = FsParams::small_test();
-    let shapes = [
+    [
         FsParams::paper_502mb(),
         small.clone(),
         FsParams {
@@ -34,17 +33,7 @@ fn geometries() -> Vec<FsParams> {
             ncg: 3,
             ..small
         },
-    ];
-    let mut all = Vec::new();
-    for shape in shapes {
-        for fpb in [1, 2, 4, 8] {
-            all.push(FsParams {
-                fsize: shape.bsize / fpb,
-                ..shape.clone()
-            });
-        }
-    }
-    all
+    ]
 }
 
 #[test]
@@ -52,7 +41,7 @@ fn geometry_equals_the_parameter_helpers() {
     for p in geometries() {
         let geom = Geometry::new(&p);
         let fpb = p.frags_per_block();
-        assert_eq!(geom.frags_per_block(), fpb);
+        assert_eq!((fpb, geom.frags_per_block()), (8, 8));
         assert_eq!(geom.total_data_blocks(), p.total_data_blocks(), "{p:?}");
         let last = CgIdx(p.ncg - 1);
         let limit = p.cg_base(last).0 + p.cg_nblocks(last) * fpb;
@@ -104,5 +93,19 @@ fn groups_convert_blocks_and_addresses_like_the_parameters() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn fewer_than_eight_fragments_per_block_is_refused() {
+    for fsize in [2 * KB, 4 * KB, 8 * KB].map(|f| f as u32) {
+        let p = FsParams {
+            fsize,
+            ..FsParams::small_test()
+        };
+        let err = std::panic::catch_unwind(|| Geometry::new(&p)).expect_err("accepted");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        let geometry = format!("8192 B blocks of {fsize} B fragments");
+        assert!(msg.contains(&geometry), "{msg}");
     }
 }

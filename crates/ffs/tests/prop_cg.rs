@@ -225,15 +225,13 @@ proptest! {
     }
 }
 
-/// 426/428-block groups (a 10 MB, 3-group layout) at `fpb` fragments per
-/// block: neither size is a multiple of 64, so both maps end mid-word.
-fn mid_geometry(fpb: u32) -> FsParams {
-    let small = FsParams::small_test();
+/// 426/428-block groups (a 10 MB, 3-group layout): neither size is a
+/// multiple of 64, so both maps end mid-word.
+fn mid_geometry() -> FsParams {
     FsParams {
         size_bytes: 10 * MB,
         ncg: 3,
-        fsize: small.bsize / fpb,
-        ..small
+        ..FsParams::small_test()
     }
 }
 
@@ -242,11 +240,7 @@ fn mid_geometry(fpb: u32) -> FsParams {
 /// takes them back both ways, and wants `==` groups (map, every derived
 /// table, counters, rotor) and no drift from a recount each time.
 fn assert_run_equals_singles(cg: &CylGroup, b: u32, n: u32) {
-    let what = format!(
-        "blocks {b}+{n} of {} at fpb {}",
-        cg.nblocks(),
-        cg.frags_per_block()
-    );
+    let what = format!("blocks {b}+{n} of {}", cg.nblocks());
     let (mut run, mut singles) = (cg.clone(), cg.clone());
     run.free_block_run(b, n);
     for i in b..b + n {
@@ -264,44 +258,42 @@ fn assert_run_equals_singles(cg: &CylGroup, b: u32, n: u32) {
 }
 
 /// The run forms of the two block transitions against their one-block
-/// case, case by case: every fragments-per-block geometry, runs inside a
-/// word and across one and two word boundaries of both bitmaps, runs
+/// case, case by case: runs inside a word and across one and two word
+/// boundaries of both bitmaps, runs
 /// touching the first data block and the last block of a 426- and a
 /// 428-block group, and on each side a free neighbour that is absent,
 /// shorter than the summary's cap, exactly the cap, and longer.
 #[test]
 fn run_transitions_equal_single_block_transitions() {
-    for fpb in [1, 2, 4, 8] {
-        let params = mid_geometry(fpb);
-        for g in [0, params.ncg - 1] {
-            let mut full = CylGroup::new(&params, CgIdx(g));
-            let (m, n_blocks) = (full.meta_blocks(), full.nblocks());
-            assert!(n_blocks == 426 || n_blocks == 428);
-            for b in m..n_blocks {
-                full.alloc_block(b);
-            }
-            let cap = params.maxcontig;
-            let starts = [m, 40, 60, 63, 64, 65, 127, 128, 200];
-            for n in [1, 2, 7, 8, 9, 63, 64, 65, 129, 130] {
-                let at_end = n_blocks - n;
-                for b in starts.into_iter().chain([at_end]) {
-                    for left in [0, 3, cap, cap + 5] {
-                        for right in [0, 2, cap, cap + 6] {
-                            if b < m + left || b + n + right > n_blocks {
-                                continue;
-                            }
-                            let mut cg = full.clone();
-                            for i in (b - left..b).chain(b + n..b + n + right) {
-                                cg.free_block(i);
-                            }
-                            assert_run_equals_singles(&cg, b, n);
+    let params = mid_geometry();
+    for g in [0, params.ncg - 1] {
+        let mut full = CylGroup::new(&params, CgIdx(g));
+        let (m, n_blocks) = (full.meta_blocks(), full.nblocks());
+        assert!(n_blocks == 426 || n_blocks == 428);
+        for b in m..n_blocks {
+            full.alloc_block(b);
+        }
+        let cap = params.maxcontig;
+        let starts = [m, 40, 60, 63, 64, 65, 127, 128, 200];
+        for n in [1, 2, 7, 8, 9, 63, 64, 65, 129, 130] {
+            let at_end = n_blocks - n;
+            for b in starts.into_iter().chain([at_end]) {
+                for left in [0, 3, cap, cap + 5] {
+                    for right in [0, 2, cap, cap + 6] {
+                        if b < m + left || b + n + right > n_blocks {
+                            continue;
                         }
+                        let mut cg = full.clone();
+                        for i in (b - left..b).chain(b + n..b + n + right) {
+                            cg.free_block(i);
+                        }
+                        assert_run_equals_singles(&cg, b, n);
                     }
                 }
             }
-            // The whole data area as one run.
-            assert_run_equals_singles(&full, m, n_blocks - m);
         }
+        // The whole data area as one run.
+        assert_run_equals_singles(&full, m, n_blocks - m);
     }
 }
 
@@ -313,10 +305,9 @@ proptest! {
     #[test]
     fn run_transitions_equal_singles_on_churned_maps(
         script in ops(),
-        fpb_pow in 0u32..4,
         picks in proptest::collection::vec((any::<u16>(), 1u32..140), 1..12),
     ) {
-        let params = mid_geometry(1 << fpb_pow);
+        let params = mid_geometry();
         let mut cg = CylGroup::new(&params, CgIdx(params.ncg - 1));
         let (m, n) = (cg.meta_blocks(), cg.nblocks());
         for op in &script {

@@ -114,7 +114,7 @@ fn assert_oracle(params: &FsParams, cg: &CylGroup, rng: &mut StdRng, queries: us
         };
         assert_eq!(
             cg.find_free_block(from),
-            r.mapsearch_block(from, &ALLOWLIST),
+            r.mapsearch_block(from),
             "find_free_block(from={from})"
         );
         assert_eq!(
@@ -244,10 +244,7 @@ fn from_past_the_end_restarts_at_metadata() {
         assert_eq!(cg.find_free_block(from), Some(m + 1));
         assert_eq!(cg.find_free_cluster(from, 3), Some(m + 1));
         assert_eq!(cg.find_free_cluster_near(from, 3, 8), Some(m + 1));
-        assert_eq!(
-            cg.find_free_block(from),
-            r.mapsearch_block(from, &ALLOWLIST)
-        );
+        assert_eq!(cg.find_free_block(from), r.mapsearch_block(from));
         assert_eq!(
             cg.find_free_cluster(from, 3),
             r.clusteralloc(from, 3, &ALLOWLIST)
@@ -293,7 +290,7 @@ fn exhausted_group_returns_none_everywhere() {
     assert_eq!(cg.find_free_cluster_near(100, 2, 50), None);
     assert_eq!(cg.free_runs().count(), 0);
     let r = reference(&params, &cg);
-    assert_eq!(r.mapsearch_block(0, &ALLOWLIST), None);
+    assert_eq!(r.mapsearch_block(0), None);
     assert_eq!(r.clusteralloc(7, 1, &ALLOWLIST), None);
     assert_eq!(r.cluster_near(0, 1, u32::MAX), None);
     assert_eq!(r.cluster_near(100, 2, 50), None);
@@ -460,8 +457,7 @@ fn assert_run(params: &FsParams, cg: &CylGroup, b: u32, n: u32, free: bool) {
     }
     r.blocks(b, n, free);
     let diff = reference(params, &ours).diff(&r);
-    let fpb = params.frags_per_block();
-    assert_eq!(diff, None, "blocks {b}+{n} free={free} at fpb {fpb}");
+    assert_eq!(diff, None, "blocks {b}+{n} free={free}");
 }
 
 #[test]
@@ -485,17 +481,13 @@ fn summary_pools_long_runs_in_the_last_bucket() {
     }
     assert_eq!(cg.derived_drift(), []);
     assert_eq!(cg.cluster_summary()[0], 1);
-    // Run transitions on full groups of every fpb, both sizes ending in
-    // a partial trailing word: inside a word and across one and two word
+    // Run transitions on full groups of both sizes ending in a partial
+    // trailing word: inside a word and across one and two word
     // boundaries, from the first data block and up to the last block,
     // with free neighbours on either side absent, under the pooling cap,
     // at it and over it.
-    let fsizes = [KB, 2 * KB, 4 * KB, 8 * KB].map(|f| f as u32);
-    for (fsize, g) in fsizes.into_iter().flat_map(|f| [(f, 0), (f, 2)]) {
-        let params = FsParams {
-            fsize,
-            ..odd_params()
-        };
+    let params = odd_params();
+    for g in [0, 2] {
         let mut full = CylGroup::new(&params, CgIdx(g));
         let (m, end, cap) = (full.meta_blocks(), full.nblocks(), params.maxcontig);
         full.alloc_block_run(m, end - m);

@@ -83,11 +83,7 @@ impl FleetSpec {
         // the drawn capacity, with jittered intensity and a heterogeneous
         // utilization trajectory.
         let mut config = AgingConfig::small_test(self.days, rng.next_u64());
-        let scale = (size_mb as f64 / 16.0) * rng.in_range(0.75, 1.25);
-        config.short_pairs_per_day *= scale;
-        config.long_creates_per_day = (config.long_creates_per_day * scale).max(4.0);
-        config.long_modifies_per_day = (config.long_modifies_per_day * scale).max(3.0);
-        config.rewrites_per_day = (config.rewrites_per_day * scale).max(3.0);
+        config.scale_rates((size_mb as f64 / 16.0) * rng.in_range(0.75, 1.25));
         config.plateau_util = rng.in_range(0.55, 0.85);
         config.peak_util = (config.plateau_util + 0.10).min(0.92);
         config.burst_prob = rng.in_range(0.03, 0.09);

@@ -512,7 +512,6 @@ pub fn smallfile(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
         bytes_per_inode: KB as u32,
         ..FsParams::small_test()
     };
-    let scale = 1.0 / 31.0;
     let mut ops = 0u64;
     let mut s = String::new();
     let _ = writeln!(
@@ -531,10 +530,7 @@ pub fn smallfile(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
             let mut config = p.config.clone();
             config.days = days;
             config.ramp_days = (days / 3).max(1);
-            config.short_pairs_per_day *= scale;
-            config.long_creates_per_day = (config.long_creates_per_day * scale).max(4.0);
-            config.long_modifies_per_day = (config.long_modifies_per_day * scale).max(3.0);
-            config.rewrites_per_day = (config.rewrites_per_day * scale).max(3.0);
+            config.scale_rates(1.0 / 31.0);
             config.plateau_util = util;
             config.peak_util = (util + 0.03).min(0.97);
             let w = generate(&config, params.ncg, params.data_capacity_bytes());

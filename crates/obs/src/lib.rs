@@ -4,8 +4,7 @@
 //! Three layers:
 //!
 //! * [`metrics`] — a lock-free-ish registry of named monotonic
-//!   [`metrics::Counter`]s, [`metrics::Gauge`]s, and fixed-bucket
-//!   [`metrics::Histogram`]s. Registration (first use of a name) takes a
+//!   [`metrics::Counter`]s and fixed-bucket [`metrics::Histogram`]s. Registration (first use of a name) takes a
 //!   mutex once; every increment after that is a relaxed atomic
 //!   operation on a handle cached at the call site.
 //! * [`mod@span`] — hierarchical timing spans. `let _s = obs::span!("x");`
@@ -83,7 +82,7 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
 }
 
-/// Zeroes every registered counter, gauge, and histogram and clears the
+/// Zeroes every registered counter and histogram and clears the
 /// span tree, so the next enabled region records from a clean slate.
 /// Metric registrations (and the `&'static` handles cached at call
 /// sites) survive. Not meaningful while spans are open on other
@@ -156,20 +155,6 @@ macro_rules! counter {
             HANDLE
                 .get_or_init(|| $crate::registry().counter($name))
                 .add($n as u64);
-        }
-    }};
-}
-
-/// Sets the gauge `$name` to `$v` when recording is enabled.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr, $v:expr) => {{
-        if $crate::enabled() {
-            static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Gauge> =
-                ::std::sync::OnceLock::new();
-            HANDLE
-                .get_or_init(|| $crate::registry().gauge($name))
-                .set($v as u64);
         }
     }};
 }

@@ -1,5 +1,4 @@
-//! The metric registry: named counters, gauges, and fixed-bucket
-//! histograms.
+//! The metric registry: named counters and fixed-bucket histograms.
 //!
 //! Registration (the first use of a name) takes the registry mutex;
 //! every subsequent operation is a relaxed atomic on a `&'static`
@@ -30,30 +29,6 @@ impl Counter {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_add(n))
             });
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero.
-    pub fn zero(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A last-write-wins gauge.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -184,7 +159,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     hists: Mutex<BTreeMap<&'static str, &'static Histogram>>,
 }
 
@@ -201,15 +175,6 @@ impl Registry {
             .expect("obs registry lock")
             .entry(name)
             .or_insert_with(|| Box::leak(Box::new(Counter::default())))
-    }
-
-    /// The gauge named `name`, registered on first use.
-    pub fn gauge(&self, name: &'static str) -> &'static Gauge {
-        self.gauges
-            .lock()
-            .expect("obs registry lock")
-            .entry(name)
-            .or_insert_with(|| Box::leak(Box::new(Gauge::default())))
     }
 
     /// The histogram named `name`. The first registration fixes the
@@ -234,16 +199,6 @@ impl Registry {
             .collect()
     }
 
-    /// Sorted `(name, value)` pairs of every registered gauge.
-    pub fn gauge_values(&self) -> Vec<(String, u64)> {
-        self.gauges
-            .lock()
-            .expect("obs registry lock")
-            .iter()
-            .map(|(n, g)| (n.to_string(), g.get()))
-            .collect()
-    }
-
     /// Sorted `(name, histogram)` pairs of every registered histogram.
     pub fn histogram_handles(&self) -> Vec<(String, &'static Histogram)> {
         self.hists
@@ -258,9 +213,6 @@ impl Registry {
     pub fn zero(&self) {
         for (_, c) in self.counters.lock().expect("obs registry lock").iter() {
             c.zero();
-        }
-        for (_, g) in self.gauges.lock().expect("obs registry lock").iter() {
-            g.zero();
         }
         for (_, h) in self.hists.lock().expect("obs registry lock").iter() {
             h.zero();
@@ -280,14 +232,6 @@ mod tests {
         assert_eq!(c.get(), u64::MAX);
         c.zero();
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn gauge_is_last_write_wins() {
-        let g = Gauge::default();
-        g.set(7);
-        g.set(3);
-        assert_eq!(g.get(), 3);
     }
 
     #[test]

@@ -74,8 +74,6 @@ impl SpanSnapshot {
 pub struct Snapshot {
     /// `(name, value)` for every registered counter, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every registered gauge, sorted by name.
-    pub gauges: Vec<(String, u64)>,
     /// Every registered histogram, sorted by name.
     pub hists: Vec<HistSnapshot>,
     /// The span tree, flattened depth-first with children in name
@@ -88,7 +86,6 @@ impl Snapshot {
     pub fn capture(reg: &Registry) -> Snapshot {
         Snapshot {
             counters: reg.counter_values(),
-            gauges: reg.gauge_values(),
             hists: reg
                 .histogram_handles()
                 .into_iter()
@@ -158,17 +155,15 @@ impl Snapshot {
         let mut s = String::new();
         s.push_str("{\"schema\":");
         push_str(&mut s, SCHEMA);
-        for (key, values) in [("counters", &self.counters), ("gauges", &self.gauges)] {
-            let _ = write!(s, ",\"{key}\":{{");
-            for (i, (n, v)) in values.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_str(&mut s, n);
-                let _ = write!(s, ":{v}");
+        s.push_str(",\"counters\":{");
+        for (i, (n, v)) in self.counters.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
             }
-            s.push('}');
+            push_str(&mut s, n);
+            let _ = write!(s, ":{v}");
         }
+        s.push('}');
         s.push_str(",\"histograms\":[");
         for (i, h) in self.hists.iter().enumerate() {
             if i > 0 {
@@ -214,17 +209,13 @@ impl Snapshot {
             Some(s) => return Err(format!("unsupported metrics schema {s:?}")),
             None => return Err("metrics.json: missing schema".into()),
         }
-        let named_values = |key: &str| -> Result<Vec<(String, u64)>, String> {
-            let members = doc.get(key).and_then(Value::as_obj).unwrap_or_default();
-            members
-                .iter()
-                .map(|(n, v)| Ok((n.clone(), v.as_u64().ok_or(format!("bad {key} value"))?)))
-                .collect()
-        };
+        let counters = doc.get("counters").and_then(Value::as_obj);
+        let counters = (counters.unwrap_or_default().iter())
+            .map(|(n, v)| Ok((n.clone(), v.as_u64().ok_or("bad counters value")?)))
+            .collect::<Result<_, String>>()?;
         let entries = |key: &str| doc.get(key).and_then(Value::as_arr).unwrap_or_default();
         let mut snap = Snapshot {
-            counters: named_values("counters")?,
-            gauges: named_values("gauges")?,
+            counters,
             ..Snapshot::default()
         };
         for h in entries("histograms") {
@@ -285,12 +276,6 @@ impl Snapshot {
         if !self.counters.is_empty() {
             let _ = writeln!(out, "counters:");
             for (n, v) in &self.counters {
-                let _ = writeln!(out, "  {n:<36} {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "gauges:");
-            for (n, v) in &self.gauges {
                 let _ = writeln!(out, "  {n:<36} {v}");
             }
         }
@@ -370,7 +355,6 @@ mod tests {
                 ("ffs.block_allocs".into(), 42),
                 ("ffs.realloc_moves".into(), 7),
             ],
-            gauges: vec![("aging.live_files".into(), 1234)],
             hists: vec![HistSnapshot {
                 name: "disk.seek_cyls".into(),
                 bounds: vec![0, 1, 2, 4],

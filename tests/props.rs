@@ -228,8 +228,10 @@ fn formats() -> &'static [Format] {
         };
         let aged = replay(&w, &params, AllocPolicy::Realloc, options).expect("replay");
         let metrics = obs::snapshot::Snapshot {
-            counters: vec![("ffs.block_allocs".into(), 42)],
-            gauges: vec![("aging.live \"files\"".into(), 7)],
+            counters: vec![
+                ("ffs.block_allocs".into(), 42),
+                ("aging.live \"files\"".into(), 7),
+            ],
             hists: vec![obs::snapshot::HistSnapshot {
                 name: "disk.seek_cyls".into(),
                 bounds: vec![0, 1, 2],
