@@ -203,19 +203,8 @@ pub fn realloc_windows(
     })
 }
 
-/// Number of indirect (metadata) blocks a file of `nfull` data blocks
-/// needs: one per indirect region, plus one extra for the
-/// double-indirect root.
-fn indirects_needed(params: &FsParams, nfull: u32) -> usize {
-    let root_at = NDADDR + params.nindir();
-    (params.switch_lbns(nfull))
-        .map(|lbn| if lbn.0 == root_at { 2 } else { 1 })
-        .sum()
-}
-
-/// Whether data block `lbn` is the first of an indirect region — a
-/// cylinder-group switch point ([`FsParams::switch_lbns`]) of any file
-/// long enough to have it.
+/// Whether data block `lbn` is the first of an indirect region
+/// ([`FsParams::switch_lbns`]) of any file long enough to have it.
 fn opens_indirect_region(params: &FsParams, lbn: u32) -> bool {
     lbn >= NDADDR && (lbn - NDADDR).is_multiple_of(params.nindir())
 }
@@ -263,26 +252,6 @@ pub(crate) struct AllocEngine<'a> {
     pub cgs: &'a mut [CylGroup],
     pub stats: &'a mut AllocStats,
     pub cfg: EngineCfg,
-}
-
-/// Cylinder-group choice when a file crosses an indirect-block boundary
-/// (`ffs_blkpref` for the first block of an indirect range): the next
-/// group, scanning forward from the current one, with an above-average
-/// number of free blocks.
-pub(crate) fn pick_new_data_cg_in(cgs: &[CylGroup], cur: CgIdx) -> CgIdx {
-    let ncg = cgs.len() as u32;
-    let avg: u64 = cgs.iter().map(|c| c.free_blocks() as u64).sum::<u64>() / ncg as u64;
-    for step in 1..=ncg {
-        let g = CgIdx((cur.0 + step) % ncg);
-        if cgs[g.0 as usize].free_blocks() as u64 >= avg {
-            return g;
-        }
-    }
-    // Fall back to the fullest-free group.
-    cgs.iter()
-        .max_by_key(|c| c.free_blocks())
-        .map(|c| c.idx())
-        .unwrap_or(cur)
 }
 
 impl AllocEngine<'_> {
@@ -594,30 +563,29 @@ impl AllocEngine<'_> {
         // Flush boundary: end of an application write or end of file.
         let chunk = self.cfg.write_chunk_blocks;
         let mut flush_at = chunk.min(nfull);
-        let mut cur_cg = dcg;
-        let mut prev: Option<Daddr> = None;
+        // The next data block's preference: none for the first, which
+        // comes from the rotor of `dcg` (the only use of that hint), then
+        // the block after the previous one, except where a region opens.
+        let mut pref: Option<Daddr> = None;
         let mut lbn = 0u32;
         while lbn < nfull {
             if switches.next_if_eq(&lbn).is_some() {
-                cur_cg = pick_new_data_cg_in(self.cgs, cur_cg);
                 // The double-indirect root is allocated together with the
-                // first level-one indirect under it.
-                let n_meta = if lbn == NDADDR + nindir { 2 } else { 1 };
-                for _ in 0..n_meta {
-                    let ind = self.alloc_block(cur_cg, None)?;
+                // first level-one indirect under it, at the same
+                // preference; the data block asks again after both.
+                let ipref = Some(self.section_pref(meta.ino, lbn));
+                for _ in 0..1 + u32::from(lbn == NDADDR + nindir) {
+                    let ind = self.alloc_block(dcg, ipref)?;
                     meta.blocks.push_indirect(ind);
-                    prev = Some(ind);
-                    cur_cg = geom.dtog(ind);
                 }
+                pref = Some(self.section_pref(meta.ino, lbn));
             }
             let stop = switches.peek().map_or(flush_at, |&s| s.min(flush_at));
-            let pref = prev.map(|d| Daddr(d.0 + FPB));
-            let (addr, n) = self.alloc_blocks(cur_cg, pref, stop - lbn)?;
+            let (addr, n) = self.alloc_blocks(dcg, pref, stop - lbn)?;
             let last = Daddr(addr.0 + (n - 1) * FPB);
-            cur_cg = geom.dtog(addr);
-            debug_assert_eq!(geom.dtog(last), cur_cg, "extent left its group");
+            debug_assert_eq!(geom.dtog(last), geom.dtog(addr), "extent left its group");
             meta.blocks.push_run(addr, n, FPB);
-            prev = Some(last);
+            pref = Some(Daddr(last.0 + FPB));
             lbn += n;
             if lbn == flush_at {
                 flush_at = flush_at.saturating_add(chunk).min(nfull);
@@ -629,28 +597,41 @@ impl AllocEngine<'_> {
                     }
                     // Chain the base-allocation preference from the
                     // (possibly moved) last block.
-                    prev = meta.blocks.last().copied();
+                    pref = meta.blocks.last().map(|d| Daddr(d.0 + FPB));
                 }
             }
         }
         if tail_frags > 0 {
-            let pref = prev.map(|d| Daddr(d.0 + FPB));
-            let hint = prev.map(|d| geom.dtog(d)).unwrap_or(dcg);
-            let t = self.alloc_frag_run(hint, tail_frags, pref)?;
+            let t = self.alloc_frag_run(dcg, tail_frags, pref)?;
             meta.tail = Some((t, tail_frags));
         }
         Ok(())
     }
 
+    /// `ffs_blkpref` where an indirect region opens (footnote 1, the
+    /// 104 KB dip): block 1 of the first group with at least the average
+    /// number of free blocks, scanning from `ino_to_cg(ino) + lbn /
+    /// nindir` — that group counted — and wrapping past the last.
+    pub(crate) fn section_pref(&self, ino: Ino, lbn: u32) -> Daddr {
+        let ncg = self.cgs.len() as u32;
+        let nbfree = |g: u32| u64::from(self.cgs[g as usize].free_blocks());
+        let avg = (0..ncg).map(nbfree).sum::<u64>() / u64::from(ncg);
+        let start = (self.geom.itog(ino).0 .0 + lbn / self.params.nindir()) % ncg;
+        // A group at the maximum is always at or above average.
+        let g = (0..ncg)
+            .map(|i| (start + i) % ncg)
+            .find(|&g| nbfree(g) >= avg)
+            .unwrap_or(start);
+        self.cgs[g as usize].block_daddr(1)
+    }
+
     /// The cluster-search start for a realloc window of a file being
     /// written: the address after the previous block's *current*
     /// location, or — for the window that opens an indirect region —
-    /// after the indirect block allocated at that switch point, the last
-    /// of the `indirects_needed` up to there.
+    /// that region's [`AllocEngine::section_pref`], asked again now.
     fn window_pref(&self, meta: &FileMeta, wstart: u32) -> Option<Daddr> {
         if opens_indirect_region(self.params, wstart) {
-            let ind = meta.indirects()[indirects_needed(self.params, wstart + 1) - 1];
-            return Some(Daddr(ind.0 + FPB));
+            return Some(self.section_pref(meta.ino, wstart));
         }
         let before = meta.blocks.get((wstart as usize).checked_sub(1)?)?;
         Some(Daddr(before.0 + FPB))
@@ -702,17 +683,26 @@ mod tests {
     }
 
     #[test]
-    fn new_data_cg_scans_forward_for_above_average_space() {
+    fn indirect_region_pref_scans_from_the_inodes_group() {
         let mut f = fs();
-        // Drain group 1 so it falls below average.
-        let d1 = f.mkdir_in(CgIdx(1)).unwrap();
-        while f.cg(CgIdx(1)).free_blocks() > 10 {
-            f.create(d1, 64 * KB, 0).unwrap();
+        // Drain groups 1 and 3 so they fall below average.
+        for g in [1, 3] {
+            let d = f.mkdir_in(CgIdx(g)).unwrap();
+            while f.cg(CgIdx(g)).free_blocks() > 10 {
+                f.create(d, 64 * KB, 0).unwrap();
+            }
         }
-        // From group 0, the next above-average group is 2 (1 is full).
-        assert_eq!(pick_new_data_cg_in(&f.cgs, CgIdx(0)), CgIdx(2));
-        // From group 1 itself, scanning starts at 2 as well.
-        assert_eq!(pick_new_data_cg_in(&f.cgs, CgIdx(1)), CgIdx(2));
+        let per = f.params().inodes_per_cg();
+        let front = |f: &Filesystem, g: u32| f.cg(CgIdx(g)).block_daddr(1);
+        let mut pref = |g: u32, lbn: u32| f.engine().section_pref(Ino(g * per + 5), lbn);
+        let got = [pref(0, 12), pref(0, 2060), pref(3, 12), pref(2, 2060)];
+        // Group 0 is above average, so the first region stays in the
+        // inode's own group (the scan counts it). At lbn 2060, `lbn /
+        // nindir` is 1: the scan starts at drained group 1 and takes 2.
+        // From drained group 3 it wraps past the last group to 0, at
+        // either lbn (2 + 1 is 3 too).
+        let want = [0, 2, 0, 0].map(|g| front(&f, g));
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -724,15 +714,6 @@ mod tests {
         assert_eq!(shape(8 * KB), (1, 0));
         assert_eq!(shape(15 * KB + 512), (2, 0));
         assert_eq!(shape(100 * KB), (13, 0));
-    }
-
-    #[test]
-    fn indirects_needed_matches_create() {
-        let p = FsParams::paper_502mb();
-        assert_eq!(indirects_needed(&p, 12), 0);
-        assert_eq!(indirects_needed(&p, 13), 1);
-        assert_eq!(indirects_needed(&p, 2060), 1);
-        assert_eq!(indirects_needed(&p, 2061), 3);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //!
 //! * logically sequential blocks are allocated with a chained preference
 //!   (each block wants the address after its predecessor);
-//! * every indirect-block boundary switches cylinder groups and allocates
-//!   the indirect block in the new group (footnote 1 — the 104 KB dip);
+//! * every indirect-block boundary opens a region where `ffs_blkpref`
+//!   puts it: at the front of the first group with at least the average
+//!   free blocks, scanning from the inode's group plus `lbn / nindir`.
+//!   The indirect block and the region's first data block both ask for
+//!   it (footnote 1 — the 104 KB dip);
 //! * under [`AllocPolicy::Realloc`], each completed cluster window is
 //!   gathered and, when a free cluster of its size exists, moved there
 //!   before it would reach the disk. The pass is only invoked once a file

@@ -51,8 +51,6 @@ pub enum Divergence {
     OneRotor,
     /// A file's first block comes from the rotor, not its group's front.
     FirstBlockPref,
-    /// An indirect region opens in our next group, from its rotor.
-    SectionSwitch,
     /// The inode search starts one past the last slot taken.
     InodeRotor,
     /// A realloc window moves only within its own group.
@@ -62,11 +60,10 @@ pub enum Divergence {
 }
 
 /// Every divergence found.
-pub const ALLOWLIST: [Divergence; 7] = [
+pub const ALLOWLIST: [Divergence; 6] = [
     Divergence::HashallocOffsets,
     Divergence::OneRotor,
     Divergence::FirstBlockPref,
-    Divergence::SectionSwitch,
     Divergence::InodeRotor,
     Divergence::ReallocOneGroup,
     Divergence::ClusterWrap,
@@ -805,19 +802,17 @@ impl RefFs<'_> {
         Some(d)
     }
 
-    /// The first group of `order` with at least the average free blocks.
-    fn above_average(&self, mut order: impl Iterator<Item = u32>) -> Option<u32> {
-        let nbfree = |g: u32| u64::from(self.cgs[g as usize].get(CS_NBFREE));
-        let avg = (0..self.sb.ncg).map(nbfree).sum::<u64>() / u64::from(self.sb.ncg);
-        order.find(|&g| nbfree(g) >= avg)
-    }
-
     /// `ffs_blkpref` where an indirect region opens: the front of the
-    /// first group at or above average from `ino_to_cg + lbn / maxbpg`.
+    /// first group with at least the average free blocks from `ino_to_cg
+    /// + lbn / maxbpg`.
     fn section_pref(&self, ino: u32, lbn: u32) -> Option<u32> {
         let (ncg, sb) = (self.sb.ncg, self.sb);
+        let nbfree = |g: u32| u64::from(self.cgs[g as usize].get(CS_NBFREE));
+        let avg = (0..ncg).map(nbfree).sum::<u64>() / u64::from(ncg);
         let startcg = (ino / sb.ipg + lbn / sb.nindir) % ncg;
-        let g = self.above_average((startcg..ncg).chain(0..=startcg))?;
+        let g = (startcg..ncg)
+            .chain(0..startcg)
+            .find(|&g| nbfree(g) >= avg)?;
         Some(sb.daddr(g, 1))
     }
 
@@ -884,33 +879,19 @@ impl RefFs<'_> {
         let realloc = self.sw.realloc && size >= 2 * sb.bsize;
         let windows = windows(if realloc { nfull } else { 0 }, sb.maxcontig, nindir);
         let mut windows = windows.into_iter().peekable();
-        // The preference of the data block opening each indirect region.
-        let mut region_pref = Vec::new();
         let (mut cur, mut prev) = (dir_cg, None);
         for lbn in 0..nfull {
             let mut pref = match lbn {
                 0 => self.first_pref(f.ino),
                 _ => prev.map(|d| d + FS_FRAG),
             };
-            if lbn >= NDADDR && (lbn - NDADDR).is_multiple_of(nindir) {
-                let ours = self.ours(Divergence::SectionSwitch);
-                if ours {
-                    // Our switch: the next group after `cur` (itself last).
-                    let next = (1..=sb.ncg).map(|s| (cur + s) % sb.ncg);
-                    cur = self.above_average(next).expect("the freest group is");
-                }
-                let ipref = self.section_pref(f.ino, lbn).filter(|_| !ours);
+            if opens_region(lbn, nindir) {
+                let ipref = self.section_pref(f.ino, lbn);
                 // The double indirect's root comes with its first child.
                 for _ in 0..1 + u32::from(lbn == NDADDR + nindir) {
-                    let ind = self.alloc(cur, ipref)?;
-                    f.indirects.push(ind);
-                    cur = sb.dtog(ind);
-                    pref = Some(ind + FS_FRAG);
+                    f.indirects.push(self.alloc(cur, ipref)?);
                 }
-                if !ours {
-                    pref = self.section_pref(f.ino, lbn);
-                }
-                region_pref.push((lbn, pref));
+                pref = self.section_pref(f.ino, lbn);
             }
             let d = self.alloc(cur, pref)?;
             (cur, prev) = (sb.dtog(d), Some(d));
@@ -918,11 +899,10 @@ impl RefFs<'_> {
             let done = lbn + 1;
             if realloc && (done % sb.chunk == 0 || done == nfull) {
                 while let Some((s, e)) = windows.next_if(|w| w.1 <= done) {
-                    let wpref = match region_pref.iter().find(|r| r.0 == s) {
-                        Some(r) if self.ours(Divergence::SectionSwitch) => r.1,
-                        Some(_) => self.section_pref(f.ino, s),
-                        None if s == 0 => self.first_pref(f.ino),
-                        None => Some(f.blocks[s as usize - 1] + FS_FRAG),
+                    let wpref = match s {
+                        0 => self.first_pref(f.ino),
+                        s if opens_region(s, nindir) => self.section_pref(f.ino, s),
+                        s => Some(f.blocks[s as usize - 1] + FS_FRAG),
                     };
                     self.reallocblks(f, (s, e), wpref);
                 }
@@ -1006,6 +986,11 @@ impl RefFs<'_> {
         self.stats.realloc_moves += 1;
         self.stats.realloc_blocks_moved += u64::from(len);
     }
+}
+
+/// Whether data block `lbn` opens an indirect region.
+fn opens_region(lbn: u32, nindir: u32) -> bool {
+    lbn >= NDADDR && (lbn - NDADDR).is_multiple_of(nindir)
 }
 
 /// The realloc windows of a file of `nfull` blocks: runs of at most

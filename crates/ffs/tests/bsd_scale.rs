@@ -1,0 +1,124 @@
+//! The 4.4BSD reference (`bsd/mod.rs`) at the paper's scale: the 502 MB
+//! volume aged for the 300 days of `AgingConfig::paper(1996)`, under the
+//! original policy and under realloc, at our default switches. The
+//! reference runs on its own bytes from the first day to the last — it
+//! is never resynchronised with ours, as `bsd_oracle`'s op-by-op replay
+//! is — next to the replay `harness all` runs. The day-0 layout scores
+//! must be equal, and at day 299 so must every live file (blocks,
+//! indirects and tail), every group's `struct cg` bytes and the
+//! allocation counts.
+//!
+//! Ignored in the debug tier, where the two take about 45 s on two
+//! cores; CI `smoke` runs them in release (about 2.5 s):
+//! `cargo test --release -p ffs --test bsd_scale -- --ignored`.
+
+mod bsd;
+
+use std::collections::HashMap;
+
+use aging::{AgingConfig, Days, Op, Replay, ReplayOptions};
+use bsd::{encode_fs, RefFile, RefFs, Sb, Switches, ALLOWLIST};
+use ffs::AllocPolicy;
+use ffs_types::FsParams;
+
+/// Fragments per block: a block follows another `FPB` addresses on.
+const FPB: u32 = 8;
+
+/// The aggregate layout score over `files` (Section 3.3): the chunks
+/// that follow their predecessor, over all chunks after the first, of
+/// every file with two or more.
+fn layout_score<'a>(files: impl Iterator<Item = &'a RefFile>) -> f64 {
+    let (mut opt, mut scored) = (0u64, 0u64);
+    for f in files {
+        let chunks: Vec<u32> = f
+            .blocks
+            .iter()
+            .copied()
+            .chain(f.tail.map(|t| t.0))
+            .collect();
+        if chunks.len() >= 2 {
+            opt += chunks.windows(2).filter(|w| w[1] == w[0] + FPB).count() as u64;
+            scored += chunks.len() as u64 - 1;
+        }
+    }
+    if scored == 0 {
+        1.0
+    } else {
+        opt as f64 / scored as f64
+    }
+}
+
+fn replay_matches_the_reference(policy: AllocPolicy) {
+    let params = FsParams::paper_502mb();
+    let config = AgingConfig::paper(1996);
+    let mut ours = Replay::new(&params, policy, ReplayOptions::default()).unwrap();
+    let sb = Sb::new(&params);
+    let ipg = params.inodes_per_cg();
+    // One directory per group, in the order ops name them: its group and
+    // its inode number.
+    let dirs: Vec<(u32, u32)> = ours
+        .fs()
+        .dirs()
+        .map(|d| (d.cg.0, d.cg.0 * ipg + d.ino_slot))
+        .collect();
+    let sw = Switches {
+        realloc: policy == AllocPolicy::Realloc,
+        cluster_first_fit: false,
+        no_split: false,
+        frag_bestfit: false,
+    };
+    let mut r = RefFs {
+        sb: &sb,
+        cgs: encode_fs(&sb, ours.fs()),
+        sw,
+        allow: &ALLOWLIST,
+        stats: ours.fs().alloc_stats().clone(),
+    };
+    let mut live = HashMap::new();
+    for day in Days::new(&config, params.ncg, params.data_capacity_bytes()) {
+        for op in &day.ops {
+            match *op {
+                Op::Create { file, cg, size, .. } => {
+                    let (dir_cg, dir_ino) = dirs[cg.0 as usize];
+                    if let Ok(f) = r.create(dir_cg, dir_ino, size.into()) {
+                        live.insert(file, f);
+                    }
+                }
+                Op::Delete { file } => {
+                    if let Some(f) = live.remove(&file) {
+                        r.remove(&f);
+                    }
+                }
+                Op::Rewrite { .. } => {}
+            }
+        }
+        ours.day(&day).unwrap();
+        if day.day == 0 {
+            let got = ours.last().unwrap().layout_score;
+            assert_eq!(got, layout_score(live.values()), "{policy:?}: day-0 score");
+        }
+    }
+    let what = format!("{policy:?}, day {}", config.days - 1);
+    let end = ours.finish();
+    assert_eq!(end.live.len(), live.len(), "{what}: live files");
+    for (file, ino) in end.live.iter() {
+        let ours = RefFile::of(end.fs.file(ino).unwrap());
+        assert!(live.get(&file) == Some(&ours), "{what}: {file:?} differs");
+    }
+    for (g, (a, b)) in encode_fs(&sb, &end.fs).iter().zip(&r.cgs).enumerate() {
+        assert_eq!(a.diff(b), None, "{what}: group {g} (ours vs ref)");
+    }
+    assert_eq!(*end.fs.alloc_stats(), r.stats, "{what}: alloc stats");
+}
+
+#[test]
+#[ignore = "paper scale: run in release with --ignored"]
+fn orig_replay_matches_the_reference_at_paper_scale() {
+    replay_matches_the_reference(AllocPolicy::Orig);
+}
+
+#[test]
+#[ignore = "paper scale: run in release with --ignored"]
+fn realloc_replay_matches_the_reference_at_paper_scale() {
+    replay_matches_the_reference(AllocPolicy::Realloc);
+}

@@ -11,8 +11,8 @@
 //! Answering it requires three systems, all provided here:
 //!
 //! * [`ffs`] — a block-layer FFS simulator: cylinder groups, fragments,
-//!   inodes, directories, the indirect-block cylinder-group switch, and
-//!   both allocation policies ([`ffs::AllocPolicy`]).
+//!   inodes, directories, `ffs_blkpref`'s choice of group for each
+//!   indirect region, and both allocation policies ([`ffs::AllocPolicy`]).
 //! * [`aging`] — the paper's file-system aging methodology: a synthetic
 //!   ten-month workload (long-lived snapshot files plus short-lived
 //!   NFS-trace files) and a replayer that ages a file system and records
@@ -44,8 +44,14 @@
 //!
 //! let s_orig = orig.daily.last().unwrap().layout_score;
 //! let s_re = re.daily.last().unwrap().layout_score;
-//! assert!(s_re >= s_orig, "realloc should age at least as well");
+//! assert!(s_orig > 0.0 && s_orig <= 1.0 && s_re > 0.0 && s_re <= 1.0);
+//! assert!(re.fs.alloc_stats().realloc_moves > 0, "realloc gathered clusters");
 //! ```
+//!
+//! Which policy scores higher is noise on 16 MB over 10 days. The
+//! paper's claim — realloc stays less fragmented as the volume ages — is
+//! held at 502 MB over 300 days by `fig2_realloc_stays_less_fragmented`
+//! (`crates/harness/tests/paper_shapes.rs`).
 //!
 //! The paper-scale experiment is the same code with
 //! [`FsParams::paper_502mb`](ffs_types::FsParams::paper_502mb) and
