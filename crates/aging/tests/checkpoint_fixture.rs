@@ -5,9 +5,9 @@
 //! replay, together with the digest of the file system it described.
 //! The slab layout must parse it, rebuild the byte-identical file
 //! system, and re-serialize the very same bytes. A fresh replay of the
-//! same recipe no longer writes them: the indirect-region preference
-//! (`ffs_blkpref`) placed its files elsewhere since, so its checkpoint
-//! is pinned by hash on its own.
+//! same recipe no longer writes them: `ffs_blkpref` (at indirect regions,
+//! then for every first block) and `ffs_hashalloc`'s offsets placed its
+//! files elsewhere since, so its checkpoint is pinned by hash on its own.
 
 use aging::{generate, replay, take_checkpoint, AgingConfig, Checkpoint, ReplayOptions};
 use ffs::AllocPolicy;
@@ -72,9 +72,9 @@ fn fresh_replay_writes_the_pinned_bytes() {
     let text = ck.to_text();
     assert_eq!(
         (text.len(), fnv1a(text.as_bytes())),
-        (17_585, 0xab62_4e4a_a31b_c1ac)
+        (17_539, 0x6477_c04e_31f1_7201)
     );
-    assert_eq!(r.fs.digest(), 110_765_189_295_828_860);
+    assert_eq!(r.fs.digest(), 17_002_328_840_758_451_583);
 }
 
 #[test]

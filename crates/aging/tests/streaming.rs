@@ -211,13 +211,15 @@ fn nightly_snapshots_share_exactly_the_unchanged_entries() {
     let params = FsParams::small_test();
     let config = AgingConfig::small_test(30, 42);
     // Defrag moves blocks of files nothing else touched, so a night can
-    // change a block list under an unchanged change time and size.
+    // change a block list under an unchanged change time and size. The
+    // sharing does not depend on the policy, and on this volume only the
+    // `Orig` series has such a move: the check counts both series.
     let options = || ReplayOptions {
         snapshot_every_days: 1,
         defrag: Some(DefragSpec::new(DefragPolicy::Greedy, 200)),
         ..ReplayOptions::default()
     };
-    let mut text = String::new();
+    let (mut text, mut moved) = (String::new(), 0);
     for policy in [AllocPolicy::Orig, AllocPolicy::Realloc] {
         let what = policy.label();
         let mut r = Replay::new(&params, policy, options()).unwrap();
@@ -233,7 +235,7 @@ fn nightly_snapshots_share_exactly_the_unchanged_entries() {
         }
         // A file present both nights keeps last night's entry (the same
         // allocation) exactly when nothing about it changed.
-        let (mut shared, mut moved) = (0, 0);
+        let mut shared = 0;
         for pair in series.windows(2) {
             for e in &pair[1].entries {
                 let Some(old) = pair[0].get(e.ino) else {
@@ -254,12 +256,12 @@ fn nightly_snapshots_share_exactly_the_unchanged_entries() {
             }
         }
         assert!(shared > 0, "{what}: nothing shared");
-        assert!(moved > 0, "{what}: no block moved under an unchanged file");
         for s in &series {
             text.push_str(&s.to_text());
         }
     }
-    // Both series' bytes (663 724 of them) as the unshared snapshots
+    assert!(moved > 0, "no block moved under an unchanged file");
+    // Both series' bytes (660 083 of them) as the unshared snapshots
     // wrote them, one fresh take per night.
-    assert_eq!(fnv1a(text.as_bytes()), 0x1959_a391_db84_d916);
+    assert_eq!(fnv1a(text.as_bytes()), 0x3090_2fd6_336e_61e5);
 }

@@ -4,7 +4,8 @@
 //! key hashes the full provenance: file-system parameters, the complete
 //! aging configuration (which contains the seed and day count), the
 //! allocation policy, the replay options that alter allocation behavior,
-//! and the artifact format version. Any change to any of those yields a
+//! the placement code's revision ([`ffs::PLACEMENT_REVISION`]) and the
+//! artifact format version. Any change to any of those yields a
 //! different key, so stale artifacts are never consulted — invalidation
 //! is by construction, not by expiry.
 
@@ -40,12 +41,14 @@ pub fn aged_key(
 ) -> AgedKey {
     let provenance = format!(
         "aged-fs v{FORMAT_VERSION}\n\
+         placement r{}\n\
          params size={} bsize={} fsize={} ncg={} maxcontig={} minfree={} \
          bytes_per_inode={} inode_size={}\n\
          config {}\n\
          policy {}\n\
          replay first_fit={} no_split={} frag_bestfit={} crash_after_ops={}\n\
          defrag {}",
+        ffs::PLACEMENT_REVISION,
         params.size_bytes,
         params.bsize,
         params.fsize,
@@ -81,6 +84,32 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// A short aging's end state, next to the placement revision that
+    /// placed it. A change that moves a placement moves these digests:
+    /// it must bump [`ffs::PLACEMENT_REVISION`], so that no warm cache
+    /// serves an image the old placement aged, and re-pin them here.
+    #[test]
+    fn placement_revision_pins_a_short_aging() {
+        let params = FsParams::small_test();
+        let config = AgingConfig::small_test(10, 1996);
+        let w = aging::generate(&config, params.ncg, params.data_capacity_bytes());
+        let digests = [AllocPolicy::Orig, AllocPolicy::Realloc].map(|policy| {
+            let r = aging::replay(&w, &params, policy, ReplayOptions::default()).unwrap();
+            r.fs.digest()
+        });
+        assert_eq!(
+            (ffs::PLACEMENT_REVISION, digests),
+            (1, [0x78a4_5a3f_082c_982e, 0x2c7d_893d_ba36_3665])
+        );
+        let key = aged_key(
+            &params,
+            &config,
+            AllocPolicy::Orig,
+            &ReplayOptions::default(),
+        );
+        assert!(key.provenance.contains("placement r1\n"));
     }
 
     #[test]

@@ -40,6 +40,13 @@ use crate::geom::Geometry;
 use crate::geom::FPB;
 use crate::inode::FileMeta;
 
+/// The revision of block, fragment and inode placement. A cached aged
+/// image or fleet shard is a function of the placement code as much as of
+/// its inputs, so both cache keys hash this number. Any change that moves
+/// a placement bumps it, and re-pins the digest that
+/// `exp::key`'s `placement_revision_pins_a_short_aging` holds next to it.
+pub const PLACEMENT_REVISION: u32 = 1;
+
 /// Which disk allocation policy a file system runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllocPolicy {
@@ -256,35 +263,31 @@ pub(crate) struct AllocEngine<'a> {
 
 impl AllocEngine<'_> {
     /// Rehash over cylinder groups after `ffs_hashalloc`: try the
-    /// preferred group, then the groups at offsets 1, 2, 4, … from it,
-    /// then a linear sweep. The offsets are ours: `ffs_hashalloc`
-    /// accumulates them (1, 3, 7, …), and `tests/bsd/mod.rs` carries that
-    /// difference as its `HashallocOffsets` allowlist entry. `f` returns
-    /// `Some` on success within a group.
+    /// preferred group, then the quadratic rehash (start + 1, 3, 7, …,
+    /// each offset adding the next power of two), then a linear sweep.
+    /// `f` returns `Some` on success within a group; a success after the
+    /// first probe is a spill.
     pub(crate) fn hashalloc<T>(
         &mut self,
         start: CgIdx,
         mut f: impl FnMut(&mut Self, CgIdx) -> Option<T>,
     ) -> Option<T> {
         let ncg = self.params.ncg;
-        if let Some(t) = f(self, start) {
-            return Some(t);
-        }
-        let mut i = 1u32;
-        while i < ncg {
-            let g = CgIdx((start.0 + i) % ncg);
-            if let Some(t) = f(self, g) {
-                self.stats.cg_spills = self.stats.cg_spills.saturating_add(1);
-                return Some(t);
-            }
-            i *= 2;
-        }
+        let mut g = start.0;
+        let rehash = std::iter::successors(Some(1u32), |i| i.checked_mul(2))
+            .take_while(|&i| i < ncg)
+            .map(|i| {
+                g = (g + i) % ncg;
+                g
+            });
         // Offset 0 was the first probe and offset 1 the rehash's first, so
         // the sweep runs `i = 2 .. ncg` as `ffs_hashalloc`'s does.
-        for i in 0..ncg.saturating_sub(2) {
-            let g = CgIdx((start.0 + 2 + i) % ncg);
-            if let Some(t) = f(self, g) {
-                self.stats.cg_spills = self.stats.cg_spills.saturating_add(1);
+        let sweep = (2..ncg).map(|i| (start.0 + i) % ncg);
+        let probes = std::iter::once(start.0).chain(rehash).chain(sweep);
+        for (n, g) in probes.enumerate() {
+            if let Some(t) = f(self, CgIdx(g)) {
+                let spills = &mut self.stats.cg_spills;
+                *spills = spills.saturating_add(u64::from(n > 0));
                 return Some(t);
             }
         }
@@ -305,37 +308,31 @@ impl AllocEngine<'_> {
 
     /// Allocates one full block: [`AllocEngine::alloc_blocks`] with no
     /// room to extend.
-    pub(crate) fn alloc_block(&mut self, cg_hint: CgIdx, pref: Option<Daddr>) -> FsResult<Daddr> {
-        self.alloc_blocks(cg_hint, pref, 1).map(|(addr, _)| addr)
+    pub(crate) fn alloc_block(&mut self, pref: Daddr) -> FsResult<Daddr> {
+        self.alloc_blocks(pref, 1).map(|(addr, _)| addr)
     }
 
     /// Allocates a full block and, with it, as many of the free blocks
     /// right after it as `max` allows, returning the first address and
     /// the extent's length in blocks. `pref` is the preferred address
-    /// (the block following the file's previous block). The first block
-    /// is the original policy's choice — the preferred block if free,
-    /// else the next free block after it, else the next one from the
-    /// rotor, falling back across groups when the preferred group is
-    /// full — and every further block is the choice that policy would
-    /// make next given the one before it (a preference hit, counted as
-    /// one), so an extent of `n` leaves the maps, the rotor and the
-    /// counters where `n` calls chained block to block would.
-    pub(crate) fn alloc_blocks(
-        &mut self,
-        cg_hint: CgIdx,
-        pref: Option<Daddr>,
-        max: u32,
-    ) -> FsResult<(Daddr, u32)> {
+    /// ([`AllocEngine::blkpref`]). The first block is the original
+    /// policy's choice — the preferred block if free, else the next free
+    /// block after it, falling back across groups (searching a spill
+    /// group from its rotor) when the preferred group is full — and every
+    /// further block is the choice that policy would make next given the
+    /// one before it (a preference hit, counted as one), so an extent of
+    /// `n` leaves the maps, the rotor and the counters where `n` calls
+    /// chained block to block would.
+    pub(crate) fn alloc_blocks(&mut self, pref: Daddr, max: u32) -> FsResult<(Daddr, u32)> {
         debug_assert!(max >= 1);
-        let pref_cg = pref.map(|d| self.geom.dtog(d));
-        let got = self.hashalloc(pref_cg.unwrap_or(cg_hint), |eng, g| {
+        let pref_cg = self.geom.dtog(pref);
+        let got = self.hashalloc(pref_cg, |eng, g| {
             let cg = &mut eng.cgs[g.0 as usize];
-            let in_group = pref.filter(|_| pref_cg == Some(g));
-            let (from, hit) = match in_group.map(|p| cg.daddr_to_block(p)) {
-                // Preferred block, if it lies in this group and is aligned.
-                Some((b, 0)) => (b, b < cg.nblocks() && cg.is_block_free(b)),
-                // No usable preference: continue from the rotor.
-                _ => (cg.rotor(), false),
+            let (from, hit) = if g == pref_cg {
+                let b = cg.daddr_to_block(pref).0;
+                (b, b < cg.nblocks() && cg.is_block_free(b))
+            } else {
+                (cg.rotor(), false)
             };
             // On a miss, the next free block after the position.
             let b = if hit { from } else { cg.find_free_block(from)? };
@@ -390,21 +387,15 @@ impl AllocEngine<'_> {
     /// contiguous whenever that block is free — but on a fragmented map
     /// the first fit is often a hole elsewhere, the source of the
     /// two-block-file dips in Figure 3.
-    pub(crate) fn alloc_frag_run(
-        &mut self,
-        cg_hint: CgIdx,
-        len: u32,
-        pref: Option<Daddr>,
-    ) -> FsResult<Daddr> {
+    pub(crate) fn alloc_frag_run(&mut self, len: u32, pref: Daddr) -> FsResult<Daddr> {
         debug_assert!((1..FPB).contains(&len));
-        let pref_cg = pref.map(|d| self.geom.dtog(d));
+        let pref_cg = self.geom.dtog(pref);
         let bestfit = self.cfg.frag_bestfit;
-        let got = self.hashalloc(pref_cg.unwrap_or(cg_hint), |eng, g| {
-            let in_group = pref.filter(|_| pref_cg == Some(g));
+        let got = self.hashalloc(pref_cg, |eng, g| {
             let cg = &mut eng.cgs[g.0 as usize];
-            let from = match in_group {
-                Some(p) => cg.daddr_to_block(p).0,
-                None => cg.rotor(),
+            let from = match g == pref_cg {
+                true => cg.daddr_to_block(pref).0,
+                false => cg.rotor(),
             };
             if bestfit {
                 // `ffs_alloccg` proper: the frag summary picks the
@@ -441,16 +432,18 @@ impl AllocEngine<'_> {
     }
 
     /// The realloc pass over one window of a file's blocks
-    /// (`ffs_reallocblks`): if the window is not already contiguous and a
-    /// free cluster of the window's length exists in the window's cylinder
-    /// group, move the blocks there. `pref` is the address the cluster
-    /// search starts from (the block after the previous window's current
-    /// end). Returns `true` when the window moved.
+    /// (`ffs_reallocblks`): if the window is not already contiguous, its
+    /// first and last blocks share a group, and a free cluster of the
+    /// window's length exists, move the blocks there. The cluster is
+    /// looked for by [`AllocEngine::hashalloc`] from `pref`'s group, so
+    /// the window may move to another group. `pref` is the address the
+    /// search starts from ([`AllocEngine::blkpref`] of the window's first
+    /// block). Returns `true` when the window moved.
     pub(crate) fn realloc_window(
         &mut self,
         meta: &mut FileMeta,
         window: (u32, u32),
-        pref: Option<Daddr>,
+        pref: Daddr,
     ) -> bool {
         let (s, e) = window;
         let len = e - s;
@@ -466,44 +459,14 @@ impl AllocEngine<'_> {
             self.stats.realloc_already_contig = self.stats.realloc_already_contig.saturating_add(1);
             return false;
         }
-        // All blocks must sit in one group, as in the real code.
-        let g = geom.dtog(addrs[0]);
-        if addrs.iter().any(|&a| geom.dtog(a) != g) {
+        // The window's ends must sit in one group, as in the real code.
+        if geom.dtog(addrs[0]) != geom.dtog(addrs[len as usize - 1]) {
             return false;
         }
-        let in_group_pref = pref.filter(|&p| geom.dtog(p) == g);
-        let cluster_first_fit = self.cfg.cluster_first_fit;
-        let cg = &self.cgs[g.0 as usize];
-        // Extend the previous window's cluster when the space right
-        // after it is free (the chained preference); otherwise take the
-        // best-fitting free run in the group. Best fit consumes the
-        // remainders left by earlier relocations instead of carving up
-        // the group's large runs, so large free clusters survive aging —
-        // the property the paper's realloc file systems exhibit.
-        // (DESIGN.md documents this as a deliberate refinement over the
-        // 4.4BSD first-fit scan; `cluster_first_fit` restores it.)
-        const LOOKAHEAD: u32 = 512;
-        let run = match in_group_pref {
-            Some(p) => {
-                let b = cg.daddr_to_block(p).0;
-                if cg.is_cluster_free(b, len) {
-                    Some(b)
-                } else if cluster_first_fit {
-                    cg.find_free_cluster(b, len)
-                } else {
-                    cg.find_free_cluster_near(b, len, LOOKAHEAD)
-                }
-            }
-            None => {
-                let from = cg.rotor();
-                if cluster_first_fit {
-                    cg.find_free_cluster(from, len)
-                } else {
-                    cg.find_free_cluster_near(from, len, LOOKAHEAD)
-                }
-            }
-        };
-        let Some(run) = run else {
+        let found = self.hashalloc(geom.dtog(pref), |eng, g| {
+            eng.cluster_in(g, pref, len).map(|b| (g, b))
+        });
+        let Some((g, run)) = found else {
             self.stats.realloc_failures = self.stats.realloc_failures.saturating_add(1);
             // No run of the full window length exists. Unless disabled,
             // gather the window into two smaller clusters instead: far
@@ -514,8 +477,7 @@ impl AllocEngine<'_> {
                 let mid = s + len.div_ceil(2);
                 let moved_lo = self.realloc_window(meta, (s, mid), pref);
                 let lo_end = meta.blocks.as_slice()[mid as usize - 1];
-                let hi_pref = Some(Daddr(lo_end.0 + FPB));
-                let moved_hi = self.realloc_window(meta, (mid, e), hi_pref);
+                let moved_hi = self.realloc_window(meta, (mid, e), Daddr(lo_end.0 + FPB));
                 return moved_lo || moved_hi;
             }
             return false;
@@ -535,21 +497,41 @@ impl AllocEngine<'_> {
         true
     }
 
+    /// The cluster search for a realloc window of `len` blocks in group
+    /// `g`, from the preference if it lies in `g` and from the front
+    /// otherwise: the run right there if free (the chained preference),
+    /// else the best-fitting run near the start. Best fit consumes the
+    /// remainders of earlier relocations instead of carving up large
+    /// runs, so large free clusters survive aging (DESIGN.md §6's
+    /// refinement 1; `cluster_first_fit` restores 4.4BSD's first fit).
+    fn cluster_in(&self, g: CgIdx, pref: Daddr, len: u32) -> Option<u32> {
+        const LOOKAHEAD: u32 = 512;
+        let cg = &self.cgs[g.0 as usize];
+        let from = match self.geom.dtog(pref) == g {
+            true => cg.daddr_to_block(pref).0,
+            false => 0,
+        };
+        if cg.is_cluster_free(from, len) {
+            return Some(from);
+        }
+        match self.cfg.cluster_first_fit {
+            true => cg.find_free_cluster(from, len),
+            false => cg.find_free_cluster_near(from, len, LOOKAHEAD),
+        }
+    }
+
     /// Allocates all data blocks, indirect blocks, and the fragment tail
     /// for a freshly created file, running the realloc pass at each write
     /// chunk boundary when the policy calls for it. Blocks are taken an
     /// extent at a time ([`AllocEngine::alloc_blocks`]), each extent
     /// stopping where the policy does something other than take the next
-    /// block. Operates on a detached [`FileMeta`]; the caller owns the
+    /// block; everything, windows and tail too, is placed from
+    /// [`AllocEngine::blkpref`], and a window may move to another group.
+    /// Operates on a detached [`FileMeta`]; the caller owns the
     /// bookkeeping (aggregate layout, usage counters, slab insertion) on
-    /// either outcome. On failure, everything allocated so far is
-    /// recorded in `meta` so the caller can release it.
-    pub(crate) fn write_blocks(
-        &mut self,
-        meta: &mut FileMeta,
-        dcg: CgIdx,
-        size: u64,
-    ) -> FsResult<()> {
+    /// either outcome. On failure, everything allocated so far is recorded
+    /// in `meta` so the caller can release it.
+    pub(crate) fn write_blocks(&mut self, meta: &mut FileMeta, size: u64) -> FsResult<()> {
         let geom = self.geom;
         let nindir = self.params.nindir();
         let (nfull, tail_frags) = file_shape(self.params, size);
@@ -563,78 +545,71 @@ impl AllocEngine<'_> {
         // Flush boundary: end of an application write or end of file.
         let chunk = self.cfg.write_chunk_blocks;
         let mut flush_at = chunk.min(nfull);
-        // The next data block's preference: none for the first, which
-        // comes from the rotor of `dcg` (the only use of that hint), then
-        // the block after the previous one, except where a region opens.
-        let mut pref: Option<Daddr> = None;
         let mut lbn = 0u32;
         while lbn < nfull {
             if switches.next_if_eq(&lbn).is_some() {
                 // The double-indirect root is allocated together with the
                 // first level-one indirect under it, at the same
                 // preference; the data block asks again after both.
-                let ipref = Some(self.section_pref(meta.ino, lbn));
+                let ipref = self.blkpref(meta.ino, lbn, meta.blocks.last().copied());
                 for _ in 0..1 + u32::from(lbn == NDADDR + nindir) {
-                    let ind = self.alloc_block(dcg, ipref)?;
+                    let ind = self.alloc_block(ipref)?;
                     meta.blocks.push_indirect(ind);
                 }
-                pref = Some(self.section_pref(meta.ino, lbn));
             }
             let stop = switches.peek().map_or(flush_at, |&s| s.min(flush_at));
-            let (addr, n) = self.alloc_blocks(dcg, pref, stop - lbn)?;
+            let pref = self.blkpref(meta.ino, lbn, meta.blocks.last().copied());
+            let (addr, n) = self.alloc_blocks(pref, stop - lbn)?;
             let last = Daddr(addr.0 + (n - 1) * FPB);
             debug_assert_eq!(geom.dtog(last), geom.dtog(addr), "extent left its group");
             meta.blocks.push_run(addr, n, FPB);
-            pref = Some(Daddr(last.0 + FPB));
             lbn += n;
             if lbn == flush_at {
                 flush_at = flush_at.saturating_add(chunk).min(nfull);
                 if realloc_on {
                     let _sp = obs::span!("realloc_pass");
-                    while let Some(w) = windows.next_if(|w| w.1 <= lbn) {
-                        let wpref = self.window_pref(meta, w.0);
-                        self.realloc_window(meta, w, wpref);
+                    while let Some((s, e)) = windows.next_if(|w| w.1 <= lbn) {
+                        let prev = s.checked_sub(1).map(|i| meta.blocks[i as usize]);
+                        let wpref = self.blkpref(meta.ino, s, prev);
+                        self.realloc_window(meta, (s, e), wpref);
                     }
-                    // Chain the base-allocation preference from the
-                    // (possibly moved) last block.
-                    pref = meta.blocks.last().map(|d| Daddr(d.0 + FPB));
                 }
             }
         }
         if tail_frags > 0 {
-            let t = self.alloc_frag_run(dcg, tail_frags, pref)?;
+            let pref = self.blkpref(meta.ino, nfull, meta.blocks.last().copied());
+            let t = self.alloc_frag_run(tail_frags, pref)?;
             meta.tail = Some((t, tail_frags));
         }
         Ok(())
     }
 
-    /// `ffs_blkpref` where an indirect region opens (footnote 1, the
-    /// 104 KB dip): block 1 of the first group with at least the average
-    /// number of free blocks, scanning from `ino_to_cg(ino) + lbn /
-    /// nindir` — that group counted — and wrapping past the last.
-    pub(crate) fn section_pref(&self, ino: Ino, lbn: u32) -> Daddr {
+    /// `ffs_blkpref`: where data block `lbn` of inode `ino` should go,
+    /// given `prev`, the file's block before it. That is the block after
+    /// `prev`, except where `lbn` opens an indirect region (footnote 1,
+    /// the 104 KB dip): there it is block 1 of the first group with at
+    /// least the average number of free blocks, scanning from
+    /// `ino_to_cg(ino) + lbn / nindir` — that group counted — and
+    /// wrapping past the last. A file's first block (no `prev`) prefers
+    /// block 1 of its inode's group.
+    pub(crate) fn blkpref(&self, ino: Ino, lbn: u32, prev: Option<Daddr>) -> Daddr {
         let ncg = self.cgs.len() as u32;
-        let nbfree = |g: u32| u64::from(self.cgs[g as usize].free_blocks());
-        let avg = (0..ncg).map(nbfree).sum::<u64>() / u64::from(ncg);
-        let start = (self.geom.itog(ino).0 .0 + lbn / self.params.nindir()) % ncg;
-        // A group at the maximum is always at or above average.
-        let g = (0..ncg)
-            .map(|i| (start + i) % ncg)
-            .find(|&g| nbfree(g) >= avg)
-            .unwrap_or(start);
+        let home = self.geom.itog(ino).0 .0;
+        let g = match prev {
+            Some(p) if !opens_indirect_region(self.params, lbn) => return Daddr(p.0 + FPB),
+            Some(_) => {
+                let nbfree = |g: u32| u64::from(self.cgs[g as usize].free_blocks());
+                let avg = (0..ncg).map(nbfree).sum::<u64>() / u64::from(ncg);
+                let start = (home + lbn / self.params.nindir()) % ncg;
+                // A group at the maximum is always at or above average.
+                (0..ncg)
+                    .map(|i| (start + i) % ncg)
+                    .find(|&g| nbfree(g) >= avg)
+                    .unwrap_or(start)
+            }
+            None => home,
+        };
         self.cgs[g as usize].block_daddr(1)
-    }
-
-    /// The cluster-search start for a realloc window of a file being
-    /// written: the address after the previous block's *current*
-    /// location, or — for the window that opens an indirect region —
-    /// that region's [`AllocEngine::section_pref`], asked again now.
-    fn window_pref(&self, meta: &FileMeta, wstart: u32) -> Option<Daddr> {
-        if opens_indirect_region(self.params, wstart) {
-            return Some(self.section_pref(meta.ino, wstart));
-        }
-        let before = meta.blocks.get((wstart as usize).checked_sub(1)?)?;
-        Some(Daddr(before.0 + FPB))
     }
 }
 
@@ -694,7 +669,8 @@ mod tests {
         }
         let per = f.params().inodes_per_cg();
         let front = |f: &Filesystem, g: u32| f.cg(CgIdx(g)).block_daddr(1);
-        let mut pref = |g: u32, lbn: u32| f.engine().section_pref(Ino(g * per + 5), lbn);
+        let prev = Some(Daddr(0));
+        let mut pref = |g: u32, lbn: u32| f.engine().blkpref(Ino(g * per + 5), lbn, prev);
         let got = [pref(0, 12), pref(0, 2060), pref(3, 12), pref(2, 2060)];
         // Group 0 is above average, so the first region stays in the
         // inode's own group (the scan counts it). At lbn 2060, `lbn /
@@ -745,12 +721,12 @@ mod tests {
 
     #[test]
     fn failed_hashalloc_probes_no_group_a_third_time() {
-        // Four groups: the preferred one, the rehash at offsets 1 and 2,
-        // then the sweep over offsets 2 and 3 — `i = 2 .. ncg`. The sweep
-        // used to run `ncg` long and end on offsets 0 and 1 again (seven
-        // probes, not five).
+        // Four groups: the preferred one, the rehash at offsets 1 and
+        // 1 + 2 (`ffs_hashalloc` accumulates them), then the sweep over
+        // offsets 2 and 3 — `i = 2 .. ncg`. The sweep used to run `ncg`
+        // long and end on offsets 0 and 1 again (seven probes, not five).
         let mut f = fs();
-        assert_eq!(failed_probes(&mut f, CgIdx(1)), [1, 2, 3, 3, 0]);
+        assert_eq!(failed_probes(&mut f, CgIdx(1)), [1, 2, 0, 3, 0]);
         // However many groups, every one of them is still asked — two
         // groups once each, where the sweep used to ask both again.
         for ncg in 1..=9 {
@@ -780,8 +756,9 @@ mod tests {
         let d = f.mkdir_in(CgIdx(0)).unwrap();
         let a = f.create(d, 8 * KB, 0).unwrap();
         let first = f.file(a).unwrap().blocks[0];
-        // The very next single-block file continues right after it (the
-        // rotor), and a multi-block file is chained block to block.
+        // The next file's first block is the first free one from its
+        // group's front, right after `a`'s, and a multi-block file is
+        // chained block to block.
         let b = f.create(d, 16 * KB, 0).unwrap();
         let blocks = &f.file(b).unwrap().blocks;
         assert_eq!(blocks[0].0, first.0 + 8);

@@ -196,7 +196,10 @@ impl Filesystem {
         let slot = self.cgs[cg.0 as usize]
             .alloc_inode()
             .ok_or(FsError::NoInodes)?;
-        let block = match self.engine().alloc_block(cg, None) {
+        // The directory's block is its inode's first block.
+        let mut eng = self.engine();
+        let pref = eng.blkpref(Ino(cg.0 * eng.geom.inodes_per_cg + slot), 0, None);
+        let block = match eng.alloc_block(pref) {
             Ok(b) => b,
             Err(e) => {
                 self.cgs[cg.0 as usize].free_inode(slot);
@@ -325,7 +328,7 @@ impl Filesystem {
             tail: None,
             mtime_day: day,
         };
-        let res = eng.write_blocks(&mut meta, dcg, size);
+        let res = eng.write_blocks(&mut meta, size);
         match res {
             Ok(()) => {
                 self.used_meta_frags += meta.indirects().len() as u64 * u64::from(FPB);

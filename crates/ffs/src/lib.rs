@@ -46,7 +46,7 @@ pub mod relocate;
 pub mod repair;
 pub mod table;
 
-pub use alloc::{realloc_windows, AllocPolicy, AllocStats};
+pub use alloc::{realloc_windows, AllocPolicy, AllocStats, PLACEMENT_REVISION};
 pub use cg::{CylGroup, FragRun};
 pub use check::{assert_consistent, check, verify, Violation};
 pub use freespace::{frag_space_stats, free_space_stats, FragSpaceStats, FreeSpaceStats};

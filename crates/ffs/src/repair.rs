@@ -398,10 +398,17 @@ mod tests {
     fn orphaned_fragments_are_counted_and_freed() {
         let mut fs = aged_fs();
         let free0 = fs.free_frags();
-        // Orphan three specific fragments.
-        for (b, bit) in [(40u32, 0u32), (41, 3), (45, 7)] {
-            let cg = &mut fs.cgs[0];
-            cg.set_map_byte(b, cg.map_byte(b) | 1 << bit);
+        // Orphan group 0's first three free fragments: marked in use,
+        // owned by no file.
+        let cg = &mut fs.cgs[0];
+        let frags = (cg.meta_blocks()..cg.nblocks()).flat_map(|b| (0..FPB).map(move |f| (b, f)));
+        let free: Vec<_> = frags
+            .filter(|&(b, f)| cg.map_byte(b) & 1 << f == 0)
+            .take(3)
+            .collect();
+        assert_eq!(free.len(), 3);
+        for (b, f) in free {
+            cg.set_map_byte(b, cg.map_byte(b) | 1 << f);
         }
         let report = repair(&mut fs);
         assert_eq!(report.orphaned_frags_freed, 3);

@@ -45,27 +45,18 @@ const FIELDS: &str = "cg_firstfield cg_magic cg_time cg_cgx cg_ncyl cg_ndblk cs_
 /// moves fingerprints (ROADMAP item 3 (e)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Divergence {
-    /// The rehash probes start + 1, 2, 4, …; `ffs_hashalloc`'s + 1, 3, 7, ….
-    HashallocOffsets,
     /// One rotor, moved by every block run and never for fragments.
     OneRotor,
-    /// A file's first block comes from the rotor, not its group's front.
-    FirstBlockPref,
     /// The inode search starts one past the last slot taken.
     InodeRotor,
-    /// A realloc window moves only within its own group.
-    ReallocOneGroup,
     /// First-fit cluster search wraps below the preference.
     ClusterWrap,
 }
 
 /// Every divergence found.
-pub const ALLOWLIST: [Divergence; 6] = [
-    Divergence::HashallocOffsets,
+pub const ALLOWLIST: [Divergence; 3] = [
     Divergence::OneRotor,
-    Divergence::FirstBlockPref,
     Divergence::InodeRotor,
-    Divergence::ReallocOneGroup,
     Divergence::ClusterWrap,
 ];
 
@@ -635,6 +626,25 @@ impl RefFile {
             tail: f.tail.map(|(d, n)| (d.0, n)),
         }
     }
+
+    /// Where the two first differ: the inode, the first differing index
+    /// of the blocks or indirects with both addresses (`-` past a
+    /// list's end), or the tail.
+    pub fn diff(&self, other: &RefFile) -> Option<String> {
+        if self.ino != other.ino {
+            return Some(format!("inode {} vs {}", self.ino, other.ino));
+        }
+        let at = |v: &[u32], i: usize| v.get(i).map_or("-".into(), u32::to_string);
+        for (name, a, b) in [
+            ("blocks", &self.blocks, &other.blocks),
+            ("indirects", &self.indirects, &other.indirects),
+        ] {
+            if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+                return Some(format!("{name}[{i}]: {} vs {}", at(a, i), at(b, i)));
+            }
+        }
+        (self.tail != other.tail).then(|| format!("tail: {:?} vs {:?}", self.tail, other.tail))
+    }
 }
 
 /// The reference file system: decoded groups, the decisions on them,
@@ -660,10 +670,10 @@ impl RefFs<'_> {
         start: u32,
         mut f: impl FnMut(&mut Self, u32) -> Option<T>,
     ) -> Option<T> {
-        let (ncg, ours) = (self.sb.ncg, self.ours(Divergence::HashallocOffsets));
+        let ncg = self.sb.ncg;
         let mut g = start;
         let rehash = (0..).map(|k| 1 << k).take_while(|&i| i < ncg).map(|i| {
-            g = (if ours { start } else { g } + i) % ncg;
+            g = (g + i) % ncg;
             g
         });
         let sweep = (2..ncg).map(|i| (start + i) % ncg);
@@ -716,13 +726,13 @@ impl RefFs<'_> {
 
     /// `ffs_alloccgblk` in group `g`: the preferred block if free, else a
     /// map search from it, or from the rotor.
-    fn alloccgblk(&mut self, g: u32, pref: Option<u32>) -> Option<u32> {
+    fn alloccgblk(&mut self, g: u32, pref: u32) -> Option<u32> {
         let (sb, ours) = (self.sb, self.ours(Divergence::OneRotor));
         let cg = &mut self.cgs[g as usize];
         if cg.get(CS_NBFREE) == 0 {
             return None;
         }
-        let want = pref.filter(|&p| sb.dtog(p) == g).map(|p| sb.block(g, p));
+        let want = (sb.dtog(pref) == g).then(|| sb.block(g, pref));
         let h = match want {
             Some(h) if h < cg.nblocks() && cg.isblock(h) => h,
             _ => {
@@ -747,26 +757,23 @@ impl RefFs<'_> {
     }
 
     /// `ffs_alloc` of a whole block; taking the preferred one is a hit.
-    fn alloc(&mut self, hint: u32, pref: Option<u32>) -> Option<u32> {
-        let start = pref.map_or(hint, |p| self.sb.dtog(p));
-        let d = self.hashalloc(start, |fs, g| fs.alloccgblk(g, pref))?;
+    fn alloc(&mut self, pref: u32) -> Option<u32> {
+        let d = self.hashalloc(self.sb.dtog(pref), |fs, g| fs.alloccgblk(g, pref))?;
         self.stats.block_allocs += 1;
-        self.stats.pref_hits += u64::from(Some(d) == pref);
+        self.stats.pref_hits += u64::from(d == pref);
         Some(d)
     }
 
     /// `ffs_alloc` of `len` fragments: `ffs_alloccg`'s fragment path,
     /// or our first fit. Taking them from a whole free block is a split.
-    fn alloc_frags(&mut self, hint: u32, len: u32, pref: Option<u32>) -> Option<u32> {
+    fn alloc_frags(&mut self, len: u32, pref: u32) -> Option<u32> {
         let (sb, ours) = (self.sb, self.ours(Divergence::OneRotor));
-        let start = pref.map_or(hint, |p| sb.dtog(p));
-        let d = self.hashalloc(start, |fs, g| {
+        let d = self.hashalloc(sb.dtog(pref), |fs, g| {
             let cg = &fs.cgs[g as usize];
-            let from = match pref {
-                Some(p) if ours && sb.dtog(p) == g => sb.block(g, p),
-                Some(p) if !ours => sb.block(sb.dtog(p), p),
-                _ if ours => cg.get(ROTOR) / FS_FRAG,
-                _ => cg.get(FROTOR) / FS_FRAG,
+            let from = match ours {
+                true if sb.dtog(pref) == g => sb.block(g, pref),
+                false => sb.block(sb.dtog(pref), pref),
+                true => cg.get(ROTOR) / FS_FRAG,
             };
             let found = match fs.sw.frag_bestfit {
                 true => cg.frag_best_fit(from, len),
@@ -802,40 +809,37 @@ impl RefFs<'_> {
         Some(d)
     }
 
-    /// `ffs_blkpref` where an indirect region opens: the front of the
-    /// first group with at least the average free blocks from `ino_to_cg
-    /// + lbn / maxbpg`.
-    fn section_pref(&self, ino: u32, lbn: u32) -> Option<u32> {
+    /// `ffs_blkpref` for block `lbn` of inode `ino` after `prev`: the
+    /// block after `prev`, except where `lbn` opens an indirect region —
+    /// there the front of the first group with at least the average free
+    /// blocks from `ino_to_cg + lbn / maxbpg` — and the front of the
+    /// inode's group for a first block.
+    fn blkpref(&self, ino: u32, lbn: u32, prev: Option<u32>) -> u32 {
         let (ncg, sb) = (self.sb.ncg, self.sb);
-        let nbfree = |g: u32| u64::from(self.cgs[g as usize].get(CS_NBFREE));
-        let avg = (0..ncg).map(nbfree).sum::<u64>() / u64::from(ncg);
-        let startcg = (ino / sb.ipg + lbn / sb.nindir) % ncg;
-        let g = (startcg..ncg)
-            .chain(0..startcg)
-            .find(|&g| nbfree(g) >= avg)?;
-        Some(sb.daddr(g, 1))
-    }
-
-    /// `ffs_blkpref` for a file's first block.
-    fn first_pref(&self, ino: u32) -> Option<u32> {
-        (!self.ours(Divergence::FirstBlockPref)).then(|| self.sb.daddr(ino / self.sb.ipg, 1))
+        let g = match prev {
+            Some(p) if !opens_region(lbn, sb.nindir) => return p + FS_FRAG,
+            Some(_) => {
+                let nbfree = |g: u32| u64::from(self.cgs[g as usize].get(CS_NBFREE));
+                let avg = (0..ncg).map(nbfree).sum::<u64>() / u64::from(ncg);
+                let startcg = (ino / sb.ipg + lbn / sb.nindir) % ncg;
+                let mut scan = (startcg..ncg).chain(0..startcg);
+                scan.find(|&g| nbfree(g) >= avg).unwrap()
+            }
+            None => ino / sb.ipg,
+        };
+        sb.daddr(g, 1)
     }
 
     /// Creates a file of `size` bytes for the directory with inode
-    /// `dir_ino` in group `dir_cg`, block by block in `ffs_balloc` order;
-    /// on failure everything taken is given back.
-    pub fn create(
-        &mut self,
-        dir_cg: u32,
-        dir_ino: u32,
-        size: u64,
-    ) -> Result<RefFile, &'static str> {
+    /// `dir_ino`, block by block in `ffs_balloc` order; on failure
+    /// everything taken is given back.
+    pub fn create(&mut self, dir_ino: u32, size: u64) -> Result<RefFile, &'static str> {
         let ino = self.valloc(dir_ino).ok_or("no inodes")?;
         let mut f = RefFile {
             ino,
             ..RefFile::default()
         };
-        if self.write(&mut f, dir_cg, size).is_none() {
+        if self.write(&mut f, size).is_none() {
             self.remove(&f);
             return Err("no space");
         }
@@ -864,7 +868,7 @@ impl RefFs<'_> {
         }
     }
 
-    fn write(&mut self, f: &mut RefFile, dir_cg: u32, size: u64) -> Option<()> {
+    fn write(&mut self, f: &mut RefFile, size: u64) -> Option<()> {
         let sb = self.sb;
         let nindir = sb.nindir;
         // Only a direct-block file keeps a fragment tail, and a tail of a
@@ -879,53 +883,41 @@ impl RefFs<'_> {
         let realloc = self.sw.realloc && size >= 2 * sb.bsize;
         let windows = windows(if realloc { nfull } else { 0 }, sb.maxcontig, nindir);
         let mut windows = windows.into_iter().peekable();
-        let (mut cur, mut prev) = (dir_cg, None);
         for lbn in 0..nfull {
-            let mut pref = match lbn {
-                0 => self.first_pref(f.ino),
-                _ => prev.map(|d| d + FS_FRAG),
-            };
             if opens_region(lbn, nindir) {
-                let ipref = self.section_pref(f.ino, lbn);
+                let ipref = self.blkpref(f.ino, lbn, f.blocks.last().copied());
                 // The double indirect's root comes with its first child.
                 for _ in 0..1 + u32::from(lbn == NDADDR + nindir) {
-                    f.indirects.push(self.alloc(cur, ipref)?);
+                    f.indirects.push(self.alloc(ipref)?);
                 }
-                pref = self.section_pref(f.ino, lbn);
             }
-            let d = self.alloc(cur, pref)?;
-            (cur, prev) = (sb.dtog(d), Some(d));
+            let d = self.alloc(self.blkpref(f.ino, lbn, f.blocks.last().copied()))?;
             f.blocks.push(d);
             let done = lbn + 1;
             if realloc && (done % sb.chunk == 0 || done == nfull) {
                 while let Some((s, e)) = windows.next_if(|w| w.1 <= done) {
-                    let wpref = match s {
-                        0 => self.first_pref(f.ino),
-                        s if opens_region(s, nindir) => self.section_pref(f.ino, s),
-                        s => Some(f.blocks[s as usize - 1] + FS_FRAG),
-                    };
+                    let prev = s.checked_sub(1).map(|i| f.blocks[i as usize]);
+                    let wpref = self.blkpref(f.ino, s, prev);
                     self.reallocblks(f, (s, e), wpref);
                 }
-                prev = f.blocks.last().copied();
             }
         }
         if tail > 0 {
-            let pref = prev.map_or_else(|| self.first_pref(f.ino), |d| Some(d + FS_FRAG));
-            let hint = prev.map_or(dir_cg, |d| sb.dtog(d));
-            f.tail = Some((self.alloc_frags(hint, tail, pref)?, tail));
+            let pref = self.blkpref(f.ino, nfull, f.blocks.last().copied());
+            f.tail = Some((self.alloc_frags(tail, pref)?, tail));
         }
         Some(())
     }
 
     /// The cluster search for a window of `len` in group `g`: the
-    /// preferred run if free, else our configured search from it.
-    fn cluster_in(&self, g: u32, pref: Option<u32>, len: u32) -> Option<u32> {
+    /// preferred run if free, else our configured search from it, or
+    /// from the front when the preference lies in another group.
+    fn cluster_in(&self, g: u32, pref: u32, len: u32) -> Option<u32> {
         let (sb, cg) = (self.sb, &self.cgs[g as usize]);
-        let from = match pref.filter(|&p| sb.dtog(p) == g) {
-            Some(p) if cg.is_cluster_free(sb.block(g, p), len) => return Some(sb.block(g, p)),
-            Some(p) => sb.block(g, p),
-            None if self.ours(Divergence::ReallocOneGroup) => cg.get(ROTOR) / FS_FRAG,
-            None => 0,
+        let from = match sb.dtog(pref) == g {
+            true if cg.is_cluster_free(sb.block(g, pref), len) => return Some(sb.block(g, pref)),
+            true => sb.block(g, pref),
+            false => 0,
         };
         match self.sw.cluster_first_fit {
             true => cg.clusteralloc(from, len, self.allow),
@@ -935,7 +927,7 @@ impl RefFs<'_> {
 
     /// `ffs_reallocblks` over logical blocks `s .. e`: move them into one
     /// free cluster; failing that, unless switched off, each half.
-    fn reallocblks(&mut self, f: &mut RefFile, (s, e): (u32, u32), pref: Option<u32>) {
+    fn reallocblks(&mut self, f: &mut RefFile, (s, e): (u32, u32), pref: u32) {
         let (sb, len) = (self.sb, e - s);
         let addrs = &f.blocks[s as usize..e as usize];
         if len < 2 {
@@ -946,26 +938,19 @@ impl RefFs<'_> {
             self.stats.realloc_already_contig += 1;
             return;
         }
-        let g0 = sb.dtog(addrs[0]);
-        let found = if self.ours(Divergence::ReallocOneGroup) {
-            if addrs.iter().any(|&a| sb.dtog(a) != g0) {
-                return;
-            }
-            self.cluster_in(g0, pref, len).map(|h| (g0, h))
-        } else {
-            if sb.dtog(addrs[len as usize - 1]) != g0 {
-                return;
-            }
-            let start = pref.map_or(g0, |p| sb.dtog(p));
-            self.hashalloc(start, |fs, g| fs.cluster_in(g, pref, len).map(|h| (g, h)))
-        };
+        if sb.dtog(addrs[len as usize - 1]) != sb.dtog(addrs[0]) {
+            return;
+        }
+        let found = self.hashalloc(sb.dtog(pref), |fs, g| {
+            fs.cluster_in(g, pref, len).map(|h| (g, h))
+        });
         let Some((g, run)) = found else {
             self.stats.realloc_failures += 1;
             if !self.sw.no_split && len >= 3 {
                 let mid = s + len.div_ceil(2);
                 self.reallocblks(f, (s, mid), pref);
                 let lo_end = f.blocks[mid as usize - 1];
-                self.reallocblks(f, (mid, e), Some(lo_end + FS_FRAG));
+                self.reallocblks(f, (mid, e), lo_end + FS_FRAG);
             }
             return;
         };

@@ -115,18 +115,20 @@ impl Pair {
         let d = self.fs.dir(self.dirs[dir]).unwrap().clone();
         let dir_ino = d.cg.0 * self.fs.params().inodes_per_cg() + d.ino_slot;
         let mut r = self.reference();
-        let want = r.create(d.cg.0, dir_ino, size);
+        let want = r.create(dir_ino, size);
         let after = (r.cgs, r.stats);
         let got = self.fs.create(d.id, size, day);
         let ours = got.as_ref().map(|&i| RefFile::of(self.fs.file(i).unwrap()));
-        let same = match (&ours, &want) {
-            (Ok(a), Ok(b)) => a == b,
-            (Err(FsError::NoSpace { .. }), Err("no space")) => true,
-            (Err(FsError::NoInodes), Err("no inodes")) => true,
-            _ => false,
+        let differs = match (&ours, &want) {
+            (Ok(a), Ok(b)) => a.diff(b),
+            (Err(FsError::NoSpace { .. }), Err("no space")) => None,
+            (Err(FsError::NoInodes), Err("no inodes")) => None,
+            (Ok(a), Err(e)) => Some(format!("inode {} vs {e}", a.ino)),
+            (Err(e), Ok(b)) => Some(format!("{e} vs inode {}", b.ino)),
+            (Err(e), Err(w)) => Some(format!("{e} vs {w}")),
         };
-        if !same {
-            return Err(format!("op {} ({what}): {ours:?} vs {want:?}", self.ops));
+        if let Some(d) = differs {
+            return Err(format!("op {} ({what}): {d} (ours vs ref)", self.ops));
         }
         self.settle(&what, after, false)?;
         Ok(got.ok())

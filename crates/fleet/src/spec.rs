@@ -147,12 +147,14 @@ impl ShardSpec {
         } = self.params;
         format!(
             "fleet-shard v{FLEET_FORMAT_VERSION}\n\
+             placement r{}\n\
              params size={size_bytes} bsize={bsize} fsize={fsize} ncg={ncg} \
              maxcontig={maxcontig} minfree={minfree_pct} bpi={bytes_per_inode} \
              isize={inode_size}\n\
              policy {}\n\
              config {}\n\
              defrag {}\n",
+            ffs::PLACEMENT_REVISION,
             self.policy.name(),
             self.config.fingerprint(),
             self.defrag
