@@ -147,12 +147,6 @@ pub struct ReplayOptions {
     /// Run the full consistency checker every `n` days (0 = never); a
     /// violation ends the replay with [`FsError::Corrupt`].
     pub verify_every_days: u32,
-    /// Ablation: restore the 4.4BSD first-fit-from-preference cluster
-    /// search instead of the windowed best fit (see DESIGN.md).
-    pub cluster_first_fit: bool,
-    /// Ablation: leave a realloc window in place when no full-length
-    /// cluster exists, instead of gathering it into two smaller ones.
-    pub realloc_no_split: bool,
     /// Fragment placement: `true` uses the `cg_frsum`-guided best-fit
     /// fragment search instead of the historical first fit (see
     /// DESIGN.md).
@@ -192,8 +186,6 @@ impl Default for ReplayOptions {
     fn default() -> Self {
         ReplayOptions {
             verify_every_days: 0,
-            cluster_first_fit: false,
-            realloc_no_split: false,
             frag_bestfit: false,
             snapshot_every_days: 0,
             checkpoint_every_days: 0,
@@ -247,7 +239,7 @@ impl Replay {
     /// Starts aging a fresh file system with `policy`.
     pub fn new(params: &FsParams, policy: AllocPolicy, options: ReplayOptions) -> FsResult<Replay> {
         let mut fs = Filesystem::new(params.clone(), policy);
-        set_placement(&mut fs, &options);
+        fs.set_frag_bestfit(options.frag_bestfit);
         let dirs = fs.mkdir_per_cg()?;
         Ok(Replay::start(fs, dirs, LiveMap::new(), None, 0, options))
     }
@@ -274,7 +266,7 @@ impl Replay {
             ));
         }
         let (mut fs, live) = checkpoint.restore(params.clone(), policy)?;
-        set_placement(&mut fs, &options);
+        fs.set_frag_bestfit(options.frag_bestfit);
         // Recover the per-group directory table the op stream indexes by
         // cylinder group. The replayer creates exactly one directory per
         // group up front, so each group must own exactly one.
@@ -480,12 +472,6 @@ impl Replay {
 /// at the end of `day`.
 fn due(every: u32, day: u32) -> bool {
     every > 0 && (day + 1).is_multiple_of(every)
-}
-
-fn set_placement(fs: &mut Filesystem, options: &ReplayOptions) {
-    fs.set_cluster_first_fit(options.cluster_first_fit);
-    fs.set_realloc_no_split(options.realloc_no_split);
-    fs.set_frag_bestfit(options.frag_bestfit);
 }
 
 fn check_ncg(workload: &Workload, params: &FsParams) -> FsResult<()> {

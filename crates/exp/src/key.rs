@@ -46,7 +46,7 @@ pub fn aged_key(
          bytes_per_inode={} inode_size={}\n\
          config {}\n\
          policy {}\n\
-         replay first_fit={} no_split={} frag_bestfit={} crash_after_ops={}\n\
+         replay frag_bestfit={} crash_after_ops={}\n\
          defrag {}",
         ffs::PLACEMENT_REVISION,
         params.size_bytes,
@@ -59,8 +59,6 @@ pub fn aged_key(
         params.inode_size,
         config.fingerprint(),
         policy.name(),
-        options.cluster_first_fit,
-        options.realloc_no_split,
         options.frag_bestfit,
         options.crash_after_ops,
         options
@@ -89,19 +87,37 @@ mod tests {
     /// A short aging's end state, next to the placement revision that
     /// placed it. A change that moves a placement moves these digests:
     /// it must bump [`ffs::PLACEMENT_REVISION`], so that no warm cache
-    /// serves an image the old placement aged, and re-pin them here.
+    /// serves an image the old placement aged, and re-pin them here. The
+    /// two 10-day `small_test` runs never fail a realloc search, so a
+    /// third input does: half the volume in two groups, 45 days at 75 %
+    /// utilization, under realloc.
     #[test]
     fn placement_revision_pins_a_short_aging() {
+        let digest = |params: &FsParams, config: &AgingConfig, policy| {
+            let w = aging::generate(config, params.ncg, params.data_capacity_bytes());
+            let r = aging::replay(&w, params, policy, ReplayOptions::default()).unwrap();
+            (r.fs.digest(), r.fs.alloc_stats().realloc_failures)
+        };
         let params = FsParams::small_test();
         let config = AgingConfig::small_test(10, 1996);
-        let w = aging::generate(&config, params.ncg, params.data_capacity_bytes());
-        let digests = [AllocPolicy::Orig, AllocPolicy::Realloc].map(|policy| {
-            let r = aging::replay(&w, &params, policy, ReplayOptions::default()).unwrap();
-            r.fs.digest()
-        });
+        let digests =
+            [AllocPolicy::Orig, AllocPolicy::Realloc].map(|p| digest(&params, &config, p).0);
+        let mut tight = FsParams::small_test();
+        tight.size_bytes /= 2;
+        tight.ncg = 2;
+        let mut crowded = AgingConfig::small_test(45, 1996);
+        crowded.scale_rates(0.5);
+        crowded.plateau_util = 0.75;
+        crowded.peak_util = 0.85;
+        let (failing, failures) = digest(&tight, &crowded, AllocPolicy::Realloc);
+        assert!(failures > 0, "the third input must fail a realloc search");
         assert_eq!(
-            (ffs::PLACEMENT_REVISION, digests),
-            (1, [0x78a4_5a3f_082c_982e, 0x2c7d_893d_ba36_3665])
+            (ffs::PLACEMENT_REVISION, digests, failing),
+            (
+                2,
+                [0x78a4_5a3f_082c_982e, 0x2c7d_893d_ba36_3665],
+                0xbea5_2738_9817_8284
+            )
         );
         let key = aged_key(
             &params,
@@ -109,7 +125,7 @@ mod tests {
             AllocPolicy::Orig,
             &ReplayOptions::default(),
         );
-        assert!(key.provenance.contains("placement r1\n"));
+        assert!(key.provenance.contains("placement r2\n"));
     }
 
     #[test]
@@ -150,14 +166,6 @@ mod tests {
             aged_key(&p2, &config, AllocPolicy::Orig, &opts).hex
         );
         // Allocation-relevant replay options.
-        let ablate = ReplayOptions {
-            cluster_first_fit: true,
-            ..ReplayOptions::default()
-        };
-        assert_ne!(
-            base.hex,
-            aged_key(&params, &config, AllocPolicy::Orig, &ablate).hex
-        );
         let bestfit = ReplayOptions {
             frag_bestfit: true,
             ..ReplayOptions::default()

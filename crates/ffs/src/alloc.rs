@@ -45,7 +45,7 @@ use crate::inode::FileMeta;
 /// its inputs, so both cache keys hash this number. Any change that moves
 /// a placement bumps it, and re-pins the digest that
 /// `exp::key`'s `placement_revision_pins_a_short_aging` holds next to it.
-pub const PLACEMENT_REVISION: u32 = 1;
+pub const PLACEMENT_REVISION: u32 = 2;
 
 /// Which disk allocation policy a file system runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,7 +99,8 @@ pub struct AllocStats {
     pub realloc_moves: u64,
     /// Blocks moved by realloc.
     pub realloc_blocks_moved: u64,
-    /// Realloc windows that needed a move but found no free cluster.
+    /// Realloc windows that needed a move but found no free cluster of
+    /// their length, and so were left in place: once per window.
     pub realloc_failures: u64,
     /// Tail runs extended in place (`ffs_fragextend`). Always 0: no op
     /// grows a live file, so nothing produces it. Kept only because the
@@ -243,8 +244,6 @@ fn file_shape(params: &FsParams, size: u64) -> (u32, u32) {
 #[derive(Clone, Copy)]
 pub(crate) struct EngineCfg {
     pub policy: AllocPolicy,
-    pub cluster_first_fit: bool,
-    pub realloc_no_split: bool,
     pub frag_bestfit: bool,
     pub write_chunk_blocks: u32,
 }
@@ -467,19 +466,9 @@ impl AllocEngine<'_> {
             eng.cluster_in(g, pref, len).map(|b| (g, b))
         });
         let Some((g, run)) = found else {
+            // All or nothing, as in 4.4BSD: no run of the full window
+            // length, so the window stays where it is.
             self.stats.realloc_failures = self.stats.realloc_failures.saturating_add(1);
-            // No run of the full window length exists. Unless disabled,
-            // gather the window into two smaller clusters instead: far
-            // fewer discontiguities than leaving the one-at-a-time
-            // allocation in place (see DESIGN.md; `realloc_no_split`
-            // restores the all-or-nothing 4.4BSD behaviour).
-            if !self.cfg.realloc_no_split && len >= 3 {
-                let mid = s + len.div_ceil(2);
-                let moved_lo = self.realloc_window(meta, (s, mid), pref);
-                let lo_end = meta.blocks.as_slice()[mid as usize - 1];
-                let moved_hi = self.realloc_window(meta, (mid, e), Daddr(lo_end.0 + FPB));
-                return moved_lo || moved_hi;
-            }
             return false;
         };
         // Move: free the old blocks piece by contiguous piece, claim the
@@ -503,7 +492,7 @@ impl AllocEngine<'_> {
     /// else the best-fitting run near the start. Best fit consumes the
     /// remainders of earlier relocations instead of carving up large
     /// runs, so large free clusters survive aging (DESIGN.md §6's
-    /// refinement 1; `cluster_first_fit` restores 4.4BSD's first fit).
+    /// refinement).
     fn cluster_in(&self, g: CgIdx, pref: Daddr, len: u32) -> Option<u32> {
         const LOOKAHEAD: u32 = 512;
         let cg = &self.cgs[g.0 as usize];
@@ -514,10 +503,7 @@ impl AllocEngine<'_> {
         if cg.is_cluster_free(from, len) {
             return Some(from);
         }
-        match self.cfg.cluster_first_fit {
-            true => cg.find_free_cluster(from, len),
-            false => cg.find_free_cluster_near(from, len, LOOKAHEAD),
-        }
+        cg.find_free_cluster_near(from, len, LOOKAHEAD)
     }
 
     /// Allocates all data blocks, indirect blocks, and the fragment tail

@@ -722,8 +722,9 @@ impl CylGroup {
     }
 
     /// Finds a run of at least `len` consecutive fully free blocks at or
-    /// after `from`, wrapping once — the cluster search used by the
-    /// realloc policy (`ffs_clusteralloc`). Returns the first block of the
+    /// after `from`, wrapping once — 4.4BSD's `ffs_clusteralloc` scan, which
+    /// the defragmenter uses (the realloc pass uses the windowed best fit,
+    /// [`CylGroup::find_free_cluster_near`]). Returns the first block of the
     /// first fitting run (a run that crosses the start counts from it):
     /// the windowed search with an empty window.
     pub fn find_free_cluster(&self, from: u32, len: u32) -> Option<u32> {

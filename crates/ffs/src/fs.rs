@@ -84,15 +84,6 @@ pub struct Filesystem {
     /// Cumulative bytes of file data written since mkfs.
     pub(crate) bytes_written: u64,
     pub(crate) alloc_stats: AllocStats,
-    /// Realloc cluster-search strategy: `true` restores the 4.4BSD
-    /// first-fit-from-preference scan; `false` (default) uses best fit
-    /// after the chained preference. Exposed for the ablation bench.
-    pub(crate) cluster_first_fit: bool,
-    /// When `true`, a realloc window whose full-length cluster search
-    /// fails is left in place (all-or-nothing, as in 4.4BSD) instead of
-    /// being gathered into two smaller clusters. Exposed for the
-    /// ablation bench.
-    pub(crate) realloc_no_split: bool,
     /// Fragment placement strategy: `true` uses the `cg_frsum`-guided
     /// best-fit search (`ffs_alloccg`'s `allocsiz` path, splitting a
     /// free block only when no partial block has an adequate run);
@@ -126,25 +117,9 @@ impl Filesystem {
             used_meta_frags: 0,
             bytes_written: 0,
             alloc_stats: AllocStats::default(),
-            cluster_first_fit: false,
-            realloc_no_split: false,
             frag_bestfit: false,
             write_chunk_blocks,
         }
-    }
-
-    /// Disables (or re-enables) splitting a realloc window into two
-    /// smaller clusters when no full-length free cluster exists. See
-    /// DESIGN.md.
-    pub fn set_realloc_no_split(&mut self, no_split: bool) {
-        self.realloc_no_split = no_split;
-    }
-
-    /// Selects the realloc cluster-search strategy: `true` restores the
-    /// 4.4BSD first-fit-from-preference scan, `false` (the default) uses
-    /// best fit after the chained preference. See DESIGN.md.
-    pub fn set_cluster_first_fit(&mut self, first_fit: bool) {
-        self.cluster_first_fit = first_fit;
     }
 
     /// Selects the fragment placement strategy: `true` uses the
@@ -291,8 +266,6 @@ impl Filesystem {
             used_meta_frags: self.used_meta_frags,
             bytes_written: self.bytes_written,
             alloc_stats: self.alloc_stats.clone(),
-            cluster_first_fit: self.cluster_first_fit,
-            realloc_no_split: self.realloc_no_split,
             frag_bestfit: self.frag_bestfit,
             write_chunk_blocks: self.write_chunk_blocks,
         }
@@ -615,8 +588,6 @@ impl Filesystem {
     pub(crate) fn engine(&mut self) -> AllocEngine<'_> {
         let cfg = EngineCfg {
             policy: self.policy,
-            cluster_first_fit: self.cluster_first_fit,
-            realloc_no_split: self.realloc_no_split,
             frag_bestfit: self.frag_bestfit,
             write_chunk_blocks: self.write_chunk_blocks,
         };

@@ -599,12 +599,11 @@ pub fn free_space_stats(sb: &Sb, cgs: &[Cg], hist_max: usize) -> FreeSpaceStats 
     s
 }
 
-/// Our placement switches, and whether the policy runs the realloc pass.
+/// Whether the policy runs the realloc pass, and our one placement
+/// switch.
 #[derive(Clone, Copy, Debug)]
 pub struct Switches {
     pub realloc: bool,
-    pub cluster_first_fit: bool,
-    pub no_split: bool,
     pub frag_bestfit: bool,
 }
 
@@ -910,7 +909,7 @@ impl RefFs<'_> {
     }
 
     /// The cluster search for a window of `len` in group `g`: the
-    /// preferred run if free, else our configured search from it, or
+    /// preferred run if free, else our windowed best fit from it, or
     /// from the front when the preference lies in another group.
     fn cluster_in(&self, g: u32, pref: u32, len: u32) -> Option<u32> {
         let (sb, cg) = (self.sb, &self.cgs[g as usize]);
@@ -919,14 +918,11 @@ impl RefFs<'_> {
             true => sb.block(g, pref),
             false => 0,
         };
-        match self.sw.cluster_first_fit {
-            true => cg.clusteralloc(from, len, self.allow),
-            false => cg.cluster_near(from, len, LOOKAHEAD),
-        }
+        cg.cluster_near(from, len, LOOKAHEAD)
     }
 
     /// `ffs_reallocblks` over logical blocks `s .. e`: move them into one
-    /// free cluster; failing that, unless switched off, each half.
+    /// free cluster, or leave them where they are.
     fn reallocblks(&mut self, f: &mut RefFile, (s, e): (u32, u32), pref: u32) {
         let (sb, len) = (self.sb, e - s);
         let addrs = &f.blocks[s as usize..e as usize];
@@ -946,12 +942,6 @@ impl RefFs<'_> {
         });
         let Some((g, run)) = found else {
             self.stats.realloc_failures += 1;
-            if !self.sw.no_split && len >= 3 {
-                let mid = s + len.div_ceil(2);
-                self.reallocblks(f, (s, mid), pref);
-                let lo_end = f.blocks[mid as usize - 1];
-                self.reallocblks(f, (mid, e), lo_end + FS_FRAG);
-            }
             return;
         };
         for i in s..e {

@@ -7,13 +7,11 @@ use ffs_types::{CgIdx, DirId, FsError, FsParams, Ino, KB, MB};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The policy and the three placement switches of variant `i` of 16.
+/// The policy and the placement switch of variant `i` of 4.
 pub fn variant(i: u32) -> Switches {
     Switches {
         realloc: i & 1 != 0,
-        cluster_first_fit: i & 2 != 0,
-        no_split: i & 4 != 0,
-        frag_bestfit: i & 8 != 0,
+        frag_bestfit: i & 2 != 0,
     }
 }
 
@@ -35,8 +33,6 @@ impl Pair {
     pub fn new(params: &FsParams, sw: Switches, allow: Vec<Divergence>) -> Pair {
         let policy = [AllocPolicy::Orig, AllocPolicy::Realloc][usize::from(sw.realloc)];
         let mut fs = Filesystem::new(params.clone(), policy);
-        fs.set_cluster_first_fit(sw.cluster_first_fit);
-        fs.set_realloc_no_split(sw.no_split);
         fs.set_frag_bestfit(sw.frag_bestfit);
         let (dirs, sb) = (fs.mkdir_per_cg().unwrap(), Sb::new(params));
         let groups: Vec<_> = (0..params.ncg).map(|g| fs.cg(CgIdx(g)).clone()).collect();

@@ -12,7 +12,8 @@
 //! allowlist entry still costs (ROADMAP item 3 (e)'s price table).
 //!
 //! Ignored in the debug tier, where the two take about 45 s on two
-//! cores; CI `smoke` runs all three in release:
+//! cores; CI `smoke` runs all three in release (the price table about
+//! 18 s):
 //! `cargo test --release -p ffs --test bsd_scale -- --ignored --nocapture`.
 
 mod bsd;
@@ -66,8 +67,6 @@ fn replay_matches_the_reference(policy: AllocPolicy) {
         .collect();
     let sw = Switches {
         realloc: policy == AllocPolicy::Realloc,
-        cluster_first_fit: false,
-        no_split: false,
         frag_bestfit: false,
     };
     let mut r = RefFs {
@@ -175,11 +174,9 @@ fn reference_scores(sw: Switches, allow: &[Divergence]) -> (f64, f64) {
 
 /// What each remaining allowlist entry costs at the paper's scale: the
 /// reference alone with the whole allowlist, with each entry dropped
-/// alone, and with all dropped (4.4BSD-Lite's readings everywhere),
-/// under our default switches and under stock (first-fit cluster search,
-/// no window split). Each row prints Figure 2's day-0 and day-299 scores
-/// of both policies and the day-299 non-optimal reduction, `(realloc −
-/// FFS) / (1 − FFS)`.
+/// alone, and with all dropped (4.4BSD-Lite's readings everywhere).
+/// Each row prints Figure 2's day-0 and day-299 scores of both policies
+/// and the day-299 non-optimal reduction, `(realloc − FFS) / (1 − FFS)`.
 #[test]
 #[ignore = "paper scale: run in release with --ignored"]
 fn price_of_each_allowlist_entry_at_paper_scale() {
@@ -189,21 +186,16 @@ fn price_of_each_allowlist_entry_at_paper_scale() {
         sets.push((format!("- {d:?}"), rest));
     }
     sets.push(("none".to_string(), Vec::new()));
-    let stock = |realloc, stock| Switches {
+    let sw = |realloc| Switches {
         realloc,
-        cluster_first_fit: stock,
-        no_split: stock,
         frag_bestfit: false,
     };
-    println!("switches\tentries\tffs_day0\trealloc_day0\tffs_day299\trealloc_day299\tnonopt_reduction_pct");
+    println!("entries\tffs_day0\trealloc_day0\tffs_day299\trealloc_day299\tnonopt_reduction_pct");
     for (name, allow) in &sets {
-        // The switches steer only the realloc pass, so FFS runs once.
-        let (f0, f1) = reference_scores(stock(false, false), allow);
-        for (label, is_stock) in [("default", false), ("stock", true)] {
-            let (r0, r1) = reference_scores(stock(true, is_stock), allow);
-            assert!([f0, f1, r0, r1].iter().all(|s| (0.0..=1.0).contains(s)));
-            let reduction = (r1 - f1) / (1.0 - f1) * 100.0;
-            println!("{label}\t{name}\t{f0:.4}\t{r0:.4}\t{f1:.4}\t{r1:.4}\t{reduction:.2}");
-        }
+        let (f0, f1) = reference_scores(sw(false), allow);
+        let (r0, r1) = reference_scores(sw(true), allow);
+        assert!([f0, f1, r0, r1].iter().all(|s| (0.0..=1.0).contains(s)));
+        let reduction = (r1 - f1) / (1.0 - f1) * 100.0;
+        println!("{name}\t{f0:.4}\t{r0:.4}\t{f1:.4}\t{r1:.4}\t{reduction:.2}");
     }
 }

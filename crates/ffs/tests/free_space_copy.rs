@@ -4,7 +4,7 @@
 //! decision reads the file table, so the same `mkdir` / `create`
 //! sequence must return the same ids and leave the same free space on
 //! both. This suite ages small volumes under both policies (and with
-//! every placement switch flipped), then drives a clone and a copy of
+//! the placement switch flipped), then drives a clone and a copy of
 //! each through one sequence that crosses the fragment, direct-block,
 //! indirect-block and write-chunk boundaries and ends in a create that
 //! runs out of space and rolls back. After every operation the two must
@@ -20,11 +20,9 @@ use rand::{Rng, SeedableRng};
 
 /// An image of [`FsParams::small_test`] aged by a create/remove stream
 /// to about half full, with its directories.
-fn aged(policy: AllocPolicy, switches: bool, seed: u64) -> (Filesystem, Vec<DirId>) {
+fn aged(policy: AllocPolicy, frag_bestfit: bool, seed: u64) -> (Filesystem, Vec<DirId>) {
     let mut fs = Filesystem::new(FsParams::small_test(), policy);
-    fs.set_cluster_first_fit(switches);
-    fs.set_realloc_no_split(switches);
-    fs.set_frag_bestfit(switches);
+    fs.set_frag_bestfit(frag_bestfit);
     let mut dirs = fs.mkdir_per_cg().unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut live: Vec<Ino> = Vec::new();
@@ -149,10 +147,14 @@ fn copy_allocates_as_the_clone_does() {
         .into_iter()
         .enumerate()
     {
-        for switches in [false, true] {
-            let seed = 1996 + i as u64 * 2 + u64::from(switches);
-            let (fs, dirs) = aged(policy, switches, seed);
-            run(&fs, &dirs, &format!("{policy:?}, switches {switches}"));
+        for frag_bestfit in [false, true] {
+            let seed = 1996 + i as u64 * 2 + u64::from(frag_bestfit);
+            let (fs, dirs) = aged(policy, frag_bestfit, seed);
+            run(
+                &fs,
+                &dirs,
+                &format!("{policy:?}, frag_bestfit {frag_bestfit}"),
+            );
         }
     }
 }

@@ -563,30 +563,12 @@ pub fn smallfile(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
     Ok(s)
 }
 
-/// Extension: the ablations exhibit, two blocks aged on one generated
-/// workload under the realloc policy. The first varies the cluster size
-/// (`maxcontig`); the second crosses the two documented refinements over
-/// stock 4.4BSD — windowed best-fit cluster search (vs first fit) and
-/// split-on-failure (vs all-or-nothing) — at the default cluster size,
-/// so `bestfit_split` (the default) repeats the first block's
-/// `maxcontig = 7` row and `firstfit_nosplit` is stock `ffs_reallocblks`.
+/// Extension: the ablations exhibit, one generated workload aged under
+/// the realloc policy at each cluster size (`maxcontig`).
 pub fn sweep(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
-    /// Variant label × `cluster_first_fit` × `realloc_no_split`.
-    const VARIANTS: [(&str, bool, bool); 4] = [
-        ("bestfit_split", false, false),
-        ("bestfit_nosplit", false, true),
-        ("firstfit_split", true, false),
-        ("firstfit_nosplit", true, true),
-    ];
     let config = paper_config(sh.seed, sh.days.min(120));
     let w = generate(&config, sh.params.ncg, sh.params.data_capacity_bytes());
     let mut ops = 0u64;
-    let mut final_score = |maxcontig: u32, options: ReplayOptions| -> Result<f64, String> {
-        let mut params = sh.params.clone();
-        params.maxcontig = maxcontig;
-        let r = replay_counted(&w, &params, AllocPolicy::Realloc, options, &mut ops)?;
-        Ok(r.daily.last().map_or(1.0, |d| d.layout_score))
-    };
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -594,24 +576,12 @@ pub fn sweep(sh: &Shared, m: &mut Metrics) -> Result<String, String> {
     );
     let _ = writeln!(s, "maxcontig\tlayout_score");
     for maxcontig in [1u32, 2, 4, 7, 14, 28] {
-        let score = final_score(maxcontig, ReplayOptions::default())?;
+        let mut params = sh.params.clone();
+        params.maxcontig = maxcontig;
+        let options = ReplayOptions::default();
+        let r = replay_counted(&w, &params, AllocPolicy::Realloc, options, &mut ops)?;
+        let score = r.daily.last().map_or(1.0, |d| d.layout_score);
         let _ = writeln!(s, "{maxcontig}\t{score:.4}");
-    }
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "# Ablation: final aggregate layout score vs realloc variant \
-         (cluster search x window policy)"
-    );
-    let _ = writeln!(s, "variant\tlayout_score");
-    for (label, cluster_first_fit, realloc_no_split) in VARIANTS {
-        let options = ReplayOptions {
-            cluster_first_fit,
-            realloc_no_split,
-            ..ReplayOptions::default()
-        };
-        let score = final_score(sh.params.maxcontig, options)?;
-        let _ = writeln!(s, "{label}\t{score:.4}");
     }
     m.ops = Some(ops);
     Ok(s)

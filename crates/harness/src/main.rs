@@ -47,9 +47,8 @@
 //! and exiting non-zero iff any experiment did not produce its exhibit.
 //!
 //! `sweep` is the ablations exhibit: one generated workload (at most
-//! 120 days) aged under the realloc policy at six `maxcontig` values,
-//! then under the four first-fit/best-fit × split/no-split variants of
-//! the cluster search — final layout score per row, no golden.
+//! 120 days) aged under the realloc policy at six `maxcontig` values —
+//! final layout score per row, no golden.
 //!
 //! `pareto` ages the workload under every defragmentation policy
 //! (greedy worst-file-first, rebuild-on-threshold, background scrub) ×

@@ -242,12 +242,9 @@ fn pareto_matches_committed_golden_and_ignores_worker_count() {
 }
 
 #[test]
-fn sweep_blocks_age_the_same_workload_and_ignore_worker_count() {
-    // `sweep` has no golden; its two blocks check each other instead.
-    // The default variant of the second block (`bestfit_split`) is the
-    // default cluster size of the first (`maxcontig = 7`): same
-    // parameters, same workload, same replay options, so the two rows
-    // must agree to the printed digit.
+fn sweep_ignores_worker_count() {
+    // `sweep` has no golden: one block, a row per cluster size, each a
+    // layout score, and the same bytes at any worker count.
     let base = std::env::temp_dir().join(format!("harness-sweep-{}", std::process::id()));
     let _ = fs::remove_dir_all(&base);
     let run = |jobs: usize| -> String {
@@ -259,36 +256,17 @@ fn sweep_blocks_age_the_same_workload_and_ignore_worker_count() {
         fs::read_to_string(out.join("sweep.tsv")).expect("tsv written")
     };
     let got = run(1);
-    let blocks: Vec<Vec<(&str, &str)>> = got
-        .trim_end()
-        .split("\n\n")
-        .map(|block| {
-            block
-                .lines()
-                .skip(2) // title, column header
-                .map(|row| row.split_once('\t').expect("two columns"))
-                .collect()
-        })
+    let rows: Vec<(&str, &str)> = got
+        .lines()
+        .skip(2) // title, column header
+        .map(|row| row.split_once('\t').expect("two columns"))
         .collect();
-    let [by_maxcontig, by_variant] = blocks.as_slice() else {
-        panic!("sweep.tsv must hold two blocks:\n{got}");
-    };
-    let labels: Vec<&str> = by_variant.iter().map(|(label, _)| *label).collect();
-    assert_eq!(
-        labels,
-        [
-            "bestfit_split",
-            "bestfit_nosplit",
-            "firstfit_split",
-            "firstfit_nosplit"
-        ]
-    );
-    for (label, score) in by_maxcontig.iter().chain(by_variant) {
+    let labels: Vec<&str> = rows.iter().map(|(m, _)| *m).collect();
+    assert_eq!(labels, ["1", "2", "4", "7", "14", "28"], "{got}");
+    for (maxcontig, score) in rows {
         let v: f64 = score.parse().expect("layout score");
-        assert!((0.0..=1.0).contains(&v), "{label}: {score}");
+        assert!((0.0..=1.0).contains(&v), "maxcontig {maxcontig}: {score}");
     }
-    let default_cluster = by_maxcontig.iter().find(|(m, _)| *m == "7").expect("row 7");
-    assert_eq!(by_variant[0].1, default_cluster.1, "{got}");
     assert_eq!(
         got,
         run(4),
