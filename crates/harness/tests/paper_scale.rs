@@ -11,7 +11,7 @@ use std::fs;
 use std::path::Path;
 use std::sync::OnceLock;
 
-use common::{files, results, split};
+use common::{fidelity, files, results, split};
 use harness::ctx::Options;
 use harness::driver::{self, EXHIBITS};
 
@@ -75,6 +75,15 @@ const RULES: &[(&str, &str)] = &[
     ("fig1_simulated_day300", "fig1/299/2"),
 ];
 
+/// Figure 4's realloc gains, `(realloc / ffs − 1) × 100` over the two
+/// cells: the read at 96 KB, the write at 64 KB, and the write the paper
+/// gives for "≥ 4 MB", read on the 4 MB row.
+const GAINS: &[(&str, &str, &str)] = &[
+    ("fig4_read_gain_96kb_pct", "fig4/96 KB/3", "fig4/96 KB/1"),
+    ("fig4_write_gain_64kb_pct", "fig4/64 KB/4", "fig4/64 KB/2"),
+    ("fig4_write_gain_4mb_pct", "fig4/4 MB/4", "fig4/4 MB/2"),
+];
+
 /// Recomputes every committed row from its paper value and the run,
 /// rounded as committed so a reader can redo the arithmetic. Ceilings
 /// are copied, never derived: moving one is a hand edit in the diff.
@@ -87,9 +96,16 @@ fn fidelity_stays_under_its_ceilings() {
     let age = journal.lines().find(|l| l.contains(r#""job":"age:ffs""#));
     let ops = exp::RunRecord::field_num(age.expect("age:ffs journaled"), "ops");
     measured.insert("ops", ops.unwrap());
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let committed = fs::read_to_string(root.join("tests/golden/fidelity.tsv")).unwrap();
-    let rows = split(&committed);
+    for &(key, realloc, ffs) in GAINS {
+        measured.insert(key, (value(realloc) / value(ffs) - 1.0) * 100.0);
+    }
+    // Figure 5: realloc's worst layout of the benchmark's files up to
+    // 56 KB, all of which the paper lays out perfectly.
+    let upto_56kb = ["16", "24", "32", "48", "56"].map(|kb| value(&format!("fig5/{kb} KB/2")));
+    let worst = upto_56kb.into_iter().fold(f64::MAX, f64::min);
+    measured.insert("fig5_realloc_upto_56kb", worst);
+    let committed = fidelity();
+    let rows = split(committed);
     let mut table = format!("{}\n", rows[0].join("\t"));
     let mut over = Vec::new();
     for row in &rows[1..] {
@@ -111,6 +127,7 @@ fn fidelity_stays_under_its_ceilings() {
     // A key the frozen bench scores has `paper_refs.tsv`'s paper value,
     // and every key it scores `paper-all` by is here. That file is read,
     // never written.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let refs = fs::read_to_string(root.join("../../benchmark/paper_refs.tsv")).unwrap();
     for r in split(&refs).iter().filter(|r| r.len() == 5) {
         let ours = rows[1..].iter().find(|c| c[0] == r[0]).map(|c| c[1]);
