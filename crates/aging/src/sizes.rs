@@ -38,8 +38,16 @@ pub fn sample_count<R: Rng>(rng: &mut R, mean: f64) -> u32 {
 /// `weights[i] / sum(weights)`. Weights must be non-negative with a
 /// positive sum.
 pub fn weighted_index<R: Rng>(rng: &mut R, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
+    weighted_index_summed(rng, weights, weights.iter().sum())
+}
+
+/// [`weighted_index`] given `total = weights.iter().sum()`, for a caller
+/// that draws many times from the same weights: the same draw and the
+/// same index, without re-adding the weights each time.
+#[inline]
+pub(crate) fn weighted_index_summed<R: Rng>(rng: &mut R, weights: &[f64], total: f64) -> usize {
     debug_assert!(total > 0.0);
+    debug_assert_eq!(total.to_bits(), weights.iter().sum::<f64>().to_bits());
     let mut x = rng.gen_range(0.0..total);
     for (i, &w) in weights.iter().enumerate() {
         if x < w {

@@ -259,6 +259,8 @@ pub struct SnapshotDiffer {
     /// The previous night's files in ascending inode order (empty before
     /// the first night).
     prev: Vec<PrevEntry>,
+    /// Tonight's ops as they are found; its buffers are reused nightly.
+    ops: DayOps,
 }
 
 impl SnapshotDiffer {
@@ -270,6 +272,7 @@ impl SnapshotDiffer {
             ncg,
             next_id: 0,
             prev: Vec::new(),
+            ops: DayOps::default(),
         }
     }
 
@@ -289,6 +292,7 @@ impl SnapshotDiffer {
             ncg,
             next_id,
             prev,
+            ops,
         } = self;
         let mut fresh = || {
             let id = FileId(
@@ -307,7 +311,6 @@ impl SnapshotDiffer {
             ),
             kind: Lifetime::Long,
         };
-        let mut ops = DayOps::new();
         let mut tonight: Vec<PrevEntry> = Vec::with_capacity(snap.entries.len());
         // Both nights are ino-sorted, so each pass walks the other with
         // an advancing cursor (a merge-join). The two-pass shape is
@@ -356,7 +359,7 @@ impl SnapshotDiffer {
         *prev = tonight;
         DayLog {
             day: snap.day,
-            ops: ops.into_sorted(),
+            ops: ops.take_sorted(),
         }
     }
 }

@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use ffs_types::CgIdx;
 
 use crate::config::AgingConfig;
-use crate::sizes::{sample_count, sample_size, std_normal, weighted_index};
+use crate::sizes::{sample_count, sample_size, std_normal, weighted_index, weighted_index_summed};
 
 /// Stable identifier for a workload file, independent of the inode number
 /// the replayed file system will assign. Ids are issued sequentially from
@@ -101,13 +101,114 @@ pub struct Workload {
 #[derive(Clone, Copy, Debug)]
 struct LiveFile {
     id: FileId,
-    size: u64,
+    /// Bytes, as the file's [`Op::Create`] carries them.
+    size: u32,
     born_day: u32,
     /// Day the file was last created, modified, or rewritten; activity
     /// concentrates on recently touched files (Satyanarayanan81,
     /// Ousterhout85: old files are seldom accessed).
     last_touch: u32,
     cg: CgIdx,
+    /// Where this file's ledger position sits in its bucket of the
+    /// [`Ledger`] index; the ledger sets it as it files the position.
+    slot: u32,
+}
+
+/// The generator's ledger of live long-lived files, with an index from
+/// (cylinder group, birth day) to ledger positions, so a cohort search
+/// reads only its own buckets.
+///
+/// `files` is what [`pick_hot`] and [`pick_victim`] draw positions from:
+/// its order is set by [`Ledger::push`], [`Ledger::swap_remove`] and
+/// [`Ledger::replace`] alone, exactly as a bare `Vec` would order it, and
+/// the index follows. Bucket `cg * days + born_day` holds the positions
+/// of that group's files born that day, in no particular order, and each
+/// file's `slot` is where its position sits in its bucket, so each
+/// update is O(1).
+#[derive(Default)]
+struct Ledger {
+    files: Vec<LiveFile>,
+    buckets: Vec<Vec<u32>>,
+    days: u32,
+    /// Ledger entries read by [`Ledger::cohort`] since the last take.
+    examined: u64,
+}
+
+impl Ledger {
+    fn new(ncg: u32, days: u32) -> Ledger {
+        Ledger {
+            files: Vec::new(),
+            buckets: vec![Vec::new(); ncg as usize * days as usize],
+            days,
+            examined: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.files.len()
+    }
+
+    fn bucket(&self, cg: CgIdx, born_day: u32) -> usize {
+        cg.0 as usize * self.days as usize + born_day as usize
+    }
+
+    /// Files position `pos` under its file's bucket.
+    fn link(&mut self, pos: usize) {
+        let f = self.files[pos];
+        let b = self.bucket(f.cg, f.born_day);
+        let bucket = &mut self.buckets[b];
+        self.files[pos].slot = bucket.len() as u32;
+        bucket.push(pos as u32);
+    }
+
+    /// Takes position `pos` out of its file's bucket.
+    fn unlink(&mut self, pos: usize) {
+        let f = self.files[pos];
+        let b = self.bucket(f.cg, f.born_day);
+        let bucket = &mut self.buckets[b];
+        bucket.swap_remove(f.slot as usize);
+        if let Some(&moved) = bucket.get(f.slot as usize) {
+            self.files[moved as usize].slot = f.slot;
+        }
+    }
+
+    fn push(&mut self, f: LiveFile) {
+        self.files.push(f);
+        self.link(self.files.len() - 1);
+    }
+
+    /// `Vec::swap_remove`: the last file moves into `pos`.
+    fn swap_remove(&mut self, pos: usize) -> LiveFile {
+        self.unlink(pos);
+        let f = self.files.swap_remove(pos);
+        if let Some(&moved) = self.files.get(pos) {
+            let b = self.bucket(moved.cg, moved.born_day);
+            self.buckets[b][moved.slot as usize] = pos as u32;
+        }
+        f
+    }
+
+    /// Puts `f` at position `pos` in place of the file there.
+    fn replace(&mut self, pos: usize, f: LiveFile) {
+        self.unlink(pos);
+        self.files[pos] = f;
+        self.link(pos);
+    }
+
+    /// The positions of group `cg`'s files born within two days of
+    /// `born_day`, ascending.
+    fn cohort(&mut self, cg: CgIdx, born_day: u32) -> Vec<usize> {
+        let lo = self.bucket(cg, born_day.saturating_sub(2));
+        let hi = self.bucket(cg, (born_day + 2).min(self.days - 1));
+        let mut idxs: Vec<usize> = self.buckets[lo..=hi]
+            .iter()
+            .flatten()
+            .map(|&p| p as usize)
+            .collect();
+        self.examined += idxs.len() as u64;
+        idxs.sort_unstable();
+        idxs
+    }
 }
 
 /// One simulated day's operations in push order, each with its within-day
@@ -115,24 +216,27 @@ struct LiveFile {
 /// by the snapshot differ.
 ///
 /// The order contract is a stable sort by timestamp over all pushes —
-/// ties keep push order. Each push's sort key packs both into one `u128`:
-/// the timestamp's bits, mapped so unsigned order is `f64::total_cmp`
-/// order, above the 32-bit push index. Keys are unique, so one
-/// `sort_unstable` of 16-byte keys reproduces the stable sort exactly
-/// and moves no `Op`.
+/// ties keep push order. Each push's key is the timestamp's bits, mapped
+/// so unsigned order is `f64::total_cmp` order; [`DayOps::take_sorted`]
+/// radix-sorts positions by those keys, so push order breaks ties
+/// without being part of the key, and no `Op` moves until the final
+/// gather. The buffers keep their capacity from one day to the next.
+#[derive(Default)]
 pub(crate) struct DayOps {
     ops: Vec<Op>,
-    keys: Vec<u128>,
+    keys: Vec<u64>,
+    /// The sort's two buffers of `prefix << 32 | position`.
+    sorted: Vec<u64>,
+    scratch: Vec<u64>,
 }
 
-impl DayOps {
-    pub(crate) fn new() -> Self {
-        DayOps {
-            ops: Vec::new(),
-            keys: Vec::new(),
-        }
-    }
+/// Bits per radix digit. The sort reads two digits, the 22 highest bits
+/// in which a day's keys differ: 2 048 counters per digit, against a
+/// day's few thousand keys.
+const DIGIT_BITS: u32 = 11;
+const RADIX: usize = 1 << DIGIT_BITS;
 
+impl DayOps {
     pub(crate) fn push(&mut self, t: f64, op: Op) {
         let bits = t.to_bits();
         // Negative values reverse their order, positive ones sort above
@@ -142,8 +246,7 @@ impl DayOps {
         } else {
             bits | 1 << 63
         };
-        let seq = u32::try_from(self.ops.len()).expect("a day has fewer than 2^32 ops");
-        self.keys.push(u128::from(ordered) << 32 | u128::from(seq));
+        self.keys.push(ordered);
         self.ops.push(op);
     }
 
@@ -159,12 +262,70 @@ impl DayOps {
     }
 
     /// The ops in time order, ties in push order.
-    pub(crate) fn into_sorted(mut self) -> Vec<Op> {
-        self.keys.sort_unstable();
-        self.keys
+    ///
+    /// Bits above the highest one in which the day's smallest and
+    /// largest keys differ are the same in every key, so the sort skips
+    /// them: it reads `key - min`, whose top 22 bits (the prefix) order
+    /// the keys up to ties. A stable LSD radix sort over the prefix's two
+    /// digits, carrying each push's position beside its prefix in one
+    /// `u64`, orders the positions by prefix with ties in push order.
+    /// Where the prefix dropped low bits, each run of equal prefixes —
+    /// timestamps too close for the prefix to tell apart, as a modify's
+    /// delete and re-create 1e-6 later often are — is then ordered by
+    /// its full keys, push order breaking ties. Leaves `self` empty for the next day.
+    pub(crate) fn take_sorted(&mut self) -> Vec<Op> {
+        let DayOps {
+            ops,
+            keys,
+            sorted,
+            scratch,
+        } = self;
+        let n = keys.len();
+        assert!(u32::try_from(n).is_ok(), "a day has fewer than 2^32 ops");
+        obs::counter!("aging.ops_merged", n);
+        let (min, max) = keys
             .iter()
-            .map(|&k| self.ops[k as u32 as usize])
-            .collect()
+            .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let dropped =
+            (u64::BITS - max.saturating_sub(min).leading_zeros()).saturating_sub(2 * DIGIT_BITS);
+        let mut counts = [[0u32; RADIX]; 2];
+        sorted.clear();
+        for (p, &k) in keys.iter().enumerate() {
+            let prefix = (k - min) >> dropped;
+            counts[0][prefix as usize % RADIX] += 1;
+            counts[1][(prefix >> DIGIT_BITS) as usize % RADIX] += 1;
+            sorted.push(prefix << 32 | p as u64);
+        }
+        scratch.resize(n, 0);
+        for (d, c) in counts.iter_mut().enumerate() {
+            let shift = 32 + d as u32 * DIGIT_BITS;
+            let digit = |e: u64| (e >> shift) as usize % RADIX;
+            if sorted.first().is_none_or(|&e| c[digit(e)] as usize == n) {
+                continue;
+            }
+            let mut sum = 0;
+            for x in c.iter_mut() {
+                (*x, sum) = (sum, sum + *x);
+            }
+            for &e in sorted.iter() {
+                let at = &mut c[digit(e)];
+                scratch[*at as usize] = e;
+                *at += 1;
+            }
+            std::mem::swap(sorted, scratch);
+        }
+        let pos = |e: u64| e as u32 as usize;
+        if dropped > 0 {
+            for run in sorted.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+                if run.len() > 1 {
+                    run.sort_unstable_by_key(|&e| (keys[pos(e)], pos(e)));
+                }
+            }
+        }
+        let out = sorted.iter().map(|&e| ops[pos(e)]).collect();
+        ops.clear();
+        keys.clear();
+        out
     }
 }
 
@@ -217,9 +378,11 @@ pub struct Days {
     /// Static cylinder-group base weights (Zipf-ish, shuffled so the
     /// busy groups are not simply the low-numbered ones).
     base_w: Vec<f64>,
-    live: Vec<LiveFile>,
+    live: Ledger,
     live_bytes: u64,
     day: u32,
+    /// Today's pushes; its buffers are reused every day.
+    ops: DayOps,
 }
 
 impl Days {
@@ -239,9 +402,10 @@ impl Days {
             rng,
             next_id: 0,
             base_w,
-            live: Vec::new(),
+            live: Ledger::new(ncg, config.days),
             live_bytes: 0,
             day: 0,
+            ops: DayOps::default(),
         }
     }
 }
@@ -267,7 +431,7 @@ impl Iterator for Days {
             *n += 1;
             id
         };
-        let mut ops = DayOps::new();
+        let mut ops = std::mem::take(&mut self.ops);
         // Create time of every long-lived file created today, so a
         // same-day delete can never be scheduled before the create it
         // depends on.
@@ -282,6 +446,7 @@ impl Iterator for Days {
             .iter()
             .map(|&w| w * (1.0 + 0.5 * std_normal(&mut rng)).clamp(0.2, 3.0))
             .collect();
+        let day_w_total: f64 = day_w.iter().sum();
         let target = (util_target(config, day, &mut rng) * capacity_bytes as f64) as u64;
         // --- Long-lived modifies: delete + recreate at a related size.
         let n_mod = if day == 0 {
@@ -290,11 +455,13 @@ impl Iterator for Days {
             sample_count(&mut rng, config.long_modifies_per_day).min(live.len() as u32 / 2)
         };
         for _ in 0..n_mod {
-            let idx = pick_hot(&mut rng, &live);
-            let old = live[idx];
+            let idx = pick_hot(&mut rng, &live.files);
+            let old = live.files[idx];
             let scale = (0.6 + 1.2 * rng.gen::<f64>()).max(0.1);
-            let new_size = ((old.size as f64 * scale) as u64)
-                .clamp(config.long_sizes.min, config.long_sizes.max);
+            let new_size = op_size(
+                ((f64::from(old.size) * scale) as u64)
+                    .clamp(config.long_sizes.min, config.long_sizes.max),
+            );
             let dt = delete_t(&created_today, old.id, rng.gen::<f64>());
             ops.push(dt, Op::Delete { file: old.id });
             let id = fresh(&mut next_id);
@@ -304,18 +471,22 @@ impl Iterator for Days {
                 Op::Create {
                     file: id,
                     cg: old.cg,
-                    size: op_size(new_size),
+                    size: new_size,
                     kind: Lifetime::Long,
                 },
             );
-            live_bytes = live_bytes - old.size + new_size;
-            live[idx] = LiveFile {
-                id,
-                size: new_size,
-                born_day: day,
-                last_touch: day,
-                cg: old.cg,
-            };
+            live_bytes = live_bytes - u64::from(old.size) + u64::from(new_size);
+            live.replace(
+                idx,
+                LiveFile {
+                    id,
+                    size: new_size,
+                    born_day: day,
+                    last_touch: day,
+                    cg: old.cg,
+                    slot: 0,
+                },
+            );
         }
         // --- Long-lived creates: baseline count, plus growth pressure
         // toward the utilization target (day 0 is the initial population).
@@ -330,8 +501,8 @@ impl Iterator for Days {
         // created together in a directory land near each other on disk.
         let peaks: Vec<f64> = (0..ncg).map(|_| rng.gen()).collect();
         for _ in 0..base_creates {
-            let cg = CgIdx(weighted_index(&mut rng, &day_w) as u32);
-            let size = sample_size(&mut rng, &config.long_sizes);
+            let cg = CgIdx(weighted_index_summed(&mut rng, &day_w, day_w_total) as u32);
+            let size = op_size(sample_size(&mut rng, &config.long_sizes));
             let id = fresh(&mut next_id);
             let t = (peaks[cg.0 as usize] + 0.06 * std_normal(&mut rng)).rem_euclid(1.0);
             created_today.insert(id, t);
@@ -340,7 +511,7 @@ impl Iterator for Days {
                 Op::Create {
                     file: id,
                     cg,
-                    size: op_size(size),
+                    size,
                     kind: Lifetime::Long,
                 },
             );
@@ -350,8 +521,9 @@ impl Iterator for Days {
                 born_day: day,
                 last_touch: day,
                 cg,
+                slot: 0,
             });
-            live_bytes += size;
+            live_bytes += u64::from(size);
         }
         // --- Burst days: a bulk cleanup or a bulk install.
         if day > 0 && rng.gen::<f64>() < config.burst_prob {
@@ -378,12 +550,12 @@ impl Iterator for Days {
             } else {
                 // Install: a batch of files into one or two groups.
                 let batch = rng.gen_range(30..120);
-                let g1 = CgIdx(weighted_index(&mut rng, &day_w) as u32);
-                let g2 = CgIdx(weighted_index(&mut rng, &day_w) as u32);
+                let g1 = CgIdx(weighted_index_summed(&mut rng, &day_w, day_w_total) as u32);
+                let g2 = CgIdx(weighted_index_summed(&mut rng, &day_w, day_w_total) as u32);
                 let t0 = rng.gen::<f64>() * 0.8;
                 for i in 0..batch {
                     let cg = if rng.gen::<f64>() < 0.7 { g1 } else { g2 };
-                    let size = sample_size(&mut rng, &config.long_sizes);
+                    let size = op_size(sample_size(&mut rng, &config.long_sizes));
                     let id = fresh(&mut next_id);
                     created_today.insert(id, t0 + 0.2 * (i as f64 / batch as f64));
                     ops.push(
@@ -391,7 +563,7 @@ impl Iterator for Days {
                         Op::Create {
                             file: id,
                             cg,
-                            size: op_size(size),
+                            size,
                             kind: Lifetime::Long,
                         },
                     );
@@ -401,8 +573,9 @@ impl Iterator for Days {
                         born_day: day,
                         last_touch: day,
                         cg,
+                        slot: 0,
                     });
-                    live_bytes += size;
+                    live_bytes += u64::from(size);
                 }
             }
         }
@@ -416,11 +589,11 @@ impl Iterator for Days {
             let freed = if rng.gen::<f64>() < config.scatter_deletes {
                 // A lone, uncorrelated victim (the real-FS reference
                 // model's extra fragmentation source).
-                let idx = pick_victim(&mut rng, &live, day, config.delete_age_bias);
+                let idx = pick_victim(&mut rng, &live.files, day, config.delete_age_bias);
                 let f = live.swap_remove(idx);
                 let t = delete_t(&created_today, f.id, rng.gen());
                 ops.push(t, Op::Delete { file: f.id });
-                f.size
+                u64::from(f.size)
             } else {
                 delete_cohort(
                     &mut rng,
@@ -466,9 +639,9 @@ impl Iterator for Days {
             sample_count(&mut rng, config.rewrites_per_day).min(live.len() as u32)
         };
         for _ in 0..n_rw {
-            let idx = pick_hot(&mut rng, &live);
-            live[idx].last_touch = day;
-            let f = live[idx];
+            let idx = pick_hot(&mut rng, &live.files);
+            live.files[idx].last_touch = day;
+            let f = live.files[idx];
             // Only rewrite files that exist before today's sort; same-day
             // creations are handled by ordering after their create time.
             let t = match created_today.get(f.id) {
@@ -477,6 +650,10 @@ impl Iterator for Days {
             };
             ops.push(t, Op::Rewrite { file: f.id });
         }
+        obs::counter!(
+            "aging.cohort_entries_examined",
+            std::mem::take(&mut live.examined)
+        );
         self.rng = rng;
         self.next_id = next_id;
         self.live = live;
@@ -484,10 +661,9 @@ impl Iterator for Days {
         self.day += 1;
         // Merge into time order. Ties cannot reorder a file's delete
         // before its create because each pair is strictly ordered.
-        Some(DayLog {
-            day,
-            ops: ops.into_sorted(),
-        })
+        let sorted = ops.take_sorted();
+        self.ops = ops;
+        Some(DayLog { day, ops: sorted })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -600,33 +776,25 @@ fn pick_victim(rng: &mut StdRng, live: &[LiveFile], today: u32, age_bias: f64) -
 #[allow(clippy::too_many_arguments)]
 fn delete_cohort(
     rng: &mut StdRng,
-    live: &mut Vec<LiveFile>,
+    live: &mut Ledger,
     today: u32,
     age_bias: f64,
     goal_bytes: u64,
     created_today: &CreatedToday,
     ops: &mut DayOps,
 ) -> u64 {
-    if live.is_empty() {
+    if live.files.is_empty() {
         return 0;
     }
-    let anchor = live[pick_victim(rng, live, today, age_bias)];
-    let mut idxs: Vec<usize> = live
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.cg == anchor.cg && f.born_day.abs_diff(anchor.born_day) <= 2)
-        .map(|(i, _)| i)
-        .collect();
+    let at = pick_victim(rng, &live.files, today, age_bias);
+    let anchor = live.files[at];
+    let mut idxs = live.cohort(anchor.cg, anchor.born_day);
     // Keep a random 60-100 % of the cohort as victims: directory
     // cleanups mostly take whole project trees with them.
     let keep = 0.6 + 0.4 * rng.gen::<f64>();
     idxs.retain(|_| rng.gen::<f64>() < keep);
     if idxs.is_empty() {
-        idxs.push(
-            live.iter()
-                .position(|f| f.id == anchor.id)
-                .expect("anchor is live"),
-        );
+        idxs.push(at);
     }
     // Delete from the highest index down so swap_remove stays valid.
     idxs.sort_unstable_by(|a, b| b.cmp(a));
@@ -637,7 +805,7 @@ fn delete_cohort(
             break;
         }
         let f = live.swap_remove(idx);
-        freed += f.size;
+        freed += u64::from(f.size);
         let t = match created_today.get(f.id) {
             Some(ct) => ct.max(base_t) + 1e-6,
             None => (base_t + 0.01 * rng.gen::<f64>()).min(1.5),
@@ -667,32 +835,165 @@ mod tests {
         generate(&c, 4, 14 << 20)
     }
 
-    #[test]
-    fn merge_matches_stable_sort_reference() {
-        // The replay order contract: sorting the day's pushes on their
-        // `(t, seq)` keys must equal a stable sort by `t` over all pushes
-        // in push order — the scheme the generator used first.
-        let mut rng = StdRng::seed_from_u64(0xCAFE);
-        let mut day = DayOps::new();
+    /// Merges `times` (op `i` pushed at `times[i]`) and checks the result
+    /// against a stable sort by `total_cmp` over the pushes — the scheme
+    /// the generator used first.
+    fn assert_merge_is_stable_sort(times: &[f64]) {
+        let mut day = DayOps::default();
         let mut reference: Vec<(f64, Op)> = Vec::new();
-        for i in 0..800u32 {
-            // Coarse timestamps force plenty of ties, and the negative,
-            // signed-zero and past-one values the key mapping must order
-            // as `total_cmp` does.
-            let t = match rng.gen_range(0..8) {
-                0 => -(rng.gen_range(0..4) as f64) / 3.0,
-                1 => -0.0,
-                2 => 0.0,
-                3 => 1.0 + rng.gen_range(0..4) as f64 / 7.0,
-                _ => rng.gen_range(0..50) as f64 / 25.0,
+        for (i, &t) in times.iter().enumerate() {
+            let op = Op::Rewrite {
+                file: FileId(i as u32),
             };
-            let op = Op::Rewrite { file: FileId(i) };
             day.push(t, op);
             reference.push((t, op));
         }
         reference.sort_by(|a, b| a.0.total_cmp(&b.0));
         let expect: Vec<Op> = reference.into_iter().map(|(_, op)| op).collect();
-        assert_eq!(day.into_sorted(), expect);
+        assert_eq!(day.take_sorted(), expect);
+        // The buffers are left empty for the next day.
+        assert_eq!(day.take_sorted(), Vec::new());
+    }
+
+    #[test]
+    fn merge_matches_stable_sort_reference() {
+        let mut rng = StdRng::seed_from_u64(0xCAFE);
+        // Coarse timestamps force plenty of ties, and the negative,
+        // signed-zero and past-one values the key mapping must order as
+        // `total_cmp` does.
+        let coarse: Vec<f64> = (0..800)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => -(rng.gen_range(0..4) as f64) / 3.0,
+                1 => -0.0,
+                2 => 0.0,
+                3 => 1.0 + rng.gen_range(0..4) as f64 / 7.0,
+                _ => rng.gen_range(0..50) as f64 / 25.0,
+            })
+            .collect();
+        assert_merge_is_stable_sort(&coarse);
+        // A day's shape: uniform times, each sometimes followed by one
+        // 1e-6 later (a modify's delete and re-create) or by an exact
+        // repeat. The pairs share their 22-bit prefix but not their key.
+        let mut day = Vec::new();
+        for _ in 0..3000 {
+            let t: f64 = rng.gen();
+            day.push(t);
+            match rng.gen_range(0..4) {
+                0 => day.push(t + 1e-6),
+                1 => day.push(t),
+                _ => {}
+            }
+        }
+        assert_merge_is_stable_sort(&day);
+        // Keys differing only in bits the prefix drops: one long run,
+        // ordered entirely by the full keys.
+        let ulps: Vec<f64> = (0..500)
+            .map(|_| f64::from_bits(0.5f64.to_bits() + rng.gen_range(0..1u64 << 30)))
+            .chain([1.0e-300, 1.0e300])
+            .collect();
+        assert_merge_is_stable_sort(&ulps);
+        // A span narrower than the prefix: no bit dropped, no run pass.
+        let narrow: Vec<f64> = (0..500)
+            .map(|_| f64::from_bits(0.25f64.to_bits() + rng.gen_range(0..64u64)))
+            .collect();
+        assert_merge_is_stable_sort(&narrow);
+        for edge in [
+            &[][..],
+            &[0.5],
+            &[0.5, 0.5, 0.5],
+            &[f64::NAN, -f64::NAN, 0.0],
+        ] {
+            assert_merge_is_stable_sort(edge);
+        }
+    }
+
+    /// Checks every (group, birth day) window of `ledger` against the
+    /// linear filter the index replaced, and the index's own pointers.
+    fn assert_index_matches_scan(ledger: &mut Ledger, ncg: u32, days: u32) {
+        for (b, bucket) in ledger.buckets.iter().enumerate() {
+            for (slot, &p) in bucket.iter().enumerate() {
+                let f = ledger.files[p as usize];
+                assert_eq!(
+                    ledger.bucket(f.cg, f.born_day),
+                    b,
+                    "position {p} in the wrong bucket"
+                );
+                assert_eq!(f.slot as usize, slot, "position {p}'s back-pointer");
+            }
+        }
+        let indexed: usize = ledger.buckets.iter().map(Vec::len).sum();
+        assert_eq!(indexed, ledger.len(), "every live file is indexed once");
+        for cg in (0..ncg).map(CgIdx) {
+            for born in 0..days {
+                let scan: Vec<usize> = ledger
+                    .files
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, f)| f.cg == cg && f.born_day.abs_diff(born) <= 2)
+                    .map(|(i, _)| i)
+                    .collect();
+                let before = ledger.examined;
+                assert_eq!(
+                    ledger.cohort(cg, born),
+                    scan,
+                    "cohort of {cg:?} around day {born}"
+                );
+                assert_eq!(ledger.examined - before, scan.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn cohort_index_matches_the_linear_scan() {
+        let (ncg, days) = (3, 9);
+        let mut rng = StdRng::seed_from_u64(0x1ED6E2);
+        let mut ledger = Ledger::new(ncg, days);
+        let mut next = 0u32;
+        let mut file = |rng: &mut StdRng| {
+            next += 1;
+            LiveFile {
+                id: FileId(next),
+                size: 1,
+                born_day: rng.gen_range(0..days),
+                last_touch: 0,
+                cg: CgIdx(rng.gen_range(0..ncg)),
+                slot: 0,
+            }
+        };
+        for step in 0..600 {
+            match rng.gen_range(0..6) {
+                0 | 1 => ledger.push(file(&mut rng)),
+                2 if ledger.len() > 0 => {
+                    let pos = rng.gen_range(0..ledger.len());
+                    ledger.swap_remove(pos);
+                }
+                3 if ledger.len() > 0 => {
+                    // The last entry: nothing moves into its place.
+                    let last = ledger.files[ledger.len() - 1];
+                    assert_eq!(ledger.swap_remove(ledger.len() - 1).id, last.id);
+                }
+                4 if ledger.len() > 0 => {
+                    // A modify: a new file, usually born in another bucket.
+                    let pos = rng.gen_range(0..ledger.len());
+                    let f = file(&mut rng);
+                    ledger.replace(pos, f);
+                    assert_eq!(ledger.files[pos].id, f.id);
+                }
+                _ => {
+                    let pos = rng.gen_range(0..ledger.len().max(1));
+                    if let Some(f) = ledger.files.get_mut(pos) {
+                        f.last_touch = step;
+                    }
+                }
+            }
+            assert_index_matches_scan(&mut ledger, ncg, days);
+        }
+        // Drain it through the middle, then the ends.
+        while ledger.len() > 0 {
+            let pos = [0, ledger.len() / 2, ledger.len() - 1][ledger.len() % 3];
+            ledger.swap_remove(pos);
+            assert_index_matches_scan(&mut ledger, ncg, days);
+        }
     }
 
     #[test]

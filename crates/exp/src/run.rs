@@ -18,7 +18,9 @@ pub struct RunOptions {
     pub days: u32,
     /// Workload seed.
     pub seed: u64,
-    /// Directory for TSV outputs and `runs.jsonl`.
+    /// Directory for TSV outputs and `runs.jsonl`. The default,
+    /// `harness-results`, is never `results/`: that directory holds the
+    /// committed goldens, which only an explicit `--out results` rewrites.
     pub out_dir: String,
     /// Worker threads for the job DAG (0 = one per core, capped at 8).
     pub jobs: usize,
@@ -46,7 +48,7 @@ impl Default for RunOptions {
         RunOptions {
             days: 300,
             seed: 1996,
-            out_dir: "results".into(),
+            out_dir: "harness-results".into(),
             jobs: 0,
             cache_dir: None,
             no_cache: false,

@@ -61,8 +61,9 @@ mod tests {
         let o = Options::default();
         assert_eq!(o.days, 300);
         assert_eq!(o.seed, 1996);
-        assert_eq!(o.out_dir, "results");
-        assert_eq!(o.cache_path(), PathBuf::from("results/cache"));
+        // Not `results/`: a bare run must not rewrite the goldens.
+        assert_eq!(o.out_dir, "harness-results");
+        assert_eq!(o.cache_path(), PathBuf::from("harness-results/cache"));
         assert!(o.worker_count() >= 1);
         assert!(o.metrics.is_none());
         assert!(!o.quiet);

@@ -12,9 +12,12 @@
 //! where `<experiment>` is one of `table1`, `fig1`, `fig2`, `fig3`,
 //! `fig4`, `fig5`, `fig6`, `table2`, `freespace`, `profiles`,
 //! `sweep`, `pareto`, or `smallfile`; any other command is a usage
-//! error. Experiments run as jobs on the `exp` engine's worker pool;
-//! aged file systems are cached under `<out>/cache` (override with
-//! `--cache-dir`, disable with `--no-cache`). Each exhibit prints its
+//! error. `<out>` defaults to `harness-results/` (`fleet-results/` for
+//! `fleet`); the committed goldens in `results/` change only under an
+//! explicit `--out results`. Experiments run as jobs on the `exp`
+//! engine's worker pool; aged file systems are cached under
+//! `<out>/cache` (override with `--cache-dir`, disable with
+//! `--no-cache`). Each exhibit prints its
 //! tab-separated block to stdout and writes it to
 //! `<out>/<experiment>.tsv`; every run also writes
 //! structured per-job records to `<out>/runs.jsonl`, which
@@ -99,7 +102,8 @@ fn main() -> ExitCode {
         // Fleet shards draw their own scaled-down workloads; the
         // single-volume default of 300 days would be enormous × shards.
         opts.days = 30;
-        // `results/` holds the `all` run's journal and the goldens.
+        // A directory of its own, as every command has: `results/`
+        // holds the committed goldens.
         opts.out_dir = "fleet-results".into();
     }
     let mut profile = false;

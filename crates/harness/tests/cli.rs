@@ -124,6 +124,26 @@ fn bare_fleet_writes_into_fleet_results_and_quiet_is_silent() {
 }
 
 #[test]
+fn bare_exhibit_writes_into_harness_results_not_the_goldens() {
+    let cwd = tmpdir("bare");
+    let out = run(HARNESS, &cwd, &["table1", "-q"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    for f in ["runs.jsonl", "table1.tsv"] {
+        assert!(cwd.join("harness-results").join(f).is_file(), "{f}");
+    }
+    // `results/` holds the committed goldens: only `--out results`
+    // writes there.
+    assert!(!cwd.join("results").exists());
+    let report = run(HARNESS, &cwd, &["report"]);
+    assert!(
+        report.status.success(),
+        "report reads the same default: {}",
+        stderr(&report)
+    );
+    let _ = fs::remove_dir_all(&cwd);
+}
+
+#[test]
 fn agefs_crash_checkpoint_resume_lands_on_the_uninterrupted_run() {
     let cwd = tmpdir("agefs");
     let base = [
