@@ -34,12 +34,13 @@ pub struct Checkpoint {
     pub files: Vec<FileMeta>,
     /// Workload file ids of still-live files, in id order.
     pub live: Vec<(FileId, Ino)>,
-    /// Per-group `(rotor, inode_rotor)` allocator search positions, in
-    /// group order. Rotors are hints rather than derived state, so they
-    /// must travel with the checkpoint for a resume to make the same
-    /// allocation decisions the uninterrupted run would. Empty means
-    /// "unknown": restore then keeps the fresh-volume defaults.
-    pub rotors: Vec<(u32, u32)>,
+    /// Per-group `(rotor, inode_rotor, frag_rotor)` allocator search
+    /// positions, in group order. Rotors are hints rather than derived
+    /// state, so they must travel with the checkpoint for a resume to
+    /// make the same allocation decisions the uninterrupted run would.
+    /// Empty means "unknown": restore then keeps the fresh-volume
+    /// defaults.
+    pub rotors: Vec<(u32, u32, u32)>,
 }
 
 /// Captures a checkpoint at the end of `day`.
@@ -106,8 +107,12 @@ impl Checkpoint {
         for (fid, ino) in &self.live {
             line(out, "live", &[fid.0.into(), ino.0.into()]);
         }
-        for &(rotor, irotor) in &self.rotors {
-            line(out, "rotor", &[rotor.into(), irotor.into()]);
+        // The fragment rotor is written only where it left the block
+        // rotor, so a checkpoint from before the two split reads back
+        // and re-serializes byte for byte.
+        for &(rotor, irotor, frotor) in &self.rotors {
+            let nums = [rotor.into(), irotor.into(), frotor.into()];
+            line(out, "rotor", &nums[..2 + usize::from(frotor != rotor)]);
         }
     }
 
@@ -153,7 +158,14 @@ impl Checkpoint {
                     files.push(meta);
                 }
                 "live" => live.push((FileId(f.num("file id")?), Ino(f.num("ino")?))),
-                "rotor" => rotors.push((f.num("rotor")?, f.num("inode rotor")?)),
+                "rotor" => {
+                    let (rotor, irotor) = (f.num("rotor")?, f.num("inode rotor")?);
+                    let frotor = match f.clone().end() {
+                        Ok(()) => rotor,
+                        Err(_) => f.num("frag rotor")?,
+                    };
+                    rotors.push((rotor, irotor, frotor));
+                }
                 other => return Err(f.err(format_args!("unknown record {other:?}"))),
             }
             f.end()?;

@@ -114,9 +114,9 @@ mod tests {
         assert_eq!(
             (ffs::PLACEMENT_REVISION, digests, failing),
             (
-                2,
-                [0x78a4_5a3f_082c_982e, 0x2c7d_893d_ba36_3665],
-                0xbea5_2738_9817_8284
+                3,
+                [0x0ad1_31f6_7dd5_d017, 0xa5f3_9d38_f7cc_605d],
+                0xab19_2575_2970_e8db
             )
         );
         let key = aged_key(
@@ -125,7 +125,7 @@ mod tests {
             AllocPolicy::Orig,
             &ReplayOptions::default(),
         );
-        assert!(key.provenance.contains("placement r2\n"));
+        assert!(key.provenance.contains("placement r3\n"));
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::inode::FileMeta;
 /// its inputs, so both cache keys hash this number. Any change that moves
 /// a placement bumps it, and re-pins the digest that
 /// `exp::key`'s `placement_revision_pins_a_short_aging` holds next to it.
-pub const PLACEMENT_REVISION: u32 = 2;
+pub const PLACEMENT_REVISION: u32 = 3;
 
 /// Which disk allocation policy a file system runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -293,14 +293,23 @@ impl AllocEngine<'_> {
         None
     }
 
-    /// Allocates an inode near the directory's group, spilling to other
-    /// groups when full (`ffs_valloc`).
-    pub(crate) fn alloc_inode_pref(&mut self, dcg: CgIdx) -> FsResult<Ino> {
+    /// Allocates an inode for a file of the directory whose inode is
+    /// slot `dslot` of group `dcg` (`ffs_valloc`): from the directory's
+    /// group, spilling to others when full, each asked through
+    /// `ffs_nodealloccg` — the directory's slot if free there, else the
+    /// scan from the inode rotor ([`CylGroup::alloc_inode`]).
+    pub(crate) fn alloc_inode_pref(&mut self, dcg: CgIdx, dslot: u32) -> FsResult<Ino> {
         let per = self.geom.inodes_per_cg;
         self.hashalloc(dcg, |eng, g| {
-            eng.cgs[g.0 as usize]
-                .alloc_inode()
-                .map(|slot| Ino(g.0 * per + slot))
+            let cg = &mut eng.cgs[g.0 as usize];
+            let slot = match cg.free_inodes() > 0 && !cg.inode_used(dslot) {
+                true => {
+                    cg.take_inode(dslot);
+                    dslot
+                }
+                false => cg.alloc_inode()?,
+            };
+            Some(Ino(g.0 * per + slot))
         })
         .ok_or(FsError::NoInodes)
     }
@@ -315,26 +324,18 @@ impl AllocEngine<'_> {
     /// right after it as `max` allows, returning the first address and
     /// the extent's length in blocks. `pref` is the preferred address
     /// ([`AllocEngine::blkpref`]). The first block is the original
-    /// policy's choice — the preferred block if free, else the next free
-    /// block after it, falling back across groups (searching a spill
-    /// group from its rotor) when the preferred group is full — and every
-    /// further block is the choice that policy would make next given the
-    /// one before it (a preference hit, counted as one), so an extent of
-    /// `n` leaves the maps, the rotor and the counters where `n` calls
-    /// chained block to block would.
+    /// policy's choice ([`alloccgblk`], falling back across groups when
+    /// the preferred group is full), and every further block is the
+    /// choice that policy would make next given the one before it (a
+    /// preference hit, counted as one), so an extent of `n` leaves the
+    /// maps, the rotors and the counters where `n` calls chained block to
+    /// block would.
     pub(crate) fn alloc_blocks(&mut self, pref: Daddr, max: u32) -> FsResult<(Daddr, u32)> {
         debug_assert!(max >= 1);
         let pref_cg = self.geom.dtog(pref);
         let got = self.hashalloc(pref_cg, |eng, g| {
             let cg = &mut eng.cgs[g.0 as usize];
-            let (from, hit) = if g == pref_cg {
-                let b = cg.daddr_to_block(pref).0;
-                (b, b < cg.nblocks() && cg.is_block_free(b))
-            } else {
-                (cg.rotor(), false)
-            };
-            // On a miss, the next free block after the position.
-            let b = if hit { from } else { cg.find_free_block(from)? };
+            let (b, hit) = alloccgblk(cg, (g == pref_cg).then(|| cg.daddr_to_block(pref).0))?;
             let n = 1 + cg.free_len_after(b, max - 1);
             cg.alloc_block_run(b, n);
             let hits = u64::from(hit) + u64::from(n - 1);
@@ -385,43 +386,40 @@ impl AllocEngine<'_> {
     /// whose tail lands right after its last full block is therefore
     /// contiguous whenever that block is free — but on a fragmented map
     /// the first fit is often a hole elsewhere, the source of the
-    /// two-block-file dips in Figure 3.
+    /// two-block-file dips in Figure 3. Every group asked searches from
+    /// the preference's offset in its own group, as `ffs_mapsearch` reads
+    /// `dtogd(bpref)`, and the search leaves the fragment rotor on the
+    /// block it found.
     pub(crate) fn alloc_frag_run(&mut self, len: u32, pref: Daddr) -> FsResult<Daddr> {
         debug_assert!((1..FPB).contains(&len));
         let pref_cg = self.geom.dtog(pref);
+        let from = self.cgs[pref_cg.0 as usize].daddr_to_block(pref).0;
         let bestfit = self.cfg.frag_bestfit;
         let got = self.hashalloc(pref_cg, |eng, g| {
             let cg = &mut eng.cgs[g.0 as usize];
-            let from = match g == pref_cg {
-                true => cg.daddr_to_block(pref).0,
-                false => cg.rotor(),
+            // `ffs_alloccg` proper takes the frag summary's smallest
+            // adequate run among partial blocks, our default the first.
+            let found = match bestfit {
+                true => cg.find_frag_run_bestfit(from, len),
+                false => cg.find_frag_run(from, len),
             };
-            if bestfit {
-                // `ffs_alloccg` proper: the frag summary picks the
-                // smallest adequate run among partial blocks; only when
-                // none exists is a fully free block split.
-                if let Some(run) = cg.find_frag_run_bestfit(from, len) {
-                    cg.alloc_frags(run.block, run.frag, len);
-                    return Some(Daddr(cg.block_daddr(run.block).0 + run.frag));
-                }
-                if let Some(b) = cg.find_free_block(from) {
-                    cg.alloc_frags(b, 0, len);
-                    let addr = cg.block_daddr(b);
-                    eng.stats.frag_splits = eng.stats.frag_splits.saturating_add(1);
-                    return Some(addr);
-                }
+            if let Some(run) = found {
+                let split = cg.is_block_free(run.block);
+                cg.searched(run.block, false);
+                cg.alloc_frags(run.block, run.frag, len);
+                let splits = &mut eng.stats.frag_splits;
+                *splits = splits.saturating_add(u64::from(split));
+                return Some(Daddr(cg.block_daddr(run.block).0 + run.frag));
+            }
+            if !bestfit {
                 return None;
             }
-            if let Some(run) = cg.find_frag_run(from, len) {
-                let split = cg.is_block_free(run.block);
-                cg.alloc_frags(run.block, run.frag, len);
-                let addr = Daddr(cg.block_daddr(run.block).0 + run.frag);
-                if split {
-                    eng.stats.frag_splits = eng.stats.frag_splits.saturating_add(1);
-                }
-                return Some(addr);
-            }
-            None
+            // No partial block fits: split the block `ffs_alloccgblk`
+            // takes.
+            let (b, _) = alloccgblk(cg, (g == pref_cg).then_some(from))?;
+            cg.alloc_frags(b, 0, len);
+            eng.stats.frag_splits = eng.stats.frag_splits.saturating_add(1);
+            Some(cg.block_daddr(b))
         });
         let addr = got.ok_or(FsError::NoSpace {
             wanted_bytes: (len * self.params.fsize) as u64,
@@ -599,6 +597,19 @@ impl AllocEngine<'_> {
     }
 }
 
+/// `ffs_alloccgblk` in `cg`: block `pref` if given (the preference lies
+/// in `cg`) and free, a preference hit; else the map search from it, or
+/// from the block rotor when the preference lies elsewhere, which leaves
+/// both rotors on the block found. The block and whether it was a hit.
+fn alloccgblk(cg: &mut CylGroup, pref: Option<u32>) -> Option<(u32, bool)> {
+    if let Some(b) = pref.filter(|&b| b < cg.nblocks() && cg.is_block_free(b)) {
+        return Some((b, true));
+    }
+    let b = cg.find_free_block(pref.unwrap_or(cg.rotor()))?;
+    cg.searched(b, true);
+    Some((b, false))
+}
+
 impl Filesystem {
     /// Directory-placement policy (`ffs_dirpref`, 4.3BSD flavour): among
     /// the groups with at least the average number of free inodes, pick
@@ -625,7 +636,7 @@ impl Filesystem {
 mod tests {
     use super::*;
     use crate::fs::Filesystem;
-    use ffs_types::{FsParams, KB};
+    use ffs_types::{DirId, FsParams, KB};
 
     fn fs() -> Filesystem {
         Filesystem::new(FsParams::small_test(), AllocPolicy::Orig)
@@ -750,6 +761,57 @@ mod tests {
         assert_eq!(blocks[0].0, first.0 + 8);
         assert_eq!(blocks[1].0, blocks[0].0 + 8);
         assert!(f.alloc_stats().pref_hits >= 1);
+    }
+
+    /// Group 1's `(rotor, frotor)`.
+    fn rotors(f: &Filesystem) -> (u32, u32) {
+        (f.cg(CgIdx(1)).rotor(), f.cg(CgIdx(1)).frotor())
+    }
+
+    #[test]
+    fn frag_search_moves_the_frag_rotor_and_a_block_run_leaves_it() {
+        let mut f = fs();
+        let m = f.cg(CgIdx(1)).meta_blocks();
+        let base = f.cg(CgIdx(1)).block_daddr(0).0;
+        let at = |b: u32| Daddr(base + b * FPB);
+        // A preference hit moves neither rotor; a miss's map search
+        // leaves both on the block it found.
+        f.engine().alloc_blocks(at(m + 10), 1).unwrap();
+        assert_eq!(rotors(&f), (m, m));
+        f.engine().alloc_blocks(at(m + 10), 1).unwrap();
+        assert_eq!(rotors(&f), (m + 11, m + 11));
+        // A fragment search from the group's front moves the fragment
+        // rotor alone, to the block it split.
+        f.engine().alloc_frag_run(3, at(1)).unwrap();
+        assert_eq!(rotors(&f), (m + 11, m));
+        // A block run taken at its preference leaves both.
+        let (_, n) = f.engine().alloc_blocks(at(m + 40), 5).unwrap();
+        assert_eq!(n, 5);
+        assert_eq!(rotors(&f), (m + 11, m));
+    }
+
+    #[test]
+    fn realloc_move_leaves_both_rotors() {
+        let mut f = Filesystem::new(FsParams::small_test(), AllocPolicy::Realloc);
+        let m = f.cg(CgIdx(1)).meta_blocks();
+        let base = f.cg(CgIdx(1)).block_daddr(0).0;
+        let at = |b: u32| Daddr(base + b * FPB);
+        let mut meta = FileMeta {
+            ino: Ino(f.params().inodes_per_cg() + 3),
+            dir: DirId(0),
+            size: 16 * KB,
+            blocks: Default::default(),
+            tail: None,
+            mtime_day: 0,
+        };
+        for b in [m + 10, m + 20] {
+            let (d, _) = f.engine().alloc_blocks(at(b), 1).unwrap();
+            meta.blocks.push(d);
+        }
+        let before = rotors(&f);
+        assert!(f.engine().realloc_window(&mut meta, (0, 2), at(m + 30)));
+        assert_eq!(meta.blocks[0], at(m + 30));
+        assert_eq!(rotors(&f), before);
     }
 
     #[test]

@@ -148,13 +148,19 @@ pub struct CylGroup {
     maxcontig: u32,
     free_frags: u32,
     free_blocks: u32,
-    /// Allocation rotor: block index where the last search ended, the
-    /// analogue of `cg_rotor`.
+    /// Block rotor (`cg_rotor`): where the last whole-block map search
+    /// (`ffs_alloccgblk`) ended, and where one for another group's
+    /// preference starts.
     rotor: u32,
+    /// Fragment rotor (`cg_frotor`): where the last map search of any
+    /// kind (`ffs_mapsearch`) ended.
+    frotor: u32,
     /// Inode-slot allocation bitmap (one bit per slot, set = used).
     imap: Vec<u64>,
     ninodes: u32,
     free_inodes: u32,
+    /// Inode rotor (`cg_irotor`): the slot the last inode-map scan took,
+    /// lowered by every free below it.
     irotor: u32,
     /// Number of directories in the group (`cg_cs.cs_ndir`).
     ndirs: u32,
@@ -191,6 +197,7 @@ impl CylGroup {
             free_frags: data_blocks * FPB,
             free_blocks: data_blocks,
             rotor: meta_blocks,
+            frotor: meta_blocks,
             imap: vec![0u64; ninodes.div_ceil(64) as usize],
             ninodes,
             free_inodes: ninodes,
@@ -296,8 +303,9 @@ impl CylGroup {
 
     /// Allocates the `n >= 1` consecutive fully free blocks starting at
     /// `block`: one masked write per map word touched, one cluster-summary
-    /// update for the whole run, and the rotor left on its last block —
-    /// the state `n` single-block calls in ascending order would leave.
+    /// update for the whole run — the state `n` single-block calls in
+    /// ascending order would leave. The rotors stay where they are: only
+    /// a map search moves them (`ffs_mapsearch`, `ffs_alloccgblk`).
     ///
     /// # Panics
     ///
@@ -314,12 +322,10 @@ impl CylGroup {
         self.mark_run_used(block, n);
         self.free_blocks -= n;
         self.free_frags -= n * FPB;
-        self.rotor = block + n - 1;
     }
 
     /// Frees the `n >= 1` consecutive fully allocated blocks starting at
-    /// `block`, the mirror of [`CylGroup::alloc_block_run`] (the rotor
-    /// stays where it was, as on every free).
+    /// `block`, the mirror of [`CylGroup::alloc_block_run`].
     pub fn free_block_run(&mut self, block: u32, n: u32) {
         debug_assert!(n >= 1 && block + n <= self.nblocks);
         debug_assert!(
@@ -722,13 +728,14 @@ impl CylGroup {
     }
 
     /// Finds a run of at least `len` consecutive fully free blocks at or
-    /// after `from`, wrapping once — 4.4BSD's `ffs_clusteralloc` scan, which
-    /// the defragmenter uses (the realloc pass uses the windowed best fit,
-    /// [`CylGroup::find_free_cluster_near`]). Returns the first block of the
-    /// first fitting run (a run that crosses the start counts from it):
-    /// the windowed search with an empty window.
+    /// after `from`, up to the group's end — 4.4BSD's `ffs_clusteralloc`
+    /// scan, which the defragmenter uses (the realloc pass uses the
+    /// windowed best fit, [`CylGroup::find_free_cluster_near`]). Returns
+    /// the first block of the first fitting run (a run that crosses the
+    /// start counts from it): the windowed search with an empty window
+    /// and no wrap.
     pub fn find_free_cluster(&self, from: u32, len: u32) -> Option<u32> {
-        self.find_free_cluster_near(from, len, 0)
+        self.cluster_search(from, len, 0, false)
     }
 
     /// Finds the *smallest* free run of at least `len` blocks anywhere in
@@ -743,7 +750,8 @@ impl CylGroup {
 
     /// Windowed best fit: the best-fitting free run of at least `len`
     /// blocks that *starts* within `window` blocks after `from`; when no
-    /// run in the window fits, the first fit beyond it (wrapping once).
+    /// run in the window fits, the first fit beyond it, then the first
+    /// fit from the group's front.
     /// Keeps relocations near the rotor (temporal-spatial locality) while
     /// consuming nearby remainders instead of carving large runs. A run
     /// crossing `from` counts from it. The group's one cluster scan: an
@@ -757,6 +765,12 @@ impl CylGroup {
     /// (Reference: a run-by-run scan of `cg_clustersfree`, in
     /// `tests/bsd/mod.rs`.)
     pub fn find_free_cluster_near(&self, from: u32, len: u32, window: u32) -> Option<u32> {
+        self.cluster_search(from, len, window, true)
+    }
+
+    /// [`CylGroup::find_free_cluster_near`], wrapping to the group's
+    /// front only if `wrap`.
+    fn cluster_search(&self, from: u32, len: u32, window: u32, wrap: bool) -> Option<u32> {
         debug_assert!(len >= 1);
         if len == 0 || self.nblocks == 0 {
             return None;
@@ -816,7 +830,7 @@ impl CylGroup {
         }
         // Wrap: first fit in the prefix (runs crossing `start` included
         // via the overlap margin).
-        self.scan_cluster(0, start + len.min(self.nblocks) - 1, len)
+        wrap.then(|| self.scan_cluster(0, start + len.min(self.nblocks) - 1, len))?
     }
 
     /// First-fit run of at least `len` free blocks within `[lo, hi)`,
@@ -917,31 +931,41 @@ impl CylGroup {
         found
     }
 
-    /// Allocates an inode slot, preferring the rotor position. Returns the
-    /// slot index.
+    /// Allocates an inode slot with no preference: `ffs_nodealloccg`'s
+    /// scan of the inode map from the byte that holds the inode rotor,
+    /// wrapping once, which leaves the rotor on the slot taken. Returns
+    /// the slot index.
     pub fn alloc_inode(&mut self) -> Option<u32> {
         if self.free_inodes == 0 {
             return None;
         }
         let n = self.ninodes;
-        // First free slot in cyclic order from the rotor, word at a time
-        // (the per-bit walk was measurable once the low slots filled up).
-        let start = if self.irotor >= n { 0 } else { self.irotor };
+        // Word at a time (the per-bit walk was measurable once the low
+        // slots filled up).
+        let start = (self.irotor - self.irotor % 8).min(n);
         let slot =
             next_zero_bit(&self.imap, start, n).or_else(|| next_zero_bit(&self.imap, 0, start))?;
-        let (w, b) = (slot / 64, slot % 64);
-        self.imap[w as usize] |= 1 << b;
-        self.free_inodes -= 1;
-        self.irotor = slot + 1;
+        self.take_inode(slot);
+        self.irotor = slot;
         Some(slot)
     }
 
-    /// Frees an inode slot.
+    /// Marks the free inode slot `slot` used; the rotor stays.
+    pub(crate) fn take_inode(&mut self, slot: u32) {
+        let (w, b) = (slot / 64, slot % 64);
+        debug_assert!(self.imap[w as usize] & (1 << b) == 0);
+        self.imap[w as usize] |= 1 << b;
+        self.free_inodes -= 1;
+    }
+
+    /// Frees an inode slot (`ffs_vfree`): a slot below the inode rotor
+    /// lowers it there.
     pub fn free_inode(&mut self, slot: u32) {
         let (w, b) = (slot / 64, slot % 64);
         debug_assert!(self.imap[w as usize] & (1 << b) != 0);
         self.imap[w as usize] &= !(1 << b);
         self.free_inodes += 1;
+        self.irotor = self.irotor.min(slot);
     }
 
     /// Whether an inode slot is allocated.
@@ -1005,20 +1029,35 @@ impl CylGroup {
         self.free_inodes = n;
     }
 
-    /// Current rotor position.
+    /// The block rotor (`cg_rotor`).
     pub fn rotor(&self) -> u32 {
         self.rotor
     }
 
-    /// Current inode-rotor position.
+    /// The fragment rotor (`cg_frotor`).
+    pub fn frotor(&self) -> u32 {
+        self.frotor
+    }
+
+    /// The inode rotor (`cg_irotor`).
     pub fn irotor(&self) -> u32 {
         self.irotor
     }
 
-    /// Overwrites both rotors, for checkpoint restore.
-    pub(crate) fn set_rotors(&mut self, rotor: u32, irotor: u32) {
-        self.rotor = rotor;
-        self.irotor = irotor;
+    /// A map search found `block`: `ffs_mapsearch` leaves the fragment
+    /// rotor there and, for a whole block (`whole`), `ffs_alloccgblk`
+    /// leaves the block rotor there too.
+    pub(crate) fn searched(&mut self, block: u32, whole: bool) {
+        self.frotor = block;
+        if whole {
+            self.rotor = block;
+        }
+    }
+
+    /// Overwrites the three rotors, `(rotor, irotor, frotor)`, for
+    /// checkpoint restore.
+    pub(crate) fn set_rotors(&mut self, (rotor, irotor, frotor): (u32, u32, u32)) {
+        (self.rotor, self.irotor, self.frotor) = (rotor, irotor, frotor);
     }
 }
 
@@ -1314,15 +1353,23 @@ mod tests {
     }
 
     #[test]
-    fn cluster_search_wraps_around() {
+    fn cluster_search_stops_at_the_group_end() {
         let (_, mut cg) = group();
         let m = cg.meta_blocks();
         // Only a 3-run at the start is free; everything later allocated.
         for b in m + 3..cg.nblocks() {
             cg.alloc_block(b);
         }
-        assert_eq!(cg.find_free_cluster(m + 5, 3), Some(m));
-        assert_eq!(cg.find_free_cluster(m + 5, 4), None);
+        // `ffs_clusteralloc` scans from the start to the group's end, so
+        // the run is found from at or before it (a run across the start
+        // counting from there), never from past it.
+        assert_eq!(cg.find_free_cluster(0, 3), Some(m));
+        assert_eq!(cg.find_free_cluster(m + 1, 2), Some(m + 1));
+        assert_eq!(cg.find_free_cluster(m + 1, 3), None);
+        assert_eq!(cg.find_free_cluster(m + 5, 3), None);
+        // The realloc pass's windowed search still wraps to the front.
+        assert_eq!(cg.find_free_cluster_near(m + 5, 3, 0), Some(m));
+        assert_eq!(cg.find_free_cluster_near(m + 5, 4, 0), None);
     }
 
     #[test]
@@ -1367,9 +1414,27 @@ mod tests {
         assert!(cg.inode_used(a));
         cg.free_inode(a);
         assert!(!cg.inode_used(a));
-        // Rotor continues forward rather than immediately reusing.
+        // The free lowered the rotor to `a`, so `a` is taken again.
         let c = cg.alloc_inode().unwrap();
-        assert_ne!(c, b);
+        assert_eq!(c, a);
+    }
+
+    #[test]
+    fn free_inode_lowers_the_inode_rotor() {
+        let (_, mut cg) = group();
+        let slots: Vec<u32> = (0..20).filter_map(|_| cg.alloc_inode()).collect();
+        assert_eq!(slots, (0..20).collect::<Vec<_>>());
+        // The scan leaves the rotor on the slot it took.
+        assert_eq!(cg.irotor(), 19);
+        cg.free_inode(5);
+        assert_eq!(cg.irotor(), 5);
+        // A free above the rotor leaves it.
+        cg.free_inode(12);
+        assert_eq!(cg.irotor(), 5);
+        // The scan starts at the byte that holds the rotor.
+        assert_eq!(cg.alloc_inode(), Some(5));
+        assert_eq!(cg.alloc_inode(), Some(12));
+        assert_eq!(cg.irotor(), 12);
     }
 
     #[test]

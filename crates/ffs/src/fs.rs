@@ -290,9 +290,10 @@ impl Filesystem {
         if size > u32::MAX.into() {
             return Err(FsError::InvalidArg("file size above 4 GiB"));
         }
-        let dcg = self.dirs.get(&dir).ok_or(FsError::NoSuchDir(dir))?.cg;
+        let d = self.dirs.get(&dir).ok_or(FsError::NoSuchDir(dir))?;
+        let (dcg, dslot) = (d.cg, d.ino_slot);
         let mut eng = self.engine();
-        let ino = eng.alloc_inode_pref(dcg)?;
+        let ino = eng.alloc_inode_pref(dcg, dslot)?;
         let mut meta = FileMeta {
             ino,
             dir,
@@ -477,18 +478,19 @@ impl Filesystem {
         Ok(fs)
     }
 
-    /// Per-group `(rotor, inode_rotor)` search positions, in group order.
-    /// Together with the inode table they make a checkpoint resume
-    /// allocation-exact: the rotors are search *hints*, not derived
-    /// state, so [`Filesystem::restore`] cannot rebuild them.
-    pub fn rotors(&self) -> Vec<(u32, u32)> {
-        self.cgs.iter().map(|c| (c.rotor(), c.irotor())).collect()
+    /// Per-group `(rotor, inode_rotor, frag_rotor)` search positions, in
+    /// group order. Together with the inode table they make a checkpoint
+    /// resume allocation-exact: the rotors are search *hints*, not
+    /// derived state, so [`Filesystem::restore`] cannot rebuild them.
+    pub fn rotors(&self) -> Vec<(u32, u32, u32)> {
+        let rotors = |c: &CylGroup| (c.rotor(), c.irotor(), c.frotor());
+        self.cgs.iter().map(rotors).collect()
     }
 
     /// Restores per-group rotor positions captured by
     /// [`Filesystem::rotors`]. Rejects a vector of the wrong length or a
     /// rotor outside its group as [`FsError::Corrupt`].
-    pub fn set_rotors(&mut self, rotors: &[(u32, u32)]) -> FsResult<()> {
+    pub fn set_rotors(&mut self, rotors: &[(u32, u32, u32)]) -> FsResult<()> {
         if rotors.len() != self.cgs.len() {
             return Err(FsError::Corrupt(format!(
                 "rotor table has {} entries for {} groups",
@@ -496,15 +498,15 @@ impl Filesystem {
                 self.cgs.len()
             )));
         }
-        for (g, (&(rotor, irotor), cg)) in rotors.iter().zip(&self.cgs).enumerate() {
-            if rotor >= cg.nblocks() || irotor > cg.ninodes() {
+        for (g, (&(rotor, irotor, frotor), cg)) in rotors.iter().zip(&self.cgs).enumerate() {
+            if rotor.max(frotor) >= cg.nblocks() || irotor > cg.ninodes() {
                 return Err(FsError::Corrupt(format!(
-                    "rotor ({rotor}, {irotor}) outside group {g}"
+                    "rotor ({rotor}, {irotor}, {frotor}) outside group {g}"
                 )));
             }
         }
-        for (&(rotor, irotor), cg) in rotors.iter().zip(&mut self.cgs) {
-            cg.set_rotors(rotor, irotor);
+        for (&r, cg) in rotors.iter().zip(&mut self.cgs) {
+            cg.set_rotors(r);
         }
         Ok(())
     }
@@ -572,9 +574,14 @@ impl Filesystem {
                 eat(b.0 as u64);
             }
         }
-        for (rotor, irotor) in self.rotors() {
+        for (rotor, irotor, frotor) in self.rotors() {
             eat(rotor as u64);
             eat(irotor as u64);
+            // A fragment rotor on the block rotor adds nothing, so a state
+            // written before the two rotors split digests as it did then.
+            if frotor != rotor {
+                eat(frotor as u64);
+            }
         }
         h
     }

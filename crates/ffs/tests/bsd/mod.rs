@@ -5,9 +5,10 @@
 //! `ffs_isblock` on a whole map byte, `setbit`, `ffs_fragacct`,
 //! `ffs_clusteracct`. It answers every free-space query and recount, and
 //! ([`RefFs`]) creates files block by block in `ffs_balloc` order and
-//! removes them through `ffs_blkfree` / `ffs_vfree`. Where ours departs
-//! from 4.4BSD it has both readings; an [`ALLOWLIST`] entry makes it
-//! follow ours. [`pair`] runs ours and the reference side by side.
+//! removes them through `ffs_blkfree` / `ffs_vfree`. It has one reading
+//! of each: 4.4BSD-Lite's, with our placement switch (`frag_bestfit`) and
+//! our best-fit realloc clusters (DESIGN.md §6). [`pair`] runs ours and
+//! the reference side by side.
 
 // Each test binary that declares this module uses only part of it.
 #![allow(dead_code)]
@@ -39,26 +40,6 @@ const SPACE: usize = 168;
 /// them, one per four bytes.
 const FIELDS: &str = "cg_firstfield cg_magic cg_time cg_cgx cg_ncyl cg_ndblk cs_ndir cs_nbfree \
                       cs_nifree cs_nffree cg_rotor cg_frotor cg_irotor";
-
-/// A known departure of our allocator from 4.4BSD, with its reason.
-/// The reference follows ours at each [`ALLOWLIST`] entry; fixing one
-/// moves fingerprints (ROADMAP item 3 (e)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Divergence {
-    /// One rotor, moved by every block run and never for fragments.
-    OneRotor,
-    /// The inode search starts one past the last slot taken.
-    InodeRotor,
-    /// First-fit cluster search wraps below the preference.
-    ClusterWrap,
-}
-
-/// Every divergence found.
-pub const ALLOWLIST: [Divergence; 3] = [
-    Divergence::OneRotor,
-    Divergence::InodeRotor,
-    Divergence::ClusterWrap,
-];
 
 /// The superblock constants the reference reads.
 #[derive(Clone, Debug)]
@@ -156,7 +137,7 @@ impl Cg {
             (CS_NIFREE, cg.free_inodes()),
             (CS_NFFREE, nffree),
             (ROTOR, cg.rotor() * FS_FRAG),
-            (FROTOR, cg.rotor() * FS_FRAG),
+            (FROTOR, cg.frotor() * FS_FRAG),
             (IROTOR, cg.irotor()),
             (92, SPACE as u32), // cg_iusedoff
             (96, freeoff as u32),
@@ -362,18 +343,13 @@ impl Cg {
     }
 
     /// `ffs_clusteralloc`: the first run of `len` free blocks from the
-    /// start; then, under [`Divergence::ClusterWrap`], from the front,
-    /// runs across the start included.
-    pub fn clusteralloc(&self, from: u32, len: u32, allow: &[Divergence]) -> Option<u32> {
+    /// start to the group's end.
+    pub fn clusteralloc(&self, from: u32, len: u32) -> Option<u32> {
         let n = self.nblocks();
         if len == 0 || n == 0 || !self.clustersum_fits(len) {
             return None;
         }
-        let s = self.start(from);
-        let wrap = allow.contains(&Divergence::ClusterWrap);
-        let front = || self.cluster_scan(0, s + len.min(n) - 1, len);
-        self.cluster_scan(s, n, len)
-            .or_else(|| wrap.then(front).flatten())
+        self.cluster_scan(self.start(from), n, len)
     }
 
     /// The maximal runs of `cg_clustersfree` from `lo` on, a run across
@@ -531,14 +507,9 @@ impl Cg {
     }
 
     /// Blocks `b .. b + n` given back or taken one at a time
-    /// (`ffs_blkfree`, `ffs_alloccgblk`); taken, they leave both rotors
-    /// on the last, as ours do ([`Divergence::OneRotor`]).
+    /// (`ffs_blkfree`, `ffs_alloccgblk` from `gotit:`); the rotors stay.
     pub fn blocks(&mut self, b: u32, n: u32, free: bool) {
         (b..b + n).for_each(|h| self.block(h, free));
-        if !free {
-            self.set(ROTOR, (b + n - 1) * FS_FRAG);
-            self.set(FROTOR, (b + n - 1) * FS_FRAG);
-        }
     }
 
     /// `ffs_mapsearch` leaves `cg_frotor` on the found map byte.
@@ -652,15 +623,10 @@ pub struct RefFs<'a> {
     pub sb: &'a Sb,
     pub cgs: Vec<Cg>,
     pub sw: Switches,
-    pub allow: &'a [Divergence],
     pub stats: AllocStats,
 }
 
 impl RefFs<'_> {
-    fn ours(&self, d: Divergence) -> bool {
-        self.allow.contains(&d)
-    }
-
     /// `ffs_hashalloc`: the preferred group, the quadratic rehash, then
     /// a sweep from `start + 2`. A success after the first probe is a
     /// spill.
@@ -684,26 +650,23 @@ impl RefFs<'_> {
         Some(t)
     }
 
-    /// `ffs_valloc` → `ffs_hashalloc` → `ffs_nodealloccg`.
+    /// `ffs_valloc` → `ffs_hashalloc` → `ffs_nodealloccg`: the
+    /// directory's slot if free, else the first free slot from the byte
+    /// that holds `cg_irotor`, which then points at it.
     fn valloc(&mut self, dir_ino: u32) -> Option<u32> {
         let ipg = self.sb.ipg;
-        let ours = self.ours(Divergence::InodeRotor);
         self.hashalloc(dir_ino / ipg, |fs, g| {
             let cg = &mut fs.cgs[g as usize];
             if cg.get(CS_NIFREE) == 0 {
                 return None;
             }
             let ipref = dir_ino % ipg;
-            let slot = if !ours && !cg.bit(SPACE, ipref) {
+            let slot = if !cg.bit(SPACE, ipref) {
                 ipref
             } else {
-                let irotor = cg.get(IROTOR);
-                let s = match ours {
-                    true => irotor * u32::from(irotor < ipg),
-                    false => irotor - irotor % 8,
-                };
+                let s = cg.get(IROTOR) - cg.get(IROTOR) % 8;
                 let slot = (s..ipg).chain(0..s).find(|&i| !cg.bit(SPACE, i))?;
-                cg.set(IROTOR, slot + u32::from(ours));
+                cg.set(IROTOR, slot);
                 slot
             };
             cg.put(SPACE, slot, true);
@@ -712,21 +675,22 @@ impl RefFs<'_> {
         })
     }
 
-    /// `ffs_vfree`.
+    /// `ffs_vfree`: a slot below `cg_irotor` lowers it.
     fn vfree(&mut self, ino: u32) {
-        let (slot, ours) = (ino % self.sb.ipg, self.ours(Divergence::InodeRotor));
+        let slot = ino % self.sb.ipg;
         let cg = &mut self.cgs[(ino / self.sb.ipg) as usize];
         cg.put(SPACE, slot, false);
         cg.add(CS_NIFREE, 1);
-        if !ours && slot < cg.get(IROTOR) {
+        if slot < cg.get(IROTOR) {
             cg.set(IROTOR, slot);
         }
     }
 
     /// `ffs_alloccgblk` in group `g`: the preferred block if free, else a
-    /// map search from it, or from the rotor.
+    /// map search from it, or from `cg_rotor` (`cg_frotor` while that is
+    /// 0), which leaves both rotors on the block found.
     fn alloccgblk(&mut self, g: u32, pref: u32) -> Option<u32> {
-        let (sb, ours) = (self.sb, self.ours(Divergence::OneRotor));
+        let sb = self.sb;
         let cg = &mut self.cgs[g as usize];
         if cg.get(CS_NBFREE) == 0 {
             return None;
@@ -736,21 +700,15 @@ impl RefFs<'_> {
             Some(h) if h < cg.nblocks() && cg.isblock(h) => h,
             _ => {
                 let rotor = match cg.get(ROTOR) {
-                    0 if !ours => cg.get(FROTOR),
+                    0 => cg.get(FROTOR),
                     r => r,
                 };
                 let h = cg.mapsearch_block(want.unwrap_or(rotor / FS_FRAG))?;
-                if !ours {
-                    cg.set_frotor(h);
-                    cg.set(ROTOR, h * FS_FRAG);
-                }
+                cg.set_frotor(h);
+                cg.set(ROTOR, h * FS_FRAG);
                 h
             }
         };
-        if ours {
-            cg.set(ROTOR, h * FS_FRAG);
-            cg.set(FROTOR, h * FS_FRAG);
-        }
         cg.block(h, false);
         Some(sb.daddr(g, h))
     }
@@ -764,26 +722,20 @@ impl RefFs<'_> {
     }
 
     /// `ffs_alloc` of `len` fragments: `ffs_alloccg`'s fragment path,
-    /// or our first fit. Taking them from a whole free block is a split.
+    /// or our first fit, from the preference's offset in every group.
+    /// Taking them from a whole free block is a split.
     fn alloc_frags(&mut self, len: u32, pref: u32) -> Option<u32> {
-        let (sb, ours) = (self.sb, self.ours(Divergence::OneRotor));
+        let sb = self.sb;
+        let from = sb.block(sb.dtog(pref), pref);
         let d = self.hashalloc(sb.dtog(pref), |fs, g| {
-            let cg = &fs.cgs[g as usize];
-            let from = match ours {
-                true if sb.dtog(pref) == g => sb.block(g, pref),
-                false => sb.block(sb.dtog(pref), pref),
-                true => cg.get(ROTOR) / FS_FRAG,
-            };
+            let cg = &mut fs.cgs[g as usize];
             let found = match fs.sw.frag_bestfit {
                 true => cg.frag_best_fit(from, len),
                 false => cg.frag_first_fit(from, len),
             };
             if let Some((h, p)) = found {
-                let cg = &mut fs.cgs[g as usize];
                 fs.stats.frag_splits += u64::from(cg.isblock(h));
-                if !ours {
-                    cg.set_frotor(h);
-                }
+                cg.set_frotor(h);
                 cg.frags(h, p, len, false);
                 return Some(sb.daddr(g, h) + p);
             }
@@ -791,14 +743,7 @@ impl RefFs<'_> {
                 return None;
             }
             // No partial block fits: split a whole one.
-            let d = match ours {
-                true => {
-                    let h = cg.mapsearch_block(from)?;
-                    fs.cgs[g as usize].block(h, false);
-                    sb.daddr(g, h)
-                }
-                false => fs.alloccgblk(g, pref)?,
-            };
+            let d = fs.alloccgblk(g, pref)?;
             let (cg, h) = (&mut fs.cgs[g as usize], sb.block(g, d));
             cg.frags(h, len, FS_FRAG - len, true);
             fs.stats.frag_splits += 1;
@@ -947,14 +892,7 @@ impl RefFs<'_> {
         for i in s..e {
             self.blkfree(f.blocks[i as usize], None);
         }
-        let ours = self.ours(Divergence::OneRotor);
-        let cg = &mut self.cgs[g as usize];
-        let rotors = (cg.get(ROTOR), cg.get(FROTOR));
-        cg.blocks(run, len, false);
-        if !ours {
-            cg.set(ROTOR, rotors.0);
-            cg.set(FROTOR, rotors.1);
-        }
+        self.cgs[g as usize].blocks(run, len, false);
         for (i, h) in (s..e).zip(run..) {
             f.blocks[i as usize] = sb.daddr(g, h);
         }

@@ -1,7 +1,7 @@
 //! Our allocator and the reference side by side, op by op: the
 //! create/remove streams and the aging replay of the decision oracles.
 
-use super::{Cg, Divergence, RefFile, RefFs, Sb, Switches};
+use super::{Cg, RefFile, RefFs, Sb, Switches};
 use ffs::{free_space_stats, recompute_aggregate, AllocPolicy, AllocStats, CylGroup, Filesystem};
 use ffs_types::{CgIdx, DirId, FsError, FsParams, Ino, KB, MB};
 use rand::rngs::StdRng;
@@ -21,7 +21,6 @@ pub struct Pair {
     sb: Sb,
     sw: Switches,
     pub dirs: Vec<DirId>,
-    allow: Vec<Divergence>,
     /// Our groups as the last op left them, and their bytes: the
     /// reference's next start.
     groups: Vec<CylGroup>,
@@ -30,7 +29,7 @@ pub struct Pair {
 }
 
 impl Pair {
-    pub fn new(params: &FsParams, sw: Switches, allow: Vec<Divergence>) -> Pair {
+    pub fn new(params: &FsParams, sw: Switches) -> Pair {
         let policy = [AllocPolicy::Orig, AllocPolicy::Realloc][usize::from(sw.realloc)];
         let mut fs = Filesystem::new(params.clone(), policy);
         fs.set_frag_bestfit(sw.frag_bestfit);
@@ -42,7 +41,6 @@ impl Pair {
             sb,
             sw,
             dirs,
-            allow,
             groups,
             cgs,
             ops: 0,
@@ -95,14 +93,11 @@ impl Pair {
     /// The reference at our state before the op: the groups' bytes and
     /// the decision counts.
     fn reference(&self) -> RefFs<'_> {
-        let (sb, cgs, sw, allow) = (&self.sb, self.cgs.clone(), self.sw, &self.allow[..]);
-        let stats = self.fs.alloc_stats().clone();
         RefFs {
-            sb,
-            cgs,
-            sw,
-            allow,
-            stats,
+            sb: &self.sb,
+            cgs: self.cgs.clone(),
+            sw: self.sw,
+            stats: self.fs.alloc_stats().clone(),
         }
     }
 
@@ -161,11 +156,10 @@ pub fn stream(
     params: &FsParams,
     i: u32,
     (seed, ops): (u64, u32),
-    allow: Vec<Divergence>,
     reached: &mut [u32; 3],
 ) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut p = Pair::new(params, variant(i), allow);
+    let mut p = Pair::new(params, variant(i));
     let bsize = params.bsize as u64;
     let chunk = (4 * MB / bsize).max(params.maxcontig as u64);
     let mut live: Vec<Ino> = Vec::new();

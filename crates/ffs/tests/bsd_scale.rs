@@ -8,21 +8,17 @@
 //! indirects and tail), every group's `struct cg` bytes and the
 //! allocation counts.
 //!
-//! A third test runs the reference alone and prints what each
-//! allowlist entry still costs (ROADMAP item 3 (e)'s price table).
-//!
 //! Ignored in the debug tier, where the two take about 45 s on two
-//! cores; CI `smoke` runs all three in release (the price table about
-//! 18 s):
-//! `cargo test --release -p ffs --test bsd_scale -- --ignored --nocapture`.
+//! cores; CI `smoke` runs both in release:
+//! `cargo test --release -p ffs --test bsd_scale -- --ignored`.
 
 mod bsd;
 
 use std::collections::HashMap;
 
 use aging::{AgingConfig, Days, Op, Replay, ReplayOptions};
-use bsd::{encode_fs, Divergence, RefFile, RefFs, Sb, Switches, ALLOWLIST};
-use ffs::{AllocPolicy, Filesystem};
+use bsd::{encode_fs, RefFile, RefFs, Sb, Switches};
+use ffs::AllocPolicy;
 use ffs_types::FsParams;
 
 /// Fragments per block: a block follows another `FPB` addresses on.
@@ -73,7 +69,6 @@ fn replay_matches_the_reference(policy: AllocPolicy) {
         sb: &sb,
         cgs: encode_fs(&sb, ours.fs()),
         sw,
-        allow: &ALLOWLIST,
         stats: ours.fs().alloc_stats().clone(),
     };
     let mut live = HashMap::new();
@@ -122,80 +117,4 @@ fn orig_replay_matches_the_reference_at_paper_scale() {
 #[ignore = "paper scale: run in release with --ignored"]
 fn realloc_replay_matches_the_reference_at_paper_scale() {
     replay_matches_the_reference(AllocPolicy::Realloc);
-}
-
-/// The reference alone, from a fresh volume with one directory per group
-/// through the 300 paper days, under `sw` with `allow` followed: the
-/// day-0 and day-299 layout scores.
-fn reference_scores(sw: Switches, allow: &[Divergence]) -> (f64, f64) {
-    let params = FsParams::paper_502mb();
-    let config = AgingConfig::paper(1996);
-    let policy = [AllocPolicy::Orig, AllocPolicy::Realloc][usize::from(sw.realloc)];
-    let mut fs = Filesystem::new(params.clone(), policy);
-    let ipg = params.inodes_per_cg();
-    let dirs: Vec<u32> = fs
-        .mkdir_per_cg()
-        .unwrap()
-        .iter()
-        .map(|&d| {
-            let d = fs.dir(d).unwrap();
-            d.cg.0 * ipg + d.ino_slot
-        })
-        .collect();
-    let sb = Sb::new(&params);
-    let mut r = RefFs {
-        sb: &sb,
-        cgs: encode_fs(&sb, &fs),
-        sw,
-        allow,
-        stats: fs.alloc_stats().clone(),
-    };
-    let (mut live, mut day0) = (HashMap::new(), None);
-    for day in Days::new(&config, params.ncg, params.data_capacity_bytes()) {
-        for op in &day.ops {
-            match *op {
-                Op::Create { file, cg, size, .. } => {
-                    if let Ok(f) = r.create(dirs[cg.0 as usize], size.into()) {
-                        live.insert(file, f);
-                    }
-                }
-                Op::Delete { file } => {
-                    if let Some(f) = live.remove(&file) {
-                        r.remove(&f);
-                    }
-                }
-                Op::Rewrite { .. } => {}
-            }
-        }
-        day0 = day0.or(Some(layout_score(live.values())));
-    }
-    (day0.unwrap(), layout_score(live.values()))
-}
-
-/// What each remaining allowlist entry costs at the paper's scale: the
-/// reference alone with the whole allowlist, with each entry dropped
-/// alone, and with all dropped (4.4BSD-Lite's readings everywhere).
-/// Each row prints Figure 2's day-0 and day-299 scores of both policies
-/// and the day-299 non-optimal reduction, `(realloc − FFS) / (1 − FFS)`.
-#[test]
-#[ignore = "paper scale: run in release with --ignored"]
-fn price_of_each_allowlist_entry_at_paper_scale() {
-    let mut sets = vec![("allowlist".to_string(), ALLOWLIST.to_vec())];
-    for d in ALLOWLIST {
-        let rest = ALLOWLIST.iter().copied().filter(|&x| x != d).collect();
-        sets.push((format!("- {d:?}"), rest));
-    }
-    sets.push(("none".to_string(), Vec::new()));
-    let sw = |realloc| Switches {
-        realloc,
-        frag_bestfit: false,
-    };
-    println!("entries\tffs_day0\trealloc_day0\tffs_day299\trealloc_day299\tnonopt_reduction_pct");
-    for (name, allow) in &sets {
-        let (f0, f1) = reference_scores(sw(false), allow);
-        let (r0, r1) = reference_scores(sw(true), allow);
-        assert!([f0, f1, r0, r1].iter().all(|s| (0.0..=1.0).contains(s)));
-        let reduction = (r1 - f1) / (1.0 - f1) * 100.0;
-        println!("{name}\t{f0:.4}\t{r0:.4}\t{f1:.4}\t{r1:.4}\t{reduction:.2}");
-    }
 }

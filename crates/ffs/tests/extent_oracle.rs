@@ -25,7 +25,6 @@
 mod bsd;
 
 use bsd::pair::{stream, tiny_blocks, variant};
-use bsd::ALLOWLIST;
 use ffs_types::{FsParams, KB};
 use proptest::prelude::*;
 
@@ -47,7 +46,7 @@ fn extents_equal_the_per_block_loop_under_every_variant() {
         let (params, mut reached) = (volume(tiny), [0; 3]);
         for i in 0..4 {
             let run = (1996 + u64::from(i), 140);
-            let res = stream(&params, i, run, ALLOWLIST.to_vec(), &mut reached);
+            let res = stream(&params, i, run, &mut reached);
             res.unwrap_or_else(|e| panic!("variant {i} {:?}: {e}", variant(i)));
         }
         assert!(reached[0] > 0, "no create ran out of space");
@@ -65,7 +64,7 @@ proptest! {
     /// Random seeds, random variants.
     #[test]
     fn extents_equal_the_per_block_loop(seed in any::<u64>(), i in 0u32..4, tiny in any::<bool>()) {
-        let res = stream(&volume(tiny), i, (seed, 100), ALLOWLIST.to_vec(), &mut [0; 3]);
+        let res = stream(&volume(tiny), i, (seed, 100), &mut [0; 3]);
         res.unwrap_or_else(|e| panic!("seed {seed}, variant {i} {:?}: {e}", variant(i)));
     }
 }

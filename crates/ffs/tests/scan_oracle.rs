@@ -12,7 +12,7 @@
 
 mod bsd;
 
-use bsd::{Cg, Sb, ALLOWLIST};
+use bsd::{Cg, Sb};
 use ffs::CylGroup;
 use ffs_types::{CgIdx, FsParams, KB, MB};
 use proptest::prelude::*;
@@ -119,7 +119,7 @@ fn assert_oracle(params: &FsParams, cg: &CylGroup, rng: &mut StdRng, queries: us
         );
         assert_eq!(
             cg.find_free_cluster(from, len),
-            r.clusteralloc(from, len, &ALLOWLIST),
+            r.clusteralloc(from, len),
             "find_free_cluster(from={from}, len={len})"
         );
         assert_eq!(
@@ -245,10 +245,7 @@ fn from_past_the_end_restarts_at_metadata() {
         assert_eq!(cg.find_free_cluster(from, 3), Some(m + 1));
         assert_eq!(cg.find_free_cluster_near(from, 3, 8), Some(m + 1));
         assert_eq!(cg.find_free_block(from), r.mapsearch_block(from));
-        assert_eq!(
-            cg.find_free_cluster(from, 3),
-            r.clusteralloc(from, 3, &ALLOWLIST)
-        );
+        assert_eq!(cg.find_free_cluster(from, 3), r.clusteralloc(from, 3));
         assert_eq!(
             cg.find_free_cluster_near(from, 3, 8),
             r.cluster_near(from, 3, 8)
@@ -268,10 +265,7 @@ fn requests_longer_than_the_group_are_rejected() {
         assert_eq!(cg.find_free_cluster(0, len), None);
         assert_eq!(cg.find_free_cluster_bestfit(len), None);
         assert_eq!(cg.find_free_cluster_near(0, len, 64), None);
-        assert_eq!(
-            cg.find_free_cluster(0, len),
-            r.clusteralloc(0, len, &ALLOWLIST)
-        );
+        assert_eq!(cg.find_free_cluster(0, len), r.clusteralloc(0, len));
     }
 }
 
@@ -291,7 +285,7 @@ fn exhausted_group_returns_none_everywhere() {
     assert_eq!(cg.free_runs().count(), 0);
     let r = reference(&params, &cg);
     assert_eq!(r.mapsearch_block(0), None);
-    assert_eq!(r.clusteralloc(7, 1, &ALLOWLIST), None);
+    assert_eq!(r.clusteralloc(7, 1), None);
     assert_eq!(r.cluster_near(0, 1, u32::MAX), None);
     assert_eq!(r.cluster_near(100, 2, 50), None);
 }
@@ -309,15 +303,14 @@ fn wrap_margin_covers_runs_crossing_the_start() {
         }
     }
     // A 5-cluster search from inside the run sees only its tail going
-    // forward; the wrap pass must re-scan far enough past `from` to see
-    // the full run.
+    // forward. `ffs_clusteralloc` stops at the group's end there; the
+    // windowed search wraps, and its wrap pass must re-scan far enough
+    // past `from` to see the full run.
     let r = reference(&params, &cg);
-    assert_eq!(cg.find_free_cluster(s + 1, 5), Some(s - 2));
-    assert_eq!(
-        cg.find_free_cluster(s + 1, 5),
-        r.clusteralloc(s + 1, 5, &ALLOWLIST)
-    );
-    assert_eq!(cg.find_free_cluster(s + 1, 6), None);
+    assert_eq!(cg.find_free_cluster(s + 1, 5), None);
+    assert_eq!(cg.find_free_cluster(s + 1, 5), r.clusteralloc(s + 1, 5));
+    assert_eq!(cg.find_free_cluster_near(s + 1, 5, 10), Some(s - 2));
+    assert_eq!(cg.find_free_cluster_near(s + 1, 6, 10), None);
     assert_eq!(
         cg.find_free_cluster_near(s + 1, 5, 10),
         r.cluster_near(s + 1, 5, 10)
@@ -441,14 +434,14 @@ fn is_cluster_free_handles_boundaries() {
     assert_eq!(cg.find_free_cluster(0, 4), None);
     assert_eq!(
         cg.find_free_cluster(0, 3),
-        reference(&params, &cg).clusteralloc(0, 3, &ALLOWLIST)
+        reference(&params, &cg).clusteralloc(0, 3)
     );
 }
 
 /// A run of `n` blocks from `b` given back (`free`) or taken in one
 /// transition, against the reference moving them a block at a time
-/// (`ffs_clusteracct` per block, so the summary, `cg_clustersfree` and
-/// the rotor all follow).
+/// (`ffs_clusteracct` per block, so the summary and `cg_clustersfree`
+/// follow, and the rotors stay).
 fn assert_run(params: &FsParams, cg: &CylGroup, b: u32, n: u32, free: bool) {
     let (mut ours, mut r) = (cg.clone(), reference(params, cg));
     match free {

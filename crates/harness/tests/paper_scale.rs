@@ -51,68 +51,20 @@ fn tsvs_equal_the_committed_results() {
     }
 }
 
-/// Where each ratchet key is read: by the rules of the frozen bench's
-/// `exhibit_sim` for the keys it scores, then the hot set and Figure 1.
-const RULES: &[(&str, &str)] = &[
-    ("layout_day1_ffs", "fig2/0/1"),
-    ("layout_day1_realloc", "fig2/0/2"),
-    ("layout_day300_ffs", "fig2/299/1"),
-    ("layout_day300_realloc", "fig2/299/2"),
-    ("table2_layout_ffs", "table2/layout_score/1"),
-    ("table2_layout_realloc", "table2/layout_score/2"),
-    ("table2_layout_gain_pct", "table2/layout_score/3"),
-    ("table2_read_ffs_mb_s", "table2/read_mb_s/1"),
-    ("table2_read_realloc_mb_s", "table2/read_mb_s/2"),
-    ("table2_read_gain_pct", "table2/read_mb_s/3"),
-    ("table2_write_ffs_mb_s", "table2/write_mb_s/1"),
-    ("table2_write_realloc_mb_s", "table2/write_mb_s/2"),
-    ("table2_write_gain_pct", "table2/write_mb_s/3"),
-    ("raw_read_mb_s", "fig4/raw_read/1"),
-    ("raw_write_mb_s", "fig4/raw_write/1"),
-    ("hot_files", "table2/hot_files/1"),
-    ("hot_bytes_mb", "table2/hot_bytes_mb/1"),
-    ("fig1_real_day300", "fig1/299/1"),
-    ("fig1_simulated_day300", "fig1/299/2"),
-];
-
-/// Figure 4's realloc gains, `(realloc / ffs − 1) × 100` over the two
-/// cells: the read at 96 KB, the write at 64 KB, and the write the paper
-/// gives for "≥ 4 MB", read on the 4 MB row.
-const GAINS: &[(&str, &str, &str)] = &[
-    ("fig4_read_gain_96kb_pct", "fig4/96 KB/3", "fig4/96 KB/1"),
-    ("fig4_write_gain_64kb_pct", "fig4/64 KB/4", "fig4/64 KB/2"),
-    ("fig4_write_gain_4mb_pct", "fig4/4 MB/4", "fig4/4 MB/2"),
-];
-
 /// Recomputes every committed row from its paper value and the run,
 /// rounded as committed so a reader can redo the arithmetic. Ceilings
 /// are copied, never derived: moving one is a hand edit in the diff.
 #[test]
 fn fidelity_stays_under_its_ceilings() {
-    let mut measured: BTreeMap<_, _> = RULES.iter().map(|&(k, at)| (k, value(at))).collect();
-    let (lo, lr) = (value("fig2/299/1"), value("fig2/299/2"));
-    measured.insert("nonopt_reduction_pct", (lr - lo) / (1.0 - lo) * 100.0);
-    let journal = &run()["runs.jsonl"];
-    let age = journal.lines().find(|l| l.contains(r#""job":"age:ffs""#));
-    let ops = exp::RunRecord::field_num(age.expect("age:ffs journaled"), "ops");
-    measured.insert("ops", ops.unwrap());
-    for &(key, realloc, ffs) in GAINS {
-        measured.insert(key, (value(realloc) / value(ffs) - 1.0) * 100.0);
-    }
-    // Figure 5: realloc's worst layout of the benchmark's files up to
-    // 56 KB, all of which the paper lays out perfectly.
-    let upto_56kb = ["16", "24", "32", "48", "56"].map(|kb| value(&format!("fig5/{kb} KB/2")));
-    let worst = upto_56kb.into_iter().fold(f64::MAX, f64::min);
-    measured.insert("fig5_realloc_upto_56kb", worst);
+    let measured = common::measured(run());
     let committed = fidelity();
     let rows = split(committed);
     let mut table = format!("{}\n", rows[0].join("\t"));
     let mut over = Vec::new();
     for row in &rows[1..] {
         let (key, paper, ceiling) = (row[0], row[1], row[4]);
-        let m = (measured.get(key).expect(key) * 1e4).round() / 1e4;
-        let p: f64 = paper.parse().unwrap();
-        let err = format!("{:+.2}", (m - p) / p.abs() * 100.0);
+        let m = *measured.get(key).expect(key);
+        let err = format!("{:+.2}", common::err_pct(m, paper.parse().unwrap()));
         if err.parse::<f64>().unwrap().abs() > ceiling.parse().unwrap() {
             over.push(key);
         }

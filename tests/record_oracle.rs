@@ -154,7 +154,7 @@ impl Singles {
 }
 
 /// The getters both readers offer, so one script drives either.
-trait Cursor<'a> {
+trait Cursor<'a>: Clone {
     fn err(&self, what: impl Display) -> String;
     fn word(&mut self, name: &str) -> Result<&'a str, String>;
     fn u32(&mut self, name: &str) -> Result<u32, String>;
@@ -305,6 +305,10 @@ fn read_record<'a, C: Cursor<'a>>(
                 "rotor" => {
                     out.push(Value::Int(f.u32("rotor")?.into()));
                     out.push(Value::Int(f.u32("inode rotor")?.into()));
+                    // The fragment rotor, where it left the block rotor.
+                    if f.clone().end().is_err() {
+                        out.push(Value::Int(f.u32("frag rotor")?.into()));
+                    }
                 }
                 "#" => {
                     // The checkpoint an `.aged` embeds has singles of its own.
@@ -521,6 +525,7 @@ fn the_readers_agree_on_the_spellings_the_byte_cursor_must_keep() {
         "key a\nkey b\n",
         "live 18446744073709551615 4294967295\nlive 18446744073709551616 1\n",
         "rotor 1\n",
+        "rotor 1 2 3\nrotor 1 2 x\nrotor 1 2 3 4\n",
         "frob 1\n",
         "dir 1 2 3 4\n",
         "file 5 1 4096 3 8:16:24 24:2 -\nfile 6 1 4096 3 - - 1::2\n",
