@@ -72,9 +72,9 @@ fn fresh_replay_writes_the_pinned_bytes() {
     let text = ck.to_text();
     assert_eq!(
         (text.len(), fnv1a(text.as_bytes())),
-        (17_512, 0xe3a6_6a8f_6a80_4a66)
+        (17_509, 0xb054_6608_6489_980d)
     );
-    assert_eq!(r.fs.digest(), 12_979_813_038_503_933_810);
+    assert_eq!(r.fs.digest(), 18_045_197_499_307_423_970);
 }
 
 #[test]

@@ -114,9 +114,9 @@ mod tests {
         assert_eq!(
             (ffs::PLACEMENT_REVISION, digests, failing),
             (
-                3,
+                4,
                 [0x0ad1_31f6_7dd5_d017, 0xa5f3_9d38_f7cc_605d],
-                0xab19_2575_2970_e8db
+                0x45d6_a682_fa0a_112c
             )
         );
         let key = aged_key(
@@ -125,7 +125,7 @@ mod tests {
             AllocPolicy::Orig,
             &ReplayOptions::default(),
         );
-        assert!(key.provenance.contains("placement r3\n"));
+        assert!(key.provenance.contains("placement r4\n"));
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::inode::FileMeta;
 /// its inputs, so both cache keys hash this number. Any change that moves
 /// a placement bumps it, and re-pins the digest that
 /// `exp::key`'s `placement_revision_pins_a_short_aging` holds next to it.
-pub const PLACEMENT_REVISION: u32 = 3;
+pub const PLACEMENT_REVISION: u32 = 4;
 
 /// Which disk allocation policy a file system runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -485,23 +485,16 @@ impl AllocEngine<'_> {
     }
 
     /// The cluster search for a realloc window of `len` blocks in group
-    /// `g`, from the preference if it lies in `g` and from the front
-    /// otherwise: the run right there if free (the chained preference),
-    /// else the best-fitting run near the start. Best fit consumes the
-    /// remainders of earlier relocations instead of carving up large
-    /// runs, so large free clusters survive aging (DESIGN.md §6's
-    /// refinement).
+    /// `g` (`ffs_clusteralloc`): the first free run of at least `len`
+    /// blocks at or after the preference's block if it lies in `g`, from
+    /// the front otherwise, stopping at the group's end.
     fn cluster_in(&self, g: CgIdx, pref: Daddr, len: u32) -> Option<u32> {
-        const LOOKAHEAD: u32 = 512;
         let cg = &self.cgs[g.0 as usize];
         let from = match self.geom.dtog(pref) == g {
             true => cg.daddr_to_block(pref).0,
             false => 0,
         };
-        if cg.is_cluster_free(from, len) {
-            return Some(from);
-        }
-        cg.find_free_cluster_near(from, len, LOOKAHEAD)
+        cg.find_free_cluster(from, len)
     }
 
     /// Allocates all data blocks, indirect blocks, and the fragment tail
@@ -812,6 +805,34 @@ mod tests {
         assert!(f.engine().realloc_window(&mut meta, (0, 2), at(m + 30)));
         assert_eq!(meta.blocks[0], at(m + 30));
         assert_eq!(rotors(&f), before);
+    }
+
+    #[test]
+    fn realloc_window_takes_the_first_cluster_after_the_preference() {
+        let mut f = Filesystem::new(FsParams::small_test(), AllocPolicy::Realloc);
+        let m = f.cg(CgIdx(1)).meta_blocks();
+        let base = f.cg(CgIdx(1)).block_daddr(0).0;
+        let at = |b: u32| Daddr(base + b * FPB);
+        let mut meta = FileMeta {
+            ino: Ino(f.params().inodes_per_cg() + 3),
+            dir: DirId(0),
+            size: 16 * KB,
+            blocks: Default::default(),
+            tail: None,
+            mtime_day: 0,
+        };
+        for b in [m + 10, m + 20] {
+            let (d, _) = f.engine().alloc_blocks(at(b), 1).unwrap();
+            meta.blocks.push(d);
+        }
+        // After the used preference block m+30: a 3-block run at m+31,
+        // then an exact 2-block run at m+40, well inside 512 blocks.
+        for k in [30].into_iter().chain(34..40).chain([42]) {
+            f.engine().alloc_blocks(at(m + k), 1).unwrap();
+        }
+        // `ffs_clusteralloc` takes the first fit, not the exact one.
+        assert!(f.engine().realloc_window(&mut meta, (0, 2), at(m + 30)));
+        assert_eq!(meta.blocks.as_slice(), [at(m + 31), at(m + 32)]);
     }
 
     #[test]

@@ -729,11 +729,10 @@ impl CylGroup {
 
     /// Finds a run of at least `len` consecutive fully free blocks at or
     /// after `from`, up to the group's end — 4.4BSD's `ffs_clusteralloc`
-    /// scan, which the defragmenter uses (the realloc pass uses the
-    /// windowed best fit, [`CylGroup::find_free_cluster_near`]). Returns
-    /// the first block of the first fitting run (a run that crosses the
-    /// start counts from it): the windowed search with an empty window
-    /// and no wrap.
+    /// scan, which the realloc pass and the defragmenter use. Returns the
+    /// first block of the first fitting run (a run that crosses the start
+    /// counts from it): the windowed search with an empty window and no
+    /// wrap.
     pub fn find_free_cluster(&self, from: u32, len: u32) -> Option<u32> {
         self.cluster_search(from, len, 0, false)
     }
@@ -742,8 +741,8 @@ impl CylGroup {
     /// the group (best fit; an exact fit at once, ties broken toward lower
     /// addresses): the windowed search from block 0 with the whole group
     /// as the window. Consumes left-over remainders instead of carving up
-    /// the group's large runs, which is what preserves big free clusters
-    /// on a long-aged file system.
+    /// the group's large runs. No placement calls it (realloc uses
+    /// [`CylGroup::find_free_cluster`]); ffsbench's layer probe times it.
     pub fn find_free_cluster_bestfit(&self, len: u32) -> Option<u32> {
         self.find_free_cluster_near(0, len, self.nblocks)
     }
@@ -751,12 +750,11 @@ impl CylGroup {
     /// Windowed best fit: the best-fitting free run of at least `len`
     /// blocks that *starts* within `window` blocks after `from`; when no
     /// run in the window fits, the first fit beyond it, then the first
-    /// fit from the group's front.
-    /// Keeps relocations near the rotor (temporal-spatial locality) while
-    /// consuming nearby remainders instead of carving large runs. A run
-    /// crossing `from` counts from it. The group's one cluster scan: an
-    /// empty window makes it first fit, the whole group from block 0 best
-    /// fit.
+    /// fit from the group's front. A run crossing `from` counts from it.
+    /// The group's one cluster scan: an empty window without the wrap
+    /// makes it first fit, the whole group from block 0 best fit. No
+    /// placement calls it (realloc uses `ffs_clusteralloc`'s first fit,
+    /// [`CylGroup::find_free_cluster`]); ffsbench's layer probe times it.
     ///
     /// On an aged group most holes in the window are a block or two long
     /// and cannot hold the request, so the scan never measures them: per
@@ -1367,7 +1365,7 @@ mod tests {
         assert_eq!(cg.find_free_cluster(m + 1, 2), Some(m + 1));
         assert_eq!(cg.find_free_cluster(m + 1, 3), None);
         assert_eq!(cg.find_free_cluster(m + 5, 3), None);
-        // The realloc pass's windowed search still wraps to the front.
+        // The windowed search still wraps to the front.
         assert_eq!(cg.find_free_cluster_near(m + 5, 3, 0), Some(m));
         assert_eq!(cg.find_free_cluster_near(m + 5, 4, 0), None);
     }

@@ -6,9 +6,8 @@
 //! `ffs_clusteracct`. It answers every free-space query and recount, and
 //! ([`RefFs`]) creates files block by block in `ffs_balloc` order and
 //! removes them through `ffs_blkfree` / `ffs_vfree`. It has one reading
-//! of each: 4.4BSD-Lite's, with our placement switch (`frag_bestfit`) and
-//! our best-fit realloc clusters (DESIGN.md §6). [`pair`] runs ours and
-//! the reference side by side.
+//! of each: 4.4BSD-Lite's, with our placement switch (`frag_bestfit`).
+//! [`pair`] runs ours and the reference side by side.
 
 // Each test binary that declares this module uses only part of it.
 #![allow(dead_code)]
@@ -22,8 +21,6 @@ const NDADDR: u32 = 12;
 /// `fs_frag`: a block is one byte of `cg_blksfree`, as on every volume
 /// ours builds.
 const FS_FRAG: u32 = 8;
-/// Our windowed best fit's lookahead (DESIGN.md §6).
-const LOOKAHEAD: u32 = 512;
 
 // `struct cg` header offsets.
 const CS_NDIR: usize = 24;
@@ -392,10 +389,11 @@ impl Cg {
         best.map(|b| b.1)
     }
 
-    /// DESIGN.md §6's windowed best fit: the best-fitting run starting
-    /// within `window` blocks of the start, else the first fit beyond,
-    /// else the first fit from the front (runs across the start too).
-    /// From block 0 with no limit it is the group-wide best fit.
+    /// Our windowed best fit (`find_free_cluster_near`, which no
+    /// placement calls): the best-fitting run starting within `window`
+    /// blocks of the start, else the first fit beyond, else the first fit
+    /// from the front (runs across the start too). From block 0 with no
+    /// limit it is the group-wide best fit.
     pub fn cluster_near(&self, from: u32, len: u32, window: u32) -> Option<u32> {
         let n = self.nblocks();
         if len == 0 || n == 0 || !self.clustersum_fits(len) {
@@ -853,17 +851,13 @@ impl RefFs<'_> {
         Some(())
     }
 
-    /// The cluster search for a window of `len` in group `g`: the
-    /// preferred run if free, else our windowed best fit from it, or
-    /// from the front when the preference lies in another group.
+    /// The cluster search for a window of `len` in group `g`:
+    /// `ffs_clusteralloc` from the preference's block, or from the front
+    /// when the preference lies in another group.
     fn cluster_in(&self, g: u32, pref: u32, len: u32) -> Option<u32> {
         let (sb, cg) = (self.sb, &self.cgs[g as usize]);
-        let from = match sb.dtog(pref) == g {
-            true if cg.is_cluster_free(sb.block(g, pref), len) => return Some(sb.block(g, pref)),
-            true => sb.block(g, pref),
-            false => 0,
-        };
-        cg.cluster_near(from, len, LOOKAHEAD)
+        let from = (sb.dtog(pref) == g).then(|| sb.block(g, pref));
+        cg.clusteralloc(from.unwrap_or(0), len)
     }
 
     /// `ffs_reallocblks` over logical blocks `s .. e`: move them into one

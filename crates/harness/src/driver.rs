@@ -9,12 +9,11 @@
 //! the first layer (`fig1` needs nothing: it replays its own pair of
 //! file systems). Replaying jobs carry their expected op count as
 //! [`JobSpec::weight`], so the engine starts the longest first. Exhibit
-//! jobs return their TSV as a string; this module prints and writes the
+//! jobs return their TSV as a string; this module writes and returns the
 //! blocks in canonical order *after* the engine finishes, so worker
 //! count and scheduling order cannot change the bytes the user sees.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 use aging::{profiles, ReplayOptions, ReplayResult};
@@ -258,8 +257,8 @@ pub struct ExperimentResult {
     /// The job's terminal status: `ok`, `failed`, `panicked`, or
     /// `skipped`.
     pub status: String,
-    /// `Err` holds the failure (or skip) reason.
-    pub outcome: Result<(), String>,
+    /// `Ok` holds the exhibit's TSV, `Err` the failure (or skip) reason.
+    pub outcome: Result<String, String>,
 }
 
 /// A completed driver run.
@@ -301,7 +300,8 @@ fn fail(jsonl: &[RunRecord], id: &str) -> String {
 
 /// Runs `requested` (names from [`EXHIBITS`] plus `sweep`) through the
 /// engine, writes run records to `<out>/runs.jsonl` and each exhibit to
-/// stdout and `<out>/<name>.tsv`, and returns per-experiment outcomes.
+/// `<out>/<name>.tsv`, and returns per-experiment outcomes. It prints
+/// nothing: the `harness` binary echoes the TSVs to stdout.
 pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String> {
     let sh = Shared::from_options(opts);
     let out_dir = Path::new(&opts.out_dir);
@@ -336,7 +336,6 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
     let run = exp::run_journaled(opts, jobs, |_| Vec::new())?;
 
     let mut results = Vec::new();
-    let mut stdout = std::io::stdout().lock();
     for name in requested {
         let (status, outcome) = match run.outcomes.get(*name) {
             Some(o @ JobOutcome::Ok(out)) => match out.as_ref() {
@@ -353,9 +352,7 @@ pub fn run(opts: &Options, requested: &[&'static str]) -> Result<Summary, String
                                 .map_err(|e| format!("write {}: {e}", fpath.display()))?;
                         }
                     }
-                    let _ = stdout.write_all(tsv.as_bytes());
-                    let _ = stdout.write_all(b"\n");
-                    (o.status(), Ok(()))
+                    (o.status(), Ok(tsv.clone()))
                 }
                 JobOut::Aged(_) => ("failed", Err(format!("{name} is not an exhibit job"))),
             },

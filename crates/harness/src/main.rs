@@ -79,6 +79,7 @@
 //! `--chaos-kill NAME` makes the named job panic — supervisor exercise
 //! for CI, not for normal use.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use harness::ctx::Options;
@@ -237,9 +238,12 @@ fn run(cmd: &str, opts: &Options, profile: bool) -> Result<bool, String> {
         }
     };
     let summary = driver::run(opts, &requested)?;
+    let mut stdout = std::io::stdout().lock();
     for r in &summary.results {
         match &r.outcome {
-            Ok(()) => {
+            Ok(tsv) => {
+                let _ = stdout.write_all(tsv.as_bytes());
+                let _ = stdout.write_all(b"\n");
                 if !opts.quiet {
                     eprintln!("harness: {:<10} ok", r.name);
                 }

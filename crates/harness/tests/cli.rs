@@ -144,6 +144,25 @@ fn bare_exhibit_writes_into_harness_results_not_the_goldens() {
 }
 
 #[test]
+fn an_exhibit_prints_its_tsv_on_stdout_even_quiet() {
+    let cwd = tmpdir("stdout");
+    for quiet in [false, true] {
+        let args: &[&str] = if quiet {
+            &["fig2", "--days", "3", "-q"]
+        } else {
+            &["fig2", "--days", "3"]
+        };
+        let out = run(HARNESS, &cwd, args);
+        assert!(out.status.success(), "{}", stderr(&out));
+        // stdout is the TSV the run wrote, plus one newline.
+        let tsv = fs::read_to_string(cwd.join("harness-results/fig2.tsv")).expect("fig2.tsv");
+        assert!(tsv.contains("\nday\tffs\tffs_realloc\n"), "{tsv}");
+        assert_eq!(stdout(&out), format!("{tsv}\n"), "quiet={quiet}");
+    }
+    let _ = fs::remove_dir_all(&cwd);
+}
+
+#[test]
 fn agefs_crash_checkpoint_resume_lands_on_the_uninterrupted_run() {
     let cwd = tmpdir("agefs");
     let base = [
