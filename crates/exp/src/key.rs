@@ -114,9 +114,9 @@ mod tests {
         assert_eq!(
             (ffs::PLACEMENT_REVISION, digests, failing),
             (
-                4,
-                [0x0ad1_31f6_7dd5_d017, 0xa5f3_9d38_f7cc_605d],
-                0x45d6_a682_fa0a_112c
+                5,
+                [0xbc1b_727c_ff56_6dee, 0xd467_dd91_6607_6625],
+                0x833a_078d_5b9f_7c38
             )
         );
         let key = aged_key(
@@ -125,7 +125,7 @@ mod tests {
             AllocPolicy::Orig,
             &ReplayOptions::default(),
         );
-        assert!(key.provenance.contains("placement r4\n"));
+        assert!(key.provenance.contains("placement r5\n"));
     }
 
     #[test]

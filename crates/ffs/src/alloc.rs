@@ -45,7 +45,7 @@ use crate::inode::FileMeta;
 /// its inputs, so both cache keys hash this number. Any change that moves
 /// a placement bumps it, and re-pins the digest that
 /// `exp::key`'s `placement_revision_pins_a_short_aging` holds next to it.
-pub const PLACEMENT_REVISION: u32 = 4;
+pub const PLACEMENT_REVISION: u32 = 5;
 
 /// Which disk allocation policy a file system runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -314,12 +314,6 @@ impl AllocEngine<'_> {
         .ok_or(FsError::NoInodes)
     }
 
-    /// Allocates one full block: [`AllocEngine::alloc_blocks`] with no
-    /// room to extend.
-    pub(crate) fn alloc_block(&mut self, pref: Daddr) -> FsResult<Daddr> {
-        self.alloc_blocks(pref, 1).map(|(addr, _)| addr)
-    }
-
     /// Allocates a full block and, with it, as many of the free blocks
     /// right after it as `max` allows, returning the first address and
     /// the extent's length in blocks. `pref` is the preferred address
@@ -530,7 +524,7 @@ impl AllocEngine<'_> {
                 // preference; the data block asks again after both.
                 let ipref = self.blkpref(meta.ino, lbn, meta.blocks.last().copied());
                 for _ in 0..1 + u32::from(lbn == NDADDR + nindir) {
-                    let ind = self.alloc_block(ipref)?;
+                    let (ind, _) = self.alloc_blocks(ipref, 1)?;
                     meta.blocks.push_indirect(ind);
                 }
             }
@@ -604,24 +598,16 @@ fn alloccgblk(cg: &mut CylGroup, pref: Option<u32>) -> Option<(u32, bool)> {
 }
 
 impl Filesystem {
-    /// Directory-placement policy (`ffs_dirpref`, 4.3BSD flavour): among
-    /// the groups with at least the average number of free inodes, pick
-    /// the one with the fewest directories.
+    /// Directory placement (`ffs_dirpref`, 4.4BSD-Lite): among the
+    /// groups with at least the average number of free inodes, the first
+    /// with the fewest directories.
     pub(crate) fn dirpref(&self) -> CgIdx {
-        let ncg = self.cgs.len() as u32;
-        let avg_ifree: u64 =
-            self.cgs.iter().map(|c| c.free_inodes() as u64).sum::<u64>() / ncg as u64;
-        let mut best: Option<(u32, CgIdx)> = None;
-        for cg in &self.cgs {
-            if (cg.free_inodes() as u64) < avg_ifree {
-                continue;
-            }
-            match best {
-                Some((nd, _)) if cg.ndirs() >= nd => {}
-                _ => best = Some((cg.ndirs(), cg.idx())),
-            }
-        }
-        best.map(|(_, idx)| idx).unwrap_or(CgIdx(0))
+        let ifree = |c: &CylGroup| u64::from(c.free_inodes());
+        let avg = self.cgs.iter().map(ifree).sum::<u64>() / self.cgs.len() as u64;
+        let roomy = self.cgs.iter().filter(|c| ifree(c) >= avg);
+        roomy
+            .min_by_key(|c| c.ndirs())
+            .map_or(CgIdx(0), CylGroup::idx)
     }
 }
 
@@ -639,12 +625,19 @@ mod tests {
     fn dirpref_prefers_group_with_fewest_dirs() {
         let mut f = fs();
         // Two dirs in group 0, one in group 1: the next dir must avoid
-        // both and land in 2 (or 3), which are dir-free.
+        // both and land in 2, the first of the dir-free groups.
         f.mkdir_in(CgIdx(0)).unwrap();
         f.mkdir_in(CgIdx(0)).unwrap();
         f.mkdir_in(CgIdx(1)).unwrap();
-        let pick = f.dirpref();
-        assert!(pick == CgIdx(2) || pick == CgIdx(3), "picked {pick:?}");
+        assert_eq!(f.dirpref(), CgIdx(2));
+        // Half of group 2's inodes go, which puts it below the average:
+        // it still has the fewest directories, but is skipped.
+        let half = f.params().inodes_per_cg() / 2;
+        (0..half).for_each(|s| f.cgs[2].take_inode(s));
+        assert_eq!(f.dirpref(), CgIdx(3));
+        // With group 3 drained too, group 1's one directory wins.
+        (0..half).for_each(|s| f.cgs[3].take_inode(s));
+        assert_eq!(f.dirpref(), CgIdx(1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use ffs_types::{CgIdx, Daddr, DirId, FsError, FsResult, Ino};
 use crate::cg::free_counts;
 use crate::claims::ClaimMap;
 use crate::fs::{Filesystem, LayoutAgg};
-use crate::geom::FPB;
+use crate::geom::{DIR_FRAGS, FPB};
 use crate::layout::recompute_aggregate;
 
 /// One consistency violation found by [`check`].
@@ -120,8 +120,8 @@ pub enum Violation {
         /// The value recomputed from the files, in bytes.
         recomputed: u64,
     },
-    /// The file system's dynamic-metadata fragment counter (indirect and
-    /// directory blocks; half of `utilization()`) disagrees with the
+    /// The file system's dynamic-metadata fragment counter (indirect
+    /// blocks and directories; half of `utilization()`) disagrees with the
     /// files and directories.
     UsedMetaDrift {
         /// The counter as stored, in fragments.
@@ -302,16 +302,16 @@ pub fn check(fs: &Filesystem) -> Vec<Violation> {
         }
     }
     for d in fs.dirs() {
-        // Directories are never condemned, so a directory block outside
-        // the volume has no owner to name; `Filesystem::restore` rejects
-        // one up front and nothing moves a directory afterwards.
-        claims.claim(d.block, FPB, |addr| {
+        // Directories are never condemned, so a directory fragment
+        // outside the volume has no owner to name; `Filesystem::restore`
+        // rejects one up front and nothing moves a directory afterwards.
+        claims.claim(d.block, DIR_FRAGS, |addr| {
             errs.push(Violation::DoubleAlloc {
                 addr,
-                what: "directory block",
+                what: "directory",
             })
         });
-        meta_frags += u64::from(FPB);
+        meta_frags += u64::from(DIR_FRAGS);
         if !fs.cg(d.cg).inode_used(d.ino_slot) {
             errs.push(Violation::DirInodeSlotFree(d.id));
         }
@@ -505,7 +505,7 @@ mod tests {
     fn meta_counter_drift_is_reported_as_drift() {
         let mut fs = Filesystem::new(FsParams::small_test(), AllocPolicy::Orig);
         let d = fs.mkdir().unwrap();
-        // One indirect block and one directory block: 16 fragments.
+        // One indirect block and one directory fragment: 9 fragments.
         fs.create(d, 200 * KB, 0).unwrap();
         assert_consistent(&fs);
         let utilization = fs.utilization();
@@ -515,14 +515,14 @@ mod tests {
         assert_eq!(
             errs,
             [Violation::UsedMetaDrift {
-                counter: 24,
-                recomputed: 16
+                counter: 17,
+                recomputed: 9
             }]
         );
         assert!(!errs[0].is_structural());
         assert!(verify(&fs).is_err());
         crate::repair::repair(&mut fs);
-        assert_eq!(fs.used_meta_frags, 16);
+        assert_eq!(fs.used_meta_frags, 9);
         assert_consistent(&fs);
     }
 

@@ -25,7 +25,7 @@ use ffs_types::{Daddr, Ino};
 
 use crate::cg::{fresh_frag_words, CylGroup};
 use crate::fs::Filesystem;
-use crate::geom::FPB;
+use crate::geom::{DIR_FRAGS, FPB};
 use crate::inode::FileMeta;
 
 /// One bit per fragment of the volume; see the module docs.
@@ -162,7 +162,7 @@ impl ClaimMap {
     pub(crate) fn of_survivors(fs: &Filesystem, condemned: &mut BTreeSet<Ino>) -> ClaimMap {
         let mut map = ClaimMap::new(fs);
         for d in fs.dirs.values() {
-            map.claim(d.block, FPB, |_| {});
+            map.claim(d.block, DIR_FRAGS, |_| {});
         }
         for f in fs.files.values() {
             if !condemned.contains(&f.ino) && !map.claim_file(f) {

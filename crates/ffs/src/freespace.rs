@@ -139,6 +139,7 @@ pub fn free_space_stats(fs: &Filesystem, hist_max: usize) -> FreeSpaceStats {
 mod tests {
     use super::*;
     use crate::alloc::AllocPolicy;
+    use crate::geom::DIR_FRAGS;
     use ffs_types::{FsParams, KB, MB};
 
     #[test]
@@ -175,14 +176,15 @@ mod tests {
 
     #[test]
     fn frag_stats_count_partial_blocks() {
-        // Every fill level: a file of `used` fragments is one tail
-        // splitting a free block, leaving one partial block with a single
-        // free run of `8 - used`.
+        // Every fill level: the directory's fragment and a file's tail of
+        // the other `used - 1` leave one partial block, one free run of
+        // `8 - used`.
         let params = FsParams::small_test();
         for used in 1..8u32 {
             let mut fs = Filesystem::new(params.clone(), AllocPolicy::Orig);
             let d = fs.mkdir().unwrap();
-            fs.create(d, (used * params.fsize) as u64, 0).unwrap();
+            fs.create(d, ((used - DIR_FRAGS) * params.fsize) as u64, 0)
+                .unwrap();
             let s = frag_space_stats(&fs);
             let case = format!("{used} allocated: {s:?}");
             assert_eq!(s.partial_blocks, 1, "{case}");

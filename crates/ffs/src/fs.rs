@@ -22,7 +22,7 @@ use ffs_types::{CgIdx, Daddr, DirId, FsError, FsParams, FsResult, Ino};
 
 use crate::alloc::{AllocEngine, AllocPolicy, AllocStats, EngineCfg};
 use crate::cg::CylGroup;
-use crate::geom::{Geometry, FPB};
+use crate::geom::{Geometry, DIR_FRAGS, FPB};
 use crate::inode::FileMeta;
 use crate::table::{BlockList, Slab};
 
@@ -33,8 +33,8 @@ pub struct DirMeta {
     pub id: DirId,
     /// Cylinder group the directory (and therefore its files) lives in.
     pub cg: CgIdx,
-    /// The directory's single data block (entries), used by the timing
-    /// model for synchronous directory updates.
+    /// The directory's entries: its one fragment ([`DIR_FRAGS`]), which
+    /// the timing model writes on every synchronous directory update.
     pub block: Daddr,
     /// Inode-table slot of the directory's inode within its group.
     pub ino_slot: u32,
@@ -78,8 +78,8 @@ pub struct Filesystem {
     pub(crate) agg: LayoutAgg,
     /// Fragments holding file data (blocks + tails).
     pub(crate) used_data_frags: u64,
-    /// Fragments holding dynamic metadata (indirect blocks, directory
-    /// blocks).
+    /// Fragments holding dynamic metadata (indirect blocks,
+    /// directories).
     pub(crate) used_meta_frags: u64,
     /// Cumulative bytes of file data written since mkfs.
     pub(crate) bytes_written: u64,
@@ -161,38 +161,32 @@ impl Filesystem {
         self.mkdir_in(cg)
     }
 
-    /// Creates a directory pinned to a cylinder group — the mechanism the
-    /// paper's aging tool uses (one directory per group, files placed by
-    /// original-system inode number).
+    /// Creates a directory with its inode preferring group `cg`
+    /// (`ufs_mkdir`): `ffs_valloc` from the group's first slot, spilling
+    /// when full, then [`DIR_FRAGS`] at `ffs_blkpref`'s lbn-0 preference
+    /// by a tail's fragment path. The aging replay pins one per group.
     pub fn mkdir_in(&mut self, cg: CgIdx) -> FsResult<DirId> {
         if cg.0 >= self.params.ncg {
             return Err(FsError::InvalidArg("cylinder group out of range"));
         }
-        let slot = self.cgs[cg.0 as usize]
-            .alloc_inode()
-            .ok_or(FsError::NoInodes)?;
-        // The directory's block is its inode's first block.
         let mut eng = self.engine();
-        let pref = eng.blkpref(Ino(cg.0 * eng.geom.inodes_per_cg + slot), 0, None);
-        let block = match eng.alloc_block(pref) {
-            Ok(b) => b,
-            Err(e) => {
-                self.cgs[cg.0 as usize].free_inode(slot);
-                return Err(e);
-            }
-        };
+        let ino = eng.alloc_inode_pref(cg, 0)?;
+        let pref = eng.blkpref(ino, 0, None);
+        let block = eng.alloc_frag_run(DIR_FRAGS, pref);
+        let (cg, ino_slot) = self.geom.itog(ino);
+        let g = &mut self.cgs[cg.0 as usize];
+        let block = block.inspect_err(|_| g.free_inode(ino_slot))?;
+        g.set_ndirs(g.ndirs() + 1);
+        self.used_meta_frags += u64::from(DIR_FRAGS);
         let id = DirId(self.next_dir);
         self.next_dir += 1;
-        let g = &mut self.cgs[cg.0 as usize];
-        g.set_ndirs(g.ndirs() + 1);
-        self.used_meta_frags += u64::from(FPB);
         self.dirs.insert(
             id,
             DirMeta {
                 id,
                 cg,
                 block,
-                ino_slot: slot,
+                ino_slot,
                 nfiles: 0,
             },
         );
@@ -367,7 +361,7 @@ impl Filesystem {
     }
 
     /// Fraction of allocatable (data) space in use, counting file data,
-    /// indirect blocks, and directory blocks. Matches the paper's
+    /// indirect blocks, and directories. Matches the paper's
     /// convention of treating the minfree reserve as free space.
     pub fn utilization(&self) -> f64 {
         let total = self.geom.total_data_blocks as u64 * u64::from(FPB);
@@ -419,7 +413,6 @@ impl Filesystem {
         bytes_written: u64,
     ) -> FsResult<Filesystem> {
         let geom = Geometry::new(&params);
-        let frag_limit = geom.frag_limit;
         let inode_limit = params.ncg * params.inodes_per_cg();
         for d in &dirs {
             // Directory ids are assigned sequentially from zero and never
@@ -430,7 +423,7 @@ impl Filesystem {
             if d.id.0 as usize >= dirs.len()
                 || d.cg.0 >= params.ncg
                 || d.ino_slot >= params.inodes_per_cg()
-                || !geom.is_block(d.block)
+                || !geom.is_frag_run(d.block, DIR_FRAGS)
             {
                 return Err(FsError::Corrupt(format!(
                     "directory {:?} has claims outside the volume",
@@ -444,11 +437,7 @@ impl Filesystem {
                 .iter()
                 .chain(f.indirects())
                 .all(|&b| geom.is_block(b));
-            let tail_ok = f.tail.is_none_or(|(d, n)| {
-                (1..FPB).contains(&n)
-                    && d.0 % FPB + n <= FPB
-                    && d.0.checked_add(n).is_some_and(|e| e <= frag_limit)
-            });
+            let tail_ok = f.tail.is_none_or(|(d, n)| geom.is_frag_run(d, n));
             if !blocks_ok || !tail_ok || f.ino.0 >= inode_limit {
                 return Err(FsError::Corrupt(format!(
                     "file {:?} has claims outside the volume",
@@ -804,6 +793,38 @@ mod tests {
         assert_eq!(dirs.len(), 4);
         let groups: Vec<u32> = dirs.iter().map(|&d| f.dir(d).unwrap().cg.0).collect();
         assert_eq!(groups, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn mkdir_in_a_group_with_no_free_inode_spills() {
+        let mut f = Filesystem::new(FsParams::small_test(), AllocPolicy::Orig);
+        let per = f.params().inodes_per_cg();
+        (0..per).for_each(|s| f.cgs[1].take_inode(s));
+        let d = f.mkdir_in(CgIdx(1)).expect("a full group spills");
+        // `ffs_hashalloc`'s first rehash from group 1 is group 2, which
+        // counts the directory and holds its fragment.
+        let dir = f.dir(d).unwrap().clone();
+        assert_eq!((dir.cg, dir.ino_slot), (CgIdx(2), 0));
+        assert_eq!(f.params().dtog(dir.block), CgIdx(2));
+        let ndirs: Vec<u32> = (0..4).map(|g| f.cg(CgIdx(g)).ndirs()).collect();
+        assert_eq!(ndirs, [0, 0, 1, 0]);
+        assert_eq!(f.alloc_stats().cg_spills, 1);
+        assert_eq!(crate::check(&f), []);
+    }
+
+    #[test]
+    fn a_directory_takes_one_fragment_that_a_small_file_shares() {
+        let mut f = Filesystem::new(FsParams::small_test(), AllocPolicy::Orig);
+        let free = f.free_frags();
+        let d = f.mkdir_in(CgIdx(0)).unwrap();
+        let at = f.dir(d).unwrap().block;
+        assert_eq!(free - f.free_frags(), u64::from(DIR_FRAGS));
+        assert_eq!(f.used_meta_frags, 1);
+        // First fit from the group's front packs the file's tail into
+        // the rest of the directory's block.
+        let ino = f.create(d, 3 * KB, 0).unwrap();
+        assert_eq!(f.file(ino).unwrap().tail, Some((Daddr(at.0 + 1), 3)));
+        assert_eq!(crate::check(&f), []);
     }
 
     #[test]

@@ -21,6 +21,10 @@ use ffs_types::{CgIdx, Daddr, FsParams, Ino};
 /// Fragments per block (`fs_frag`), the only geometry supported.
 pub(crate) const FPB: u32 = 8;
 
+/// Fragments a directory holds: `ufs_mkdir`'s `.`/`..` template write
+/// gets `fragroundup` of itself from `ffs_balloc`, one fragment.
+pub const DIR_FRAGS: u32 = 1;
+
 /// What the allocator needs to know about a volume's shape, as plain
 /// numbers. A pure function of [`FsParams`]; it caches, it decides
 /// nothing.
@@ -101,5 +105,12 @@ impl Geometry {
     /// Whether `d .. d + FPB` is an aligned block inside the volume.
     pub fn is_block(&self, d: Daddr) -> bool {
         d.0.is_multiple_of(FPB) && d.0.checked_add(FPB).is_some_and(|e| e <= self.frag_limit)
+    }
+
+    /// Whether `d .. d + n` is a run shorter than a block inside one
+    /// block of the volume: a tail's or a directory's claim.
+    pub fn is_frag_run(&self, d: Daddr, n: u32) -> bool {
+        let inside = d.0.checked_add(n).is_some_and(|e| e <= self.frag_limit);
+        (1..FPB).contains(&n) && d.0 % FPB + n <= FPB && inside
     }
 }

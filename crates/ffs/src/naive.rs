@@ -21,6 +21,7 @@ use ffs_types::{CgIdx, Daddr, Ino};
 
 use crate::check::Violation;
 use crate::fs::Filesystem;
+use crate::geom::DIR_FRAGS;
 use crate::table::SlabKey;
 
 /// Reference keyed file table: a `BTreeMap` keyed by slab index behind
@@ -162,8 +163,8 @@ pub fn check_reference(fs: &Filesystem) -> Vec<Violation> {
         }
     }
     for d in fs.dirs() {
-        mark(&mut errs, "directory block", d.block, fpb);
-        meta_frags += fpb as u64;
+        mark(&mut errs, "directory", d.block, DIR_FRAGS);
+        meta_frags += u64::from(DIR_FRAGS);
         if !fs.cg(d.cg).inode_used(d.ino_slot) {
             errs.push(Violation::DirInodeSlotFree(d.id));
         }
@@ -267,9 +268,7 @@ pub fn claimed_reference(fs: &Filesystem, condemned: &mut BTreeSet<Ino>) -> (BTr
     let fpb = fs.params().frags_per_block();
     let mut claimed: BTreeSet<u32> = BTreeSet::new();
     for d in fs.dirs() {
-        for i in 0..fpb {
-            claimed.insert(d.block.0 + i);
-        }
+        claimed.extend((0..DIR_FRAGS).map(|i| d.block.0 + i));
     }
     for f in fs.files() {
         if condemned.contains(&f.ino) {

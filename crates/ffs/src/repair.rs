@@ -29,7 +29,7 @@ use crate::cg::CylGroup;
 use crate::check::check;
 use crate::claims::ClaimMap;
 use crate::fs::Filesystem;
-use crate::geom::FPB;
+use crate::geom::{DIR_FRAGS, FPB};
 use crate::layout::recompute_aggregate;
 
 /// What [`repair`] found and did.
@@ -141,7 +141,7 @@ fn install_allocation_state(fs: &mut Filesystem, claims: ClaimMap) {
         mark_slot(cgs, d.cg, d.ino_slot);
         let cg = &mut cgs[d.cg.0 as usize];
         cg.set_ndirs(cg.ndirs() + 1);
-        used_meta += u64::from(FPB);
+        used_meta += u64::from(DIR_FRAGS);
         d.nfiles = 0;
     }
     for f in files.values() {

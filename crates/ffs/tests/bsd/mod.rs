@@ -4,8 +4,9 @@
 //! group's public accessors, and works on them with the kernel's idioms:
 //! `ffs_isblock` on a whole map byte, `setbit`, `ffs_fragacct`,
 //! `ffs_clusteracct`. It answers every free-space query and recount, and
-//! ([`RefFs`]) creates files block by block in `ffs_balloc` order and
-//! removes them through `ffs_blkfree` / `ffs_vfree`. It has one reading
+//! ([`RefFs`]) places directories by `ffs_dirpref` and `ufs_mkdir`,
+//! creates files block by block in `ffs_balloc` order and removes them
+//! through `ffs_blkfree` / `ffs_vfree`. It has one reading
 //! of each: 4.4BSD-Lite's, with our placement switch (`frag_bestfit`).
 //! [`pair`] runs ours and the reference side by side.
 
@@ -14,10 +15,14 @@
 
 pub mod pair;
 
-use ffs::{AllocStats, CylGroup, FileMeta, Filesystem, FreeSpaceStats};
+use ffs::geom::DIR_FRAGS;
+use ffs::{AllocStats, CylGroup, DirMeta, FileMeta, Filesystem, FreeSpaceStats};
 use ffs_types::{CgIdx, FsParams};
 
 const NDADDR: u32 = 12;
+/// `sizeof (struct dirtemplate)`: the `.` and `..` entries `ufs_mkdir`
+/// writes into a new directory.
+const DIRTEMPLATE: u64 = 24;
 /// `fs_frag`: a block is one byte of `cg_blksfree`, as on every volume
 /// ours builds.
 const FS_FRAG: u32 = 8;
@@ -595,6 +600,16 @@ impl RefFile {
         }
     }
 
+    /// A directory as a file: its inode and its fragment run, on a
+    /// volume of `ipg` inodes per group.
+    pub fn of_dir(d: &DirMeta, ipg: u32) -> RefFile {
+        RefFile {
+            ino: d.cg.0 * ipg + d.ino_slot,
+            tail: Some((d.block.0, DIR_FRAGS)),
+            ..RefFile::default()
+        }
+    }
+
     /// Where the two first differ: the inode, the first differing index
     /// of the blocks or indirects with both addresses (`-` past a
     /// list's end), or the tail.
@@ -770,6 +785,43 @@ impl RefFs<'_> {
             None => ino / sb.ipg,
         };
         sb.daddr(g, 1)
+    }
+
+    /// `ffs_dirpref`: the first group with the fewest directories
+    /// (`cs_ndir`) among those with at least the average free inodes
+    /// (`cs_nifree`).
+    pub fn dirpref(&self) -> u32 {
+        let (ncg, field) = (self.sb.ncg, |g: u32, off| self.cgs[g as usize].get(off));
+        let total: u64 = (0..ncg).map(|g| u64::from(field(g, CS_NIFREE))).sum();
+        let avgifree = total / u64::from(ncg);
+        let (mut minndir, mut mincg) = (self.sb.ipg, 0);
+        for g in 0..ncg {
+            if field(g, CS_NDIR) < minndir && u64::from(field(g, CS_NIFREE)) >= avgifree {
+                (minndir, mincg) = (field(g, CS_NDIR), g);
+            }
+        }
+        mincg
+    }
+
+    /// `ufs_mkdir` with `ipref` = group `g`'s first inode: `ffs_valloc`
+    /// (the group the inode lands in counts it in `cs_ndir`), then the
+    /// template's `ffs_balloc` at lbn 0, which allocates `fragroundup` of
+    /// the write at `ffs_blkpref`'s preference. On failure the inode is
+    /// given back. The directory as a file: its inode and that run.
+    pub fn mkdir(&mut self, g: u32) -> Result<RefFile, &'static str> {
+        let ino = self.valloc(g * self.sb.ipg).ok_or("no inodes")?;
+        let frags = DIRTEMPLATE.div_ceil(self.sb.fsize) as u32;
+        let Some(d) = self.alloc_frags(frags, self.blkpref(ino, 0, None)) else {
+            self.vfree(ino);
+            return Err("no space");
+        };
+        self.cgs[(ino / self.sb.ipg) as usize].add(CS_NDIR, 1);
+        let tail = Some((d, frags));
+        Ok(RefFile {
+            ino,
+            tail,
+            ..RefFile::default()
+        })
     }
 
     /// Creates a file of `size` bytes for the directory with inode

@@ -29,22 +29,28 @@ pub struct Pair {
 }
 
 impl Pair {
+    /// A fresh volume and its reference, on which the reference makes
+    /// `mkdir_per_cg`'s directories, one per group in group order.
     pub fn new(params: &FsParams, sw: Switches) -> Pair {
         let policy = [AllocPolicy::Orig, AllocPolicy::Realloc][usize::from(sw.realloc)];
         let mut fs = Filesystem::new(params.clone(), policy);
         fs.set_frag_bestfit(sw.frag_bestfit);
-        let (dirs, sb) = (fs.mkdir_per_cg().unwrap(), Sb::new(params));
+        let sb = Sb::new(params);
         let groups: Vec<_> = (0..params.ncg).map(|g| fs.cg(CgIdx(g)).clone()).collect();
         let cgs = groups.iter().map(|cg| Cg::encode(&sb, cg)).collect();
-        Pair {
+        let mut p = Pair {
             fs,
             sb,
             sw,
-            dirs,
+            dirs: Vec::new(),
             groups,
             cgs,
             ops: 0,
+        };
+        for g in 0..params.ncg {
+            p.make_dir(Some(g)).unwrap_or_else(|e| panic!("{e}"));
         }
+        p
     }
 
     /// After op `what` both sides hold the same bytes and have counted
@@ -101,16 +107,14 @@ impl Pair {
         }
     }
 
-    pub fn create(&mut self, dir: usize, size: u64, day: u32) -> Result<Option<Ino>, String> {
-        let what = format!("create of {size} bytes in group {dir}");
-        let d = self.fs.dir(self.dirs[dir]).unwrap().clone();
-        let dir_ino = d.cg.0 * self.fs.params().inodes_per_cg() + d.ino_slot;
-        let mut r = self.reference();
-        let want = r.create(dir_ino, size);
-        let after = (r.cgs, r.stats);
-        let got = self.fs.create(d.id, size, day);
-        let ours = got.as_ref().map(|&i| RefFile::of(self.fs.file(i).unwrap()));
-        let differs = match (&ours, &want) {
+    /// Whether our outcome of op `what` is the reference's.
+    fn same(
+        &self,
+        what: &str,
+        ours: Result<RefFile, &FsError>,
+        want: &Result<RefFile, &str>,
+    ) -> Result<(), String> {
+        let differs = match (ours, want) {
             (Ok(a), Ok(b)) => a.diff(b),
             (Err(FsError::NoSpace { .. }), Err("no space")) => None,
             (Err(FsError::NoInodes), Err("no inodes")) => None,
@@ -118,9 +122,49 @@ impl Pair {
             (Err(e), Ok(b)) => Some(format!("{e} vs inode {}", b.ino)),
             (Err(e), Err(w)) => Some(format!("{e} vs {w}")),
         };
-        if let Some(d) = differs {
-            return Err(format!("op {} ({what}): {d} (ours vs ref)", self.ops));
+        match differs {
+            Some(d) => Err(format!("op {} ({what}): {d} (ours vs ref)", self.ops)),
+            None => Ok(()),
         }
+    }
+
+    /// Makes a directory on both sides, in group `pin` or, with none,
+    /// where `ffs_dirpref` puts it, and appends it to `dirs`.
+    fn make_dir(&mut self, pin: Option<u32>) -> Result<(), String> {
+        let mut r = self.reference();
+        let g = pin.unwrap_or_else(|| r.dirpref());
+        let want = r.mkdir(g);
+        let after = (r.cgs, r.stats);
+        let got = match pin {
+            Some(g) => self.fs.mkdir_in(CgIdx(g)),
+            None => self.fs.mkdir(),
+        };
+        let ipg = self.fs.params().inodes_per_cg();
+        let ours = got
+            .as_ref()
+            .map(|&id| RefFile::of_dir(self.fs.dir(id).unwrap(), ipg));
+        let what = format!("mkdir with ipref in group {g}");
+        self.same(&what, ours, &want)?;
+        self.settle(&what, after, false)?;
+        self.dirs.extend(got.ok());
+        Ok(())
+    }
+
+    /// `mkdir`: a directory where `ffs_dirpref` puts it.
+    pub fn mkdir(&mut self) -> Result<(), String> {
+        self.make_dir(None)
+    }
+
+    pub fn create(&mut self, dir: usize, size: u64, day: u32) -> Result<Option<Ino>, String> {
+        let what = format!("create of {size} bytes in directory {dir}");
+        let d = self.fs.dir(self.dirs[dir]).unwrap().clone();
+        let dir_ino = d.cg.0 * self.fs.params().inodes_per_cg() + d.ino_slot;
+        let mut r = self.reference();
+        let want = r.create(dir_ino, size);
+        let after = (r.cgs, r.stats);
+        let got = self.fs.create(d.id, size, day);
+        let ours = got.as_ref().map(|&i| RefFile::of(self.fs.file(i).unwrap()));
+        self.same(&what, ours, &want)?;
         self.settle(&what, after, false)?;
         Ok(got.ok())
     }
@@ -147,11 +191,13 @@ pub fn tiny_blocks() -> FsParams {
     }
 }
 
-/// `ops` random creates and removes of variant `i`, drawn from `seed`,
-/// on a nearly full volume: small files with tails, files across the indirect switches
-/// and the write chunk, creates too big for what is left (they roll
-/// back). Counts into `reached` the creates that failed for space,
-/// reached a double indirect and crossed a write chunk.
+/// `ops` random creates, removes and `mkdir`s of variant `i`, drawn
+/// from `seed`, on a nearly full volume: small files with tails, files
+/// across the indirect switches and the write chunk, creates too big for
+/// what is left (they roll back), and now and then a directory where
+/// `ffs_dirpref` puts it, which half the creates after it go into.
+/// Counts into `reached` the creates that failed for space, reached a
+/// double indirect and crossed a write chunk.
 pub fn stream(
     params: &FsParams,
     i: u32,
@@ -168,6 +214,10 @@ pub fn stream(
             p.remove(live.swap_remove(rng.gen_range(0..live.len())))?;
             continue;
         }
+        if rng.gen_bool(1.0 / 16.0) {
+            p.mkdir()?;
+            continue;
+        }
         let blocks = match rng.gen_range(0u32..20) {
             0..=7 => rng.gen_range(0u64..12),
             8..=14 => rng.gen_range(12..320),
@@ -176,7 +226,11 @@ pub fn stream(
             _ => p.fs.free_blocks() + rng.gen_range(1u64..50),
         };
         let size = blocks * bsize + rng.gen_range(0..bsize);
-        let dir = rng.gen_range(0..p.dirs.len());
+        let newest = p.dirs.len() - 1;
+        let dir = match rng.gen_bool(0.5) {
+            true => newest,
+            false => rng.gen_range(0..p.dirs.len()),
+        };
         let Some(ino) = p.create(dir, size, day)? else {
             reached[0] += 1;
             continue;

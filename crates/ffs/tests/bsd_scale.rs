@@ -1,12 +1,17 @@
 //! The 4.4BSD reference (`bsd/mod.rs`) at the paper's scale: the 502 MB
 //! volume aged for the 300 days of `AgingConfig::paper(1996)`, under the
 //! original policy and under realloc, at our default switches. The
-//! reference runs on its own bytes from the first day to the last — it
-//! is never resynchronised with ours, as `bsd_oracle`'s op-by-op replay
-//! is — next to the replay `harness all` runs. The day-0 layout scores
-//! must be equal, and at day 299 so must every live file (blocks,
-//! indirects and tail), every group's `struct cg` bytes and the
-//! allocation counts.
+//! reference runs on its own bytes from mkfs to the last day — it makes
+//! the replay's one directory per group itself and is never
+//! resynchronised with ours, as `bsd_oracle`'s op-by-op replay is — next
+//! to the replay `harness all` runs. The directories and the day-0
+//! layout scores must be equal, and at day 299 so must every live file
+//! (blocks, indirects and tail), every group's `struct cg` bytes and the
+//! allocation counts. Then both sides run `run_point`'s directory
+//! pattern on the day-299 free space for Figure 4's point with the most
+//! directories: its `mkdir`s, each placed by `ffs_dirpref`, and the
+//! creates into them; every directory, file and group must be equal
+//! again.
 //!
 //! Ignored in the debug tier, where the two take about 45 s on two
 //! cores; CI `smoke` runs both in release:
@@ -18,8 +23,9 @@ use std::collections::HashMap;
 
 use aging::{AgingConfig, Days, Op, Replay, ReplayOptions};
 use bsd::{encode_fs, RefFile, RefFs, Sb, Switches};
-use ffs::AllocPolicy;
+use ffs::{AllocPolicy, Filesystem};
 use ffs_types::FsParams;
+use iobench::{paper_file_sizes, SeqBenchConfig};
 
 /// Fragments per block: a block follows another `FPB` addresses on.
 const FPB: u32 = 8;
@@ -52,25 +58,23 @@ fn replay_matches_the_reference(policy: AllocPolicy) {
     let params = FsParams::paper_502mb();
     let config = AgingConfig::paper(1996);
     let mut ours = Replay::new(&params, policy, ReplayOptions::default()).unwrap();
-    let sb = Sb::new(&params);
-    let ipg = params.inodes_per_cg();
-    // One directory per group, in the order ops name them: its inode
-    // number.
-    let dirs: Vec<u32> = ours
-        .fs()
-        .dirs()
-        .map(|d| d.cg.0 * ipg + d.ino_slot)
-        .collect();
+    let (sb, ipg) = (Sb::new(&params), params.inodes_per_cg());
     let sw = Switches {
         realloc: policy == AllocPolicy::Realloc,
         frag_bestfit: false,
     };
+    let mkfs = Filesystem::new(params.clone(), policy);
     let mut r = RefFs {
         sb: &sb,
-        cgs: encode_fs(&sb, ours.fs()),
+        cgs: encode_fs(&sb, &mkfs),
         sw,
-        stats: ours.fs().alloc_stats().clone(),
+        stats: mkfs.alloc_stats().clone(),
     };
+    // One directory per group, in the order ops name them.
+    let made: Vec<RefFile> = (0..params.ncg).map(|g| r.mkdir(g).unwrap()).collect();
+    let replayed = ours.fs().dirs().map(|d| RefFile::of_dir(d, ipg));
+    assert!(replayed.eq(made.iter().cloned()), "{policy:?}: directories");
+    let dirs: Vec<u32> = made.iter().map(|d| d.ino).collect();
     let mut live = HashMap::new();
     for day in Days::new(&config, params.ncg, params.data_capacity_bytes()) {
         for op in &day.ops {
@@ -105,6 +109,38 @@ fn replay_matches_the_reference(policy: AllocPolicy) {
         assert_eq!(a.diff(b), None, "{what}: group {g} (ours vs ref)");
     }
     assert_eq!(*end.fs.alloc_stats(), r.stats, "{what}: alloc stats");
+    point_dirs_match_the_reference(&end.fs, r, &what);
+}
+
+/// `run_point`'s directory pattern on `aged`'s free space, ours and the
+/// reference's `r` (at `aged`'s bytes): one `mkdir` per
+/// `files_per_dir` files, then the files, in order, into them, at
+/// Figure 4's smallest size, the point with the most directories.
+fn point_dirs_match_the_reference(aged: &Filesystem, mut r: RefFs, what: &str) {
+    let (config, size) = (SeqBenchConfig::default(), paper_file_sizes()[0]);
+    let nfiles = (config.total_bytes / size) as u32;
+    let ndirs = nfiles.div_ceil(config.files_per_dir);
+    let mut fs = aged.copy_free_space();
+    let ipg = fs.params().inodes_per_cg();
+    let mut dirs = Vec::new();
+    for i in 0..ndirs {
+        let id = fs.mkdir().unwrap();
+        let ours = RefFile::of_dir(fs.dir(id).unwrap(), ipg);
+        let want = r.mkdir(r.dirpref()).unwrap();
+        assert_eq!(ours.diff(&want), None, "{what}: point directory {i}");
+        dirs.push((id, want.ino));
+    }
+    for i in 0..nfiles {
+        let (id, dir_ino) = dirs[(i / config.files_per_dir) as usize];
+        let ino = fs.create(id, size, 0).unwrap();
+        let ours = RefFile::of(fs.file(ino).unwrap());
+        let want = r.create(dir_ino, size).unwrap();
+        assert_eq!(ours.diff(&want), None, "{what}: point file {i}");
+    }
+    for (g, (a, b)) in encode_fs(r.sb, &fs).iter().zip(&r.cgs).enumerate() {
+        assert_eq!(a.diff(b), None, "{what}: point, group {g} (ours vs ref)");
+    }
+    assert_eq!(*fs.alloc_stats(), r.stats, "{what}: point, alloc stats");
 }
 
 #[test]

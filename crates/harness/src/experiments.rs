@@ -318,6 +318,10 @@ pub fn table2(
         ro.bytes as f64 / MB as f64,
         rr.bytes as f64 / MB as f64
     );
+    let (o, r) = (&orig.fs, &realloc.fs);
+    let _ = writeln!(s, "live_files\t{}\t{}\t", o.nfiles(), r.nfiles());
+    let gb = |fs: &Filesystem| fs.bytes_written() as f64 / (1u64 << 30) as f64;
+    let _ = writeln!(s, "gb_written\t{:.2}\t{:.2}\t", gb(o), gb(r));
     Ok(s)
 }
 

@@ -73,7 +73,8 @@ pub fn value(files: &BTreeMap<String, String>, at: &str) -> f64 {
 }
 
 /// Where each ratchet key is read: by the rules of the frozen bench's
-/// `exhibit_sim` for the keys it scores, then the hot set and Figure 1.
+/// `exhibit_sim` for the keys it scores, then the hot set, the aged
+/// volumes and Figure 1.
 const RULES: &[(&str, &str)] = &[
     ("layout_day1_ffs", "fig2/0/1"),
     ("layout_day1_realloc", "fig2/0/2"),
@@ -92,6 +93,8 @@ const RULES: &[(&str, &str)] = &[
     ("raw_write_mb_s", "fig4/raw_write/1"),
     ("hot_files", "table2/hot_files/1"),
     ("hot_bytes_mb", "table2/hot_bytes_mb/1"),
+    ("live_files_end", "table2/live_files/1"),
+    ("gb_written", "table2/gb_written/1"),
     ("fig1_real_day300", "fig1/299/1"),
     ("fig1_simulated_day300", "fig1/299/2"),
 ];

@@ -87,7 +87,7 @@ impl<'d> IoEngine<'d> {
         }
     }
 
-    /// A synchronous single-block metadata update (inode or directory
+    /// A synchronous single-block metadata update (an inode-table
     /// block): FFS performs these on the create path, which is what caps
     /// small-file create throughput in Figure 4.
     pub fn sync_block_write(&mut self, addr: Daddr, params: &FsParams) {

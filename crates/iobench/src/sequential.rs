@@ -10,6 +10,7 @@
 
 use disk::{Device, DeviceStats, IoKind};
 use ffs::fs::LayoutAgg;
+use ffs::geom::DIR_FRAGS;
 use ffs::Filesystem;
 use ffs_types::units::mb_per_sec;
 use ffs_types::{DiskParams, FsError, FsResult, Ino, KB, MB};
@@ -109,14 +110,14 @@ pub fn run_point(aged: &Filesystem, config: &SeqBenchConfig, file_size: u64) -> 
         let ino = fs.create(dir, file_size, 0)?;
         inos.push(ino);
         // Synchronous metadata updates: the new inode's table block and
-        // the directory's entry block.
+        // the directory's entry fragment.
         let (cg, slot) = params.ino_to_cg(ino);
         let inode_block = params.inode_daddr(cg, slot);
-        let dir_block = fs.dir(dir).expect("dir exists").block;
+        let dir_frag = fs.dir(dir).expect("dir exists").block;
         let meta = fs.file(ino).expect("file exists");
         let mut eng = IoEngine::new(&mut dev, &params, map);
         eng.sync_block_write(inode_block, &params);
-        eng.sync_block_write(dir_block, &params);
+        eng.transfer_extent(IoKind::Write, dir_frag, DIR_FRAGS);
         // Data written back in clusters when the write completes.
         eng.transfer_file(IoKind::Write, meta, &params);
     }
