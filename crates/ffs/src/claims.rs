@@ -15,9 +15,8 @@
 //! ([`ClaimMap::of_survivors`], first claimant keeps), and the map
 //! rebuild shared with [`crate::Filesystem::restore`], which installs
 //! the claimed words as the groups' new maps. The `BTreeMap` walk this
-//! replaced survives as [`crate::naive::check_reference`] and
-//! [`crate::naive::claimed_reference`]; `tests/check_oracle.rs` holds the
-//! two equal.
+//! replaced survives as `check_reference` and `claimed_reference` in
+//! `tests/check_oracle.rs`, which holds the two equal.
 
 use std::collections::BTreeSet;
 

@@ -500,16 +500,24 @@ impl Filesystem {
         Ok(())
     }
 
-    /// A stable 64-bit digest (FNV-1a) of every allocation-relevant
-    /// piece of state: parameters, policy, directories, inodes with all
-    /// their block claims, rotors, and the cumulative write counter.
+    /// A stable 64-bit digest (FNV-1a) of the parameters, the policy,
+    /// the cumulative write counter, the next directory id, each
+    /// directory's id, group, address, inode slot and file count, each
+    /// file's inode, directory, size, mtime, blocks, tail and indirect
+    /// blocks, and every group's rotors.
     ///
-    /// Two file systems with equal digests behave identically under
-    /// further allocation, so the artifact cache uses the digest to
-    /// validate that a deserialized aged image really is the one that
-    /// was saved. The digest is independent of *how* the state was
-    /// reached (clone, checkpoint restore, replay) because it reads only
-    /// canonical state in canonical (ascending slab key / group) order.
+    /// It does not hash the block, fragment or inode maps, the summary
+    /// counts, or how many fragments a directory claims, so equal
+    /// digests do not mean equal free space: a checkpoint written when a
+    /// directory claimed a whole block restores, with one fragment per
+    /// directory, to the digest recorded for the whole-block volume
+    /// (`checkpoint_fixture.rs`). Hashing the groups' bytes instead is
+    /// ROADMAP item 20. The artifact cache uses the digest to validate
+    /// that a deserialized aged image is the one that was saved; its
+    /// keys also hash [`crate::PLACEMENT_REVISION`]. The digest is
+    /// independent of *how* the state was reached (clone, checkpoint
+    /// restore, replay) because it reads only canonical state in
+    /// canonical (ascending slab key / group) order.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |v: u64| {

@@ -41,7 +41,6 @@ pub mod fs;
 pub mod geom;
 pub mod inode;
 pub mod layout;
-pub mod naive;
 pub mod relocate;
 pub mod repair;
 pub mod table;

@@ -288,8 +288,8 @@ pub fn inject_metadata_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 
 /// planted.
 ///
 /// Every planted run stays inside one group's data area, where the claim
-/// map and the B-tree reference walk ([`crate::naive::check_reference`])
-/// see the same thing; pointers into a metadata area or off the volume
+/// map and the B-tree reference walk (`check_reference` in
+/// `tests/check_oracle.rs`) see the same thing; pointers into a metadata area or off the volume
 /// have unit tests of their own.
 pub fn inject_structural_damage(fs: &mut Filesystem, seed: u64, hits: u32) -> u32 {
     let mut rng = StdRng::seed_from_u64(seed);

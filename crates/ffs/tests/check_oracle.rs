@@ -2,26 +2,219 @@
 //!
 //! [`ffs::check`], [`ffs::repair`] and [`Filesystem::restore`] all learn
 //! what the inodes claim from one packed claim map (a bit per fragment,
-//! in the groups' own word layout); [`ffs::naive`] keeps the walks that
-//! map retired — one `BTreeMap` node per claimed fragment, probed once
-//! per fragment of the volume. This suite churns random files through
+//! in the groups' own word layout); [`check_reference`] and
+//! [`claimed_reference`] here are the walks that map retired — one
+//! `BTreeMap` node per claimed fragment, probed once per fragment of the
+//! volume. This suite churns random files through
 //! the whole stack on group sizes whose bitmaps end in a partial word and whose bases are not multiples
 //! of 64 (426/428 blocks), plus 512- and 2920-block groups, then plants
 //! derived-state and structural damage and holds the two implementations
 //! to the same violations in the same order, the same repair verdict, and
 //! the same rebuilt maps.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use ffs::naive;
+use ffs::geom::DIR_FRAGS;
 use ffs::{
-    check, inject_metadata_damage, inject_structural_damage, repair, AllocPolicy, Filesystem,
-    Violation,
+    check, inject_metadata_damage, inject_structural_damage, recompute_aggregate, repair,
+    AllocPolicy, Filesystem, Violation,
 };
-use ffs_types::{CgIdx, FsParams, Ino, KB, MB};
+use ffs_types::{CgIdx, Daddr, FsParams, Ino, KB, MB};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Reference [`check`]: the retired walk that records the inodes' claims
+/// as a `BTreeMap` with one node per fragment and probes it once per
+/// fragment of the volume. Everything past the claim bookkeeping is the
+/// production body verbatim, except two findings on state outside the
+/// public API, the metadata counter and the file tables' slab indices:
+/// those are [`check`]'s own, spliced in at their places.
+///
+/// A B-tree files any address, so two findings of the claim map are out
+/// of its reach: it never reports [`Violation::OutsideVolume`], and a
+/// claim on a group's static metadata area is not a
+/// [`Violation::DoubleAlloc`] to it. On every other image the two return
+/// the same violations in the same order.
+fn check_reference(fs: &Filesystem) -> Vec<Violation> {
+    let mut errs = Vec::new();
+    let params = fs.params();
+    let fpb = params.frags_per_block();
+    // Expected allocation map: fragment address -> usage count.
+    let mut expected: BTreeMap<u32, u32> = BTreeMap::new();
+    let mut mark = |errs: &mut Vec<Violation>, what: &'static str, d: Daddr, frags: u32| {
+        for i in 0..frags {
+            let e = expected.entry(d.0 + i).or_insert(0);
+            *e += 1;
+            if *e > 1 {
+                errs.push(Violation::DoubleAlloc {
+                    addr: Daddr(d.0 + i),
+                    what,
+                });
+            }
+        }
+    };
+    let mut data_frags = 0u64;
+    for f in fs.files() {
+        for &b in &f.blocks {
+            mark(&mut errs, "data block", b, fpb);
+            if b.0 % fpb != 0 {
+                errs.push(Violation::MisalignedBlock {
+                    block: b,
+                    ino: f.ino,
+                });
+            }
+        }
+        for &b in f.indirects() {
+            mark(&mut errs, "indirect block", b, fpb);
+        }
+        if let Some((d, n)) = f.tail {
+            mark(&mut errs, "tail", d, n);
+            if n == 0 || n >= fpb {
+                errs.push(Violation::BadTailLength { ino: f.ino, len: n });
+            }
+        }
+        data_frags += f.data_frags(params);
+        // The inode slot must be allocated in its group.
+        let (cg, slot) = params.ino_to_cg(f.ino);
+        if !fs.cg(cg).inode_used(slot) {
+            errs.push(Violation::FileInodeSlotFree(f.ino));
+        }
+        // Tail fragments must not cross a block boundary.
+        if let Some((d, n)) = f.tail {
+            if d.0 % fpb + n > fpb {
+                errs.push(Violation::TailCrossesBlock { ino: f.ino });
+            }
+        }
+    }
+    for d in fs.dirs() {
+        mark(&mut errs, "directory", d.block, DIR_FRAGS);
+        if !fs.cg(d.cg).inode_used(d.ino_slot) {
+            errs.push(Violation::DirInodeSlotFree(d.id));
+        }
+    }
+    // Compare the maps group by group.
+    for g in 0..fs.ncg() {
+        let cg = fs.cg(CgIdx(g));
+        let base = params.cg_base(CgIdx(g)).0;
+        let mut free_frags = 0u32;
+        let mut free_blocks = 0u32;
+        for b in 0..cg.nblocks() {
+            let mut byte = 0u8;
+            for i in 0..fpb {
+                let addr = base + b * fpb + i;
+                if expected.contains_key(&addr) {
+                    byte |= 1 << i;
+                }
+            }
+            if b < cg.meta_blocks() {
+                byte = cg.full_lane(); // Static metadata area.
+            }
+            if cg.map_byte(b) != byte {
+                errs.push(Violation::MapMismatch {
+                    cg: g,
+                    block: b,
+                    actual: cg.map_byte(b),
+                    expected: byte,
+                });
+            }
+            if byte == 0 {
+                free_blocks += 1;
+            }
+            free_frags += fpb - byte.count_ones();
+        }
+        if cg.free_frags() != free_frags {
+            errs.push(Violation::FreeFragsDrift {
+                cg: g,
+                counter: cg.free_frags(),
+                map: free_frags,
+            });
+        }
+        if cg.free_blocks() != free_blocks {
+            errs.push(Violation::FreeBlocksDrift {
+                cg: g,
+                counter: cg.free_blocks(),
+                map: free_blocks,
+            });
+        }
+        for (index, detail) in cg.derived_drift() {
+            errs.push(Violation::DerivedDrift {
+                cg: g,
+                index,
+                detail,
+            });
+        }
+    }
+    // Aggregate counters.
+    if fs.used_data_bytes() != data_frags * params.fsize as u64 {
+        errs.push(Violation::UsedDataDrift {
+            counter: fs.used_data_bytes(),
+            recomputed: data_frags * params.fsize as u64,
+        });
+    }
+    let private = check(fs);
+    let production =
+        |keep: fn(&Violation) -> bool| private.iter().filter(move |v| keep(v)).cloned();
+    errs.extend(production(|v| matches!(v, Violation::UsedMetaDrift { .. })));
+    let inc = fs.aggregate_layout();
+    let full = recompute_aggregate(fs);
+    if inc != full {
+        errs.push(Violation::LayoutAggDrift {
+            incremental: inc,
+            recomputed: full,
+        });
+    }
+    errs.extend(production(|v| {
+        matches!(v, Violation::SlabIndexDrift { .. })
+    }));
+    errs
+}
+
+/// Reference for [`repair`]'s pass 1 and orphan count:
+/// the retired walk that collects the surviving claims as a
+/// `BTreeSet<u32>` of fragment addresses. Directories claim first, then
+/// files in inode order, skipping those already in `condemned`; a file
+/// with any fragment already claimed joins `condemned` and claims
+/// nothing. Returns the claimed set and the number of allocated map bits
+/// outside the metadata area that nothing in it claims.
+fn claimed_reference(fs: &Filesystem, condemned: &mut BTreeSet<Ino>) -> (BTreeSet<u32>, u64) {
+    let fpb = fs.params().frags_per_block();
+    let mut claimed: BTreeSet<u32> = BTreeSet::new();
+    for d in fs.dirs() {
+        claimed.extend((0..DIR_FRAGS).map(|i| d.block.0 + i));
+    }
+    for f in fs.files() {
+        if condemned.contains(&f.ino) {
+            continue;
+        }
+        let mut frags: Vec<u32> = Vec::new();
+        for &b in f.blocks.iter().chain(f.indirects()) {
+            frags.extend((0..fpb).map(|i| b.0 + i));
+        }
+        if let Some((d, n)) = f.tail {
+            frags.extend((0..n).map(|i| d.0 + i));
+        }
+        if frags.iter().any(|a| claimed.contains(a)) {
+            condemned.insert(f.ino);
+        } else {
+            claimed.extend(frags);
+        }
+    }
+    let mut orphans = 0u64;
+    for g in 0..fs.ncg() {
+        let cg = fs.cg(CgIdx(g));
+        let base = fs.params().cg_base(CgIdx(g)).0;
+        for b in cg.meta_blocks()..cg.nblocks() {
+            let byte = cg.map_byte(b);
+            for i in 0..fpb {
+                if byte & (1 << i) != 0 && !claimed.contains(&(base + b * fpb + i)) {
+                    orphans += 1;
+                }
+            }
+        }
+    }
+    (claimed, orphans)
+}
 
 /// 426/428-block groups (a 10 MB, 3-group layout).
 fn mid_geometry() -> FsParams {
@@ -116,13 +309,13 @@ fn assert_maps_are(fs: &Filesystem, claimed: &BTreeSet<u32>) {
 /// restore accepts the inode table exactly when the reference finds
 /// nothing structural in it.
 fn assert_fsck_matches_reference(fs: &Filesystem) {
-    let expected = naive::check_reference(fs);
+    let expected = check_reference(fs);
     assert_eq!(check(fs), expected);
 
     let mut condemned: BTreeSet<Ino> = (expected.iter())
         .filter_map(Violation::condemned_ino)
         .collect();
-    let (claimed, orphans) = naive::claimed_reference(fs, &mut condemned);
+    let (claimed, orphans) = claimed_reference(fs, &mut condemned);
     let mut repaired = fs.clone();
     let report = repair(&mut repaired);
     assert_eq!(report.violations_found, expected.len());

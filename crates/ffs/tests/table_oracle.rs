@@ -1,20 +1,80 @@
 //! Differential oracle for the slab-backed file tables.
 //!
 //! `ffs::Slab` answers keyed lookups from packed values plus derived
-//! indices (key → slot entries, occupancy bitmap); `ffs::naive`'s
-//! `RefTable` is the `BTreeMap` layout it replaced, kept as the slow,
-//! obviously correct model. These tests drive both through identical
+//! indices (key → slot entries, occupancy bitmap); [`RefTable`] here is
+//! the `BTreeMap` layout it replaced, kept as the slow, obviously correct
+//! model. These tests drive both through identical
 //! randomized op sequences — keyed inserts (including re-insert over a
 //! live key), removes of live and dead keys, in-place mutation through
 //! `get_mut` — and assert the canonical state stays identical, the
 //! slab's derived indices stay sound at every step, and the slot order
 //! its swap-removes leave behind never shows.
 
-use ffs::naive::RefTable;
-use ffs::{BlockList, Slab};
+use std::collections::BTreeMap;
+use std::marker::PhantomData;
+
+use ffs::{BlockList, Slab, SlabKey};
 use ffs_types::{Daddr, Ino};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Reference keyed file table: a `BTreeMap` keyed by slab index behind
+/// the same externally-assigned-key API as [`Slab`].
+#[derive(Clone, Debug, Default)]
+struct RefTable<K: SlabKey, V> {
+    map: BTreeMap<usize, V>,
+    _key: PhantomData<fn() -> K>,
+}
+
+impl<K: SlabKey, V> RefTable<K, V> {
+    fn new() -> Self {
+        RefTable {
+            map: BTreeMap::new(),
+            _key: PhantomData,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    fn contains_key(&self, key: &K) -> bool {
+        self.map.contains_key(&key.slab_index())
+    }
+
+    fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(&key.slab_index())
+    }
+
+    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(&key.slab_index())
+    }
+
+    /// Stores `value` under the externally assigned `key`, returning the
+    /// previous value if the key was live.
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.map.insert(key.slab_index(), value)
+    }
+
+    fn remove(&mut self, key: &K) -> Option<V> {
+        self.map.remove(&key.slab_index())
+    }
+
+    /// Live keys in ascending order — the canonical iteration order
+    /// shared with the slab.
+    fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.map.keys().map(|&i| K::from_slab_index(i))
+    }
+
+    /// Live values in ascending key order.
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values()
+    }
+}
 
 /// Asserts the two tables agree on every observable: size, membership,
 /// canonical iteration order, and per-key lookups.

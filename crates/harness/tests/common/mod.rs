@@ -1,4 +1,5 @@
-//! Reading exhibits by cell, shared by the paper-scale tests.
+//! The paper-scale run and reading its exhibits by cell, shared by the
+//! paper-scale tests.
 
 // Each test binary that declares this module uses only part of it.
 #![allow(dead_code)]
@@ -7,6 +8,29 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 use std::sync::OnceLock;
+
+use harness::ctx::Options;
+use harness::driver::{self, EXHIBITS};
+
+/// The files of a cold 300-day `harness all` over the 502 MB volume at
+/// `seed`, by name: about 13 s in a debug build on two cores, about 1 s
+/// in release.
+pub fn run_all(seed: u64) -> BTreeMap<String, String> {
+    let name = format!("harness-all-{}-{seed}", std::process::id());
+    let out = std::env::temp_dir().join(name);
+    let o = Options {
+        seed,
+        out_dir: out.to_str().unwrap().to_string(),
+        jobs: 2,
+        no_cache: true,
+        quiet: true,
+        ..Options::default()
+    };
+    assert!(driver::run(&o, EXHIBITS).expect("driver runs").all_ok());
+    let files = files(&out);
+    let _ = fs::remove_dir_all(&out);
+    files
+}
 
 /// Every file in `dir`, by name; subdirectories (a run's `cache/`) are
 /// skipped.
@@ -36,13 +60,18 @@ pub fn split<'a>(text: &'a str) -> Vec<Vec<&'a str>> {
     text.lines().map(cells).collect()
 }
 
-/// The committed fidelity ratchet, `golden/fidelity.tsv`, read once.
+/// The committed golden `tests/golden/<name>`.
+pub fn golden(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    fs::read_to_string(path).unwrap()
+}
+
+/// The committed seed-1996 ratchet, `golden/fidelity.tsv`, read once.
 pub fn fidelity() -> &'static str {
     static FIDELITY: OnceLock<String> = OnceLock::new();
-    FIDELITY.get_or_init(|| {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fidelity.tsv");
-        fs::read_to_string(path).unwrap()
-    })
+    FIDELITY.get_or_init(|| golden("fidelity.tsv"))
 }
 
 /// The number at `exhibit/row/column` in `files` (the row named by its
